@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/can"
 	"dynautosar/internal/com"
 	"dynautosar/internal/core"
@@ -433,7 +434,7 @@ func BenchmarkBatchDeploy(b *testing.B) {
 				b.StopTimer()
 				s, ids, teardown := benchFleetServer(b, n)
 				b.StartTimer()
-				op, err := s.BatchDeployAsync("fleet", ids, nil, "RemoteControl")
+				op, err := s.BatchDeploy(api.BatchDeployRequest{User: "fleet", Vehicles: ids, App: "RemoteControl"})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -450,7 +451,7 @@ func BenchmarkBatchDeploy(b *testing.B) {
 				s, ids, teardown := benchFleetServer(b, n)
 				b.StartTimer()
 				for _, id := range ids {
-					op, err := s.DeployAsync("fleet", id, "RemoteControl")
+					op, err := s.Deploy(api.DeployRequest{User: "fleet", Vehicle: id, App: "RemoteControl"})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -501,7 +502,7 @@ func BenchmarkDeployJournaled(b *testing.B) {
 					}
 					_, ids, teardown := benchFleetServerLat(b, s, n, journaledAckLatency)
 					b.StartTimer()
-					op, err := s.BatchDeployAsync("fleet", ids, nil, "RemoteControl")
+					op, err := s.BatchDeploy(api.BatchDeployRequest{User: "fleet", Vehicles: ids, App: "RemoteControl"})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -592,7 +593,7 @@ func BenchmarkUpgrade(b *testing.B) {
 		if err := s.Store().UploadApp(v2); err != nil {
 			b.Fatal(err)
 		}
-		op, err := s.BatchDeployAsync("fleet", ids, nil, "RemoteControl")
+		op, err := s.BatchDeploy(api.BatchDeployRequest{User: "fleet", Vehicles: ids, App: "RemoteControl"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -606,7 +607,7 @@ func BenchmarkUpgrade(b *testing.B) {
 			b.StopTimer()
 			s, ids, teardown := upgradeFleet(b)
 			b.StartTimer()
-			op, err := s.BatchUpgradeAsync("fleet", ids, nil, "RemoteControl", "RemoteControl-v2")
+			op, err := s.BatchUpgrade(api.BatchUpgradeRequest{User: "fleet", Vehicles: ids, From: "RemoteControl", To: "RemoteControl-v2"})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -622,12 +623,12 @@ func BenchmarkUpgrade(b *testing.B) {
 			b.StopTimer()
 			s, ids, teardown := upgradeFleet(b)
 			b.StartTimer()
-			uop, err := s.BatchUninstallAsync("fleet", ids, nil, "RemoteControl")
+			uop, err := s.BatchUninstall(api.BatchUninstallRequest{User: "fleet", Vehicles: ids, App: "RemoteControl"})
 			if err != nil {
 				b.Fatal(err)
 			}
 			benchWaitOp(b, s, uop.ID)
-			dop, err := s.BatchDeployAsync("fleet", ids, nil, "RemoteControl-v2")
+			dop, err := s.BatchDeploy(api.BatchDeployRequest{User: "fleet", Vehicles: ids, App: "RemoteControl-v2"})
 			if err != nil {
 				b.Fatal(err)
 			}

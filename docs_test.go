@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"dynautosar/internal/api"
 )
 
 // The documentation gates of CI's docs job: every internal package must
@@ -85,6 +87,35 @@ func TestDocsNamedFilesExist(t *testing.T) {
 	for _, f := range []string{"README.md", "DESIGN.md", "ROADMAP.md", "CHANGES.md", "PAPER.md"} {
 		if _, err := os.Stat(f); err != nil {
 			t.Errorf("referenced file %s missing: %v", f, err)
+		}
+	}
+}
+
+// endpointRow matches a row of DESIGN.md's endpoint table: a backticked
+// "VERB /v1/path" (an illustrative ?query dropped) in the first column.
+var endpointRow = regexp.MustCompile("(?m)^\\| `(GET|POST) (/v1/[^`?]*)[^`]*` \\|")
+
+// TestDocsEndpointTableMatchesRoutes keeps DESIGN.md's /v1 endpoint
+// table and the api.Routes table equal in both directions.
+func TestDocsEndpointTableMatchesRoutes(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]bool)
+	for _, m := range endpointRow.FindAllStringSubmatch(string(raw), -1) {
+		documented[m[1]+" "+m[2]] = true
+	}
+	served := make(map[string]bool, len(api.Routes))
+	for _, rt := range api.Routes {
+		served[rt.Verb+" "+rt.Path] = true
+		if !documented[rt.Verb+" "+rt.Path] {
+			t.Errorf("DESIGN.md endpoint table lacks `%s %s` (%s)", rt.Verb, rt.Path, rt.Name)
+		}
+	}
+	for ep := range documented {
+		if !served[ep] {
+			t.Errorf("DESIGN.md documents `%s`, which api.Routes does not serve", ep)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"net"
 	"time"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 	"dynautosar/internal/fes"
 	"dynautosar/internal/plugin"
@@ -103,12 +104,11 @@ func main() {
 	must(srv.Store().UploadApp(sub))
 
 	fmt.Println("deploying fleet apps ...")
-	must(srv.Deploy("fleet-op", "VIN-LEADER", "LeaderPublisher"))
-	must(srv.Deploy("fleet-op", "VIN-FOLLOWER", "ConvoyFollower"))
-	pump(engines, func() bool {
-		return srv.Status("VIN-LEADER", "LeaderPublisher").Complete() &&
-			srv.Status("VIN-FOLLOWER", "ConvoyFollower").Complete()
-	})
+	lead, err := srv.Deploy(api.DeployRequest{User: "fleet-op", Vehicle: "VIN-LEADER", App: "LeaderPublisher"})
+	must(err)
+	follow, err := srv.Deploy(api.DeployRequest{User: "fleet-op", Vehicle: "VIN-FOLLOWER", App: "ConvoyFollower"})
+	must(err)
+	pump(engines, func() bool { return settled(srv, lead.ID) && settled(srv, follow.ID) })
 
 	// The operator's phone sets the leader's fleet speed; the federation
 	// relays it and the follower's convoy assist requests 90% of it.
@@ -145,6 +145,16 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// settled reports whether an operation reached its terminal state,
+// ending the program if that state is a failure.
+func settled(srv *server.Server, id string) bool {
+	op, _ := srv.Operation(id)
+	if op.State == api.StateFailed {
+		log.Fatalf("operation %s failed: %v %v", id, op.Error, op.Failures)
+	}
+	return op.Done
 }
 
 func waitFor(cond func() bool) {

@@ -14,6 +14,7 @@ import (
 	"net"
 	"time"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/fes"
 	"dynautosar/internal/plugin"
 	"dynautosar/internal/server"
@@ -77,8 +78,9 @@ func main() {
 
 	// User triggers installation through the server.
 	fmt.Println("deploying RemoteControl ...")
-	must(srv.Deploy("alice", car.ID, "RemoteControl"))
-	pump(eng, func() bool { return srv.Status(car.ID, "RemoteControl").Complete() })
+	deploy, err := srv.Deploy(api.DeployRequest{User: "alice", Vehicle: car.ID, App: "RemoteControl"})
+	must(err)
+	pump(eng, func() bool { return settled(srv, deploy.ID) })
 
 	// Show the server-generated contexts — they match the paper verbatim.
 	comPl, _ := car.ECM.Plugin("COM")
@@ -102,11 +104,9 @@ func main() {
 
 	// --- Life cycle: uninstall ----------------------------------------
 	fmt.Println("uninstalling RemoteControl ...")
-	must(srv.Uninstall("alice", car.ID, "RemoteControl"))
-	pump(eng, func() bool {
-		_, installed := srv.Store().InstalledApp(car.ID, "RemoteControl")
-		return !installed
-	})
+	uninstall, err := srv.Uninstall(api.UninstallRequest{User: "alice", Vehicle: car.ID, App: "RemoteControl"})
+	must(err)
+	pump(eng, func() bool { return settled(srv, uninstall.ID) })
 	fmt.Printf("  SW-C2 plug-ins left: %d\n", len(car.SWC2PIRTE.Installed()))
 	fmt.Println("done")
 }
@@ -115,6 +115,16 @@ func must(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// settled reports whether an operation reached its terminal state,
+// ending the program if that state is a failure.
+func settled(srv *server.Server, id string) bool {
+	op, _ := srv.Operation(id)
+	if op.State == api.StateFailed {
+		log.Fatalf("operation %s failed: %v %v", id, op.Error, op.Failures)
+	}
+	return op.Done
 }
 
 func waitFor(cond func() bool) {

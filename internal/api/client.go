@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"dynautosar/internal/core"
 )
 
 // Client is the typed Go client of the deployment service. It wraps any
@@ -31,7 +29,7 @@ func NewClient(baseURL string, httpc *http.Client) *Client {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	return &Client{DeploymentService: &httpTransport{base: strings.TrimRight(baseURL, "/"), hc: httpc}}
+	return &Client{DeploymentService: Stub{&httpTransport{base: strings.TrimRight(baseURL, "/"), hc: httpc}}}
 }
 
 // NewLocalClient wraps an in-process service implementation.
@@ -87,11 +85,15 @@ func (c *Client) WaitRollout(ctx context.Context, id string, interval time.Durat
 	}
 }
 
-// httpTransport implements DeploymentService over the /v1 wire
-// protocol.
+// httpTransport carries out routes over the /v1 wire protocol.
 type httpTransport struct {
 	base string
 	hc   *http.Client
+}
+
+func (t *httpTransport) Invoke(ctx context.Context, rt *Route, arg any) (any, error) {
+	uri, body := rt.request(arg)
+	return rt.response(func(out any) error { return t.do(ctx, rt.Verb, uri, body, out) })
 }
 
 func (t *httpTransport) do(ctx context.Context, method, path string, in, out any) error {
@@ -153,155 +155,4 @@ func pageQuery(page Page) string {
 		return ""
 	}
 	return "?" + q.Encode()
-}
-
-func (t *httpTransport) CreateUser(ctx context.Context, req CreateUserRequest) (User, error) {
-	var u User
-	err := t.do(ctx, http.MethodPost, "/v1/users", req, &u)
-	return u, err
-}
-
-func (t *httpTransport) GetUser(ctx context.Context, id core.UserID) (User, error) {
-	var u User
-	err := t.do(ctx, http.MethodGet, "/v1/users/"+url.PathEscape(string(id)), nil, &u)
-	return u, err
-}
-
-func (t *httpTransport) BindVehicle(ctx context.Context, req BindVehicleRequest) (VehicleRecord, error) {
-	var vr VehicleRecord
-	err := t.do(ctx, http.MethodPost, "/v1/vehicles", req, &vr)
-	return vr, err
-}
-
-func (t *httpTransport) GetVehicle(ctx context.Context, id core.VehicleID) (VehicleDetail, error) {
-	var vd VehicleDetail
-	err := t.do(ctx, http.MethodGet, "/v1/vehicles/"+url.PathEscape(string(id)), nil, &vd)
-	return vd, err
-}
-
-func (t *httpTransport) ListVehicles(ctx context.Context, page Page) (VehicleList, error) {
-	var list VehicleList
-	err := t.do(ctx, http.MethodGet, "/v1/vehicles"+pageQuery(page), nil, &list)
-	return list, err
-}
-
-func (t *httpTransport) UploadApp(ctx context.Context, app App) (AppRef, error) {
-	var ref AppRef
-	err := t.do(ctx, http.MethodPost, "/v1/apps", app, &ref)
-	return ref, err
-}
-
-func (t *httpTransport) GetApp(ctx context.Context, name core.AppName) (App, error) {
-	var app App
-	err := t.do(ctx, http.MethodGet, "/v1/apps/"+url.PathEscape(string(name)), nil, &app)
-	return app, err
-}
-
-func (t *httpTransport) ListApps(ctx context.Context, page Page) (AppList, error) {
-	var list AppList
-	err := t.do(ctx, http.MethodGet, "/v1/apps"+pageQuery(page), nil, &list)
-	return list, err
-}
-
-func (t *httpTransport) Deploy(ctx context.Context, req DeployRequest) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodPost, "/v1/deploy", req, &op)
-	return op, err
-}
-
-func (t *httpTransport) BatchDeploy(ctx context.Context, req BatchDeployRequest) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodPost, "/v1/deploy:batch", req, &op)
-	return op, err
-}
-
-func (t *httpTransport) BatchUninstall(ctx context.Context, req BatchUninstallRequest) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodPost, "/v1/uninstall:batch", req, &op)
-	return op, err
-}
-
-func (t *httpTransport) Upgrade(ctx context.Context, req UpgradeRequest) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodPost, "/v1/upgrade", req, &op)
-	return op, err
-}
-
-func (t *httpTransport) BatchUpgrade(ctx context.Context, req BatchUpgradeRequest) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodPost, "/v1/upgrade:batch", req, &op)
-	return op, err
-}
-
-func (t *httpTransport) StartRollout(ctx context.Context, req RolloutRequest) (RolloutStatus, error) {
-	var st RolloutStatus
-	err := t.do(ctx, http.MethodPost, "/v1/rollout", req, &st)
-	return st, err
-}
-
-func (t *httpTransport) GetRollout(ctx context.Context, id string) (RolloutStatus, error) {
-	var st RolloutStatus
-	err := t.do(ctx, http.MethodGet, "/v1/rollouts/"+url.PathEscape(id), nil, &st)
-	return st, err
-}
-
-func (t *httpTransport) AbortRollout(ctx context.Context, id string) (RolloutStatus, error) {
-	var st RolloutStatus
-	err := t.do(ctx, http.MethodPost, "/v1/rollouts/"+url.PathEscape(id)+":abort", nil, &st)
-	return st, err
-}
-
-func (t *httpTransport) ListRollouts(ctx context.Context, page Page) (RolloutList, error) {
-	var list RolloutList
-	err := t.do(ctx, http.MethodGet, "/v1/rollouts"+pageQuery(page), nil, &list)
-	return list, err
-}
-
-func (t *httpTransport) Uninstall(ctx context.Context, req UninstallRequest) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodPost, "/v1/uninstall", req, &op)
-	return op, err
-}
-
-func (t *httpTransport) Verify(ctx context.Context, req VerifyRequest) (VerifyReport, error) {
-	var report VerifyReport
-	err := t.do(ctx, http.MethodPost, "/v1/verify", req, &report)
-	return report, err
-}
-
-func (t *httpTransport) Restore(ctx context.Context, req RestoreRequest) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodPost, "/v1/restore", req, &op)
-	return op, err
-}
-
-func (t *httpTransport) Status(ctx context.Context, vehicle core.VehicleID, app core.AppName) (OpStatus, error) {
-	var st OpStatus
-	q := url.Values{"vehicle": {string(vehicle)}, "app": {string(app)}}
-	err := t.do(ctx, http.MethodGet, "/v1/status?"+q.Encode(), nil, &st)
-	return st, err
-}
-
-func (t *httpTransport) Health(ctx context.Context) (Health, error) {
-	var h Health
-	err := t.do(ctx, http.MethodGet, "/v1/healthz", nil, &h)
-	return h, err
-}
-
-func (t *httpTransport) Statz(ctx context.Context) (Statz, error) {
-	var st Statz
-	err := t.do(ctx, http.MethodGet, "/v1/statz", nil, &st)
-	return st, err
-}
-
-func (t *httpTransport) GetOperation(ctx context.Context, id string) (Operation, error) {
-	var op Operation
-	err := t.do(ctx, http.MethodGet, "/v1/operations/"+url.PathEscape(id), nil, &op)
-	return op, err
-}
-
-func (t *httpTransport) ListOperations(ctx context.Context, page Page) (OperationList, error) {
-	var list OperationList
-	err := t.do(ctx, http.MethodGet, "/v1/operations"+pageQuery(page), nil, &list)
-	return list, err
 }

@@ -6,43 +6,13 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
-
-	"dynautosar/internal/core"
 )
 
-// The /v1 HTTP surface, generated over DeploymentService:
-//
-//	POST /v1/users                    create a user account
-//	GET  /v1/users/{id}               fetch a user
-//	POST /v1/vehicles                 bind a vehicle conf to a user
-//	GET  /v1/vehicles                 list vehicles (paginated)
-//	GET  /v1/vehicles/{id}            vehicle record + installed apps
-//	POST /v1/apps                     upload an application
-//	GET  /v1/apps                     list app names (paginated)
-//	GET  /v1/apps/{name}              fetch an application
-//	POST /v1/deploy                   start an async deployment -> Operation
-//	POST /v1/deploy:batch             start a fleet-wide deployment -> parent Operation
-//	POST /v1/uninstall                start an async uninstallation -> Operation
-//	POST /v1/uninstall:batch          start a fleet-wide uninstallation -> parent Operation
-//	POST /v1/upgrade                  start a live in-place upgrade -> Operation
-//	POST /v1/upgrade:batch            start a fleet-wide live upgrade -> parent Operation
-//	POST /v1/rollout                  start a progressive health-gated rollout -> RolloutStatus
-//	GET  /v1/rollouts                 list rollouts (paginated)
-//	GET  /v1/rollouts/{id}            rollout status with per-wave detail
-//	POST /v1/rollouts/{id}:abort      abort a running rollout (fleet rollback)
-//	POST /v1/restore                  start an async ECU restore -> Operation
-//	POST /v1/verify                   dry-run the static plan verifier -> VerifyReport
-//	GET  /v1/status?vehicle=V&app=A   per-app ack progress
-//	GET  /v1/healthz                  readiness + recovery counters
-//	GET  /v1/statz                    monitoring counters since process start
-//	GET  /v1/operations               list operations (paginated)
-//	GET  /v1/operations/{id}          poll one operation
-//
-// List endpoints take ?pageSize= and ?pageToken=. Every error response
-// is the structured envelope {"error": {"code": ..., "message": ...}}.
+// The /v1 HTTP surface is generated from the route table in routes.go:
+// NewHandler registers one handler per row, and the row supplies the
+// request decoding, the method to call and the success status.
 
 // HandlerOptions tunes the middleware around the v1 surface.
 type HandlerOptions struct {
@@ -57,9 +27,6 @@ type HandlerOptions struct {
 	RatePerSecond float64
 	// Burst is the per-client burst allowance; 0 means 2x the rate.
 	Burst float64
-	// ClientKey identifies a client for rate limiting; the default is
-	// the remote IP.
-	ClientKey func(*http.Request) string
 }
 
 const defaultMaxBody = 8 << 20
@@ -81,16 +48,16 @@ func (o *HandlerOptions) withDefaults() HandlerOptions {
 	if out.Burst == 0 {
 		out.Burst = 2 * out.RatePerSecond
 	}
-	if out.ClientKey == nil {
-		out.ClientKey = func(r *http.Request) string {
-			host, _, err := net.SplitHostPort(r.RemoteAddr)
-			if err != nil {
-				return r.RemoteAddr
-			}
-			return host
-		}
-	}
 	return out
+}
+
+// clientKey identifies a client for rate limiting: the remote IP.
+func clientKey(r *http.Request) string {
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		return r.RemoteAddr
+	}
+	return host
 }
 
 // NewHandler builds the /v1 HTTP handler over a DeploymentService with
@@ -103,36 +70,15 @@ func NewHandler(svc DeploymentService, opts *HandlerOptions) http.Handler {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/users", h.createUser)
-	mux.HandleFunc("GET /v1/users/{id}", h.getUser)
-	mux.HandleFunc("POST /v1/vehicles", h.bindVehicle)
-	mux.HandleFunc("GET /v1/vehicles", h.listVehicles)
-	mux.HandleFunc("GET /v1/vehicles/{id}", h.getVehicle)
-	mux.HandleFunc("POST /v1/apps", h.uploadApp)
-	mux.HandleFunc("GET /v1/apps", h.listApps)
-	mux.HandleFunc("GET /v1/apps/{name}", h.getApp)
-	mux.HandleFunc("POST /v1/deploy", h.deploy)
-	mux.HandleFunc("POST /v1/deploy:batch", h.batchDeploy)
-	mux.HandleFunc("POST /v1/uninstall", h.uninstall)
-	mux.HandleFunc("POST /v1/uninstall:batch", h.batchUninstall)
-	mux.HandleFunc("POST /v1/upgrade", h.upgrade)
-	mux.HandleFunc("POST /v1/upgrade:batch", h.batchUpgrade)
-	mux.HandleFunc("POST /v1/rollout", h.startRollout)
-	mux.HandleFunc("GET /v1/rollouts", h.listRollouts)
-	mux.HandleFunc("GET /v1/rollouts/{id}", h.getRollout)
-	// {id} wildcards span the whole segment, so the :abort verb arrives
-	// inside the path value and is parsed off by the handler.
-	mux.HandleFunc("POST /v1/rollouts/{id}", h.postRollout)
-	mux.HandleFunc("POST /v1/restore", h.restore)
-	mux.HandleFunc("POST /v1/verify", h.verify)
-	mux.HandleFunc("GET /v1/status", h.status)
-	mux.HandleFunc("GET /v1/healthz", h.healthz)
-	mux.HandleFunc("GET /v1/statz", h.statz)
-	mux.HandleFunc("GET /v1/operations", h.listOperations)
-	mux.HandleFunc("GET /v1/operations/{id}", h.getOperation)
-	mux.HandleFunc("/v1/", h.notFound)
-
-	return h.logMW(h.recoverMW(h.rateMW(h.limitMW(mux))))
+	for _, rt := range Routes {
+		serve := h.serve(rt)
+		if !rt.RateExempt {
+			serve = h.rateMW(serve)
+		}
+		mux.Handle(rt.pattern, serve)
+	}
+	mux.Handle("/v1/", h.rateMW(http.HandlerFunc(h.notFound)))
+	return h.logMW(h.recoverMW(h.limitMW(mux)))
 }
 
 type handler struct {
@@ -178,17 +124,29 @@ func (h *handler) rateMW(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Readiness probes and monitoring scrapes are exempt:
-		// orchestrators gate traffic on /v1/healthz, and a probe sharing
-		// a NAT'd client key with API traffic must never see a healthy
-		// server answer 429; /v1/statz is scraped on a fixed interval by
-		// collectors that must keep observing exactly when the server is
-		// saturated enough to rate-limit.
-		if r.URL.Path != "/v1/healthz" && r.URL.Path != "/v1/statz" && !h.limiter.allow(h.o.ClientKey(r)) {
+		if !h.limiter.allow(clientKey(r)) {
 			h.writeError(w, Errorf(CodeResourceExhausted, "api: rate limit exceeded"))
 			return
 		}
 		next.ServeHTTP(w, r)
+	})
+}
+
+// serve is the one handler body: decode the row's argument, call the
+// row's method, answer with the row's status.
+func (h *handler) serve(rt *Route) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arg, err := rt.decode(r)
+		if err != nil {
+			h.writeError(w, err)
+			return
+		}
+		out, err := rt.call(r.Context(), h.svc, arg)
+		if err != nil {
+			h.writeError(w, err)
+			return
+		}
+		h.writeJSON(w, rt.Status, out)
 	})
 }
 
@@ -206,8 +164,8 @@ func (h *handler) limitMW(next http.Handler) http.Handler {
 
 // WriteJSON writes v with the API content type; encode failures (the
 // status line is already gone) go to logf, which may be nil. Shared by
-// the v1 handler and the server's legacy shims so the write policy has
-// one home.
+// the v1 handler and the follower node's replication endpoints so the
+// write policy has one home.
 func WriteJSON(w http.ResponseWriter, status int, v any, logf func(format string, args ...any)) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -240,14 +198,6 @@ func (h *handler) writeError(w http.ResponseWriter, err error) {
 	h.writeJSON(w, HTTPStatus(e.Code), errorBody{Error: e})
 }
 
-func (h *handler) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := DecodeJSON(r, v); err != nil {
-		h.writeError(w, err)
-		return false
-	}
-	return true
-}
-
 func pageOf(r *http.Request) (Page, error) {
 	var p Page
 	if raw := r.URL.Query().Get("pageSize"); raw != "" {
@@ -263,314 +213,6 @@ func pageOf(r *http.Request) (Page, error) {
 
 func (h *handler) notFound(w http.ResponseWriter, r *http.Request) {
 	h.writeError(w, Errorf(CodeNotFound, "api: no such endpoint %s %s", r.Method, r.URL.Path))
-}
-
-func (h *handler) createUser(w http.ResponseWriter, r *http.Request) {
-	var req CreateUserRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	u, err := h.svc.CreateUser(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusCreated, u)
-}
-
-func (h *handler) getUser(w http.ResponseWriter, r *http.Request) {
-	u, err := h.svc.GetUser(r.Context(), core.UserID(r.PathValue("id")))
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, u)
-}
-
-func (h *handler) bindVehicle(w http.ResponseWriter, r *http.Request) {
-	var req BindVehicleRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	vr, err := h.svc.BindVehicle(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusCreated, vr)
-}
-
-func (h *handler) listVehicles(w http.ResponseWriter, r *http.Request) {
-	page, err := pageOf(r)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	list, err := h.svc.ListVehicles(r.Context(), page)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, list)
-}
-
-func (h *handler) getVehicle(w http.ResponseWriter, r *http.Request) {
-	vd, err := h.svc.GetVehicle(r.Context(), core.VehicleID(r.PathValue("id")))
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, vd)
-}
-
-func (h *handler) uploadApp(w http.ResponseWriter, r *http.Request) {
-	var app App
-	if !h.decode(w, r, &app) {
-		return
-	}
-	ref, err := h.svc.UploadApp(r.Context(), app)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusCreated, ref)
-}
-
-func (h *handler) listApps(w http.ResponseWriter, r *http.Request) {
-	page, err := pageOf(r)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	list, err := h.svc.ListApps(r.Context(), page)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, list)
-}
-
-func (h *handler) getApp(w http.ResponseWriter, r *http.Request) {
-	app, err := h.svc.GetApp(r.Context(), core.AppName(r.PathValue("name")))
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, app)
-}
-
-func (h *handler) deploy(w http.ResponseWriter, r *http.Request) {
-	var req DeployRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	op, err := h.svc.Deploy(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, op)
-}
-
-func (h *handler) batchDeploy(w http.ResponseWriter, r *http.Request) {
-	var req BatchDeployRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	op, err := h.svc.BatchDeploy(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, op)
-}
-
-func (h *handler) batchUninstall(w http.ResponseWriter, r *http.Request) {
-	var req BatchUninstallRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	op, err := h.svc.BatchUninstall(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, op)
-}
-
-func (h *handler) upgrade(w http.ResponseWriter, r *http.Request) {
-	var req UpgradeRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	op, err := h.svc.Upgrade(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, op)
-}
-
-func (h *handler) batchUpgrade(w http.ResponseWriter, r *http.Request) {
-	var req BatchUpgradeRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	op, err := h.svc.BatchUpgrade(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, op)
-}
-
-func (h *handler) startRollout(w http.ResponseWriter, r *http.Request) {
-	var req RolloutRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	st, err := h.svc.StartRollout(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, st)
-}
-
-func (h *handler) listRollouts(w http.ResponseWriter, r *http.Request) {
-	page, err := pageOf(r)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	list, err := h.svc.ListRollouts(r.Context(), page)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, list)
-}
-
-func (h *handler) getRollout(w http.ResponseWriter, r *http.Request) {
-	st, err := h.svc.GetRollout(r.Context(), r.PathValue("id"))
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, st)
-}
-
-// postRollout dispatches the custom verbs of the rollout resource; the
-// only one today is {id}:abort.
-func (h *handler) postRollout(w http.ResponseWriter, r *http.Request) {
-	id, verb, ok := strings.Cut(r.PathValue("id"), ":")
-	if !ok || verb != "abort" || id == "" {
-		h.writeError(w, Errorf(CodeInvalidArgument, "api: POST /v1/rollouts/{id}:abort is the only rollout verb"))
-		return
-	}
-	st, err := h.svc.AbortRollout(r.Context(), id)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, st)
-}
-
-func (h *handler) uninstall(w http.ResponseWriter, r *http.Request) {
-	var req UninstallRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	op, err := h.svc.Uninstall(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, op)
-}
-
-func (h *handler) restore(w http.ResponseWriter, r *http.Request) {
-	var req RestoreRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	op, err := h.svc.Restore(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusAccepted, op)
-}
-
-func (h *handler) verify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyRequest
-	if !h.decode(w, r, &req) {
-		return
-	}
-	report, err := h.svc.Verify(r.Context(), req)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	// A rejected plan is a successful dry-run: the verdict travels in
-	// the 200 body, not in the status line.
-	h.writeJSON(w, http.StatusOK, report)
-}
-
-func (h *handler) status(w http.ResponseWriter, r *http.Request) {
-	vehicle := core.VehicleID(r.URL.Query().Get("vehicle"))
-	app := core.AppName(r.URL.Query().Get("app"))
-	if vehicle == "" || app == "" {
-		h.writeError(w, Errorf(CodeInvalidArgument, "api: vehicle and app query parameters required"))
-		return
-	}
-	st, err := h.svc.Status(r.Context(), vehicle, app)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, st)
-}
-
-func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
-	hl, err := h.svc.Health(r.Context())
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, hl)
-}
-
-func (h *handler) statz(w http.ResponseWriter, r *http.Request) {
-	st, err := h.svc.Statz(r.Context())
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, st)
-}
-
-func (h *handler) listOperations(w http.ResponseWriter, r *http.Request) {
-	page, err := pageOf(r)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	list, err := h.svc.ListOperations(r.Context(), page)
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, list)
-}
-
-func (h *handler) getOperation(w http.ResponseWriter, r *http.Request) {
-	op, err := h.svc.GetOperation(r.Context(), r.PathValue("id"))
-	if err != nil {
-		h.writeError(w, err)
-		return
-	}
-	h.writeJSON(w, http.StatusOK, op)
 }
 
 // rateLimiter is a per-client token bucket with a hard cap on tracked

@@ -18,7 +18,8 @@ import (
 // safe to retry by stamping a per-operation idempotency key before the
 // first attempt, so a request whose response was lost to a failover is
 // answered on retry with the originally created operation instead of a
-// duplicate.
+// duplicate. A create whose request has no key field (a rollout) is
+// retried only on `not_leader`; see Route.Resendable.
 
 // RetryOptions tunes NewRetryClient.
 type RetryOptions struct {
@@ -36,17 +37,8 @@ type RetryOptions struct {
 
 const defaultRetryAttempts = 6
 
-// retryable reports whether err is worth retrying against another (or
-// the same, later) replica.
-func retryable(err error) bool {
-	switch CodeOf(err) {
-	case CodeUnavailable, CodeNotLeader:
-		return true
-	}
-	return false
-}
-
-// retryClient wraps an inner DeploymentService with retry semantics.
+// retryClient carries out routes on an inner DeploymentService with
+// retry semantics.
 type retryClient struct {
 	inner DeploymentService
 	o     RetryOptions
@@ -89,9 +81,9 @@ func NewRetryClient(svc DeploymentService, opts RetryOptions) *Client {
 	if u, ok := svc.(*Client); ok {
 		svc = u.DeploymentService
 	}
-	return &Client{DeploymentService: &retryClient{
+	return &Client{DeploymentService: Stub{&retryClient{
 		inner: svc, o: opts, prefix: hex.EncodeToString(raw[:]),
-	}}
+	}}}
 }
 
 // nextKey mints a fresh idempotency key.
@@ -113,145 +105,24 @@ func itoa(n uint64) string {
 	return string(buf[i:])
 }
 
-// retry runs fn up to the attempt budget, backing off between tries.
-func retry[T any](ctx context.Context, r *retryClient, what string, fn func() (T, error)) (T, error) {
+// Invoke stamps a keyed request's idempotency key once, then runs the
+// route up to the attempt budget, backing off between tries. What is
+// worth re-sending comes from the table: an at-most-once route only on
+// `not_leader`, every other also on `unavailable`.
+func (r *retryClient) Invoke(ctx context.Context, rt *Route, arg any) (any, error) {
+	if rt.Keyed {
+		arg = rt.stamp(arg, r.nextKey)
+	}
 	b := r.o.Backoff
-	var out T
-	var err error
 	for attempt := 1; ; attempt++ {
-		out, err = fn()
-		if err == nil || !retryable(err) || attempt >= r.o.Attempts {
+		out, err := rt.call(ctx, r.inner, arg)
+		if err == nil || !rt.Resendable(err) || attempt >= r.o.Attempts {
 			return out, err
 		}
 		d := b.Next()
-		r.o.Logf("api: %s attempt %d failed (%s), retrying in %s", what, attempt, CodeOf(err), d)
+		r.o.Logf("api: %s attempt %d failed (%s), retrying in %s", rt.Name, attempt, CodeOf(err), d)
 		if serr := r.o.Sleep(ctx, d); serr != nil {
 			return out, err
 		}
 	}
-}
-
-var _ DeploymentService = (*retryClient)(nil)
-
-func (r *retryClient) CreateUser(ctx context.Context, req CreateUserRequest) (User, error) {
-	return retry(ctx, r, "CreateUser", func() (User, error) { return r.inner.CreateUser(ctx, req) })
-}
-
-func (r *retryClient) GetUser(ctx context.Context, id core.UserID) (User, error) {
-	return retry(ctx, r, "GetUser", func() (User, error) { return r.inner.GetUser(ctx, id) })
-}
-
-func (r *retryClient) BindVehicle(ctx context.Context, req BindVehicleRequest) (VehicleRecord, error) {
-	return retry(ctx, r, "BindVehicle", func() (VehicleRecord, error) { return r.inner.BindVehicle(ctx, req) })
-}
-
-func (r *retryClient) GetVehicle(ctx context.Context, id core.VehicleID) (VehicleDetail, error) {
-	return retry(ctx, r, "GetVehicle", func() (VehicleDetail, error) { return r.inner.GetVehicle(ctx, id) })
-}
-
-func (r *retryClient) ListVehicles(ctx context.Context, page Page) (VehicleList, error) {
-	return retry(ctx, r, "ListVehicles", func() (VehicleList, error) { return r.inner.ListVehicles(ctx, page) })
-}
-
-func (r *retryClient) UploadApp(ctx context.Context, app App) (AppRef, error) {
-	return retry(ctx, r, "UploadApp", func() (AppRef, error) { return r.inner.UploadApp(ctx, app) })
-}
-
-func (r *retryClient) GetApp(ctx context.Context, name core.AppName) (App, error) {
-	return retry(ctx, r, "GetApp", func() (App, error) { return r.inner.GetApp(ctx, name) })
-}
-
-func (r *retryClient) ListApps(ctx context.Context, page Page) (AppList, error) {
-	return retry(ctx, r, "ListApps", func() (AppList, error) { return r.inner.ListApps(ctx, page) })
-}
-
-func (r *retryClient) Deploy(ctx context.Context, req DeployRequest) (Operation, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.nextKey()
-	}
-	return retry(ctx, r, "Deploy", func() (Operation, error) { return r.inner.Deploy(ctx, req) })
-}
-
-func (r *retryClient) BatchDeploy(ctx context.Context, req BatchDeployRequest) (Operation, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.nextKey()
-	}
-	return retry(ctx, r, "BatchDeploy", func() (Operation, error) { return r.inner.BatchDeploy(ctx, req) })
-}
-
-func (r *retryClient) Uninstall(ctx context.Context, req UninstallRequest) (Operation, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.nextKey()
-	}
-	return retry(ctx, r, "Uninstall", func() (Operation, error) { return r.inner.Uninstall(ctx, req) })
-}
-
-func (r *retryClient) BatchUninstall(ctx context.Context, req BatchUninstallRequest) (Operation, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.nextKey()
-	}
-	return retry(ctx, r, "BatchUninstall", func() (Operation, error) { return r.inner.BatchUninstall(ctx, req) })
-}
-
-func (r *retryClient) Upgrade(ctx context.Context, req UpgradeRequest) (Operation, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.nextKey()
-	}
-	return retry(ctx, r, "Upgrade", func() (Operation, error) { return r.inner.Upgrade(ctx, req) })
-}
-
-func (r *retryClient) BatchUpgrade(ctx context.Context, req BatchUpgradeRequest) (Operation, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.nextKey()
-	}
-	return retry(ctx, r, "BatchUpgrade", func() (Operation, error) { return r.inner.BatchUpgrade(ctx, req) })
-}
-
-func (r *retryClient) Restore(ctx context.Context, req RestoreRequest) (Operation, error) {
-	if req.IdempotencyKey == "" {
-		req.IdempotencyKey = r.nextKey()
-	}
-	return retry(ctx, r, "Restore", func() (Operation, error) { return r.inner.Restore(ctx, req) })
-}
-
-func (r *retryClient) StartRollout(ctx context.Context, req RolloutRequest) (RolloutStatus, error) {
-	// Rollouts have no idempotency key yet; retry only the error shapes
-	// that cannot have created one (the request never reached a leader).
-	return retry(ctx, r, "StartRollout", func() (RolloutStatus, error) { return r.inner.StartRollout(ctx, req) })
-}
-
-func (r *retryClient) GetRollout(ctx context.Context, id string) (RolloutStatus, error) {
-	return retry(ctx, r, "GetRollout", func() (RolloutStatus, error) { return r.inner.GetRollout(ctx, id) })
-}
-
-func (r *retryClient) AbortRollout(ctx context.Context, id string) (RolloutStatus, error) {
-	return retry(ctx, r, "AbortRollout", func() (RolloutStatus, error) { return r.inner.AbortRollout(ctx, id) })
-}
-
-func (r *retryClient) ListRollouts(ctx context.Context, page Page) (RolloutList, error) {
-	return retry(ctx, r, "ListRollouts", func() (RolloutList, error) { return r.inner.ListRollouts(ctx, page) })
-}
-
-func (r *retryClient) Verify(ctx context.Context, req VerifyRequest) (VerifyReport, error) {
-	return retry(ctx, r, "Verify", func() (VerifyReport, error) { return r.inner.Verify(ctx, req) })
-}
-
-func (r *retryClient) Status(ctx context.Context, vehicle core.VehicleID, app core.AppName) (OpStatus, error) {
-	return retry(ctx, r, "Status", func() (OpStatus, error) { return r.inner.Status(ctx, vehicle, app) })
-}
-
-func (r *retryClient) Health(ctx context.Context) (Health, error) {
-	return retry(ctx, r, "Health", func() (Health, error) { return r.inner.Health(ctx) })
-}
-
-func (r *retryClient) Statz(ctx context.Context) (Statz, error) {
-	return retry(ctx, r, "Statz", func() (Statz, error) { return r.inner.Statz(ctx) })
-}
-
-func (r *retryClient) GetOperation(ctx context.Context, id string) (Operation, error) {
-	return retry(ctx, r, "GetOperation", func() (Operation, error) { return r.inner.GetOperation(ctx, id) })
-}
-
-func (r *retryClient) ListOperations(ctx context.Context, page Page) (OperationList, error) {
-	return retry(ctx, r, "ListOperations", func() (OperationList, error) { return r.inner.ListOperations(ctx, page) })
 }

@@ -17,6 +17,8 @@ type flakySvc struct {
 	errs []error // errs[i] returned on attempt i; past the end -> success
 	keys []string
 	gets int
+	// rollouts counts StartRollout calls, each counted before it fails.
+	rollouts int
 }
 
 func (s *flakySvc) Deploy(_ context.Context, req DeployRequest) (Operation, error) {
@@ -26,6 +28,15 @@ func (s *flakySvc) Deploy(_ context.Context, req DeployRequest) (Operation, erro
 		return Operation{}, s.errs[attempt]
 	}
 	return Operation{ID: "op-00000001", Vehicle: req.Vehicle, App: req.App}, nil
+}
+
+func (s *flakySvc) StartRollout(context.Context, RolloutRequest) (RolloutStatus, error) {
+	attempt := s.rollouts
+	s.rollouts++
+	if attempt < len(s.errs) {
+		return RolloutStatus{}, s.errs[attempt]
+	}
+	return RolloutStatus{ID: "ro-00000001"}, nil
 }
 
 func (s *flakySvc) GetUser(context.Context, core.UserID) (User, error) {
@@ -110,5 +121,31 @@ func TestRetryClientAttemptBudget(t *testing.T) {
 	}
 	if svc.gets != 3 {
 		t.Fatalf("made %d attempts, want exactly the budget of 3", svc.gets)
+	}
+}
+
+// TestRetryClientKeylessCreateSentOnce: StartRollout carries no
+// idempotency key, and `unavailable` is also what a response lost after
+// the leader journaled the rollout looks like — re-sending would start a
+// second rollout on the same fleet. `not_leader` is a refusal before
+// anything happened, so that alone is retried.
+func TestRetryClientKeylessCreateSentOnce(t *testing.T) {
+	svc := &flakySvc{errs: []error{Errorf(CodeUnavailable, "api: connection reset")}}
+	c := NewRetryClient(svc, RetryOptions{Sleep: noSleep})
+	_, err := c.StartRollout(context.Background(), RolloutRequest{User: "alice", From: "A", To: "B"})
+	if CodeOf(err) != CodeUnavailable {
+		t.Fatalf("got %v, want the ambiguous unavailable surfaced", err)
+	}
+	if svc.rollouts != 1 {
+		t.Fatalf("keyless create sent %d times after an ambiguous failure, want exactly 1", svc.rollouts)
+	}
+
+	svc = &flakySvc{errs: []error{Errorf(CodeNotLeader, "api: shard s1 is a follower")}}
+	c = NewRetryClient(svc, RetryOptions{Sleep: noSleep})
+	if _, err := c.StartRollout(context.Background(), RolloutRequest{User: "alice", From: "A", To: "B"}); err != nil {
+		t.Fatalf("StartRollout through a not_leader refusal: %v", err)
+	}
+	if svc.rollouts != 2 {
+		t.Fatalf("made %d attempts through one not_leader, want 2", svc.rollouts)
 	}
 }

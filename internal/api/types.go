@@ -210,7 +210,7 @@ func (ia InstalledApp) Complete() bool {
 }
 
 // OpStatus reports the progress of the most recent operation on an app
-// (the legacy /status shape, kept on v1 for per-app progress).
+// (GET /v1/status).
 type OpStatus struct {
 	App      core.AppName `json:"app"`
 	Total    int          `json:"total"`

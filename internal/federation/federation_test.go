@@ -171,6 +171,20 @@ func TestRouterPartitionsVehicles(t *testing.T) {
 			}
 		}
 	}
+	// The other broadcast create answers a duplicate the same way a single
+	// server does, and a half-complete fan-out still converges.
+	if _, err := r.UploadApp(ctx, paperApp(t)); err != nil {
+		t.Fatal(err)
+	}
+	if ref, err := r.UploadApp(ctx, paperApp(t)); api.CodeOf(err) != api.CodeAlreadyExists {
+		t.Fatalf("second UploadApp = %+v, %v, want already_exists", ref, err)
+	}
+	if err := servers["s3"].Store().AddUser("bob"); err != nil {
+		t.Fatal(err)
+	}
+	if u, err := r.CreateUser(ctx, api.CreateUserRequest{ID: "bob"}); err != nil || u.ID != "bob" {
+		t.Fatalf("CreateUser completing a partial fan-out = %+v, %v", u, err)
+	}
 	// GetUser merges the per-shard vehicle lists.
 	u, err := r.GetUser(ctx, "alice")
 	if err != nil || len(u.Vehicles) != len(vins) {
@@ -262,6 +276,69 @@ func TestRouterSingleShardBatchQualified(t *testing.T) {
 	}
 	if _, err := r.GetOperation(ctx, op.ID); err != nil {
 		t.Fatalf("GetOperation(%s): %v", op.ID, err)
+	}
+}
+
+// rolloutReplica is a replica that counts StartRollout calls and then
+// fails them; any other method panics on the nil embedded interface.
+type rolloutReplica struct {
+	api.DeploymentService
+	calls int
+	err   error
+}
+
+func (f *rolloutReplica) StartRollout(context.Context, api.RolloutRequest) (api.RolloutStatus, error) {
+	f.calls++
+	return api.RolloutStatus{}, f.err
+}
+
+// TestRouterKeylessCreateNotRotated: a rollout has no idempotency key,
+// and `unavailable` from the leader may be a response lost after the
+// rollout was journaled, so the router must not offer the same request
+// to a sibling replica (which, promoted, would start a second rollout).
+// `not_leader` is a refusal before anything happened and still rotates.
+func TestRouterKeylessCreateNotRotated(t *testing.T) {
+	a := &rolloutReplica{err: api.Errorf(api.CodeUnavailable, "api: response lost")}
+	b := &rolloutReplica{err: api.Errorf(api.CodeNotLeader, "api: follower")}
+	r, err := NewRouter([]Shard{{Name: "s1", Replicas: []Replica{{Name: "a", Svc: a}, {Name: "b", Svc: b}}}},
+		RouterOptions{Sleep: func(context.Context, time.Duration) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.RolloutRequest{User: "alice", Vehicles: []core.VehicleID{"VIN-1", "VIN-2"}, From: "A", To: "B"}
+	if _, err := r.StartRollout(context.Background(), req); api.CodeOf(err) != api.CodeUnavailable {
+		t.Fatalf("StartRollout = %v, want the ambiguous unavailable surfaced", err)
+	}
+	if a.calls != 1 || b.calls != 0 {
+		t.Fatalf("keyless create sent %d+%d times after an ambiguous failure, want exactly 1+0", a.calls, b.calls)
+	}
+
+	// From the follower's refusal the router does move on to the sibling.
+	r, err = NewRouter([]Shard{{Name: "s1", Replicas: []Replica{{Name: "b", Svc: b}, {Name: "a", Svc: a}}}},
+		RouterOptions{Sleep: func(context.Context, time.Duration) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.StartRollout(context.Background(), req); api.CodeOf(err) != api.CodeUnavailable {
+		t.Fatalf("StartRollout = %v, want the leader's unavailable", err)
+	}
+	if a.calls != 2 || b.calls != 1 {
+		t.Fatalf("calls after a not_leader rotation = %d+%d, want 2+1", a.calls, b.calls)
+	}
+
+	// The vehicles of an owner-routed request must share a shard.
+	three, _ := newLocalFederation(t, "s1", "s2", "s3")
+	var spread []core.VehicleID
+	for i := 0; i < 30; i++ {
+		spread = append(spread, core.VehicleID(fmt.Sprintf("VIN-%03d", i)))
+	}
+	req.Vehicles = spread
+	if _, err := three.StartRollout(context.Background(), req); api.CodeOf(err) != api.CodeInvalidArgument {
+		t.Fatalf("rollout spanning shards = %v, want invalid_argument", err)
+	}
+	req.Vehicles = nil
+	if _, err := three.StartRollout(context.Background(), req); api.CodeOf(err) != api.CodeInvalidArgument {
+		t.Fatalf("rollout without vehicles = %v, want invalid_argument", err)
 	}
 }
 

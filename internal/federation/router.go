@@ -45,8 +45,6 @@ type RouterOptions struct {
 	// Attempts caps per-call tries across a shard's replicas (0 = two
 	// full rotations).
 	Attempts int
-	// Vnodes is the ring's virtual-node count per shard (0 = default).
-	Vnodes int
 	// Backoff paces the wait after each full fruitless rotation.
 	Backoff core.Backoff
 	// Sleep replaces the real wait (tests); nil uses a timer.
@@ -55,8 +53,12 @@ type RouterOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Router implements api.DeploymentService over a set of shards.
+// Router implements api.DeploymentService over a set of shards. The
+// embedded Stub sends every method through Invoke, which serves it by
+// its route's class; the typed methods below shadow the stub only where
+// the router aggregates shard answers or keeps state of its own.
 type Router struct {
+	api.Stub
 	ring   *Ring
 	names  []string // sorted shard names, the deterministic fan-out order
 	byName map[string]*shardState
@@ -115,6 +117,7 @@ func NewRouter(shards []Shard, opts RouterOptions) (*Router, error) {
 		o:      opts,
 		fedOps: make(map[string]*fedOp),
 	}
+	r.Stub = api.Stub{Invoker: r}
 	var names []string
 	for i := range shards {
 		s := shards[i]
@@ -129,7 +132,7 @@ func NewRouter(shards []Shard, opts RouterOptions) (*Router, error) {
 	}
 	sort.Strings(names)
 	r.names = names
-	r.ring = NewRing(names, opts.Vnodes)
+	r.ring = NewRing(names, 0)
 	return r, nil
 }
 
@@ -142,46 +145,40 @@ func (r *Router) shardFor(v core.VehicleID) *shardState {
 	return r.byName[r.ring.Owner(v)]
 }
 
-// routable reports whether an error should move the call to another
-// replica: `not_leader` always (the addressed server is a follower or
-// deposed), `unavailable` too — it may be a dead leader's connection
-// error, and probing the siblings is cheap next to returning a
-// spurious failure mid-failover.
-func routable(code api.ErrorCode) bool {
-	return code == api.CodeNotLeader || code == api.CodeUnavailable
-}
-
-// callShard runs fn against a shard, starting at the cached leader and
-// rotating replicas on routable errors, backing off after each full
-// fruitless rotation. On exhaustion it returns the most informative
-// error seen: an application error from a leader beats the `not_leader`
-// chorus of the followers.
-func callShard[T any](ctx context.Context, r *Router, ss *shardState, what string, fn func(api.DeploymentService) (T, error)) (T, error) {
+// callShard runs a route against a shard, starting at the cached leader
+// and rotating replicas while the error is resendable for that route
+// (`not_leader` always; `unavailable` too unless the route is
+// at-most-once — it may be a dead leader's connection error, and probing
+// the siblings is cheap next to a spurious failure mid-failover),
+// backing off after each full fruitless rotation. On exhaustion it
+// returns the most informative error seen: an application error from a
+// leader beats the `not_leader` chorus of the followers.
+func (r *Router) callShard(ctx context.Context, ss *shardState, rt *api.Route, arg any) (any, error) {
 	n := len(ss.shard.Replicas)
 	ss.mu.Lock()
 	start := ss.leader
 	ss.mu.Unlock()
 	b := r.o.Backoff
-	var out T
+	var out any
 	var err error
 	var lastApp error // last non-not_leader error, the one worth surfacing
 	for try := 0; ; try++ {
 		idx := (start + try) % n
-		out, err = fn(ss.shard.Replicas[idx].Svc)
-		code := api.CodeOf(err)
-		if err == nil || !routable(code) {
+		out, err = rt.Call(ctx, ss.shard.Replicas[idx].Svc, arg)
+		if err == nil || !rt.Resendable(err) {
 			ss.mu.Lock()
 			ss.leader = idx
 			ss.mu.Unlock()
 			return out, err
 		}
+		code := api.CodeOf(err)
 		if code != api.CodeNotLeader {
 			lastApp = err
 		}
 		if try+1 >= r.o.Attempts {
 			break
 		}
-		r.o.Logf("federation: %s on %s/%s: %s; rotating", what, ss.shard.Name, ss.shard.Replicas[idx].Name, code)
+		r.o.Logf("federation: %s on %s/%s: %s; rotating", rt.Name, ss.shard.Name, ss.shard.Replicas[idx].Name, code)
 		if (try+1)%n == 0 {
 			if serr := r.o.Sleep(ctx, b.Next()); serr != nil {
 				break
@@ -194,57 +191,134 @@ func callShard[T any](ctx context.Context, r *Router, ss *shardState, what strin
 	return out, err
 }
 
-var _ api.DeploymentService = (*Router)(nil)
-
-// ---- global entities: users and apps exist on every shard ----
-
-// fanOutCreate runs a create on every shard, tolerating already_exists
-// (an earlier partial fan-out); it fails if any shard rejects for a
-// real reason.
-func fanOutCreate[T any](ctx context.Context, r *Router, what string, fn func(api.DeploymentService) (T, error)) (T, error) {
-	var out T
-	var got bool
-	for _, name := range r.names {
-		v, err := callShard(ctx, r, r.byName[name], what, fn)
-		switch {
-		case err == nil:
-			if !got {
-				out, got = v, true
-			}
-		case api.CodeOf(err) == api.CodeAlreadyExists && got:
-			// A later shard already had it; keep the first result.
-		case api.CodeOf(err) == api.CodeAlreadyExists:
-			out, got = v, true // surface the duplicate only if every shard dups
-		default:
-			return out, err
-		}
-	}
-	return out, nil
+// onShard is callShard for the typed methods below.
+func onShard[T any](ctx context.Context, r *Router, ss *shardState, method string, arg any) (T, error) {
+	out, err := r.callShard(ctx, ss, api.RouteOf(method), arg)
+	v, _ := out.(T)
+	return v, err
 }
 
-func (r *Router) CreateUser(ctx context.Context, req api.CreateUserRequest) (api.User, error) {
-	// Re-issue verbatim per shard; a retried half-complete fan-out
-	// converges because already_exists is tolerated.
-	firstErrDup := true
-	var out api.User
-	for _, name := range r.names {
-		u, err := callShard(ctx, r, r.byName[name], "CreateUser", func(svc api.DeploymentService) (api.User, error) {
-			return svc.CreateUser(ctx, req)
-		})
+var _ api.DeploymentService = (*Router)(nil)
+
+// Invoke serves one route by its class. Ids in the answer come back
+// qualified ("<shard>/op-000123"), so every id a client sees through the
+// router resolves without shard probing.
+func (r *Router) Invoke(ctx context.Context, rt *api.Route, arg any) (any, error) {
+	switch rt.Class {
+	case api.Owner:
+		ss, err := r.ownerOf(rt, arg)
 		if err != nil {
-			if api.CodeOf(err) == api.CodeAlreadyExists {
-				continue
+			return nil, err
+		}
+		out, err := r.callShard(ctx, ss, rt, arg)
+		if err != nil {
+			return nil, err
+		}
+		return qualify(ss.shard.Name, out), nil
+	case api.Broadcast:
+		return r.broadcast(ctx, rt, arg)
+	case api.AnyShard:
+		// Global entities are on every shard; the first one's answer is
+		// the fleet's.
+		return r.callShard(ctx, r.byName[r.names[0]], rt, arg)
+	case api.ByID:
+		return r.byQualifiedID(ctx, rt, arg.(string))
+	}
+	return nil, api.Errorf(api.CodeInternal, "federation: %s aggregates across shards and needs a typed method", rt.Name)
+}
+
+// ownerOf resolves the one shard that owns every vehicle of an
+// Owner-class request.
+func (r *Router) ownerOf(rt *api.Route, arg any) (*shardState, error) {
+	vehicles := rt.Vehicles(arg)
+	if len(vehicles) == 1 {
+		return r.shardFor(vehicles[0]), nil
+	}
+	if len(vehicles) == 0 {
+		return nil, api.Errorf(api.CodeInvalidArgument,
+			"federation: %s needs an explicit vehicle list (selectors cannot span shards)", rt.Name)
+	}
+	parts := r.ring.Partition(vehicles)
+	shards := make([]string, 0, len(parts))
+	for s := range parts {
+		shards = append(shards, s)
+	}
+	if len(shards) > 1 {
+		sort.Strings(shards)
+		return nil, api.Errorf(api.CodeInvalidArgument,
+			"federation: %s vehicles span shards %v; issue one request per shard", rt.Name, shards)
+	}
+	return r.byName[shards[0]], nil
+}
+
+// broadcast applies a create of a global entity on every shard. It
+// succeeds if any shard created (a retried half-complete fan-out
+// converges), answers already_exists only if every shard did — what a
+// single server answers to the same duplicate — and stops at the first
+// real error.
+func (r *Router) broadcast(ctx context.Context, rt *api.Route, arg any) (any, error) {
+	var created any
+	var dup error
+	for _, name := range r.names {
+		out, err := r.callShard(ctx, r.byName[name], rt, arg)
+		switch {
+		case err == nil:
+			if created == nil {
+				created = out
 			}
-			return api.User{}, err
-		}
-		if firstErrDup {
-			out, firstErrDup = u, false
+		case api.CodeOf(err) == api.CodeAlreadyExists:
+			dup = err
+		default:
+			return nil, err
 		}
 	}
-	if firstErrDup {
-		return out, api.Errorf(api.CodeAlreadyExists, "federation: user %q already exists on every shard", req.ID)
+	if created == nil {
+		return nil, dup
 	}
-	return out, nil
+	return created, nil
+}
+
+// byQualifiedID routes a "<shard>/<id>" to its shard; a bare id (ids
+// created through the router are always qualified; this serves
+// hand-typed ones) is probed shard by shard.
+func (r *Router) byQualifiedID(ctx context.Context, rt *api.Route, id string) (any, error) {
+	if ss, rest, ok := r.splitQualified(id); ok {
+		out, err := r.callShard(ctx, ss, rt, rest)
+		if err != nil {
+			return nil, err
+		}
+		return qualify(ss.shard.Name, out), nil
+	}
+	for _, name := range r.names {
+		out, err := r.callShard(ctx, r.byName[name], rt, id)
+		if err == nil {
+			return qualify(name, out), nil
+		}
+		if api.CodeOf(err) != api.CodeNotFound {
+			return nil, err
+		}
+	}
+	return nil, api.Errorf(api.CodeNotFound, "federation: %s: no shard knows %q", rt.Name, id)
+}
+
+// qualify rewrites the ids in a shard's answer into the router's
+// namespace, so clients can navigate parent/children across the tier.
+func qualify(shard string, out any) any {
+	switch v := out.(type) {
+	case api.Operation:
+		v.ID = shard + "/" + v.ID
+		if v.Parent != "" {
+			v.Parent = shard + "/" + v.Parent
+		}
+		for i, c := range v.Children {
+			v.Children[i] = shard + "/" + c
+		}
+		return v
+	case api.RolloutStatus:
+		v.ID = shard + "/" + v.ID
+		return v
+	}
+	return out
 }
 
 func (r *Router) GetUser(ctx context.Context, id core.UserID) (api.User, error) {
@@ -252,9 +326,7 @@ func (r *Router) GetUser(ctx context.Context, id core.UserID) (api.User, error) 
 	var out api.User
 	found := false
 	for _, name := range r.names {
-		u, err := callShard(ctx, r, r.byName[name], "GetUser", func(svc api.DeploymentService) (api.User, error) {
-			return svc.GetUser(ctx, id)
-		})
+		u, err := onShard[api.User](ctx, r, r.byName[name], "GetUser", id)
 		if err != nil {
 			if api.CodeOf(err) == api.CodeNotFound {
 				continue
@@ -274,106 +346,19 @@ func (r *Router) GetUser(ctx context.Context, id core.UserID) (api.User, error) 
 	return out, nil
 }
 
-func (r *Router) UploadApp(ctx context.Context, app api.App) (api.AppRef, error) {
-	return fanOutCreate(ctx, r, "UploadApp", func(svc api.DeploymentService) (api.AppRef, error) {
-		return svc.UploadApp(ctx, app)
-	})
-}
-
-func (r *Router) GetApp(ctx context.Context, name core.AppName) (api.App, error) {
-	return callShard(ctx, r, r.byName[r.names[0]], "GetApp", func(svc api.DeploymentService) (api.App, error) {
-		return svc.GetApp(ctx, name)
-	})
-}
-
-func (r *Router) ListApps(ctx context.Context, page api.Page) (api.AppList, error) {
-	// Apps are replicated to every shard; the first one's list is the
-	// fleet's list.
-	return callShard(ctx, r, r.byName[r.names[0]], "ListApps", func(svc api.DeploymentService) (api.AppList, error) {
-		return svc.ListApps(ctx, page)
-	})
-}
-
-// ---- vehicle-scoped requests route to the owning shard ----
-
-func (r *Router) BindVehicle(ctx context.Context, req api.BindVehicleRequest) (api.VehicleRecord, error) {
-	ss := r.shardFor(req.Conf.Vehicle)
-	return callShard(ctx, r, ss, "BindVehicle", func(svc api.DeploymentService) (api.VehicleRecord, error) {
-		return svc.BindVehicle(ctx, req)
-	})
-}
-
-func (r *Router) GetVehicle(ctx context.Context, id core.VehicleID) (api.VehicleDetail, error) {
-	return callShard(ctx, r, r.shardFor(id), "GetVehicle", func(svc api.DeploymentService) (api.VehicleDetail, error) {
-		return svc.GetVehicle(ctx, id)
-	})
-}
-
 func (r *Router) ListVehicles(ctx context.Context, page api.Page) (api.VehicleList, error) {
-	return listAcrossShards(ctx, r, page,
-		func(svc api.DeploymentService, p api.Page) ([]api.VehicleRecord, string, error) {
-			l, err := svc.ListVehicles(ctx, p)
-			return l.Vehicles, l.NextPageToken, err
-		},
-		func(items []api.VehicleRecord, next string) (api.VehicleList, error) {
-			return api.VehicleList{Vehicles: items, NextPageToken: next}, nil
-		})
-}
-
-// vehicleOp routes one op-creating call to the vehicle's shard and
-// returns the operation under its qualified id, so every id a client
-// sees through the router resolves without shard probing.
-func (r *Router) vehicleOp(ctx context.Context, v core.VehicleID, what string, fn func(svc api.DeploymentService) (api.Operation, error)) (api.Operation, error) {
-	ss := r.shardFor(v)
-	op, err := callShard(ctx, r, ss, what, fn)
-	if err != nil {
-		return api.Operation{}, err
-	}
-	return qualifyOp(ss.shard.Name, op), nil
-}
-
-func (r *Router) Deploy(ctx context.Context, req api.DeployRequest) (api.Operation, error) {
-	return r.vehicleOp(ctx, req.Vehicle, "Deploy", func(svc api.DeploymentService) (api.Operation, error) {
-		return svc.Deploy(ctx, req)
-	})
-}
-
-func (r *Router) Uninstall(ctx context.Context, req api.UninstallRequest) (api.Operation, error) {
-	return r.vehicleOp(ctx, req.Vehicle, "Uninstall", func(svc api.DeploymentService) (api.Operation, error) {
-		return svc.Uninstall(ctx, req)
-	})
-}
-
-func (r *Router) Upgrade(ctx context.Context, req api.UpgradeRequest) (api.Operation, error) {
-	return r.vehicleOp(ctx, req.Vehicle, "Upgrade", func(svc api.DeploymentService) (api.Operation, error) {
-		return svc.Upgrade(ctx, req)
-	})
-}
-
-func (r *Router) Restore(ctx context.Context, req api.RestoreRequest) (api.Operation, error) {
-	return r.vehicleOp(ctx, req.Vehicle, "Restore", func(svc api.DeploymentService) (api.Operation, error) {
-		return svc.Restore(ctx, req)
-	})
-}
-
-func (r *Router) Verify(ctx context.Context, req api.VerifyRequest) (api.VerifyReport, error) {
-	return callShard(ctx, r, r.shardFor(req.Vehicle), "Verify", func(svc api.DeploymentService) (api.VerifyReport, error) {
-		return svc.Verify(ctx, req)
-	})
-}
-
-func (r *Router) Status(ctx context.Context, vehicle core.VehicleID, app core.AppName) (api.OpStatus, error) {
-	return callShard(ctx, r, r.shardFor(vehicle), "Status", func(svc api.DeploymentService) (api.OpStatus, error) {
-		return svc.Status(ctx, vehicle, app)
-	})
+	return listAcrossShards(ctx, r, "ListVehicles", page, func(l *api.VehicleList) *string { return &l.NextPageToken })
 }
 
 // ---- fleet-wide batches fan out per shard under a fed- parent ----
 
-// batchCall abstracts the three batch kinds over their shared fan-out.
-func (r *Router) batchFanOut(ctx context.Context, kind api.OperationKind, user core.UserID,
+// batchFanOut is the fan-out the three batch kinds share: perShard
+// builds one shard's copy of the request (its slice of the vehicles, its
+// derived idempotency key), and the per-shard batch parents become the
+// children of a router-local fed- parent.
+func (r *Router) batchFanOut(ctx context.Context, method string, kind api.OperationKind, user core.UserID,
 	vehicles []core.VehicleID, sel *api.FleetSelector, app, toApp core.AppName, idemKey string,
-	issue func(svc api.DeploymentService, shardVehicles []core.VehicleID, key string) (api.Operation, error),
+	perShard func(shardVehicles []core.VehicleID, key string) any,
 ) (api.Operation, error) {
 	if len(vehicles) > 0 && sel != nil {
 		return api.Operation{}, api.Errorf(api.CodeInvalidArgument, "federation: batch request names both vehicles and a selector")
@@ -401,13 +386,11 @@ func (r *Router) batchFanOut(ctx context.Context, kind api.OperationKind, user c
 	// Single-shard fast path: no fed parent needed, the shard's own
 	// batch parent is the operation (qualified so polls route back).
 	if len(order) == 1 && len(vehicles) > 0 {
-		op, err := callShard(ctx, r, r.byName[order[0]], string(kind), func(svc api.DeploymentService) (api.Operation, error) {
-			return issue(svc, targets[order[0]], idemKey)
-		})
+		op, err := onShard[api.Operation](ctx, r, r.byName[order[0]], method, perShard(targets[order[0]], idemKey))
 		if err != nil {
 			return api.Operation{}, err
 		}
-		return qualifyOp(order[0], op), nil
+		return qualify(order[0], op).(api.Operation), nil
 	}
 
 	var children []string
@@ -421,9 +404,7 @@ func (r *Router) batchFanOut(ctx context.Context, kind api.OperationKind, user c
 		if key != "" {
 			key = fmt.Sprintf("%s@%s", idemKey, name)
 		}
-		op, err := callShard(ctx, r, r.byName[name], string(kind), func(svc api.DeploymentService) (api.Operation, error) {
-			return issue(svc, targets[name], key)
-		})
+		op, err := onShard[api.Operation](ctx, r, r.byName[name], method, perShard(targets[name], key))
 		if err != nil {
 			if sel != nil && api.CodeOf(err) == api.CodeFailedPrecondition {
 				continue // this shard owns no matching vehicles
@@ -473,46 +454,30 @@ func (r *Router) batchFanOut(ctx context.Context, kind api.OperationKind, user c
 }
 
 func (r *Router) BatchDeploy(ctx context.Context, req api.BatchDeployRequest) (api.Operation, error) {
-	return r.batchFanOut(ctx, api.OpBatchDeploy, req.User, req.Vehicles, req.Selector, req.App, "", req.IdempotencyKey,
-		func(svc api.DeploymentService, vs []core.VehicleID, key string) (api.Operation, error) {
-			return svc.BatchDeploy(ctx, api.BatchDeployRequest{
-				User: req.User, Vehicles: vs, Selector: req.Selector, App: req.App, IdempotencyKey: key,
-			})
+	return r.batchFanOut(ctx, "BatchDeploy", api.OpBatchDeploy, req.User, req.Vehicles, req.Selector, req.App, "", req.IdempotencyKey,
+		func(vs []core.VehicleID, key string) any {
+			req.Vehicles, req.IdempotencyKey = vs, key
+			return req
 		})
 }
 
 func (r *Router) BatchUninstall(ctx context.Context, req api.BatchUninstallRequest) (api.Operation, error) {
-	return r.batchFanOut(ctx, api.OpBatchUninstall, req.User, req.Vehicles, req.Selector, req.App, "", req.IdempotencyKey,
-		func(svc api.DeploymentService, vs []core.VehicleID, key string) (api.Operation, error) {
-			return svc.BatchUninstall(ctx, api.BatchUninstallRequest{
-				User: req.User, Vehicles: vs, Selector: req.Selector, App: req.App, IdempotencyKey: key,
-			})
+	return r.batchFanOut(ctx, "BatchUninstall", api.OpBatchUninstall, req.User, req.Vehicles, req.Selector, req.App, "", req.IdempotencyKey,
+		func(vs []core.VehicleID, key string) any {
+			req.Vehicles, req.IdempotencyKey = vs, key
+			return req
 		})
 }
 
 func (r *Router) BatchUpgrade(ctx context.Context, req api.BatchUpgradeRequest) (api.Operation, error) {
-	return r.batchFanOut(ctx, api.OpBatchUpgrade, req.User, req.Vehicles, req.Selector, req.From, req.To, req.IdempotencyKey,
-		func(svc api.DeploymentService, vs []core.VehicleID, key string) (api.Operation, error) {
-			return svc.BatchUpgrade(ctx, api.BatchUpgradeRequest{
-				User: req.User, Vehicles: vs, Selector: req.Selector, From: req.From, To: req.To, IdempotencyKey: key,
-			})
+	return r.batchFanOut(ctx, "BatchUpgrade", api.OpBatchUpgrade, req.User, req.Vehicles, req.Selector, req.From, req.To, req.IdempotencyKey,
+		func(vs []core.VehicleID, key string) any {
+			req.Vehicles, req.IdempotencyKey = vs, key
+			return req
 		})
 }
 
 // ---- operations: qualified ids, fed- aggregation ----
-
-// qualifyOp rewrites an operation's id references into the router's
-// namespace, so clients can navigate parent/children across the tier.
-func qualifyOp(shard string, op api.Operation) api.Operation {
-	op.ID = shard + "/" + op.ID
-	if op.Parent != "" {
-		op.Parent = shard + "/" + op.Parent
-	}
-	for i, c := range op.Children {
-		op.Children[i] = shard + "/" + c
-	}
-	return op
-}
 
 // splitQualified parses "<shard>/<id>"; ok is false for bare ids.
 func (r *Router) splitQualified(id string) (ss *shardState, rest string, ok bool) {
@@ -531,29 +496,7 @@ func (r *Router) GetOperation(ctx context.Context, id string) (api.Operation, er
 	if strings.HasPrefix(id, "fed-") {
 		return r.getFedOperation(ctx, id)
 	}
-	if ss, rest, ok := r.splitQualified(id); ok {
-		op, err := callShard(ctx, r, ss, "GetOperation", func(svc api.DeploymentService) (api.Operation, error) {
-			return svc.GetOperation(ctx, rest)
-		})
-		if err != nil {
-			return api.Operation{}, err
-		}
-		return qualifyOp(ss.shard.Name, op), nil
-	}
-	// Bare id: probe shards in order (ops created through the router are
-	// always qualified; this serves hand-typed ids).
-	for _, name := range r.names {
-		op, err := callShard(ctx, r, r.byName[name], "GetOperation", func(svc api.DeploymentService) (api.Operation, error) {
-			return svc.GetOperation(ctx, id)
-		})
-		if err == nil {
-			return qualifyOp(name, op), nil
-		}
-		if api.CodeOf(err) != api.CodeNotFound {
-			return api.Operation{}, err
-		}
-	}
-	return api.Operation{}, api.Errorf(api.CodeNotFound, "federation: unknown operation %q", id)
+	return r.Stub.GetOperation(ctx, id)
 }
 
 // getFedOperation aggregates a fan-out parent from its per-shard batch
@@ -579,9 +522,7 @@ func (r *Router) getFedOperation(ctx context.Context, id string) (api.Operation,
 		if !ok {
 			continue
 		}
-		child, err := callShard(ctx, r, ss, "GetOperation", func(svc api.DeploymentService) (api.Operation, error) {
-			return svc.GetOperation(ctx, rest)
-		})
+		child, err := onShard[api.Operation](ctx, r, ss, "GetOperation", rest)
 		if err != nil {
 			// The shard is mid-failover; report the parent as still
 			// running — the next poll lands on the promoted leader, which
@@ -642,97 +583,11 @@ func (r *Router) ListOperations(ctx context.Context, page api.Page) (api.Operati
 		}
 		return api.OperationList{Operations: items}, nil
 	}
-	return listAcrossShards(ctx, r, page,
-		func(svc api.DeploymentService, p api.Page) ([]api.Operation, string, error) {
-			l, err := svc.ListOperations(ctx, p)
-			return l.Operations, l.NextPageToken, err
-		},
-		func(items []api.Operation, next string) (api.OperationList, error) {
-			return api.OperationList{Operations: items, NextPageToken: next}, nil
-		})
-}
-
-// ---- rollouts route whole to one shard ----
-
-func (r *Router) StartRollout(ctx context.Context, req api.RolloutRequest) (api.RolloutStatus, error) {
-	// A rollout's wave state machine lives on one server; the front tier
-	// requires its targets to share a shard (split fleet-wide rollouts
-	// per shard at the client, or list vehicles explicitly).
-	if len(req.Vehicles) == 0 {
-		return api.RolloutStatus{}, api.Errorf(api.CodeInvalidArgument,
-			"federation: rollouts need an explicit vehicle list (selectors cannot span shards)")
-	}
-	parts := r.ring.Partition(req.Vehicles)
-	if len(parts) > 1 {
-		shards := make([]string, 0, len(parts))
-		for s := range parts {
-			shards = append(shards, s)
-		}
-		sort.Strings(shards)
-		return api.RolloutStatus{}, api.Errorf(api.CodeInvalidArgument,
-			"federation: rollout vehicles span shards %v; start one rollout per shard", shards)
-	}
-	var name string
-	for s := range parts {
-		name = s
-	}
-	st, err := callShard(ctx, r, r.byName[name], "StartRollout", func(svc api.DeploymentService) (api.RolloutStatus, error) {
-		return svc.StartRollout(ctx, req)
-	})
-	if err != nil {
-		return api.RolloutStatus{}, err
-	}
-	st.ID = name + "/" + st.ID
-	return st, nil
-}
-
-func (r *Router) rolloutByID(ctx context.Context, id, what string, fn func(svc api.DeploymentService, rest string) (api.RolloutStatus, error)) (api.RolloutStatus, error) {
-	if ss, rest, ok := r.splitQualified(id); ok {
-		st, err := callShard(ctx, r, ss, what, func(svc api.DeploymentService) (api.RolloutStatus, error) {
-			return fn(svc, rest)
-		})
-		if err != nil {
-			return api.RolloutStatus{}, err
-		}
-		st.ID = ss.shard.Name + "/" + st.ID
-		return st, nil
-	}
-	for _, name := range r.names {
-		st, err := callShard(ctx, r, r.byName[name], what, func(svc api.DeploymentService) (api.RolloutStatus, error) {
-			return fn(svc, id)
-		})
-		if err == nil {
-			st.ID = name + "/" + st.ID
-			return st, nil
-		}
-		if api.CodeOf(err) != api.CodeNotFound {
-			return api.RolloutStatus{}, err
-		}
-	}
-	return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "federation: unknown rollout %q", id)
-}
-
-func (r *Router) GetRollout(ctx context.Context, id string) (api.RolloutStatus, error) {
-	return r.rolloutByID(ctx, id, "GetRollout", func(svc api.DeploymentService, rest string) (api.RolloutStatus, error) {
-		return svc.GetRollout(ctx, rest)
-	})
-}
-
-func (r *Router) AbortRollout(ctx context.Context, id string) (api.RolloutStatus, error) {
-	return r.rolloutByID(ctx, id, "AbortRollout", func(svc api.DeploymentService, rest string) (api.RolloutStatus, error) {
-		return svc.AbortRollout(ctx, rest)
-	})
+	return listAcrossShards(ctx, r, "ListOperations", page, func(l *api.OperationList) *string { return &l.NextPageToken })
 }
 
 func (r *Router) ListRollouts(ctx context.Context, page api.Page) (api.RolloutList, error) {
-	return listAcrossShards(ctx, r, page,
-		func(svc api.DeploymentService, p api.Page) ([]api.RolloutStatus, string, error) {
-			l, err := svc.ListRollouts(ctx, p)
-			return l.Rollouts, l.NextPageToken, err
-		},
-		func(items []api.RolloutStatus, next string) (api.RolloutList, error) {
-			return api.RolloutList{Rollouts: items, NextPageToken: next}, nil
-		})
+	return listAcrossShards(ctx, r, "ListRollouts", page, func(l *api.RolloutList) *string { return &l.NextPageToken })
 }
 
 // ---- aggregated monitoring ----
@@ -740,9 +595,7 @@ func (r *Router) ListRollouts(ctx context.Context, page api.Page) (api.RolloutLi
 func (r *Router) Health(ctx context.Context) (api.Health, error) {
 	out := api.Health{Status: "ok", Shard: "federated", SnapshotAge: -1}
 	for _, name := range r.names {
-		h, err := callShard(ctx, r, r.byName[name], "Health", func(svc api.DeploymentService) (api.Health, error) {
-			return svc.Health(ctx)
-		})
+		h, err := onShard[api.Health](ctx, r, r.byName[name], "Health", struct{}{})
 		if err != nil {
 			out.Status = "degraded"
 			out.JournalError = appendReason(out.JournalError, name+": unreachable: "+err.Error())
@@ -764,9 +617,7 @@ func (r *Router) Health(ctx context.Context) (api.Health, error) {
 func (r *Router) Statz(ctx context.Context) (api.Statz, error) {
 	out := api.Statz{Shard: "federated", Role: "router"}
 	for _, name := range r.names {
-		st, err := callShard(ctx, r, r.byName[name], "Statz", func(svc api.DeploymentService) (api.Statz, error) {
-			return svc.Statz(ctx)
-		})
+		st, err := onShard[api.Statz](ctx, r, r.byName[name], "Statz", struct{}{})
 		if err != nil {
 			continue
 		}
@@ -799,11 +650,9 @@ func appendReason(have, add string) string {
 }
 
 // listAcrossShards walks the shards in name order under a composite
-// "<shard>|<token>" cursor, one shard page per call.
-func listAcrossShards[T, L any](ctx context.Context, r *Router, page api.Page,
-	list func(svc api.DeploymentService, p api.Page) ([]T, string, error),
-	wrap func(items []T, next string) (L, error),
-) (L, error) {
+// "<shard>|<token>" cursor, one shard page per call; next points at the
+// list type's NextPageToken.
+func listAcrossShards[L any](ctx context.Context, r *Router, method string, page api.Page, next func(*L) *string) (L, error) {
 	var zero L
 	name := r.names[0]
 	inner := ""
@@ -814,33 +663,17 @@ func listAcrossShards[T, L any](ctx context.Context, r *Router, page api.Page,
 		}
 		name, inner = shard, rest
 	}
-	items, next, err := callShard3(ctx, r, r.byName[name], "List", list, api.Page{Size: page.Size, Token: inner})
+	list, err := onShard[L](ctx, r, r.byName[name], method, api.Page{Size: page.Size, Token: inner})
 	if err != nil {
 		return zero, err
 	}
-	if next != "" {
-		return wrap(items, name+"|"+next)
+	token := next(&list)
+	switch i := sort.SearchStrings(r.names, name); {
+	case *token != "":
+		*token = name + "|" + *token
+	case i+1 < len(r.names):
+		// This shard is exhausted: point the cursor at the next one.
+		*token = r.names[i+1] + "|"
 	}
-	// This shard is exhausted: point the cursor at the next one.
-	for i, n := range r.names {
-		if n == name && i+1 < len(r.names) {
-			return wrap(items, r.names[i+1]+"|")
-		}
-	}
-	return wrap(items, "")
-}
-
-// callShard3 is callShard for three-valued list calls.
-func callShard3[T any](ctx context.Context, r *Router, ss *shardState, what string,
-	list func(svc api.DeploymentService, p api.Page) ([]T, string, error), p api.Page,
-) ([]T, string, error) {
-	type res struct {
-		items []T
-		next  string
-	}
-	out, err := callShard(ctx, r, ss, what, func(svc api.DeploymentService) (res, error) {
-		items, next, err := list(svc, p)
-		return res{items, next}, err
-	})
-	return out.items, out.next, err
+	return list, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 	"dynautosar/internal/plugin"
 	"dynautosar/internal/server"
@@ -72,6 +73,24 @@ func pump(t *testing.T, engines []*sim.Engine, cond func() bool) {
 			e.RunFor(10 * sim.Millisecond)
 		}
 		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// deploy starts alice's deployment of app on vehicle and pumps the
+// engines until the operation settles; a launch error or a nack fails
+// the test.
+func deploy(t *testing.T, s *server.Server, engines []*sim.Engine, vehicle core.VehicleID, app core.AppName) {
+	t.Helper()
+	op, err := s.Deploy(api.DeployRequest{User: "alice", Vehicle: vehicle, App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pump(t, engines, func() bool {
+		op, _ = s.Operation(op.ID)
+		return op.Done
+	})
+	if op.State != api.StateSucceeded {
+		t.Fatalf("deploy of %s on %s = %+v", app, vehicle, op)
 	}
 }
 
@@ -146,10 +165,7 @@ on_message In:
 		t.Fatal(err)
 	}
 	_, eng := connectVehicle(t, s, dir, "VIN-P")
-	if err := s.Deploy("alice", "VIN-P", "Echo"); err != nil {
-		t.Fatal(err)
-	}
-	pump(t, []*sim.Engine{eng}, func() bool { return s.Status("VIN-P", "Echo").Complete() })
+	deploy(t, s, []*sim.Engine{eng}, "VIN-P", "Echo")
 	pump(t, []*sim.Engine{eng}, func() bool { return phone.Connections() > 0 })
 
 	// Phone pings; the plug-in doubles and pongs back over the same link.
@@ -192,15 +208,11 @@ func TestFederationBetweenVehicles(t *testing.T) {
 	carB, engB := connectVehicle(t, s, dir, "VIN-B")
 	engines := []*sim.Engine{engA, engB}
 
-	if err := s.Deploy("alice", "VIN-A", "Publisher"); err != nil {
-		t.Fatal(err)
+	deploy(t, s, engines, "VIN-A", "Publisher")
+	deploy(t, s, engines, "VIN-B", "Subscriber")
+	if !s.Status("VIN-A", "Publisher").Complete() || !s.Status("VIN-B", "Subscriber").Complete() {
+		t.Fatal("settled deployments not complete on the status surface")
 	}
-	if err := s.Deploy("alice", "VIN-B", "Subscriber"); err != nil {
-		t.Fatal(err)
-	}
-	pump(t, engines, func() bool {
-		return s.Status("VIN-A", "Publisher").Complete() && s.Status("VIN-B", "Subscriber").Complete()
-	})
 
 	// The phone pokes vehicle A; A publishes to the federation; the broker
 	// relays through the server into vehicle B's Listener plug-in.

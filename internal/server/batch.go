@@ -62,38 +62,36 @@ func (s *Server) resolveFleet(user core.UserID, vehicles []core.VehicleID, sel *
 	}
 }
 
-// BatchDeployAsync starts a fleet-wide deployment: it resolves the
-// fleet synchronously, returns the parent operation immediately and
-// runs the per-vehicle pipelines on the worker pool. Per-vehicle
-// problems (offline, incompatible, already installed, foreign owner)
-// fail that vehicle's child without aborting the rest.
-func (s *Server) BatchDeployAsync(user core.UserID, vehicles []core.VehicleID, sel *api.FleetSelector, appName core.AppName) (api.Operation, error) {
-	return s.batchDeployAsyncIdem("", user, vehicles, sel, appName)
-}
-
-func (s *Server) batchDeployAsyncIdem(idemKey string, user core.UserID, vehicles []core.VehicleID, sel *api.FleetSelector, appName core.AppName) (api.Operation, error) {
-	if !s.store.HasApp(appName) {
-		return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", appName)
-	}
-	fleet, err := s.resolveFleet(user, vehicles, sel)
-	if err != nil {
-		return api.Operation{}, err
-	}
-	parentID, children := s.newBatchOperation(api.OpBatchDeploy, api.OpDeploy, user, appName, "", fleet, idemKey)
-	go func() {
-		cache := &planCache{}
-		// inflight bounds the per-batch commit-wait/push goroutines the
-		// staged deploys hand off to, so a fleet-scale batch keeps a few
-		// hundred vehicles in the commit/push pipeline instead of one
-		// goroutine (pinning its plan and pending state) per vehicle.
-		inflight := make(chan struct{}, batchInflight)
-		s.runBatch(children, func(c batchChild) {
-			s.deployChild(c, user, appName, cache, inflight)
-		})
-		hits, misses := cache.stats()
-		s.logf("server: batch %s over %d vehicles: plan cache %d hits / %d misses", parentID, len(fleet), hits, misses)
-	}()
-	return s.operationSnapshot(parentID), nil
+// BatchDeploy starts a fleet-wide deployment: it resolves the fleet
+// synchronously, returns the parent operation immediately and runs the
+// per-vehicle pipelines on the worker pool. Per-vehicle problems
+// (offline, incompatible, already installed, foreign owner) fail that
+// vehicle's child without aborting the rest.
+func (s *Server) BatchDeploy(req api.BatchDeployRequest) (api.Operation, error) {
+	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
+		if !s.store.HasApp(req.App) {
+			return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", req.App)
+		}
+		fleet, err := s.resolveFleet(req.User, req.Vehicles, req.Selector)
+		if err != nil {
+			return api.Operation{}, err
+		}
+		parentID, children := s.newBatchOperation(api.OpBatchDeploy, api.OpDeploy, req.User, req.App, "", fleet, key)
+		go func() {
+			cache := &planCache{}
+			// inflight bounds the per-batch commit-wait/push goroutines the
+			// staged deploys hand off to, so a fleet-scale batch keeps a few
+			// hundred vehicles in the commit/push pipeline instead of one
+			// goroutine (pinning its plan and pending state) per vehicle.
+			inflight := make(chan struct{}, batchInflight)
+			s.runBatch(children, func(c batchChild) {
+				s.deployChild(c, req.User, req.App, cache, inflight)
+			})
+			hits, misses := cache.stats()
+			s.logf("server: batch %s over %d vehicles: plan cache %d hits / %d misses", parentID, len(fleet), hits, misses)
+		}()
+		return s.operationSnapshot(parentID), nil
+	})
 }
 
 // batchInflight bounds, per batch, how many staged deploys may sit in
@@ -133,28 +131,26 @@ func (s *Server) deployChild(c batchChild, user core.UserID, appName core.AppNam
 	}()
 }
 
-// BatchUninstallAsync starts a fleet-wide uninstallation with the same
+// BatchUninstall starts a fleet-wide uninstallation with the same
 // parent/child semantics; each child runs the full uninstall pipeline
 // (dependency supervision, per-vehicle claim, reverse-order pushes).
-func (s *Server) BatchUninstallAsync(user core.UserID, vehicles []core.VehicleID, sel *api.FleetSelector, appName core.AppName) (api.Operation, error) {
-	return s.batchUninstallAsyncIdem("", user, vehicles, sel, appName)
-}
-
-func (s *Server) batchUninstallAsyncIdem(idemKey string, user core.UserID, vehicles []core.VehicleID, sel *api.FleetSelector, appName core.AppName) (api.Operation, error) {
-	if !s.store.HasApp(appName) {
-		return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", appName)
-	}
-	fleet, err := s.resolveFleet(user, vehicles, sel)
-	if err != nil {
-		return api.Operation{}, err
-	}
-	parentID, children := s.newBatchOperation(api.OpBatchUninstall, api.OpUninstall, user, appName, "", fleet, idemKey)
-	go func() {
-		s.runBatch(children, func(c batchChild) {
-			s.finishLaunch(c.opID, s.uninstall(c.opID, user, c.vehicle, appName))
-		})
-	}()
-	return s.operationSnapshot(parentID), nil
+func (s *Server) BatchUninstall(req api.BatchUninstallRequest) (api.Operation, error) {
+	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
+		if !s.store.HasApp(req.App) {
+			return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", req.App)
+		}
+		fleet, err := s.resolveFleet(req.User, req.Vehicles, req.Selector)
+		if err != nil {
+			return api.Operation{}, err
+		}
+		parentID, children := s.newBatchOperation(api.OpBatchUninstall, api.OpUninstall, req.User, req.App, "", fleet, key)
+		go func() {
+			s.runBatch(children, func(c batchChild) {
+				s.finishLaunch(c.opID, s.uninstall(c.opID, req.User, c.vehicle, req.App))
+			})
+		}()
+		return s.operationSnapshot(parentID), nil
+	})
 }
 
 // runBatch drives the per-vehicle workers over a bounded pool.

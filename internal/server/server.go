@@ -227,41 +227,26 @@ func (s *Server) dropPending(seq uint32) {
 	}
 }
 
-// Deploy runs the full deployment pipeline of section 3.2.2 for app on
-// vehicle: compatibility check, dependency-ordered planning, context
-// generation, packaging and push. It returns after the packages are sent;
-// acknowledgements arrive asynchronously and are tracked in the
-// InstalledAPP table (query with Status) and in the operation registry.
-func (s *Server) Deploy(user core.UserID, vehicleID core.VehicleID, appName core.AppName) error {
-	if err := s.precheckDeploy(user, vehicleID, appName); err != nil {
-		return err
-	}
-	rec := s.newOperation(api.OpDeploy, user, vehicleID, appName, "", "", "")
-	err := s.deploy(rec.op.ID, user, vehicleID, appName)
-	s.finishLaunch(rec.op.ID, err)
-	return err
-}
-
-// DeployAsync validates the cheap preconditions synchronously, then
-// runs the deployment pipeline in the background; progress is reported
-// through the returned operation.
-func (s *Server) DeployAsync(user core.UserID, vehicleID core.VehicleID, appName core.AppName) (api.Operation, error) {
-	return s.deployAsyncIdem("", user, vehicleID, appName)
-}
-
-// deployAsyncIdem is DeployAsync with the operation's idempotency key
-// threaded through to creation (so the key is journaled atomically with
-// the op_created record); the Service adapter is the keyed caller.
-func (s *Server) deployAsyncIdem(idemKey string, user core.UserID, vehicleID core.VehicleID, appName core.AppName) (api.Operation, error) {
-	if err := s.precheckDeploy(user, vehicleID, appName); err != nil {
-		return api.Operation{}, err
-	}
-	rec := s.newOperation(api.OpDeploy, user, vehicleID, appName, "", "", idemKey)
-	id := rec.op.ID
-	go func() {
-		s.finishLaunch(id, s.deploy(id, user, vehicleID, appName))
-	}()
-	return s.operationSnapshot(id), nil
+// Deploy starts the deployment pipeline of section 3.2.2 for an app on a
+// vehicle: the cheap preconditions are validated synchronously, then
+// compatibility check, dependency-ordered planning, context generation,
+// packaging and push run in the background. Progress — a launch error,
+// then the acknowledgements as they arrive — is reported through the
+// returned operation and tracked in the InstalledAPP table (query with
+// Status). Like every operation-creating entry point it runs through
+// the idempotency gate: a repeated IdempotencyKey returns the original
+// operation instead of double-creating (see shard.go).
+func (s *Server) Deploy(req api.DeployRequest) (api.Operation, error) {
+	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
+		if err := s.precheckDeploy(req.User, req.Vehicle, req.App); err != nil {
+			return api.Operation{}, err
+		}
+		id := s.newOperation(api.OpDeploy, req.User, req.Vehicle, req.App, "", "", key).op.ID
+		go func() {
+			s.finishLaunch(id, s.deployWith(id, req.User, req.Vehicle, req.App, nil))
+		}()
+		return s.operationSnapshot(id), nil
+	})
 }
 
 // deployPrereqs validates vehicle, ownership and app existence and
@@ -292,12 +277,6 @@ func (s *Server) precheckDeploy(user core.UserID, vehicleID core.VehicleID, appN
 		return api.Errorf(api.CodeAlreadyExists, "server: app %s already installed on %s", appName, vehicleID)
 	}
 	return nil
-}
-
-// deploy is the deployment pipeline shared by the sync and async entry
-// points; pushes are charged to the operation opID.
-func (s *Server) deploy(opID string, user core.UserID, vehicleID core.VehicleID, appName core.AppName) error {
-	return s.deployWith(opID, user, vehicleID, appName, nil)
 }
 
 // deployPlan is the vehicle-independent half of one deployment: the
@@ -487,34 +466,20 @@ func (s *Server) planFor(vr VehicleRecord, appName core.AppName, cache *planCach
 	return plan, nil
 }
 
-// Uninstall removes an app from a vehicle after verifying that no other
-// installed app depends on its plug-ins; the InstalledAPP row is dropped
-// once every uninstallation has been acknowledged.
-func (s *Server) Uninstall(user core.UserID, vehicleID core.VehicleID, appName core.AppName) error {
-	if err := s.precheckUninstall(user, vehicleID, appName); err != nil {
-		return err
-	}
-	rec := s.newOperation(api.OpUninstall, user, vehicleID, appName, "", "", "")
-	err := s.uninstall(rec.op.ID, user, vehicleID, appName)
-	s.finishLaunch(rec.op.ID, err)
-	return err
-}
-
-// UninstallAsync is the operation-returning variant of Uninstall.
-func (s *Server) UninstallAsync(user core.UserID, vehicleID core.VehicleID, appName core.AppName) (api.Operation, error) {
-	return s.uninstallAsyncIdem("", user, vehicleID, appName)
-}
-
-func (s *Server) uninstallAsyncIdem(idemKey string, user core.UserID, vehicleID core.VehicleID, appName core.AppName) (api.Operation, error) {
-	if err := s.precheckUninstall(user, vehicleID, appName); err != nil {
-		return api.Operation{}, err
-	}
-	rec := s.newOperation(api.OpUninstall, user, vehicleID, appName, "", "", idemKey)
-	id := rec.op.ID
-	go func() {
-		s.finishLaunch(id, s.uninstall(id, user, vehicleID, appName))
-	}()
-	return s.operationSnapshot(id), nil
+// Uninstall starts the removal of an app from a vehicle after verifying
+// that no other installed app depends on its plug-ins; the InstalledAPP
+// row is dropped once every uninstallation has been acknowledged.
+func (s *Server) Uninstall(req api.UninstallRequest) (api.Operation, error) {
+	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
+		if err := s.precheckUninstall(req.User, req.Vehicle, req.App); err != nil {
+			return api.Operation{}, err
+		}
+		id := s.newOperation(api.OpUninstall, req.User, req.Vehicle, req.App, "", "", key).op.ID
+		go func() {
+			s.finishLaunch(id, s.uninstall(id, req.User, req.Vehicle, req.App))
+		}()
+		return s.operationSnapshot(id), nil
+	})
 }
 
 func (s *Server) precheckUninstall(user core.UserID, vehicleID core.VehicleID, appName core.AppName) error {
@@ -590,36 +555,21 @@ func (s *Server) uninstall(opID string, user core.UserID, vehicleID core.Vehicle
 	return nil
 }
 
-// Restore re-installs the plug-ins previously installed on a replaced
-// ECU, reusing their recorded PICs so port ids stay stable (paper section
-// 3.2.2, the restore operation).
-func (s *Server) Restore(user core.UserID, vehicleID core.VehicleID, replaced core.ECUID) (int, error) {
-	if err := s.precheckRestore(user, vehicleID); err != nil {
-		return 0, err
-	}
-	rec := s.newOperation(api.OpRestore, user, vehicleID, "", "", replaced, "")
-	n, err := s.restore(rec.op.ID, user, vehicleID, replaced)
-	s.finishLaunch(rec.op.ID, err)
-	return n, err
-}
-
-// RestoreAsync is the operation-returning variant of Restore; the
-// number of re-installed plug-ins appears as the operation's Total.
-func (s *Server) RestoreAsync(user core.UserID, vehicleID core.VehicleID, replaced core.ECUID) (api.Operation, error) {
-	return s.restoreAsyncIdem("", user, vehicleID, replaced)
-}
-
-func (s *Server) restoreAsyncIdem(idemKey string, user core.UserID, vehicleID core.VehicleID, replaced core.ECUID) (api.Operation, error) {
-	if err := s.precheckRestore(user, vehicleID); err != nil {
-		return api.Operation{}, err
-	}
-	rec := s.newOperation(api.OpRestore, user, vehicleID, "", "", replaced, idemKey)
-	id := rec.op.ID
-	go func() {
-		_, err := s.restore(id, user, vehicleID, replaced)
-		s.finishLaunch(id, err)
-	}()
-	return s.operationSnapshot(id), nil
+// Restore starts the re-installation of the plug-ins previously
+// installed on a replaced ECU, reusing their recorded PICs so port ids
+// stay stable (paper section 3.2.2, the restore operation); the number
+// of re-installed plug-ins appears as the operation's Total.
+func (s *Server) Restore(req api.RestoreRequest) (api.Operation, error) {
+	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
+		if err := s.precheckRestore(req.User, req.Vehicle); err != nil {
+			return api.Operation{}, err
+		}
+		id := s.newOperation(api.OpRestore, req.User, req.Vehicle, "", "", req.ECU, key).op.ID
+		go func() {
+			s.finishLaunch(id, s.restore(id, req.User, req.Vehicle, req.ECU))
+		}()
+		return s.operationSnapshot(id), nil
+	})
 }
 
 func (s *Server) precheckRestore(user core.UserID, vehicleID core.VehicleID) error {
@@ -633,13 +583,12 @@ func (s *Server) precheckRestore(user core.UserID, vehicleID core.VehicleID) err
 	return nil
 }
 
-func (s *Server) restore(opID string, user core.UserID, vehicleID core.VehicleID, replaced core.ECUID) (int, error) {
+func (s *Server) restore(opID string, user core.UserID, vehicleID core.VehicleID, replaced core.ECUID) error {
 	if err := s.precheckRestore(user, vehicleID); err != nil {
-		return 0, err
+		return err
 	}
 	vr, _ := s.store.Vehicle(vehicleID)
 	epoch := s.pusher.Epoch(vehicleID)
-	sent := 0
 	for _, row := range s.store.InstalledApps(vehicleID) {
 		app, ok := s.store.App(row.App)
 		if !ok {
@@ -651,13 +600,13 @@ func (s *Server) restore(opID string, user core.UserID, vehicleID core.VehicleID
 		}
 		order, err := InstallOrder(app, conf)
 		if err != nil {
-			return sent, err
+			return err
 		}
 		// Regenerate contexts with recorded PICs forced, so PLC remote
 		// ids match the surviving plug-ins.
 		contexts, err := s.GenerateContexts(app, vr, order)
 		if err != nil {
-			return sent, err
+			return err
 		}
 		for _, d := range order {
 			if d.ECU != replaced {
@@ -677,19 +626,18 @@ func (s *Server) restore(opID string, user core.UserID, vehicleID core.VehicleID
 			pkg := plugin.Package{Binary: bin, Context: *ctx}
 			raw, err := pkg.MarshalBinary()
 			if err != nil {
-				return sent, api.Errorf(api.CodeInternal, "server: restore packaging %s: %v", d.Plugin, err)
+				return api.Errorf(api.CodeInternal, "server: restore packaging %s: %v", d.Plugin, err)
 			}
 			seq := s.enqueuePending(pendingOp{vehicle: vehicleID, app: row.App, plugin: d.Plugin, kind: "install", opID: opID, epoch: epoch})
 			msg := core.Message{Type: core.MsgInstall, Plugin: d.Plugin,
 				ECU: d.ECU, SWC: d.SWC, Seq: seq, Payload: raw}
 			if err := s.pusher.PushOn(vehicleID, epoch, msg); err != nil {
 				s.dropPending(seq)
-				return sent, api.Errorf(api.CodeUnavailable, "server: push to %s: %v", vehicleID, err)
+				return api.Errorf(api.CodeUnavailable, "server: push to %s: %v", vehicleID, err)
 			}
-			sent++
 		}
 	}
-	return sent, nil
+	return nil
 }
 
 // remapContext rewrites a freshly generated context to use the recorded

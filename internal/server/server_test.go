@@ -1,11 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 	"dynautosar/internal/ecm"
 	"dynautosar/internal/plugin"
@@ -348,6 +350,27 @@ func pumpUntil(t *testing.T, eng *sim.Engine, cond func() bool) {
 	}
 }
 
+// launch takes the result of a Server entry point (Deploy, Uninstall,
+// Restore, Upgrade), waits for the push pipeline behind it to finish
+// and returns the operation with its launch outcome: a precheck or
+// launch error, nil once the packages are on the wire.
+func launch(t *testing.T, s *Server) func(api.Operation, error) (api.Operation, error) {
+	return func(op api.Operation, err error) (api.Operation, error) {
+		t.Helper()
+		if err != nil {
+			return op, err
+		}
+		waitFor(t, func() bool {
+			op, _ = s.Operation(op.ID)
+			return op.State != api.StatePending
+		})
+		if op.Error != nil {
+			return op, op.Error
+		}
+		return op, nil
+	}
+}
+
 func TestFig2EndToEndDeployment(t *testing.T) {
 	s := newServerWithVehicle(t, "VIN-E2E")
 	if err := s.Store().UploadApp(paperApp(t)); err != nil {
@@ -355,7 +378,7 @@ func TestFig2EndToEndDeployment(t *testing.T) {
 	}
 	car, eng := connectCar(t, s, "VIN-E2E")
 
-	if err := s.Deploy("alice", "VIN-E2E", "RemoteControl"); err != nil {
+	if _, err := launch(t, s)(s.Deploy(api.DeployRequest{User: "alice", Vehicle: "VIN-E2E", App: "RemoteControl"})); err != nil {
 		t.Fatal(err)
 	}
 	pumpUntil(t, eng, func() bool { return s.Status("VIN-E2E", "RemoteControl").Complete() })
@@ -373,12 +396,12 @@ func TestFig2EndToEndDeployment(t *testing.T) {
 	pumpUntil(t, eng, func() bool { return car.Dynamics.WheelAngle() == 55 })
 
 	// Double deployment is refused.
-	if err := s.Deploy("alice", "VIN-E2E", "RemoteControl"); err == nil {
+	if _, err := launch(t, s)(s.Deploy(api.DeployRequest{User: "alice", Vehicle: "VIN-E2E", App: "RemoteControl"})); err == nil {
 		t.Fatal("double deploy accepted")
 	}
 
 	// Uninstall removes both plug-ins and the InstalledAPP row.
-	if err := s.Uninstall("alice", "VIN-E2E", "RemoteControl"); err != nil {
+	if _, err := launch(t, s)(s.Uninstall(api.UninstallRequest{User: "alice", Vehicle: "VIN-E2E", App: "RemoteControl"})); err != nil {
 		t.Fatal(err)
 	}
 	pumpUntil(t, eng, func() bool {
@@ -412,7 +435,7 @@ func TestUninstallBlockedByDependants(t *testing.T) {
 	s.Store().RecordInstallation(&InstalledApp{App: "Analytics", Vehicle: "VIN-DEP",
 		Plugins: []InstalledPlugin{{Plugin: "Analytics", ECU: vehicle.ECU2, SWC: vehicle.SWC2, Acked: true}}})
 
-	err := s.Uninstall("alice", "VIN-DEP", "RemoteControl")
+	_, err := launch(t, s)(s.Uninstall(api.UninstallRequest{User: "alice", Vehicle: "VIN-DEP", App: "RemoteControl"}))
 	if err == nil || !strings.Contains(err.Error(), "dependent apps") {
 		t.Fatalf("uninstall: %v", err)
 	}
@@ -424,7 +447,7 @@ func TestRestoreAfterECUReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	car, eng := connectCar(t, s, "VIN-RST")
-	if err := s.Deploy("alice", "VIN-RST", "RemoteControl"); err != nil {
+	if _, err := launch(t, s)(s.Deploy(api.DeployRequest{User: "alice", Vehicle: "VIN-RST", App: "RemoteControl"})); err != nil {
 		t.Fatal(err)
 	}
 	pumpUntil(t, eng, func() bool { return s.Status("VIN-RST", "RemoteControl").Complete() })
@@ -436,12 +459,12 @@ func TestRestoreAfterECUReplacement(t *testing.T) {
 	if _, ok := car.SWC2PIRTE.Plugin("OP"); ok {
 		t.Fatal("OP still present")
 	}
-	n, err := s.Restore("alice", "VIN-RST", vehicle.ECU2)
+	rop, err := launch(t, s)(s.Restore(api.RestoreRequest{User: "alice", Vehicle: "VIN-RST", ECU: vehicle.ECU2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Fatalf("restored %d plug-ins, want 1 (only OP lives on ECU2)", n)
+	if rop.Total != 1 {
+		t.Fatalf("restored %d plug-ins, want 1 (only OP lives on ECU2)", rop.Total)
 	}
 	pumpUntil(t, eng, func() bool {
 		_, ok := car.SWC2PIRTE.Plugin("OP")
@@ -454,24 +477,36 @@ func TestRestoreAfterECUReplacement(t *testing.T) {
 
 func TestDeployRefusalPaths(t *testing.T) {
 	s := newServerWithVehicle(t, "VIN-R")
-	if err := s.Deploy("alice", "VIN-R", "Nope"); err == nil {
+	if _, err := s.Deploy(api.DeployRequest{User: "alice", Vehicle: "VIN-R", App: "Nope"}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if err := s.Deploy("alice", "NoVehicle", "Nope"); err == nil {
+	if _, err := s.Deploy(api.DeployRequest{User: "alice", Vehicle: "NoVehicle", App: "Nope"}); err == nil {
 		t.Fatal("unknown vehicle accepted")
 	}
 	if err := s.Store().UploadApp(paperApp(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Deploy("mallory", "VIN-R", "RemoteControl"); err == nil {
+	if _, err := s.Deploy(api.DeployRequest{User: "mallory", Vehicle: "VIN-R", App: "RemoteControl"}); err == nil {
 		t.Fatal("foreign user accepted")
 	}
 	// Vehicle not connected: push fails, installation rolled back.
-	if err := s.Deploy("alice", "VIN-R", "RemoteControl"); err == nil ||
+	if _, err := launch(t, s)(s.Deploy(api.DeployRequest{User: "alice", Vehicle: "VIN-R", App: "RemoteControl"})); err == nil ||
 		!strings.Contains(err.Error(), "not connected") {
 		t.Fatalf("offline push: %v", err)
 	}
 	if _, ok := s.Store().InstalledApp("VIN-R", "RemoteControl"); ok {
 		t.Fatal("failed deploy left a row")
 	}
+}
+
+func TestOpStatusString(t *testing.T) {
+	st := OpStatus{App: "A", Total: 2, Acked: 2}
+	if !st.Complete() {
+		t.Fatal("complete status not complete")
+	}
+	st.Failures = append(st.Failures, "x")
+	if st.Complete() {
+		t.Fatal("failed status complete")
+	}
+	_ = fmt.Sprintf("%+v", st)
 }

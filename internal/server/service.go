@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 
 	"dynautosar/internal/api"
 	"dynautosar/internal/core"
@@ -22,6 +23,21 @@ func NewService(s *Server) *Service { return &Service{s: s} }
 func (s *Server) Service() *Service { return NewService(s) }
 
 var _ api.DeploymentService = (*Service)(nil)
+
+// Handler returns the HTTP handler of the Web Services module (paper
+// Figure 2), through which vehicle users, OEMs and plug-in developers
+// drive the three operation groups of section 3.2.2 — user setup,
+// upload, and (re)deployment: the versioned /v1 API generated from the
+// api.Routes table over the Service adapter, with its middleware
+// (request logging, panic recovery, body limits, per-client rate
+// limiting). Binary program bytes travel base64-encoded inside the JSON
+// (Go's default []byte handling), so a plain HTTP client can drive the
+// whole life cycle.
+func (s *Server) Handler() http.Handler {
+	return api.NewHandler(NewService(s), &api.HandlerOptions{
+		Logf: func(format string, args ...any) { s.logf(format, args...) },
+	})
+}
 
 func (sv *Service) CreateUser(_ context.Context, req api.CreateUserRequest) (api.User, error) {
 	if err := sv.s.store.AddUser(req.ID); err != nil {
@@ -82,31 +98,20 @@ func (sv *Service) ListApps(_ context.Context, page api.Page) (api.AppList, erro
 	return api.AppList{Apps: items, NextPageToken: next}, nil
 }
 
-// Deploy and every other operation-creating method below run through
-// the idempotency gate: a repeated IdempotencyKey returns the original
-// operation instead of double-creating (see shard.go).
 func (sv *Service) Deploy(_ context.Context, req api.DeployRequest) (api.Operation, error) {
-	return sv.s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		return sv.s.deployAsyncIdem(key, req.User, req.Vehicle, req.App)
-	})
+	return sv.s.Deploy(req)
 }
 
 func (sv *Service) Uninstall(_ context.Context, req api.UninstallRequest) (api.Operation, error) {
-	return sv.s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		return sv.s.uninstallAsyncIdem(key, req.User, req.Vehicle, req.App)
-	})
+	return sv.s.Uninstall(req)
 }
 
 func (sv *Service) Upgrade(_ context.Context, req api.UpgradeRequest) (api.Operation, error) {
-	return sv.s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		return sv.s.upgradeAsyncIdem(key, req.User, req.Vehicle, req.From, req.To)
-	})
+	return sv.s.Upgrade(req)
 }
 
 func (sv *Service) BatchUpgrade(_ context.Context, req api.BatchUpgradeRequest) (api.Operation, error) {
-	return sv.s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		return sv.s.batchUpgradeAsyncIdem(key, req.User, req.Vehicles, req.Selector, req.From, req.To)
-	})
+	return sv.s.BatchUpgrade(req)
 }
 
 func (sv *Service) StartRollout(_ context.Context, req api.RolloutRequest) (api.RolloutStatus, error) {
@@ -137,21 +142,15 @@ func (sv *Service) Verify(_ context.Context, req api.VerifyRequest) (api.VerifyR
 }
 
 func (sv *Service) Restore(_ context.Context, req api.RestoreRequest) (api.Operation, error) {
-	return sv.s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		return sv.s.restoreAsyncIdem(key, req.User, req.Vehicle, req.ECU)
-	})
+	return sv.s.Restore(req)
 }
 
 func (sv *Service) BatchDeploy(_ context.Context, req api.BatchDeployRequest) (api.Operation, error) {
-	return sv.s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		return sv.s.batchDeployAsyncIdem(key, req.User, req.Vehicles, req.Selector, req.App)
-	})
+	return sv.s.BatchDeploy(req)
 }
 
 func (sv *Service) BatchUninstall(_ context.Context, req api.BatchUninstallRequest) (api.Operation, error) {
-	return sv.s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		return sv.s.batchUninstallAsyncIdem(key, req.User, req.Vehicles, req.Selector, req.App)
-	})
+	return sv.s.BatchUninstall(req)
 }
 
 func (sv *Service) Status(_ context.Context, vehicle core.VehicleID, app core.AppName) (api.OpStatus, error) {

@@ -7,8 +7,7 @@
 //
 // The server's public surface is the versioned deployment-service API
 // of internal/api: the Service adapter implements api.DeploymentService
-// over this core, and Handler mounts the /v1 HTTP layer plus the
-// deprecated legacy paths.
+// over this core, and Handler mounts the /v1 HTTP layer.
 package server
 
 import "dynautosar/internal/api"

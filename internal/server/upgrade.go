@@ -71,82 +71,65 @@ type upgradePlan struct {
 	vplan *verify.Plan
 }
 
-// UpgradeAsync starts a live in-place upgrade of fromApp to toApp on a
-// running vehicle and returns its operation; the heavy lifting runs in
-// the background and the operation settles as the vehicle acknowledges
-// each plug-in swap.
-func (s *Server) UpgradeAsync(user core.UserID, vehicleID core.VehicleID, fromApp, toApp core.AppName) (api.Operation, error) {
-	return s.upgradeAsyncIdem("", user, vehicleID, fromApp, toApp)
+// Upgrade starts a live in-place upgrade of From to To on a running
+// vehicle and returns its operation; the heavy lifting runs in the
+// background and the operation settles as the vehicle acknowledges each
+// plug-in swap.
+func (s *Server) Upgrade(req api.UpgradeRequest) (api.Operation, error) {
+	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
+		if err := s.precheckUpgrade(req.User, req.Vehicle, req.From, req.To); err != nil {
+			return api.Operation{}, err
+		}
+		id := s.newOperation(api.OpUpgrade, req.User, req.Vehicle, req.From, req.To, "", key).op.ID
+		go func() {
+			s.finishLaunch(id, s.upgrade(id, req.User, req.Vehicle, req.From, req.To, nil))
+		}()
+		return s.operationSnapshot(id), nil
+	})
 }
 
-func (s *Server) upgradeAsyncIdem(idemKey string, user core.UserID, vehicleID core.VehicleID, fromApp, toApp core.AppName) (api.Operation, error) {
-	if err := s.precheckUpgrade(user, vehicleID, fromApp, toApp); err != nil {
-		return api.Operation{}, err
-	}
-	rec := s.newOperation(api.OpUpgrade, user, vehicleID, fromApp, toApp, "", idemKey)
-	id := rec.op.ID
-	go func() {
-		s.finishLaunch(id, s.upgrade(id, user, vehicleID, fromApp, toApp, nil))
-	}()
-	return s.operationSnapshot(id), nil
-}
-
-// Upgrade is the synchronous variant: it returns once the upgrade
-// committed or failed (tests and in-process tooling).
-func (s *Server) Upgrade(user core.UserID, vehicleID core.VehicleID, fromApp, toApp core.AppName) error {
-	if err := s.precheckUpgrade(user, vehicleID, fromApp, toApp); err != nil {
-		return err
-	}
-	rec := s.newOperation(api.OpUpgrade, user, vehicleID, fromApp, toApp, "", "")
-	err := s.upgrade(rec.op.ID, user, vehicleID, fromApp, toApp, nil)
-	s.finishLaunch(rec.op.ID, err)
-	return err
-}
-
-// BatchUpgradeAsync starts a fleet-wide live upgrade with the batch
-// engine's parent/child semantics and plan reuse.
-func (s *Server) BatchUpgradeAsync(user core.UserID, vehicles []core.VehicleID, sel *api.FleetSelector, fromApp, toApp core.AppName) (api.Operation, error) {
-	return s.batchUpgradeAsyncIdem("", user, vehicles, sel, fromApp, toApp)
-}
-
-func (s *Server) batchUpgradeAsyncIdem(idemKey string, user core.UserID, vehicles []core.VehicleID, sel *api.FleetSelector, fromApp, toApp core.AppName) (api.Operation, error) {
-	if !s.store.HasApp(fromApp) {
-		return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", fromApp)
-	}
-	if !s.store.HasApp(toApp) {
-		return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", toApp)
-	}
-	if fromApp == toApp {
-		return api.Operation{}, api.Errorf(api.CodeInvalidArgument, "server: upgrade from %s to itself", fromApp)
-	}
-	fleet, err := s.resolveFleet(user, vehicles, sel)
-	if err != nil {
-		return api.Operation{}, err
-	}
-	parentID, children := s.newBatchOperation(api.OpBatchUpgrade, api.OpUpgrade, user, fromApp, toApp, fleet, idemKey)
-	go func() {
-		cache := &planCache{}
-		// An upgrade child blocks through its vehicle's swap round trip
-		// (it must collect the acks before committing the row), so the
-		// waits run off the worker pool: the pool dispatches, the
-		// inflight semaphore bounds how many vehicles sit between push
-		// and commit at once — the same backpressure shape as
-		// deployChild's commit-wait hand-off.
-		inflight := make(chan struct{}, batchInflight)
-		var wg sync.WaitGroup
-		s.runBatch(children, func(c batchChild) {
-			inflight <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer func() { <-inflight; wg.Done() }()
-				s.finishLaunch(c.opID, s.upgrade(c.opID, user, c.vehicle, fromApp, toApp, cache))
-			}()
-		})
-		wg.Wait()
-		hits, misses := cache.upgradeStats()
-		s.logf("server: upgrade batch %s over %d vehicles: plan cache %d hits / %d misses", parentID, len(fleet), hits, misses)
-	}()
-	return s.operationSnapshot(parentID), nil
+// BatchUpgrade starts a fleet-wide live upgrade with the batch engine's
+// parent/child semantics and plan reuse.
+func (s *Server) BatchUpgrade(req api.BatchUpgradeRequest) (api.Operation, error) {
+	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
+		if !s.store.HasApp(req.From) {
+			return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", req.From)
+		}
+		if !s.store.HasApp(req.To) {
+			return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", req.To)
+		}
+		if req.From == req.To {
+			return api.Operation{}, api.Errorf(api.CodeInvalidArgument, "server: upgrade from %s to itself", req.From)
+		}
+		fleet, err := s.resolveFleet(req.User, req.Vehicles, req.Selector)
+		if err != nil {
+			return api.Operation{}, err
+		}
+		parentID, children := s.newBatchOperation(api.OpBatchUpgrade, api.OpUpgrade, req.User, req.From, req.To, fleet, key)
+		go func() {
+			cache := &planCache{}
+			// An upgrade child blocks through its vehicle's swap round trip
+			// (it must collect the acks before committing the row), so the
+			// waits run off the worker pool: the pool dispatches, the
+			// inflight semaphore bounds how many vehicles sit between push
+			// and commit at once — the same backpressure shape as
+			// deployChild's commit-wait hand-off.
+			inflight := make(chan struct{}, batchInflight)
+			var wg sync.WaitGroup
+			s.runBatch(children, func(c batchChild) {
+				inflight <- struct{}{}
+				wg.Add(1)
+				go func() {
+					defer func() { <-inflight; wg.Done() }()
+					s.finishLaunch(c.opID, s.upgrade(c.opID, req.User, c.vehicle, req.From, req.To, cache))
+				}()
+			})
+			wg.Wait()
+			hits, misses := cache.upgradeStats()
+			s.logf("server: upgrade batch %s over %d vehicles: plan cache %d hits / %d misses", parentID, len(fleet), hits, misses)
+		}()
+		return s.operationSnapshot(parentID), nil
+	})
 }
 
 // precheckUpgrade validates the cheap preconditions of an upgrade: the

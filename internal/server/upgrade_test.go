@@ -451,6 +451,10 @@ func TestUpgradeDoubleIdempotency(t *testing.T) {
 	}
 	// While the first upgrade is mid-swap, the duplicate is refused.
 	// Probed in-process: the poll must not trip the HTTP rate limiter.
+	// Wait for the first upgrade's claim before probing: a duplicate
+	// accepted ahead of it is a real operation whose launch can take the
+	// claim and fail the first one.
+	waitFor(t, func() bool { return s.upgradeTarget("VIN-U5", "Counter-v1") })
 	lc := api.NewLocalClient(NewService(s))
 	deadline := time.Now().Add(2 * time.Second)
 	for {

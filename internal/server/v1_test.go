@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -13,7 +12,7 @@ import (
 	"dynautosar/internal/core"
 )
 
-// newV1Client serves the full Handler (v1 + legacy) and returns a typed
+// newV1Client serves the full Handler and returns a typed
 // HTTP client against it.
 func newV1Client(t *testing.T, s *Server) *api.Client {
 	t.Helper()
@@ -482,10 +481,9 @@ func TestDisconnectFailsInFlightOpsAndReleasesClaim(t *testing.T) {
 		got, _ := c.GetOperation(ctx, uop.ID)
 		return got.State == api.StateRunning
 	})
-	// A second uninstall is blocked by the in-flight claim (the sync
-	// path surfaces the claim error directly; async would record it on
-	// its operation).
-	err = s.Uninstall("alice", "VIN-DC", "RemoteControl")
+	// A second uninstall is blocked by the in-flight claim; the claim
+	// error is the launch outcome recorded on its operation.
+	_, err = launch(t, s)(s.Uninstall(api.UninstallRequest{User: "alice", Vehicle: "VIN-DC", App: "RemoteControl"}))
 	wantCode(t, err, api.CodeAlreadyExists)
 
 	// The vehicle vanishes: both operations terminate with the loss
@@ -502,9 +500,9 @@ func TestDisconnectFailsInFlightOpsAndReleasesClaim(t *testing.T) {
 	}
 	// Retrying now fails on the dead link (unavailable), not on a stale
 	// "already in progress" claim.
-	err = s.Uninstall("alice", "VIN-DC", "RemoteControl")
+	_, err = launch(t, s)(s.Uninstall(api.UninstallRequest{User: "alice", Vehicle: "VIN-DC", App: "RemoteControl"}))
 	wantCode(t, err, api.CodeUnavailable)
-	// The losses are visible on the legacy progress surface too, so the
+	// The losses are visible on the per-app progress surface too, so the
 	// two status views agree.
 	if st := s.Status("VIN-DC", "RemoteControl"); len(st.Failures) == 0 {
 		t.Fatalf("status after disconnect shows no failures: %+v", st)
@@ -555,24 +553,6 @@ func TestReconnectSweepsOnlyOldPushes(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got, _ := c.GetOperation(ctx, op2.ID); got.Done {
 		t.Fatalf("fresh deploy killed by old link teardown: %+v", got)
-	}
-}
-
-func TestLegacyVehicleLinkHeaderInterpolated(t *testing.T) {
-	s := New()
-	_ = s.Store().AddUser("alice")
-	_ = s.Store().BindVehicle("alice", modelCarConf("VIN-HDR"))
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/vehicles/VIN-HDR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	want := "</v1/vehicles/VIN-HDR>; rel=\"successor-version\""
-	if got := resp.Header.Get("Link"); got != want {
-		t.Fatalf("Link = %q, want %q", got, want)
 	}
 }
 
@@ -645,33 +625,6 @@ func TestV1RateLimit(t *testing.T) {
 	}
 	_, err := c.ListApps(ctx, api.Page{})
 	wantCode(t, err, api.CodeResourceExhausted)
-}
-
-func TestV1LegacyPathsStillServedAndDeprecated(t *testing.T) {
-	s := New()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/apps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy GET /apps = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy path not marked deprecated")
-	}
-	// The same listing is live on v1, without the deprecation mark.
-	resp, err = http.Get(srv.URL + "/v1/apps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "" {
-		t.Fatalf("v1 GET /apps = %d (deprecation %q)", resp.StatusCode, resp.Header.Get("Deprecation"))
-	}
 }
 
 // TestLocalClientMatchesHTTP runs the same flow through the in-process

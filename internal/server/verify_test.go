@@ -130,7 +130,7 @@ func TestVerifyUpgradeQuiesceBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	connectScriptedVehicle(t, s, "VIN-FAT", ackAll)
-	op, err := s.DeployAsync("alice", "VIN-FAT", "FatApp-v1")
+	op, err := s.Deploy(api.DeployRequest{User: "alice", Vehicle: "VIN-FAT", App: "FatApp-v1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestVerifyUpgradeQuiesceBound(t *testing.T) {
 	}
 
 	// The live path applies the same gate at planning time.
-	if err := s.Upgrade("alice", "VIN-FAT", "FatApp-v1", "FatApp-v2"); api.CodeOf(err) != api.CodeUnsafePlan {
+	if _, err := launch(t, s)(s.Upgrade(api.UpgradeRequest{User: "alice", Vehicle: "VIN-FAT", From: "FatApp-v1", To: "FatApp-v2"})); api.CodeOf(err) != api.CodeUnsafePlan {
 		t.Fatalf("live upgrade err = %v, want %s", err, api.CodeUnsafePlan)
 	}
 }
