@@ -18,6 +18,7 @@
 //	fescli verify alice VIN123 deploy RemoteControl
 //	fescli verify alice VIN123 uninstall RemoteControl
 //	fescli verify alice VIN123 upgrade TripCounter-v1 TripCounter-v2
+//	fescli verify alice VIN123 restore ECU2
 //	fescli operations list
 //	fescli operations get op-00000001
 //	fescli operations wait op-00000001
@@ -387,11 +388,12 @@ func rolloutStart(ctx context.Context, args []string) {
 //	fescli verify <user> <vehicle> deploy <app>
 //	fescli verify <user> <vehicle> uninstall <app>
 //	fescli verify <user> <vehicle> upgrade <fromApp> <toApp>
+//	fescli verify <user> <vehicle> restore <ecu>
 //
 // The verdict prints as JSON; a rejected plan exits non-zero with the
 // counterexample in the report's error message.
 func verifyCmd(ctx context.Context, args []string) {
-	usage := "verify <user> <vehicle> <deploy|uninstall> <app>  |  fescli verify <user> <vehicle> upgrade <fromApp> <toApp>"
+	usage := "verify <user> <vehicle> <deploy|uninstall> <app>  |  fescli verify <user> <vehicle> upgrade <fromApp> <toApp>  |  fescli verify <user> <vehicle> restore <ecu>"
 	if len(args) < 4 {
 		log.Fatalf("usage: fescli %s", usage)
 	}
@@ -406,6 +408,9 @@ func verifyCmd(ctx context.Context, args []string) {
 			log.Fatalf("usage: fescli %s", usage)
 		}
 		req.To = core.AppName(args[4])
+	}
+	if req.Kind == api.OpRestore {
+		req.App, req.ECU = "", core.ECUID(args[3])
 	}
 	report, err := client.Verify(ctx, req)
 	show(report, err)

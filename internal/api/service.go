@@ -232,17 +232,19 @@ type RolloutList struct {
 }
 
 // VerifyRequest asks the static plan verifier to dry-run an operation:
-// plan it exactly as Deploy/Uninstall/Upgrade would, walk every
+// plan it exactly as Deploy/Uninstall/Upgrade/Restore would, walk every
 // intermediate configuration of the reconfiguration path, and report —
 // without pushing anything to the vehicle or reserving any state. Kind
 // selects the operation; App names the app to deploy or uninstall (the
-// installed app for upgrades), To the upgrade target.
+// installed app for upgrades), To the upgrade target, ECU the replaced
+// ECU of a restore.
 type VerifyRequest struct {
 	User    core.UserID    `json:"user"`
 	Vehicle core.VehicleID `json:"vehicle"`
 	Kind    OperationKind  `json:"kind"`
 	App     core.AppName   `json:"app"`
 	To      core.AppName   `json:"to,omitempty"`
+	ECU     core.ECUID     `json:"ecu,omitempty"`
 }
 
 // VerifyReport is the verdict of a verification dry-run. OK reports

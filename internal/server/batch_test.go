@@ -387,7 +387,7 @@ func TestBatchPlanReuse(t *testing.T) {
 	cache := &planCache{}
 	for i, id := range ids {
 		opRec := s.newOperation(api.OpDeploy, "alice", id, "RemoteControl", "", "", "")
-		if err := s.deployWith(opRec.op.ID, "alice", id, "RemoteControl", cache); err != nil {
+		if err := s.run(deployKind, opRec.op.ID, target{user: "alice", vehicle: id, app: "RemoteControl"}, cache); err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 	}
@@ -405,7 +405,7 @@ func TestBatchPlanReuse(t *testing.T) {
 		Plugins: []InstalledPlugin{{Plugin: "X", ECU: app.Confs[0].Deployments[1].ECU,
 			SWC: app.Confs[0].Deployments[1].SWC, PIC: core.PIC{{Name: "a", ID: 0}}, Acked: true}}})
 	opRec := s.newOperation(api.OpDeploy, "alice", "VIN-USED", "RemoteControl", "", "", "")
-	if err := s.deployWith(opRec.op.ID, "alice", "VIN-USED", "RemoteControl", cache); err != nil {
+	if err := s.run(deployKind, opRec.op.ID, target{user: "alice", vehicle: "VIN-USED", app: "RemoteControl"}, cache); err != nil {
 		t.Fatal(err)
 	}
 	if cache.hits != 3 {

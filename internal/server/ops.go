@@ -18,7 +18,10 @@ import (
 // by Server.mu.
 type opRecord struct {
 	op api.Operation
-	// outstanding counts pushes not yet acknowledged.
+	// outstanding counts this operation's frames still in flight: pushed
+	// and neither acknowledged, lost with their link nor dropped. It is
+	// kept exact past the terminal state, because the claims wait for it
+	// to drain.
 	outstanding int
 	// launched becomes true once the pipeline finished pushing (or
 	// failed); completion requires launched && outstanding == 0.
@@ -29,6 +32,11 @@ type opRecord struct {
 	// openChildren counts non-terminal children of a batch parent; the
 	// parent completes when it drains.
 	openChildren int
+	// claims are the claim-table keys this operation holds (see claim in
+	// engine.go); claimsEndAtLaunch releases them when the launch
+	// finishes instead of when the last frame settles.
+	claims            []string
+	claimsEndAtLaunch bool
 }
 
 // opRetention bounds the registry: once exceeded, the oldest completed
@@ -185,10 +193,12 @@ func (s *Server) pruneOpsLocked() {
 }
 
 // evictableLocked reports whether an operation may leave the registry:
-// it is terminal and, for batch children, so is its parent. Called with
+// it is terminal, holds no claim — a terminal operation keeps its claims
+// until its last frame settles, and only its record can release them —
+// and, for batch children, its parent is terminal too. Called with
 // Server.mu held.
 func (s *Server) evictableLocked(rec *opRecord) bool {
-	if !rec.op.Done {
+	if !rec.op.Done || len(rec.claims) > 0 {
 		return false
 	}
 	if rec.parent != "" {
@@ -216,9 +226,12 @@ func (s *Server) finishLaunch(opID string, err error) {
 		rec.op.Done = true
 		s.noteOpSettledLocked(rec)
 		s.journalOpLocked(journal.OpSettledRec, rec)
-		s.maybeReleaseClaimLocked(rec)
+		s.releaseDrainedLocked(rec)
 		s.noteChildTerminalLocked(rec)
 		return
+	}
+	if rec.claimsEndAtLaunch {
+		s.releaseClaimsLocked(rec)
 	}
 	if rec.outstanding == 0 {
 		s.completeLocked(rec)
@@ -246,30 +259,30 @@ func (s *Server) settleAck(op pendingOp, failure string) {
 	if rec == nil {
 		return
 	}
-	if !rec.op.Done {
-		prec := s.ops[rec.parent]
-		if failure != "" {
-			rec.op.Failures = append(rec.op.Failures, failure)
-			if prec != nil && !prec.op.Done {
-				prec.op.Failures = append(prec.op.Failures, string(op.vehicle)+": "+failure)
-			}
-		} else {
-			rec.op.Acked++
-			if prec != nil && !prec.op.Done {
-				prec.op.Acked++
-			}
-		}
-		if rec.outstanding > 0 {
-			rec.outstanding--
-		}
-		if rec.launched && rec.outstanding == 0 {
-			s.completeLocked(rec)
-		}
+	if rec.outstanding > 0 {
+		rec.outstanding--
+	}
+	if rec.op.Done {
+		// Terminal operations (e.g. a failed launch) no longer account
+		// for late acks, but the last draining frame frees the claims.
+		s.releaseDrainedLocked(rec)
 		return
 	}
-	// Terminal operations (e.g. a failed launch) no longer account for
-	// late acks, but a draining frame may free the uninstall claim.
-	s.maybeReleaseClaimLocked(rec)
+	prec := s.ops[rec.parent]
+	if failure != "" {
+		rec.op.Failures = append(rec.op.Failures, failure)
+		if prec != nil && !prec.op.Done {
+			prec.op.Failures = append(prec.op.Failures, string(op.vehicle)+": "+failure)
+		}
+	} else {
+		rec.op.Acked++
+		if prec != nil && !prec.op.Done {
+			prec.op.Acked++
+		}
+	}
+	if rec.launched && rec.outstanding == 0 {
+		s.completeLocked(rec)
+	}
 }
 
 // completeLocked moves a drained operation to its terminal state;
@@ -283,7 +296,7 @@ func (s *Server) completeLocked(rec *opRecord) {
 	rec.op.Done = true
 	s.noteOpSettledLocked(rec)
 	s.journalOpLocked(journal.OpSettledRec, rec)
-	s.maybeReleaseClaimLocked(rec)
+	s.releaseDrainedLocked(rec)
 	s.noteChildTerminalLocked(rec)
 }
 
@@ -322,28 +335,6 @@ func (s *Server) noteChildTerminalLocked(rec *opRecord) {
 		// operation creation prune immediately.
 		s.opPruneDefer = 0
 	}
-}
-
-// maybeReleaseClaimLocked frees the per-(vehicle, app) uninstall claim
-// once the owning operation is terminal AND none of its frames are
-// still in flight — releasing earlier would let a retry push duplicate
-// MsgUninstall frames past ones the vehicle is about to apply. Called
-// with Server.mu held. A loser that never took the claim must not
-// release the winner's.
-func (s *Server) maybeReleaseClaimLocked(rec *opRecord) {
-	if rec.op.Kind != api.OpUninstall || !rec.op.Done {
-		return
-	}
-	key := failureKey(rec.op.Vehicle, rec.op.App)
-	if s.uninstalling[key] != rec.op.ID {
-		return
-	}
-	for _, p := range s.pending {
-		if p.opID == rec.op.ID {
-			return
-		}
-	}
-	delete(s.uninstalling, key)
 }
 
 // operationSnapshot returns a race-free copy of one operation.

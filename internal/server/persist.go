@@ -61,19 +61,38 @@ func (s *Server) OpenJournal(dir string) error {
 	// Resume interrupted rollouts only now that the journal is attached:
 	// the continuations append state-machine records of their own.
 	for _, resume := range s.rolloutResume {
-		go resume()
+		s.background(resume)
 	}
 	s.rolloutResume = nil
 	return nil
 }
 
-// Close shuts the server down cleanly: vehicle links are closed, a
-// final snapshot compacts the journal (so a routine restart replays an
-// empty tail instead of relying on crash recovery) and the journal is
-// flushed and closed. Safe to call on a memory-only server.
+// closeWait bounds Close's wait for the goroutines the server started.
+const closeWait = 10 * time.Second
+
+// Close shuts the server down cleanly: vehicle links are closed, the
+// pipelines, batches and rollouts still running are waited for, a final
+// snapshot compacts the journal (so a routine restart replays an empty
+// tail instead of relying on crash recovery) and the journal is flushed
+// and closed. With the links gone and pushCtx canceled the pipelines
+// fail fast, and the rollout state machines stop without journaling a
+// decision (see runRollout): what shutdown made fail is no verdict on
+// the fleet, so the journal keeps them open for recovery to resume.
+// Safe to call on a memory-only server.
 func (s *Server) Close() error {
+	// Canceled under mu, where background checks it: no goroutine is
+	// added to bg once the wait below may have begun.
+	s.mu.Lock()
 	s.pushCancel()
+	s.mu.Unlock()
 	s.pusher.CloseAll()
+	idle := make(chan struct{})
+	go func() { s.bg.Wait(); close(idle) }()
+	select {
+	case <-idle:
+	case <-time.After(closeWait):
+		s.logf("server: close: pipelines still running after %v", closeWait)
+	}
 	if s.jn == nil {
 		return nil
 	}
@@ -471,30 +490,22 @@ func rolloutSeqOf(id string) uint64 {
 }
 
 // deriveChildOutcome settles one child of an interrupted batch from the
-// store and reports whether it was interrupted: a fully acknowledged
-// deploy row proves success; everything else is interrupted, because
-// the acks that would have finished it can never arrive. "Success" here
-// is goal-state semantics: a vehicle whose row was already complete
-// before the batch (an earlier deploy of the same app) reads as
-// succeeded even if its child never ran — the claim the child's success
-// makes, "the app runs acknowledged on this vehicle", is true either
-// way (had the child run, it would have failed already_exists and
-// journaled that settle).
+// store and reports whether it was interrupted: the kind's goal row —
+// the deployed app's for a deploy, the replacement's for an upgrade,
+// whose commit record is the transaction's one visible effect — fully
+// acknowledged proves success; everything else is interrupted, because
+// the acks that would have finished it can never arrive (an upgrade
+// short of its commit recovers to the old version). "Success" here is
+// goal-state semantics: a vehicle whose row was already complete before
+// the batch (an earlier deploy of the same app) reads as succeeded even
+// if its child never ran — the claim the child's success makes, "the
+// app runs acknowledged on this vehicle", is true either way (had the
+// child run, it would have failed already_exists and journaled that
+// settle).
 func (s *Server) deriveChildOutcome(child *api.Operation) (wasInterrupted bool) {
 	child.Done = true
-	if child.Kind == api.OpDeploy {
-		if row, ok := s.store.InstalledApp(child.Vehicle, child.App); ok && row.Complete() {
-			child.State = api.StateSucceeded
-			child.Total, child.Acked = len(row.Plugins), len(row.Plugins)
-			return false
-		}
-	}
-	// An upgrade child succeeded exactly when its commit record replaced
-	// the old row with the new app's: the row swap is the transaction's
-	// one visible effect. Anything less recovers to the old version and
-	// reads as interrupted.
-	if child.Kind == api.OpUpgrade {
-		if row, ok := s.store.InstalledApp(child.Vehicle, child.ToApp); ok && row.Complete() {
+	if k := kindOf(child.Kind); k != nil && k.goal != nil {
+		if row, ok := s.store.InstalledApp(child.Vehicle, k.goal(child)); ok && row.Complete() {
 			child.State = api.StateSucceeded
 			child.Total, child.Acked = len(row.Plugins), len(row.Plugins)
 			return false
@@ -508,16 +519,10 @@ func (s *Server) deriveChildOutcome(child *api.Operation) (wasInterrupted bool) 
 
 // childKindOf maps a batch kind onto its per-vehicle child kind.
 func childKindOf(kind api.OperationKind) api.OperationKind {
-	switch kind {
-	case api.OpBatchDeploy:
-		return api.OpDeploy
-	case api.OpBatchUninstall:
-		return api.OpUninstall
-	case api.OpBatchUpgrade:
-		return api.OpUpgrade
-	default:
-		return kind
+	if k := kindOf(kind); k != nil {
+		return k.kind
 	}
+	return kind
 }
 
 // opSeqOf parses the numeric part of an operation id ("op-%08d"), 0

@@ -63,14 +63,8 @@ var defaultRolloutWaves = []api.RolloutWave{{Count: 1}, {Fraction: 0.10}, {Fract
 // rollout_started record durably and launches the wave loop in the
 // background. The returned status snapshot has every wave pending.
 func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error) {
-	if !s.store.HasApp(req.From) {
-		return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", req.From)
-	}
-	if !s.store.HasApp(req.To) {
-		return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", req.To)
-	}
-	if req.From == req.To {
-		return api.RolloutStatus{}, api.Errorf(api.CodeInvalidArgument, "server: rollout from %s to itself", req.From)
+	if err := s.checkApps(target{app: req.From, toApp: req.To}); err != nil {
+		return api.RolloutStatus{}, err
 	}
 	fleet, err := s.resolveFleet(req.User, req.Vehicles, req.Selector)
 	if err != nil {
@@ -131,7 +125,7 @@ func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error)
 		s.mu.Unlock()
 		return api.RolloutStatus{}, err
 	}
-	go s.runRollout(id, 0)
+	s.background(func() { s.runRollout(id, 0) })
 	return s.rolloutSnapshot(id)
 }
 
@@ -322,24 +316,23 @@ func (s *Server) verifyRolloutWaves(ordered []core.VehicleID, bounds []int, from
 			if !ok {
 				continue
 			}
-			oldRow, ok := s.store.InstalledApp(v, from)
-			if !ok {
+			if _, ok := s.store.InstalledApp(v, from); !ok {
 				continue
 			}
-			plan, err := s.planUpgrade(vr, oldRow, from, to)
+			plan, err := planUpgrade(s, target{vehicle: v, app: from, toApp: to}, vr)
 			if err != nil {
 				if api.CodeOf(err) == api.CodeUnsafePlan {
 					return err
 				}
 				continue
 			}
-			waves[wi] = []*verify.Plan{plan.vplan}
+			waves[wi] = []*verify.Plan{plan.Plan}
 			break
 		}
 		prev = b
 	}
 	if err := verify.VerifyWavePrefixes(waves); err != nil {
-		return unsafePlan(err)
+		return api.Errorf(api.CodeUnsafePlan, "%v", err)
 	}
 	return nil
 }
@@ -385,6 +378,13 @@ func (s *Server) runRollout(id string, startWave int) {
 		s.mu.Unlock()
 
 		ws := s.runRolloutWave(id, wave, user, from, to, targets)
+		if s.pushCtx.Err() != nil {
+			// Close cut the wave short: its children failed because the
+			// server is going away, which says nothing about the fleet's
+			// health. The state machine stops where the journal has it, and
+			// recovery's boundary rule decides at the next start.
+			return
+		}
 		if reason, tripped := gateTrips(health, ws); tripped {
 			s.logf("server: rollout %s: wave %d gate tripped: %s", id, wave+1, reason)
 			s.rollbackRollout(id, reason, api.CodeRolloutUnhealthy, false)
@@ -437,21 +437,18 @@ func (s *Server) runRolloutWave(id string, wave int, user core.UserID, from, to 
 	}
 	s.mu.Unlock()
 
-	cache := &planCache{}
-	inflight := make(chan struct{}, batchInflight)
-	var wg sync.WaitGroup
 	var resMu sync.Mutex
 	var okN, failN, probeN int
 	durs := make([]float64, 0, len(children))
-	s.runBatch(children, func(c batchChild) {
-		inflight <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-inflight; wg.Done() }()
+	// Timed on the child's own goroutine, so the health window measures
+	// the upgrade and not the wait for an inflight slot.
+	s.runChildren(upgradeKind, target{user: user, app: from, toApp: to}, parentID, children,
+		handedOff(func(opID string, t target, cache *planCache) error {
 			start := time.Now()
-			err := s.upgrade(c.opID, user, c.vehicle, from, to, cache)
+			err := s.run(upgradeKind, opID, t, cache)
 			ms := float64(time.Since(start).Microseconds()) / 1000.0
 			resMu.Lock()
+			defer resMu.Unlock()
 			durs = append(durs, ms)
 			if err == nil {
 				okN++
@@ -461,11 +458,8 @@ func (s *Server) runRolloutWave(id string, wave int, user core.UserID, from, to 
 					probeN++
 				}
 			}
-			resMu.Unlock()
-			s.finishLaunch(c.opID, err)
-		}()
-	})
-	wg.Wait()
+			return err
+		}))
 
 	ws := api.RolloutWaveStatus{
 		Targets: len(targets), Started: true, BatchOp: parentID,
@@ -531,7 +525,10 @@ func (s *Server) rolloutAborted(id string) bool {
 // always resumes rolling back. Vehicles whose downgrade fails
 // transiently (disconnected, claim still draining) are retried with a
 // bounded backoff; a vehicle no longer holding the To row needs no
-// downgrade, which also makes resume idempotent.
+// downgrade, which also makes resume idempotent. A server shutting down
+// stops after the wave in hand and leaves the rollout open — downgrades
+// that failed because of the shutdown are not a finished rollback — so
+// the next start resumes it from the durable pivot.
 func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed bool) {
 	s.mu.Lock()
 	rec := s.rollouts[id]
@@ -579,18 +576,10 @@ func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed 
 			rec.st.CurrentWave = wave
 		}
 		s.mu.Unlock()
-		cache := &planCache{}
-		inflight := make(chan struct{}, batchInflight)
-		var wg sync.WaitGroup
-		s.runBatch(children, func(c batchChild) {
-			inflight <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer func() { <-inflight; wg.Done() }()
-				s.finishLaunch(c.opID, s.downgradeWithRetry(c.opID, user, c.vehicle, from, to, cache))
-			}()
-		})
-		wg.Wait()
+		s.runChildren(upgradeKind, target{user: user, app: to, toApp: from}, parentID, children, handedOff(s.downgradeWithRetry))
+		if s.pushCtx.Err() != nil {
+			return
+		}
 	}
 	if err := s.journalRollout(journal.RolloutDoneRec(id, "rolled_back")); err != nil {
 		s.logf("server: rollout %s: journaling rollback completion: %v", id, err)
@@ -605,17 +594,17 @@ func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed 
 	s.logf("server: rollout %s: fleet rolled back to %s", id, from)
 }
 
-// downgradeWithRetry pushes one vehicle's downgrade (To -> From),
-// retrying transient failures until the vehicle converges or the
-// attempts run out. A vehicle that no longer holds the To row is
-// already converged.
-func (s *Server) downgradeWithRetry(opID string, user core.UserID, vehicle core.VehicleID, from, to core.AppName, cache *planCache) error {
+// downgradeWithRetry runs one vehicle's downgrade (t.app, the rollout's
+// To, back to its From), retrying transient failures until the vehicle
+// converges, the attempts run out or the server shuts down. A vehicle
+// that no longer holds the To row is already converged.
+func (s *Server) downgradeWithRetry(opID string, t target, cache *planCache) error {
 	var err error
 	for attempt := 0; attempt < rolloutRollbackAttempts; attempt++ {
-		if _, ok := s.store.InstalledApp(vehicle, to); !ok {
+		if _, ok := s.store.InstalledApp(t.vehicle, t.app); !ok {
 			return nil
 		}
-		err = s.upgrade(opID, user, vehicle, to, from, cache)
+		err = s.run(upgradeKind, opID, t, cache)
 		if err == nil {
 			return nil
 		}
@@ -626,8 +615,13 @@ func (s *Server) downgradeWithRetry(opID string, user core.UserID, vehicle core.
 		default:
 			return err
 		}
-		t := time.NewTimer(rolloutRetryDelay)
-		<-t.C
+		retry := time.NewTimer(rolloutRetryDelay)
+		select {
+		case <-retry.C:
+		case <-s.pushCtx.Done():
+			retry.Stop()
+			return err
+		}
 	}
 	return err
 }

@@ -25,6 +25,7 @@ import (
 func openFleetServer(t *testing.T, dir string, ids []core.VehicleID) *Server {
 	t.Helper()
 	s := openRecovered(t, dir)
+	t.Cleanup(func() { s.Close() })
 	if err := s.Store().AddUser("alice"); err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +44,7 @@ func openFleetServer(t *testing.T, dir string, ids []core.VehicleID) *Server {
 func reopenWithFleet(t *testing.T, dir string, ids []core.VehicleID) *Server {
 	t.Helper()
 	s := New()
+	t.Cleanup(func() { s.Close() })
 	for _, id := range ids {
 		connectScriptedVehicle(t, s, id, ackAll)
 	}
@@ -149,7 +151,10 @@ func TestRolloutRecoveryResumesCleanBoundary(t *testing.T) {
 func TestRolloutRecoveryRollsBackDirtyWave(t *testing.T) {
 	restoreDelay := rolloutRetryDelay
 	rolloutRetryDelay = 10 * time.Millisecond
-	defer func() { rolloutRetryDelay = restoreDelay }()
+	// A cleanup, not a defer: it must run after the servers' Close (also
+	// cleanups, registered later) has waited for their rollback
+	// goroutines, which read the delay.
+	t.Cleanup(func() { rolloutRetryDelay = restoreDelay })
 
 	fleet := []core.VehicleID{"VIN-RD1", "VIN-RD2", "VIN-RD3"}
 	dir := t.TempDir()
@@ -220,7 +225,10 @@ func TestRolloutRecoveryRollsBackDirtyWave(t *testing.T) {
 func TestRolloutRecoveryResumesRollback(t *testing.T) {
 	restoreDelay := rolloutRetryDelay
 	rolloutRetryDelay = 10 * time.Millisecond
-	defer func() { rolloutRetryDelay = restoreDelay }()
+	// A cleanup, not a defer: it must run after the servers' Close (also
+	// cleanups, registered later) has waited for their rollback
+	// goroutines, which read the delay.
+	t.Cleanup(func() { rolloutRetryDelay = restoreDelay })
 
 	fleet := []core.VehicleID{"VIN-RR1", "VIN-RR2", "VIN-RR3"}
 	dir := t.TempDir()
@@ -348,5 +356,78 @@ func TestRolloutRecoveryTerminalStateSurvives(t *testing.T) {
 	}
 	if st2.ID == st.ID {
 		t.Fatalf("recovered server reused rollout id %s", st2.ID)
+	}
+}
+
+// TestRolloutCloseLeavesVerdictToRecovery: a graceful Close while a
+// rollout is mid-wave or mid-rollback fails the children in flight —
+// because the server is going away, not because the fleet is unhealthy
+// or the rollback finished. Close waits for the state machine with the
+// journal still open, so the machine must stop without journaling a
+// verdict: the reopened server finds the rollout open and resumes it by
+// the recovery rules, forward from the clean boundary or on with the
+// rollback, until the whole fleet is on one version.
+func TestRolloutCloseLeavesVerdictToRecovery(t *testing.T) {
+	restoreDelay := rolloutRetryDelay
+	rolloutRetryDelay = 10 * time.Millisecond
+	t.Cleanup(func() { rolloutRetryDelay = restoreDelay })
+
+	for _, tc := range []struct {
+		name string
+		// The second wave's vehicle nacks its upgrade (tripping the gate)
+		// or not; the frame that stalls until Close is upgrade number
+		// stallOn of vehicle stallVehicle (in wave order).
+		nackSecond            bool
+		stallVehicle, stallOn int
+		closed, final         api.RolloutState
+		present, absent       core.AppName
+	}{
+		{"mid-wave", false, 1, 1, api.RolloutRunning, api.RolloutSucceeded, "Counter-v2", "Counter-v1"},
+		{"mid-rollback", true, 0, 2, api.RolloutRollingBack, api.RolloutRolledBack, "Counter-v1", "Counter-v2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fleet := bucketFleet([]core.VehicleID{"VIN-CL1", "VIN-CL2", "VIN-CL3"})
+			dir := t.TempDir()
+			a := openFleetServer(t, dir, fleet)
+			stalled := make(chan struct{})
+			for i, id := range fleet {
+				upgrades := 0
+				connectScriptedVehicle(t, a, id, func(_ int, msg core.Message) *core.Message {
+					r := msg.Ack()
+					if msg.Type == core.MsgUpgrade {
+						upgrades++
+						switch {
+						case i == tc.stallVehicle && upgrades == tc.stallOn:
+							close(stalled)
+							return nil
+						case i == 1 && tc.nackSecond:
+							r = msg.Nack("rollback: injected probe failure")
+						}
+					}
+					return &r
+				})
+			}
+			deployCounterFleet(t, a, newV1Client(t, a), fleet)
+			st, err := a.StartRollout(api.RolloutRequest{
+				User: "alice", Vehicles: fleet, From: "Counter-v1", To: "Counter-v2",
+				Waves: []api.RolloutWave{{Count: 1}, {Count: 2}, {Fraction: 1}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-stalled
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := a.Rollout(st.ID); got.Done || got.State != tc.closed {
+				t.Fatalf("rollout after Close = %+v, want it open and %s", got, tc.closed)
+			}
+
+			b := reopenWithFleet(t, dir, fleet)
+			if final := waitRolloutDone(t, b, st.ID); final.State != tc.final {
+				t.Fatalf("resumed rollout = %+v, want %s", final, tc.final)
+			}
+			wantApp(t, b, fleet, tc.present, tc.absent)
+		})
 	}
 }

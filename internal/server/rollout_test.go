@@ -22,6 +22,7 @@ import (
 func newServerWithFleet(t *testing.T, ids []core.VehicleID) *Server {
 	t.Helper()
 	s := New()
+	t.Cleanup(func() { s.Close() })
 	if err := s.Store().AddUser("alice"); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,10 @@ func TestRolloutUnhealthyCanaryRollsBackFleet(t *testing.T) {
 func TestRolloutAbortRollsBackFleet(t *testing.T) {
 	restoreDelay := rolloutRetryDelay
 	rolloutRetryDelay = 10 * time.Millisecond
-	defer func() { rolloutRetryDelay = restoreDelay }()
+	// A cleanup, not a defer: it must run after the servers' Close (also
+	// cleanups, registered later) has waited for their rollback
+	// goroutines, which read the delay.
+	t.Cleanup(func() { rolloutRetryDelay = restoreDelay })
 
 	fleet := []core.VehicleID{"VIN-RA1", "VIN-RA2", "VIN-RA3"}
 	s := newServerWithFleet(t, fleet)

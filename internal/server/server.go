@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 	"dynautosar/internal/journal"
-	"dynautosar/internal/plugin"
 )
 
 // Server is the trusted server: store, pusher and the deployment engine.
@@ -29,15 +27,11 @@ type Server struct {
 	pending map[uint32]pendingOp
 	// failures collects nack reasons keyed by vehicle|app.
 	failures map[string][]string
-	// uninstalling claims one in-flight uninstall per vehicle|app (value
-	// is the owning operation id), the counterpart of the deploy path's
-	// atomic check-and-record.
-	uninstalling map[string]string
-	// upgrading claims both app names of an in-flight live upgrade per
-	// vehicle (value is the owning operation id), so concurrent upgrades
-	// and deploys touching either side are refused instead of
-	// interleaving their swaps (see upgrade.go).
-	upgrading map[string]string
+	// claims is the one exclusion table of the operation engine:
+	// vehicle|app → the id of the operation that owns the app on that
+	// vehicle, so operations touching one app are refused instead of
+	// interleaving their frames (see claim in engine.go).
+	claims map[string]string
 	// ops is the async-operation registry (see ops.go).
 	ops     map[string]*opRecord
 	opOrder []string
@@ -76,25 +70,21 @@ type Server struct {
 	shardRole  string
 	shardEpoch uint64
 
-	// deployMu stripes a per-vehicle critical section over deploy
-	// planning + check-and-record: planning reads the vehicle's free
-	// port-id space, so two concurrent deploys of *different* apps to
-	// one vehicle must not both plan before either records (the atomic
-	// check-and-record only excludes same-app duplicates). Striped by
-	// the store's vehicle hash, so batch workers on different vehicles
-	// rarely meet.
+	// deployMu stripes a per-vehicle critical section over claim + plan
+	// + stage (see begin in engine.go). Striped by the store's vehicle
+	// hash, so batch workers on different vehicles rarely meet.
 	deployMu [installedShardCount]sync.Mutex
 
 	// shipper, when set, replicates the journal to follower peers;
 	// healthz and statz surface its per-follower lag (see shard.go).
 	shipper *journal.Shipper
 
-	// ackWait overrides the ack-collection deadline of the upgrade
-	// pipeline (0 = the upgradeAckTimeout default); pushCtx is canceled
-	// by Close so no collect loop outlives the server.
-	ackWait    time.Duration
+	// pushCtx is canceled by Close so no collect loop or rollback retry
+	// outlives the server; bg counts the goroutines the server started
+	// (see background), which Close waits for.
 	pushCtx    context.Context
 	pushCancel context.CancelFunc
+	bg         sync.WaitGroup
 
 	logf func(format string, args ...any)
 }
@@ -104,16 +94,17 @@ type pendingOp struct {
 	vehicle core.VehicleID
 	app     core.AppName
 	plugin  core.PluginName
-	// kind is "install", "uninstall" or "upgrade".
-	kind string
+	// kind is the table row of the operation that pushed the frame; its
+	// acked effect is applied when the vehicle acknowledges.
+	kind *opKind
 	// opID ties the push to its async operation ("" for none).
 	opID string
 	// epoch is the vehicle-link registration the frame travelled on; the
 	// disconnect sweep settles only frames of the dead epoch or older.
 	epoch uint64
 	// notify, when set, receives this push's settlement exactly once —
-	// the upgrade pipeline blocks on its swaps' outcomes instead of
-	// polling the operation. Must be buffered for every push sharing it.
+	// a settle step blocks on its frames' outcomes instead of polling
+	// the operation. Must be buffered for every push sharing it.
 	notify chan ackOutcome
 }
 
@@ -127,14 +118,14 @@ type ackOutcome struct {
 // New creates a server with an empty store and a pusher.
 func New() *Server {
 	s := &Server{
-		store:        NewStore(),
-		pending:      make(map[uint32]pendingOp),
-		failures:     make(map[string][]string),
-		uninstalling: make(map[string]string),
-		ops:          make(map[string]*opRecord),
-		rollouts:     make(map[string]*rolloutRecord),
-		idem:         make(map[string]*idemClaim),
-		logf:         func(string, ...any) {},
+		store:    NewStore(),
+		pending:  make(map[uint32]pendingOp),
+		failures: make(map[string][]string),
+		claims:   make(map[string]string),
+		ops:      make(map[string]*opRecord),
+		rollouts: make(map[string]*rolloutRecord),
+		idem:     make(map[string]*idemClaim),
+		logf:     func(string, ...any) {},
 	}
 	s.pushCtx, s.pushCancel = context.WithCancel(context.Background())
 	s.pusher = NewPusher(s.HandleVehicleMessage)
@@ -146,8 +137,8 @@ func New() *Server {
 // the dead link (epoch or older): the ECM writes each acknowledgement
 // exactly once to the link it arrived on — there is no replay buffer —
 // so those acks are gone for good and the owning operations terminate
-// instead of hanging. Terminal operations release their uninstall
-// claims, keeping retries possible. Pushes on a successor link carry a
+// instead of hanging. Terminal operations release their claims,
+// keeping retries possible. Pushes on a successor link carry a
 // newer epoch and are untouched.
 func (s *Server) handleVehicleDisconnect(vehicle core.VehicleID, epoch uint64) {
 	s.mu.Lock()
@@ -169,8 +160,25 @@ func (s *Server) handleVehicleDisconnect(vehicle core.VehicleID, epoch uint64) {
 	s.mu.Unlock()
 	for _, p := range lost {
 		s.settleAck(p, fmt.Sprintf("%s: vehicle disconnected before acknowledgement", p.plugin))
-		s.logf("server: %s of %s on %s lost: vehicle disconnected", p.kind, p.plugin, vehicle)
+		s.logf("server: %s of %s on %s lost: vehicle disconnected", p.kind.kind, p.plugin, vehicle)
 	}
+}
+
+// background runs f on a goroutine that Close waits for, so no pipeline,
+// batch or rollout outlives the server. Once Close has begun it does
+// not start f at all.
+func (s *Server) background(f func()) {
+	s.mu.Lock()
+	if s.pushCtx.Err() != nil {
+		s.mu.Unlock()
+		return
+	}
+	s.bg.Add(1)
+	s.mu.Unlock()
+	go func() {
+		defer s.bg.Done()
+		f()
+	}()
 }
 
 // Store exposes the database (Web Services layer and tests).
@@ -214,345 +222,38 @@ func (s *Server) dropPending(seq uint32) {
 		return
 	}
 	delete(s.pending, seq)
-	if rec := s.ops[p.opID]; rec != nil && !rec.op.Done {
-		if rec.op.Total > 0 {
-			rec.op.Total--
-		}
-		if rec.outstanding > 0 {
-			rec.outstanding--
-		}
-		if prec := s.ops[rec.parent]; prec != nil && !prec.op.Done && prec.op.Total > 0 {
-			prec.op.Total--
-		}
+	rec := s.ops[p.opID]
+	if rec == nil {
+		return
+	}
+	if rec.outstanding > 0 {
+		rec.outstanding--
+	}
+	if rec.op.Done {
+		s.releaseDrainedLocked(rec)
+		return
+	}
+	if rec.op.Total > 0 {
+		rec.op.Total--
+	}
+	if prec := s.ops[rec.parent]; prec != nil && !prec.op.Done && prec.op.Total > 0 {
+		prec.op.Total--
 	}
 }
 
-// Deploy starts the deployment pipeline of section 3.2.2 for an app on a
-// vehicle: the cheap preconditions are validated synchronously, then
+// Deploy starts the deployment of section 3.2.2 for an app on a vehicle:
 // compatibility check, dependency-ordered planning, context generation,
-// packaging and push run in the background. Progress — a launch error,
-// then the acknowledgements as they arrive — is reported through the
-// returned operation and tracked in the InstalledAPP table (query with
-// Status). Like every operation-creating entry point it runs through
-// the idempotency gate: a repeated IdempotencyKey returns the original
-// operation instead of double-creating (see shard.go).
+// packaging and push. Progress is reported through the returned
+// operation and tracked in the InstalledAPP table (query with Status).
 func (s *Server) Deploy(req api.DeployRequest) (api.Operation, error) {
-	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		if err := s.precheckDeploy(req.User, req.Vehicle, req.App); err != nil {
-			return api.Operation{}, err
-		}
-		id := s.newOperation(api.OpDeploy, req.User, req.Vehicle, req.App, "", "", key).op.ID
-		go func() {
-			s.finishLaunch(id, s.deployWith(id, req.User, req.Vehicle, req.App, nil))
-		}()
-		return s.operationSnapshot(id), nil
-	})
-}
-
-// deployPrereqs validates vehicle, ownership and app existence and
-// returns the vehicle record — the single validator shared by the
-// precheck and the pipeline, so the two cannot drift.
-func (s *Server) deployPrereqs(user core.UserID, vehicleID core.VehicleID, appName core.AppName) (VehicleRecord, error) {
-	vr, ok := s.store.Vehicle(vehicleID)
-	if !ok {
-		return VehicleRecord{}, api.Errorf(api.CodeNotFound, "server: unknown vehicle %s", vehicleID)
-	}
-	if vr.Owner != user {
-		return VehicleRecord{}, api.Errorf(api.CodePermissionDenied, "server: vehicle %s is not bound to user %s", vehicleID, user)
-	}
-	if !s.store.HasApp(appName) {
-		return VehicleRecord{}, api.Errorf(api.CodeNotFound, "server: unknown app %s", appName)
-	}
-	return vr, nil
-}
-
-// precheckDeploy runs the checks that should reject a deploy request
-// before an operation is created; the duplicate-install probe is only
-// advisory here — the pipeline's atomic check-and-record decides.
-func (s *Server) precheckDeploy(user core.UserID, vehicleID core.VehicleID, appName core.AppName) error {
-	if _, err := s.deployPrereqs(user, vehicleID, appName); err != nil {
-		return err
-	}
-	if _, dup := s.store.InstalledApp(vehicleID, appName); dup {
-		return api.Errorf(api.CodeAlreadyExists, "server: app %s already installed on %s", appName, vehicleID)
-	}
-	return nil
-}
-
-// deployPlan is the vehicle-independent half of one deployment: the
-// dependency-ordered deployments, the generated port-id assignments and
-// the marshaled installation packages. A plan computed against a fresh
-// vehicle (no installed apps) applies verbatim to every other fresh
-// vehicle with an equal configuration — what lets a batch plan and
-// package once, then push many.
-type deployPlan struct {
-	// conf is the donor vehicle's configuration (already a deep copy,
-	// courtesy of Store.Vehicle).
-	conf core.VehicleConf
-	// fresh records that the donor vehicle had no installed apps, the
-	// precondition for reusing the plan elsewhere.
-	fresh bool
-	order []Deployment
-	pics  map[core.PluginName]core.PIC
-	raws  map[core.PluginName][]byte
-}
-
-// planDeploy runs the read-only part of the pipeline: compatibility
-// check, dependency-ordered planning, context generation and packaging.
-func (s *Server) planDeploy(app App, vr VehicleRecord) (*deployPlan, error) {
-	// Compatibility and dependency checks; failures are presented to the
-	// user as the reasons collected in the report.
-	report := s.CheckCompatibility(app, vr)
-	if err := report.Error(); err != nil {
-		return nil, err
-	}
-	order, err := InstallOrder(app, report.Conf)
-	if err != nil {
-		return nil, err
-	}
-	contexts, err := s.GenerateContexts(app, vr, order)
-	if err != nil {
-		return nil, err
-	}
-	// Static verification: every intermediate configuration along the
-	// install path must satisfy the invariant catalogue, or nothing is
-	// packaged, recorded or pushed.
-	if err := s.verifyDeploy(app, vr, order, contexts); err != nil {
-		return nil, err
-	}
-	plan := &deployPlan{
-		conf:  vr.Conf,
-		order: order,
-		pics:  make(map[core.PluginName]core.PIC, len(order)),
-		raws:  make(map[core.PluginName][]byte, len(order)),
-	}
-	for _, d := range order {
-		bin, _ := app.Binary(d.Plugin)
-		pkg := plugin.Package{Binary: bin, Context: *contexts[d.Plugin]}
-		raw, err := pkg.MarshalBinary()
-		if err != nil {
-			return nil, api.Errorf(api.CodeInternal, "server: packaging %s: %v", d.Plugin, err)
-		}
-		plan.pics[d.Plugin] = contexts[d.Plugin].PIC
-		plan.raws[d.Plugin] = raw
-	}
-	return plan, nil
-}
-
-// pushPlan pushes the plan's packages to the vehicle, pinned to the
-// link that is current at launch; the installation row must already be
-// recorded so arriving acks always find it.
-func (s *Server) pushPlan(opID string, vehicleID core.VehicleID, appName core.AppName, plan *deployPlan) error {
-	epoch := s.pusher.Epoch(vehicleID)
-	for _, d := range plan.order {
-		seq := s.enqueuePending(pendingOp{vehicle: vehicleID, app: appName, plugin: d.Plugin, kind: "install", opID: opID, epoch: epoch})
-		msg := core.Message{
-			Type: core.MsgInstall, Plugin: d.Plugin,
-			ECU: d.ECU, SWC: d.SWC, Seq: seq, Payload: plan.raws[d.Plugin],
-		}
-		if err := s.pusher.PushOn(vehicleID, epoch, msg); err != nil {
-			s.dropPending(seq)
-			s.store.RemoveInstallation(vehicleID, appName)
-			return api.Errorf(api.CodeUnavailable, "server: push to %s: %v", vehicleID, err)
-		}
-		s.logf("server: pushed {%d, '%s', %s, %s.pkg} to %s", core.MsgInstall, d.Plugin, d.ECU, d.Plugin, vehicleID)
-	}
-	return nil
-}
-
-// stageDeploy runs the synchronous half of one deployment: plan and
-// record under the vehicle's deploy stripe (pushes happen outside it —
-// they block on the vehicle link). The PICs are copied per row so rows
-// of different vehicles never share a reused plan's memory; the atomic
-// check-and-record rejects duplicate deploys of the same app. The
-// returned ticket resolves when the installation record is durable;
-// waiting is the caller's, and happens outside the stripe — the row is
-// already visible to concurrent planners (their port-id reads include
-// it), so holding the stripe across a group commit would only
-// serialize unrelated deploys behind an fsync.
-func (s *Server) stageDeploy(user core.UserID, vehicleID core.VehicleID, appName core.AppName, cache *planCache) (*deployPlan, journal.Ticket, error) {
-	vr, err := s.deployPrereqs(user, vehicleID, appName)
-	if err != nil {
-		return nil, journal.Ticket{}, err
-	}
-	// A deploy of an app that is a side of an in-flight live upgrade
-	// would race the upgrade's atomic row commit; refuse it up front.
-	if s.upgradeTarget(vehicleID, appName) {
-		return nil, journal.Ticket{}, api.Errorf(api.CodeAlreadyExists,
-			"server: app %s on %s is part of an in-flight upgrade", appName, vehicleID)
-	}
-	stripe := &s.deployMu[shardIndex(vehicleID)]
-	stripe.Lock()
-	defer stripe.Unlock()
-	plan, err := s.planFor(vr, appName, cache)
-	if err != nil {
-		return nil, journal.Ticket{}, err
-	}
-	row := &InstalledApp{App: appName, Vehicle: vehicleID}
-	for _, d := range plan.order {
-		row.Plugins = append(row.Plugins, InstalledPlugin{
-			Plugin: d.Plugin, ECU: d.ECU, SWC: d.SWC,
-			PIC: append(core.PIC(nil), plan.pics[d.Plugin]...),
-		})
-	}
-	ticket, err := s.store.tryRecordInstallation(row)
-	if err != nil {
-		return nil, journal.Ticket{}, err
-	}
-	return plan, ticket, nil
-}
-
-// awaitInstallDurable is the write-ahead gate shared by the single and
-// batch deploy paths: it blocks until a staged row's record is on disk,
-// rolling the row back (for the journal it never existed) when the
-// commit failed.
-func (s *Server) awaitInstallDurable(t journal.Ticket, vehicleID core.VehicleID, appName core.AppName) error {
-	if err := waitDurable(t); err != nil {
-		s.store.rollbackInstallation(vehicleID, appName)
-		return err
-	}
-	return nil
-}
-
-// deployWith runs the full pipeline for one vehicle, consulting the
-// batch plan cache (nil for single deploys) before planning from
-// scratch.
-func (s *Server) deployWith(opID string, user core.UserID, vehicleID core.VehicleID, appName core.AppName, cache *planCache) error {
-	plan, ticket, err := s.stageDeploy(user, vehicleID, appName, cache)
-	if err != nil {
-		return err
-	}
-	// Write-ahead gate: the packages go on the wire only after the
-	// installation record is on disk.
-	if err := s.awaitInstallDurable(ticket, vehicleID, appName); err != nil {
-		return err
-	}
-	return s.pushPlan(opID, vehicleID, appName, plan)
-}
-
-// planFor returns the deployment plan for one vehicle: a cached fleet
-// plan when the vehicle is fresh and a structurally equal conf was
-// already planned, a fresh pipeline run otherwise. Plans transfer only
-// between fresh vehicles: installed apps change port-id assignment,
-// quota headroom and dependency resolution, so vehicles with history
-// always plan individually. Called with the vehicle's deploy stripe
-// held.
-func (s *Server) planFor(vr VehicleRecord, appName core.AppName, cache *planCache) (*deployPlan, error) {
-	fresh := !s.store.HasInstalledApps(vr.ID)
-	if cache != nil && fresh {
-		if plan := cache.lookup(vr.Conf); plan != nil {
-			return plan, nil
-		}
-	}
-	var app App
-	if cache != nil {
-		// One deep copy of the app per batch instead of one per vehicle.
-		a, ok := cache.appRecord(s.store, appName)
-		if !ok {
-			return nil, api.Errorf(api.CodeNotFound, "server: unknown app %s", appName)
-		}
-		app = a
-	} else {
-		app, _ = s.store.App(appName)
-	}
-	plan, err := s.planDeploy(app, vr)
-	if err != nil {
-		return nil, err
-	}
-	plan.fresh = fresh
-	if cache != nil && fresh {
-		cache.add(plan)
-	}
-	return plan, nil
+	return s.launch(deployKind, target{user: req.User, vehicle: req.Vehicle, app: req.App}, req.IdempotencyKey)
 }
 
 // Uninstall starts the removal of an app from a vehicle after verifying
 // that no other installed app depends on its plug-ins; the InstalledAPP
 // row is dropped once every uninstallation has been acknowledged.
 func (s *Server) Uninstall(req api.UninstallRequest) (api.Operation, error) {
-	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		if err := s.precheckUninstall(req.User, req.Vehicle, req.App); err != nil {
-			return api.Operation{}, err
-		}
-		id := s.newOperation(api.OpUninstall, req.User, req.Vehicle, req.App, "", "", key).op.ID
-		go func() {
-			s.finishLaunch(id, s.uninstall(id, req.User, req.Vehicle, req.App))
-		}()
-		return s.operationSnapshot(id), nil
-	})
-}
-
-func (s *Server) precheckUninstall(user core.UserID, vehicleID core.VehicleID, appName core.AppName) error {
-	vr, ok := s.store.Vehicle(vehicleID)
-	if !ok {
-		return api.Errorf(api.CodeNotFound, "server: unknown vehicle %s", vehicleID)
-	}
-	if vr.Owner != user {
-		return api.Errorf(api.CodePermissionDenied, "server: vehicle %s is not bound to user %s", vehicleID, user)
-	}
-	if _, ok := s.store.InstalledApp(vehicleID, appName); !ok {
-		return api.Errorf(api.CodeNotFound, "server: app %s is not installed on %s", appName, vehicleID)
-	}
-	return nil
-}
-
-func (s *Server) uninstall(opID string, user core.UserID, vehicleID core.VehicleID, appName core.AppName) error {
-	if err := s.precheckUninstall(user, vehicleID, appName); err != nil {
-		return err
-	}
-	// An uninstall racing a live upgrade of the same app would fight the
-	// upgrade's row commit; refuse it while the upgrade is in flight.
-	if s.upgradeTarget(vehicleID, appName) {
-		return api.Errorf(api.CodeFailedPrecondition,
-			"server: app %s on %s is part of an in-flight upgrade", appName, vehicleID)
-	}
-	// Claim the uninstall before snapshotting the row, so concurrent
-	// requests cannot each push a full set of MsgUninstall frames. The
-	// claim is released when the operation reaches a terminal state
-	// (finishLaunch / completeLocked).
-	key := failureKey(vehicleID, appName)
-	s.mu.Lock()
-	if owner := s.uninstalling[key]; owner != "" && owner != opID {
-		s.mu.Unlock()
-		return api.Errorf(api.CodeAlreadyExists,
-			"server: uninstall of %s on %s already in progress", appName, vehicleID)
-	}
-	s.uninstalling[key] = opID
-	s.mu.Unlock()
-	row, ok := s.store.InstalledApp(vehicleID, appName)
-	if !ok {
-		return api.Errorf(api.CodeNotFound, "server: app %s is not installed on %s", appName, vehicleID)
-	}
-
-	// Dependency supervision: other apps requiring these plug-ins block
-	// the uninstall, and the user is told which ones.
-	if dependants := s.uninstallDependants(vehicleID, appName, row); len(dependants) > 0 {
-		return api.Errorf(api.CodeFailedPrecondition,
-			"server: cannot uninstall %s: dependent apps must be uninstalled first: %v", appName, dependants)
-	}
-
-	// Static verification of the removal path: every intermediate state
-	// (plug-ins leave in reverse install order) must keep the surviving
-	// population consistent, or nothing is pushed.
-	if vr, ok := s.store.Vehicle(vehicleID); ok {
-		if err := s.verifyUninstall(vr, row); err != nil {
-			return err
-		}
-	}
-
-	// Send uninstall messages in reverse install order, pinned to the
-	// current vehicle link.
-	epoch := s.pusher.Epoch(vehicleID)
-	for i := len(row.Plugins) - 1; i >= 0; i-- {
-		p := row.Plugins[i]
-		seq := s.enqueuePending(pendingOp{vehicle: vehicleID, app: appName, plugin: p.Plugin, kind: "uninstall", opID: opID, epoch: epoch})
-		msg := core.Message{Type: core.MsgUninstall, Plugin: p.Plugin, ECU: p.ECU, SWC: p.SWC, Seq: seq}
-		if err := s.pusher.PushOn(vehicleID, epoch, msg); err != nil {
-			s.dropPending(seq)
-			return api.Errorf(api.CodeUnavailable, "server: push to %s: %v", vehicleID, err)
-		}
-	}
-	return nil
+	return s.launch(uninstallKind, target{user: req.User, vehicle: req.Vehicle, app: req.App}, req.IdempotencyKey)
 }
 
 // Restore starts the re-installation of the plug-ins previously
@@ -560,116 +261,62 @@ func (s *Server) uninstall(opID string, user core.UserID, vehicleID core.Vehicle
 // stay stable (paper section 3.2.2, the restore operation); the number
 // of re-installed plug-ins appears as the operation's Total.
 func (s *Server) Restore(req api.RestoreRequest) (api.Operation, error) {
-	return s.runIdempotent(req.IdempotencyKey, func(key string) (api.Operation, error) {
-		if err := s.precheckRestore(req.User, req.Vehicle); err != nil {
-			return api.Operation{}, err
-		}
-		id := s.newOperation(api.OpRestore, req.User, req.Vehicle, "", "", req.ECU, key).op.ID
-		go func() {
-			s.finishLaunch(id, s.restore(id, req.User, req.Vehicle, req.ECU))
-		}()
-		return s.operationSnapshot(id), nil
-	})
+	return s.launch(restoreKind, target{user: req.User, vehicle: req.Vehicle, ecu: req.ECU}, req.IdempotencyKey)
 }
 
-func (s *Server) precheckRestore(user core.UserID, vehicleID core.VehicleID) error {
-	vr, ok := s.store.Vehicle(vehicleID)
-	if !ok {
-		return api.Errorf(api.CodeNotFound, "server: unknown vehicle %s", vehicleID)
-	}
-	if vr.Owner != user {
-		return api.Errorf(api.CodePermissionDenied, "server: vehicle %s is not bound to user %s", vehicleID, user)
+// precheckDeploy's duplicate-install probe is only advisory — the
+// atomic check-and-record of the stage step decides.
+func precheckDeploy(s *Server, t target, _ VehicleRecord, _ string) error {
+	if _, dup := s.store.InstalledApp(t.vehicle, t.app); dup {
+		return api.Errorf(api.CodeAlreadyExists, "server: app %s already installed on %s", t.app, t.vehicle)
 	}
 	return nil
 }
 
-func (s *Server) restore(opID string, user core.UserID, vehicleID core.VehicleID, replaced core.ECUID) error {
-	if err := s.precheckRestore(user, vehicleID); err != nil {
-		return err
+// stageDeploy records the installation row, so arriving acks always
+// find it; the atomic check-and-record rejects duplicate deploys of the
+// same app.
+func stageDeploy(s *Server, t target, p *vehiclePlan) (journal.Ticket, error) {
+	return s.store.tryRecordInstallation(p.row(t.vehicle, t.app))
+}
+
+func unstageDeploy(s *Server, t target, reason string) {
+	if reason == "" {
+		s.store.rollbackInstallation(t.vehicle, t.app)
+		return
 	}
-	vr, _ := s.store.Vehicle(vehicleID)
-	epoch := s.pusher.Epoch(vehicleID)
-	for _, row := range s.store.InstalledApps(vehicleID) {
-		app, ok := s.store.App(row.App)
-		if !ok {
-			continue
-		}
-		conf, ok := app.ConfFor(vr.Conf.Model)
-		if !ok {
-			continue
-		}
-		order, err := InstallOrder(app, conf)
-		if err != nil {
-			return err
-		}
-		// Regenerate contexts with recorded PICs forced, so PLC remote
-		// ids match the surviving plug-ins.
-		contexts, err := s.GenerateContexts(app, vr, order)
-		if err != nil {
-			return err
-		}
-		for _, d := range order {
-			if d.ECU != replaced {
-				continue
-			}
-			var recorded core.PIC
-			for _, p := range row.Plugins {
-				if p.Plugin == d.Plugin {
-					recorded = p.PIC
-				}
-			}
-			ctx := contexts[d.Plugin]
-			if recorded != nil {
-				ctx = remapContext(ctx, recorded)
-			}
-			bin, _ := app.Binary(d.Plugin)
-			pkg := plugin.Package{Binary: bin, Context: *ctx}
-			raw, err := pkg.MarshalBinary()
-			if err != nil {
-				return api.Errorf(api.CodeInternal, "server: restore packaging %s: %v", d.Plugin, err)
-			}
-			seq := s.enqueuePending(pendingOp{vehicle: vehicleID, app: row.App, plugin: d.Plugin, kind: "install", opID: opID, epoch: epoch})
-			msg := core.Message{Type: core.MsgInstall, Plugin: d.Plugin,
-				ECU: d.ECU, SWC: d.SWC, Seq: seq, Payload: raw}
-			if err := s.pusher.PushOn(vehicleID, epoch, msg); err != nil {
-				s.dropPending(seq)
-				return api.Errorf(api.CodeUnavailable, "server: push to %s: %v", vehicleID, err)
-			}
-		}
+	s.store.RemoveInstallation(t.vehicle, t.app)
+}
+
+func precheckUninstall(s *Server, t target, _ VehicleRecord, _ string) error {
+	if _, ok := s.store.InstalledApp(t.vehicle, t.app); !ok {
+		return api.Errorf(api.CodeNotFound, "server: app %s is not installed on %s", t.app, t.vehicle)
 	}
 	return nil
 }
 
-// remapContext rewrites a freshly generated context to use the recorded
-// PIC's port ids.
-func remapContext(ctx *core.Context, recorded core.PIC) *core.Context {
-	remap := make(map[core.PluginPortID]core.PluginPortID, len(ctx.PIC))
-	for _, e := range ctx.PIC {
-		if id, ok := recorded.Lookup(e.Name); ok {
-			remap[e.ID] = id
+func precheckRestore(_ *Server, t target, vr VehicleRecord, _ string) error {
+	for _, swc := range vr.Conf.SWCs {
+		if swc.ECU == t.ecu {
+			return nil
 		}
 	}
-	out := &core.Context{PIC: recorded}
-	for _, p := range ctx.PLC {
-		np := p
-		if id, ok := remap[p.Plugin]; ok {
-			np.Plugin = id
-		}
-		if p.Kind == core.LinkPeer {
-			if id, ok := remap[p.Peer]; ok {
-				np.Peer = id
+	return api.Errorf(api.CodeNotFound, "server: vehicle %s has no ECU %q", t.vehicle, t.ecu)
+}
+
+// claimRestored claims every app with a plug-in on the replaced ECU:
+// those are the apps the restore pushes install frames for.
+func claimRestored(s *Server, t target) []core.AppName {
+	var apps []core.AppName
+	for _, row := range s.store.InstalledApps(t.vehicle) {
+		for _, p := range row.Plugins {
+			if p.ECU == t.ecu {
+				apps = append(apps, row.App)
+				break
 			}
 		}
-		out.PLC = append(out.PLC, np)
 	}
-	for _, e := range ctx.ECC {
-		ne := e
-		if id, ok := remap[e.Port]; ok {
-			ne.Port = id
-		}
-		out.ECC = append(out.ECC, ne)
-	}
-	return out
+	return apps
 }
 
 // HandleVehicleMessage processes acknowledgements arriving from a
@@ -705,21 +352,11 @@ func (s *Server) applyAck(op pendingOp, msg core.Message) {
 		s.failures[key] = append(s.failures[key], reason)
 		s.mu.Unlock()
 		s.settleAck(op, reason)
-		s.logf("server: %s of %s on %s failed: %s", op.kind, op.plugin, op.vehicle, msg.Payload)
+		s.logf("server: %s of %s on %s failed: %s", op.kind.kind, op.plugin, op.vehicle, msg.Payload)
 		return
 	}
-	switch op.kind {
-	case "install":
-		s.store.MarkInstallAcked(op.vehicle, op.app, op.plugin)
-	case "uninstall":
-		// "The InstalledAPP table is updated once successful
-		// uninstallation has been fully acknowledged."
-		s.store.DropUninstalledPlugin(op.vehicle, op.app, op.plugin)
-	case "upgrade":
-		// The store is untouched per swap: the row replacement commits
-		// atomically once every plug-in of the upgrade acknowledged
-		// (see upgrade.go), so a partial upgrade never leaks a mixed
-		// row.
+	if op.kind.acked != nil {
+		op.kind.acked(s.store, op.vehicle, op.app, op.plugin)
 	}
 	s.settleAck(op, "")
 }

@@ -138,7 +138,7 @@ func (sv *Service) ListRollouts(_ context.Context, page api.Page) (api.RolloutLi
 }
 
 func (sv *Service) Verify(_ context.Context, req api.VerifyRequest) (api.VerifyReport, error) {
-	return sv.s.VerifyOperation(req.User, req.Vehicle, req.Kind, req.App, req.To)
+	return sv.s.verifyTarget(req.Kind, target{user: req.User, vehicle: req.Vehicle, app: req.App, toApp: req.To, ecu: req.ECU})
 }
 
 func (sv *Service) Restore(_ context.Context, req api.RestoreRequest) (api.Operation, error) {

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"time"
-
 	"dynautosar/internal/api"
 	"dynautosar/internal/journal"
 )
@@ -25,25 +23,6 @@ func (s *Server) SetShard(shard string) {
 	if s.shardRole == "" {
 		s.shardRole = "leader"
 	}
-}
-
-// SetAckWait overrides the deadline the upgrade pipeline waits for
-// vehicle acknowledgements (0 restores the default); bounding the wait
-// keeps a dead or silent vehicle from wedging a batch worker forever.
-func (s *Server) SetAckWait(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ackWait = d
-}
-
-// ackWaitTimeout returns the effective ack-collection deadline.
-func (s *Server) ackWaitTimeout() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ackWait > 0 {
-		return s.ackWait
-	}
-	return upgradeAckTimeout
 }
 
 // BecomeLeader bumps the shard epoch past every epoch ever durable,

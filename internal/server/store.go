@@ -525,15 +525,6 @@ func snapshotRow(r *InstalledApp) InstalledApp {
 	return cp
 }
 
-// HasInstalledApps reports whether any InstalledAPP row exists for the
-// vehicle — the cheap freshness probe of the batch plan cache.
-func (s *Store) HasInstalledApps(vehicle core.VehicleID) bool {
-	sh := s.shard(vehicle)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.rows[vehicle]) > 0
-}
-
 // InstalledApps returns copies of the InstalledAPP rows of a vehicle.
 func (s *Store) InstalledApps(vehicle core.VehicleID) []InstalledApp {
 	sh := s.shard(vehicle)

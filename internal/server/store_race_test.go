@@ -200,7 +200,6 @@ func TestStoreAliasRaceHammer(t *testing.T) {
 				_ = s.InstalledPlugins(id)
 				_ = s.UsedPortIDs(id, vehicle.ECU2, vehicle.SWC2)
 				_ = s.Vehicles()
-				_ = s.HasInstalledApps(id)
 			}
 		}(id)
 	}

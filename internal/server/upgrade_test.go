@@ -454,7 +454,7 @@ func TestUpgradeDoubleIdempotency(t *testing.T) {
 	// Wait for the first upgrade's claim before probing: a duplicate
 	// accepted ahead of it is a real operation whose launch can take the
 	// claim and fail the first one.
-	waitFor(t, func() bool { return s.upgradeTarget("VIN-U5", "Counter-v1") })
+	waitFor(t, func() bool { return s.claimedByOther("", "VIN-U5", "Counter-v1") != nil })
 	lc := api.NewLocalClient(NewService(s))
 	deadline := time.Now().Add(2 * time.Second)
 	for {

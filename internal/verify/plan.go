@@ -99,8 +99,9 @@ type Step struct {
 	Old    *PluginState
 }
 
-// describe renders the step for counterexample paths.
-func (s Step) describe() string {
+// String renders the step for counterexample paths and for the
+// server's dry-run reports.
+func (s Step) String() string {
 	switch s.Kind {
 	case StepInstall:
 		if s.New != nil {
@@ -188,22 +189,22 @@ func VerifyPlan(p *Plan) error {
 		case StepInstall:
 			if st.New == nil {
 				return &PlanError{Invariant: InvSafeState, Vehicle: p.Vehicle,
-					Step: st.describe(), Detail: "install step without a new plug-in state"}
+					Step: st.String(), Detail: "install step without a new plug-in state"}
 			}
 		case StepRemove:
 			if st.Old == nil {
 				return &PlanError{Invariant: InvSafeState, Vehicle: p.Vehicle,
-					Step: st.describe(), Detail: "remove step without the installed plug-in state"}
+					Step: st.String(), Detail: "remove step without the installed plug-in state"}
 			}
 		case StepSwap:
 			if st.New == nil || st.Old == nil {
 				return &PlanError{Invariant: InvSafeState, Vehicle: p.Vehicle,
-					Step:   st.describe(),
+					Step:   st.String(),
 					Detail: "swap step without a compensation package: no safe state is reachable if the swap fails mid-path"}
 			}
 		default:
 			return &PlanError{Invariant: InvSafeState, Vehicle: p.Vehicle,
-				Step: st.describe(), Detail: fmt.Sprintf("unknown step kind %d", st.Kind)}
+				Step: st.String(), Detail: fmt.Sprintf("unknown step kind %d", st.Kind)}
 		}
 	}
 	switch p.Kind {
@@ -279,7 +280,7 @@ func (p *Plan) walkFrom(start []*PluginState, steps []Step, label string) *PlanE
 	live := append([]*PluginState(nil), start...)
 	var path []string
 	for i, st := range steps {
-		desc := label + st.describe()
+		desc := label + st.String()
 		if st.Kind == StepSwap {
 			if e := p.checkQuiesce(live, st.Old, desc, append(path, desc)); e != nil {
 				return e
