@@ -442,10 +442,6 @@ func (p *PIRTE) Install(pkg plugin.Package) error {
 		return err
 	}
 
-	budget := pkg.Binary.Manifest.Budget
-	if budget == 0 {
-		budget = p.cfg.DefaultBudget
-	}
 	ip := &Installed{
 		Name:      name,
 		Pkg:       pkg,
@@ -454,7 +450,7 @@ func (p *PIRTE) Install(pkg plugin.Package) error {
 		links:     links,
 		state:     StateRunning,
 	}
-	inst, err := vm.NewInstance(prog, &host{p: p, ip: ip}, budget)
+	inst, err := p.instantiate(ip, prog, pkg)
 	if err != nil {
 		return err
 	}
@@ -467,6 +463,17 @@ func (p *PIRTE) Install(pkg plugin.Package) error {
 	p.logf("pirte %s: installed %s %s (ports %v)", p.cfg.SWC, name,
 		pkg.Binary.Manifest.Version, pkg.Context.PIC)
 	return nil
+}
+
+// instantiate creates a fresh VM instance of prog, the decoded binary of
+// pkg, bound to ip's ports, under the instruction budget the manifest
+// requests or, when it names none, the configured default.
+func (p *PIRTE) instantiate(ip *Installed, prog *vm.Program, pkg plugin.Package) (*vm.Instance, error) {
+	budget := pkg.Binary.Manifest.Budget
+	if budget == 0 {
+		budget = p.cfg.DefaultBudget
+	}
+	return vm.NewInstance(prog, &host{p: p, ip: ip}, budget)
 }
 
 // bindContext validates a package's PIC and PLC against the static
@@ -628,11 +635,7 @@ func (p *PIRTE) Start(name core.PluginName) error {
 	if ip.upgrade != nil {
 		return fmt.Errorf("%w: %s", ErrUpgradeInProgress, name)
 	}
-	budget := ip.Pkg.Binary.Manifest.Budget
-	if budget == 0 {
-		budget = p.cfg.DefaultBudget
-	}
-	inst, err := vm.NewInstance(ip.prog, &host{p: p, ip: ip}, budget)
+	inst, err := p.instantiate(ip, ip.prog, ip.Pkg)
 	if err != nil {
 		return err
 	}

@@ -539,6 +539,38 @@ on_message in:
 	}
 }
 
+// TestRunPastCodeEndFaultsPlugin: the vehicle side runs only
+// Program.Verify on an incoming binary, which accepts code that runs past
+// its last instruction. Such a plug-in must end faulted like any other
+// trap; it used to take the whole ECU process down with an index panic.
+func TestRunPastCodeEndFaultsPlugin(t *testing.T) {
+	p, _, captured := capturePIRTE(t, standardConfig())
+	if err := p.Install(mustPackage(t, opSrc, opContext(), nil)); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := plugin.FromProgram(&vm.Program{
+		Name: "x", Version: "1.0",
+		Code:     []vm.Instr{{Op: vm.OpPush, Arg: 1}},
+		Handlers: []vm.Handler{{Kind: vm.HandlerInit, Entry: 0}},
+	}, plugin.Manifest{Developer: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Install(plugin.Package{Binary: bin}); err != nil {
+		t.Fatal(err)
+	}
+	ip, _ := p.Plugin("x")
+	if ip.State() != StateFaulted || !errors.Is(ip.LastFault, vm.ErrCodeEnd) {
+		t.Fatalf("state = %v, LastFault = %v", ip.State(), ip.LastFault)
+	}
+	if err := p.DeliverToPlugin(0, 42); err != nil {
+		t.Fatal(err)
+	}
+	if got := captured[4]; len(got) != 1 {
+		t.Fatalf("OP stopped serving beside the faulted plug-in: wrote %v", got)
+	}
+}
+
 func TestFaultPolicyRestart(t *testing.T) {
 	cfg := standardConfig()
 	cfg.FaultPolicy = FaultRestart

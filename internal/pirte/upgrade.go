@@ -217,11 +217,7 @@ func (p *PIRTE) applyUpgradePackage(ip *Installed, pkg plugin.Package) error {
 	if err != nil {
 		return err
 	}
-	budget := pkg.Binary.Manifest.Budget
-	if budget == 0 {
-		budget = p.cfg.DefaultBudget
-	}
-	inst, err := vm.NewInstance(prog, &host{p: p, ip: ip}, budget)
+	inst, err := p.instantiate(ip, prog, pkg)
 	if err != nil {
 		return err
 	}
@@ -277,11 +273,7 @@ func (p *PIRTE) rollbackUpgrade(ip *Installed, cause error) {
 		}
 	}
 	p.rebuildSubs()
-	budget := up.oldPkg.Binary.Manifest.Budget
-	if budget == 0 {
-		budget = p.cfg.DefaultBudget
-	}
-	inst, err := vm.NewInstance(up.oldProg, &host{p: p, ip: ip}, budget)
+	inst, err := p.instantiate(ip, up.oldProg, up.oldPkg)
 	if err != nil {
 		// The old program ran before, so this cannot happen short of
 		// memory corruption; park the plug-in rather than guess.

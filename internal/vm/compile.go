@@ -2,12 +2,16 @@ package vm
 
 import "fmt"
 
-// This file translates verified programs into the internal form the
-// interpreter executes: a direct-threaded instruction stream with fused
-// superinstructions, per-block budget costs and O(1) handler entry
-// tables. The translation runs once per Program (lazily, cached) and
-// never changes observable semantics — fuse_test.go pins equivalence of
-// the fused and unfused forms, traps and budget accounting included.
+// This file translates verified programs into the two internal forms the
+// interpreter executes, each a direct-threaded instruction stream with
+// per-block budget costs and O(1) handler entry tables: the fused form
+// (superinstructions, check-free forward branches) every activation
+// starts in, and the exact form (one slot per architectural instruction,
+// every branch checked) the interpreter re-enters when the fused form
+// meets a trap or a budget it cannot prove sufficient. Both are built
+// once per Program (lazily, cached) and never change observable
+// semantics — fuse_test.go pins their equivalence, traps and budget
+// accounting included.
 
 // cop is a compiled opcode. The low range mirrors the architectural ops
 // 1:1; the high range holds superinstructions produced by the peephole
@@ -104,10 +108,9 @@ const (
 	cGIncI
 
 	// Hex superinstructions (cost 6): the fused loop backedge the
-	// optimizer's rotation pass exposes. Unlike every rule above, the
-	// fourth constituent (Stg) is impure — legal because a budget expiry
-	// or trap inside any fused instruction now replays its constituents
-	// through the exact architectural interpreter (runSlow) instead of
+	// optimizer's rotation pass exposes. The fourth constituent (Stg) is
+	// impure — legal because a budget expiry or trap inside any fused
+	// instruction replays its constituents in the exact form instead of
 	// being suppressed.
 
 	// cGIncJz/cGIncJnz: Ldg x; Push k; Add|Sub; Stg x; Ldg x; Jz/Jnz t —
@@ -131,6 +134,18 @@ const (
 	// cPad fills the tail slots of a fused group; it is never executed
 	// (fusion is suppressed when any slot is a jump target).
 	cPad
+
+	// Sentinels, never produced from an architectural instruction.
+
+	// cEnd is the guard slot after the last instruction of either form:
+	// falling through the final instruction, or returning from a CALL in
+	// the final slot, lands on it and traps with ErrCodeEnd. Dead tails
+	// that would run off the end are legal, so Program.Verify cannot
+	// reject this statically.
+	cEnd
+	// cBudget closes the budget tail (see Instance.handoff): reaching it
+	// means the activation used its whole budget. It costs nothing itself.
+	cBudget
 )
 
 var copNames = [...]string{
@@ -153,7 +168,7 @@ var copNames = [...]string{
 	cJmpN: "JMP.N", cJzN: "JZ.N", cJnzN: "JNZ.N",
 	cLdgJzN: "LDG.JZ.N", cLdgJnzN: "LDG.JNZ.N",
 	cCmpJzN: "CMP.JZ.N", cCmpJnzN: "CMP.JNZ.N",
-	cPad: "PAD",
+	cPad: "PAD", cEnd: "END", cBudget: "BUDGET",
 }
 
 // String implements fmt.Stringer.
@@ -174,7 +189,7 @@ func (c cop) String() string {
 // global slot (<=4096), port, timer or comparison op — always fits b.
 type cinstr struct {
 	op   cop
-	cost uint8  // architectural instructions represented (1, 2 or 4)
+	cost uint8  // architectural instructions represented (1, 2, 4 or 6; cBudget 0)
 	b    uint16 // secondary operand of superinstructions
 	arg  int32
 }
@@ -183,8 +198,10 @@ type cinstr struct {
 // fused constituent is one architectural instruction, so width == cost.
 func (c cinstr) width() int32 { return int32(c.cost) }
 
-// compiled is the executable form of a Program.
+// compiled is one executable form of a Program.
 type compiled struct {
+	// code holds one slot per architectural instruction plus the cEnd
+	// guard, so every pc a verified program can reach is in range.
 	code []cinstr
 	// blockCost[i] is the worst-case architectural instruction count of
 	// any run starting at i, up to and including the first *checked*
@@ -193,10 +210,14 @@ type compiled struct {
 	// iteration. The interpreter checks the budget only at handler entry
 	// and at checked transfers, each time pre-charging blockCost of the
 	// successor; when a region no longer fits the remaining budget the
-	// activation is handed to the exact per-instruction interpreter
-	// (runSlow) so the trap fires at exactly the architectural
-	// instruction it always did.
+	// activation continues in the exact form, where the value is the
+	// exact length of the straight-line run to the next transfer.
 	blockCost []int32
+	// exact marks the unfused form: a trap in it is final.
+	exact bool
+	// base is the architectural pc of code[0]: zero except in an
+	// instance's budget tail (see Instance.handoff).
+	base int32
 	// O(1) handler entry tables (-1 = no handler). msgEntry has the
 	// catch-all fallback already applied per port.
 	initEntry  int32
@@ -204,23 +225,34 @@ type compiled struct {
 	timerEntry [maxTimers]int32
 }
 
-// compiledForm returns the cached compiled form, translating on first
-// use. Safe for concurrent instances sharing one Program.
+// compiledForm returns the cached fused form, translating on first use.
+// Safe for concurrent instances sharing one Program.
 func (p *Program) compiledForm() *compiled {
 	p.compileOnce.Do(func() { p.comp = compileProgram(p, true) })
 	return p.comp
 }
 
+// exactForm returns the cached exact form, built on the first hand-off:
+// a program whose activations neither trap nor exhaust their budget
+// never pays for it.
+func (p *Program) exactForm() *compiled {
+	p.exactOnce.Do(func() { p.exact = compileProgram(p, false) })
+	return p.exact
+}
+
 // compileProgram translates a verified program. fuse=false skips the
-// peephole pass (used by the equivalence tests as the reference form).
+// peephole and hoisting passes and yields the exact form (also the
+// equivalence tests' reference).
 func compileProgram(p *Program, fuse bool) *compiled {
 	n := len(p.Code)
 	c := &compiled{
-		code:      make([]cinstr, n),
-		blockCost: make([]int32, n),
+		code:      make([]cinstr, n+1),
+		blockCost: make([]int32, n+1),
+		exact:     !fuse,
 		initEntry: -1,
 		msgEntry:  make([]int32, len(p.Ports)),
 	}
+	c.code[n] = cinstr{op: cEnd, cost: 1}
 
 	// Jump targets (and call return sites) may not disappear into the
 	// second slot of a fused pair.
@@ -267,11 +299,11 @@ func compileProgram(p *Program, fuse bool) *compiled {
 		hoistChecks(c)
 	}
 
-	// Worst-case cost to the next checked transfer, walking backwards.
-	// Check-free branches only ever point forward (hoistChecks), so every
-	// value this scan needs is already final; a checked transfer
+	// Worst-case cost to the next checked transfer, walking backwards from
+	// the guard. Check-free branches only ever point forward (hoistChecks),
+	// so every value this scan needs is already final; a checked transfer
 	// contributes only its own width — its check covers what follows.
-	for i := n - 1; i >= 0; i-- {
+	for i := n; i >= 0; i-- {
 		ci := c.code[i]
 		if ci.op == cPad {
 			continue // unreachable slot; cost belongs to the group head
@@ -281,17 +313,10 @@ func compileProgram(p *Program, fuse bool) *compiled {
 		case cJmpN:
 			cost += c.blockCost[ci.arg]
 		case cJzN, cJnzN, cLdgJzN, cLdgJnzN, cCmpJzN, cCmpJnzN:
-			taken := c.blockCost[ci.arg]
-			var fall int32
-			if succ := int32(i) + ci.width(); succ < int32(n) {
-				fall = c.blockCost[succ]
-			}
-			cost += max(taken, fall)
+			cost += max(c.blockCost[ci.arg], c.blockCost[int32(i)+ci.width()])
 		default:
 			if !endsBlock(ci.op) {
-				if succ := int32(i) + ci.width(); succ < int32(n) {
-					cost += c.blockCost[succ]
-				}
+				cost += c.blockCost[int32(i)+ci.width()]
 			}
 		}
 		c.blockCost[i] = cost
@@ -339,13 +364,14 @@ func compileProgram(p *Program, fuse bool) *compiled {
 }
 
 // endsBlock reports whether the compiled op is a checked control
-// transfer: it performs the budget pre-check for its successor itself,
-// so the worst-case-cost scan stops at it. The check-free variants are
-// deliberately absent — control flows through them unchecked, and their
-// cost-to-next-check is accumulated by dedicated cases in the scan.
+// transfer (it performs the budget pre-check for its successor itself)
+// or the guard, which nothing follows: the worst-case-cost scan stops at
+// it. The check-free variants are deliberately absent — control flows
+// through them unchecked, and their cost-to-next-check is accumulated by
+// dedicated cases in the scan.
 func endsBlock(op cop) bool {
 	switch op {
-	case cJmp, cJz, cJnz, cCall, cRet, cHalt,
+	case cJmp, cJz, cJnz, cCall, cRet, cHalt, cEnd,
 		cLdgJz, cLdgJnz, cCmpJz, cCmpJnz, cGIncJz, cGIncJnz:
 		return true
 	}
@@ -448,9 +474,8 @@ func fuseQuad(a, b, c, d Instr) (cinstr, bool) {
 
 // fusePair matches one peephole rule. Rules are free to span impure
 // constituents: a budget expiry or trap inside a fused instruction is
-// replayed through the exact architectural interpreter (runSlow), so
-// equivalence with the unfused execution never depends on which
-// constituents were skipped.
+// replayed in the exact form, so equivalence with the unfused execution
+// never depends on which constituents were skipped.
 func fusePair(a, b Instr) (cinstr, bool) {
 	switch a.Op {
 	case OpPush:

@@ -9,12 +9,13 @@ import (
 	"dynautosar/internal/sim"
 )
 
-// Golden equivalence tests of the superinstruction fusion pass: a fused
-// program must be observationally identical to its unfused form — host
-// calls, globals, return values, trap identity and budget accounting,
+// Equivalence tests of the two compiled forms: the fused form must be
+// observationally identical to the exact (unfused) form — host calls,
+// globals, return values, trap identity and budget accounting,
 // Instructions statistics included (a trapping or budget-straddling
-// fused op is replayed architecturally by runSlow, charging exactly the
-// constituent the per-instruction form would have reached).
+// fused op is replayed in the exact form, charging exactly the
+// constituent the per-instruction form would have reached). Both arms
+// run on this commit; golden_test.go holds them to the past.
 
 // traceHost records every observable host interaction.
 type traceHost struct {
@@ -89,7 +90,7 @@ func runBoth(t *testing.T, prog *Program, budget int, port int, value int64, fai
 // rootSentinel maps a trap error to its package sentinel.
 func rootSentinel(err error) error {
 	for _, s := range []error{ErrBudget, ErrStackOverflow, ErrStackUnderflow,
-		ErrCallDepth, ErrDivByZero, ErrNoHandler, ErrStopped} {
+		ErrCallDepth, ErrDivByZero, ErrCodeEnd, ErrNoHandler, ErrStopped} {
 		if errorsIs(err, s) {
 			return s
 		}
@@ -249,8 +250,8 @@ on_message in:
 	RET
 `,
 	// The rotated form of sum-loop: the decrement-test-branch backedge
-	// fuses into cGIncJnz (impure constituents, legal since runSlow
-	// replays traps exactly), and the loop body runs check-free.
+	// fuses into cGIncJnz (impure constituents, legal since the exact
+	// form replays traps exactly), and the loop body runs check-free.
 	"rotated-sum": `
 .plugin rsum 1.0
 .port n required
@@ -386,7 +387,7 @@ func TestFusionFires(t *testing.T) {
 
 // TestHexFusionDeepStack drives the cGIncJnz backedge at stack depths
 // where its transient +2 headroom overflows at the first or second
-// architectural constituent, pinning the runSlow replay: the trap must
+// architectural constituent, pinning the exact-form replay: the trap must
 // land on exactly the constituent the per-instruction scheme reaches.
 func TestHexFusionDeepStack(t *testing.T) {
 	for _, pushes := range []int{254, 255, 256} {
@@ -473,56 +474,114 @@ func TestHandlerTablesMatchLookup(t *testing.T) {
 	}
 }
 
+// programFromBytes decodes arbitrary bytes into a program that passes
+// Program.Verify — the one generator behind TestFusionRandomPrograms,
+// TestGoldenTraces and FuzzFusedVsExact. Byte 0 picks the handler entry,
+// byte 1 the delivered value; every following pair is (opcode, operand),
+// each reduced into its legal range (an opcode byte below opCount is that
+// Op). Nothing is appended, so a decoded program may run past its last
+// instruction. ok is false when the input holds no complete instruction.
+func programFromBytes(data []byte) (prog *Program, value int64, ok bool) {
+	n := (len(data) - 2) / 2
+	if n < 1 {
+		return nil, 0, false
+	}
+	code := make([]Instr, n)
+	for i := range code {
+		op, b := Op(data[2+2*i]%64), data[3+2*i]
+		if op >= opCount {
+			// The spare codes are extra value producers, so a random program
+			// does not underflow within its first few instructions.
+			op = [...]Op{OpPush, OpLdg, OpArg}[op%3]
+		}
+		ins := Instr{Op: op}
+		switch op {
+		case OpJmp, OpJz, OpJnz, OpCall:
+			ins.Arg = int32(int(b) % n)
+		case OpLdg, OpStg:
+			ins.Arg = int32(b % 4)
+		case OpPrd, OpPwr:
+			ins.Arg = int32(b % 2)
+		case OpTset, OpTclr:
+			ins.Arg = int32(b % maxTimers)
+		case OpPush:
+			ins.Arg = int32(int8(b))
+		}
+		code[i] = ins
+	}
+	return &Program{
+		Name:    "rand",
+		Version: "1.0",
+		Globals: 4,
+		Consts:  []string{"c"},
+		Ports: []PortDecl{
+			{Name: "in", Direction: core.Required},
+			{Name: "out", Direction: core.Provided},
+		},
+		Handlers: []Handler{{Kind: HandlerMessage, Index: 0, Entry: int32(int(data[0]) % n)}},
+		Code:     code,
+	}, int64(int8(data[1])), true
+}
+
+// bytesFromProgram is programFromBytes' inverse for programs inside its
+// image (port 0's handler, small operands): it turns the hand-written
+// corpus into fuzz seeds.
+func bytesFromProgram(p *Program, value int8) []byte {
+	entry, _ := p.Handler(HandlerMessage, 0)
+	data := []byte{byte(entry), byte(value)}
+	for _, ins := range p.Code {
+		data = append(data, byte(ins.Op), byte(ins.Arg))
+	}
+	return data
+}
+
 // TestFusionRandomPrograms cross-checks fused against unfused execution
 // over randomly generated (verified) programs with branches, calls and
 // traps, across tight budgets.
 func TestFusionRandomPrograms(t *testing.T) {
-	allOps := []Op{
-		OpNop, OpPush, OpPop, OpDup, OpSwap, OpOver, OpAdd, OpSub, OpMul,
-		OpDiv, OpMod, OpNeg, OpAbs, OpMin, OpMax, OpAnd, OpOr, OpXor,
-		OpNot, OpShl, OpShr, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpJmp,
-		OpJz, OpJnz, OpCall, OpRet, OpLdg, OpStg, OpPrd, OpPwr, OpArg,
-		OpPort, OpClock, OpLog,
-	}
 	r := rand.New(rand.NewSource(testSeed(t, 7)))
 	for iter := 0; iter < 400; iter++ {
-		n := 8 + r.Intn(40)
-		code := make([]Instr, n)
-		for i := range code {
-			op := allOps[r.Intn(len(allOps))]
-			ins := Instr{Op: op}
-			switch op {
-			case OpJmp, OpJz, OpJnz, OpCall:
-				ins.Arg = int32(r.Intn(n))
-			case OpLdg, OpStg:
-				ins.Arg = int32(r.Intn(4))
-			case OpPrd, OpPwr:
-				ins.Arg = int32(r.Intn(2))
-			case OpLog:
-				ins.Arg = 0
-			case OpPush:
-				ins.Arg = int32(r.Intn(21) - 10)
-			}
-			code[i] = ins
-		}
-		code = append(code, Instr{Op: OpRet})
-		prog := &Program{
-			Name:    "rand",
-			Version: "1.0",
-			Globals: 4,
-			Consts:  []string{"c"},
-			Ports: []PortDecl{
-				{Name: "in", Direction: core.Required},
-				{Name: "out", Direction: core.Provided},
-			},
-			Handlers: []Handler{{Kind: HandlerMessage, Index: 0, Entry: int32(r.Intn(len(code)))}},
-			Code:     code,
-		}
+		data := make([]byte, 2+2*(8+r.Intn(40)))
+		r.Read(data)
+		prog, value, _ := programFromBytes(data)
 		if err := prog.Verify(); err != nil {
 			t.Fatalf("iter %d: generated invalid program: %v", iter, err)
 		}
 		for _, budget := range []int{1, 2, 3, 5, 9, 17, 60, 500} {
-			runBoth(t, prog, budget, 0, int64(r.Intn(7)-3), -1)
+			runBoth(t, prog, budget, 0, value, -1)
 		}
 	}
+}
+
+// FuzzFusedVsExact is the coverage-guided form of the random test: any
+// byte string that decodes to a verified program must behave identically
+// in the fused and the unfused form at every budget of the sweep, with
+// and without a failing port write. The hand-written corpus seeds it.
+func FuzzFusedVsExact(f *testing.F) {
+	for name, src := range fusionSources {
+		prog, err := Assemble(src)
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		for _, value := range []int8{0, 7, -3} {
+			seed := bytesFromProgram(prog, value)
+			if back, _, _ := programFromBytes(seed); fmt.Sprint(back.Code) != fmt.Sprint(prog.Code) {
+				f.Fatalf("%s: seed does not decode back to the corpus program", name)
+			}
+			f.Add(seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, value, ok := programFromBytes(data)
+		if !ok || prog.Verify() != nil {
+			t.Skip()
+		}
+		for budget := 1; budget <= 64; budget++ {
+			runBoth(t, prog, budget, 0, value, -1)
+		}
+		// Room for the stack and call-depth traps, yet cheap enough to keep
+		// the fuzzer's throughput when the program loops and logs.
+		runBoth(t, prog, 512, 0, value, -1)
+		runBoth(t, prog, 512, 0, value, 1)
+	})
 }

@@ -29,6 +29,7 @@ var (
 	ErrStackUnderflow = errors.New("vm: operand stack underflow")
 	ErrCallDepth      = errors.New("vm: call depth exceeded")
 	ErrDivByZero      = errors.New("vm: division by zero")
+	ErrCodeEnd        = errors.New("vm: execution ran past the end of the code")
 	ErrNoHandler      = errors.New("vm: no handler for event")
 	ErrStopped        = errors.New("vm: plug-in is stopped")
 )
@@ -68,8 +69,12 @@ type Instance struct {
 	// stack is the operand stack; slot 0 is a guard the cached
 	// top-of-stack value spills into when the stack is logically empty,
 	// so pushes and pops run branch-free (see run).
-	stack   [maxStack + 1]int64
-	frames  [maxFrames]int32
+	stack  [maxStack + 1]int64
+	frames [maxFrames]int32
+	// tail is the budget tail: the straight-line instructions an activation
+	// may still run when its budget expires before the next transfer (see
+	// handoff). It is kept for the storage of its code.
+	tail    compiled
 	stopped bool
 
 	// Activations and Instructions accumulate execution statistics.
@@ -132,7 +137,7 @@ func (in *Instance) Init() error {
 	if entry < 0 {
 		return nil
 	}
-	return in.run(entry, 0, -1)
+	return in.start(entry, 0, -1)
 }
 
 // Deliver runs the message handler for the declared port index with the
@@ -150,7 +155,7 @@ func (in *Instance) Deliver(port int, value int64) error {
 	if entry < 0 {
 		return fmt.Errorf("%w: message on port %d", ErrNoHandler, port)
 	}
-	return in.run(entry, value, port)
+	return in.start(entry, value, port)
 }
 
 // Timer runs the handler of the expired timer.
@@ -161,49 +166,59 @@ func (in *Instance) Timer(id int) error {
 	if id < 0 || id >= maxTimers || in.comp.timerEntry[id] < 0 {
 		return fmt.Errorf("%w: timer %d", ErrNoHandler, id)
 	}
-	return in.run(in.comp.timerEntry[id], 0, -1)
+	return in.start(in.comp.timerEntry[id], 0, -1)
 }
 
-// run interprets compiled code starting at entry until a halt, a
-// top-level return, or a trap.
+// start runs a fresh activation of the handler at entry, in the fused
+// form.
+func (in *Instance) start(entry int32, arg int64, port int) error {
+	if in.stopped {
+		return ErrStopped
+	}
+	in.Activations++
+	return in.run(in.comp, entry, 0, 0, 0, 0, arg, port)
+}
+
+// run interprets comp from the machine state (pc, sp, tos, fp, steps)
+// until a halt, a top-level return, or a trap. It is the only function
+// that executes instructions: its switch is the definition of the ISA.
 //
 // The loop is the data plane's innermost ring and is built to dispatch,
 // not to bookkeep: the program counter, stack pointer and the cached
 // top-of-stack value live in locals; common instruction sequences were
 // fused into superinstructions at compile time (one dispatch, no
-// intermediate stack traffic); and the instruction-budget comparison
-// runs only at checked control transfers — each one pre-checks that the
-// worst-case cost to the *next* check (blockCost, which spans whole loop
-// iterations across check-free forward branches) fits the remaining
-// budget. When a pre-check fails, or a fused instruction detects a trap,
-// the activation is handed to runSlow, the exact per-architectural-
-// instruction interpreter, so traps and budget accounting land at
-// exactly the instruction the per-instruction scheme would have chosen
-// (fuse_test.go pins this equivalence). Because a trapping or
-// budget-straddling fused instruction is replayed architecturally
-// rather than reconstructed, fusion rules are free to include impure
-// constituents such as global stores.
-func (in *Instance) run(entry int32, arg int64, port int) error {
-	if in.stopped {
-		return ErrStopped
-	}
-	in.Activations++
-	comp := in.comp
+// intermediate stack traffic); a trap leaves the loop instead of being
+// tested for after every instruction; and the instruction-budget
+// comparison runs only on entry and at checked control transfers — each
+// one pre-checks that the worst-case cost to the *next* check (blockCost,
+// which spans whole loop iterations across check-free forward branches)
+// fits the remaining budget.
+//
+// When a pre-check fails, or a fused instruction detects a trap (its
+// checks precede all its mutations, so the state is still the one before
+// the instruction), handoff re-enters this loop at the same pc over the
+// program's exact form — unfused, every instruction cost 1, every branch
+// checked; fused groups keep the architectural pc numbering, so the
+// state carries over unchanged. There a trap is final and names the
+// architectural pc, and blockCost is no over-approximation any more: a
+// failed pre-check means the budget expires inside the straight-line run
+// ahead, which handoff turns into the budget tail, run through this loop
+// as well. Traps and budget accounting therefore land at exactly the
+// instruction a per-instruction scheme would have chosen (fuse_test.go
+// pins the two forms against each other, golden_test.go against the
+// past), and fusion rules are free to include impure constituents such
+// as global stores: a trapping or budget-straddling fused instruction is
+// replayed architecturally, never reconstructed.
+func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps int, arg int64, port int) error {
 	code := comp.code
 	blockCost := comp.blockCost
 	globals := in.globals
 	stack := &in.stack
 	budget := in.budget
 
-	if blockCost[entry] > int32(budget) {
-		return in.runSlow(entry, 0, 0, 0, 0, arg, port)
+	if int(blockCost[pc]) > budget-steps {
+		return in.handoff(comp, pc, sp, tos, fp, steps, arg, port)
 	}
-
-	pc := entry
-	sp := 0       // logical stack depth; elements below the top sit at stack[1..sp-1]
-	var tos int64 // cached top of stack, authoritative when sp > 0
-	fp := 0
-	steps := 0
 
 	var trap error
 	for {
@@ -215,7 +230,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cPush:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			tos = int64(ins.arg)
@@ -223,35 +238,35 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cPop:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = stack[sp]
 		case cDup:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			sp++
 		case cSwap:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			stack[sp-1], tos = tos, stack[sp-1]
 		case cOver:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			v := stack[sp-1]
 			stack[sp] = tos
@@ -260,56 +275,56 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cAdd:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos += stack[sp]
 		case cSub:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = stack[sp] - tos
 		case cMul:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos *= stack[sp]
 		case cDiv:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			if tos == 0 {
 				trap = ErrDivByZero
-				break
+				goto fault
 			}
 			sp--
 			tos = stack[sp] / tos
 		case cMod:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			if tos == 0 {
 				trap = ErrDivByZero
-				break
+				goto fault
 			}
 			sp--
 			tos = stack[sp] % tos
 		case cNeg:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			tos = -tos
 		case cAbs:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			if tos < 0 {
 				tos = -tos
@@ -317,7 +332,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cMin:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			if a := stack[sp]; a < tos {
@@ -326,7 +341,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cMax:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			if a := stack[sp]; a > tos {
@@ -335,95 +350,95 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cAnd:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos &= stack[sp]
 		case cOr:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos |= stack[sp]
 		case cXor:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos ^= stack[sp]
 		case cNot:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			tos = ^tos
 		case cShl:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = stack[sp] << uint64(tos&63)
 		case cShr:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = stack[sp] >> uint64(tos&63)
 		case cEq:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] == tos)
 		case cNe:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] != tos)
 		case cLt:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] < tos)
 		case cLe:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] <= tos)
 		case cGt:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] > tos)
 		case cGe:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] >= tos)
 		case cJmp:
 			next = ins.arg
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cJz:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			v := tos
 			sp--
@@ -431,13 +446,13 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			if v == 0 {
 				next = ins.arg
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cJnz:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			v := tos
 			sp--
@@ -445,19 +460,19 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			if v != 0 {
 				next = ins.arg
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cCall:
 			if fp >= maxFrames {
 				trap = ErrCallDepth
-				break
+				goto fault
 			}
 			in.frames[fp] = next
 			fp++
 			next = ins.arg
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cRet:
 			if fp == 0 {
@@ -466,8 +481,8 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			}
 			fp--
 			next = in.frames[fp]
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cHalt:
 			in.Instructions += uint64(steps)
@@ -475,7 +490,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cLdg:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			tos = globals[ins.arg]
@@ -483,7 +498,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cStg:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			globals[ins.arg] = tos
 			sp--
@@ -491,7 +506,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cPrd:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			tos = in.lastIn[ins.arg]
@@ -499,20 +514,18 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cPwr:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			v := tos
 			sp--
 			tos = stack[sp]
 			if err := in.host.PortWrite(int(ins.arg), v); err != nil {
-				in.Instructions += uint64(steps)
-				in.Faults++
-				return fmt.Errorf("vm: port write failed: %w", err)
+				return in.writeFailed(err, steps)
 			}
 		case cArg:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			tos = arg
@@ -520,7 +533,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cPort:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			tos = int64(port)
@@ -528,7 +541,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cTset:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			v := tos
 			sp--
@@ -542,7 +555,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cClock:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			tos = int64(in.host.Now())
@@ -559,47 +572,47 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cAddI:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			tos += int64(ins.arg)
 			next = pc + 2
 		case cSubI:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			tos -= int64(ins.arg)
 			next = pc + 2
 		case cMulI:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			tos *= int64(ins.arg)
 			next = pc + 2
 		case cPushStg:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			globals[ins.b] = int64(ins.arg)
 			next = pc + 2
 		case cLdgLdg:
 			if sp+2 > maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			stack[sp+1] = globals[ins.arg]
@@ -609,7 +622,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cLdgPush:
 			if sp+2 > maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			stack[sp] = tos
 			stack[sp+1] = globals[ins.b]
@@ -619,44 +632,42 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cLdgJz:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if globals[ins.b] == 0 {
 				next = ins.arg
 			} else {
 				next = pc + 2
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cLdgJnz:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if globals[ins.b] != 0 {
 				next = ins.arg
 			} else {
 				next = pc + 2
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cLdgPwr:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if err := in.host.PortWrite(int(ins.b), globals[ins.arg]); err != nil {
-				in.Instructions += uint64(steps)
-				in.Faults++
-				return fmt.Errorf("vm: port write failed: %w", err)
+				return in.writeFailed(err, steps)
 			}
 			next = pc + 2
 		case cAddStg:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			globals[ins.arg] = stack[sp] + tos
@@ -666,7 +677,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cSubStg:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			globals[ins.arg] = stack[sp] - tos
@@ -676,7 +687,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cMulStg:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			sp--
 			globals[ins.arg] = stack[sp] * tos
@@ -686,25 +697,23 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cArgStg:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			globals[ins.arg] = arg
 			next = pc + 2
 		case cArgPwr:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if err := in.host.PortWrite(int(ins.arg), arg); err != nil {
-				in.Instructions += uint64(steps)
-				in.Faults++
-				return fmt.Errorf("vm: port write failed: %w", err)
+				return in.writeFailed(err, steps)
 			}
 			next = pc + 2
 		case cCmpJz:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			b := tos
 			sp -= 2
@@ -715,13 +724,13 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			} else {
 				next = pc + 2
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cCmpJnz:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			b := tos
 			sp -= 2
@@ -732,22 +741,22 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			} else {
 				next = pc + 2
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cGAddG:
 			// Transiently pushes two words architecturally; trap parity
 			// requires the same headroom.
 			if sp+2 > maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			globals[ins.b] = globals[ins.arg>>12] + globals[ins.arg&0xfff]
 			next = pc + 4
 		case cGIncI:
 			if sp+2 > maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			globals[ins.b] += int64(ins.arg)
 			next = pc + 4
@@ -756,7 +765,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			// depth reaches sp+2, like the quads.
 			if sp+2 > maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			v := globals[ins.b] + int64(ins.arg>>20)
 			globals[ins.b] = v
@@ -765,13 +774,13 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			} else {
 				next = pc + 6
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 		case cGIncJnz:
 			if sp+2 > maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			v := globals[ins.b] + int64(ins.arg>>20)
 			globals[ins.b] = v
@@ -780,8 +789,8 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			} else {
 				next = pc + 6
 			}
-			if blockCost[next] > int32(budget-steps) {
-				return in.runSlow(next, sp, tos, fp, steps, arg, port)
+			if int(blockCost[next]) > budget-steps {
+				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
 
 		// --- check-free branches (budget hoisting) -----------------------
@@ -795,7 +804,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cJzN:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			v := tos
 			sp--
@@ -806,7 +815,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cJnzN:
 			if sp < 1 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			v := tos
 			sp--
@@ -817,7 +826,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cLdgJzN:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if globals[ins.b] == 0 {
 				next = ins.arg
@@ -827,7 +836,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cLdgJnzN:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
-				break
+				goto fault
 			}
 			if globals[ins.b] != 0 {
 				next = ins.arg
@@ -837,7 +846,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cCmpJzN:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			b := tos
 			sp -= 2
@@ -851,7 +860,7 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 		case cCmpJnzN:
 			if sp < 2 {
 				trap = ErrStackUnderflow
-				break
+				goto fault
 			}
 			b := tos
 			sp -= 2
@@ -862,390 +871,76 @@ func (in *Instance) run(entry int32, arg int64, port int) error {
 			} else {
 				next = pc + 2
 			}
+
+		// --- sentinels ---------------------------------------------------
+
+		case cEnd:
+			trap = ErrCodeEnd
+			goto fault
+		case cBudget:
+			trap = ErrBudget
+			goto fault
 		default: // cPad — unreachable in compiled code; step over
 		}
-		if trap != nil {
-			// Every trap check precedes its case's mutations, so the state
-			// is exactly what it was before the instruction started: replay
-			// it architecturally, which raises the trap at the precise
-			// constituent (and with the precise instruction charge) the
-			// per-instruction scheme would have.
-			return in.runSlow(pc, sp, tos, fp, steps-int(ins.cost), arg, port)
-		}
 		pc = next
 	}
+
+fault:
+	if comp.exact {
+		return in.trapped(trap, comp, pc, steps)
+	}
+	// Every trap check precedes its case's mutations, so the state is
+	// exactly what it was before the instruction started: replay it in the
+	// exact form, which raises the trap at the precise constituent (and
+	// with the precise instruction charge) the per-instruction scheme
+	// would have.
+	return in.handoff(comp, pc, sp, tos, fp, steps-int(code[pc].cost), arg, port)
 }
 
-// runSlow finishes an activation in exact per-instruction mode,
-// interpreting the architectural code. The fast loop hands over in two
-// situations:
-//
-//   - a budget pre-check failed, meaning the budget will expire (or a
-//     trap preempt it) before the next check;
-//   - an instruction detected a trap; its checks precede all mutations,
-//     so replaying from the same pc charges the trap at exactly the
-//     architectural constituent the per-instruction scheme traps at.
-//
-// Because this loop IS the per-instruction reference semantics, the
-// fused fast path never reconstructs trap positions or prefix effects —
-// which is what lets superinstructions fuse across impure constituents
-// (cGIncJz stores to a global mid-sequence) and lets blockCost be any
-// sound over-approximation.
-//
-// The trap message formats the opcode through cop, whose low range
-// mirrors the architectural ISA 1:1, so messages match the fast path's.
-func (in *Instance) runSlow(pc int32, sp int, tos int64, fp int, steps int, arg int64, port int) error {
-	code := in.prog.Code
-	globals := in.globals
-	stack := &in.stack
-	budget := in.budget
-
-	var trap error
-	for {
-		if steps >= budget {
-			in.Faults++
-			in.Instructions += uint64(budget)
-			return fmt.Errorf("%w (after %d instructions)", ErrBudget, budget)
-		}
-		ins := code[pc]
-		steps++
-		next := pc + 1
-		switch ins.Op {
-		case OpNop:
-		case OpPush:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			stack[sp] = tos
-			tos = int64(ins.Arg)
-			sp++
-		case OpPop:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = stack[sp]
-		case OpDup:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			stack[sp] = tos
-			sp++
-		case OpSwap:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			stack[sp-1], tos = tos, stack[sp-1]
-		case OpOver:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			v := stack[sp-1]
-			stack[sp] = tos
-			tos = v
-			sp++
-		case OpAdd:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos += stack[sp]
-		case OpSub:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = stack[sp] - tos
-		case OpMul:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos *= stack[sp]
-		case OpDiv:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			if tos == 0 {
-				trap = ErrDivByZero
-				break
-			}
-			sp--
-			tos = stack[sp] / tos
-		case OpMod:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			if tos == 0 {
-				trap = ErrDivByZero
-				break
-			}
-			sp--
-			tos = stack[sp] % tos
-		case OpNeg:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			tos = -tos
-		case OpAbs:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			if tos < 0 {
-				tos = -tos
-			}
-		case OpMin:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			if a := stack[sp]; a < tos {
-				tos = a
-			}
-		case OpMax:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			if a := stack[sp]; a > tos {
-				tos = a
-			}
-		case OpAnd:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos &= stack[sp]
-		case OpOr:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos |= stack[sp]
-		case OpXor:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos ^= stack[sp]
-		case OpNot:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			tos = ^tos
-		case OpShl:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = stack[sp] << uint64(tos&63)
-		case OpShr:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = stack[sp] >> uint64(tos&63)
-		case OpEq:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = boolWord(stack[sp] == tos)
-		case OpNe:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = boolWord(stack[sp] != tos)
-		case OpLt:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = boolWord(stack[sp] < tos)
-		case OpLe:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = boolWord(stack[sp] <= tos)
-		case OpGt:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = boolWord(stack[sp] > tos)
-		case OpGe:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				break
-			}
-			sp--
-			tos = boolWord(stack[sp] >= tos)
-		case OpJmp:
-			next = ins.Arg
-		case OpJz:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			v := tos
-			sp--
-			tos = stack[sp]
-			if v == 0 {
-				next = ins.Arg
-			}
-		case OpJnz:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			v := tos
-			sp--
-			tos = stack[sp]
-			if v != 0 {
-				next = ins.Arg
-			}
-		case OpCall:
-			if fp >= maxFrames {
-				trap = ErrCallDepth
-				break
-			}
-			in.frames[fp] = next
-			fp++
-			next = ins.Arg
-		case OpRet:
-			if fp == 0 {
-				in.Instructions += uint64(steps)
-				return nil
-			}
-			fp--
-			next = in.frames[fp]
-		case OpHalt:
-			in.Instructions += uint64(steps)
-			return nil
-		case OpLdg:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			stack[sp] = tos
-			tos = globals[ins.Arg]
-			sp++
-		case OpStg:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			globals[ins.Arg] = tos
-			sp--
-			tos = stack[sp]
-		case OpPrd:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			stack[sp] = tos
-			tos = in.lastIn[ins.Arg]
-			sp++
-		case OpPwr:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			v := tos
-			sp--
-			tos = stack[sp]
-			if err := in.host.PortWrite(int(ins.Arg), v); err != nil {
-				in.Instructions += uint64(steps)
-				in.Faults++
-				return fmt.Errorf("vm: port write failed: %w", err)
-			}
-		case OpArg:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			stack[sp] = tos
-			tos = arg
-			sp++
-		case OpPort:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			stack[sp] = tos
-			tos = int64(port)
-			sp++
-		case OpTset:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				break
-			}
-			v := tos
-			sp--
-			tos = stack[sp]
-			if v < 0 {
-				v = 0
-			}
-			in.host.SetTimer(int(ins.Arg), sim.Duration(v))
-		case OpTclr:
-			in.host.ClearTimer(int(ins.Arg))
-		case OpClock:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				break
-			}
-			stack[sp] = tos
-			tos = int64(in.host.Now())
-			sp++
-		case OpLog:
-			var v int64
-			if sp > 0 {
-				v = tos
-			}
-			in.host.Log(in.prog.Consts[ins.Arg], v)
-		}
-		if trap != nil {
-			in.Instructions += uint64(steps)
-			in.Faults++
-			return fmt.Errorf("%w at pc %d (%v)", trap, pc, cop(ins.Op))
-		}
-		pc = next
+// handoff continues an activation from the state before the instruction
+// at pc, which the form comp may not run: the fused form hands over to
+// the exact form. The exact form only hands over on a failed pre-check,
+// and there blockCost is exact, so the budget expires inside the
+// straight-line run ahead: precisely budget-steps instructions, none of
+// them a transfer, remain. They become the budget tail — a copy closed by
+// the cBudget sentinel — so that the fault needs no per-instruction
+// comparison either.
+func (in *Instance) handoff(comp *compiled, pc int32, sp int, tos int64, fp, steps int, arg int64, port int) error {
+	if !comp.exact {
+		return in.run(in.prog.exactForm(), pc, sp, tos, fp, steps, arg, port)
 	}
+	rest := comp.code[pc : int(pc)+in.budget-steps]
+	in.tail = compiled{
+		code:      append(append(in.tail.code[:0], rest...), cinstr{op: cBudget}),
+		blockCost: tailCost,
+		exact:     true,
+		base:      pc,
+	}
+	return in.run(&in.tail, 0, sp, tos, fp, steps, arg, port)
+}
+
+// tailCost is the budget tail's blockCost: entry at its slot 0 passes the
+// pre-check at any remaining budget, and it holds no transfer that would
+// consult another slot.
+var tailCost = []int32{0}
+
+// trapped ends an activation that raised trap at pc of an exact form,
+// with steps instructions charged.
+func (in *Instance) trapped(trap error, comp *compiled, pc int32, steps int) error {
+	in.Instructions += uint64(steps)
+	in.Faults++
+	if trap == ErrBudget { // no instruction's doing: the message names none
+		return fmt.Errorf("%w (after %d instructions)", trap, steps)
+	}
+	return fmt.Errorf("%w at pc %d (%v)", trap, comp.base+pc, comp.code[pc].op)
+}
+
+// writeFailed ends an activation whose port write the host refused, with
+// steps instructions charged.
+func (in *Instance) writeFailed(err error, steps int) error {
+	in.Instructions += uint64(steps)
+	in.Faults++
+	return fmt.Errorf("vm: port write failed: %w", err)
 }
 
 func boolWord(b bool) int64 {

@@ -200,10 +200,10 @@ type Program struct {
 	Handlers []Handler
 	Code     []Instr
 
-	// comp caches the compiled (fused, direct-threaded) form shared by
-	// all instances of this program; see compile.go.
-	compileOnce sync.Once
-	comp        *compiled
+	// comp and exact cache the two compiled forms shared by all instances
+	// of this program; see compile.go.
+	compileOnce, exactOnce sync.Once
+	comp, exact            *compiled
 }
 
 // PortIndex returns the index of the named declared port.

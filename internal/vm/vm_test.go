@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,6 +260,84 @@ loop:
 	}
 	if in.Faults != 1 {
 		t.Fatalf("Faults = %d", in.Faults)
+	}
+}
+
+// TestBudgetAboveInt32 pins the budget pre-check's arithmetic. A manifest
+// carries its budget as a uint32, so an instance may be given up to
+// 2^32-1; a pre-check that wraps at 2^31 takes every such activation off
+// the fused form (and, with the budget tail, into a wrong fault).
+func TestBudgetAboveInt32(t *testing.T) {
+	prog := mustAssemble(t, fusionSources["sum-loop"])
+	run := func(budget int) (uint64, int64, error) {
+		host := &latchHost{}
+		in, err := NewInstance(prog, host, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = in.Deliver(0, 100)
+		return in.Instructions, host.value, err
+	}
+	wantInstr, wantValue, err := run(1 << 30)
+	if err != nil || wantValue != 5050 {
+		t.Fatalf("budget 2^30: err %v, wrote %d", err, wantValue)
+	}
+	for _, budget := range []int{1 << 31, 1<<32 - 1} {
+		if instr, value, err := run(budget); err != nil || instr != wantInstr || value != wantValue {
+			t.Errorf("budget %d: err %v, %d instructions, wrote %d; budget 2^30: nil, %d, %d",
+				budget, err, instr, value, wantInstr, wantValue)
+		}
+	}
+	if prog.exact != nil {
+		t.Error("an activation that fits its budget left the fused form")
+	}
+}
+
+// TestRunPastCodeEnd: control flow that leaves the code — falling through
+// the last instruction, or returning from a CALL in the last slot — is
+// legal for Program.Verify (dead tails may do it) and must end in a
+// counted trap, in both compiled forms. Fetching the guard slot counts
+// as an instruction, so a budget that ends exactly there faults first.
+func TestRunPastCodeEnd(t *testing.T) {
+	cases := []struct {
+		name string
+		code []Instr
+		want uint64 // instructions charged, the guard included
+	}{
+		{"fall-through", []Instr{{Op: OpPush, Arg: 1}}, 2},
+		{"fused-fall-through", []Instr{{Op: OpArg}, {Op: OpStg, Arg: 0}}, 3},
+		{"last-slot-call", []Instr{{Op: OpJmp, Arg: 2}, {Op: OpRet}, {Op: OpCall, Arg: 1}}, 4},
+	}
+	for _, tc := range cases {
+		prog := &Program{
+			Name: "x", Globals: 1, Code: tc.code,
+			Handlers: []Handler{{Kind: HandlerInit, Entry: 0}},
+		}
+		for _, exact := range []bool{false, true} {
+			for _, budget := range []int{0, int(tc.want), int(tc.want) - 1} {
+				in, err := NewInstance(prog, newTestHost(), budget)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if exact {
+					in.comp = compileProgram(prog, false)
+				}
+				err = in.Init()
+				want, wantInstr, wantAt := ErrCodeEnd, tc.want, "at pc "+strconv.Itoa(len(tc.code))+" (END)"
+				if budget == int(tc.want)-1 {
+					want, wantInstr, wantAt = ErrBudget, tc.want-1, ""
+				}
+				if !errors.Is(err, want) || !strings.Contains(err.Error(), wantAt) ||
+					in.Instructions != wantInstr || in.Faults != 1 {
+					t.Errorf("%s exact=%t budget=%d: err %v, %d instructions, %d faults; want %v %q, %d, 1",
+						tc.name, exact, budget, err, in.Instructions, in.Faults, want, wantAt, wantInstr)
+				}
+				if err := in.Init(); !errors.Is(err, want) || in.Faults != 2 {
+					t.Errorf("%s exact=%t budget=%d: second activation: err %v, %d faults",
+						tc.name, exact, budget, err, in.Faults)
+				}
+			}
+		}
 	}
 }
 
