@@ -163,8 +163,8 @@ func main() {
 		if err == nil {
 			printShardLine(h.Shard, h.Role, h.ShardEpoch)
 			for _, f := range h.Replication {
-				fmt.Fprintf(os.Stderr, "# follower %s: lag=%dB resyncs=%d err=%q\n",
-					f.Name, f.LagBytes, f.Resyncs, f.LastError)
+				fmt.Fprintf(os.Stderr, "# follower %s: lag=%dB resyncs=%d asyncCommits=%d err=%q\n",
+					f.Name, f.LagBytes, f.Resyncs, f.AsyncCommits, f.LastError)
 			}
 		}
 		show(h, err)
@@ -173,8 +173,8 @@ func main() {
 		if err == nil {
 			printShardLine(st.Shard, st.Role, st.ShardEpoch)
 			if st.LastSegmentShipped > 0 || st.ReplLagBytes > 0 {
-				fmt.Fprintf(os.Stderr, "# replication: lag=%dB last-segment-shipped=wal-%016d\n",
-					st.ReplLagBytes, st.LastSegmentShipped)
+				fmt.Fprintf(os.Stderr, "# replication: lag=%dB last-segment-shipped=wal-%016d async-commits=%d\n",
+					st.ReplLagBytes, st.LastSegmentShipped, st.ReplAsyncCommits)
 			}
 		}
 		show(st, err)

@@ -338,9 +338,10 @@ type Health struct {
 }
 
 // FollowerHealth is one follower's replication position as the leader
-// sees it: how far shipping got, how far the follower confirmed, and
-// the byte lag between the leader's durable watermark and that
-// confirmation.
+// sees it: how far shipping got, how far the follower confirmed, the
+// byte lag between the leader's durable watermark and that
+// confirmation, and how many group commits were acknowledged without
+// waiting for it (0 on a follower that was in sync throughout).
 type FollowerHealth struct {
 	Name              string `json:"name"`
 	LastShippedGen    uint64 `json:"lastShippedGen"`
@@ -350,6 +351,7 @@ type FollowerHealth struct {
 	LagBytes          int64  `json:"lagBytes"`
 	Resyncs           uint64 `json:"resyncs"`
 	LastError         string `json:"lastError,omitempty"`
+	AsyncCommits      uint64 `json:"asyncCommits"`
 }
 
 // Statz is the GET /v1/statz body: cheap monotonic counters for
@@ -382,13 +384,16 @@ type Statz struct {
 	JournalGen           uint64 `json:"journalGen"`
 	// Federation counters (zero/empty on an unsharded server): the
 	// shard identity and role, the leadership epoch, the worst
-	// per-follower replication lag in bytes, and the newest segment
-	// generation handed to any follower.
+	// per-follower replication lag in bytes, the newest segment
+	// generation handed to any follower, and the group commits that
+	// settled without some follower's confirmation (summed over
+	// followers; 0 while every follower stayed in sync).
 	Shard              string `json:"shard,omitempty"`
 	Role               string `json:"role,omitempty"`
 	ShardEpoch         uint64 `json:"shardEpoch,omitempty"`
 	ReplLagBytes       int64  `json:"replLagBytes,omitempty"`
 	LastSegmentShipped uint64 `json:"lastSegmentShipped,omitempty"`
+	ReplAsyncCommits   uint64 `json:"replAsyncCommits,omitempty"`
 }
 
 // DeploymentService is the transport-agnostic core of the trusted

@@ -638,6 +638,7 @@ func (r *Router) Statz(ctx context.Context) (api.Statz, error) {
 		if st.ReplLagBytes > out.ReplLagBytes {
 			out.ReplLagBytes = st.ReplLagBytes
 		}
+		out.ReplAsyncCommits += st.ReplAsyncCommits
 	}
 	return out, nil
 }

@@ -270,9 +270,9 @@ func (p ProbeFailure) schedule(f *Fleet) {
 // sticky by the durability policy: the server refuses further durable
 // mutations and reports degraded health until a crash-restart recovers
 // the acknowledged prefix (pair it with a ServerCrash). SyncDelay adds
-// latency to every fsync instead, stretching the adaptive commit
-// window without losing anything; it heals cleanly at Heal. Forces a
-// journaled server.
+// latency to every fsync instead: commits get slower and batches
+// larger, nothing is lost; it heals cleanly at Heal. Forces a journaled
+// server.
 type JournalFault struct {
 	At, Heal sim.Duration
 	DiskFull bool

@@ -12,9 +12,9 @@ import (
 
 // Fault-injection coverage for the commit path: a full disk makes the
 // journal fail sticky (with the failed tail truncated so disk state
-// matches the reported outcomes), and a slow fsync stretches the
-// adaptive commit window without losing anything. These are the hooks
-// the fleet simulator's chaos scenarios drive.
+// matches the reported outcomes), and a slow fsync slows every commit
+// down without losing anything. These are the hooks the fleet
+// simulator's chaos scenarios drive.
 
 var errDiskFull = errors.New("write: no space left on device")
 
@@ -70,8 +70,8 @@ func TestFaultSyncErrSticky(t *testing.T) {
 }
 
 // TestFaultSlowFsync: a slow disk degrades throughput, not
-// correctness — every append still commits, and the measured sync
-// latency feeds the adaptive group-commit window.
+// correctness — every append still commits, each behind its own slow
+// sync.
 func TestFaultSlowFsync(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
@@ -88,8 +88,8 @@ func TestFaultSlowFsync(t *testing.T) {
 	if j.Err() != nil {
 		t.Fatalf("slow disk failed the journal: %v", j.Err())
 	}
-	if syncs.Load() == 0 {
-		t.Fatal("sync delay hook never ran")
+	if n := syncs.Load(); n != 8 {
+		t.Fatalf("sync delay hook ran %d times, want once per waited append (8)", n)
 	}
 	j.Crash()
 	_, rec := mustOpen(t, dir, Options{})

@@ -7,10 +7,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,8 +34,11 @@ const (
 	maxRecordBytes = 64 << 20
 	// defaultSnapshotEvery compacts after this many records.
 	defaultSnapshotEvery = 4096
-	// defaultCommitDelay is the group-commit window.
-	defaultCommitDelay = 500 * time.Microsecond
+	// maxLinger bounds how long a batch nobody waits on (acks, operation
+	// bookkeeping — the advisory appends) stays in memory before the
+	// writer commits it anyway: the width of the window in which a crash
+	// under-reports them.
+	maxLinger = 2 * time.Millisecond
 )
 
 // Appender is the narrow interface the store and server emit mutation
@@ -52,11 +57,14 @@ type Appender interface {
 type Ticket struct{ b *batch }
 
 // Wait blocks until the record's group commit completed and returns
-// its fsync outcome.
+// its fsync outcome. Waiting is what schedules the commit: the first
+// waiter on an open batch wakes the writer, which commits it at once
+// instead of letting it linger.
 func (t Ticket) Wait() error {
 	if t.b == nil {
 		return nil
 	}
+	t.b.demand()
 	<-t.b.done
 	return t.b.err
 }
@@ -75,6 +83,37 @@ func (Nop) Append(Record) Ticket { return Ticket{} }
 type batch struct {
 	done chan struct{}
 	err  error
+
+	// opened is when the batch's first record arrived (the linger bound
+	// counts from it); waited flips once some goroutine blocks on the
+	// batch; kick is the owning journal's writer wake-up (nil on an
+	// already-settled error ticket).
+	opened time.Time
+	waited atomic.Bool
+	kick   chan<- struct{}
+}
+
+// demand marks the batch waited-on and wakes the writer, once.
+func (b *batch) demand() {
+	select {
+	case <-b.done:
+		return
+	default:
+	}
+	if b.waited.CompareAndSwap(false, true) {
+		wake(b.kick)
+	}
+}
+
+// wake tells the writer to look at the journal's state again. The
+// channel holds one token and the writer re-reads the state after
+// taking it, so a send that finds the token already there loses
+// nothing.
+func wake(kick chan<- struct{}) {
+	select {
+	case kick <- struct{}{}:
+	default:
+	}
 }
 
 // Options tunes a journal.
@@ -83,15 +122,6 @@ type Options struct {
 	// records since the last snapshot; 0 means the default (4096),
 	// negative disables automatic compaction.
 	SnapshotEvery int
-	// CommitDelay is the group-commit window: after the first record of
-	// a batch arrives, the writer waits this long before syncing so
-	// concurrent — and near-concurrent — appenders share the fsync.
-	// Sparse arrivals (vehicle acks trickling in over a fleet-wide
-	// deploy) would otherwise each pay a full sync of their own; the
-	// window caps the worst-case added latency at CommitDelay per
-	// commit, well under a vehicle round-trip. 0 means the default
-	// (500µs), negative disables the delay.
-	CommitDelay time.Duration
 	// Logf receives journal diagnostics; nil disables.
 	Logf func(format string, args ...any)
 }
@@ -127,7 +157,11 @@ type Stats struct {
 // compaction. One background writer goroutine owns the segment file:
 // appenders enqueue encoded frames under a short mutex and the writer
 // drains everything pending, writes it in one syscall and fsyncs once,
-// settling every waiting ticket together.
+// settling every waiting ticket together. Commits are demand-driven:
+// the writer commits the open batch as soon as some goroutine waits on
+// it (Ticket.Wait, Sync), so a batch is whatever accumulated while the
+// previous sync was in flight; a batch nobody waits on is committed
+// maxLinger after its first record.
 type Journal struct {
 	dir  string
 	opts Options
@@ -153,18 +187,18 @@ type Journal struct {
 	sinceSnapshot int
 	appended      uint64
 	flushes       uint64
+	lingered      uint64 // commits started by the linger bound, not a waiter; the scheduling tests read it
 	lastSnapshot  time.Time
-	lastSync      time.Duration
 	snapWG        sync.WaitGroup
 
 	// fault, when set, injects disk failures into the commit path (see
 	// FaultInjection); read by the writer goroutine under mu.
 	fault *FaultInjection
 
-	// tap observes durable events for replication (see replicate.go);
-	// read by the writer goroutine under mu. durablePub mirrors the
-	// writer-owned durable watermark under mu so Shippers can bound
-	// catch-up reads to synced bytes.
+	// tap observes commits and snapshots for replication (see
+	// replicate.go); read by the writer goroutine under mu. durablePub
+	// mirrors the writer-owned durable watermark under mu so Shippers can
+	// bound catch-up reads to synced bytes.
 	tap        Tap
 	durablePub int64
 
@@ -178,12 +212,13 @@ type Journal struct {
 // and returning an error, fails the segment write before any bytes
 // reach the file (the disk-full shape — ENOSPC surfaces before data
 // lands); SyncErr likewise fails the fsync after the write; SyncDelay
-// stalls each fsync by the returned duration (the slow-disk shape the
-// adaptive commit window absorbs). Either error takes the same sticky
-// degradation path as a real device failure: the segment truncates to
-// the durable watermark, tickets report the error, and the journal
-// refuses further appends until reopened. Used by chaos and recovery
-// tests; nil hooks are free.
+// stalls each fsync by the returned duration (the slow-disk shape:
+// whatever arrives during the longer sync shares the next commit, so
+// batches grow with the device's latency). Either error takes the same
+// sticky degradation path as a real device failure: the segment
+// truncates to the durable watermark, tickets report the error, and the
+// journal refuses further appends until reopened. Used by chaos and
+// recovery tests; nil hooks are free.
 type FaultInjection struct {
 	WriteErr  func(n int) error
 	SyncErr   func() error
@@ -235,9 +270,6 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
-	}
-	if opts.CommitDelay == 0 {
-		opts.CommitDelay = defaultCommitDelay
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %v", err)
@@ -554,11 +586,11 @@ func (j *Journal) SetSnapshotSource(fn func() *StateImage) {
 }
 
 // Append implements Appender: it frames the record into the shared
-// write buffer and returns the current batch's ticket. The write and
-// its fsync happen on the writer goroutine, amortized over every
-// record enqueued while the previous commit was in flight. The record
-// is fully serialized before Append returns — callers may reuse or
-// mutate anything it references afterwards.
+// write buffer and returns the open batch's ticket. The write and its
+// fsync happen on the writer goroutine, amortized over every record
+// enqueued while the previous commit was in flight. The record is fully
+// serialized before Append returns — callers may reuse or mutate
+// anything it references afterwards.
 func (j *Journal) Append(rec Record) Ticket {
 	payload, pooled, err := encodeRecord(rec)
 	if err != nil {
@@ -587,14 +619,16 @@ func (j *Journal) Append(rec Record) Ticket {
 		*pooled = payload[:0]
 		encodeBufs.Put(pooled)
 	}
-	if j.cur == nil {
-		j.cur = &batch{done: make(chan struct{})}
+	opened := j.cur == nil
+	if opened {
+		j.cur = &batch{done: make(chan struct{}), opened: time.Now(), kick: j.kick}
 	}
 	t := Ticket{b: j.cur}
 	j.mu.Unlock()
-	select {
-	case j.kick <- struct{}{}:
-	default:
+	if opened {
+		// The writer starts the batch's linger clock; later records of
+		// the same batch change nothing it has to act on.
+		wake(j.kick)
 	}
 	return t
 }
@@ -605,9 +639,9 @@ func errTicket(err error) Ticket {
 	return Ticket{b: b}
 }
 
-// Sync blocks until everything appended so far is durable: the pending
-// batch if one is accumulating, else the batch the writer is committing
-// right now.
+// Sync blocks until everything appended so far is durable: the open
+// batch if one is accumulating (which it thereby schedules), else the
+// batch the writer is committing right now.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	if j.err != nil {
@@ -616,54 +650,63 @@ func (j *Journal) Sync() error {
 		return err
 	}
 	b := j.cur
-	kick := b != nil
 	if b == nil {
 		b = j.inflight
 	}
 	j.mu.Unlock()
-	if b == nil {
-		return nil
-	}
-	if kick {
-		select {
-		case j.kick <- struct{}{}:
-		default:
-		}
-	}
 	return Ticket{b: b}.Wait()
 }
 
-// writer is the single goroutine owning the segment file: it drains
-// the shared buffer, commits it with one write + one fsync, settles
-// the batch, and compacts when the segment has grown past the
-// snapshot threshold.
+// writer is the single goroutine owning the segment file: it commits
+// the open batch — one write, one fsync, every ticket settled — as soon
+// as someone waits on it, or maxLinger after its first record when
+// nobody does, and compacts when the segment has grown past the
+// snapshot threshold. It sleeps on kick between state changes; every
+// change it must act on (a batch opened, a batch waited on, a snapshot
+// requested) is followed by a wake.
 func (j *Journal) writer() {
 	defer close(j.done)
+	linger := time.NewTimer(maxLinger)
+	defer linger.Stop()
 	for {
-		select {
-		case <-j.kick:
-		case <-j.quit:
-			if !j.isCrashed() {
-				j.flush()
+		j.mu.Lock()
+		b, compact := j.cur, len(j.compactReq) > 0
+		j.mu.Unlock()
+		if !compact && (b == nil || !b.waited.Load()) {
+			// Nothing is due: sleep until the state changes or the open
+			// batch has lingered long enough.
+			var expired <-chan time.Time
+			if b != nil {
+				linger.Reset(maxLinger - time.Since(b.opened))
+				expired = linger.C
 			}
-			j.mu.Lock()
-			reqs := j.compactReq
-			j.compactReq = nil
-			j.mu.Unlock()
-			for _, ch := range reqs {
-				ch <- fmt.Errorf("journal: closed")
+			select {
+			case <-j.kick:
+				continue
+			case <-expired:
+				j.mu.Lock()
+				j.lingered++
+				j.mu.Unlock()
+			case <-j.quit:
+				if !j.isCrashed() {
+					j.flush()
+				}
+				j.mu.Lock()
+				reqs := j.compactReq
+				j.compactReq = nil
+				j.mu.Unlock()
+				for _, ch := range reqs {
+					ch <- fmt.Errorf("journal: closed")
+				}
+				return
 			}
-			return
 		}
-		// Group-commit window: let near-concurrent appenders join the
-		// batch before paying the sync. The window tracks the observed
-		// sync latency (bounded): the slower the device, the longer the
-		// writer collects — batch size scales with what each fsync
-		// costs, keeping total commit throughput roughly constant as
-		// disk latency moves.
-		if d := j.commitWindow(); d > 0 {
-			time.Sleep(d)
-		}
+		// On saturated CPUs the appenders that belong in this batch are
+		// runnable but not running; one yield lets them add their
+		// records instead of paying for the next sync, so batch size
+		// follows load. With an idle CPU nothing is runnable and the
+		// yield returns at once.
+		runtime.Gosched()
 		j.flush()
 		j.serveCompaction()
 	}
@@ -708,40 +751,26 @@ func (j *Journal) compactIfAble() error {
 	return j.writeSnapshot(next, source, true)
 }
 
-// commitWindow is the adaptive group-commit delay: at least the
-// configured CommitDelay, stretched up to the last observed fsync
-// latency (capped at 2ms) when the device is slow — batch size then
-// scales with what each fsync costs, keeping commit throughput roughly
-// constant as disk latency moves. Only the writer goroutine reads
-// lastSync, between commits.
-func (j *Journal) commitWindow() time.Duration {
-	d := j.opts.CommitDelay
-	if d <= 0 {
-		return d
-	}
-	const maxWindow = 2 * time.Millisecond
-	if j.lastSync > d {
-		d = min(j.lastSync, maxWindow)
-	}
-	return d
-}
-
 func (j *Journal) isCrashed() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.crashed
 }
 
-// flush commits the pending buffer: one write, one fsync, every
-// waiting ticket settled with the outcome. A write or sync failure is
-// sticky — the journal refuses further appends, because the segment's
-// contents past the last good commit are undefined.
+// flush commits the open batch: one write, one fsync, every waiting
+// ticket settled with the outcome. The tap gets the chunk between the
+// write and the fsync, so replication runs beside the local sync, and
+// is joined before any ticket settles: a waited record costs
+// max(local sync, ship), and an acknowledged one is both on this disk
+// and wherever the tap put it. A write or sync failure is sticky — the
+// journal refuses further appends, because the segment's contents past
+// the last good commit are undefined.
 func (j *Journal) flush() {
 	j.mu.Lock()
 	buf, b, n := j.buf, j.cur, j.pending
 	j.buf, j.cur, j.pending = nil, nil, 0
 	j.inflight = b
-	fault := j.fault
+	fault, tap, gen := j.fault, j.tap, j.gen
 	j.mu.Unlock()
 	if b == nil {
 		return
@@ -753,8 +782,11 @@ func (j *Journal) flush() {
 	if err == nil {
 		_, err = j.f.Write(buf)
 	}
+	var settle func(error)
 	if err == nil {
-		start := time.Now()
+		if tap != nil {
+			settle = tap.Commit(gen, j.durable, buf)
+		}
 		if fault != nil && fault.SyncDelay != nil {
 			time.Sleep(fault.SyncDelay())
 		}
@@ -762,7 +794,6 @@ func (j *Journal) flush() {
 		if err == nil && fault != nil && fault.SyncErr != nil {
 			err = fault.SyncErr()
 		}
-		j.lastSync = time.Since(start)
 	}
 	if err != nil {
 		err = fmt.Errorf("journal: commit failed: %v", err)
@@ -781,22 +812,16 @@ func (j *Journal) flush() {
 		j.err = err
 		j.mu.Unlock()
 	} else {
-		off := j.durable
 		j.durable += int64(len(buf))
 		j.mu.Lock()
 		j.sinceSnapshot += n
 		j.appended += uint64(n)
 		j.flushes++
 		j.durablePub = j.durable
-		gen, tap := j.gen, j.tap
 		j.mu.Unlock()
-		// The tap runs before tickets settle: in synchronous-replication
-		// mode nothing is acknowledged to a caller until the followers
-		// hold it too. The chunk slice is only valid for the duration of
-		// the call.
-		if tap != nil {
-			tap.Committed(gen, off, buf)
-		}
+	}
+	if settle != nil {
+		settle(err)
 	}
 	b.err = err
 	close(b.done)

@@ -24,20 +24,23 @@ import (
 // back to the last good frame by ordinary recovery; a chunk torn on the
 // wire is caught by the offset arithmetic and triggers a resync.
 
-// Tap observes the journal's durable events; see Journal.SetTap. Both
-// callbacks run on the goroutine that made the bytes durable — the
-// writer for Committed, the compaction goroutine for Snapshotted — so
-// an implementation must either return quickly (enqueue-and-go) or
-// accept that commit latency now includes replication (the synchronous
-// shipping mode, which is what gives zero-loss failover).
+// Tap observes the journal's commits and snapshots; see Journal.SetTap.
+// Neither slice handed to it is modified afterwards, so an
+// implementation may keep them.
 type Tap interface {
-	// Committed delivers the chunk a successful group commit just made
-	// durable at (gen, offset). The slice is only valid for the duration
-	// of the call.
-	Committed(gen uint64, offset int64, chunk []byte)
-	// Snapshotted delivers a freshly persisted state image; segments
-	// below gen are retired on the leader and may be retired on the
-	// follower too.
+	// Commit is called on the writer goroutine with the chunk of a group
+	// commit at (gen, offset), after it was written to the segment and
+	// before it is synced, so whatever the tap starts runs beside the
+	// local fsync. The writer calls the returned settle function once,
+	// after the sync, with its outcome, and settles the commit's tickets
+	// only when settle has returned: what settle waits for is part of
+	// every acknowledgement (the synchronous shipping mode, which gives
+	// zero-loss failover). A non-nil err means the chunk was never made
+	// durable and has been truncated away.
+	Commit(gen uint64, offset int64, chunk []byte) (settle func(err error))
+	// Snapshotted delivers a freshly persisted state image on the
+	// goroutine that wrote it; segments below gen are retired on the
+	// leader and may be retired on the follower too.
 	Snapshotted(gen uint64, image []byte)
 }
 
@@ -325,7 +328,8 @@ func (r *Replica) Close() error {
 // ShipTransport carries replication traffic to one follower: the
 // in-process form wraps a *Replica directly, the federation layer
 // provides an HTTP form. Implementations must be safe for use from one
-// goroutine at a time.
+// goroutine at a time — the Shipper calls each follower's transport
+// only from that follower's delivery goroutine.
 type ShipTransport interface {
 	ShipSegment(gen uint64, offset int64, chunk []byte, reset bool) error
 	ShipSnapshot(gen uint64, image []byte) error
@@ -352,16 +356,19 @@ type Follower struct {
 
 // ShipperOptions tunes a Shipper.
 type ShipperOptions struct {
-	// Synchronous ships each commit inline on the journal's writer
-	// goroutine before any ticket settles: an acknowledged commit is on
-	// every reachable follower, which is what makes failover zero-loss.
-	// A follower that errors drops to asynchronous resync so the leader
-	// never wedges behind a dead peer. When false, commits are queued
-	// and shipped by per-follower goroutines (bounded lag, no added
-	// commit latency).
+	// Synchronous makes every group commit wait, before any of its
+	// tickets settles, until each in-sync follower has applied its chunk:
+	// an acknowledged commit is on every such follower, which is what
+	// makes failover zero-loss. The ship runs on the follower's delivery
+	// goroutine beside the leader's own fsync; the journal's writer only
+	// joins it. A follower that errors drops to a resync and is not
+	// waited for until it has caught up, so the leader never wedges
+	// behind a dead peer; FollowerStatus.AsyncCommits counts the commits
+	// that settled without it. When false, no commit waits (bounded lag,
+	// no added commit latency).
 	Synchronous bool
-	// QueueBytes bounds each follower's async queue; past it the queue
-	// collapses into a resync marker. 0 means 16 MiB.
+	// QueueBytes bounds each follower's queue; past it the queue
+	// collapses into a resync. 0 means 16 MiB.
 	QueueBytes int
 	// Backoff paces retry after a follower error; the zero value uses
 	// core.Backoff defaults.
@@ -370,30 +377,55 @@ type ShipperOptions struct {
 }
 
 // shipEvent is one queued replication event: a segment chunk or (when
-// image != nil) a snapshot.
+// image != nil) a snapshot. seq numbers a follower's events from 1 in
+// queue order.
 type shipEvent struct {
+	seq    uint64
 	gen    uint64
 	offset int64
 	chunk  []byte
 	image  []byte
 }
 
-// followerState is the shipper's per-follower bookkeeping.
+// followerState is the shipper's per-follower bookkeeping. Everything
+// travels one FIFO — chunks and snapshots in commit order — drained by
+// the follower's one delivery goroutine, the only caller of t.
 type followerState struct {
 	name string
 	t    ShipTransport
 
-	mu         sync.Mutex
-	queue      []shipEvent
-	queued     int // bytes in queue
-	needResync bool
-	lastErr    string
-	resyncs    uint64
-	shipGen    uint64 // last position handed to the transport
-	shipOff    int64
-	ackGen     uint64 // last position the follower confirmed durable
-	ackOff     int64
-	kick       chan struct{}
+	mu     sync.Mutex
+	queue  []shipEvent
+	queued int // bytes in queue
+	// enqueued is the seq of the newest event; released the seq up to
+	// which the writer has nothing left to wait for — delivered, or given
+	// up on by a demotion. cond announces released (and closed) moving.
+	enqueued uint64
+	released uint64
+	cond     *sync.Cond
+	// waitSeq is the event the commit in flight joins on, 0 when it does
+	// not wait for this follower; set and read by the writer goroutine.
+	waitSeq uint64
+	// needResync sends the delivery goroutine through a directory
+	// resync before the queue; demotions counts the times it was set, so
+	// a resync that was overtaken by another demotion does not clear it.
+	needResync   bool
+	demotions    uint64
+	closed       bool
+	lastErr      string
+	resyncs      uint64
+	asyncCommits uint64
+	shipGen      uint64 // last position handed to the transport
+	shipOff      int64
+	ackGen       uint64 // last position the follower confirmed durable
+	ackOff       int64
+	kick         chan struct{}
+}
+
+// ackCovers reports whether the follower confirmed everything up to
+// (gen, end); fs.mu held.
+func (fs *followerState) ackCovers(gen uint64, end int64) bool {
+	return gen < fs.ackGen || (gen == fs.ackGen && end <= fs.ackOff)
 }
 
 // FollowerStatus is one follower's replication health, surfaced through
@@ -414,6 +446,12 @@ type FollowerStatus struct {
 	// recovery); LastError is the most recent transport failure.
 	Resyncs   uint64 `json:"resyncs"`
 	LastError string `json:"lastError,omitempty"`
+	// AsyncCommits counts group commits whose tickets settled before
+	// this follower confirmed their bytes: every commit a resyncing
+	// follower was not waited for, and in asynchronous mode every commit
+	// the follower had not already applied. 0 on a synchronous follower
+	// means no acknowledged record ever existed on the leader alone.
+	AsyncCommits uint64 `json:"asyncCommits"`
 }
 
 // Shipper replicates a journal to follower peers. It implements Tap;
@@ -441,6 +479,7 @@ func NewShipper(jn *Journal, followers []Follower, opts ShipperOptions) *Shipper
 	for _, f := range followers {
 		fs := &followerState{name: f.Name, t: f.T, needResync: true,
 			kick: make(chan struct{}, 1)}
+		fs.cond = sync.NewCond(&fs.mu)
 		fs.kick <- struct{}{} // start the initial resync at attach, not at first commit
 		s.followers = append(s.followers, fs)
 		s.wg.Add(1)
@@ -451,77 +490,95 @@ func NewShipper(jn *Journal, followers []Follower, opts ShipperOptions) *Shipper
 
 var _ Tap = (*Shipper)(nil)
 
-// Committed implements Tap: in synchronous mode the chunk is shipped to
-// every in-sync follower before the commit's tickets settle; a failure
-// demotes that follower to asynchronous resync. In asynchronous mode
-// the chunk is queued.
-func (s *Shipper) Committed(gen uint64, offset int64, chunk []byte) {
+// Commit implements Tap: the chunk joins every follower's queue while
+// the leader's fsync is still ahead, and the returned settle joins the
+// ships after it.
+func (s *Shipper) Commit(gen uint64, offset int64, chunk []byte) func(error) {
 	for _, fs := range s.followers {
-		if s.opts.Synchronous && s.trySyncShip(fs, gen, offset, chunk) {
-			continue
+		fs.mu.Lock()
+		wait := s.opts.Synchronous && !fs.needResync
+		seq := s.enqueueLocked(fs, shipEvent{gen: gen, offset: offset, chunk: chunk})
+		fs.waitSeq = 0
+		if wait {
+			fs.waitSeq = seq
 		}
-		s.enqueue(fs, shipEvent{gen: gen, offset: offset,
-			chunk: append([]byte(nil), chunk...)})
+		fs.mu.Unlock()
+	}
+	end := offset + int64(len(chunk))
+	return func(err error) { s.settle(gen, end, err) }
+}
+
+// settle runs on the writer after the local sync of the chunk ending at
+// (gen, end). On success it waits for the followers the commit joins on
+// and counts those that do not hold the chunk. On failure the chunk was
+// truncated away on the leader but may sit on any follower: each is
+// sent to a resync, which rewrites its segment from the durable
+// watermark, so a failed commit's bytes do not survive on a promotable
+// replica. Nothing follows a failed commit (the journal is sticky), so
+// the queue goes too.
+func (s *Shipper) settle(gen uint64, end int64, err error) {
+	for _, fs := range s.followers {
+		fs.mu.Lock()
+		if err != nil {
+			fs.queue, fs.queued = nil, 0
+			s.demoteLocked(fs, fmt.Errorf("leader commit failed, resyncing to the durable prefix: %v", err))
+		} else {
+			for fs.released < fs.waitSeq && !fs.closed {
+				fs.cond.Wait()
+			}
+			if !fs.ackCovers(gen, end) {
+				fs.asyncCommits++
+			}
+		}
+		fs.mu.Unlock()
 	}
 }
 
-// Snapshotted implements Tap; snapshots always travel the async queue —
-// they carry no commit-acknowledgement semantics, only compaction.
+// Snapshotted implements Tap; a snapshot travels the same queue as the
+// chunks around it but nothing waits for it — it carries no commit-
+// acknowledgement semantics, only compaction.
 func (s *Shipper) Snapshotted(gen uint64, image []byte) {
 	for _, fs := range s.followers {
-		s.enqueue(fs, shipEvent{gen: gen, image: append([]byte(nil), image...)})
+		fs.mu.Lock()
+		s.enqueueLocked(fs, shipEvent{gen: gen, image: image})
+		fs.mu.Unlock()
 	}
 }
 
-// trySyncShip ships one chunk inline; returns false when the follower
-// is resyncing or the transport failed (the caller queues instead).
-func (s *Shipper) trySyncShip(fs *followerState, gen uint64, offset int64, chunk []byte) bool {
-	fs.mu.Lock()
-	busy := fs.needResync || len(fs.queue) > 0
-	fs.mu.Unlock()
-	if busy {
-		return false
-	}
-	err := fs.t.ShipSegment(gen, offset, chunk, false)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err != nil {
-		fs.lastErr = err.Error()
-		fs.needResync = true
-		s.opts.Logf("journal: shipper: %s: sync ship failed, resyncing: %v", fs.name, err)
-		s.kickLocked(fs)
-		return false
-	}
-	fs.shipGen, fs.shipOff = gen, offset+int64(len(chunk))
-	fs.ackGen, fs.ackOff = fs.shipGen, fs.shipOff
-	fs.lastErr = ""
-	return true
-}
-
-func (s *Shipper) enqueue(fs *followerState, ev shipEvent) {
-	fs.mu.Lock()
+// enqueueLocked appends ev to the follower's queue and returns its seq.
+// Past QueueBytes everything older is dropped for a resync: the
+// directory pass ships the same bytes from disk without unbounded
+// memory. ev itself stays, because a chunk arrives here before it is
+// durable and the resync stops at the durable watermark.
+func (s *Shipper) enqueueLocked(fs *followerState, ev shipEvent) uint64 {
+	fs.enqueued++
+	ev.seq = fs.enqueued
 	n := len(ev.chunk) + len(ev.image)
-	if fs.queued+n > s.opts.QueueBytes {
-		// Collapse into a resync marker: the directory pass ships the
-		// same bytes from disk without unbounded memory.
+	if fs.queued+n > s.opts.QueueBytes && len(fs.queue) > 0 {
 		fs.queue, fs.queued = nil, 0
-		fs.needResync = true
-	} else {
-		fs.queue = append(fs.queue, ev)
-		fs.queued += n
+		s.demoteLocked(fs, fmt.Errorf("queue over %d bytes", s.opts.QueueBytes))
 	}
-	s.kickLocked(fs)
-	fs.mu.Unlock()
+	fs.queue = append(fs.queue, ev)
+	fs.queued += n
+	wake(fs.kick)
+	return ev.seq
 }
 
-func (s *Shipper) kickLocked(fs *followerState) {
-	select {
-	case fs.kick <- struct{}{}:
-	default:
-	}
+// demoteLocked takes the follower out of sync: the next thing its
+// delivery goroutine does is a resync, and the writer stops waiting for
+// anything queued so far.
+func (s *Shipper) demoteLocked(fs *followerState, err error) {
+	s.opts.Logf("journal: shipper: %s: %v", fs.name, err)
+	fs.lastErr = err.Error()
+	fs.needResync = true
+	fs.demotions++
+	fs.released = fs.enqueued
+	fs.cond.Broadcast()
+	wake(fs.kick)
 }
 
-// run is one follower's delivery loop.
+// run is one follower's delivery loop: a pending resync first, then the
+// queue head, until both are exhausted.
 func (s *Shipper) run(fs *followerState) {
 	defer s.wg.Done()
 	b := s.opts.Backoff
@@ -533,78 +590,79 @@ func (s *Shipper) run(fs *followerState) {
 		}
 		for {
 			fs.mu.Lock()
-			resync := fs.needResync
+			resync, demotions := fs.needResync, fs.demotions
 			var ev shipEvent
-			haveEv := false
-			if !resync && len(fs.queue) > 0 {
+			if len(fs.queue) > 0 {
 				ev = fs.queue[0]
-				fs.queue = fs.queue[1:]
-				fs.queued -= len(ev.chunk) + len(ev.image)
-				haveEv = true
 			}
 			fs.mu.Unlock()
 			if resync {
-				if err := s.resync(fs); err != nil {
-					fs.mu.Lock()
+				err := s.resync(fs)
+				fs.mu.Lock()
+				if err != nil {
 					fs.lastErr = err.Error()
-					fs.mu.Unlock()
-					select {
-					case <-s.quit:
-						return
-					case <-time.After(b.Next()):
-					}
+				} else if fs.demotions == demotions {
+					fs.needResync = false
+					fs.lastErr = ""
+				}
+				fs.mu.Unlock()
+				if err == nil {
+					b.Reset()
 					continue
 				}
-				b.Reset()
-				fs.mu.Lock()
-				fs.needResync = false
-				fs.lastErr = ""
-				fs.mu.Unlock()
+				select {
+				case <-s.quit:
+					return
+				case <-time.After(b.Next()):
+				}
 				continue
 			}
-			if !haveEv {
+			if ev.seq == 0 {
 				break
 			}
-			if ev.image == nil {
-				// A resync may have carried these bytes already (the event
-				// was queued before the directory pass ran); replaying them
-				// would look like a gap to the replica and trigger another
-				// resync, cycling forever under steady traffic. Skip events
-				// fully behind the acked position.
-				fs.mu.Lock()
-				covered := ev.gen < fs.ackGen ||
-					(ev.gen == fs.ackGen && ev.offset+int64(len(ev.chunk)) <= fs.ackOff)
-				fs.mu.Unlock()
-				if covered {
-					continue
-				}
-			}
-			if err := s.deliver(fs, ev); err != nil {
-				s.opts.Logf("journal: shipper: %s: %v", fs.name, err)
-				fs.mu.Lock()
-				fs.lastErr = err.Error()
-				fs.needResync = true
-				fs.queue, fs.queued = nil, 0
-				fs.mu.Unlock()
+			err := s.deliver(fs, ev)
+			fs.mu.Lock()
+			if err != nil {
+				// The event stays at the head: the resync stops at the
+				// durable watermark, which may be short of it, and then it
+				// is what extends the replica's tail.
+				s.demoteLocked(fs, err)
 			} else {
-				b.Reset()
+				if len(fs.queue) > 0 && fs.queue[0].seq == ev.seq {
+					fs.queue = fs.queue[1:]
+					fs.queued -= len(ev.chunk) + len(ev.image)
+				}
+				fs.released = max(fs.released, ev.seq)
+				fs.cond.Broadcast()
 			}
+			fs.mu.Unlock()
 		}
 	}
 }
 
+// deliver ships one event; a chunk the follower already confirmed (a
+// resync carried it while it was queued) is skipped — replaying it
+// would look like a gap to the replica.
 func (s *Shipper) deliver(fs *followerState, ev shipEvent) error {
 	if ev.image != nil {
 		return fs.t.ShipSnapshot(ev.gen, ev.image)
 	}
+	end := ev.offset + int64(len(ev.chunk))
 	fs.mu.Lock()
-	fs.shipGen, fs.shipOff = ev.gen, ev.offset+int64(len(ev.chunk))
+	covered := fs.ackCovers(ev.gen, end)
+	if !covered {
+		fs.shipGen, fs.shipOff = ev.gen, end
+	}
 	fs.mu.Unlock()
+	if covered {
+		return nil
+	}
 	if err := fs.t.ShipSegment(ev.gen, ev.offset, ev.chunk, false); err != nil {
 		return err
 	}
 	fs.mu.Lock()
-	fs.ackGen, fs.ackOff = ev.gen, ev.offset+int64(len(ev.chunk))
+	fs.ackGen, fs.ackOff = ev.gen, end
+	fs.lastErr = ""
 	fs.mu.Unlock()
 	return nil
 }
@@ -673,12 +731,12 @@ func (s *Shipper) Status() []FollowerStatus {
 			AckedOffset:       fs.ackOff,
 			Resyncs:           fs.resyncs,
 			LastError:         fs.lastErr,
+			AsyncCommits:      fs.asyncCommits,
 		}
 		if fs.ackGen == durGen {
-			st.LagBytes = durOff - fs.ackOff
-			if st.LagBytes < 0 {
-				st.LagBytes = 0
-			}
+			// The follower may be ahead: it applies a chunk while the
+			// leader is still syncing it.
+			st.LagBytes = max(durOff-fs.ackOff, 0)
 		} else {
 			// Across a rotation the byte distance is not well defined;
 			// report the queued volume plus the leader tail as a bound.
@@ -690,9 +748,16 @@ func (s *Shipper) Status() []FollowerStatus {
 	return out
 }
 
-// Close stops the delivery goroutines; queued events are dropped (the
-// next shipper run resyncs from the directory).
+// Close stops the delivery goroutines and releases a commit waiting on
+// them; queued events are dropped (the next shipper run resyncs from
+// the directory).
 func (s *Shipper) Close() {
 	close(s.quit)
+	for _, fs := range s.followers {
+		fs.mu.Lock()
+		fs.closed = true
+		fs.cond.Broadcast()
+		fs.mu.Unlock()
+	}
 	s.wg.Wait()
 }

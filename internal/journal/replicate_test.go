@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +15,8 @@ import (
 )
 
 // newLeaderWithFollower wires a journal to one local replica through a
-// synchronous shipper — the production failover topology, in-process.
+// synchronous shipper — the production failover topology, in-process —
+// and returns once the attach-time resync is over.
 func newLeaderWithFollower(t *testing.T, opts Options) (*Journal, *Replica, *Shipper) {
 	t.Helper()
 	j, _ := mustOpen(t, t.TempDir(), opts)
@@ -25,6 +28,7 @@ func newLeaderWithFollower(t *testing.T, opts Options) (*Journal, *Replica, *Shi
 		ShipperOptions{Synchronous: true, Logf: t.Logf})
 	j.SetTap(s)
 	t.Cleanup(func() { s.Close() })
+	waitInSync(t, s)
 	return j, r, s
 }
 
@@ -32,18 +36,23 @@ func newLeaderWithFollower(t *testing.T, opts Options) (*Journal, *Replica, *Shi
 // leader's durable watermark (same generation, same byte size).
 func waitConverged(t *testing.T, j *Journal, r *Replica) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	eventually(t, "the replica to hold the leader's durable bytes", func() bool {
 		gen, off := j.durableState()
 		st := r.State()
-		if st.Gen == gen && st.Size == off && st.Err == "" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never converged: leader gen %d off %d, replica %+v", gen, off, st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return st.Gen == gen && st.Size == off && st.Err == ""
+	})
+}
+
+// waitInSync waits until the follower's catch-up resync is over, so the
+// commits that follow are ones the writer waits for.
+func waitInSync(t *testing.T, s *Shipper) {
+	t.Helper()
+	eventually(t, "the follower to be in sync", func() bool {
+		fs := s.followers[0]
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		return !fs.needResync
+	})
 }
 
 func appendUsers(t *testing.T, j *Journal, from, n int) {
@@ -262,9 +271,13 @@ func TestFollowerStickyENOSPC(t *testing.T) {
 	r.SetFault(&FaultInjection{WriteErr: func(int) error {
 		return errors.New("write: no space left on device")
 	}})
-	// Every commit still settles: the shipper demotes the follower to
-	// async resync instead of blocking the leader's writer.
+	// Every commit still settles: the first ship fails beside the
+	// leader's own sync and demotes the follower to a resync, which the
+	// writer does not wait for — and each such commit is counted.
 	appendUsers(t, j, 3, 5)
+	if st := s.Status()[0]; st.AsyncCommits != 5 {
+		t.Fatalf("async commits = %d, want the 5 that settled without the follower", st.AsyncCommits)
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		sts := s.Status()
@@ -280,16 +293,195 @@ func TestFollowerStickyENOSPC(t *testing.T) {
 	// Heal the disk: the retry loop must converge the follower on its own.
 	r.SetFault(nil)
 	waitConverged(t, j, r)
+	waitInSync(t, s)
+	appendUsers(t, j, 8, 1)
 	sts := s.Status()
-	if sts[0].LagBytes != 0 || sts[0].Resyncs == 0 {
-		t.Fatalf("healed follower status = %+v, want zero lag after at least one resync", sts[0])
+	if sts[0].LagBytes != 0 || sts[0].Resyncs == 0 || sts[0].AsyncCommits != 5 {
+		t.Fatalf("healed follower status = %+v, want zero lag after at least one resync and no further async commit", sts[0])
 	}
 
 	j.Crash()
 	r.Close()
 	p, rec := mustOpen(t, r.Dir(), Options{})
 	defer p.Close()
-	if got := userIDs(rec.Records); len(got) != 8 {
-		t.Fatalf("promoted replica replayed %d users, want all 8", len(got))
+	if got := userIDs(rec.Records); len(got) != 9 {
+		t.Fatalf("promoted replica replayed %d users, want all 9", len(got))
+	}
+}
+
+// gateTransport holds the first snapshot ship at a gate until the test
+// opens it; everything else passes straight to the replica.
+type gateTransport struct {
+	LocalTransport
+	entered chan struct{} // closed when the first snapshot ship arrives
+	open    chan struct{} // closed by the test to let it through
+	once    sync.Once
+}
+
+func (g *gateTransport) ShipSnapshot(gen uint64, image []byte) error {
+	g.once.Do(func() { close(g.entered) })
+	<-g.open
+	return g.LocalTransport.ShipSnapshot(gen, image)
+}
+
+// settleCheck wraps a Tap and, at the instant a commit's tickets are
+// about to settle, checks that the replica holds the commit's bytes.
+type settleCheck struct {
+	Tap
+	r       *Replica
+	missing atomic.Int64
+}
+
+func (c *settleCheck) Commit(gen uint64, offset int64, chunk []byte) func(error) {
+	settle := c.Tap.Commit(gen, offset, chunk)
+	end := offset + int64(len(chunk))
+	return func(err error) {
+		settle(err)
+		if st := c.r.State(); err == nil && (st.Gen < gen || st.Gen == gen && st.Size < end) {
+			c.missing.Add(1)
+		}
+	}
+}
+
+// TestSyncShipOrderedBehindSnapshot: in synchronous mode a commit that
+// arrives while a snapshot ship is queued or in flight goes behind it
+// in the follower's one queue and is waited for like any other — it is
+// not acknowledged asynchronously, and it does not overtake what is
+// ahead of it into a gap and a resync. Every commit here rotates the
+// segment (SnapshotEvery 1), so snapshots are in the queue all the time.
+func TestSyncShipOrderedBehindSnapshot(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{SnapshotEvery: 1})
+	defer j.Close()
+	j.SetSnapshotSource(NewStateImage)
+	r, err := OpenReplica(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	gate := &gateTransport{LocalTransport: LocalTransport{R: r},
+		entered: make(chan struct{}), open: make(chan struct{})}
+	s := NewShipper(j, []Follower{{Name: "f1", T: gate}}, ShipperOptions{Synchronous: true})
+	defer s.Close()
+	check := &settleCheck{Tap: s, r: r}
+	j.SetTap(check)
+	waitInSync(t, s)
+	attach := s.Status()[0].Resyncs
+
+	// The first commit rotates; its snapshot ship is held at the gate.
+	appendUsers(t, j, 0, 1)
+	<-gate.entered
+	// Commits behind the held snapshot: the gate opens only once two
+	// events are queued at the follower, so at least one commit was
+	// handed over with a snapshot ahead of it.
+	go func() {
+		fs := s.followers[0]
+		for {
+			fs.mu.Lock()
+			n := len(fs.queue)
+			fs.mu.Unlock()
+			if n >= 2 {
+				close(gate.open)
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	appendUsers(t, j, 1, 3)
+
+	// And under load: concurrent appenders across many rotations.
+	var wg sync.WaitGroup
+	for a := 0; a < 4; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				if err := j.Append(UserAddedRec(core.UserID(fmt.Sprintf("a%d-%03d", a, i)))).Wait(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if gen := j.Stats().Gen; gen < 20 {
+		t.Fatalf("only %d rotations, want at least 20", gen)
+	}
+	if n := check.missing.Load(); n != 0 {
+		t.Fatalf("%d commits settled before the replica held their bytes", n)
+	}
+	if st := s.Status()[0]; st.Resyncs != attach || st.AsyncCommits != 0 {
+		t.Fatalf("follower status %+v: want resyncs still %d and no async commit", st, attach)
+	}
+	waitConverged(t, j, r)
+}
+
+// TestCrashWithFollowerAhead: the leader dies after a chunk reached the
+// follower and before its own sync made it durable, so the replica is
+// ahead of what the leader recovers. The attach-time resync of the
+// restarted leader rewrites the follower's segment, and the replica
+// ends byte-equal to the leader's recovered one — shorter than it was.
+func TestCrashWithFollowerAhead(t *testing.T) {
+	ldir := t.TempDir()
+	j, _ := mustOpen(t, ldir, Options{})
+	r, err := OpenReplica(t.TempDir(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s := NewShipper(j, []Follower{{Name: "f1", T: LocalTransport{R: r}}},
+		ShipperOptions{Synchronous: true, Logf: t.Logf})
+	j.SetTap(s)
+	waitInSync(t, s)
+	appendUsers(t, j, 0, 3)
+	_, durable := j.durableState()
+
+	// Hold the leader's sync until the follower has applied the chunk.
+	inSync, crashed := make(chan struct{}), make(chan struct{})
+	j.SetFault(&FaultInjection{SyncDelay: func() time.Duration {
+		close(inSync)
+		<-crashed
+		return 0
+	}})
+	lost := j.Append(UserAddedRec("never-acknowledged"))
+	go lost.Wait()
+	<-inSync
+	eventually(t, "the follower to apply the chunk beside the leader's sync",
+		func() bool { return r.State().Size > durable })
+	stopped := make(chan struct{})
+	go func() { j.Crash(); close(stopped) }()
+	eventually(t, "the crash to begin", func() bool { return j.Err() != nil })
+	close(crashed)
+	<-stopped
+	s.Close()
+	// The process died before the sync: the chunk never left the page
+	// cache.
+	if err := os.Truncate(walPath(ldir, 0), durable); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.State(); st.Size <= durable {
+		t.Fatalf("replica size %d, want it ahead of the leader's %d", st.Size, durable)
+	}
+
+	j2, rec := mustOpen(t, ldir, Options{})
+	defer j2.Close()
+	if got := userIDs(rec.Records); len(got) != 3 {
+		t.Fatalf("leader recovered %v, want the 3 acknowledged users", got)
+	}
+	s2 := NewShipper(j2, []Follower{{Name: "f1", T: LocalTransport{R: r}}},
+		ShipperOptions{Synchronous: true, Logf: t.Logf})
+	j2.SetTap(s2)
+	defer s2.Close()
+	waitInSync(t, s2)
+	want, err := os.ReadFile(walPath(ldir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(walPath(r.Dir(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || int64(len(got)) != durable {
+		t.Fatalf("replica segment is %d bytes, leader's recovered segment %d (durable %d): not byte-equal",
+			len(got), len(want), durable)
 	}
 }

@@ -22,10 +22,15 @@ type walTap struct {
 	buf []byte
 }
 
-func (w *walTap) Committed(_ uint64, _ int64, chunk []byte) {
-	w.mu.Lock()
-	w.buf = append(w.buf, chunk...)
-	w.mu.Unlock()
+func (w *walTap) Commit(_ uint64, _ int64, chunk []byte) func(error) {
+	return func(err error) {
+		if err != nil {
+			return
+		}
+		w.mu.Lock()
+		w.buf = append(w.buf, chunk...)
+		w.mu.Unlock()
+	}
 }
 
 func (w *walTap) Snapshotted(uint64, []byte) {}

@@ -104,6 +104,7 @@ func (s *Server) replicationHealth() []api.FollowerHealth {
 			LagBytes:          f.LagBytes,
 			Resyncs:           f.Resyncs,
 			LastError:         f.LastError,
+			AsyncCommits:      f.AsyncCommits,
 		})
 	}
 	return out

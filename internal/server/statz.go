@@ -69,7 +69,8 @@ func (s *Server) Statz() api.Statz {
 	// Replication lag aggregates across followers: the worst byte lag
 	// and the oldest segment fully shipped anywhere, so one scrape says
 	// whether a failover right now would lose acknowledged writes (it
-	// cannot, in synchronous mode — lag stays at zero between commits).
+	// cannot, in synchronous mode — lag stays at zero between commits —
+	// unless a follower fell out of sync, which ReplAsyncCommits counts).
 	s.mu.Lock()
 	sh := s.shipper
 	s.mu.Unlock()
@@ -81,6 +82,7 @@ func (s *Server) Statz() api.Statz {
 			if st.LastSegmentShipped == 0 || f.LastShippedGen < st.LastSegmentShipped {
 				st.LastSegmentShipped = f.LastShippedGen
 			}
+			st.ReplAsyncCommits += f.AsyncCommits
 		}
 	}
 	return st

@@ -61,10 +61,10 @@ type Store struct {
 	// only go on the wire for durable rows. The void acknowledgement-
 	// path mutations (acks, removals, plugin drops) enqueue without
 	// waiting: the vehicle holds the ground truth they mirror, their
-	// records still commit with the next group commit (≤ one commit
-	// window later), and a crash inside that window merely under-reports
-	// — recovery shows an install unacked that the vehicle acked, never
-	// the reverse. Blocking the per-vehicle ECM read loop one fsync per
+	// records still commit with the next waited commit or when the
+	// journal's linger bound (2 ms) runs out, and a crash before that
+	// merely under-reports — recovery shows an install unacked that the
+	// vehicle acked, never the reverse. Blocking the per-vehicle ECM read loop one fsync per
 	// ack would put two more commit hops on every deploy's critical
 	// path for no safety gain.
 	jn journal.Appender
