@@ -172,6 +172,10 @@ func main() {
 		st, err := client.Statz(ctx)
 		if err == nil {
 			printShardLine(st.Shard, st.Role, st.ShardEpoch)
+			if st.JournalImageBytes > 0 || st.JournalSegmentBytes > 0 {
+				fmt.Fprintf(os.Stderr, "# journal: image=%dB segment=%dB since-snapshot=%d records\n",
+					st.JournalImageBytes, st.JournalSegmentBytes, st.JournalSinceSnapshot)
+			}
 			if st.LastSegmentShipped > 0 || st.ReplLagBytes > 0 {
 				fmt.Fprintf(os.Stderr, "# replication: lag=%dB last-segment-shipped=wal-%016d async-commits=%d\n",
 					st.ReplLagBytes, st.LastSegmentShipped, st.ReplAsyncCommits)

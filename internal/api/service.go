@@ -377,11 +377,17 @@ type Statz struct {
 	PushesSent        uint64 `json:"pushesSent"`
 	// Journal counters (zero when running memory-only): records
 	// flushed, group commits (write+fsync pairs, the "syncs"), records
-	// since the last snapshot, and the snapshot generation.
+	// since the last snapshot, the snapshot generation, and the byte
+	// sizes compaction compares — the newest state image and the
+	// committed part of the current segment, which is what a restart
+	// now would replay; the journal compacts once the segment has
+	// outgrown the image by a fixed factor.
 	JournalRecords       uint64 `json:"journalRecords"`
 	JournalCommits       uint64 `json:"journalCommits"`
 	JournalSinceSnapshot int    `json:"journalSinceSnapshot"`
 	JournalGen           uint64 `json:"journalGen"`
+	JournalImageBytes    int64  `json:"journalImageBytes"`
+	JournalSegmentBytes  int64  `json:"journalSegmentBytes"`
 	// Federation counters (zero/empty on an unsharded server): the
 	// shard identity and role, the leadership epoch, the worst
 	// per-follower replication lag in bytes, the newest segment

@@ -192,6 +192,77 @@ func TestRouterPartitionsVehicles(t *testing.T) {
 	}
 }
 
+// TestStatzReportsJournalBytes: GET /v1/statz carries the two sizes the
+// journal's compaction compares — the newest state image and the
+// committed part of the current segment — per shard exactly as
+// Journal.Stats has them, and the Router sums them over the shards.
+func TestStatzReportsJournalBytes(t *testing.T) {
+	ctx := context.Background()
+	servers := map[string]*server.Server{}
+	clients := map[string]api.DeploymentService{}
+	var shards []Shard
+	for _, n := range []string{"s1", "s2", "s3"} {
+		s := server.New()
+		s.SetShard(n)
+		if err := s.OpenJournal(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		servers[n], clients[n] = s, api.NewClient(ts.URL, nil)
+		shards = append(shards, Shard{Name: n, Replicas: []Replica{{Name: n + "-a", Svc: clients[n]}}})
+	}
+	r, err := NewRouter(shards, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.CreateUser(ctx, api.CreateUserRequest{ID: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	bind := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			conf := modelCarConf(core.VehicleID(fmt.Sprintf("VIN-%03d", i)))
+			if _, err := r.BindVehicle(ctx, api.BindVehicleRequest{Owner: "alice", Conf: conf}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bind(0, 12)
+	// One shard has compacted, the others never have; every shard then
+	// grows a segment on top.
+	if err := servers["s2"].Journal().Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	bind(12, 12)
+
+	var image, segment int64
+	for n, s := range servers {
+		st, err := clients[n].Statz(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := s.Journal().Stats()
+		if st.JournalImageBytes != js.ImageBytes || st.JournalSegmentBytes != js.SegmentBytes || js.SegmentBytes == 0 {
+			t.Fatalf("shard %s: statz reports image %d / segment %d bytes, the journal %d / %d",
+				n, st.JournalImageBytes, st.JournalSegmentBytes, js.ImageBytes, js.SegmentBytes)
+		}
+		if (js.ImageBytes > 0) != (n == "s2") {
+			t.Fatalf("shard %s: image of %d bytes, only s2 took a snapshot", n, js.ImageBytes)
+		}
+		image += js.ImageBytes
+		segment += js.SegmentBytes
+	}
+	sum, err := r.Statz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.JournalImageBytes != image || sum.JournalSegmentBytes != segment {
+		t.Fatalf("router statz reports image %d / segment %d bytes, the shards sum to %d / %d",
+			sum.JournalImageBytes, sum.JournalSegmentBytes, image, segment)
+	}
+}
+
 func TestRouterBatchFanOutAggregates(t *testing.T) {
 	r, _ := newLocalFederation(t, "s1", "s2")
 	ctx := context.Background()

@@ -629,6 +629,8 @@ func (r *Router) Statz(ctx context.Context) (api.Statz, error) {
 		out.JournalRecords += st.JournalRecords
 		out.JournalCommits += st.JournalCommits
 		out.JournalSinceSnapshot += st.JournalSinceSnapshot
+		out.JournalImageBytes += st.JournalImageBytes
+		out.JournalSegmentBytes += st.JournalSegmentBytes
 		for code, n := range st.OpsSettled {
 			if out.OpsSettled == nil {
 				out.OpsSettled = make(map[string]uint64)

@@ -232,6 +232,8 @@ func (f *Fleet) statzSnapshot() (api.Statz, bool) {
 		sum.JournalRecords += st.JournalRecords
 		sum.JournalCommits += st.JournalCommits
 		sum.JournalSinceSnapshot += st.JournalSinceSnapshot
+		sum.JournalImageBytes += st.JournalImageBytes
+		sum.JournalSegmentBytes += st.JournalSegmentBytes
 		for k, n := range st.OpsSettled {
 			sum.OpsSettled[k] += n
 		}

@@ -32,8 +32,17 @@ const (
 	// maxRecordBytes rejects absurd lengths when scanning a segment, so
 	// a corrupted length field cannot make recovery allocate gigabytes.
 	maxRecordBytes = 64 << 20
-	// defaultSnapshotEvery compacts after this many records.
+	// defaultSnapshotEvery is the fewest records between two snapshots.
 	defaultSnapshotEvery = 4096
+	// snapshotGrowth (k) is how far, in bytes, the current segment must
+	// outgrow the last state image before the journal compacts again. It
+	// fixes two bounds whatever the size of the state: an image of I bytes
+	// is rewritten at most once per k·I bytes of log, so the journal
+	// writes at most 1 + 1/k bytes per byte logged; and recovery replays
+	// at most max(SnapshotEvery records, k × image bytes) of log on top of
+	// the image it loads. A record count alone rewrites the whole state
+	// every SnapshotEvery records — O(state size) per record.
+	snapshotGrowth = 4
 	// maxLinger bounds how long a batch nobody waits on (acks, operation
 	// bookkeeping — the advisory appends) stays in memory before the
 	// writer commits it anyway: the width of the window in which a crash
@@ -118,9 +127,11 @@ func wake(kick chan<- struct{}) {
 
 // Options tunes a journal.
 type Options struct {
-	// SnapshotEvery triggers snapshot compaction after this many
-	// records since the last snapshot; 0 means the default (4096),
-	// negative disables automatic compaction.
+	// SnapshotEvery is the fewest records between two automatic
+	// snapshots: compaction runs once that many were committed since the
+	// last one and the segment has grown to snapshotGrowth times the byte
+	// size of the last state image. 0 means the default (4096), negative
+	// disables automatic compaction.
 	SnapshotEvery int
 	// Logf receives journal diagnostics; nil disables.
 	Logf func(format string, args ...any)
@@ -146,6 +157,14 @@ type Stats struct {
 	LastSnapshot time.Time
 	// SinceSnapshot counts records flushed since the last snapshot.
 	SinceSnapshot int
+	// ImageBytes is the size of the newest durable state image (0 before
+	// the first snapshot) and SegmentBytes the committed size of the
+	// current segment: compaction is due once SegmentBytes reaches
+	// snapshotGrowth × ImageBytes, SegmentBytes is what a restart now
+	// would replay, and 1 + ImageBytes/SegmentBytes at a rotation is the
+	// write amplification.
+	ImageBytes   int64
+	SegmentBytes int64
 	// Appended counts records flushed since Open.
 	Appended uint64
 	// Flushes counts group commits (write + fsync pairs) since Open;
@@ -184,6 +203,7 @@ type Journal struct {
 	gen           uint64 // current segment generation
 	snapGen       uint64 // newest durable snapshot generation
 	snapInFlight  bool   // a background snapshot is being written
+	imageBytes    int64  // size of snapshot snapGen; 0 when there is none
 	sinceSnapshot int
 	appended      uint64
 	flushes       uint64
@@ -281,17 +301,21 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	}
 	rec := &Recovery{}
 	var snapGen uint64
+	var imageBytes int64
 	if len(snaps) > 0 {
 		// Newest parseable snapshot wins. Compaction makes the new
 		// snapshot durable before removing the old pair, so under crash
 		// faults the newest snapshot is always complete; refusing to
 		// silently fall back guards the bit-rot case.
 		snapGen = snaps[len(snaps)-1]
-		img, err := loadSnapshot(snapshotPath(dir, snapGen))
+		raw, err := os.ReadFile(snapshotPath(dir, snapGen))
+		if err == nil {
+			rec.Image, err = decodeSnapshot(raw)
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("journal: snapshot gen %d: %v", snapGen, err)
 		}
-		rec.Image = img
+		imageBytes = int64(len(raw))
 	}
 	// Replay every segment at or after the snapshot, oldest first. A
 	// torn tail on a non-final segment (crash around a rotation) drops
@@ -354,7 +378,10 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	j := &Journal{
 		dir: dir, opts: opts, f: f, gen: appendGen, snapGen: snapGen,
 		durable: appendDurable, durablePub: appendDurable,
-		// A large recovered tail compacts at the first opportunity.
+		// The trigger starts from the recovered image and tail, not from
+		// zero: a tail already past the threshold compacts at the first
+		// opportunity, a large image keeps its proportionally long segment.
+		imageBytes:    imageBytes,
 		sinceSnapshot: replayed,
 		kick:          make(chan struct{}, 1),
 		quit:          make(chan struct{}),
@@ -396,11 +423,8 @@ func scanDir(dir string) (snaps, wals []uint64, err error) {
 	return snaps, wals, nil
 }
 
-func loadSnapshot(path string) (*StateImage, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+// decodeSnapshot parses the bytes of a snapshot file.
+func decodeSnapshot(raw []byte) (*StateImage, error) {
 	var img StateImage
 	if err := json.Unmarshal(raw, &img); err != nil {
 		return nil, err
@@ -660,10 +684,10 @@ func (j *Journal) Sync() error {
 // writer is the single goroutine owning the segment file: it commits
 // the open batch — one write, one fsync, every ticket settled — as soon
 // as someone waits on it, or maxLinger after its first record when
-// nobody does, and compacts when the segment has grown past the
-// snapshot threshold. It sleeps on kick between state changes; every
-// change it must act on (a batch opened, a batch waited on, a snapshot
-// requested) is followed by a wake.
+// nobody does, and compacts when the segment has outgrown the last
+// state image (see maybeCompact). It sleeps on kick between state
+// changes; every change it must act on (a batch opened, a batch waited
+// on, a snapshot requested) is followed by a wake.
 func (j *Journal) writer() {
 	defer close(j.done)
 	linger := time.NewTimer(maxLinger)
@@ -830,17 +854,20 @@ func (j *Journal) flush() {
 	j.mu.Unlock()
 }
 
-// maybeCompact starts a compaction once enough records accumulated
-// since the last snapshot; on the writer goroutine. Only the segment
-// rotation happens here — building, marshaling and writing the state
-// image runs on its own goroutine, so the commit pipeline never stalls
-// behind a snapshot: tickets keep settling at fsync cadence while the
-// image is persisted beside them.
+// maybeCompact starts a compaction once the log has outgrown the last
+// state image: at least SnapshotEvery records since the last snapshot
+// and a segment of at least snapshotGrowth × that image's bytes (no
+// image yet counts as zero bytes). On the writer goroutine. Only the
+// segment rotation happens here — building, marshaling and writing the
+// state image runs on its own goroutine, so the writer keeps committing
+// while the image is persisted beside it.
 func (j *Journal) maybeCompact() {
 	j.mu.Lock()
-	source, broken, since, inflight := j.source, j.err != nil, j.sinceSnapshot, j.snapInFlight
+	source := j.source
+	due := source != nil && j.err == nil && !j.snapInFlight && j.opts.SnapshotEvery > 0 &&
+		j.sinceSnapshot >= j.opts.SnapshotEvery && j.durablePub >= snapshotGrowth*j.imageBytes
 	j.mu.Unlock()
-	if broken || source == nil || j.opts.SnapshotEvery <= 0 || since < j.opts.SnapshotEvery || inflight {
+	if !due {
 		return
 	}
 	next, err := j.rotate()
@@ -943,6 +970,7 @@ func (j *Journal) writeSnapshot(gen uint64, source func() *StateImage, onWriter 
 	syncDir(j.dir)
 	j.mu.Lock()
 	j.snapGen = gen
+	j.imageBytes = int64(len(raw))
 	j.lastSnapshot = time.Now()
 	j.mu.Unlock()
 	// Retire the generations the snapshot replaced; best-effort.
@@ -1083,6 +1111,8 @@ func (j *Journal) Stats() Stats {
 		Gen:           j.gen,
 		LastSnapshot:  j.lastSnapshot,
 		SinceSnapshot: j.sinceSnapshot,
+		ImageBytes:    j.imageBytes,
+		SegmentBytes:  j.durablePub,
 		Appended:      j.appended,
 		Flushes:       j.flushes,
 	}

@@ -542,13 +542,30 @@ func opSeqOf(id string) uint64 {
 	return n
 }
 
+// imageOpsPerHold bounds how many operations stateImage copies in one
+// Server.mu critical section, so a snapshot never stalls ack settles,
+// GetOperation and launches for longer than one small copy.
+const imageOpsPerHold = 256
+
 // stateImage builds the snapshot image for journal compaction: the
-// full store plus the still-open operations and the id counter. It
-// runs on the journal's writer goroutine; no appender ever waits on
-// the journal while holding the locks it takes, so it cannot deadlock.
-// The store part and the operation part are captured a moment apart —
-// safe, because records enqueued in between land in the next segment
-// and record application is idempotent.
+// full store plus the operation registry and the id counters. It runs
+// beside the journal's writer, after the rotation; no appender ever
+// waits on the journal while holding the locks it takes, so it cannot
+// deadlock. The image is not one instant: the store, the counters and
+// each run of imageOpsPerHold operations are captured a moment apart.
+// That is safe for the reason the rotation is — every mutation visible
+// to some part of the image either was flushed to an old segment, and
+// then predates every part, or has its record in the new segment, which
+// replays idempotently on top (and which the journal makes durable
+// before it publishes the image). Between two runs the registry moves
+// on: an operation created since the first hold is past the walk's
+// limit and lives in the new segment alone; one settled since is
+// captured settled and its record replays to the same state; one
+// evicted since is missing from the image exactly as it is missing from
+// the live registry (eviction needs a terminal parent, whose op_settled
+// record is in the new segment, so recovery leaves the hole alone too).
+// The walk resumes by id, not by position, so eviction shifting opOrder
+// between holds skips nothing.
 func (s *Server) stateImage() *journal.StateImage {
 	img := journal.NewStateImage()
 	s.store.imageInto(img)
@@ -556,17 +573,8 @@ func (s *Server) stateImage() *journal.StateImage {
 	img.Shard = s.shardID
 	img.ShardEpoch = s.shardEpoch
 	img.OpSeq = s.opSeq
-	for _, id := range s.opOrder {
-		rec := s.ops[id]
-		if rec == nil {
-			continue
-		}
-		if rec.op.Done {
-			img.SettledOps = append(img.SettledOps, snapshotOpLocked(rec))
-		} else {
-			img.OpenOps = append(img.OpenOps, snapshotOpLocked(rec))
-		}
-	}
+	// Nearly every retained operation is terminal.
+	img.SettledOps = make([]api.Operation, 0, len(s.opOrder))
 	// Open rollouts ride the snapshot too, so compaction cannot lose a
 	// state machine whose records predate the snapshot point. Terminal
 	// rollouts are history and are left to registry retention.
@@ -588,6 +596,31 @@ func (s *Server) stateImage() *journal.StateImage {
 		})
 	}
 	s.mu.Unlock()
+	// opOrder is in creation order, i.e. ascending sequence number; after
+	// is the highest one captured. The walk ends at the end of opOrder or
+	// at the first operation created after the hold above.
+	for after, done := uint64(0), false; !done; {
+		s.mu.Lock()
+		i := sort.Search(len(s.opOrder), func(i int) bool { return opSeqOf(s.opOrder[i]) > after })
+		run := s.opOrder[i:min(i+imageOpsPerHold, len(s.opOrder))]
+		done = len(run) < imageOpsPerHold
+		for _, id := range run {
+			seq := opSeqOf(id)
+			if seq > img.OpSeq {
+				done = true
+				break
+			}
+			after = max(after, seq)
+			switch rec := s.ops[id]; {
+			case rec == nil:
+			case rec.op.Done:
+				img.SettledOps = append(img.SettledOps, snapshotOpLocked(rec))
+			default:
+				img.OpenOps = append(img.OpenOps, snapshotOpLocked(rec))
+			}
+		}
+		s.mu.Unlock()
+	}
 	return img
 }
 

@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"dynautosar/internal/api"
@@ -370,6 +372,117 @@ func TestRecoverySnapshotCompaction(t *testing.T) {
 	// Healthz reports the snapshot's age rather than -1.
 	if h := b.Health(); h.SnapshotAge < 0 {
 		t.Fatalf("health = %+v, want snapshotAge >= 0", h)
+	}
+}
+
+// TestRecoveryImageTakenUnderChurn: a state image is captured in runs of
+// imageOpsPerHold operations with the registry lock released between
+// them, while operations are created, settled and evicted. The image
+// plus the replay of the segment behind it must still be the registry:
+// after the churn stops, every operation the live server holds comes
+// back identical from a crash, anything more that comes back is
+// terminal history the live server had evicted since, and the id counter
+// is the same.
+func TestRecoveryImageTakenUnderChurn(t *testing.T) {
+	old := opRetention
+	opRetention = 4 * imageOpsPerHold // a registry of several runs, evicting all the time
+	t.Cleanup(func() { opRetention = old })
+	dir := t.TempDir()
+	a := openRecovered(t, dir)
+
+	created := func(s *Server) uint64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.opSeq
+	}
+	// The workers churn until told to stop, paced by the journal (a Sync
+	// every 64 operations bounds what they can pile up behind a commit).
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vin := core.VehicleID(fmt.Sprintf("VIN-%d", w))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if w == 0 {
+					// Batches: the parent settles with its last child, and is
+					// what makes the children evictable.
+					_, children := a.newBatchOperation(api.OpBatchDeploy, api.OpDeploy, "alice", "App", "",
+						[]core.VehicleID{vin, vin + "b", vin + "c"}, "")
+					for _, c := range children {
+						a.finishLaunch(c.opID, nil)
+					}
+				} else {
+					rec := a.newOperation(api.OpDeploy, "alice", vin, "App", "", "", fmt.Sprintf("key-%d-%d", w, i))
+					var err error
+					if i%3 == 0 {
+						err = api.Errorf(api.CodeUnavailable, "vehicle %s offline", vin)
+					}
+					a.finishLaunch(rec.op.ID, err)
+				}
+				if i%64 == 63 {
+					if err := a.Journal().Sync(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	// Every image below is taken with the registry full, evicting, and
+	// being appended to; the last one is what recovery loads.
+	waitFor(t, func() bool { return created(a) > 2*uint64(opRetention) })
+	for n := 0; n < 6; n++ {
+		if err := a.Journal().Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	barrier(t, a, "sentinel")
+	live, liveSeq := a.Operations(), created(a)
+	a.Journal().Crash()
+	// Nothing moves any more: statz must carry the journal's own sizes.
+	if js, z := a.Journal().Stats(), a.Statz(); js.ImageBytes == 0 ||
+		z.JournalImageBytes != js.ImageBytes || z.JournalSegmentBytes != js.SegmentBytes {
+		t.Fatalf("statz reports image %d / segment %d bytes, the journal %d / %d",
+			z.JournalImageBytes, z.JournalSegmentBytes, js.ImageBytes, js.SegmentBytes)
+	}
+
+	b := openRecovered(t, dir)
+	defer b.Close()
+	if st := b.RecoveryStats(); st.SnapshotTime.IsZero() || st.Interrupted != 0 {
+		t.Fatalf("recovery stats %+v: want an image and nothing interrupted", st)
+	}
+	if recoveredSeq := created(b); recoveredSeq != liveSeq {
+		t.Fatalf("recovered operation counter %d, live %d", recoveredSeq, liveSeq)
+	}
+	if len(live) < 2*imageOpsPerHold {
+		t.Fatalf("live registry holds %d operations, too few to span image runs", len(live))
+	}
+	inLive := make(map[string]bool, len(live))
+	for _, want := range live {
+		inLive[want.ID] = true
+		if want.Parent != "" {
+			continue // a settled batch's children are not journaled; recovery leaves the hole
+		}
+		got, ok := b.Operation(want.ID)
+		w, _ := json.Marshal(want)
+		g, _ := json.Marshal(got)
+		if !ok || string(g) != string(w) {
+			t.Fatalf("operation %s recovered as %s (found %v), live %s", want.ID, g, ok, w)
+		}
+	}
+	for _, op := range b.Operations() {
+		if !inLive[op.ID] && !op.Done {
+			t.Fatalf("recovered an open operation the live registry does not hold: %+v", op)
+		}
 	}
 }
 

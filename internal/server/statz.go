@@ -64,6 +64,8 @@ func (s *Server) Statz() api.Statz {
 		st.JournalCommits = js.Flushes
 		st.JournalSinceSnapshot = js.SinceSnapshot
 		st.JournalGen = js.Gen
+		st.JournalImageBytes = js.ImageBytes
+		st.JournalSegmentBytes = js.SegmentBytes
 	}
 	st.Shard, st.Role, st.ShardEpoch = s.ShardInfo()
 	// Replication lag aggregates across followers: the worst byte lag
