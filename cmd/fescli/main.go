@@ -12,8 +12,8 @@
 //	fescli upgrade alice VIN123 TripCounter-v1 TripCounter-v2
 //	fescli upgrade -fleet -model modelcar-v1 alice TripCounter-v1 TripCounter-v2
 //	fescli rollout start -waves 1,10%,all alice TripCounter-v1 TripCounter-v2
-//	fescli rollout wait ro-00000001
-//	fescli rollout abort ro-00000001
+//	fescli rollout wait op-00000007
+//	fescli rollout abort op-00000007
 //	fescli uninstall -fleet alice RemoteControl VIN123 VIN124
 //	fescli verify alice VIN123 deploy RemoteControl
 //	fescli verify alice VIN123 uninstall RemoteControl
@@ -319,7 +319,11 @@ func rollout(ctx context.Context, args []string) {
 		need(args, 2, "rollout wait <id>")
 		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Minute)
 		defer cancel()
-		st, err := client.WaitRollout(waitCtx, args[1], 200*time.Millisecond)
+		// A rollout is an operation: wait on it, then show its wave view.
+		if _, err := client.WaitOperation(waitCtx, args[1], 200*time.Millisecond); err != nil {
+			show(nil, err)
+		}
+		st, err := client.GetRollout(ctx, args[1])
 		show(st, err)
 		if st.State != api.RolloutSucceeded {
 			os.Exit(1)

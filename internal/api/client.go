@@ -61,30 +61,6 @@ func (c *Client) WaitOperation(ctx context.Context, id string, interval time.Dur
 	}
 }
 
-// WaitRollout polls a rollout until it reaches a terminal state or the
-// context expires. interval <= 0 uses a 50ms default.
-func (c *Client) WaitRollout(ctx context.Context, id string, interval time.Duration) (RolloutStatus, error) {
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		st, err := c.GetRollout(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.Done {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, Errorf(CodeUnavailable, "api: waiting for rollout %s: %v", id, ctx.Err())
-		case <-t.C:
-		}
-	}
-}
-
 // httpTransport carries out routes over the /v1 wire protocol.
 type httpTransport struct {
 	base string

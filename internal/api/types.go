@@ -239,6 +239,12 @@ const (
 	OpBatchDeploy    OperationKind = "deploy:batch"
 	OpBatchUninstall OperationKind = "uninstall:batch"
 	OpBatchUpgrade   OperationKind = "upgrade:batch"
+	// OpRollout is a progressive rollout (POST /v1/rollout): a fleet
+	// upgrade App -> ToApp over Vehicles in bucket order, run as
+	// health-gated waves. Its Children are the wave batches, forward and
+	// rollback, in launch order; GET /v1/rollouts/{id} is the wave view
+	// of the same operation.
+	OpRollout OperationKind = "rollout"
 )
 
 // OperationState is the lifecycle state of an async operation.

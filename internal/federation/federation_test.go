@@ -350,6 +350,53 @@ func TestRouterSingleShardBatchQualified(t *testing.T) {
 	}
 }
 
+// TestRouterRolloutOperationQualified: a rollout is an operation, so
+// GET /v1/operations/{id} of its qualified id answers through the
+// router, with its wave batches qualified like any batch's children.
+func TestRouterRolloutOperationQualified(t *testing.T) {
+	r, _ := newLocalFederation(t, "s1")
+	ctx := context.Background()
+	if _, err := r.CreateUser(ctx, api.CreateUserRequest{ID: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := paperApp(t)
+	v2.Name = "RemoteControl-v2"
+	for _, app := range []api.App{paperApp(t), v2} {
+		if _, err := r.UploadApp(ctx, app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleet := []core.VehicleID{"VIN-ro1", "VIN-ro2"}
+	for _, v := range fleet {
+		if _, err := r.BindVehicle(ctx, api.BindVehicleRequest{Owner: "alice", Conf: modelCarConf(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Nothing is installed, so the canary wave fails and the rollout
+	// settles rolled back — after one wave batch.
+	st, err := r.StartRollout(ctx, api.RolloutRequest{User: "alice", Vehicles: fleet, From: "RemoteControl", To: "RemoteControl-v2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	op, err := api.NewLocalClient(r).WaitOperation(wctx, st.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.ID != st.ID || op.Kind != api.OpRollout || len(op.Children) == 0 {
+		t.Fatalf("rollout operation = %+v, want kind rollout with wave batches", op)
+	}
+	for _, cid := range op.Children {
+		if len(cid) < 3 || cid[:3] != "s1/" {
+			t.Fatalf("wave batch id %q not qualified", cid)
+		}
+		if batch, err := r.GetOperation(ctx, cid); err != nil || batch.Parent != st.ID {
+			t.Fatalf("wave batch %s = %+v, %v; want parent %s", cid, batch, err, st.ID)
+		}
+	}
+}
+
 // rolloutReplica is a replica that counts StartRollout calls and then
 // fails them; any other method panics on the nil embedded interface.
 type rolloutReplica struct {

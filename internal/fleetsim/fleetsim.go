@@ -525,22 +525,28 @@ func (f *Fleet) settleRollout(t *trackedRollout, st api.RolloutStatus, now time.
 		if ws.Promoted {
 			f.m.wavesPromoted++
 		}
-		f.harvestRolloutOp(t.shard, ws.BatchOp)
-		f.harvestRolloutOp(t.shard, ws.RollbackOp)
+		f.harvestRolloutOp(t, ws.BatchOp)
+		f.harvestRolloutOp(t, ws.RollbackOp)
 	}
 	f.logf("fleetsim: t=%s rollout %s settled %s%s", f.vt(), st.ID, st.State, reason)
 }
 
 // harvestRolloutOp pulls one wave's batch operation into the settled
 // set so the I2 accounting audit covers it and its failed children feed
-// the exemption allowance. Waves run server-side, so an id from an
-// incarnation that died mid-wave may legitimately be gone.
-func (f *Fleet) harvestRolloutOp(idx int, id string) {
+// the exemption allowance. A wave batch is a child of its rollout
+// operation, so the registry keeps it until the rollout settled: one
+// missing in the incarnation that launched the rollout was evicted too
+// early. Across a restart a hole is by design, as for batch children.
+func (f *Fleet) harvestRolloutOp(r *trackedRollout, id string) {
+	idx := r.shard
 	srv := f.serverAt(idx)
 	if id == "" || srv == nil {
 		return
 	}
 	op, ok := srv.Operation(id)
+	if !ok && r.gen == f.genAt(idx) {
+		f.violationf("rollout %s wave batch %s missing at rollout settle", r.id, id)
+	}
 	if !ok || !op.Done {
 		return
 	}

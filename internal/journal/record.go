@@ -325,10 +325,10 @@ type StateImage struct {
 	SettledOps []api.Operation `json:"settledOps,omitempty"`
 	OpSeq      uint64          `json:"opSeq"`
 	// Rollouts are the progressive rollouts not yet terminal at
-	// snapshot time, with the log-implied progress folded in;
-	// RolloutSeq carries the rollout-id counter.
-	Rollouts   []RolloutImage `json:"rollouts,omitempty"`
-	RolloutSeq uint64         `json:"rolloutSeq,omitempty"`
+	// snapshot time, with the log-implied progress folded in. (Images of
+	// older servers also carry "rolloutSeq", the counter of the "ro-" ids
+	// they minted; rollouts take operation ids now, so it is ignored.)
+	Rollouts []RolloutImage `json:"rollouts,omitempty"`
 	// Shard and ShardEpoch carry the owning shard's identity and the
 	// highest leadership epoch granted at snapshot time, so a promoted
 	// follower recovering from a compacted journal still mints a higher

@@ -9,10 +9,11 @@ import (
 )
 
 // The async-operation registry: every deployment-service mutation
-// ((un)install, restore) is tracked as an api.Operation built on the
-// existing ack/nack plumbing — POST /v1/deploy returns the operation id
-// immediately and GET /v1/operations/{id} reports progress as the
-// vehicle acknowledges each pushed package.
+// ((un)install, restore, upgrade, their batches and progressive
+// rollouts) is tracked as an api.Operation built on the existing ack/nack
+// plumbing — POST /v1/deploy returns the operation id immediately and
+// GET /v1/operations/{id} reports progress as the vehicle acknowledges
+// each pushed package.
 
 // opRecord is the mutable server-side state of one operation; guarded
 // by Server.mu.
@@ -37,6 +38,9 @@ type opRecord struct {
 	// finishes instead of when the last frame settles.
 	claims            []string
 	claimsEndAtLaunch bool
+	// ro is the wave state of a rollout operation (see rollout.go), nil
+	// for every other kind.
+	ro *rolloutState
 }
 
 // opRetention bounds the registry: once exceeded, the oldest completed
@@ -80,7 +84,7 @@ func (s *Server) newOperation(kind api.OperationKind, user core.UserID, vehicle 
 // the operation as interrupted instead of settled. Store mutations,
 // which gate external side effects, do wait for durability.
 //
-// Batch children mostly stay off the journal: the parent's creation
+// Per-vehicle batch children mostly stay off the journal: the parent's creation
 // record carries their identity, and recovery derives a successful
 // child from the store itself — a deploy child succeeded exactly when
 // its InstalledAPP row is fully acknowledged. Only a child's *failure*
@@ -89,12 +93,13 @@ func (s *Server) newOperation(kind api.OperationKind, user core.UserID, vehicle 
 // the app from an earlier deploy — whose complete row would otherwise
 // read as success). One record per batch plus one per failed vehicle,
 // instead of two per vehicle, keeps fleet-scale deploys off the
-// journal's hot path.
+// journal's hot path. A rollout's wave batch is a child too, but one
+// with children of its own: it is journaled like a top-level batch.
 func (s *Server) journalOpLocked(build func(api.Operation) journal.Record, rec *opRecord) {
 	if s.jn == nil {
 		return
 	}
-	if rec.parent != "" && rec.op.State != api.StateFailed {
+	if rec.parent != "" && len(rec.op.Children) == 0 && rec.op.State != api.StateFailed {
 		return
 	}
 	s.jn.Append(build(snapshotOpLocked(rec)))
@@ -107,11 +112,18 @@ type batchChild struct {
 	opID    string
 }
 
-// newBatchOperation registers a running batch parent plus one pending
-// child per vehicle, all under one lock so no reader ever observes a
-// half-built batch. The parent needs no launch step of its own: it
-// completes when its last child reaches a terminal state.
+// newBatchOperation registers a top-level batch; see newBatchUnder.
 func (s *Server) newBatchOperation(kind, childKind api.OperationKind, user core.UserID, app, toApp core.AppName, fleet []core.VehicleID, idemKey string) (parentID string, children []batchChild) {
+	return s.newBatchUnder("", kind, childKind, user, app, toApp, fleet, idemKey)
+}
+
+// newBatchUnder registers a running batch parent plus one pending child
+// per vehicle, all under one lock so no reader ever observes a
+// half-built batch. The parent needs no launch step of its own: it
+// completes when its last child reaches a terminal state. A non-empty
+// owner makes the batch a child of that operation — a rollout's wave —
+// listed in its Children in launch order.
+func (s *Server) newBatchUnder(owner string, kind, childKind api.OperationKind, user core.UserID, app, toApp core.AppName, fleet []core.VehicleID, idemKey string) (parentID string, children []batchChild) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.opSeq++
@@ -126,9 +138,14 @@ func (s *Server) newBatchOperation(kind, childKind api.OperationKind, user core.
 			State:          api.StateRunning,
 			Vehicles:       append([]core.VehicleID(nil), fleet...),
 			IdempotencyKey: idemKey,
+			Parent:         owner,
 		},
 		launched:     true,
+		parent:       owner,
 		openChildren: len(fleet),
+	}
+	if orec := s.ops[owner]; orec != nil {
+		orec.op.Children = append(orec.op.Children, parentID)
 	}
 	s.ops[parentID] = prec
 	s.opOrder = append(s.opOrder, parentID)
@@ -159,10 +176,10 @@ func (s *Server) newBatchOperation(kind, childKind api.OperationKind, user core.
 
 // pruneOpsLocked evicts the oldest completed operations once the
 // registry exceeds its retention bound; called with Server.mu held.
-// Children of a still-running batch are kept even when individually
-// done — a client walking a live parent's Children must not find holes
-// — so the registry may exceed the bound while a larger-than-retention
-// batch is in flight.
+// Descendants of a still-running batch or rollout are kept even when
+// individually done — a client walking a live parent's Children must
+// not find holes — so the registry may exceed the bound while a
+// larger-than-retention batch is in flight.
 func (s *Server) pruneOpsLocked() {
 	excess := len(s.opOrder) - opRetention
 	if excess <= 0 || len(s.opOrder) < s.opPruneDefer {
@@ -195,14 +212,15 @@ func (s *Server) pruneOpsLocked() {
 // evictableLocked reports whether an operation may leave the registry:
 // it is terminal, holds no claim — a terminal operation keeps its claims
 // until its last frame settles, and only its record can release them —
-// and, for batch children, its parent is terminal too. Called with
-// Server.mu held.
+// and every ancestor is terminal too: a batch child's batch, and a wave
+// batch's rollout, which the wave's per-vehicle children reach two
+// levels up. Called with Server.mu held.
 func (s *Server) evictableLocked(rec *opRecord) bool {
 	if !rec.op.Done || len(rec.claims) > 0 {
 		return false
 	}
-	if rec.parent != "" {
-		if prec := s.ops[rec.parent]; prec != nil && !prec.op.Done {
+	for prec := s.ops[rec.parent]; prec != nil; prec = s.ops[prec.parent] {
+		if !prec.op.Done {
 			return false
 		}
 	}
@@ -304,10 +322,12 @@ func (s *Server) completeLocked(rec *opRecord) {
 // parent: the per-vehicle tallies, the partial-failure report, and
 // parent completion once the last child settles. Nack failures were
 // already mirrored ack by ack (settleAck), so only launch errors are
-// added here. Called with Server.mu held.
+// added here. A rollout is no batch: only its state machine settles it
+// (rollout.go), so a wave batch never folds into it. Called with
+// Server.mu held.
 func (s *Server) noteChildTerminalLocked(rec *opRecord) {
 	prec := s.ops[rec.parent]
-	if prec == nil || prec.op.Done {
+	if prec == nil || prec.op.Done || prec.ro != nil {
 		return
 	}
 	if prec.openChildren > 0 {

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -164,7 +167,6 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 	// rollouts accumulates the rollout state machines seen in the image
 	// and the log tail; rebuilt into the registry (and resumed) below.
 	rollouts := make(map[string]*rolloutReplayState)
-	var maxRolloutSeq uint64
 
 	if img := rec.Image; img != nil {
 		s.store.loadImage(img)
@@ -186,7 +188,6 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 			settled[op.ID] = op
 			bump(op.ID)
 		}
-		maxRolloutSeq = img.RolloutSeq
 		for _, ri := range img.Rollouts {
 			rollouts[ri.ID] = &rolloutReplayState{img: ri}
 		}
@@ -261,16 +262,18 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 		}
 	}
 
-	// Settle every top-level operation still open as INTERRUPTED: its
-	// pushes can never be acknowledged on this side of the restart.
+	// Settle every operation still open as INTERRUPTED: its pushes can
+	// never be acknowledged on this side of the restart. That includes a
+	// rollout's wave batch (a child with children of its own); the
+	// rollout itself is resumed below by its own records.
 	final := make(map[string]api.Operation, len(open)+len(settled))
 	interrupted := 0
 	for id, op := range settled {
 		final[id] = op
 	}
 	for id, op := range open {
-		if op.Parent != "" {
-			continue // image-captured children are re-derived below
+		if op.Parent != "" && len(op.Children) == 0 {
+			continue // image-captured per-vehicle children are re-derived below
 		}
 		op.State = api.StateFailed
 		op.Done = true
@@ -334,28 +337,44 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 		final[id] = op
 	}
 
-	ids := make([]string, 0, len(final))
-	for id := range final {
-		ids = append(ids, id)
+	recs := make(map[string]*opRecord, len(final)+len(rollouts))
+	for id, op := range final {
+		recs[id] = &opRecord{op: op, launched: true, parent: op.Parent}
 	}
-	// Ids are zero-padded, so lexicographic order is creation order.
-	sort.Strings(ids)
+	for id, rr := range rollouts {
+		bump(id)
+		recs[id] = s.recoverRollout(id, rr)
+	}
+	// Creation order, i.e. ascending sequence number; the foreign ids of
+	// rollouts an older server wrote ("ro-…", sequence 0) go first.
+	ids := slices.Collect(maps.Keys(recs))
+	slices.SortFunc(ids, func(a, b string) int {
+		return cmp.Or(cmp.Compare(opSeqOf(a), opSeqOf(b)), strings.Compare(a, b))
+	})
 	s.mu.Lock()
 	for _, id := range ids {
-		op := final[id]
-		s.ops[id] = &opRecord{op: op, launched: true, parent: op.Parent}
+		rec := recs[id]
+		s.ops[id] = rec
 		s.opOrder = append(s.opOrder, id)
+		if rec.ro != nil && !rec.op.Done {
+			// A resumed rollout settles in this process, so it counts as
+			// created here too: the statz ledger (created == Σ settled once
+			// quiescent) holds per process.
+			s.noteOpCreatedLocked(1)
+		}
+		// A wave batch is listed in its rollout's Children again.
+		if orec := recs[rec.parent]; orec != nil && orec.ro != nil {
+			orec.op.Children = append(orec.op.Children, id)
+		}
 		// Rebind the idempotency key, so a client retrying a create across
 		// the restart (or across a shard failover onto this server) gets
 		// the recovered operation instead of a duplicate.
-		if op.IdempotencyKey != "" {
-			s.idem[op.IdempotencyKey] = settledClaim(id)
+		if rec.op.IdempotencyKey != "" {
+			s.idem[rec.op.IdempotencyKey] = settledClaim(id)
 		}
 	}
 	s.opSeq = maxSeq
 	s.mu.Unlock()
-
-	s.recoverRollouts(rollouts, maxRolloutSeq)
 
 	s.recovery.Journaled = true
 	s.recovery.Records = len(rec.Records)
@@ -371,122 +390,84 @@ type rolloutReplayState struct {
 	final string
 }
 
-// recoverRollouts rebuilds the rollout registry and stages the resume
-// continuations. The policy: a rollout with a durable rollout_done is
+// recoverRollout rebuilds one rollout operation and stages its resume
+// continuation. The policy: a rollout with a durable rollout_done is
 // closed; one with a durable rollout_rolled_back resumes its fleet
 // rollback (idempotent — already-downgraded vehicles are skipped); an
 // open rollout resumes forward from the last promoted wave boundary
 // only if the boundary is clean — no vehicle past it holds a committed
 // To row. A dirty boundary means the crash interrupted a wave whose
 // health window died with the process, so the fleet rolls back.
-func (s *Server) recoverRollouts(rollouts map[string]*rolloutReplayState, maxRolloutSeq uint64) {
-	ids := make([]string, 0, len(rollouts))
-	for id := range rollouts {
-		ids = append(ids, id)
-		if n := rolloutSeqOf(id); n > maxRolloutSeq {
-			maxRolloutSeq = n
-		}
+func (s *Server) recoverRollout(id string, rr *rolloutReplayState) *opRecord {
+	bounds, promoted := rr.img.Bounds, rr.img.Promoted
+	if rr.done && rr.final != "rolled_back" {
+		promoted = len(bounds) // it succeeded: every wave promoted
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		rr := rollouts[id]
-		bounds := append([]int(nil), rr.img.Bounds...)
-		rec := &rolloutRecord{
-			st: api.RolloutStatus{
-				ID: id, User: rr.img.User, From: rr.img.FromApp, To: rr.img.ToApp,
-				State:    api.RolloutRunning,
-				Vehicles: append([]core.VehicleID(nil), rr.img.Vehicles...),
-				Waves:    waveStatuses(bounds),
-			},
-			bounds:   bounds,
-			promoted: rr.img.Promoted,
+	rec := &opRecord{
+		op: api.Operation{
+			ID: id, Kind: api.OpRollout, User: rr.img.User, App: rr.img.FromApp, ToApp: rr.img.ToApp,
+			State: api.StateRunning, Vehicles: rr.img.Vehicles,
+		},
+		launched: true,
+		ro: &rolloutState{
+			bounds: bounds, promoted: promoted, state: api.RolloutRunning,
+			waves: waveStatuses(bounds), currentWave: promoted,
+		},
+	}
+	ro := rec.ro
+	if rr.img.Health != nil {
+		ro.health = *rr.img.Health
+	}
+	for w := 0; w < promoted && w < len(ro.waves); w++ {
+		ro.waves[w].Started = true
+		ro.waves[w].Promoted = true
+	}
+	reason := rr.img.Reason
+	code := api.CodeRolloutUnhealthy
+	if strings.Contains(reason, "operator abort") {
+		code = api.CodeRolloutAborted
+	}
+	switch {
+	case rr.done && rr.final == "rolled_back":
+		ro.gateReason = reason
+		rec.closeRollout(api.RolloutRolledBack, api.Errorf(code, "server: rollout %s rolled back: %s", id, reason))
+	case rr.done:
+		rec.closeRollout(api.RolloutSucceeded, nil)
+	case rr.img.RolledBack:
+		ro.state = api.RolloutRollingBack
+		ro.gateReason = reason
+		s.rolloutResume = append(s.rolloutResume, func() {
+			s.rollbackRollout(id, reason, code, true)
+		})
+	default:
+		// Clean-boundary rule: the wave in flight at the crash left
+		// committed To rows exactly when some vehicle past the last
+		// promoted boundary holds one.
+		promotedBound := 0
+		if rr.img.Promoted > 0 && rr.img.Promoted <= len(bounds) {
+			promotedBound = bounds[rr.img.Promoted-1]
 		}
-		if rr.img.Health != nil {
-			rec.health = *rr.img.Health
-		}
-		for w := 0; w < rr.img.Promoted && w < len(rec.st.Waves); w++ {
-			rec.st.Waves[w].Started = true
-			rec.st.Waves[w].Promoted = true
-		}
-		rec.st.CurrentWave = rr.img.Promoted
-		reason := rr.img.Reason
-		code := api.CodeRolloutUnhealthy
-		if strings.Contains(reason, "operator abort") {
-			code = api.CodeRolloutAborted
-		}
-		switch {
-		case rr.done && rr.final == "rolled_back":
-			rec.st.State = api.RolloutRolledBack
-			rec.st.GateReason = reason
-			rec.st.Done = true
-			rec.st.Error = api.Errorf(code, "server: rollout %s rolled back: %s", id, reason)
-		case rr.done:
-			rec.st.State = api.RolloutSucceeded
-			rec.st.CurrentWave = len(bounds)
-			for w := range rec.st.Waves {
-				rec.st.Waves[w].Started = true
-				rec.st.Waves[w].Promoted = true
+		dirty := false
+		for _, v := range rr.img.Vehicles[min(promotedBound, len(rr.img.Vehicles)):] {
+			if _, ok := s.store.InstalledApp(v, rr.img.ToApp); ok {
+				dirty = true
+				break
 			}
-			rec.st.Done = true
-		case rr.img.RolledBack:
-			rec.st.State = api.RolloutRollingBack
-			rec.st.GateReason = reason
+		}
+		startWave := rr.img.Promoted
+		if dirty {
+			interruptedReason := fmt.Sprintf(
+				"server restart interrupted wave %d with partial upgrades committed", startWave+1)
 			s.rolloutResume = append(s.rolloutResume, func() {
-				s.rollbackRollout(id, reason, code, true)
+				s.rollbackRollout(id, interruptedReason, api.CodeRolloutUnhealthy, false)
 			})
-		default:
-			// Clean-boundary rule: the wave in flight at the crash left
-			// committed To rows exactly when some vehicle past the last
-			// promoted boundary holds one.
-			promotedBound := 0
-			if rr.img.Promoted > 0 && rr.img.Promoted <= len(bounds) {
-				promotedBound = bounds[rr.img.Promoted-1]
-			}
-			dirty := false
-			for _, v := range rr.img.Vehicles[min(promotedBound, len(rr.img.Vehicles)):] {
-				if _, ok := s.store.InstalledApp(v, rr.img.ToApp); ok {
-					dirty = true
-					break
-				}
-			}
-			startWave := rr.img.Promoted
-			if dirty {
-				interruptedReason := fmt.Sprintf(
-					"server restart interrupted wave %d with partial upgrades committed", startWave+1)
-				s.rolloutResume = append(s.rolloutResume, func() {
-					s.rollbackRollout(id, interruptedReason, api.CodeRolloutUnhealthy, false)
-				})
-			} else {
-				s.rolloutResume = append(s.rolloutResume, func() {
-					s.runRollout(id, startWave)
-				})
-			}
+		} else {
+			s.rolloutResume = append(s.rolloutResume, func() {
+				s.runRollout(id, startWave)
+			})
 		}
-		s.mu.Lock()
-		s.rollouts[id] = rec
-		s.rolloutOrder = append(s.rolloutOrder, id)
-		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	s.rolloutSeq = maxRolloutSeq
-	s.mu.Unlock()
-}
-
-// rolloutSeqOf parses the numeric part of a rollout id ("ro-%08d"), 0
-// for foreign ids.
-func rolloutSeqOf(id string) uint64 {
-	if len(id) < 4 || id[:3] != "ro-" {
-		return 0
-	}
-	var n uint64
-	for i := 3; i < len(id); i++ {
-		c := id[i]
-		if c < '0' || c > '9' {
-			return 0
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	return n
+	return rec
 }
 
 // deriveChildOutcome settles one child of an interrupted batch from the
@@ -575,33 +556,14 @@ func (s *Server) stateImage() *journal.StateImage {
 	img.OpSeq = s.opSeq
 	// Nearly every retained operation is terminal.
 	img.SettledOps = make([]api.Operation, 0, len(s.opOrder))
-	// Open rollouts ride the snapshot too, so compaction cannot lose a
-	// state machine whose records predate the snapshot point. Terminal
-	// rollouts are history and are left to registry retention.
-	img.RolloutSeq = s.rolloutSeq
-	for _, id := range s.rolloutOrder {
-		rec := s.rollouts[id]
-		if rec == nil || rec.st.Done {
-			continue
-		}
-		health := rec.health
-		img.Rollouts = append(img.Rollouts, journal.RolloutImage{
-			ID: id, User: rec.st.User, FromApp: rec.st.From, ToApp: rec.st.To,
-			Vehicles:   append([]core.VehicleID(nil), rec.st.Vehicles...),
-			Bounds:     append([]int(nil), rec.bounds...),
-			Health:     &health,
-			Promoted:   rec.promoted,
-			RolledBack: rec.st.State == api.RolloutRollingBack,
-			Reason:     rec.st.GateReason,
-		})
-	}
 	s.mu.Unlock()
-	// opOrder is in creation order, i.e. ascending sequence number; after
-	// is the highest one captured. The walk ends at the end of opOrder or
-	// at the first operation created after the hold above.
-	for after, done := uint64(0), false; !done; {
+	// opOrder is in creation order, i.e. ascending sequence number (the
+	// foreign ids of recovered older rollouts, sequence 0, first); next is
+	// one past the highest captured. The walk ends at the end of opOrder
+	// or at the first operation created after the hold above.
+	for next, done := uint64(0), false; !done; {
 		s.mu.Lock()
-		i := sort.Search(len(s.opOrder), func(i int) bool { return opSeqOf(s.opOrder[i]) > after })
+		i := sort.Search(len(s.opOrder), func(i int) bool { return opSeqOf(s.opOrder[i]) >= next })
 		run := s.opOrder[i:min(i+imageOpsPerHold, len(s.opOrder))]
 		done = len(run) < imageOpsPerHold
 		for _, id := range run {
@@ -610,9 +572,16 @@ func (s *Server) stateImage() *journal.StateImage {
 				done = true
 				break
 			}
-			after = max(after, seq)
+			next = max(next, seq+1)
 			switch rec := s.ops[id]; {
 			case rec == nil:
+			case rec.ro != nil:
+				// Open rollouts ride the image as their state machine, so
+				// compaction cannot lose one whose records predate the
+				// snapshot point. Terminal rollouts are history.
+				if !rec.op.Done {
+					img.Rollouts = append(img.Rollouts, rolloutImageLocked(rec))
+				}
 			case rec.op.Done:
 				img.SettledOps = append(img.SettledOps, snapshotOpLocked(rec))
 			default:
@@ -622,6 +591,19 @@ func (s *Server) stateImage() *journal.StateImage {
 		s.mu.Unlock()
 	}
 	return img
+}
+
+// rolloutImageLocked captures one open rollout for a state image: the
+// started record's plan plus how far the log says it got. Called with
+// Server.mu held.
+func rolloutImageLocked(rec *opRecord) journal.RolloutImage {
+	ro := rec.ro
+	health := ro.health
+	return journal.RolloutImage{
+		ID: rec.op.ID, User: rec.op.User, FromApp: rec.op.App, ToApp: rec.op.ToApp,
+		Vehicles: append([]core.VehicleID(nil), rec.op.Vehicles...), Bounds: append([]int(nil), ro.bounds...),
+		Health: &health, Promoted: ro.promoted, RolledBack: ro.state == api.RolloutRollingBack, Reason: ro.gateReason,
+	}
 }
 
 // loadImage fills an empty store from a snapshot image; called before

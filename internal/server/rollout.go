@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,24 +27,28 @@ import (
 // boundary: a clean boundary resumes forward, a wave that died with
 // partial upgrades rolls the fleet back (its health window died with
 // the process and can never be re-evaluated).
+//
+// A rollout is an operation of kind "rollout" in the one registry
+// (ops.go): its id comes from the operation sequence, its children are
+// the wave batches, and it is retained and settled like any other
+// operation. GET /v1/rollouts/{id} is the wave view of that record.
 
-// rolloutRecord is the mutable server-side state of one rollout;
-// guarded by Server.mu.
-type rolloutRecord struct {
-	st     api.RolloutStatus
-	bounds []int // cumulative wave boundaries into st.Vehicles
+// rolloutState is the wave state of a rollout operation, hung off its
+// opRecord; guarded by Server.mu. The operation carries the rest: User,
+// App (From), ToApp (To), Vehicles in bucket order and the outcome.
+type rolloutState struct {
+	bounds []int // cumulative wave boundaries into the operation's Vehicles
 	health api.RolloutHealthPolicy
 	// abort is the operator's rollback request; the wave loop checks it
 	// at every wave boundary.
 	abort bool
 	// promoted counts waves whose wave_promoted record is durable.
-	promoted int
+	promoted    int
+	state       api.RolloutState
+	waves       []api.RolloutWaveStatus
+	currentWave int
+	gateReason  string
 }
-
-// rolloutRetention bounds how many rollouts the registry keeps; once
-// exceeded, the oldest terminal ones are evicted. A var so tests can
-// shrink it.
-var rolloutRetention = 256
 
 // rolloutRetryDelay and rolloutRollbackAttempts pace the fleet-rollback
 // retry loop: a vehicle that is disconnected (or whose forward child is
@@ -59,9 +64,10 @@ var (
 // none: one canary vehicle, then 10% of the fleet, then everything.
 var defaultRolloutWaves = []api.RolloutWave{{Count: 1}, {Fraction: 0.10}, {Fraction: 1}}
 
-// StartRollout validates the request, buckets the fleet, journals the
-// rollout_started record durably and launches the wave loop in the
-// background. The returned status snapshot has every wave pending.
+// StartRollout validates the request, buckets the fleet, registers the
+// rollout operation, journals the rollout_started record durably and
+// launches the wave loop in the background. The returned status
+// snapshot has every wave pending.
 func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error) {
 	if err := s.checkApps(target{app: req.From, toApp: req.To}); err != nil {
 		return api.RolloutStatus{}, err
@@ -94,44 +100,81 @@ func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error)
 	}
 
 	s.mu.Lock()
-	s.rolloutSeq++
-	id := fmt.Sprintf("ro-%08d", s.rolloutSeq)
-	rec := &rolloutRecord{
-		st: api.RolloutStatus{
-			ID: id, User: req.User, From: req.From, To: req.To,
-			State:    api.RolloutRunning,
-			Vehicles: ordered,
-			Waves:    waveStatuses(bounds),
+	s.opSeq++
+	rec := &opRecord{
+		op: api.Operation{
+			ID: fmt.Sprintf("op-%08d", s.opSeq), Kind: api.OpRollout, User: req.User,
+			App: req.From, ToApp: req.To, State: api.StateRunning, Vehicles: ordered,
 		},
-		bounds: bounds,
-		health: health,
+		launched: true,
+		ro:       &rolloutState{bounds: bounds, health: health, state: api.RolloutRunning, waves: waveStatuses(bounds)},
 	}
-	s.rollouts[id] = rec
-	s.rolloutOrder = append(s.rolloutOrder, id)
-	s.pruneRolloutsLocked()
+	id := rec.op.ID
+	s.ops[id] = rec
+	s.opOrder = append(s.opOrder, id)
+	s.noteOpCreatedLocked(1)
+	s.pruneOpsLocked()
 	s.mu.Unlock()
 
 	// Write-ahead gate: the rollout exists durably before its first wave
 	// launches, so a crash at any later point recovers the state machine.
+	// Registered before its record, as every mutation is (see stateImage);
+	// one whose record cannot commit never existed, so it leaves again.
 	if err := s.journalRollout(journal.RolloutStartedRec(id, req.User, req.From, req.To, ordered, bounds, req.Health)); err != nil {
 		s.mu.Lock()
-		delete(s.rollouts, id)
-		for i, rid := range s.rolloutOrder {
-			if rid == id {
-				s.rolloutOrder = append(s.rolloutOrder[:i], s.rolloutOrder[i+1:]...)
-				break
-			}
-		}
+		s.settleRolloutLocked(rec, api.RolloutRolledBack, api.AsError(err))
+		delete(s.ops, id)
+		s.opOrder = slices.DeleteFunc(s.opOrder, func(o string) bool { return o == id })
 		s.mu.Unlock()
 		return api.RolloutStatus{}, err
 	}
 	s.background(func() { s.runRollout(id, 0) })
-	return s.rolloutSnapshot(id)
+	return s.GetRollout(id)
 }
 
-// GetRollout returns one rollout by id.
+// GetRollout returns the wave view of one rollout operation.
 func (s *Server) GetRollout(id string) (api.RolloutStatus, error) {
-	return s.rolloutSnapshot(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := s.rolloutLocked(id)
+	if rec == nil {
+		return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "server: unknown rollout %q", id)
+	}
+	ro := rec.ro
+	return api.RolloutStatus{
+		ID: rec.op.ID, User: rec.op.User, From: rec.op.App, To: rec.op.ToApp, State: ro.state,
+		Vehicles: append([]core.VehicleID(nil), rec.op.Vehicles...), Waves: append([]api.RolloutWaveStatus(nil), ro.waves...),
+		CurrentWave: ro.currentWave, GateReason: ro.gateReason, Error: rec.op.Error, Done: rec.op.Done,
+	}, nil
+}
+
+// Rollout returns the wave view of one rollout operation by id.
+func (s *Server) Rollout(id string) (api.RolloutStatus, bool) {
+	st, err := s.GetRollout(id)
+	return st, err == nil
+}
+
+// RolloutIDs returns the ids of every live rollout operation, oldest
+// first.
+func (s *Server) RolloutIDs() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []string
+	for _, id := range s.opOrder {
+		if s.rolloutLocked(id) != nil {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// rolloutLocked returns the rollout operation id names, nil when id
+// names none. Called with Server.mu held.
+func (s *Server) rolloutLocked(id string) *opRecord {
+	if rec := s.ops[id]; rec != nil && rec.ro != nil {
+		return rec
+	}
+	return nil
 }
 
 // AbortRollout requests a fleet rollback of a running rollout. The
@@ -140,76 +183,41 @@ func (s *Server) GetRollout(id string) (api.RolloutStatus, error) {
 // rollback targets a known set of upgraded vehicles).
 func (s *Server) AbortRollout(id string) (api.RolloutStatus, error) {
 	s.mu.Lock()
-	rec := s.rollouts[id]
+	rec := s.rolloutLocked(id)
 	if rec == nil {
 		s.mu.Unlock()
 		return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "server: unknown rollout %q", id)
 	}
-	if rec.st.Done {
-		st := rec.st.State
+	if rec.op.Done {
+		st := rec.ro.state
 		s.mu.Unlock()
 		return api.RolloutStatus{}, api.Errorf(api.CodeFailedPrecondition,
 			"server: rollout %s is already terminal (%s)", id, st)
 	}
-	rec.abort = true
+	rec.ro.abort = true
 	s.mu.Unlock()
 	s.logf("server: rollout %s: operator abort requested", id)
-	return s.rolloutSnapshot(id)
+	return s.GetRollout(id)
 }
 
-// RolloutIDs returns the ids of every live rollout, oldest first.
-func (s *Server) RolloutIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.rolloutOrder...)
-}
-
-// Rollout returns one rollout snapshot by id.
-func (s *Server) Rollout(id string) (api.RolloutStatus, bool) {
-	st, err := s.rolloutSnapshot(id)
-	return st, err == nil
-}
-
-func (s *Server) rolloutSnapshot(id string) (api.RolloutStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := s.rollouts[id]
-	if rec == nil {
-		return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "server: unknown rollout %q", id)
+// closeRollout moves a rollout to its terminal state: succeeded, or
+// failed with err (rollout_unhealthy / rollout_aborted) once the fleet
+// is rolled back.
+func (rec *opRecord) closeRollout(state api.RolloutState, err *api.Error) {
+	rec.ro.state = state
+	rec.op.State, rec.op.Error, rec.op.Done = api.StateSucceeded, err, true
+	if err != nil {
+		rec.op.State = api.StateFailed
 	}
-	return snapshotRolloutLocked(rec), nil
 }
 
-func snapshotRolloutLocked(rec *rolloutRecord) api.RolloutStatus {
-	st := rec.st
-	st.Vehicles = append([]core.VehicleID(nil), rec.st.Vehicles...)
-	st.Waves = append([]api.RolloutWaveStatus(nil), rec.st.Waves...)
-	if rec.st.Error != nil {
-		e := *rec.st.Error
-		st.Error = &e
-	}
-	return st
-}
-
-// pruneRolloutsLocked evicts the oldest terminal rollouts past the
-// retention bound; running ones are always kept. Called with s.mu held.
-func (s *Server) pruneRolloutsLocked() {
-	excess := len(s.rolloutOrder) - rolloutRetention
-	if excess <= 0 {
-		return
-	}
-	kept := s.rolloutOrder[:0]
-	for _, id := range s.rolloutOrder {
-		if excess > 0 {
-			if rec := s.rollouts[id]; rec == nil || rec.st.Done {
-				delete(s.rollouts, id)
-				excess--
-				continue
-			}
-		}
-		kept = append(kept, id)
-	}
-	s.rolloutOrder = kept
+// settleRolloutLocked closes a rollout through the registry's settle
+// path; only the state machine calls it. Called with Server.mu held.
+func (s *Server) settleRolloutLocked(rec *opRecord, state api.RolloutState, err *api.Error) {
+	rec.closeRollout(state, err)
+	s.noteOpSettledLocked(rec)
+	// The wave batches and their children just became evictable.
+	s.opPruneDefer = 0
 }
 
 // bucketFleet orders a resolved fleet deterministically by (FNV-1a
@@ -349,18 +357,19 @@ func (s *Server) journalRollout(rec journal.Record) error {
 // runRollout executes waves startWave.. in order, evaluating the health
 // gate after each; it runs on its own goroutine (spawned by
 // StartRollout, or by crash recovery when resuming at a clean
-// boundary).
+// boundary). A running rollout is never evicted, so the record it holds
+// stays the registry's.
 func (s *Server) runRollout(id string, startWave int) {
 	s.mu.Lock()
-	rec := s.rollouts[id]
+	rec := s.rolloutLocked(id)
 	if rec == nil {
 		s.mu.Unlock()
 		return
 	}
-	user, from, to := rec.st.User, rec.st.From, rec.st.To
-	ordered := append([]core.VehicleID(nil), rec.st.Vehicles...)
-	bounds := append([]int(nil), rec.bounds...)
-	health := rec.health
+	user, from, to := rec.op.User, rec.op.App, rec.op.ToApp
+	ordered := append([]core.VehicleID(nil), rec.op.Vehicles...)
+	bounds := append([]int(nil), rec.ro.bounds...)
+	health := rec.ro.health
 	s.mu.Unlock()
 
 	for wave := startWave; wave < len(bounds); wave++ {
@@ -374,7 +383,7 @@ func (s *Server) runRollout(id string, startWave int) {
 		}
 		targets := ordered[prev:bounds[wave]]
 		s.mu.Lock()
-		rec.st.CurrentWave = wave
+		rec.ro.currentWave = wave
 		s.mu.Unlock()
 
 		ws := s.runRolloutWave(id, wave, user, from, to, targets)
@@ -405,9 +414,9 @@ func (s *Server) runRollout(id string, startWave int) {
 			return
 		}
 		s.mu.Lock()
-		rec.st.Waves[wave].Promoted = true
-		rec.promoted = wave + 1
-		rec.st.CurrentWave = wave + 1
+		rec.ro.waves[wave].Promoted = true
+		rec.ro.promoted = wave + 1
+		rec.ro.currentWave = wave + 1
 		s.mu.Unlock()
 		s.logf("server: rollout %s: wave %d/%d promoted (%d vehicles)", id, wave+1, len(bounds), len(targets))
 	}
@@ -419,21 +428,21 @@ func (s *Server) runRollout(id string, startWave int) {
 		s.logf("server: rollout %s: journaling completion: %v", id, err)
 	}
 	s.mu.Lock()
-	rec.st.State = api.RolloutSucceeded
-	rec.st.Done = true
+	s.settleRolloutLocked(rec, api.RolloutSucceeded, nil)
 	s.mu.Unlock()
 	s.logf("server: rollout %s: succeeded (%d vehicles on %s)", id, len(ordered), to)
 }
 
 // runRolloutWave pushes one wave through the batch-upgrade machinery
 // and returns its health window: per-child outcome counts, probe
-// rollbacks and the p99 launch-to-settle latency.
+// rollbacks and the p99 launch-to-settle latency. The wave's batch is a
+// child of the rollout operation.
 func (s *Server) runRolloutWave(id string, wave int, user core.UserID, from, to core.AppName, targets []core.VehicleID) api.RolloutWaveStatus {
-	parentID, children := s.newBatchOperation(api.OpBatchUpgrade, api.OpUpgrade, user, from, to, targets, "")
+	parentID, children := s.newBatchUnder(id, api.OpBatchUpgrade, api.OpUpgrade, user, from, to, targets, "")
 	s.mu.Lock()
-	if rec := s.rollouts[id]; rec != nil {
-		rec.st.Waves[wave].Started = true
-		rec.st.Waves[wave].BatchOp = parentID
+	if rec := s.rolloutLocked(id); rec != nil {
+		rec.ro.waves[wave].Started = true
+		rec.ro.waves[wave].BatchOp = parentID
 	}
 	s.mu.Unlock()
 
@@ -467,10 +476,9 @@ func (s *Server) runRolloutWave(id string, wave int, user core.UserID, from, to 
 		AckP99Millis: p99(durs),
 	}
 	s.mu.Lock()
-	if rec := s.rollouts[id]; rec != nil {
-		promoted := rec.st.Waves[wave].Promoted
-		rec.st.Waves[wave] = ws
-		rec.st.Waves[wave].Promoted = promoted
+	if rec := s.rolloutLocked(id); rec != nil {
+		ws.Promoted = rec.ro.waves[wave].Promoted
+		rec.ro.waves[wave] = ws
 	}
 	s.mu.Unlock()
 	return ws
@@ -514,8 +522,8 @@ func gateTrips(pol api.RolloutHealthPolicy, ws api.RolloutWaveStatus) (string, b
 func (s *Server) rolloutAborted(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := s.rollouts[id]
-	return rec != nil && rec.abort
+	rec := s.rolloutLocked(id)
+	return rec != nil && rec.ro.abort
 }
 
 // rollbackRollout downgrades every upgraded vehicle of the rollout in
@@ -531,18 +539,18 @@ func (s *Server) rolloutAborted(id string) bool {
 // the next start resumes it from the durable pivot.
 func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed bool) {
 	s.mu.Lock()
-	rec := s.rollouts[id]
+	rec := s.rolloutLocked(id)
 	if rec == nil {
 		s.mu.Unlock()
 		return
 	}
-	rec.st.State = api.RolloutRollingBack
-	if rec.st.GateReason == "" {
-		rec.st.GateReason = reason
+	rec.ro.state = api.RolloutRollingBack
+	if rec.ro.gateReason == "" {
+		rec.ro.gateReason = reason
 	}
-	user, from, to := rec.st.User, rec.st.From, rec.st.To
-	ordered := append([]core.VehicleID(nil), rec.st.Vehicles...)
-	bounds := append([]int(nil), rec.bounds...)
+	user, from, to := rec.op.User, rec.op.App, rec.op.ToApp
+	ordered := append([]core.VehicleID(nil), rec.op.Vehicles...)
+	bounds := append([]int(nil), rec.ro.bounds...)
 	s.mu.Unlock()
 
 	if !resumed {
@@ -569,12 +577,10 @@ func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed 
 		if len(targets) == 0 {
 			continue
 		}
-		parentID, children := s.newBatchOperation(api.OpBatchUpgrade, api.OpUpgrade, user, to, from, targets, "")
+		parentID, children := s.newBatchUnder(id, api.OpBatchUpgrade, api.OpUpgrade, user, to, from, targets, "")
 		s.mu.Lock()
-		if rec := s.rollouts[id]; rec != nil {
-			rec.st.Waves[wave].RollbackOp = parentID
-			rec.st.CurrentWave = wave
-		}
+		rec.ro.waves[wave].RollbackOp = parentID
+		rec.ro.currentWave = wave
 		s.mu.Unlock()
 		s.runChildren(upgradeKind, target{user: user, app: to, toApp: from}, parentID, children, handedOff(s.downgradeWithRetry))
 		if s.pushCtx.Err() != nil {
@@ -585,11 +591,7 @@ func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed 
 		s.logf("server: rollout %s: journaling rollback completion: %v", id, err)
 	}
 	s.mu.Lock()
-	if rec := s.rollouts[id]; rec != nil {
-		rec.st.State = api.RolloutRolledBack
-		rec.st.Done = true
-		rec.st.Error = api.Errorf(code, "server: rollout %s rolled back: %s", id, reason)
-	}
+	s.settleRolloutLocked(rec, api.RolloutRolledBack, api.Errorf(code, "server: rollout %s rolled back: %s", id, reason))
 	s.mu.Unlock()
 	s.logf("server: rollout %s: fleet rolled back to %s", id, from)
 }

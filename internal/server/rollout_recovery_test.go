@@ -331,7 +331,7 @@ func TestRolloutRecoveryTerminalStateSurvives(t *testing.T) {
 	}
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	if final, err := newV1Client(t, a).WaitRollout(wctx, st.ID, 10*time.Millisecond); err != nil || final.State != api.RolloutSucceeded {
+	if final, err := waitRollout(wctx, newV1Client(t, a), st.ID); err != nil || final.State != api.RolloutSucceeded {
 		t.Fatalf("rollout = %+v, %v", final, err)
 	}
 	barrier(t, a, "sentinel")

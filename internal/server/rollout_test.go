@@ -74,6 +74,15 @@ func wantApp(t *testing.T, s *Server, ids []core.VehicleID, present, absent core
 	}
 }
 
+// waitRollout waits on a rollout the way fescli does — as the operation
+// it is — and then reads its wave view once.
+func waitRollout(ctx context.Context, c *api.Client, id string) (api.RolloutStatus, error) {
+	if _, err := c.WaitOperation(ctx, id, 10*time.Millisecond); err != nil {
+		return api.RolloutStatus{}, err
+	}
+	return c.GetRollout(ctx, id)
+}
+
 // TestRolloutHealthyPromotesAllWaves: a healthy fleet promotes through
 // every wave; each wave's batch operation accounts for exactly its
 // targets (I2) and the fleet converges on the new version.
@@ -108,7 +117,7 @@ func TestRolloutHealthyPromotesAllWaves(t *testing.T) {
 
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	final, err := c.WaitRollout(wctx, st.ID, 10*time.Millisecond)
+	final, err := waitRollout(wctx, c, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +180,7 @@ func TestRolloutUnhealthyCanaryRollsBackFleet(t *testing.T) {
 	}
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	final, err := c.WaitRollout(wctx, st.ID, 10*time.Millisecond)
+	final, err := waitRollout(wctx, c, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +268,7 @@ func TestRolloutAbortRollsBackFleet(t *testing.T) {
 
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	final, err := c.WaitRollout(wctx, st.ID, 10*time.Millisecond)
+	final, err := waitRollout(wctx, c, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

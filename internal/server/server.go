@@ -32,7 +32,8 @@ type Server struct {
 	// vehicle, so operations touching one app are refused instead of
 	// interleaving their frames (see claim in engine.go).
 	claims map[string]string
-	// ops is the async-operation registry (see ops.go).
+	// ops is the async-operation registry (see ops.go), rollouts
+	// included (see rollout.go).
 	ops     map[string]*opRecord
 	opOrder []string
 	opSeq   uint64
@@ -47,10 +48,6 @@ type Server struct {
 	// bucketed by code.
 	statOpsCreated uint64
 	statOpsSettled map[string]uint64
-	// rollouts is the progressive-rollout registry (see rollout.go).
-	rollouts     map[string]*rolloutRecord
-	rolloutOrder []string
-	rolloutSeq   uint64
 	// rolloutResume holds the continuations of rollouts interrupted by a
 	// restart; recoverFrom fills it and OpenJournal launches them once
 	// the journal is attached.
@@ -123,7 +120,6 @@ func New() *Server {
 		failures: make(map[string][]string),
 		claims:   make(map[string]string),
 		ops:      make(map[string]*opRecord),
-		rollouts: make(map[string]*rolloutRecord),
 		idem:     make(map[string]*idemClaim),
 		logf:     func(string, ...any) {},
 	}

@@ -127,7 +127,7 @@ func (sv *Service) AbortRollout(_ context.Context, id string) (api.RolloutStatus
 }
 
 func (sv *Service) ListRollouts(_ context.Context, page api.Page) (api.RolloutList, error) {
-	ids, next := api.Paginate(sv.s.RolloutIDs(), page, func(id string) string { return id })
+	ids, next := api.Paginate(sv.s.RolloutIDs(), page, pageKey)
 	items := make([]api.RolloutStatus, 0, len(ids))
 	for _, id := range ids {
 		if st, ok := sv.s.Rollout(id); ok {
@@ -181,7 +181,7 @@ func (sv *Service) ListOperations(_ context.Context, page api.Page) (api.Operati
 	// fleet-scale batches in the registry, snapshotting every operation
 	// (each with O(fleet) vehicle/child lists) per poll would be
 	// quadratic. An id evicted between the two steps is skipped.
-	ids, next := api.Paginate(sv.s.OperationIDs(), page, func(id string) string { return id })
+	ids, next := api.Paginate(sv.s.OperationIDs(), page, pageKey)
 	items := make([]api.Operation, 0, len(ids))
 	for _, id := range ids {
 		if op, ok := sv.s.Operation(id); ok {
@@ -189,4 +189,13 @@ func (sv *Service) ListOperations(_ context.Context, page api.Page) (api.Operati
 		}
 	}
 	return api.OperationList{Operations: items, NextPageToken: next}, nil
+}
+
+// pageKey is an operation's pagination key, increasing along opOrder:
+// the foreign ids of older rollouts ("ro-…", first) sort before "op-".
+func pageKey(id string) string {
+	if opSeqOf(id) == 0 {
+		return "op-00000000/" + id
+	}
+	return id
 }
