@@ -1,6 +1,6 @@
 // Command fleetsim runs one fleet-scale chaos scenario against an
 // in-process trusted server and writes the measurement report as JSON
-// (the BENCH_FLEET.json shape perfgate's fleet gate consumes).
+// (the BENCH_FLEET.json shape cmd/perfgate gates).
 //
 //	fleetsim [-scenario soak|churn|storm] [-vehicles N] [-seed N]
 //	         [-duration seconds] [-speedup N] [-out BENCH_FLEET.json]

@@ -1,272 +1,109 @@
-// Command perfgate runs the repository's tier-1 benchmarks, emits the
-// results as comparable JSON, and gates changes against a committed
-// baseline (BENCH_BASELINE.json at the repo root).
+// Command perfgate gates a fresh cmd/fleetsim report against the
+// committed baseline (BENCH_FLEET.json at the repo root):
 //
-//	perfgate run  [-bench regex] [-benchtime 1s] [-pkg .] -out new.json
-//	perfgate compare -baseline BENCH_BASELINE.json -new new.json [-max-regress 0.10]
-//	perfgate fleet -baseline BENCH_FLEET.json -new fleet-new.json [-budget 0.5]
+//	perfgate -baseline BENCH_FLEET.json -new fleet-new.json
 //
-// The fleet mode gates cmd/fleetsim chaos-run reports (fleet-scale
-// latency percentiles) against a committed BENCH_FLEET.json baseline;
-// see fleet.go for its noise rules.
-//
-// It parses standard `go test -bench` output (the same format benchstat
-// consumes; benchstat itself is not vendored, so the comparison is
-// built in). Comparison rules:
-//
-//   - allocs/op is machine-independent and gated strictly: a benchmark
-//     whose baseline reports 0 allocs/op must stay at 0, and any
-//     increase fails the gate.
-//   - vm-instr/op (the interpreter's deterministic instruction count)
-//     is gated strictly: any increase fails. The count is exact, so a
-//     regression here means the bytecode optimizer or the fusion rules
-//     lost ground — e.g. the optimized sum loop sliding back toward its
-//     unoptimized instruction count — not measurement noise.
-//   - ns/op is gated at -max-regress (default 10%) only when the
-//     baseline was recorded on the same CPU model; across machines the
-//     wall-clock comparison is reported but informational, because a
-//     shared-runner ratio against a workstation baseline is noise.
-//
-// Exit status 1 means the gate failed.
+// Fleet latency percentiles fold in goroutine scheduling across
+// thousands of simulated vehicles, so each p99 may regress by budget,
+// and a regression under floorMS never fails. The latency rule binds
+// only when both runs share the GOOS/GOARCH/CPU-count shape; otherwise
+// it reports and moves on. Invariant violations in either report always
+// fail: a chaos run that broke an invariant is not a baseline. Exit
+// status 1 means the gate failed.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"os/exec"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
+
+	"dynautosar/internal/fleetsim"
 )
 
-// tier1Bench selects the benchmarks the gate watches: the paper's
-// figure benchmarks, the VM overhead pair and the sustained data plane.
-const tier1Bench = "BenchmarkFig1|BenchmarkFig3|BenchmarkExtB|BenchmarkSustainedDataPlane"
-
-// File is the JSON shape of one benchmark run.
-type File struct {
-	GOOS       string                        `json:"goos"`
-	GOARCH     string                        `json:"goarch"`
-	CPU        string                        `json:"cpu"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-}
+const (
+	budget  = 0.5 // allowed fractional p99 regression per latency key
+	floorMS = 5.0 // p99 regressions under this many ms never fail
+)
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "run":
-		cmdRun(os.Args[2:])
-	case "compare":
-		cmdCompare(os.Args[2:])
-	case "fleet":
-		cmdFleet(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: perfgate run|compare|fleet [flags]")
-	os.Exit(2)
-}
-
-func cmdRun(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	bench := fs.String("bench", tier1Bench, "benchmark regex to run")
-	// Time-based by default: a single -benchtime=1x iteration measures
-	// cold-start (pools, interner, ring all empty), not the steady state
-	// the baseline pins.
-	benchtime := fs.String("benchtime", "1s", "go test -benchtime value")
-	// Best-of-3: parseBench keeps the per-metric minimum across repeats,
-	// which damps scheduler noise on the sub-100ns microbenchmarks enough
-	// for the 10% same-CPU gate to hold (a single sample routinely
-	// jitters past it).
-	count := fs.Int("count", 3, "go test -count value (repeats merge to per-metric minimum)")
-	pkg := fs.String("pkg", ".", "package to benchmark")
-	out := fs.String("out", "", "output JSON path (default stdout)")
-	fs.Parse(args)
-
-	cmd := exec.Command("go", "test",
-		"-bench", *bench,
-		"-benchtime", *benchtime,
-		"-count", strconv.Itoa(*count),
-		"-benchmem",
-		"-run", "^$",
-		*pkg)
-	cmd.Stderr = os.Stderr
-	raw, err := cmd.Output()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfgate: go test: %v\n%s", err, raw)
-		os.Exit(1)
-	}
-	os.Stderr.Write(raw) // keep the raw lines visible in logs
-
-	f := parseBench(string(raw))
-	blob, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
-		os.Exit(1)
-	}
-	blob = append(blob, '\n')
-	if *out == "" {
-		os.Stdout.Write(blob)
-		return
-	}
-	if err := os.WriteFile(*out, blob, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "perfgate: wrote %d benchmarks to %s\n", len(f.Benchmarks), *out)
-}
-
-// parseBench extracts `Benchmark<Name>(-P) iters <value unit>...` lines.
-// A name appearing multiple times (go test -count > 1) merges to the
-// per-metric minimum: the best observed iteration is the least noisy
-// estimate of the code's cost, and both sides of the gate use it.
-func parseBench(out string) File {
-	f := File{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Benchmarks: map[string]map[string]float64{},
-	}
-	sc := bufio.NewScanner(strings.NewReader(out))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
-			f.CPU = strings.TrimSpace(cpu)
-			continue
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 || len(fields)%2 != 0 {
-			continue
-		}
-		name := fields[0]
-		// Strip the -GOMAXPROCS suffix so runs on machines with
-		// different core counts stay comparable.
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		metrics := f.Benchmarks[name]
-		if metrics == nil {
-			metrics = map[string]float64{}
-		}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			unit := fields[i+1]
-			better := func(a, b float64) bool { return a < b }
-			if strings.HasSuffix(unit, "/s") { // throughput: higher is better
-				better = func(a, b float64) bool { return a > b }
-			}
-			if prev, ok := metrics[unit]; !ok || better(v, prev) {
-				metrics[unit] = v
-			}
-		}
-		if len(metrics) > 0 {
-			f.Benchmarks[name] = metrics
-		}
-	}
-	return f
-}
-
-func cmdCompare(args []string) {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	basePath := fs.String("baseline", "BENCH_BASELINE.json", "baseline JSON")
-	newPath := fs.String("new", "", "fresh run JSON")
-	maxRegress := fs.Float64("max-regress", 0.10, "allowed fractional ns/op regression")
-	fs.Parse(args)
+	basePath := flag.String("baseline", "BENCH_FLEET.json", "baseline fleet report")
+	newPath := flag.String("new", "", "fresh fleet report")
+	flag.Parse()
 	if *newPath == "" {
-		fmt.Fprintln(os.Stderr, "perfgate compare: -new is required")
+		fmt.Fprintln(os.Stderr, "perfgate: -new is required")
 		os.Exit(2)
 	}
 
-	base := readFile(*basePath)
-	fresh := readFile(*newPath)
-	sameCPU := base.CPU != "" && base.CPU == fresh.CPU
-	if !sameCPU {
-		fmt.Printf("perfgate: baseline CPU %q != current %q; ns/op is informational, allocs/op and vm-instr/op still gate\n",
-			base.CPU, fresh.CPU)
-	}
+	base := readFleet(*basePath)
+	fresh := readFleet(*newPath)
 
 	failed := false
 	fail := func(format string, args ...any) {
 		failed = true
 		fmt.Printf("FAIL  "+format+"\n", args...)
 	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
+
+	for _, r := range []struct {
+		label string
+		rep   *fleetsim.Report
+	}{{"baseline", base}, {"new", fresh}} {
+		if n := len(r.rep.Violations); n > 0 {
+			fail("%s report carries %d invariant violations (seed %d) — not gateable", r.label, n, r.rep.Seed)
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		bm := base.Benchmarks[name]
-		nm, ok := fresh.Benchmarks[name]
-		if !ok {
-			fail("%s: missing from the fresh run", name)
+
+	if base.Scenario != fresh.Scenario || base.Vehicles != fresh.Vehicles {
+		fail("scenario shape mismatch: baseline %s/%d vehicles vs new %s/%d",
+			base.Scenario, base.Vehicles, fresh.Scenario, fresh.Vehicles)
+	}
+
+	comparable := base.GOOS == fresh.GOOS && base.GOARCH == fresh.GOARCH && base.CPUs == fresh.CPUs
+	if !comparable {
+		fmt.Printf("perfgate: baseline env %s/%s/%d cpus != current %s/%s/%d; latency is informational\n",
+			base.GOOS, base.GOARCH, base.CPUs, fresh.GOOS, fresh.GOARCH, fresh.CPUs)
+	}
+
+	for _, k := range slices.Sorted(maps.Keys(base.Latency)) {
+		b, n := base.Latency[k], fresh.Latency[k]
+		if b.Count == 0 {
+			continue // baseline never measured this key
+		}
+		if n.Count == 0 {
+			fail("%s: no samples in the fresh run (baseline had %d)", k, b.Count)
 			continue
 		}
-		if ba, ok := bm["allocs/op"]; ok {
-			na := nm["allocs/op"]
-			switch {
-			case ba == 0 && na > 0:
-				fail("%s: allocs/op %v, baseline pins 0", name, na)
-			case na > ba:
-				fail("%s: allocs/op grew %v -> %v", name, ba, na)
+		verdict := "ok  "
+		over := n.P99 > b.P99*(1+budget) && n.P99-b.P99 > floorMS
+		if over {
+			if comparable {
+				fail("%s: p99 regressed %.1fms -> %.1fms (budget %.0f%%, floor %.1fms)",
+					k, b.P99, n.P99, budget*100, floorMS)
+				continue
 			}
+			verdict = "warn"
 		}
-		if bi, ok := bm["vm-instr/op"]; ok && bi > 0 {
-			// Deterministic: gate strictly, no noise budget. This pins the
-			// dataflow optimizer's instruction reduction on the loop
-			// benchmarks — falling back to the unoptimized count fails.
-			if ni := nm["vm-instr/op"]; ni > bi {
-				fail("%s: vm-instr/op grew %.0f -> %.0f (deterministic count, no budget)", name, bi, ni)
-			}
-		}
-		if bns, ok := bm["ns/op"]; ok && bns > 0 {
-			nns := nm["ns/op"]
-			ratio := nns / bns
-			verdict := "ok  "
-			if ratio > 1+*maxRegress {
-				if sameCPU {
-					fail("%s: ns/op regressed %.1f -> %.1f (%.2fx > %.2fx budget)",
-						name, bns, nns, ratio, 1+*maxRegress)
-					continue
-				}
-				verdict = "warn"
-			}
-			fmt.Printf("%s  %-45s ns/op %10.1f -> %10.1f  (%.2fx)\n", verdict, name, bns, nns, ratio)
-		}
+		fmt.Printf("%s  %-10s p99 %8.1fms -> %8.1fms  (p50 %.1f -> %.1f, n=%d)\n",
+			verdict, k, b.P99, n.P99, b.P50, n.P50, n.Count)
 	}
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Println("perfgate: gate passed")
+	fmt.Println("perfgate: fleet gate passed")
 }
 
-func readFile(path string) File {
+func readFleet(path string) *fleetsim.Report {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
 		os.Exit(1)
 	}
-	var f File
-	if err := json.Unmarshal(blob, &f); err != nil {
+	var rep fleetsim.Report
+	if err := json.Unmarshal(blob, &rep); err != nil {
 		fmt.Fprintf(os.Stderr, "perfgate: %s: %v\n", path, err)
 		os.Exit(1)
 	}
-	return f
+	return &rep
 }

@@ -23,8 +23,8 @@
 //     paper's smart phone (internal/fes).
 //
 // The package itself only carries documentation and the version constant;
-// see DESIGN.md for the module map and bench_test.go for the reproduction
-// of the paper's evaluation figures and the extension experiments.
+// see DESIGN.md for the module map and bench/ for the benchmark that times
+// the paper's Figure 1-3 paths end to end.
 package dynautosar
 
 // Version identifies this reproduction build.

@@ -1,8 +1,9 @@
 ; Sums 1..N in a VM loop, written in the guarded-loop shape a naive
 ; compiler emits (test at the top, unconditional jump at the bottom).
 ; The optimizer rotates the loop, threads the entry jump and lets the
-; interpreter's fusion rules collapse the body — the program behind
-; BenchmarkExtB_VMSumLoop.
+; interpreter's fusion rules collapse the body. TestOptimizeSumLoopInstructions
+; (internal/verify) pins the gain, and the benchmark's plugin_compute
+; workload runs the same loop.
 .plugin sum 1.0
 .port n required
 .port out provided

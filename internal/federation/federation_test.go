@@ -397,6 +397,117 @@ func TestRouterRolloutOperationQualified(t *testing.T) {
 	}
 }
 
+// TestRouterListsQualifiedIDs: every shard mints its own op-00000001,
+// so a bare id in a listing names no operation in particular. The list
+// endpoints must qualify ids exactly like the single-item reads do, down
+// to a rollout's wave batch ids.
+func TestRouterListsQualifiedIDs(t *testing.T) {
+	r, _ := newLocalFederation(t, "s1", "s2")
+	ctx := context.Background()
+	if _, err := r.CreateUser(ctx, api.CreateUserRequest{ID: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := paperApp(t)
+	v2.Name = "RemoteControl-v2"
+	for _, app := range []api.App{paperApp(t), v2} {
+		if _, err := r.UploadApp(ctx, app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	created := map[string]core.VehicleID{}
+	perShard := map[string][]core.VehicleID{}
+	for i := 0; i < 12; i++ {
+		v := core.VehicleID(fmt.Sprintf("VIN-L%02d", i))
+		if _, err := r.BindVehicle(ctx, api.BindVehicleRequest{Owner: "alice", Conf: modelCarConf(v)}); err != nil {
+			t.Fatal(err)
+		}
+		op, err := r.Deploy(ctx, api.DeployRequest{User: "alice", Vehicle: v, App: "RemoteControl"})
+		if err != nil {
+			t.Fatalf("Deploy %s: %v", v, err)
+		}
+		created[op.ID] = v
+		owner := r.Ring().Owner(v)
+		perShard[owner] = append(perShard[owner], v)
+	}
+	if len(perShard) != 2 {
+		t.Fatalf("hash put all 12 vehicles on one shard: %v", perShard)
+	}
+	qualified := func(id string) bool {
+		_, _, ok := r.splitQualified(id)
+		return ok
+	}
+
+	listed := map[string]bool{}
+	for page := (api.Page{Size: 5}); ; {
+		l, err := r.ListOperations(ctx, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range l.Operations {
+			if !qualified(op.ID) {
+				t.Fatalf("listed operation id %q carries no shard prefix", op.ID)
+			}
+			listed[op.ID] = true
+			got, err := r.GetOperation(ctx, op.ID)
+			if err != nil || got.ID != op.ID || got.Vehicle != op.Vehicle {
+				t.Fatalf("GetOperation(%s) = %s on %s, %v; listed on %s", op.ID, got.ID, got.Vehicle, err, op.Vehicle)
+			}
+		}
+		if l.NextPageToken == "" {
+			break
+		}
+		page.Token = l.NextPageToken
+	}
+	if len(listed) != len(created) {
+		t.Fatalf("listed %d operations, created %d", len(listed), len(created))
+	}
+	for id, v := range created {
+		if !listed[id] {
+			t.Fatalf("created operation %s (%s) not listed", id, v)
+		}
+	}
+
+	// A rollout on one shard's vehicles: nothing is installed, so the
+	// canary wave's batch fails and the rollout settles after it.
+	fleet := perShard["s2"]
+	st, err := r.StartRollout(ctx, api.RolloutRequest{User: "alice", Vehicles: fleet, From: "RemoteControl", To: "RemoteControl-v2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		st, err = r.GetRollout(ctx, st.ID)
+		return err == nil && st.Done
+	})
+	seen := []api.RolloutStatus{st}
+	for page := (api.Page{}); ; {
+		l, err := r.ListRollouts(ctx, page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = append(seen, l.Rollouts...)
+		if l.NextPageToken == "" {
+			break
+		}
+		page.Token = l.NextPageToken
+	}
+	if len(seen) != 2 {
+		t.Fatalf("ListRollouts listed %d rollouts, want the one", len(seen)-1)
+	}
+	for _, ro := range seen {
+		if ro.ID != st.ID || len(ro.Waves) == 0 {
+			t.Fatalf("rollout %+v, want %s with waves", ro, st.ID)
+		}
+		batch := ro.Waves[0].BatchOp
+		if !qualified(batch) {
+			t.Fatalf("wave batch id %q carries no shard prefix", batch)
+		}
+		op, err := r.GetOperation(ctx, batch)
+		if err != nil || op.ID != batch || op.Parent != st.ID {
+			t.Fatalf("wave batch %s = %+v, %v; want parent %s", batch, op, err, st.ID)
+		}
+	}
+}
+
 // rolloutReplica is a replica that counts StartRollout calls and then
 // fails them; any other method panics on the nil embedded interface.
 type rolloutReplica struct {

@@ -119,19 +119,27 @@ func TestMultiProcessShardFailover(t *testing.T) {
 
 	// Vehicles dial their owning shard's pushers — leader first, the
 	// follower's address once a promotion opens it — and ack every push
-	// after a small think time, so the kill below lands mid-flight.
+	// after a small think time. Every other victim-shard vehicle holds
+	// its acks until the leader is dead, so the kill below always lands
+	// mid-flight: a batch that settled first would keep no children
+	// across recovery, by design.
 	pushAddrs := make(map[string][]string, nShards)
 	for _, sp := range shards {
 		pushAddrs[sp.name] = []string{sp.leaderPsh, sp.fwPush}
 	}
-	stop := make(chan struct{})
+	stop, hold := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	var connected atomic.Int64
-	for _, id := range vins {
+	for i, id := range vins {
+		owner := router.Ring().Owner(id)
+		var gate <-chan struct{}
+		if owner == victim && i%2 == 0 {
+			gate = hold
+		}
 		wg.Add(1)
 		go func(id core.VehicleID) {
 			defer wg.Done()
-			runAckingVehicle(id, pushAddrs[router.Ring().Owner(id)], stop, &connected)
+			runAckingVehicle(id, pushAddrs[owner], gate, stop, &connected)
 		}(id)
 	}
 	defer func() { close(stop); wg.Wait() }()
@@ -163,16 +171,18 @@ func TestMultiProcessShardFailover(t *testing.T) {
 	}
 
 	// Mid-batch: the victim's batch parent has durably placed its
-	// per-vehicle children and begun pushing, but cannot have finished —
-	// SIGKILL its leader now, then promote the follower.
+	// per-vehicle children and settled some, but cannot have finished
+	// while half its vehicles hold their acks — SIGKILL its leader now,
+	// then promote the follower.
 	waitCond(t, 60*time.Second, func() bool {
 		child, err := client.GetOperation(ctx, victimChild)
-		return err == nil && child.Total > 0 && !child.Done
+		return err == nil && child.Total > 0 && child.VehiclesSucceeded > 0 && !child.Done
 	})
 	if err := victimProcs.leader.Process.Kill(); err != nil {
 		t.Fatalf("killing %s leader: %v", victim, err)
 	}
 	victimProcs.leader.Wait()
+	close(hold)
 	res, err := http.Post(victimProcs.followerURL+"/v1/promote", "application/json", nil)
 	if err != nil {
 		t.Fatalf("promote: %v", err)
@@ -305,10 +315,11 @@ func TestMultiProcessShardFailover(t *testing.T) {
 }
 
 // runAckingVehicle speaks the ECM wire protocol against the shard's
-// pusher addresses, acking every push after a small think time. It
-// rotates addresses on failure, so a promoted follower's listener is
-// found without coordination.
-func runAckingVehicle(id core.VehicleID, addrs []string, stop <-chan struct{}, connected *atomic.Int64) {
+// pusher addresses, acking every push after a small think time and, when
+// gate is non-nil, not before gate closes. It rotates addresses on
+// failure, so a promoted follower's listener is found without
+// coordination.
+func runAckingVehicle(id core.VehicleID, addrs []string, gate, stop <-chan struct{}, connected *atomic.Int64) {
 	first := true
 	for attempt := 0; ; attempt++ {
 		select {
@@ -347,6 +358,13 @@ func runAckingVehicle(id core.VehicleID, addrs []string, stop <-chan struct{}, c
 			switch msg.Type {
 			case core.MsgInstall, core.MsgUpgrade, core.MsgUninstall:
 				time.Sleep(10 * time.Millisecond) // think time keeps a batch in flight
+				if gate != nil {
+					select {
+					case <-gate:
+					case <-stop:
+						break readLoop
+					}
+				}
 				if core.WriteMessage(conn, msg.Ack()) != nil {
 					break readLoop
 				}

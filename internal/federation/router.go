@@ -303,19 +303,37 @@ func (r *Router) byQualifiedID(ctx context.Context, rt *api.Route, id string) (a
 
 // qualify rewrites the ids in a shard's answer into the router's
 // namespace, so clients can navigate parent/children across the tier.
+// A shard's answer is always a fresh snapshot, rewritten in place.
 func qualify(shard string, out any) any {
+	q := func(id string) string {
+		if id == "" {
+			return ""
+		}
+		return shard + "/" + id
+	}
 	switch v := out.(type) {
 	case api.Operation:
-		v.ID = shard + "/" + v.ID
-		if v.Parent != "" {
-			v.Parent = shard + "/" + v.Parent
-		}
+		v.ID, v.Parent = q(v.ID), q(v.Parent)
 		for i, c := range v.Children {
-			v.Children[i] = shard + "/" + c
+			v.Children[i] = q(c)
 		}
 		return v
 	case api.RolloutStatus:
-		v.ID = shard + "/" + v.ID
+		v.ID = q(v.ID)
+		for i := range v.Waves {
+			w := &v.Waves[i]
+			w.BatchOp, w.RollbackOp = q(w.BatchOp), q(w.RollbackOp)
+		}
+		return v
+	case api.OperationList:
+		for i, op := range v.Operations {
+			v.Operations[i] = qualify(shard, op).(api.Operation)
+		}
+		return v
+	case api.RolloutList:
+		for i, ro := range v.Rollouts {
+			v.Rollouts[i] = qualify(shard, ro).(api.RolloutStatus)
+		}
 		return v
 	}
 	return out
@@ -653,8 +671,8 @@ func appendReason(have, add string) string {
 }
 
 // listAcrossShards walks the shards in name order under a composite
-// "<shard>|<token>" cursor, one shard page per call; next points at the
-// list type's NextPageToken.
+// "<shard>|<token>" cursor, one shard page per call, with the page's ids
+// qualified; next points at the list type's NextPageToken.
 func listAcrossShards[L any](ctx context.Context, r *Router, method string, page api.Page, next func(*L) *string) (L, error) {
 	var zero L
 	name := r.names[0]
@@ -670,6 +688,7 @@ func listAcrossShards[L any](ctx context.Context, r *Router, method string, page
 	if err != nil {
 		return zero, err
 	}
+	list = qualify(name, list).(L)
 	token := next(&list)
 	switch i := sort.SearchStrings(r.names, name); {
 	case *token != "":

@@ -108,13 +108,13 @@ func TestAllocFreePortWriteLinkKinds(t *testing.T) {
 
 // TestAllocFreeTypeIIIFanOut pins the inbound type III fan-out over the
 // precomputed subscriber list, through every subscriber's monitor-guarded
-// echo, at full population.
+// echo, at the eight subscribers the sustained data-plane load runs.
 func TestAllocFreeTypeIIIFanOut(t *testing.T) {
 	p := allocPIRTE(t)
 	if err := p.AddMonitor(4, &RangeMonitor{Min: -1 << 32, Max: 1 << 32, Clamp: true}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		installEchoPosts(t, p, "fan"+string(rune('a'+i)),
 			core.PluginPortID(30+2*i), core.PluginPortID(31+2*i),
 			core.PLCEntry{Kind: core.LinkVirtual, Virtual: 6},

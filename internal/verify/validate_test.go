@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"dynautosar/internal/core"
@@ -295,6 +296,62 @@ func TestOptimizeProgramIdentity(t *testing.T) {
 	}
 	if rep.Stats.Changed() || opt != p {
 		t.Fatalf("minimal program was rewritten: %+v", rep.Stats)
+	}
+}
+
+// TestOptimizeSumLoopInstructions pins the optimizer's gain on the
+// example summing loop (examples/asm/sumloop.asm, whose loop the
+// benchmark's plugin_compute workload runs) at exact instruction counts per
+// activation with N = 1000: the certified upload path must accept the
+// rotated loop, because a program the gate rejects falls back to its
+// raw form and silently costs the raw count.
+func TestOptimizeSumLoopInstructions(t *testing.T) {
+	src, err := os.ReadFile("../../examples/asm/sumloop.asm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := vm.Assemble(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, _, err := verify.OptimizeProgram(raw)
+	if err != nil {
+		t.Fatalf("translation validation rejected the sum loop: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		prog *vm.Program
+		want uint64
+	}{{"optimized", opt, 10009}, {"raw", raw, 11009}} {
+		h := &diffTraceHost{}
+		in, err := vm.NewInstance(c.prog, h, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Deliver(0, 1000); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if in.Instructions != c.want {
+			t.Errorf("%s sum loop: %d instructions for N=1000, want %d", c.name, in.Instructions, c.want)
+		}
+		if got := fmt.Sprint(h.events); got != "[pw 1 500500]" {
+			t.Errorf("%s sum loop wrote %s, want [pw 1 500500]", c.name, got)
+		}
+
+		// Steady-state activations of either form must not allocate.
+		quiet, err := vm.NewInstance(c.prog, diffHost{}, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliver := func() {
+			if err := quiet.Deliver(0, 1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deliver()
+		if allocs := testing.AllocsPerRun(100, deliver); allocs != 0 {
+			t.Errorf("%s sum loop: %v allocs per activation in steady state, want 0", c.name, allocs)
+		}
 	}
 }
 
