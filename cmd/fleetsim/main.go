@@ -1,8 +1,9 @@
-// Command fleetsim runs one fleet-scale chaos scenario against an
-// in-process trusted server and writes the measurement report as JSON
-// (the BENCH_FLEET.json shape cmd/perfgate gates).
+// Command fleetsim runs one fleet-scale chaos scenario against a ring
+// of in-process trusted-server shards (churn and rollout run one shard,
+// soak and storm three) and writes the measurement report as JSON (the
+// BENCH_FLEET.json shape cmd/perfgate gates).
 //
-//	fleetsim [-scenario soak|churn|storm] [-vehicles N] [-seed N]
+//	fleetsim [-scenario soak|churn|rollout|storm] [-vehicles N] [-seed N]
 //	         [-duration seconds] [-speedup N] [-out BENCH_FLEET.json]
 //
 // The scenario presets live in internal/fleetsim; -vehicles, -seed and

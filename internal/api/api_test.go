@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -175,4 +176,55 @@ type stuckSvc struct{ DeploymentService }
 
 func (stuckSvc) GetOperation(_ context.Context, id string) (Operation, error) {
 	return Operation{ID: id, State: StateRunning}, nil
+}
+
+// TestStatzAddCoversEveryField: every Statz field is either aggregated
+// by Add — summed, or the worst value for ReplLagBytes — or one of the
+// per-process identity fields, so a counter added to Statz cannot drop
+// out of a federated /v1/statz unnoticed.
+func TestStatzAddCoversEveryField(t *testing.T) {
+	identity := map[string]bool{"Shard": true, "Role": true, "ShardEpoch": true, "JournalGen": true, "LastSegmentShipped": true}
+	worst := map[string]bool{"ReplLagBytes": true}
+	var one Statz
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); {
+		case f.CanInt():
+			f.SetInt(3)
+		case f.CanUint():
+			f.SetUint(3)
+		case f.Kind() == reflect.String:
+			f.SetString("x")
+		case f.Type() == reflect.TypeOf(map[string]uint64{}):
+			f.Set(reflect.ValueOf(map[string]uint64{"ok": 3}))
+		default:
+			t.Fatalf("Statz.%s: no test value for type %s", v.Type().Field(i).Name, f.Type())
+		}
+	}
+	var sum Statz
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if identity[name] {
+			continue
+		}
+		want := uint64(6)
+		if worst[name] {
+			want = 3
+		}
+		var n uint64
+		switch f := got.Field(i); {
+		case f.CanInt():
+			n = uint64(f.Int())
+		case f.CanUint():
+			n = f.Uint()
+		case f.Kind() == reflect.Map:
+			n = f.Interface().(map[string]uint64)["ok"]
+		}
+		if n != want {
+			t.Errorf("Statz.%s = %d after adding 3 twice, want %d: the field is neither aggregated by Add nor a per-process identity field", name, n, want)
+		}
+	}
 }

@@ -402,6 +402,32 @@ type Statz struct {
 	ReplAsyncCommits   uint64 `json:"replAsyncCommits,omitempty"`
 }
 
+// Add folds one process's counters into s, the aggregation rule of a
+// federated /v1/statz: counters sum, ReplLagBytes keeps the worst
+// shard's lag, OpsSettled merges by outcome. The per-process identity
+// fields (Shard, Role, ShardEpoch, JournalGen, LastSegmentShipped) are
+// not aggregated; the caller sets the aggregate's own.
+func (s *Statz) Add(o Statz) {
+	s.OpsCreated += o.OpsCreated
+	s.OpsOpen += o.OpsOpen
+	s.PendingAcks += o.PendingAcks
+	s.VehiclesConnected += o.VehiclesConnected
+	s.PushesSent += o.PushesSent
+	s.JournalRecords += o.JournalRecords
+	s.JournalCommits += o.JournalCommits
+	s.JournalSinceSnapshot += o.JournalSinceSnapshot
+	s.JournalImageBytes += o.JournalImageBytes
+	s.JournalSegmentBytes += o.JournalSegmentBytes
+	for code, n := range o.OpsSettled {
+		if s.OpsSettled == nil {
+			s.OpsSettled = make(map[string]uint64)
+		}
+		s.OpsSettled[code] += n
+	}
+	s.ReplLagBytes = max(s.ReplLagBytes, o.ReplLagBytes)
+	s.ReplAsyncCommits += o.ReplAsyncCommits
+}
+
 // DeploymentService is the transport-agnostic core of the trusted
 // server's public surface: every operation group of paper section 3.2.2
 // (user setup, upload, (re)deployment) plus the async operations

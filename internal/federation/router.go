@@ -639,26 +639,7 @@ func (r *Router) Statz(ctx context.Context) (api.Statz, error) {
 		if err != nil {
 			continue
 		}
-		out.OpsCreated += st.OpsCreated
-		out.OpsOpen += st.OpsOpen
-		out.PendingAcks += st.PendingAcks
-		out.VehiclesConnected += st.VehiclesConnected
-		out.PushesSent += st.PushesSent
-		out.JournalRecords += st.JournalRecords
-		out.JournalCommits += st.JournalCommits
-		out.JournalSinceSnapshot += st.JournalSinceSnapshot
-		out.JournalImageBytes += st.JournalImageBytes
-		out.JournalSegmentBytes += st.JournalSegmentBytes
-		for code, n := range st.OpsSettled {
-			if out.OpsSettled == nil {
-				out.OpsSettled = make(map[string]uint64)
-			}
-			out.OpsSettled[code] += n
-		}
-		if st.ReplLagBytes > out.ReplLagBytes {
-			out.ReplLagBytes = st.ReplLagBytes
-		}
-		out.ReplAsyncCommits += st.ReplAsyncCommits
+		out.Add(st)
 	}
 	return out, nil
 }

@@ -1,10 +1,12 @@
 // Package fleetsim runs fleet-scale chaos scenarios against the real
 // deployment server: thousands of lightweight protocol-level vehicles
-// in one process, a declarative fault catalogue (link churn, network
-// partitions, CAN bus faults, vehicle reboots, server crash-restart
-// with journal recovery), an invariant checker that audits server
-// state against every vehicle's flash, and a measurement layer that
-// reports throughput and latency percentiles (BENCH_FLEET.json).
+// in one process, partitioned over a ring of one or more in-process
+// server shards, a declarative fault catalogue (link churn, network
+// partitions, CAN bus faults, vehicle reboots, shard crashes recovered
+// by journal restart or follower promotion), an invariant checker that
+// audits server state against every vehicle's flash, and a measurement
+// layer that reports throughput and latency percentiles
+// (BENCH_FLEET.json).
 //
 // Time is split in two: faults, vehicle think time and reconnect
 // backoff live on the discrete-event engine's virtual clock (paced
@@ -26,7 +28,6 @@ import (
 	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 	"dynautosar/internal/federation"
-	"dynautosar/internal/server"
 	"dynautosar/internal/sim"
 )
 
@@ -50,34 +51,15 @@ const (
 	childPollEvery = 5 * time.Millisecond
 )
 
-// trackedRollout follows one launched progressive rollout to its
-// terminal state. Unlike operations, a rollout's state machine is
-// write-ahead journaled, so it survives server crashes: recovery
-// resumes or rolls it back, and the tracker keeps polling the same id
-// across incarnations.
-type trackedRollout struct {
-	id     string
-	launch time.Time
-	// shard is the owning shard's index (-1 in single-server runs).
-	shard    int
-	gen      int // server incarnation it was launched against
-	from, to core.AppName
-	targets  []core.VehicleID
-	done     bool
-	lost     bool
-	final    api.RolloutStatus
-}
-
 // trackedOp follows one launched operation to its terminal state.
 type trackedOp struct {
 	id     string
-	metric string // "deploy" | "upgrade" | "uninstall"
+	metric string // "deploy" | "upgrade" | "uninstall" | "rollout"
 	launch time.Time
-	// shard is the owning shard's index (-1 in single-server runs).
-	shard int
-	gen   int // server incarnation it was launched against
-	app   core.AppName
-	toApp core.AppName
+	shard  int // the owning shard's index
+	gen    int // shard incarnation it was launched against
+	app    core.AppName
+	toApp  core.AppName
 	// targets are the vehicles the operation addressed (for exemption
 	// building when the op is lost to a crash).
 	targets []core.VehicleID
@@ -96,38 +78,26 @@ type Fleet struct {
 	// the schedule is a pure function of the seed.
 	rng *rand.Rand
 
-	dir    string // journal directory ("" = memory-only)
-	ownDir bool
-	srv    *server.Server // nil while crashed
-	// serverGen bumps on every crash so links and operations can tell
-	// which incarnation they belong to.
-	serverGen int
-	// Federated topology (Scenario.Shards > 1): srv stays nil and every
-	// vehicle, operation and audit is scoped to its ring-owning shard.
+	dir string // temporary journal root ("" = memory-only run)
+	// Every vehicle, operation and audit is scoped to its ring-owning
+	// shard; a one-shard ring is the single trusted server.
 	shards      []*fleetShard
 	ring        *federation.Ring
 	shardByName map[string]int
-	// degradedGens marks server incarnations whose journal took a
-	// durability fault (disk full): commit records acknowledged by that
-	// incarnation may never have reached disk, so a later recovery can
-	// legitimately revert work the tracker saw succeed.
-	degradedGens map[int]bool
-	closed       bool
+	closed      bool
 
 	vehicles []*SimVehicle
 	byID     map[core.VehicleID]*SimVehicle
 	appVer   map[core.AppName]map[core.PluginName]string
 	groups   map[string][]core.VehicleID
 
-	open            map[string]*trackedOp
-	openRollouts    map[string]*trackedRollout
-	settledRollouts []*trackedRollout
-	sampled         map[string]*trackedOp
-	settledOps      []*trackedOp
-	childFinal      map[string]api.Operation
-	wasOpen         bool
-	lastPoll        time.Time
-	lastChild       time.Time
+	open       map[string]*trackedOp
+	sampled    map[string]*trackedOp
+	settledOps []*trackedOp
+	childFinal map[string]api.Operation
+	wasOpen    bool
+	lastPoll   time.Time
+	lastChild  time.Time
 
 	start      time.Time
 	deadline   time.Time
@@ -159,18 +129,16 @@ func Run(sc Scenario, logf func(string, ...any)) (*Result, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		sc:           sc,
-		eng:          sim.NewEngine(),
-		rng:          rand.New(rand.NewSource(sc.Seed)),
-		byID:         make(map[core.VehicleID]*SimVehicle),
-		appVer:       make(map[core.AppName]map[core.PluginName]string),
-		groups:       make(map[string][]core.VehicleID),
-		open:         make(map[string]*trackedOp),
-		openRollouts: make(map[string]*trackedRollout),
-		degradedGens: make(map[int]bool),
-		sampled:      make(map[string]*trackedOp),
-		childFinal:   make(map[string]api.Operation),
-		logf:         logf,
+		sc:         sc,
+		eng:        sim.NewEngine(),
+		rng:        rand.New(rand.NewSource(sc.Seed)),
+		byID:       make(map[core.VehicleID]*SimVehicle),
+		appVer:     make(map[core.AppName]map[core.PluginName]string),
+		groups:     make(map[string][]core.VehicleID),
+		open:       make(map[string]*trackedOp),
+		sampled:    make(map[string]*trackedOp),
+		childFinal: make(map[string]api.Operation),
+		logf:       logf,
 	}
 	if err := f.setup(); err != nil {
 		f.shutdown()
@@ -184,56 +152,6 @@ func Run(sc Scenario, logf func(string, ...any)) (*Result, error) {
 	rep := f.report()
 	f.shutdown()
 	return &Result{Report: rep, Trace: f.trace, Violations: f.violations}, nil
-}
-
-func (f *Fleet) setup() error {
-	if f.sc.Shards > 1 {
-		return f.setupShards()
-	}
-	if f.sc.Journal {
-		dir := f.sc.DataDir
-		if dir == "" {
-			var err error
-			dir, err = os.MkdirTemp("", "fleetsim-journal-")
-			if err != nil {
-				return err
-			}
-			f.ownDir = true
-		}
-		f.dir = dir
-	}
-	srv := server.New()
-	if f.dir != "" {
-		if err := srv.OpenJournal(f.dir); err != nil {
-			return err
-		}
-	}
-	f.srv = srv
-	cl := api.NewLocalClient(srv.Service())
-	ctx := context.Background()
-	if _, err := cl.CreateUser(ctx, api.CreateUserRequest{ID: fleetUser}); err != nil {
-		return err
-	}
-	for _, app := range f.sc.Apps {
-		if _, err := cl.UploadApp(ctx, app); err != nil {
-			return fmt.Errorf("upload %s: %w", app.Name, err)
-		}
-		vers := make(map[core.PluginName]string, len(app.Binaries))
-		for _, b := range app.Binaries {
-			vers[b.Manifest.Name] = b.Manifest.Version
-		}
-		f.appVer[app.Name] = vers
-	}
-	for i := 0; i < f.sc.Vehicles; i++ {
-		id := core.VehicleID(fmt.Sprintf("VIN-F-%05d", i))
-		if _, err := cl.BindVehicle(ctx, api.BindVehicleRequest{Owner: fleetUser, Conf: fleetConf(id)}); err != nil {
-			return fmt.Errorf("bind %s: %w", id, err)
-		}
-		v := newSimVehicle(f, i, id)
-		f.vehicles = append(f.vehicles, v)
-		f.byID[id] = v
-	}
-	return nil
 }
 
 // schedule lays the whole deterministic timeline onto the engine:
@@ -299,27 +217,21 @@ func (f *Fleet) sample(fraction float64) []*SimVehicle {
 	return out
 }
 
+// launch issues one work item as one launch per owning shard, in shard
+// order, so each shard's registry sees a self-contained batch whose
+// children match its own vehicles (the per-shard I2 audit).
 func (f *Fleet) launch(w WorkItem, targets []core.VehicleID) {
-	if f.multi() {
-		// Federated topology: one launch per owning shard, in shard
-		// order, so each shard's registry sees a self-contained batch
-		// whose children match its own vehicles (the per-shard I2 audit).
-		for idx, part := range f.partitionTargets(targets) {
-			if len(part) == 0 {
-				continue
-			}
+	for idx, part := range f.partitionTargets(targets) {
+		if len(part) > 0 {
 			f.launchOn(idx, w, part)
 		}
-		return
 	}
-	f.launchOn(-1, w, targets)
 }
 
-// launchOn issues one work item against shard idx (-1 = the
-// single-server topology); a down shard skips its portion exactly like
-// a down single server does.
+// launchOn issues one work item against shard idx; a down shard skips
+// its portion.
 func (f *Fleet) launchOn(idx int, w WorkItem, targets []core.VehicleID) {
-	srv := f.serverAt(idx)
+	srv := f.shards[idx].srv
 	if srv == nil {
 		f.m.launchesSkipped++
 		f.tracef("launch %s %s skipped: server down", w.Kind, w.App)
@@ -361,23 +273,12 @@ func (f *Fleet) launchOn(idx int, w WorkItem, targets []core.VehicleID) {
 		f.tracef("launch rollout %s -> %s over %d vehicles in %d waves", w.App, w.ToApp, len(st.Vehicles), len(st.Waves))
 		f.logf("fleetsim: t=%s launched rollout %s -> %s (%s, %d vehicles, %d waves)",
 			f.vt(), w.App, w.ToApp, st.ID, len(st.Vehicles), len(st.Waves))
-		f.openRollouts[f.qkey(idx, st.ID)] = &trackedRollout{
-			id: st.ID, launch: time.Now(), shard: idx, gen: f.genAt(idx),
-			from: st.From, to: st.To,
-			targets: append([]core.VehicleID(nil), st.Vehicles...),
-		}
-		f.wasOpen = true
-		f.m.launched++
+		// A rollout is an operation: tracked like a batch parent, settled
+		// through its wave view (settleRollout).
+		f.track(api.Operation{ID: st.ID, App: st.From, ToApp: st.To, Vehicles: st.Vehicles}, "rollout", idx)
 	default:
 		f.violationf("unknown work kind %q", w.Kind)
 	}
-}
-
-// openWork counts everything the pump still waits on: launched
-// operations and progressive rollouts that have not reached a terminal
-// state.
-func (f *Fleet) openWork() int {
-	return len(f.open) + len(f.openRollouts)
 }
 
 func (f *Fleet) finishLaunch(idx int, w WorkItem, op api.Operation, err error, metric string) {
@@ -395,7 +296,7 @@ func (f *Fleet) finishLaunch(idx int, w WorkItem, op api.Operation, err error, m
 // unique within one shard's registry.
 func (f *Fleet) track(op api.Operation, metric string, idx int) {
 	t := &trackedOp{
-		id: op.ID, metric: metric, launch: time.Now(), shard: idx, gen: f.genAt(idx),
+		id: op.ID, metric: metric, launch: time.Now(), shard: idx, gen: f.shards[idx].gen,
 		app: op.App, toApp: op.ToApp,
 	}
 	if len(op.Vehicles) > 0 {
@@ -417,35 +318,42 @@ func (f *Fleet) track(op api.Operation, metric string, idx int) {
 	}
 }
 
-// poll advances the operation tracker: settles tracked parents and
-// singles, samples child latencies, and fires the quiescence audit
-// when the last open operation settles.
+// poll advances the operation tracker: settles tracked parents,
+// singles and rollouts, samples child latencies, and fires the
+// quiescence audit when the last open operation settles.
 func (f *Fleet) poll() {
-	if !f.multi() && f.srv == nil {
-		return
-	}
 	now := time.Now()
 	if now.Sub(f.lastPoll) < pollEvery {
 		return
 	}
 	f.lastPoll = now
 	for key, t := range f.open {
-		srv := f.serverAt(t.shard)
-		if srv == nil {
-			continue // shard down; the promoted journal resolves it
+		sh := f.shards[t.shard]
+		if sh.srv == nil {
+			continue // shard down; its recovered journal resolves it
 		}
-		op, ok := srv.Operation(t.id)
+		op, ok := sh.srv.Operation(t.id)
+		rollout := t.metric == "rollout"
 		switch {
-		case !ok && t.gen < f.genAt(t.shard):
+		case !ok && t.gen < sh.gen && !(rollout && sh.dir != ""):
 			// Created against a previous incarnation and never journaled
 			// before the crash: lost with the process, like work accepted
 			// by a dying server. Its side effects are exempted, not
-			// forgotten — see exemptions().
+			// forgotten — see exemptions(). A rollout is write-ahead
+			// journaled before its first wave launches, so it must survive
+			// a journaled shard's crash: only a memory-only one is lost.
 			t.done, t.lost = true, true
-			f.m.lostOps++
+			if rollout {
+				f.m.rolloutsLost++
+			} else {
+				f.m.lostOps++
+			}
 		case !ok:
 			f.violationf("operation %s vanished from the registry before settling", key)
 			t.done = true
+		case op.Done && rollout:
+			t.done, t.final = true, op
+			f.settleRollout(t, op, now)
 		case op.Done:
 			t.done, t.final = true, op
 			f.settleParent(t, op, now)
@@ -458,7 +366,7 @@ func (f *Fleet) poll() {
 	if now.Sub(f.lastChild) >= childPollEvery {
 		f.lastChild = now
 		for key, t := range f.sampled {
-			srv := f.serverAt(t.shard)
+			srv := f.shards[t.shard].srv
 			if srv == nil {
 				continue
 			}
@@ -473,49 +381,21 @@ func (f *Fleet) poll() {
 			}
 		}
 	}
-	f.pollRollouts(now)
-	if f.wasOpen && f.openWork() == 0 {
+	if f.wasOpen && len(f.open) == 0 {
 		f.wasOpen = false
 		f.audit("quiescent")
 	}
 }
 
-// pollRollouts settles tracked rollouts. A rollout is write-ahead
-// journaled before its first wave launches, so unlike plain operations
-// it must survive a crash-restart: vanishing from a journaled server's
-// registry is a violation, and "lost" only applies to memory-only runs.
-func (f *Fleet) pollRollouts(now time.Time) {
-	for key, t := range f.openRollouts {
-		srv := f.serverAt(t.shard)
-		if srv == nil {
-			continue // shard down; the promoted journal resumes it
-		}
-		st, ok := srv.Rollout(t.id)
-		switch {
-		case !ok && t.gen < f.genAt(t.shard) && f.dir == "":
-			t.done, t.lost = true, true
-			f.m.rolloutsLost++
-		case !ok:
-			f.violationf("rollout %s vanished from the registry before settling", key)
-			t.done = true
-		case st.Done:
-			t.done, t.final = true, st
-			f.settleRollout(t, st, now)
-		default:
-			continue
-		}
-		delete(f.openRollouts, key)
-		f.settledRollouts = append(f.settledRollouts, t)
-	}
-}
-
 // settleRollout records a terminal rollout: whole-rollout latency, the
-// promoted-wave tally, and every wave's forward and rollback batch
-// operation harvested into the audit's settled set.
-func (f *Fleet) settleRollout(t *trackedRollout, st api.RolloutStatus, now time.Time) {
+// promoted-wave tally and gate reason read once from its wave view, and
+// its children — every forward and rollback wave batch — harvested into
+// the audit's settled set.
+func (f *Fleet) settleRollout(t *trackedOp, op api.Operation, now time.Time) {
 	f.m.settled++
 	f.m.rolloutsSettled++
 	f.m.rollout.record(now.Sub(t.launch))
+	st, _ := f.shards[t.shard].srv.Rollout(t.id)
 	reason := ""
 	if st.State == api.RolloutRolledBack {
 		f.m.rolloutsRolledBack++
@@ -525,10 +405,11 @@ func (f *Fleet) settleRollout(t *trackedRollout, st api.RolloutStatus, now time.
 		if ws.Promoted {
 			f.m.wavesPromoted++
 		}
-		f.harvestRolloutOp(t, ws.BatchOp)
-		f.harvestRolloutOp(t, ws.RollbackOp)
 	}
-	f.logf("fleetsim: t=%s rollout %s settled %s%s", f.vt(), st.ID, st.State, reason)
+	for _, id := range op.Children {
+		f.harvestRolloutOp(t, id)
+	}
+	f.logf("fleetsim: t=%s rollout %s settled %s%s", f.vt(), t.id, st.State, reason)
 }
 
 // harvestRolloutOp pulls one wave's batch operation into the settled
@@ -537,28 +418,24 @@ func (f *Fleet) settleRollout(t *trackedRollout, st api.RolloutStatus, now time.
 // operation, so the registry keeps it until the rollout settled: one
 // missing in the incarnation that launched the rollout was evicted too
 // early. Across a restart a hole is by design, as for batch children.
-func (f *Fleet) harvestRolloutOp(r *trackedRollout, id string) {
-	idx := r.shard
-	srv := f.serverAt(idx)
-	if id == "" || srv == nil {
-		return
-	}
-	op, ok := srv.Operation(id)
-	if !ok && r.gen == f.genAt(idx) {
+func (f *Fleet) harvestRolloutOp(r *trackedOp, id string) {
+	sh := f.shards[r.shard]
+	op, ok := sh.srv.Operation(id)
+	if !ok && r.gen == sh.gen {
 		f.violationf("rollout %s wave batch %s missing at rollout settle", r.id, id)
 	}
 	if !ok || !op.Done {
 		return
 	}
 	t := &trackedOp{
-		id: id, metric: "upgrade", shard: idx, gen: f.genAt(idx),
+		id: id, metric: "upgrade", shard: r.shard, gen: sh.gen,
 		app: op.App, toApp: op.ToApp, targets: op.Vehicles,
 		done: true, final: op,
 	}
 	f.settledOps = append(f.settledOps, t)
 	for _, cid := range op.Children {
-		if cop, ok := srv.Operation(cid); ok {
-			f.childFinal[f.qkey(idx, cid)] = cop
+		if cop, ok := sh.srv.Operation(cid); ok {
+			f.childFinal[f.qkey(r.shard, cid)] = cop
 		}
 	}
 }
@@ -573,16 +450,16 @@ func (f *Fleet) settleParent(t *trackedOp, op api.Operation, now time.Time) {
 		f.m.lat(t.metric).record(now.Sub(t.launch))
 		return
 	}
-	srv := f.serverAt(t.shard)
+	sh := f.shards[t.shard]
 	for _, cid := range op.Children {
 		key := f.qkey(t.shard, cid)
 		if st, ok := f.sampled[key]; ok {
 			f.m.lat(st.metric).record(now.Sub(st.launch))
 			delete(f.sampled, key)
 		}
-		if cop, ok := srv.Operation(cid); ok {
+		if cop, ok := sh.srv.Operation(cid); ok {
 			f.childFinal[key] = cop
-		} else if t.gen == f.genAt(t.shard) {
+		} else if t.gen == sh.gen {
 			// Across a crash the hole is by design: a parent whose settle
 			// record was durable comes back settled, and recovery does not
 			// resurrect a settled batch's children.
@@ -607,17 +484,17 @@ func (f *Fleet) pump() {
 		}
 		f.poll()
 		now := f.eng.Now()
-		if f.openWork() == 0 && now >= endT {
+		if len(f.open) == 0 && now >= endT {
 			return
 		}
 		if time.Now().After(f.deadline) {
-			f.violationf("real-time limit %s exceeded with %d operations and %d rollouts unsettled",
-				f.sc.RealTimeLimit, len(f.open), len(f.openRollouts))
+			f.violationf("real-time limit %s exceeded with %d operations unsettled",
+				f.sc.RealTimeLimit, len(f.open))
 			return
 		}
 		at, ok := f.eng.Next()
 		switch {
-		case ok && (at <= endT || f.openWork() > 0):
+		case ok && (at <= endT || len(f.open) > 0):
 			if now < endT && !f.paced(at) {
 				continue // waited out pacing or handled injected work
 			}
@@ -667,54 +544,9 @@ func (f *Fleet) paced(at sim.Time) bool {
 	return false
 }
 
-// crashServer kills the current server incarnation: the journal stops
-// cold at its last group commit and every vehicle link collapses.
-func (f *Fleet) crashServer() {
-	if f.srv == nil {
-		return
-	}
-	f.tracef("server crash")
-	f.logf("fleetsim: t=%s server crash (gen %d)", f.vt(), f.serverGen)
-	f.m.serverCrashes++
-	old := f.srv
-	oldGen := f.serverGen
-	f.srv = nil
-	f.serverGen++
-	if jn := old.Journal(); jn != nil {
-		jn.Crash()
-	}
-	old.Pusher().CloseAll()
-	// Sweep links that were dialling into the dying pusher and missed
-	// CloseAll (hello not yet registered).
-	for _, v := range f.vehicles {
-		if v.conn != nil && v.srvGen == oldGen {
-			v.dropLink()
-		}
-	}
-}
-
-// restartServer brings a fresh incarnation up from the journal
-// directory; vehicles find it on their own backoff redials.
-func (f *Fleet) restartServer() {
-	if f.closed || f.srv != nil || f.multi() {
-		return
-	}
-	srv := server.New()
-	if err := srv.OpenJournal(f.dir); err != nil {
-		f.violationf("server restart failed: %v", err)
-		return
-	}
-	h := srv.Health()
-	f.m.recoveredRecords += h.RecoveredRecords
-	f.m.interruptedOps += h.InterruptedOperations
-	f.srv = srv
-	f.tracef("server restart")
-	f.logf("fleetsim: t=%s server restarted (gen %d, %d records recovered, %d operations interrupted)",
-		f.vt(), f.serverGen, h.RecoveredRecords, h.InterruptedOperations)
-}
-
 // shutdown tears the run down: closes every link, drains the reader
-// goroutines' final injections, and closes the server.
+// goroutines' final injections, closes every shard's server and replica
+// and removes the temporary journal root.
 func (f *Fleet) shutdown() {
 	f.closed = true
 	for _, v := range f.vehicles {
@@ -727,12 +559,16 @@ func (f *Fleet) shutdown() {
 	// no goroutine is left blocked on the engine's channel.
 	for f.eng.AwaitInjected(5 * time.Millisecond) {
 	}
-	if f.srv != nil {
-		f.srv.Close()
-		f.srv = nil
+	for _, sh := range f.shards {
+		if sh.srv != nil {
+			sh.srv.Close()
+			sh.srv = nil
+		}
+		if sh.replica != nil {
+			sh.replica.Close()
+		}
 	}
-	f.shutdownShards()
-	if f.ownDir && f.dir != "" {
+	if f.dir != "" {
 		os.RemoveAll(f.dir)
 	}
 }

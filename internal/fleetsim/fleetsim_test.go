@@ -47,7 +47,8 @@ func requireClean(t *testing.T, res *Result, seed int64) {
 
 // TestScenarioStorm is the headline run: a full-size fleet under
 // churn, bus faults, a partition landing mid-upgrade, vehicle reboots
-// and a server crash-restart — zero invariant violations allowed, and
+// and a shard crash with follower promotion — zero invariant
+// violations allowed, and
 // the whole thing must replay from the logged seed.
 func TestScenarioStorm(t *testing.T) {
 	seed := scenarioSeed(t)
@@ -185,42 +186,53 @@ func TestScenarioTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardCrashTraceDeterministic extends the replay contract to the
-// federated topology: a sharded storm — ring assignment, per-shard
-// batches, a shard crash and its promotion — must trace identically
-// from the same seed, so a multi-shard chaos run replays exactly like a
-// single-server one.
+// TestShardCrashTraceDeterministic extends the replay contract across
+// both recovery sources of a shard crash: a three-shard storm — ring
+// assignment, per-shard batches, a shard crash and its follower's
+// promotion — and the same storm on one shard, which restarts from its
+// own journal, must each trace identically from the same seed.
 func TestShardCrashTraceDeterministic(t *testing.T) {
 	seed := scenarioSeed(t)
-	run := func(s int64) []string {
-		t.Helper()
-		sc, err := Preset("storm", scaled(300), s, 10*sim.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Speedup = -1 // unpaced: determinism must not depend on pacing
-		res, err := Run(sc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireClean(t, res, s)
-		if got := res.Report.Counters["serverCrashes"]; got != 1 {
-			t.Fatalf("seed %d: shard crash never fired (serverCrashes = %d)", s, got)
-		}
-		return res.Trace
-	}
-	a := run(seed)
-	b := run(seed)
-	if !slices.Equal(a, b) {
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: sharded traces diverge at entry %d:\n  run1: %s\n  run2: %s", seed, i, a[i], b[i])
+	for _, shards := range []int{3, 1} {
+		run := func(s int64) []string {
+			t.Helper()
+			sc, err := Preset("storm", scaled(300), s, 10*sim.Second)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sc.Speedup = -1 // unpaced: determinism must not depend on pacing
+			if shards == 1 {
+				sc.Shards = 1
+				for i, fa := range sc.Faults {
+					if c, ok := fa.(ShardCrash); ok {
+						c.Shard = 0
+						sc.Faults[i] = c
+					}
+				}
+			}
+			res, err := Run(sc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireClean(t, res, s)
+			if got := res.Report.Counters["serverCrashes"]; got != 1 {
+				t.Fatalf("seed %d, %d shards: shard crash never fired (serverCrashes = %d)", s, shards, got)
+			}
+			return res.Trace
 		}
-		t.Fatalf("seed %d: sharded trace lengths differ: %d vs %d", seed, len(a), len(b))
-	}
-	if c := run(seed + 1); slices.Equal(a, c) {
-		t.Errorf("seeds %d and %d produced identical sharded traces — the schedule ignores the seed", seed, seed+1)
+		a := run(seed)
+		b := run(seed)
+		if !slices.Equal(a, b) {
+			for i := 0; i < len(a) && i < len(b); i++ {
+				if a[i] != b[i] {
+					t.Fatalf("seed %d, %d shards: traces diverge at entry %d:\n  run1: %s\n  run2: %s", seed, shards, i, a[i], b[i])
+				}
+			}
+			t.Fatalf("seed %d, %d shards: trace lengths differ: %d vs %d", seed, shards, len(a), len(b))
+		}
+		if c := run(seed + 1); slices.Equal(a, c) {
+			t.Errorf("seeds %d and %d produced identical traces on %d shards — the schedule ignores the seed", seed, seed+1, shards)
+		}
 	}
 }
 
@@ -249,7 +261,8 @@ func TestPartitionHealReconnect(t *testing.T) {
 	}
 }
 
-// TestStormCrashRecovery kills the server mid-batch-upgrade under a
+// TestStormCrashRecovery kills the server — shard 0 of a one-shard
+// ring, restarted from its own journal — mid-batch-upgrade under a
 // fleet-size storm of acks and verifies recovery: zero lost and zero
 // duplicated installation rows (invariants I4/I5), with the
 // interrupted work accounted rather than stuck.
@@ -273,7 +286,7 @@ func TestStormCrashRecovery(t *testing.T) {
 			// 150ms of virtual time after the upgrade launches, the
 			// server dies; stragglers guarantee swaps are still in
 			// flight when it does.
-			ServerCrash{At: d*2/5 + 150*sim.Millisecond, RestartAfter: sim.Second},
+			ShardCrash{At: d*2/5 + 150*sim.Millisecond, Shard: 0, RecoverAfter: sim.Second},
 		},
 	}
 	res, err := Run(sc, t.Logf)

@@ -12,7 +12,7 @@ import (
 // operation settles, and once more at the end of the run):
 //
 //	I1 every launched operation settles before the real-time limit
-//	   (enforced by the pump; an operation lost to a server crash is
+//	   (enforced by the pump; an operation lost to a shard crash is
 //	   accounted, not violated).
 //	I2 batch accounting is exact: children match the resolved vehicle
 //	   list, succeeded+failed counts cover every child, and the parent
@@ -40,7 +40,7 @@ type exKey struct {
 
 // exemptions builds the divergence allowance from terminal operations:
 // a failed child exempts its (vehicle, app) and upgrade target; a lost
-// operation (crashed server) exempts every pair it addressed; an
+// operation (crashed shard) exempts every pair it addressed; an
 // operation settled by an incarnation whose journal lost durability
 // (disk full) exempts its pairs once a crash crosses that incarnation —
 // its commit records may never have hit disk, so recovery can revert
@@ -55,12 +55,25 @@ func (f *Fleet) exemptions() map[exKey]bool {
 		}
 	}
 	// Synchronous replication makes a shard's replica exactly as durable
-	// as its own journal, so a shard crash earns no broader allowance
-	// than a single-server crash: only lost, failed and unfinished
-	// operations explain divergence.
+	// as its own journal, so a promotion earns no broader allowance than
+	// a restart: only lost, failed and unfinished operations explain
+	// divergence.
 	for _, t := range f.settledOps {
-		lostDurability := t.shard < 0 && t.gen < f.serverGen && f.degradedGens[t.gen]
-		if t.lost || (t.done && t.final.State == api.StateFailed) || !t.done || lostDurability {
+		sh := f.shards[t.shard]
+		var diverged bool
+		if t.metric == "rollout" {
+			// A rollout that crossed a crash may have had wave children in
+			// flight when the process died (an ack applied on the vehicle
+			// whose commit never became durable); recovery converges the
+			// fleet at the store level, so the whole target set is
+			// exempted like a lost operation's. Its failed wave children
+			// are exempted below, like any batch's.
+			diverged = t.lost || t.gen < sh.gen
+		} else {
+			lostDurability := t.gen < sh.gen && sh.degradedGens[t.gen]
+			diverged = t.lost || (t.done && t.final.State == api.StateFailed) || !t.done || lostDurability
+		}
+		if diverged {
 			for _, v := range t.targets {
 				add(v, t.app, t.toApp)
 			}
@@ -71,26 +84,13 @@ func (f *Fleet) exemptions() map[exKey]bool {
 			add(cop.Vehicle, cop.App, cop.ToApp)
 		}
 	}
-	// A rollout that crossed a server crash may have had wave children
-	// in flight when the process died (an ack applied on the vehicle
-	// whose commit never became durable); recovery converges the fleet
-	// at the store level, so the whole target set is exempted like a
-	// lost operation's.
-	for _, t := range f.settledRollouts {
-		if t.lost || t.gen < f.genAt(t.shard) {
-			for _, v := range t.targets {
-				add(v, t.from, t.to)
-			}
-		}
-	}
 	return ex
 }
 
-// audit runs the full invariant sweep against the current topology —
-// the single server, or each live shard's server for the vehicles it
-// owns.
+// audit runs the full invariant sweep: each live shard's server for
+// the vehicles it owns.
 func (f *Fleet) audit(label string) {
-	if f.closed || (!f.multi() && f.srv == nil) {
+	if f.closed {
 		return
 	}
 	// Audits are deliberately absent from the trace: *when* quiescence
@@ -102,9 +102,9 @@ func (f *Fleet) audit(label string) {
 	deployOK := f.deploySucceededVehicles()
 	pairs := f.sc.upgradePairs()
 	for _, v := range f.vehicles {
-		srv := f.serverAt(v.shardIdx)
+		srv := f.shards[v.shardIdx].srv
 		if srv == nil {
-			continue // shard down; its vehicles audit after promotion
+			continue // shard down; its vehicles audit after recovery
 		}
 		rows := srv.Store().InstalledApps(v.ID)
 		f.auditPorts(v, rows)
@@ -113,31 +113,22 @@ func (f *Fleet) audit(label string) {
 	}
 }
 
-// auditStatz cross-checks the server's /v1/statz counters against the
+// auditStatz cross-checks each shard's /v1/statz counters against the
 // tracker's accounting at a quiescent point: with every tracked
-// operation and rollout settled, the registry must hold no open
-// operations and every created operation must have a settled outcome.
-// The counters are in-memory and reset with the process, so the check
-// only binds while the run has not crossed a server crash.
+// operation settled, the registry must hold no open operations and
+// every created operation must have a settled outcome. The counters
+// are in-memory and reset with the process, so a shard that ever
+// crashed is excluded; the rest must balance.
 func (f *Fleet) auditStatz(label string) {
 	if f.m.lostOps > 0 || f.m.rolloutsLost > 0 {
 		return
 	}
-	if f.multi() {
-		// Per-shard counters: a shard that ever crashed is excluded (its
-		// counters reset with the promotion), the rest must balance.
-		for _, sh := range f.shards {
-			if sh.everCrashed || sh.srv == nil {
-				continue
-			}
-			f.checkStatz(sh.srv.Statz(), "shard "+sh.name+" ", label)
+	for _, sh := range f.shards {
+		if sh.everCrashed || sh.srv == nil {
+			continue
 		}
-		return
+		f.checkStatz(sh.srv.Statz(), "shard "+sh.name+" ", label)
 	}
-	if f.m.serverCrashes > 0 {
-		return
-	}
-	f.checkStatz(f.srv.Statz(), "", label)
 }
 
 func (f *Fleet) checkStatz(st api.Statz, who, label string) {
@@ -155,10 +146,11 @@ func (f *Fleet) checkStatz(st api.Statz, who, label string) {
 }
 
 // auditOps checks I2 on every settled batch parent and its sweep of
-// terminal children.
+// terminal children. A rollout is no batch — its children are wave
+// batches, audited in their own right once harvested.
 func (f *Fleet) auditOps() {
 	for _, t := range f.settledOps {
-		if t.lost || !t.done {
+		if t.lost || !t.done || t.metric == "rollout" {
 			continue
 		}
 		op := t.final
@@ -247,12 +239,13 @@ func (f *Fleet) auditHonesty(v *SimVehicle, rows []api.InstalledApp, ex map[exKe
 		}
 	}
 	// Orphan direction: anything flashed must be server-known, unless a
-	// failed/lost operation on this vehicle explains leftovers.
+	// failed/lost operation on this vehicle explains leftovers. A lost
+	// rollout explains only its own family, through the exemptions.
 	if vehicleExempt {
 		return
 	}
 	for _, t := range f.settledOps {
-		if t.lost {
+		if t.lost && t.metric != "rollout" {
 			for _, id := range t.targets {
 				if id == v.ID {
 					return

@@ -79,14 +79,8 @@ func (h *hist) stats() LatencyStats {
 	s := append([]float64(nil), h.samples...)
 	sort.Float64s(s)
 	pick := func(q float64) float64 {
-		idx := int(math.Ceil(q*float64(len(s)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		return s[idx]
+		rank := int(math.Ceil(q*float64(len(s)))) - 1
+		return s[min(max(rank, 0), len(s)-1)]
 	}
 	return LatencyStats{Count: len(s), P50: pick(0.50), P95: pick(0.95), P99: pick(0.99), Max: h.max}
 }
@@ -176,24 +170,21 @@ func (f *Fleet) report() Report {
 			"rollout":   f.m.rollout.stats(),
 			"ackRtt":    f.m.ackRTT.stats(),
 		},
+		Installed:  make(map[string]int),
 		Violations: f.violations,
 	}
-	installed := make(map[string]int)
 	for _, v := range f.vehicles {
-		srv := f.serverAt(v.shardIdx)
+		srv := f.shards[v.shardIdx].srv
 		if srv == nil {
 			continue
 		}
 		for _, row := range srv.Store().InstalledApps(v.ID) {
-			installed[string(row.App)]++
+			rep.Installed[string(row.App)]++
 		}
 	}
-	if len(installed) > 0 || f.srv != nil || f.multi() {
-		rep.Installed = installed
-	}
 	// The statz counters come through the same client surface fescli
-	// uses, so the endpoint is exercised end to end. A federated run
-	// reports the sum across live shards, like the router's /v1/statz.
+	// uses, so the endpoint is exercised end to end, summed across live
+	// shards like the router's /v1/statz.
 	if st, ok := f.statzSnapshot(); ok {
 		rep.Statz = &st
 		rep.Throughput["pushes"] = float64(st.PushesSent) / wall
@@ -201,43 +192,21 @@ func (f *Fleet) report() Report {
 	return rep
 }
 
-// statzSnapshot fetches /v1/statz through the typed client: the single
-// server's, or the field-wise sum over every live shard.
+// statzSnapshot fetches /v1/statz through the typed client from every
+// live shard and aggregates it with the router's rule.
 func (f *Fleet) statzSnapshot() (api.Statz, bool) {
-	ctx := context.Background()
-	if !f.multi() {
-		if f.srv == nil {
-			return api.Statz{}, false
-		}
-		st, err := api.NewLocalClient(f.srv.Service()).Statz(ctx)
-		return st, err == nil
-	}
-	var sum api.Statz
-	sum.OpsSettled = make(map[string]uint64)
-	any := false
+	sum := api.Statz{Shard: "federated"}
+	live := false
 	for _, sh := range f.shards {
 		if sh.srv == nil {
 			continue
 		}
-		st, err := api.NewLocalClient(sh.srv.Service()).Statz(ctx)
+		st, err := api.NewLocalClient(sh.srv.Service()).Statz(context.Background())
 		if err != nil {
 			continue
 		}
-		any = true
-		sum.OpsCreated += st.OpsCreated
-		sum.OpsOpen += st.OpsOpen
-		sum.PendingAcks += st.PendingAcks
-		sum.VehiclesConnected += st.VehiclesConnected
-		sum.PushesSent += st.PushesSent
-		sum.JournalRecords += st.JournalRecords
-		sum.JournalCommits += st.JournalCommits
-		sum.JournalSinceSnapshot += st.JournalSinceSnapshot
-		sum.JournalImageBytes += st.JournalImageBytes
-		sum.JournalSegmentBytes += st.JournalSegmentBytes
-		for k, n := range st.OpsSettled {
-			sum.OpsSettled[k] += n
-		}
+		live = true
+		sum.Add(st)
 	}
-	sum.Shard = "federated"
-	return sum, any
+	return sum, live
 }

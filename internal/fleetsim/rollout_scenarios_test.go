@@ -179,7 +179,7 @@ func TestStormDiskFullRecovery(t *testing.T) {
 			// The disk fills while upgrade commits are in flight; the
 			// crash-restart clears the fault like swapping the disk.
 			JournalFault{At: d*3/10 + 100*sim.Millisecond, DiskFull: true},
-			ServerCrash{At: d / 2, RestartAfter: sim.Second},
+			ShardCrash{At: d / 2, Shard: 0, RecoverAfter: sim.Second},
 		},
 	}
 	res, err := Run(sc, t.Logf)

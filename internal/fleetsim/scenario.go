@@ -12,11 +12,11 @@ import (
 )
 
 // A Scenario is a declarative description of one fleet run: how many
-// vehicles, which apps exist, when workload is launched and which
-// faults are injected along the virtual timeline. Everything random —
-// fault victims, jitter, per-vehicle ack delays — derives from Seed,
-// so a scenario's fault schedule replays exactly from its seed (see
-// the determinism contract in DESIGN.md).
+// vehicles on how many server shards, which apps exist, when workload
+// is launched and which faults are injected along the virtual
+// timeline. Everything random — fault victims, jitter, per-vehicle ack
+// delays — derives from Seed, so a scenario's fault schedule replays
+// exactly from its seed (see the determinism contract in DESIGN.md).
 type Scenario struct {
 	Name     string
 	Vehicles int
@@ -29,16 +29,13 @@ type Scenario struct {
 	// to the real server's concurrent work. 0 selects the default (4);
 	// negative disables pacing (run as fast as possible).
 	Speedup int
-	// Journal forces a durable server even without a ServerCrash fault.
-	Journal bool
-	// Shards > 1 runs a federated control plane: that many leader
-	// servers partition the fleet by consistent hashing, each journaling
-	// to its own directory and replicating synchronously into a follower
-	// replica that a ShardCrash fault can promote. Always journaled.
+	// Shards is the size of the server ring the fleet is partitioned
+	// over by consistent hashing (0 selects 1, the single trusted
+	// server). A shard journals to a temporary directory when the ring
+	// has more than one shard or a fault needs a journal (ShardCrash,
+	// JournalFault); with more than one shard each also replicates
+	// synchronously into a follower replica that a ShardCrash promotes.
 	Shards int
-	// DataDir is the journal directory; empty selects a fresh temporary
-	// directory that is removed when the run ends.
-	DataDir string
 	// ConnectWindow spreads the initial dial-in herd over [0, window).
 	ConnectWindow sim.Duration
 	// AckMin/AckMax bound the default per-message vehicle ack delay.
@@ -265,14 +262,14 @@ func (p ProbeFailure) schedule(f *Fleet) {
 	})
 }
 
-// JournalFault injects a disk fault into the server's journal between
-// At and Heal. DiskFull fails the next group commit with ENOSPC —
-// sticky by the durability policy: the server refuses further durable
-// mutations and reports degraded health until a crash-restart recovers
-// the acknowledged prefix (pair it with a ServerCrash). SyncDelay adds
-// latency to every fsync instead: commits get slower and batches
-// larger, nothing is lost; it heals cleanly at Heal. Forces a journaled
-// server.
+// JournalFault injects a disk fault into the journal of a one-shard
+// run between At and Heal. DiskFull fails the next group commit with
+// ENOSPC — sticky by the durability policy: the server refuses further
+// durable mutations and reports degraded health until a crash-restart
+// recovers the acknowledged prefix (pair it with a ShardCrash on shard
+// 0). SyncDelay adds latency to every fsync instead: commits get slower
+// and batches larger, nothing is lost; it heals cleanly at Heal. Forces
+// a journaled shard.
 type JournalFault struct {
 	At, Heal sim.Duration
 	DiskFull bool
@@ -281,8 +278,9 @@ type JournalFault struct {
 }
 
 func (jf JournalFault) schedule(f *Fleet) {
+	sh := f.shards[0]
 	f.eng.Schedule(sim.Time(jf.At), func() {
-		if f.srv == nil || f.srv.Journal() == nil {
+		if sh.srv == nil || sh.srv.Journal() == nil {
 			return
 		}
 		f.tracef("journal fault (diskFull=%v, syncDelay=%s)", jf.DiskFull, jf.SyncDelay)
@@ -294,71 +292,53 @@ func (jf JournalFault) schedule(f *Fleet) {
 			// without waiting by policy, so work this incarnation reports
 			// as succeeded may never reach disk: mark the generation so
 			// the audit exempts its settled ops after a crash reverts them.
-			f.degradedGens[f.serverGen] = true
+			sh.degradedGens[sh.gen] = true
 		}
 		if jf.SyncDelay > 0 {
 			d := jf.SyncDelay
 			inj.SyncDelay = func() time.Duration { return d }
 		}
-		f.srv.Journal().SetFault(inj)
+		sh.srv.Journal().SetFault(inj)
 		if jf.Heal > jf.At {
 			f.eng.Schedule(sim.Time(jf.Heal), func() {
-				if f.srv == nil || f.srv.Journal() == nil {
+				if sh.srv == nil || sh.srv.Journal() == nil {
 					return
 				}
 				f.tracef("journal fault heals")
-				f.srv.Journal().SetFault(nil)
+				sh.srv.Journal().SetFault(nil)
 			})
 		}
 	})
 }
 
-// ServerCrash kills the server at At — the journal drops everything
-// after its last group commit, exactly like a power cut — and restarts
-// it from the same journal directory after RestartAfter of virtual
-// downtime. Vehicles redial the recovered server on their own backoff.
-type ServerCrash struct {
-	At sim.Duration
-	// RestartAfter is the virtual downtime before recovery (default 2s).
-	RestartAfter sim.Duration
-}
-
-func (c ServerCrash) schedule(f *Fleet) {
-	restart := c.RestartAfter
-	if restart <= 0 {
-		restart = 2 * sim.Second
-	}
-	f.eng.Schedule(sim.Time(c.At), func() {
-		f.crashServer()
-		f.eng.After(restart, f.restartServer)
-	})
-}
-
-// ShardCrash kills one shard's leader at At — the journal freezes at
-// its last group commit, exactly like ServerCrash — and promotes the
-// shard's synchronously-replicated follower after PromoteAfter of
-// virtual downtime. The shard's vehicles land on the promoted leader on
-// their own backoff redials; acknowledged state survives byte for byte
-// because commits ship to the replica before their durability tickets
-// settle. Requires Shards > 1; the shard choice is a fixed index, so
-// the fault schedule stays a pure function of the seed.
+// ShardCrash kills one shard's leader at At — the journal drops
+// everything after its last group commit, exactly like a power cut —
+// and recovers the shard after RecoverAfter of virtual downtime: a
+// shard with a follower (more than one shard) promotes its
+// synchronously-replicated replica, a lone shard restarts from its own
+// journal. The shard's vehicles land on the recovered leader on their
+// own backoff redials; acknowledged state survives byte for byte,
+// because a commit reaches the journal — and the replica — before its
+// durability ticket settles. The shard choice is a fixed index, so the
+// fault schedule stays a pure function of the seed. Forces a journaled
+// shard.
 type ShardCrash struct {
 	At sim.Duration
 	// Shard indexes the shard to kill (0-based).
 	Shard int
-	// PromoteAfter is the virtual downtime before the follower is
-	// promoted (default 2s).
-	PromoteAfter sim.Duration
+	// RecoverAfter is the virtual downtime before the restart or
+	// promotion (default 2s).
+	RecoverAfter sim.Duration
 }
 
 func (c ShardCrash) schedule(f *Fleet) {
-	promote := c.PromoteAfter
-	if promote <= 0 {
-		promote = 2 * sim.Second
+	after := c.RecoverAfter
+	if after <= 0 {
+		after = 2 * sim.Second
 	}
 	f.eng.Schedule(sim.Time(c.At), func() {
 		f.crashShard(c.Shard)
-		f.eng.After(promote, func() { f.promoteShard(c.Shard) })
+		f.eng.After(after, func() { f.recoverShard(c.Shard) })
 	})
 }
 
@@ -390,26 +370,14 @@ func (sc Scenario) withDefaults() (Scenario, error) {
 	if sc.RealTimeLimit <= 0 {
 		sc.RealTimeLimit = 10 * time.Minute
 	}
-	if sc.Shards > 1 {
-		sc.Journal = true // replication rides the journal's commit path
+	if sc.Shards <= 0 {
+		sc.Shards = 1
 	}
 	for _, fa := range sc.Faults {
-		if _, ok := fa.(ServerCrash); ok {
-			sc.Journal = true
-			if sc.Shards > 1 {
-				return sc, fmt.Errorf("fleetsim: ServerCrash targets the single-server topology; use ShardCrash with Shards > 1")
-			}
-		}
-		if _, ok := fa.(JournalFault); ok {
-			sc.Journal = true
-			if sc.Shards > 1 {
-				return sc, fmt.Errorf("fleetsim: JournalFault targets the single-server topology")
-			}
+		if _, ok := fa.(JournalFault); ok && sc.Shards > 1 {
+			return sc, fmt.Errorf("fleetsim: JournalFault targets a one-shard run")
 		}
 		if c, ok := fa.(ShardCrash); ok {
-			if sc.Shards <= 1 {
-				return sc, fmt.Errorf("fleetsim: ShardCrash needs Shards > 1")
-			}
 			if c.Shard < 0 || c.Shard >= sc.Shards {
 				return sc, fmt.Errorf("fleetsim: ShardCrash shard %d out of range (%d shards)", c.Shard, sc.Shards)
 			}
@@ -533,7 +501,7 @@ func Preset(name string, vehicles int, seed int64, duration sim.Duration) (Scena
 			BusFault{At: d * 3 / 10, Heal: d / 2, Fraction: 0.05, BusOff: true},
 			Partition{At: d * 11 / 25, Heal: d * 3 / 5, Fraction: 0.2},
 			VehicleCrash{At: d * 27 / 50, Fraction: 0.1},
-			ShardCrash{At: d * 7 / 10, Shard: 1, PromoteAfter: 2 * sim.Second},
+			ShardCrash{At: d * 7 / 10, Shard: 1, RecoverAfter: 2 * sim.Second},
 		}
 		return sc, nil
 	}

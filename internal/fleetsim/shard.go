@@ -13,83 +13,74 @@ import (
 	"dynautosar/internal/server"
 )
 
-// fleetShard is one shard of a federated control plane inside the
-// simulator: a leader server journaling to its own directory and
-// replicating synchronously — through the real Shipper/Replica path —
-// into a follower replica directory that a ShardCrash fault promotes.
-// All fields are pump-owned, like the rest of the Fleet.
+// fleetShard is one shard of the control plane inside the simulator: a
+// leader server, journaling to its own directory when the scenario
+// needs a journal and, in a ring of more than one shard, replicating
+// synchronously — through the real Shipper/Replica path — into a
+// follower replica that a ShardCrash promotes. All fields are
+// pump-owned, like the rest of the Fleet.
 type fleetShard struct {
-	idx  int
 	name string
-	srv  *server.Server // nil while crashed (between kill and promote)
-	// gen counts this shard's crash generations, like Fleet.serverGen
-	// does for the single-server topology.
+	srv  *server.Server // nil while crashed (between kill and recovery)
+	// gen bumps on every crash so links and operations can tell which
+	// incarnation they belong to.
 	gen int
 	// everCrashed excludes this shard from statz cross-checks: its
-	// in-memory counters reset with the promotion.
+	// in-memory counters reset with the recovery.
 	everCrashed bool
-	promoted    bool
+	// degradedGens marks incarnations whose journal took a durability
+	// fault (disk full): commit records acknowledged by that incarnation
+	// may never have reached disk, so a later recovery can legitimately
+	// revert work the tracker saw succeed.
+	degradedGens map[int]bool
 
-	dir     string // leader journal directory
-	replDir string // follower replica directory
-	replica *journal.Replica
+	dir     string           // leader journal directory ("" = memory-only)
+	replica *journal.Replica // nil without a follower (one shard, or promoted)
 	shipper *journal.Shipper
 }
 
-// multi reports whether the run is a federated (multi-shard) topology.
-func (f *Fleet) multi() bool { return len(f.shards) > 0 }
+// journaled reports whether the scenario's shards keep a journal:
+// replication rides the journal's commit path, and a crash or a disk
+// fault needs one to act on.
+func (sc Scenario) journaled() bool {
+	if sc.Shards > 1 {
+		return true
+	}
+	for _, fa := range sc.Faults {
+		switch fa.(type) {
+		case ShardCrash, JournalFault:
+			return true
+		}
+	}
+	return false
+}
 
 // shardIdxOf maps a vehicle to its owning shard's index via the same
-// consistent-hash ring the federation router uses (-1 in single-server
-// runs).
+// consistent-hash ring the federation router uses.
 func (f *Fleet) shardIdxOf(id core.VehicleID) int {
-	if !f.multi() {
-		return -1
-	}
 	return f.shardByName[f.ring.Owner(id)]
-}
-
-// serverAt returns shard idx's live server; idx -1 addresses the
-// single-server topology. nil while that incarnation is down.
-func (f *Fleet) serverAt(idx int) *server.Server {
-	if idx < 0 {
-		return f.srv
-	}
-	return f.shards[idx].srv
-}
-
-// genAt returns the crash generation of shard idx (-1 = single server).
-func (f *Fleet) genAt(idx int) int {
-	if idx < 0 {
-		return f.serverGen
-	}
-	return f.shards[idx].gen
 }
 
 // qkey qualifies a per-shard operation id for tracker maps: operation
 // ids are only unique within one shard's registry, so map keys carry
 // the shard name.
 func (f *Fleet) qkey(idx int, id string) string {
-	if idx < 0 {
-		return id
-	}
 	return f.shards[idx].name + "/" + id
 }
 
-// setupShards builds the federated topology: one leader+replica pair
-// per shard under a common root directory, user and apps uploaded to
-// every shard, each vehicle bound only to its ring owner.
-func (f *Fleet) setupShards() error {
-	root := f.sc.DataDir
-	if root == "" {
-		var err error
-		root, err = os.MkdirTemp("", "fleetsim-shards-")
+// setup builds the ring: one leader per shard (journaled under a common
+// temporary root when the scenario needs it, with a follower replica
+// when there is more than one shard), user and apps uploaded to every
+// shard, each vehicle bound only to its ring owner.
+func (f *Fleet) setup() error {
+	journaled := f.sc.journaled()
+	if journaled {
+		root, err := os.MkdirTemp("", "fleetsim-")
 		if err != nil {
 			return err
 		}
-		f.ownDir = true
+		f.dir = root
 	}
-	f.dir = root
 	names := make([]string, f.sc.Shards)
 	for i := range names {
 		names[i] = fmt.Sprintf("s%d", i)
@@ -99,37 +90,35 @@ func (f *Fleet) setupShards() error {
 	ctx := context.Background()
 	for i, name := range names {
 		f.shardByName[name] = i
-		sh := &fleetShard{
-			idx: i, name: name,
-			dir:     filepath.Join(root, name, "leader"),
-			replDir: filepath.Join(root, name, "replica"),
-		}
-		if err := os.MkdirAll(sh.dir, 0o755); err != nil {
-			return err
-		}
+		sh := &fleetShard{name: name, degradedGens: make(map[int]bool)}
+		f.shards = append(f.shards, sh)
 		srv := server.New()
 		srv.SetShard(name)
-		if err := srv.OpenJournal(sh.dir); err != nil {
-			return fmt.Errorf("shard %s: %w", name, err)
+		sh.srv = srv
+		if journaled {
+			sh.dir = filepath.Join(f.dir, name, "leader")
+			if err := srv.OpenJournal(sh.dir); err != nil {
+				return fmt.Errorf("shard %s: %w", name, err)
+			}
 		}
 		if err := srv.BecomeLeader("boot"); err != nil {
 			return fmt.Errorf("shard %s: %w", name, err)
 		}
-		replica, err := journal.OpenReplica(sh.replDir, nil)
-		if err != nil {
-			return fmt.Errorf("shard %s replica: %w", name, err)
+		if len(names) > 1 {
+			replica, err := journal.OpenReplica(filepath.Join(f.dir, name, "replica"), nil)
+			if err != nil {
+				return fmt.Errorf("shard %s replica: %w", name, err)
+			}
+			sh.replica = replica
+			shipper, err := srv.StartReplication(
+				[]journal.Follower{{Name: name + "-follower", T: journal.LocalTransport{R: replica}}},
+				journal.ShipperOptions{Synchronous: true},
+			)
+			if err != nil {
+				return fmt.Errorf("shard %s replication: %w", name, err)
+			}
+			sh.shipper = shipper
 		}
-		sh.replica = replica
-		shipper, err := srv.StartReplication(
-			[]journal.Follower{{Name: name + "-follower", T: journal.LocalTransport{R: replica}}},
-			journal.ShipperOptions{Synchronous: true},
-		)
-		if err != nil {
-			return fmt.Errorf("shard %s replication: %w", name, err)
-		}
-		sh.shipper = shipper
-		sh.srv = srv
-		f.shards = append(f.shards, sh)
 
 		cl := api.NewLocalClient(srv.Service())
 		if _, err := cl.CreateUser(ctx, api.CreateUserRequest{ID: fleetUser}); err != nil {
@@ -165,7 +154,7 @@ func (f *Fleet) setupShards() error {
 
 // crashShard kills shard idx's leader exactly like a power cut: the
 // journal freezes at its last group commit, the shipper stops, and
-// every vehicle link into the dying pusher collapses. The replica keeps
+// every vehicle link into the dying pusher collapses. A replica keeps
 // whatever was acknowledged — synchronous shipping means every settled
 // durability ticket already reached it.
 func (f *Fleet) crashShard(idx int) {
@@ -190,6 +179,8 @@ func (f *Fleet) crashShard(idx int) {
 		sh.shipper = nil
 	}
 	old.Pusher().CloseAll()
+	// Sweep links that were dialling into the dying pusher and missed
+	// CloseAll (hello not yet registered).
 	for _, v := range f.vehicles {
 		if v.shardIdx == idx && v.conn != nil && v.srvGen == oldGen {
 			v.dropLink()
@@ -197,29 +188,29 @@ func (f *Fleet) crashShard(idx int) {
 	}
 }
 
-// promoteShard recovers shard idx from its replica directory — the
-// failover path: a fresh server opens the replicated journal, settles
-// interrupted operations from it, claims a higher leadership epoch, and
-// takes over the shard's vehicles as they redial on backoff.
-func (f *Fleet) promoteShard(idx int) {
-	if f.closed {
-		return
-	}
+// recoverShard brings crashed shard idx back: a fresh server opens a
+// journal, settles interrupted operations from it, claims a higher
+// leadership epoch, and takes over the shard's vehicles as they redial
+// on backoff. With a follower the journal is the replica's (promotion,
+// the failover path), otherwise the shard's own (restart).
+func (f *Fleet) recoverShard(idx int) {
 	sh := f.shards[idx]
-	if sh.srv != nil {
+	if f.closed || sh.srv != nil {
 		return
 	}
+	reason := "restart"
 	if sh.replica != nil {
 		sh.replica.Close()
+		sh.dir, sh.replica, reason = sh.replica.Dir(), nil, "promoted"
 	}
 	srv := server.New()
 	srv.SetShard(sh.name)
-	if err := srv.OpenJournal(sh.replDir); err != nil {
-		f.violationf("shard %s promotion failed: %v", sh.name, err)
+	if err := srv.OpenJournal(sh.dir); err != nil {
+		f.violationf("shard %s recovery failed: %v", sh.name, err)
 		return
 	}
-	if err := srv.BecomeLeader("promoted"); err != nil {
-		f.violationf("shard %s promotion failed to claim epoch: %v", sh.name, err)
+	if err := srv.BecomeLeader(reason); err != nil {
+		f.violationf("shard %s recovery failed to claim epoch: %v", sh.name, err)
 		srv.Close()
 		return
 	}
@@ -227,23 +218,9 @@ func (f *Fleet) promoteShard(idx int) {
 	f.m.recoveredRecords += h.RecoveredRecords
 	f.m.interruptedOps += h.InterruptedOperations
 	sh.srv = srv
-	sh.promoted = true
-	f.tracef("shard %s promoted", sh.name)
-	f.logf("fleetsim: t=%s shard %s follower promoted (gen %d, %d records recovered, %d operations interrupted)",
-		f.vt(), sh.name, sh.gen, h.RecoveredRecords, h.InterruptedOperations)
-}
-
-// shutdownShards tears the federated topology down.
-func (f *Fleet) shutdownShards() {
-	for _, sh := range f.shards {
-		if sh.srv != nil {
-			sh.srv.Close()
-			sh.srv = nil
-		}
-		if sh.replica != nil && !sh.promoted {
-			sh.replica.Close()
-		}
-	}
+	f.tracef("shard %s %s", sh.name, reason)
+	f.logf("fleetsim: t=%s shard %s %s (gen %d, %d records recovered, %d operations interrupted)",
+		f.vt(), sh.name, reason, sh.gen, h.RecoveredRecords, h.InterruptedOperations)
 }
 
 // partitionTargets splits a workload target list by owning shard,

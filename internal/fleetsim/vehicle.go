@@ -36,10 +36,10 @@ type SimVehicle struct {
 	rng *rand.Rand
 
 	conn net.Conn // nil while offline
-	// shardIdx is the vehicle's ring-owning shard (-1 in single-server
-	// runs): the only server this vehicle ever dials.
+	// shardIdx is the vehicle's ring-owning shard: the only server this
+	// vehicle ever dials.
 	shardIdx int
-	// srvGen records which server incarnation the link was dialled into,
+	// srvGen records which shard incarnation the link was dialled into,
 	// so a crash can sweep links that raced its CloseAll.
 	srvGen int
 	bo     core.Backoff
@@ -67,7 +67,7 @@ type SimVehicle struct {
 
 func newSimVehicle(f *Fleet, idx int, id core.VehicleID) *SimVehicle {
 	v := &SimVehicle{
-		f: f, idx: idx, ID: id, shardIdx: -1,
+		f: f, idx: idx, ID: id,
 		rng:      rand.New(rand.NewSource(f.sc.Seed ^ int64(uint64(idx+1)*0x9E3779B97F4A7C15))),
 		inflight: make(map[sim.EventID]struct{}),
 		ackMin:   f.sc.AckMin,
@@ -85,7 +85,8 @@ func (v *SimVehicle) connect() {
 	if f.closed || v.conn != nil {
 		return
 	}
-	srv := f.serverAt(v.shardIdx)
+	sh := f.shards[v.shardIdx]
+	srv := sh.srv
 	if v.partitioned || srv == nil {
 		v.scheduleRetry()
 		return
@@ -99,7 +100,7 @@ func (v *SimVehicle) connect() {
 		return
 	}
 	v.conn = vehicleSide
-	v.srvGen = f.genAt(v.shardIdx)
+	v.srvGen = sh.gen
 	v.bo.Reset()
 	v.connects++
 	go v.readLoop(vehicleSide)

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -151,7 +152,8 @@ func (r *Replica) State() ReplicaState {
 // *GapError so the shipper falls back to a directory resync. reset
 // forces the segment to be rewritten from byte zero — the resync path,
 // which also heals a tail torn by a crashed apply.
-func (r *Replica) ApplySegment(gen uint64, offset int64, chunk []byte, reset bool) error {
+func (r *Replica) ApplySegment(gen uint64, offset int64, chunk []byte, reset bool) (err error) {
+	defer r.logFailure(&err) // deferred first, so it runs after the unlock
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -193,7 +195,14 @@ func (r *Replica) ApplySegment(gen uint64, offset int64, chunk []byte, reset boo
 
 // ApplySnapshot installs a shipped state image for gen and retires
 // everything older, mirroring the leader's compaction.
-func (r *Replica) ApplySnapshot(gen uint64, image []byte) error {
+func (r *Replica) ApplySnapshot(gen uint64, image []byte) (err error) {
+	installed := false
+	defer func() { // deferred first, so it runs after the unlock
+		if installed {
+			r.logf("journal: replica installed snapshot gen %d (%d bytes)", gen, len(image))
+		}
+		r.logFailure(&err)
+	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -238,7 +247,7 @@ func (r *Replica) ApplySnapshot(gen uint64, image []byte) error {
 	syncDir(r.dir)
 	r.applied++
 	r.lastErr = ""
-	r.logf("journal: replica installed snapshot gen %d (%d bytes)", gen, len(image))
+	installed = true
 	return nil
 }
 
@@ -279,36 +288,51 @@ func (r *Replica) writeLocked(offset int64, chunk []byte) error {
 		}
 	}
 	if _, err := r.f.WriteAt(chunk, offset); err != nil {
-		r.truncateLocked(offset)
-		return err
+		return r.truncateLocked(offset, err)
 	}
 	if f := r.fault; f != nil && f.SyncDelay != nil {
 		time.Sleep(f.SyncDelay())
 	}
 	if err := syncFile(r.f); err != nil {
-		r.truncateLocked(offset)
-		return err
+		return r.truncateLocked(offset, err)
 	}
 	if f := r.fault; f != nil && f.SyncErr != nil {
 		if err := f.SyncErr(); err != nil {
-			r.truncateLocked(offset)
-			return err
+			return r.truncateLocked(offset, err)
 		}
 	}
 	return nil
 }
 
-func (r *Replica) truncateLocked(size int64) {
+// truncateLocked cuts the segment back to size after a failed write or
+// sync; a failed truncate joins the apply failure it follows.
+func (r *Replica) truncateLocked(size int64, cause error) error {
 	if err := r.f.Truncate(size); err != nil {
-		r.logf("journal: replica truncate after failed apply: %v", err)
+		return fmt.Errorf("%v; truncate after failed apply: %v", cause, err)
 	}
+	return cause
 }
 
+// applyError is a failed apply, which the replica logs; gaps, stale
+// duplicates and a closed replica are reported to the shipper only.
+type applyError struct{ error }
+
+// failLocked records a failed apply. It does not log: r.mu is held, and
+// the apply's deferred logFailure reports it once the lock is released.
 func (r *Replica) failLocked(err error) error {
-	err = fmt.Errorf("journal: replica apply: %v", err)
+	err = &applyError{fmt.Errorf("journal: replica apply: %v", err)}
 	r.lastErr = err.Error()
-	r.logf("%v", err)
 	return err
+}
+
+// logFailure logs *err if it is a failed apply. Called without r.mu, so
+// a slow log sink cannot stall the apply path, and a logf that reads
+// State() cannot deadlock.
+func (r *Replica) logFailure(err *error) {
+	var ae *applyError
+	if errors.As(*err, &ae) {
+		r.logf("%v", *err)
+	}
 }
 
 // Close releases the replica's file handle. The directory stays valid
@@ -497,12 +521,13 @@ func (s *Shipper) Commit(gen uint64, offset int64, chunk []byte) func(error) {
 	for _, fs := range s.followers {
 		fs.mu.Lock()
 		wait := s.opts.Synchronous && !fs.needResync
-		seq := s.enqueueLocked(fs, shipEvent{gen: gen, offset: offset, chunk: chunk})
+		seq, demoted := s.enqueueLocked(fs, shipEvent{gen: gen, offset: offset, chunk: chunk})
 		fs.waitSeq = 0
 		if wait {
 			fs.waitSeq = seq
 		}
 		fs.mu.Unlock()
+		s.logDemotion(fs, demoted)
 	}
 	end := offset + int64(len(chunk))
 	return func(err error) { s.settle(gen, end, err) }
@@ -518,10 +543,11 @@ func (s *Shipper) Commit(gen uint64, offset int64, chunk []byte) func(error) {
 // the queue goes too.
 func (s *Shipper) settle(gen uint64, end int64, err error) {
 	for _, fs := range s.followers {
+		var demoted error
 		fs.mu.Lock()
 		if err != nil {
 			fs.queue, fs.queued = nil, 0
-			s.demoteLocked(fs, fmt.Errorf("leader commit failed, resyncing to the durable prefix: %v", err))
+			demoted = s.demoteLocked(fs, fmt.Errorf("leader commit failed, resyncing to the durable prefix: %v", err))
 		} else {
 			for fs.released < fs.waitSeq && !fs.closed {
 				fs.cond.Wait()
@@ -531,6 +557,7 @@ func (s *Shipper) settle(gen uint64, end int64, err error) {
 			}
 		}
 		fs.mu.Unlock()
+		s.logDemotion(fs, demoted)
 	}
 }
 
@@ -540,41 +567,53 @@ func (s *Shipper) settle(gen uint64, end int64, err error) {
 func (s *Shipper) Snapshotted(gen uint64, image []byte) {
 	for _, fs := range s.followers {
 		fs.mu.Lock()
-		s.enqueueLocked(fs, shipEvent{gen: gen, image: image})
+		_, demoted := s.enqueueLocked(fs, shipEvent{gen: gen, image: image})
 		fs.mu.Unlock()
+		s.logDemotion(fs, demoted)
 	}
 }
 
-// enqueueLocked appends ev to the follower's queue and returns its seq.
-// Past QueueBytes everything older is dropped for a resync: the
-// directory pass ships the same bytes from disk without unbounded
-// memory. ev itself stays, because a chunk arrives here before it is
-// durable and the resync stops at the durable watermark.
-func (s *Shipper) enqueueLocked(fs *followerState, ev shipEvent) uint64 {
+// enqueueLocked appends ev to the follower's queue and returns its seq,
+// and the demotion to log if the queue overflowed. Past QueueBytes
+// everything older is dropped for a resync: the directory pass ships
+// the same bytes from disk without unbounded memory. ev itself stays,
+// because a chunk arrives here before it is durable and the resync
+// stops at the durable watermark.
+func (s *Shipper) enqueueLocked(fs *followerState, ev shipEvent) (seq uint64, demoted error) {
 	fs.enqueued++
 	ev.seq = fs.enqueued
 	n := len(ev.chunk) + len(ev.image)
 	if fs.queued+n > s.opts.QueueBytes && len(fs.queue) > 0 {
 		fs.queue, fs.queued = nil, 0
-		s.demoteLocked(fs, fmt.Errorf("queue over %d bytes", s.opts.QueueBytes))
+		demoted = s.demoteLocked(fs, fmt.Errorf("queue over %d bytes", s.opts.QueueBytes))
 	}
 	fs.queue = append(fs.queue, ev)
 	fs.queued += n
 	wake(fs.kick)
-	return ev.seq
+	return ev.seq, demoted
 }
 
 // demoteLocked takes the follower out of sync: the next thing its
 // delivery goroutine does is a resync, and the writer stops waiting for
-// anything queued so far.
-func (s *Shipper) demoteLocked(fs *followerState, err error) {
-	s.opts.Logf("journal: shipper: %s: %v", fs.name, err)
+// anything queued so far. It returns err for the caller to pass to
+// logDemotion once fs.mu is released.
+func (s *Shipper) demoteLocked(fs *followerState, err error) error {
 	fs.lastErr = err.Error()
 	fs.needResync = true
 	fs.demotions++
 	fs.released = fs.enqueued
 	fs.cond.Broadcast()
 	wake(fs.kick)
+	return err
+}
+
+// logDemotion logs a demotion, if any. Called without fs.mu: the
+// writer's commit path demotes, so a slow log sink must not stall it
+// under the lock, and a Logf that reads Status() must not deadlock.
+func (s *Shipper) logDemotion(fs *followerState, err error) {
+	if err != nil {
+		s.opts.Logf("journal: shipper: %s: %v", fs.name, err)
+	}
 }
 
 // run is one follower's delivery loop: a pending resync first, then the
@@ -621,12 +660,13 @@ func (s *Shipper) run(fs *followerState) {
 				break
 			}
 			err := s.deliver(fs, ev)
+			var demoted error
 			fs.mu.Lock()
 			if err != nil {
 				// The event stays at the head: the resync stops at the
 				// durable watermark, which may be short of it, and then it
 				// is what extends the replica's tail.
-				s.demoteLocked(fs, err)
+				demoted = s.demoteLocked(fs, err)
 			} else {
 				if len(fs.queue) > 0 && fs.queue[0].seq == ev.seq {
 					fs.queue = fs.queue[1:]
@@ -636,6 +676,7 @@ func (s *Shipper) run(fs *followerState) {
 				fs.cond.Broadcast()
 			}
 			fs.mu.Unlock()
+			s.logDemotion(fs, demoted)
 		}
 	}
 }

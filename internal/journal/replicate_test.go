@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -484,4 +485,101 @@ func TestCrashWithFollowerAhead(t *testing.T) {
 		t.Fatalf("replica segment is %d bytes, leader's recovered segment %d (durable %d): not byte-equal",
 			len(got), len(want), durable)
 	}
+}
+
+// failLive fails every live chunk ship and passes the resync path
+// through, so the follower catches up at attach and every commit after
+// that demotes it.
+type failLive struct{ LocalTransport }
+
+func (f failLive) ShipSegment(gen uint64, offset int64, chunk []byte, reset bool) error {
+	if !reset {
+		return errors.New("link down")
+	}
+	return f.LocalTransport.ShipSegment(gen, offset, chunk, reset)
+}
+
+// TestShipperLogsOutsideFollowerLock: a demotion is logged after the
+// follower's lock is released, so a Logf that reads Status() wedges
+// neither the delivery goroutine nor the commit joined on it.
+func TestShipperLogsOutsideFollowerLock(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{})
+	r, err := OpenReplica(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp atomic.Pointer[Shipper]
+	demoted := make(chan string, 1)
+	logf := func(format string, args ...any) {
+		if s := sp.Load(); s != nil {
+			s.Status()
+		}
+		if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "link down") {
+			select {
+			case demoted <- msg:
+			default:
+			}
+		}
+	}
+	s := NewShipper(j, []Follower{{Name: "f1", T: failLive{LocalTransport{R: r}}}},
+		ShipperOptions{Synchronous: true, Logf: logf})
+	sp.Store(s)
+	j.SetTap(s)
+	waitInSync(t, s)
+
+	done := make(chan error, 1)
+	go func() { done <- j.Append(UserAddedRec("u1")).Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("commit wedged behind a demotion logged under the follower lock")
+	}
+	select {
+	case <-demoted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the failed ship's demotion was never logged")
+	}
+	s.Close()
+	j.Close()
+	r.Close()
+}
+
+// TestReplicaLogsOutsideLock: a failed apply is logged after the
+// replica's lock is released, so a logf that reads State() does not
+// deadlock the apply.
+func TestReplicaLogsOutsideLock(t *testing.T) {
+	logs := make(chan string, 4)
+	var r *Replica
+	r, err := OpenReplica(t.TempDir(), func(format string, args ...any) {
+		st := r.State()
+		logs <- fmt.Sprintf(format, args...) + " (state error: " + st.Err + ")"
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetFault(&FaultInjection{WriteErr: func(int) error {
+		return errors.New("write: no space left on device")
+	}})
+	done := make(chan error, 1)
+	go func() { done <- r.ApplySegment(1, 0, []byte("record"), false) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("apply succeeded through an injected write error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("apply wedged: the replica logged its failure under its own lock")
+	}
+	select {
+	case msg := <-logs:
+		if !strings.Contains(msg, "no space left on device") {
+			t.Fatalf("logged %q, want the apply failure", msg)
+		}
+	default:
+		t.Fatal("the failed apply was not logged")
+	}
+	r.Close()
 }
