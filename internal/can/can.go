@@ -17,7 +17,6 @@ package can
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dynautosar/internal/sim"
 )
@@ -159,6 +158,12 @@ type pending struct {
 	data [MaxData]byte
 }
 
+// before is the arbitration order: lowest id first, then lowest seq
+// (enqueue order, with a retransmission's seq 0 ahead of everything).
+func (p *pending) before(q *pending) bool {
+	return p.id < q.id || (p.id == q.id && p.seq < q.seq)
+}
+
 // frameOver reconstructs the Frame around a caller-owned buffer.
 func (p *pending) frameOver(buf []byte) Frame {
 	n := copy(buf[:p.dlc], p.data[:p.dlc])
@@ -167,8 +172,10 @@ func (p *pending) frameOver(buf []byte) Frame {
 
 // Node is one CAN controller attached to a bus.
 type Node struct {
-	bus   *Bus
-	name  string
+	bus  *Bus
+	name string
+	// queue is a binary min-heap in arbitration order (pending.before),
+	// so queue[0] is the frame this node puts up for arbitration.
 	queue []pending
 	rx    []rxHandler
 	// tec is the transmit error counter of the fault confinement model.
@@ -184,9 +191,6 @@ func (n *Node) Name() string { return n.name }
 
 // State returns the fault confinement state.
 func (n *Node) State() ErrorState { return n.state }
-
-// QueueLen returns the number of frames waiting for arbitration.
-func (n *Node) QueueLen() int { return len(n.queue) }
 
 // OnReceive registers a handler for frames matching the filter. A node
 // does not receive its own transmissions.
@@ -207,9 +211,48 @@ func (n *Node) Send(f Frame) error {
 	n.bus.seq++
 	p := pending{id: f.ID, seq: n.bus.seq, dlc: uint8(len(f.Data)), ext: f.Extended, rtr: f.RTR}
 	copy(p.data[:], f.Data)
-	n.queue = append(n.queue, p)
+	n.push(p)
 	n.bus.kick()
 	return nil
+}
+
+// push adds p to the queue heap.
+func (n *Node) push(p pending) {
+	n.queue = append(n.queue, p)
+	siftUp(n.queue, len(n.queue)-1, p)
+}
+
+// pop removes and returns the queue head. The hole it leaves walks down
+// along the smaller children to a leaf, and the last frame is sifted up
+// from there: one compare per level instead of two, since the last frame
+// (in a segmented transfer, the latest) mostly belongs near the bottom.
+func (n *Node) pop() pending {
+	q := n.queue
+	top, last, i := q[0], len(q)-1, 0
+	for c := 1; c < last; c = 2*i + 1 {
+		if c+1 < last && q[c+1].before(&q[c]) {
+			c++
+		}
+		q[i] = q[c]
+		i = c
+	}
+	siftUp(q, i, q[last])
+	n.queue = q[:last]
+	return top
+}
+
+// siftUp stores p at the hole i of heap q, first moving down every
+// ancestor that p must precede.
+func siftUp(q []pending, i int, p pending) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = p
 }
 
 // Bus is one CAN bus shared by several nodes.
@@ -307,33 +350,24 @@ func (b *Bus) kick() {
 }
 
 // arbitrate removes and returns the highest-priority pending frame across
-// all non-bus-off nodes: lowest id wins, ties resolved by enqueue order.
-// All queued frames compete, modelling controllers with multiple transmit
-// mailboxes whose internal arbitration also picks the lowest id first.
+// all non-bus-off nodes: lowest id wins, ties resolved by enqueue order,
+// then by attach order. All queued frames compete, modelling controllers
+// with multiple transmit mailboxes whose internal arbitration also picks
+// the lowest id first; each node's heap head is its contender.
 func (b *Bus) arbitrate() (pending, *Node, bool) {
-	var best *pending
-	var bestNode *Node
-	var bestIdx int
+	var best *Node
 	for _, n := range b.nodes {
-		if n.state == BusOff {
+		if n.state == BusOff || len(n.queue) == 0 {
 			continue
 		}
-		for i := range n.queue {
-			p := &n.queue[i]
-			if best == nil || p.id < best.id ||
-				(p.id == best.id && p.seq < best.seq) {
-				best = p
-				bestNode = n
-				bestIdx = i
-			}
+		if best == nil || n.queue[0].before(&best.queue[0]) {
+			best = n
 		}
 	}
 	if best == nil {
 		return pending{}, nil, false
 	}
-	p := *best
-	bestNode.queue = append(bestNode.queue[:bestIdx], bestNode.queue[bestIdx+1:]...)
-	return p, bestNode, true
+	return best.pop(), best, true
 }
 
 // finish applies fault injection and delivers or retransmits. Receive
@@ -357,7 +391,7 @@ func (b *Bus) finish(node *Node, p *pending) {
 			// place ahead of anything queued later with the same id.
 			requeued := *p
 			requeued.seq = 0
-			node.queue = append([]pending{requeued}, node.queue...)
+			node.push(requeued)
 		}
 		return
 	case Lose:
@@ -406,24 +440,4 @@ func (b *Bus) Load() float64 {
 		return 0
 	}
 	return float64(b.stats.BusyTime) / float64(now)
-}
-
-// PendingFrames returns the total number of queued frames, useful for
-// drain loops in tests.
-func (b *Bus) PendingFrames() int {
-	total := 0
-	for _, n := range b.nodes {
-		total += len(n.queue)
-	}
-	return total
-}
-
-// Nodes returns the attached node names in attach order.
-func (b *Bus) Nodes() []string {
-	names := make([]string, len(b.nodes))
-	for i, n := range b.nodes {
-		names[i] = n.name
-	}
-	sort.Strings(names)
-	return names
 }

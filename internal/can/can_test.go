@@ -2,6 +2,9 @@ package can
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -275,4 +278,318 @@ func TestQuickArbitrationDeliversLowestFirst(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refBus is the arbitration oracle: the bus as it was before node queues
+// became heaps, with the linear scan over every queued frame and the
+// prepend-and-copy retransmission kept verbatim. It shares Frame,
+// pending, frame timing and fault confinement thresholds with Bus, so
+// FuzzArbitrationMatchesReference isolates the queue discipline.
+type refBus struct {
+	eng       *sim.Engine
+	nodes     []*refNode
+	busy      bool
+	seq       uint64
+	stats     Stats
+	txPending pending
+	txNode    *refNode
+	txStart   sim.Time
+	rxBuf     [MaxData]byte
+	fault     func(Frame) FaultAction
+	taps      []func(Frame, sim.Time)
+	frameTime func(Frame) sim.Duration
+}
+
+type refNode struct {
+	bus      *refBus
+	queue    []pending
+	rx       []rxHandler
+	tec      int
+	state    ErrorState
+	Sent     uint64
+	Received uint64
+}
+
+func (n *refNode) Send(f Frame) error {
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if n.state == BusOff {
+		return ErrBusOff
+	}
+	n.bus.seq++
+	p := pending{id: f.ID, seq: n.bus.seq, dlc: uint8(len(f.Data)), ext: f.Extended, rtr: f.RTR}
+	copy(p.data[:], f.Data)
+	n.queue = append(n.queue, p)
+	n.bus.kick()
+	return nil
+}
+
+func (b *refBus) kick() {
+	if b.busy {
+		return
+	}
+	winner, node, ok := b.arbitrate()
+	if !ok {
+		return
+	}
+	b.busy = true
+	b.txPending = winner
+	b.txNode = node
+	b.txStart = b.eng.Now()
+	var buf [MaxData]byte
+	b.eng.After(b.frameTime(winner.frameOver(buf[:])), func() {
+		b.busy = false
+		b.stats.BusyTime += sim.Duration(b.eng.Now() - b.txStart)
+		done := b.txPending
+		b.finish(b.txNode, &done)
+		b.kick()
+	})
+}
+
+func (b *refBus) arbitrate() (pending, *refNode, bool) {
+	var best *pending
+	var bestNode *refNode
+	var bestIdx int
+	for _, n := range b.nodes {
+		if n.state == BusOff {
+			continue
+		}
+		for i := range n.queue {
+			p := &n.queue[i]
+			if best == nil || p.id < best.id ||
+				(p.id == best.id && p.seq < best.seq) {
+				best = p
+				bestNode = n
+				bestIdx = i
+			}
+		}
+	}
+	if best == nil {
+		return pending{}, nil, false
+	}
+	p := *best
+	bestNode.queue = append(bestNode.queue[:bestIdx], bestNode.queue[bestIdx+1:]...)
+	return p, bestNode, true
+}
+
+func (b *refBus) finish(node *refNode, p *pending) {
+	f := p.frameOver(b.rxBuf[:])
+	action := Deliver
+	if b.fault != nil {
+		action = b.fault(f)
+	}
+	switch action {
+	case Corrupt:
+		b.stats.FramesCorrupted++
+		node.tec += 8
+		b.updateState(node)
+		if node.state != BusOff {
+			requeued := *p
+			requeued.seq = 0
+			node.queue = append([]pending{requeued}, node.queue...)
+		}
+		return
+	case Lose:
+		b.stats.FramesLost++
+		return
+	}
+	if node.tec > 0 {
+		node.tec--
+		b.updateState(node)
+	}
+	node.Sent++
+	b.stats.FramesDelivered++
+	b.stats.BitsTransferred += uint64(f.Bits())
+	now := b.eng.Now()
+	for _, tap := range b.taps {
+		tap(f.clone(), now)
+	}
+	for _, rx := range b.nodes {
+		if rx == node {
+			continue
+		}
+		for _, h := range rx.rx {
+			if h.filter.Match(f.ID) {
+				rx.Received++
+				h.fn(f, now)
+			}
+		}
+	}
+}
+
+func (b *refBus) updateState(n *refNode) {
+	switch {
+	case n.tec > 255:
+		n.state = BusOff
+	case n.tec > 127:
+		n.state = ErrorPassive
+	default:
+		n.state = ErrorActive
+	}
+}
+
+// busDriver is what the arbitration script needs of a bus, so one script
+// runs unchanged against Bus and refBus.
+type busDriver struct {
+	eng       *sim.Engine
+	send      []func(Frame) error
+	onReceive []func(Filter, func(Frame, sim.Time))
+	setFault  func(func(Frame) FaultAction)
+	tap       func(func(Frame, sim.Time))
+	stats     func() Stats
+	// nodes renders every node's Sent, Received, tec and state.
+	nodes func() string
+}
+
+func heapDriver(nodes int) busDriver {
+	eng := sim.NewEngine()
+	bus := NewBus(eng, "CAN0", 500_000)
+	d := busDriver{eng: eng, setFault: bus.SetFaultInjector, tap: bus.Tap, stats: bus.Stats}
+	var ns []*Node
+	for i := 0; i < nodes; i++ {
+		n := bus.AttachNode(fmt.Sprint("N", i))
+		ns = append(ns, n)
+		d.send = append(d.send, n.Send)
+		d.onReceive = append(d.onReceive, n.OnReceive)
+	}
+	d.nodes = func() string {
+		s := ""
+		for _, n := range ns {
+			s += fmt.Sprintf(" [%d %d %d %v]", n.Sent, n.Received, n.tec, n.state)
+		}
+		return s
+	}
+	return d
+}
+
+func refDriver(nodes int) busDriver {
+	eng := sim.NewEngine()
+	bus := &refBus{eng: eng, frameTime: (&Bus{bitrate: 500_000}).FrameTime}
+	d := busDriver{
+		eng:      eng,
+		setFault: func(fn func(Frame) FaultAction) { bus.fault = fn },
+		tap:      func(fn func(Frame, sim.Time)) { bus.taps = append(bus.taps, fn) },
+		stats:    func() Stats { return bus.stats },
+	}
+	for i := 0; i < nodes; i++ {
+		n := &refNode{bus: bus}
+		bus.nodes = append(bus.nodes, n)
+		d.send = append(d.send, n.Send)
+		d.onReceive = append(d.onReceive, func(flt Filter, fn func(Frame, sim.Time)) {
+			n.rx = append(n.rx, rxHandler{filter: flt, fn: fn})
+		})
+	}
+	d.nodes = func() string {
+		s := ""
+		for _, n := range bus.nodes {
+			s += fmt.Sprintf(" [%d %d %d %v]", n.Sent, n.Received, n.tec, n.state)
+		}
+		return s
+	}
+	return d
+}
+
+// runArbitrationScript drives a bus from script and returns everything
+// observable: each Send's result, every tap and receive callback with
+// its time, and the final counters. A tap line carries every node's
+// counters, which names the sender: it is the one whose Sent moved.
+// The script is read one byte at a time; past its end every read is 0,
+// which always picks the benign choice (deliver, no extra send), so
+// every script terminates.
+func runArbitrationScript(script []byte, mk func(nodes int) busDriver) []string {
+	pos := 0
+	next := func() int {
+		if pos >= len(script) {
+			return 0
+		}
+		pos++
+		return int(script[pos-1])
+	}
+	nodes := 2 + next()%3
+	d := mk(nodes)
+	var log []string
+	// The victim alone sends ids 0x700..0x703; with doom set, every one
+	// of them is corrupted, which drives it to bus-off.
+	victim, doom := next()%nodes, next()%2 == 1
+	budget := 256
+	send := func(node int) {
+		if budget == 0 {
+			return
+		}
+		budget--
+		f := Frame{ID: uint32(0x100 + next()%6), Extended: next()%8 == 1, RTR: next()%16 == 1}
+		if node == victim && doom && next()%2 == 1 {
+			f.ID = uint32(0x700 + next()%4)
+		}
+		for n := next() % (MaxData + 1); n > 0; n-- {
+			f.Data = append(f.Data, byte(next()))
+		}
+		err := d.send[node](f)
+		log = append(log, fmt.Sprintf("send %d %03X %x @%v: %v", node, f.ID, f.Data, d.eng.Now(), err))
+	}
+	d.setFault(func(f Frame) FaultAction {
+		if doom && f.ID >= 0x700 {
+			return Corrupt
+		}
+		switch next() % 8 {
+		case 1:
+			return Corrupt
+		case 2:
+			return Lose
+		case 3:
+			send(next() % nodes)
+		}
+		return Deliver
+	})
+	d.tap(func(f Frame, at sim.Time) {
+		log = append(log, fmt.Sprintf("tap %03X %v %v %x @%v%s", f.ID, f.Extended, f.RTR, f.Data, at, d.nodes()))
+	})
+	for i := 0; i < nodes; i++ {
+		flt := MatchAll
+		if next()%4 == 1 {
+			flt = Filter{ID: uint32(0x100 + next()%6), Mask: 0x7FF}
+		}
+		d.onReceive[i](flt, func(f Frame, at sim.Time) {
+			log = append(log, fmt.Sprintf("rx %d %03X %x @%v", i, f.ID, f.Data, at))
+			if next()%4 == 1 {
+				send(i)
+			}
+		})
+	}
+	for ops := 1 + next()%64; ops > 0; ops-- {
+		node, at := next()%nodes, sim.Time(50*(next()%8))
+		d.eng.Schedule(at, func() { send(node) })
+	}
+	d.eng.Run()
+	return append(log, fmt.Sprintf("end @%v %+v%s", d.eng.Now(), d.stats(), d.nodes()))
+}
+
+// FuzzArbitrationMatchesReference requires the heap-ordered bus to be
+// observably identical to the linear-scan oracle: the same sequence of
+// (sender, id, data, delivery time), the same Send errors, and the same
+// Stats, per-node counters, error counters and states, under equal ids
+// within and across nodes, Sends from receive handlers and from the
+// fault injector, random Corrupt and Lose, and a node driven to bus-off.
+func FuzzArbitrationMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 64; i++ {
+		script := make([]byte, 64+rng.Intn(512))
+		rng.Read(script)
+		f.Add(script)
+	}
+	// Four nodes; node 0, doomed, sends one 0x700 frame and goes bus-off.
+	f.Add([]byte{2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		got := runArbitrationScript(script, heapDriver)
+		want := runArbitrationScript(script, refDriver)
+		if !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if i >= len(want) || got[i] != want[i] {
+					t.Fatalf("diverged at line %d:\n heap: %q\n  ref: %q", i, got[i], want[min(i, len(want)-1)])
+				}
+			}
+			t.Fatalf("heap bus logged %d lines, reference %d", len(got), len(want))
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package com
 
 import (
+	"bytes"
 	"testing"
 
 	"dynautosar/internal/can"
@@ -59,36 +60,37 @@ func TestAllocFreeSignalChain(t *testing.T) {
 }
 
 // TestAllocFreeTransportSegmentation pins the package-distribution
-// path: segmenting a multi-frame payload into the inline CAN queue
-// allocates nothing on the sender side.
+// path end to end: segmenting a multi-kilobyte payload into the CAN
+// queues, arbitrating its frames onto the bus and reassembling it at the
+// receiver allocate nothing per transfer in steady state, for both the
+// 12-bit first-frame length and the >4095 B escape form.
 func TestAllocFreeTransportSegmentation(t *testing.T) {
-	eng := sim.NewEngine()
-	bus := can.NewBus(eng, "CAN0", 500_000)
-	na := bus.AttachNode("A")
-	nb := bus.AttachNode("B")
-	txp := NewTransport(na, 0x600, false, can.Filter{ID: 0x601, Mask: ^uint32(0)})
-	rxp := NewTransport(nb, 0x601, false, can.Filter{ID: 0x600, Mask: ^uint32(0)})
-	gotLen := 0
-	rxp.OnPayload(func(p []byte, _ sim.Time) { gotLen = len(p) })
-
-	payload := make([]byte, 300)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	send := func() {
-		if err := txp.Send(payload); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{4000, 5000} {
+		eng := sim.NewEngine()
+		bus := can.NewBus(eng, "CAN0", 500_000)
+		na := bus.AttachNode("A")
+		nb := bus.AttachNode("B")
+		txp := NewTransport(na, 0x600, false, can.Filter{ID: 0x601, Mask: ^uint32(0)})
+		rxp := NewTransport(nb, 0x601, false, can.Filter{ID: 0x600, Mask: ^uint32(0)})
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i)
+		}
+		intact := false
+		rxp.OnPayload(func(p []byte, _ sim.Time) { intact = bytes.Equal(p, payload) })
+		transfer := func() {
+			intact = false
+			if err := txp.Send(payload); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if !intact {
+				t.Fatalf("%d B: payload not reassembled intact", size)
+			}
+		}
+		transfer() // grow the queue heap, event pool and reassembly buffer
+		if allocs := testing.AllocsPerRun(20, transfer); allocs != 0 {
+			t.Errorf("%d B transfer: %v allocs/op in steady state, want 0", size, allocs)
 		}
 	}
-	send()
-	eng.Run()
-	if gotLen != len(payload) {
-		t.Fatalf("reassembled %d bytes, want %d", gotLen, len(payload))
-	}
-	// Only the segmentation itself is pinned: reassembly on the receiver
-	// legitimately builds a fresh payload buffer.
-	if allocs := testing.AllocsPerRun(50, send); allocs != 0 {
-		t.Errorf("transport segmentation: %v allocs/op, want 0", allocs)
-	}
-	eng.Run()
 }

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -40,50 +39,55 @@ func (t Time) String() string {
 // Add returns the time offset by d.
 func (t Time) Add(d Duration) Time { return t + Time(d) }
 
-// EventID identifies a scheduled event so it can be cancelled.
+// EventID identifies a scheduled event so it can be cancelled. It packs
+// the slot of the event's pooled node (high 32 bits) with the node's use
+// count (low 32 bits). Every Schedule that reuses a node moves its use
+// count on, so the id of a fired or cancelled event goes stale and
+// cancelling it is a no-op. Use counts start at 1, so the zero EventID
+// names no event.
 type EventID uint64
 
-type event struct {
+// entry is one element of the event heap: the firing key (at, seq) and
+// the slot of the node holding the callback.
+type entry struct {
 	at   Time
 	seq  uint64
-	id   EventID
-	fn   func()
-	dead bool
+	slot uint32
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// before is the firing order: earliest time first, then scheduling order.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// Engine is the discrete-event scheduler. The zero value is ready to use.
-// Engine is not safe for concurrent use; the whole in-vehicle simulation is
-// single-threaded by design, with external (real-time) inputs injected at
-// explicit synchronisation points (see Inject).
+// node is one pooled event node. fn is nil once the event fired or was
+// cancelled; the node stays out of the free list until its heap entry
+// has been popped, so a node is never in the heap twice.
+type node struct {
+	fn  func()
+	use uint32
+}
+
+// Engine is the discrete-event scheduler. The zero value is ready for
+// Schedule, After, Cancel, Step, Run and RunUntil; Inject and
+// AwaitInjected need the channel NewEngine makes. Engine is not safe for
+// concurrent use; the whole in-vehicle simulation is single-threaded by
+// design, with external (real-time) inputs injected at explicit
+// synchronisation points (see Inject).
 type Engine struct {
-	now     Time
-	seq     uint64
-	queue   eventQueue
-	pending map[EventID]*event
-	// free recycles fired and cancelled event nodes: a steady stream of
-	// timers and frame completions (the data plane at full rate) then
-	// schedules without touching the heap.
-	free []*event
+	now Time
+	seq uint64
+	// queue is a binary min-heap in firing order (entry.before).
+	queue []entry
+	// nodes are the event nodes, addressed by slot; free lists the
+	// slots ready for reuse. A steady stream of timers and frame
+	// completions (the data plane at full rate) then schedules without
+	// touching the heap.
+	nodes []node
+	free  []uint32
+	// live counts the scheduled events that have neither fired nor been
+	// cancelled.
+	live int
 	// injected holds thread-unsafe callbacks handed over from other
 	// goroutines via Inject; they are drained at the next Step.
 	injected chan func()
@@ -92,10 +96,7 @@ type Engine struct {
 
 // NewEngine returns an engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		pending:  make(map[EventID]*event),
-		injected: make(chan func(), 1024),
-	}
+	return &Engine{injected: make(chan func(), 1024)}
 }
 
 // Now returns the current simulated time.
@@ -109,26 +110,22 @@ func (e *Engine) Schedule(at Time, fn func()) EventID {
 		at = e.now
 	}
 	e.seq++
-	var ev *event
+	var slot uint32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
-		*ev = event{at: at, seq: e.seq, id: EventID(e.seq), fn: fn}
 	} else {
-		ev = &event{at: at, seq: e.seq, id: EventID(e.seq), fn: fn}
+		slot = uint32(len(e.nodes))
+		e.nodes = append(e.nodes, node{})
 	}
-	heap.Push(&e.queue, ev)
-	e.pending[ev.id] = ev
-	return ev.id
-}
-
-// recycle returns a popped event node to the free list. The node's id
-// was already removed from pending (or was dead), so no live EventID
-// can reach it again.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
+	nd := &e.nodes[slot]
+	if nd.use++; nd.use == 0 {
+		nd.use = 1
+	}
+	nd.fn = fn
+	e.push(entry{at: at, seq: e.seq, slot: slot})
+	e.live++
+	return EventID(uint64(slot)<<32 | uint64(nd.use))
 }
 
 // After registers fn to run d from now.
@@ -139,17 +136,64 @@ func (e *Engine) After(d Duration, fn func()) EventID {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
-// Cancel marks the event dead; it will not fire. Cancelling an unknown or
-// already-fired event is a no-op.
+// Cancel stops the event from firing. Cancelling an unknown, fired or
+// already cancelled event is a no-op.
 func (e *Engine) Cancel(id EventID) {
-	if ev, ok := e.pending[id]; ok {
-		ev.dead = true
-		delete(e.pending, id)
+	slot := id >> 32
+	if slot >= EventID(len(e.nodes)) {
+		return
+	}
+	if nd := &e.nodes[slot]; nd.use == uint32(id) && nd.fn != nil {
+		nd.fn = nil
+		e.live--
 	}
 }
 
 // Pending returns the number of live scheduled events.
-func (e *Engine) Pending() int { return len(e.pending) }
+func (e *Engine) Pending() int { return e.live }
+
+// push adds x to the event heap.
+func (e *Engine) push(x entry) {
+	e.queue = append(e.queue, x)
+	siftUp(e.queue, len(e.queue)-1, x)
+}
+
+// pop removes the heap head and returns it with the node's callback,
+// releasing the node: a cancelled event comes back with a nil callback.
+// The hole the head leaves walks down along the earlier children to a
+// leaf, and the last entry is sifted up from there.
+func (e *Engine) pop() (entry, func()) {
+	q := e.queue
+	top, last, i := q[0], len(q)-1, 0
+	for c := 1; c < last; c = 2*i + 1 {
+		if c+1 < last && q[c+1].before(&q[c]) {
+			c++
+		}
+		q[i] = q[c]
+		i = c
+	}
+	siftUp(q, i, q[last])
+	e.queue = q[:last]
+	nd := &e.nodes[top.slot]
+	fn := nd.fn
+	nd.fn = nil
+	e.free = append(e.free, top.slot)
+	return top, fn
+}
+
+// siftUp stores x at the hole i of heap q, first moving down every
+// ancestor that x must precede.
+func siftUp(q []entry, i int, x entry) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = x
+}
 
 // Inject hands a callback from another goroutine into the simulation; it
 // runs at the engine's current time when the main loop next drains injected
@@ -161,15 +205,12 @@ func (e *Engine) Inject(fn func()) {
 	e.injected <- fn
 }
 
-// drainInjected runs all externally injected callbacks at the current time.
+// drainInjected runs all externally injected callbacks at the current
+// time. The engine goroutine is the only receiver, so a non-empty channel
+// never blocks it.
 func (e *Engine) drainInjected() {
-	for {
-		select {
-		case fn := <-e.injected:
-			fn()
-		default:
-			return
-		}
+	for len(e.injected) > 0 {
+		(<-e.injected)()
 	}
 }
 
@@ -177,16 +218,13 @@ func (e *Engine) drainInjected() {
 // an event was executed.
 func (e *Engine) Step() bool {
 	e.drainInjected()
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.dead {
-			e.recycle(ev)
-			continue
+	for len(e.queue) > 0 {
+		ev, fn := e.pop()
+		if fn == nil {
+			continue // cancelled
 		}
-		delete(e.pending, ev.id)
+		e.live--
 		e.now = ev.at
-		fn := ev.fn
-		e.recycle(ev)
 		fn()
 		return true
 	}
@@ -200,14 +238,7 @@ func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
 		e.drainInjected()
-		if e.queue.Len() == 0 {
-			break
-		}
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.at > t {
+		if next, ok := e.Next(); !ok || next > t {
 			break
 		}
 		e.Step()
@@ -235,8 +266,11 @@ func (e *Engine) Stop() { e.stopped = true }
 // simulated time with real goroutines (the fleet simulator's pump) use
 // it to decide whether stepping would advance the clock past a barrier.
 func (e *Engine) Next() (Time, bool) {
-	if ev := e.peek(); ev != nil {
-		return ev.at, true
+	for len(e.queue) > 0 {
+		if e.nodes[e.queue[0].slot].fn != nil {
+			return e.queue[0].at, true
+		}
+		e.pop() // a cancelled head
 	}
 	return 0, false
 }
@@ -248,37 +282,19 @@ func (e *Engine) Next() (Time, bool) {
 // events can park here instead of spinning, and wakes the moment a
 // real-time goroutine (a server socket, a vehicle link) hands work in.
 func (e *Engine) AwaitInjected(timeout time.Duration) bool {
-	ran := false
-	for {
-		select {
-		case fn := <-e.injected:
-			fn()
-			ran = true
-			continue
-		default:
-		}
-		if ran || timeout <= 0 {
-			return ran
+	if len(e.injected) == 0 {
+		if timeout <= 0 {
+			return false
 		}
 		t := time.NewTimer(timeout)
 		select {
 		case fn := <-e.injected:
 			t.Stop()
 			fn()
-			ran = true
 		case <-t.C:
 			return false
 		}
 	}
-}
-
-func (e *Engine) peek() *event {
-	for e.queue.Len() > 0 {
-		if e.queue[0].dead {
-			e.recycle(heap.Pop(&e.queue).(*event))
-			continue
-		}
-		return e.queue[0]
-	}
-	return nil
+	e.drainInjected()
+	return true
 }

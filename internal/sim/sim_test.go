@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +164,128 @@ func TestQuickEventsFireInTimeOrder(t *testing.T) {
 		return len(fired) == len(offsets)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestZeroEngine(t *testing.T) {
+	var e Engine
+	var order []int
+	e.After(5, func() { order = append(order, 2) })
+	e.Schedule(1, func() { order = append(order, 1) })
+	e.Cancel(e.After(3, func() { order = append(order, -1) }))
+	e.Cancel(0) // the zero id names no event
+	if !e.Step() || e.Now() != 1 {
+		t.Fatalf("Step: Now = %v, order %v", e.Now(), order)
+	}
+	e.RunUntil(4)
+	e.Schedule(20, func() { order = append(order, 3) })
+	e.Run()
+	if !reflect.DeepEqual(order, []int{1, 2, 3}) || e.Now() != 20 || e.Pending() != 0 {
+		t.Fatalf("order %v, Now %v, Pending %d", order, e.Now(), e.Pending())
+	}
+}
+
+func TestCancelStaleIDIsNoOp(t *testing.T) {
+	e := NewEngine()
+	old := e.Schedule(1, func() {})
+	e.Run()
+	e.Cancel(old) // fired: no-op
+	fired := false
+	reused := e.Schedule(2, func() { fired = true })
+	if reused>>32 != old>>32 {
+		t.Fatalf("new event took slot %d, want the fired event's slot %d", reused>>32, old>>32)
+	}
+	e.Cancel(old) // the same node, an earlier use: still a no-op
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.Pending())
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("stale id cancelled the event that reused its node")
+	}
+}
+
+func TestCancelKeepsPendingExact(t *testing.T) {
+	e := NewEngine()
+	a := e.Schedule(10, func() {})
+	e.Schedule(20, func() {})
+	e.Cancel(a)
+	e.Cancel(a)
+	if e.Pending() != 1 {
+		t.Fatalf("Pending after double cancel = %d, want 1", e.Pending())
+	}
+	var self EventID
+	self = e.Schedule(15, func() {
+		e.Cancel(self)
+		if e.Pending() != 1 {
+			t.Errorf("Pending inside own callback after self-cancel = %d, want 1", e.Pending())
+		}
+	})
+	e.Run()
+	if e.Pending() != 0 || e.Now() != 20 {
+		t.Fatalf("Pending = %d, Now = %v", e.Pending(), e.Now())
+	}
+}
+
+// TestQuickFiringOrderMatchesReference runs random scripts of Schedule
+// (with same-instant ties and times in the past), Cancel of live, fired
+// and cancelled ids, and single Steps against a sorted-slice model of
+// the engine, and requires the same firing order, clock and Pending.
+func TestQuickFiringOrderMatchesReference(t *testing.T) {
+	type ref struct {
+		at  Time
+		seq int
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var ids []EventID
+		var model []ref // live events, kept sorted by (at, seq)
+		var got, want []int
+		var now Time
+		step := func() {
+			e.Step()
+			if len(model) > 0 {
+				now = model[0].at
+				want = append(want, model[0].seq)
+				model = model[1:]
+			}
+		}
+		for op := 0; op < 200; op++ {
+			switch r := rng.Intn(10); {
+			case r < 6:
+				seq := len(ids)
+				at := now + Time(rng.Intn(6)) - 1 // ties and past times
+				ids = append(ids, e.Schedule(at, func() { got = append(got, seq) }))
+				if at < now {
+					at = now
+				}
+				i := sort.Search(len(model), func(i int) bool { return model[i].at > at })
+				model = append(model[:i], append([]ref{{at, seq}}, model[i:]...)...)
+			case r < 8 && len(ids) > 0:
+				k := rng.Intn(len(ids))
+				e.Cancel(ids[k])
+				for i, m := range model {
+					if m.seq == k {
+						model = append(model[:i], model[i+1:]...)
+						break
+					}
+				}
+			default:
+				step()
+			}
+			if e.Pending() != len(model) || e.Now() != now {
+				return false
+			}
+		}
+		for len(model) > 0 {
+			step()
+		}
+		e.Run()
+		return reflect.DeepEqual(got, want) && e.Now() == now && e.Pending() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
