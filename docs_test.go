@@ -1,11 +1,13 @@
 package dynautosar
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,6 +118,76 @@ func TestDocsEndpointTableMatchesRoutes(t *testing.T) {
 	for ep := range documented {
 		if !served[ep] {
 			t.Errorf("DESIGN.md documents `%s`, which api.Routes does not serve", ep)
+		}
+	}
+}
+
+// recordTableHeader opens DESIGN.md's journal record table.
+const recordTableHeader = "| Record type | Payload | Replayed by | Writer waits for durability |"
+
+// recordRow matches a body row of the record table: the backticked
+// record type in the first column.
+var recordRow = regexp.MustCompile("^\\| `([^`]+)` \\|")
+
+// TestDocsJournalRecordTable keeps DESIGN.md's record table and the
+// journal.Type constants of internal/journal/record.go equal in both
+// directions.
+func TestDocsJournalRecordTable(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/journal/record.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := make(map[string]bool)
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if typ, ok := vs.Type.(*ast.Ident); !ok || typ.Name != "Type" {
+				continue
+			}
+			for _, v := range vs.Values {
+				if lit, ok := v.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					declared[name] = true
+				}
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("internal/journal/record.go declares no journal.Type constants")
+	}
+
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), recordTableHeader)
+	if !ok {
+		t.Fatalf("DESIGN.md has no record table (header %q)", recordTableHeader)
+	}
+	documented := make(map[string]bool)
+	// The first line is the rest of the header line, the second the
+	// separator; the table ends at the first line that is not a row.
+	for _, line := range strings.Split(table, "\n")[2:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		m := recordRow.FindStringSubmatch(line)
+		if m == nil || !declared[m[1]] {
+			t.Errorf("DESIGN.md record table row %q names no journal.Type", line)
+			continue
+		}
+		documented[m[1]] = true
+	}
+	for name := range declared {
+		if !documented[name] {
+			t.Errorf("DESIGN.md record table lacks `%s`", name)
 		}
 	}
 }

@@ -91,13 +91,13 @@ func main() {
 
 	// Apps.
 	pub := oneShotApp("LeaderPublisher", reporterSrc, vehicle.ECU1, vehicle.SWC1,
-		[]server.PortConnection{
-			{Port: "SpeedPoke", External: &server.ExternalSpec{Endpoint: phoneAddr, MessageID: "SetSpeed"}},
-			{Port: "Publish", External: &server.ExternalSpec{Endpoint: brokerAddr, MessageID: "FleetSpeed"}},
+		[]api.PortConnection{
+			{Port: "SpeedPoke", External: &api.ExternalSpec{Endpoint: phoneAddr, MessageID: "SetSpeed"}},
+			{Port: "Publish", External: &api.ExternalSpec{Endpoint: brokerAddr, MessageID: "FleetSpeed"}},
 		})
 	sub := oneShotApp("ConvoyFollower", convoySrc, vehicle.ECU2, vehicle.SWC2,
-		[]server.PortConnection{
-			{Port: "LeaderSpeed", External: &server.ExternalSpec{Endpoint: brokerAddr, MessageID: "FleetSpeed"}},
+		[]api.PortConnection{
+			{Port: "LeaderSpeed", External: &api.ExternalSpec{Endpoint: brokerAddr, MessageID: "FleetSpeed"}},
 			{Port: "SpeedOut", Virtual: "SpeedReq"},
 		})
 	must(srv.Store().UploadApp(pub))
@@ -124,17 +124,17 @@ func main() {
 
 // oneShotApp wraps one plug-in source into an app for the model car.
 func oneShotApp(name core.AppName, src string, ecuID core.ECUID, swcID core.SWCID,
-	conns []server.PortConnection) server.App {
+	conns []api.PortConnection) api.App {
 	prog, err := vm.Assemble(src)
 	must(err)
 	bin, err := plugin.FromProgram(prog, plugin.Manifest{Developer: "fleet", External: true})
 	must(err)
-	return server.App{
+	return api.App{
 		Name:     name,
 		Binaries: []plugin.Binary{bin},
-		Confs: []server.SWConf{{
+		Confs: []api.SWConf{{
 			Model: "modelcar-v1",
-			Deployments: []server.Deployment{{
+			Deployments: []api.Deployment{{
 				Plugin: bin.Manifest.Name, ECU: ecuID, SWC: swcID, Connections: conns,
 			}},
 		}},

@@ -53,21 +53,21 @@ func main() {
 	// SW conf describing their distribution and port connections.
 	com, op, err := vehicle.PaperBinaries()
 	must(err)
-	app := server.App{
+	app := api.App{
 		Name:     "RemoteControl",
 		Binaries: []plugin.Binary{com, op},
-		Confs: []server.SWConf{{
+		Confs: []api.SWConf{{
 			Model: "modelcar-v1",
-			Deployments: []server.Deployment{
+			Deployments: []api.Deployment{
 				{Plugin: "COM", ECU: vehicle.ECU1, SWC: vehicle.SWC1,
-					Connections: []server.PortConnection{
-						{Port: "WheelsExt", External: &server.ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Wheels"}},
-						{Port: "SpeedExt", External: &server.ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Speed"}},
+					Connections: []api.PortConnection{
+						{Port: "WheelsExt", External: &api.ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Wheels"}},
+						{Port: "SpeedExt", External: &api.ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Speed"}},
 						{Port: "WheelsFwd", RemotePlugin: "OP", RemotePort: "WheelsIn"},
 						{Port: "SpeedFwd", RemotePlugin: "OP", RemotePort: "SpeedIn"},
 					}},
 				{Plugin: "OP", ECU: vehicle.ECU2, SWC: vehicle.SWC2,
-					Connections: []server.PortConnection{
+					Connections: []api.PortConnection{
 						{Port: "WheelsOut", Virtual: "WheelsReq"},
 						{Port: "SpeedOut", Virtual: "SpeedReq"},
 					}},

@@ -170,6 +170,34 @@ func (d *Dec) Blob() []byte {
 	return b
 }
 
+// PortValueLen is the size of a (plug-in port id, value) payload:
+// [u16 port][i64 value], big-endian. A type II SW-C port multiplexes
+// plug-in port conversations in it (paper section 3.1.3), and a
+// MsgExternal envelope carries external traffic in it, in either
+// direction.
+const PortValueLen = 10
+
+// EncodePortValue writes a (port id, value) payload into the caller's
+// buffer and returns it; the slice aliases buf, so encoding allocates
+// nothing and the bytes stay valid until buf is reused.
+func EncodePortValue(buf *[PortValueLen]byte, port PluginPortID, value int64) []byte {
+	binary.BigEndian.PutUint16(buf[:2], uint16(port))
+	binary.BigEndian.PutUint64(buf[2:], uint64(value))
+	return buf[:]
+}
+
+// DecodePortValue is the inverse of EncodePortValue; bytes past the
+// payload are ignored.
+func DecodePortValue(b []byte) (PluginPortID, int64, error) {
+	d := Dec{buf: b}
+	port := PluginPortID(d.U16())
+	value := d.I64()
+	if d.err != nil {
+		return 0, 0, d.err
+	}
+	return port, value, nil
+}
+
 // Checksum computes the CRC-32 (IEEE) checksum used to protect packages in
 // transit over the in-vehicle network.
 func Checksum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }

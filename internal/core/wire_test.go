@@ -68,6 +68,24 @@ func TestDecTruncationSticksAsError(t *testing.T) {
 	}
 }
 
+// TestPortValueLayout pins the (port id, value) payload the PIRTE's type
+// II ports, the ECM and the server's external push share.
+func TestPortValueLayout(t *testing.T) {
+	var buf [PortValueLen]byte
+	b := EncodePortValue(&buf, 0x0102, -2)
+	want := []byte{0x01, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE}
+	if !bytes.Equal(b, want) {
+		t.Fatalf("EncodePortValue = % x, want % x", b, want)
+	}
+	port, v, err := DecodePortValue(append(b, 0xAA))
+	if err != nil || port != 0x0102 || v != -2 {
+		t.Fatalf("DecodePortValue = %v, %d, %v", port, v, err)
+	}
+	if port, v, err := DecodePortValue(b[:PortValueLen-1]); err == nil || port != 0 || v != 0 {
+		t.Fatalf("truncated payload = %v, %d, %v", port, v, err)
+	}
+}
+
 func TestEncStrTruncatesOversized(t *testing.T) {
 	e := NewEnc(0)
 	huge := string(make([]byte, math.MaxUint16+10))

@@ -279,7 +279,7 @@ func (e *ECM) HandleServerMessage(msg core.Message) {
 		e.distribute(msg)
 	case core.MsgExternal:
 		// Server-relayed external traffic (federated embedded systems).
-		port, value, err := extDecodePayload(msg.Payload)
+		port, value, err := core.DecodePortValue(msg.Payload)
 		if err != nil {
 			e.logf("ecm: bad server external payload: %v", err)
 			return
@@ -426,7 +426,7 @@ func (e *ECM) onTypeI(msg core.Message) bool {
 		e.replyServer(msg)
 		return true
 	case core.MsgExternal:
-		port, value, err := extDecodePayload(msg.Payload)
+		port, value, err := core.DecodePortValue(msg.Payload)
 		if err != nil {
 			e.logf("ecm: bad relayed external payload: %v", err)
 			return true
@@ -538,12 +538,12 @@ func (e *ECM) routeInbound(ecu core.ECUID, port core.PluginPortID, value int64) 
 		if key.ecu != ecu {
 			continue
 		}
-		var payload [10]byte
+		var payload [core.PortValueLen]byte
 		msg := core.Message{
 			Type:    core.MsgExternal,
 			ECU:     ecu,
 			SWC:     key.swc,
-			Payload: extEncodePayloadTo(&payload, port, value),
+			Payload: core.EncodePortValue(&payload, port, value),
 		}
 		raw, err := msg.AppendBinary(e.frameBuf[:0])
 		if err != nil {

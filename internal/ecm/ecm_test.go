@@ -298,7 +298,7 @@ func TestEndpointFrameRoutesRemotely(t *testing.T) {
 	if ext.Type != core.MsgExternal || ext.ECU != "ECU2" {
 		t.Fatalf("ext = %+v", ext)
 	}
-	port, v, err := extDecodePayload(ext.Payload)
+	port, v, err := core.DecodePortValue(ext.Payload)
 	if err != nil || port != 0 || v != 1 {
 		t.Fatalf("payload = %v %v %v", port, v, err)
 	}
@@ -351,7 +351,7 @@ func TestRemotePluginExternalRelayReachesEndpoint(t *testing.T) {
 	// The remote PIRTE wraps the write and it arrives on the ECM's type I
 	// required port.
 	relay := core.Message{Type: core.MsgExternal, Plugin: "COM", ECU: "ECU2", SWC: "SW-C2",
-		Payload: extEncodePayload(3, 123)}
+		Payload: core.EncodePortValue(new([core.PortValueLen]byte), 3, 123)}
 	frame, _ := relay.MarshalBinary()
 	e.OnSWCData(3, frame)
 	frames := endpoint.extFrames(t)

@@ -1,7 +1,6 @@
 package ecm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -50,30 +49,4 @@ func ReadExtFrame(r io.Reader) (messageID string, value int64, err error) {
 		return "", 0, err
 	}
 	return messageID, value, nil
-}
-
-// extEncodePayloadTo wraps (port, value) for MsgExternal envelopes into
-// the caller's scratch buffer; it matches the PIRTE's encoding so both
-// ends of a type I relay agree.
-func extEncodePayloadTo(buf *[10]byte, port core.PluginPortID, value int64) []byte {
-	binary.BigEndian.PutUint16(buf[:2], uint16(port))
-	binary.BigEndian.PutUint64(buf[2:], uint64(value))
-	return buf[:]
-}
-
-// extEncodePayload is the allocating form for cold paths.
-func extEncodePayload(port core.PluginPortID, value int64) []byte {
-	var b [10]byte
-	return append([]byte(nil), extEncodePayloadTo(&b, port, value)...)
-}
-
-// extDecodePayload is the inverse of extEncodePayload.
-func extDecodePayload(b []byte) (core.PluginPortID, int64, error) {
-	d := core.NewDec(b)
-	port := core.PluginPortID(d.U16())
-	v := d.I64()
-	if err := d.Err(); err != nil {
-		return 0, 0, fmt.Errorf("ecm: malformed external payload: %v", err)
-	}
-	return port, v, nil
 }

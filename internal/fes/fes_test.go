@@ -15,7 +15,7 @@ import (
 )
 
 // buildApp assembles a one-plugin app deployed to the ECM SW-C.
-func buildApp(t *testing.T, name core.AppName, src string, external bool, conns []server.PortConnection) server.App {
+func buildApp(t *testing.T, name core.AppName, src string, external bool, conns []api.PortConnection) api.App {
 	t.Helper()
 	prog, err := vm.Assemble(src)
 	if err != nil {
@@ -25,12 +25,12 @@ func buildApp(t *testing.T, name core.AppName, src string, external bool, conns 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return server.App{
+	return api.App{
 		Name:     name,
 		Binaries: []plugin.Binary{bin},
-		Confs: []server.SWConf{{
+		Confs: []api.SWConf{{
 			Model: "modelcar-v1",
-			Deployments: []server.Deployment{{
+			Deployments: []api.Deployment{{
 				Plugin: bin.Manifest.Name, ECU: vehicle.ECU1, SWC: vehicle.SWC1,
 				Connections: conns,
 			}},
@@ -157,9 +157,9 @@ on_message In:
 	MUL
 	PWR Back
 	RET
-`, true, []server.PortConnection{
-		{Port: "In", External: &server.ExternalSpec{Endpoint: phoneAddr, MessageID: "Ping"}},
-		{Port: "Back", External: &server.ExternalSpec{Endpoint: phoneAddr, MessageID: "Pong"}},
+`, true, []api.PortConnection{
+		{Port: "In", External: &api.ExternalSpec{Endpoint: phoneAddr, MessageID: "Ping"}},
+		{Port: "Back", External: &api.ExternalSpec{Endpoint: phoneAddr, MessageID: "Pong"}},
 	})
 	if err := s.Store().UploadApp(app); err != nil {
 		t.Fatal(err)
@@ -190,12 +190,12 @@ func TestFederationBetweenVehicles(t *testing.T) {
 	dir.RegisterBroker(brokerAddr, broker)
 	broker.AddLink("SpeedShare", Link{ToVehicle: "VIN-B", ToMessage: "SpeedShare"})
 
-	pubApp := buildApp(t, "Publisher", echoSrc, true, []server.PortConnection{
-		{Port: "PokeIn", External: &server.ExternalSpec{Endpoint: phoneAddr, MessageID: "Poke"}},
-		{Port: "ShareOut", External: &server.ExternalSpec{Endpoint: brokerAddr, MessageID: "SpeedShare"}},
+	pubApp := buildApp(t, "Publisher", echoSrc, true, []api.PortConnection{
+		{Port: "PokeIn", External: &api.ExternalSpec{Endpoint: phoneAddr, MessageID: "Poke"}},
+		{Port: "ShareOut", External: &api.ExternalSpec{Endpoint: brokerAddr, MessageID: "SpeedShare"}},
 	})
-	subApp := buildApp(t, "Subscriber", listenSrc, true, []server.PortConnection{
-		{Port: "ShareIn", External: &server.ExternalSpec{Endpoint: brokerAddr, MessageID: "SpeedShare"}},
+	subApp := buildApp(t, "Subscriber", listenSrc, true, []api.PortConnection{
+		{Port: "ShareIn", External: &api.ExternalSpec{Endpoint: brokerAddr, MessageID: "SpeedShare"}},
 	})
 	if err := s.Store().UploadApp(pubApp); err != nil {
 		t.Fatal(err)

@@ -78,9 +78,10 @@ func (t Ticket) Wait() error {
 	return t.b.err
 }
 
-// Nop is the no-op backend: Append discards the record and returns a
-// resolved ticket, keeping the pure in-memory configuration on exactly
-// the code path it had before journaling existed.
+// Nop is the no-op backend a memory-only server appends to: Append
+// discards the record and returns a resolved ticket, so every journaled
+// write runs the same code with or without a journal and persists
+// nothing.
 type Nop struct{}
 
 // Append implements Appender by dropping the record.

@@ -3,8 +3,6 @@ package pirte
 import (
 	"encoding/binary"
 	"fmt"
-
-	"dynautosar/internal/core"
 )
 
 // Formats name the payload codecs a virtual port applies when translating
@@ -92,45 +90,4 @@ func decodeValue(format string, b []byte) (int64, error) {
 		return int64(b[0]), nil
 	}
 	return 0, fmt.Errorf("pirte: unknown virtual port format %q", format)
-}
-
-// Type II multiplexing: "the recipient id is attached to the data before
-// it is sent out on the type II SW-C port" (paper section 3.1.3). One pair
-// of static type II ports carries any number of plug-in port
-// conversations.
-
-// muxEncodeTo wraps a value with its recipient plug-in port id in the
-// caller's scratch buffer (same aliasing contract as encodeValueTo).
-func muxEncodeTo(buf *[10]byte, recipient core.PluginPortID, value int64) []byte {
-	binary.BigEndian.PutUint16(buf[:2], uint16(recipient))
-	binary.BigEndian.PutUint64(buf[2:], uint64(value))
-	return buf[:]
-}
-
-// muxEncode wraps a value with its recipient plug-in port id.
-func muxEncode(recipient core.PluginPortID, value int64) []byte {
-	var b [10]byte
-	return append([]byte(nil), muxEncodeTo(&b, recipient, value)...)
-}
-
-// muxDecode extracts the recipient id and value.
-func muxDecode(b []byte) (core.PluginPortID, int64, error) {
-	d := core.NewDec(b)
-	id := core.PluginPortID(d.U16())
-	v := d.I64()
-	if err := d.Err(); err != nil {
-		return 0, 0, fmt.Errorf("pirte: malformed type II payload: %v", err)
-	}
-	return id, v, nil
-}
-
-// extEncode wraps an external value with its plug-in port id for transport
-// inside a MsgExternal envelope (either direction).
-func extEncode(port core.PluginPortID, value int64) []byte {
-	return muxEncode(port, value)
-}
-
-// extDecode is the inverse of extEncode.
-func extDecode(b []byte) (core.PluginPortID, int64, error) {
-	return muxDecode(b)
 }

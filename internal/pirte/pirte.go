@@ -222,7 +222,7 @@ type PIRTE struct {
 	// II multiplexing, outbound type I frames, and the string interner
 	// of inbound type I decoding.
 	encBuf   [8]byte
-	muxBuf   [10]byte
+	muxBuf   [core.PortValueLen]byte
 	frameBuf []byte
 	intern   core.Interner
 

@@ -129,7 +129,7 @@ func TestInstallOPAndRouteTypeIII(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the mux delivering 'Wheels' (recipient P0, value 42).
-	p.OnSWCData(2, muxEncode(0, 42))
+	p.OnSWCData(2, core.EncodePortValue(new([core.PortValueLen]byte), 0, 42))
 	got := captured[4] // S4 carries WheelsReq
 	if len(got) != 1 {
 		t.Fatalf("S4 writes = %v", captured)
@@ -139,7 +139,7 @@ func TestInstallOPAndRouteTypeIII(t *testing.T) {
 		t.Fatalf("S4 payload = %v (%v)", v, err)
 	}
 	// 'Speed' to P1 lands on S5.
-	p.OnSWCData(2, muxEncode(1, -7))
+	p.OnSWCData(2, core.EncodePortValue(new([core.PortValueLen]byte), 1, -7))
 	if v, _ := decodeValue(FormatI16, captured[5][0]); v != -7 {
 		t.Fatalf("S5 payload = %d", v)
 	}
@@ -172,7 +172,7 @@ on_message in:
 	if len(got) != 1 {
 		t.Fatalf("S3 writes = %v", captured)
 	}
-	id, v, err := muxDecode(got[0])
+	id, v, err := core.DecodePortValue(got[0])
 	if err != nil || id != 0 || v != 99 {
 		t.Fatalf("mux = %v %v %v", id, v, err)
 	}
@@ -284,7 +284,7 @@ on_message in:
 	if msg.Type != core.MsgExternal || msg.Plugin != "ext" || msg.ECU != "ECU2" {
 		t.Fatalf("msg = %+v", msg)
 	}
-	id, v, err := extDecode(msg.Payload)
+	id, v, err := core.DecodePortValue(msg.Payload)
 	if err != nil || id != 51 || v != 777 {
 		t.Fatalf("ext payload = %v %v %v", id, v, err)
 	}
@@ -381,7 +381,7 @@ func TestExternalInboundMessage(t *testing.T) {
 	if err := p.Install(mustPackage(t, opSrc, opContext(), nil)); err != nil {
 		t.Fatal(err)
 	}
-	ext := core.Message{Type: core.MsgExternal, ECU: "ECU2", SWC: "SW-C2", Payload: extEncode(0, 55)}
+	ext := core.Message{Type: core.MsgExternal, ECU: "ECU2", SWC: "SW-C2", Payload: core.EncodePortValue(new([core.PortValueLen]byte), 0, 55)}
 	frame, _ := ext.MarshalBinary()
 	p.OnSWCData(0, frame)
 	if len(captured[4]) != 1 {
@@ -406,7 +406,7 @@ func TestMonitorsProtectTypeIII(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Out-of-range wheel command is clamped.
-	p.OnSWCData(2, muxEncode(0, 5000))
+	p.OnSWCData(2, core.EncodePortValue(new([core.PortValueLen]byte), 0, 5000))
 	if v, _ := decodeValue(FormatI16, captured[4][0]); v != 100 {
 		t.Fatalf("clamped = %d", v)
 	}
@@ -415,7 +415,7 @@ func TestMonitorsProtectTypeIII(t *testing.T) {
 	}
 	// Third speed write within the window is dropped.
 	for i := 0; i < 3; i++ {
-		p.OnSWCData(2, muxEncode(1, int64(i)))
+		p.OnSWCData(2, core.EncodePortValue(new([core.PortValueLen]byte), 1, int64(i)))
 	}
 	if len(captured[5]) != 2 {
 		t.Fatalf("rate-limited writes = %d", len(captured[5]))
@@ -674,7 +674,7 @@ func TestNvMPersistAndRestore(t *testing.T) {
 		t.Fatal("OP not restored")
 	}
 	// Restored plug-in routes as before.
-	p2.OnSWCData(2, muxEncode(0, 9))
+	p2.OnSWCData(2, core.EncodePortValue(new([core.PortValueLen]byte), 0, 9))
 	if len(captured2[4]) != 1 {
 		t.Fatal("restored plug-in does not route")
 	}

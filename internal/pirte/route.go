@@ -101,7 +101,7 @@ func (p *PIRTE) directWrite(ip *Installed, id core.PluginPortID, value int64) er
 			ECU:     p.cfg.ECU,
 			SWC:     p.cfg.SWC,
 			Seq:     p.nextSeq(),
-			Payload: muxEncodeTo(&p.muxBuf, id, value),
+			Payload: core.EncodePortValue(&p.muxBuf, id, value),
 		}
 		return p.sendTypeI(msg)
 	}
@@ -146,7 +146,7 @@ func (p *PIRTE) writeTypeII(vid core.VirtualPortID, recipient core.PluginPortID,
 		return fmt.Errorf("pirte: write to unknown virtual port %s", vid)
 	}
 	vp.Writes++
-	return p.writeOut(vp.spec.SWCPort, muxEncodeTo(&p.muxBuf, recipient, value))
+	return p.writeOut(vp.spec.SWCPort, core.EncodePortValue(&p.muxBuf, recipient, value))
 }
 
 // deliverToPort queues a value for the plug-in owning the port id. The
@@ -220,9 +220,9 @@ func (p *PIRTE) OnSWCData(sid core.SWCPortID, data []byte) {
 		}
 		p.handleTypeI(msg)
 	case core.TypeII:
-		id, value, err := muxDecode(data)
+		id, value, err := core.DecodePortValue(data)
 		if err != nil {
-			p.logf("pirte %s: %v", p.cfg.SWC, err)
+			p.logf("pirte %s: malformed type II payload: %v", p.cfg.SWC, err)
 			return
 		}
 		if err := p.deliverToPort(id, value); err != nil {
@@ -311,7 +311,7 @@ func (p *PIRTE) handleTypeI(msg core.Message) {
 		}
 		p.reply(msg.Ack())
 	case core.MsgExternal:
-		id, value, err := extDecode(msg.Payload)
+		id, value, err := core.DecodePortValue(msg.Payload)
 		if err != nil {
 			p.logf("pirte %s: bad external payload: %v", p.cfg.SWC, err)
 			return

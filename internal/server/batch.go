@@ -111,7 +111,7 @@ type planCache struct {
 // when none fits: equal confs and structurally equal old rows — which
 // batch-deployed fleets have by construction — yield identical
 // compatibility reports, contexts and packages.
-func (c *planCache) lookup(conf core.VehicleConf, oldRow InstalledApp) *vehiclePlan {
+func (c *planCache) lookup(conf core.VehicleConf, oldRow api.InstalledApp) *vehiclePlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range c.plans {
@@ -159,7 +159,7 @@ func confsEqual(a, b core.VehicleConf) bool {
 // rowsEquivalent reports whether two installed rows describe the same
 // placement and port-id assignment — the condition for one plan's
 // recorded (and forced) PICs to apply to another vehicle.
-func rowsEquivalent(a, b InstalledApp) bool {
+func rowsEquivalent(a, b api.InstalledApp) bool {
 	if a.App != b.App || len(a.Plugins) != len(b.Plugins) {
 		return false
 	}

@@ -401,8 +401,8 @@ func TestBatchPlanReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(connectAckVehicle(t, s, "VIN-USED"))
-	s.Store().RecordInstallation(&InstalledApp{App: "Other", Vehicle: "VIN-USED",
-		Plugins: []InstalledPlugin{{Plugin: "X", ECU: app.Confs[0].Deployments[1].ECU,
+	s.Store().tryRecordInstallation(&api.InstalledApp{App: "Other", Vehicle: "VIN-USED",
+		Plugins: []api.InstalledPlugin{{Plugin: "X", ECU: app.Confs[0].Deployments[1].ECU,
 			SWC: app.Confs[0].Deployments[1].SWC, PIC: core.PIC{{Name: "a", ID: 0}}, Acked: true}}})
 	opRec := s.newOperation(api.OpDeploy, "alice", "VIN-USED", "RemoteControl", "", "", "")
 	if err := s.run(deployKind, opRec.op.ID, target{user: "alice", vehicle: "VIN-USED", app: "RemoteControl"}, cache); err != nil {
@@ -425,7 +425,7 @@ func TestBatchPlanReuse(t *testing.T) {
 }
 
 // miniApp builds a one-plug-in app (two ports) deployed on SW-C2.
-func miniApp(t *testing.T, name string) App {
+func miniApp(t *testing.T, name string) api.App {
 	t.Helper()
 	src := fmt.Sprintf(".plugin %s 1.0\n.port in required\n.port out provided\non_message in:\n\tRET\n", name)
 	prog, err := vm.Assemble(src)
@@ -436,8 +436,8 @@ func miniApp(t *testing.T, name string) App {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return App{Name: core.AppName(name), Binaries: []plugin.Binary{bin},
-		Confs: []SWConf{{Model: "modelcar-v1", Deployments: []Deployment{
+	return api.App{Name: core.AppName(name), Binaries: []plugin.Binary{bin},
+		Confs: []api.SWConf{{Model: "modelcar-v1", Deployments: []api.Deployment{
 			{Plugin: core.PluginName(name), ECU: vehicle.ECU2, SWC: vehicle.SWC2},
 		}}}}
 }

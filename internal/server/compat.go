@@ -17,7 +17,7 @@ import (
 // check carries the reasons presented to the user.
 type CompatReport struct {
 	OK      bool
-	Conf    SWConf
+	Conf    api.SWConf
 	Reasons []string
 }
 
@@ -39,7 +39,7 @@ func (r CompatReport) Error() error {
 // vehicle's model must exist, every deployment must fit the vehicle's
 // SW-C quotas and virtual ports, and dependencies/conflicts must resolve
 // against the already installed plug-ins.
-func (s *Server) CheckCompatibility(app App, vr VehicleRecord) CompatReport {
+func (s *Server) CheckCompatibility(app api.App, vr api.VehicleRecord) CompatReport {
 	return s.checkCompatibility(app, vr, "")
 }
 
@@ -48,7 +48,7 @@ func (s *Server) CheckCompatibility(app App, vr VehicleRecord) CompatReport {
 // live upgrade runs: the replaced app's plug-ins vacate their quotas
 // and conflict slots, so the new version is judged against the vehicle
 // as it will be mid-swap, not as it is now.
-func (s *Server) checkCompatibility(app App, vr VehicleRecord, exclude core.AppName) CompatReport {
+func (s *Server) checkCompatibility(app api.App, vr api.VehicleRecord, exclude core.AppName) CompatReport {
 	report := CompatReport{OK: true}
 	conf, ok := app.ConfFor(vr.Conf.Model)
 	if !ok {
@@ -64,7 +64,7 @@ func (s *Server) checkCompatibility(app App, vr VehicleRecord, exclude core.AppN
 		}
 	}
 
-	var installed []InstalledPlugin
+	var installed []api.InstalledPlugin
 	for _, row := range s.store.InstalledApps(vr.ID) {
 		if exclude != "" && row.App == exclude {
 			continue
@@ -206,8 +206,8 @@ func portSpec(b plugin.Binary, port string) (core.PluginPortSpec, bool) {
 // connections — the PIRTE links peer ports directly at install time, so
 // the target plug-in must already be present. It reports a
 // failed_precondition error on cycles.
-func InstallOrder(app App, conf SWConf) ([]Deployment, error) {
-	byName := make(map[core.PluginName]Deployment, len(conf.Deployments))
+func InstallOrder(app api.App, conf api.SWConf) ([]api.Deployment, error) {
+	byName := make(map[core.PluginName]api.Deployment, len(conf.Deployments))
 	for _, d := range conf.Deployments {
 		byName[d.Plugin] = d
 	}
@@ -232,7 +232,7 @@ func InstallOrder(app App, conf SWConf) ([]Deployment, error) {
 		}
 	}
 	state := make(map[core.PluginName]int, len(conf.Deployments)) // 0 new, 1 visiting, 2 done
-	var order []Deployment
+	var order []api.Deployment
 	var visit func(name core.PluginName) error
 	visit = func(name core.PluginName) error {
 		switch state[name] {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 )
 
@@ -18,7 +19,7 @@ type generatedContexts map[core.PluginName]*core.Context
 
 // GenerateContexts builds the PIC, PLC and ECC for every deployment of
 // the ordered plan against a vehicle.
-func (s *Server) GenerateContexts(app App, vr VehicleRecord, order []Deployment) (generatedContexts, error) {
+func (s *Server) GenerateContexts(app api.App, vr api.VehicleRecord, order []api.Deployment) (generatedContexts, error) {
 	return s.generateContexts(app, vr, order, nil)
 }
 
@@ -28,7 +29,7 @@ func (s *Server) GenerateContexts(app App, vr VehicleRecord, order []Deployment)
 // recorded ids so same-named ports keep their SW-C-scope identity —
 // links from other plug-ins, ECC routes and in-flight traffic survive
 // the swap — while genuinely new ports still allocate fresh ids.
-func (s *Server) generateContexts(app App, vr VehicleRecord, order []Deployment, forced map[core.PluginName]core.PIC) (generatedContexts, error) {
+func (s *Server) generateContexts(app api.App, vr api.VehicleRecord, order []api.Deployment, forced map[core.PluginName]core.PIC) (generatedContexts, error) {
 	out := make(generatedContexts, len(order))
 
 	// Pass 1: PICs. Ids are unique within each SW-C, skipping ids held by

@@ -36,12 +36,12 @@ type opKind struct {
 	batch api.OperationKind
 	// precheck runs after the shared vehicle/owner/app checks, at POST
 	// time (opID "") and again at launch.
-	precheck func(s *Server, t target, vr VehicleRecord, opID string) error
+	precheck func(s *Server, t target, vr api.VehicleRecord, opID string) error
 	// claims lists the apps the operation must own on the vehicle.
 	claims func(s *Server, t target) []core.AppName
 	// plan builds and verifies the vehicle's plan; called with the
 	// vehicle's deploy stripe held.
-	plan func(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error)
+	plan func(s *Server, t target, vr api.VehicleRecord) (*vehiclePlan, error)
 	// stage records the planned outcome before anything is pushed and
 	// returns the ticket of its journal record; unstage undoes it, with
 	// an empty reason when that record never became durable (for the
@@ -242,16 +242,16 @@ func (s *Server) checkApps(t target) error {
 // vehicle is known and bound to the caller, the named apps exist, then
 // whatever the kind adds. Everything it finds is advisory; the claim
 // and the stage record decide.
-func (s *Server) precheck(k *opKind, t target, opID string) (VehicleRecord, error) {
+func (s *Server) precheck(k *opKind, t target, opID string) (api.VehicleRecord, error) {
 	vr, ok := s.store.Vehicle(t.vehicle)
 	if !ok {
-		return VehicleRecord{}, api.Errorf(api.CodeNotFound, "server: unknown vehicle %s", t.vehicle)
+		return api.VehicleRecord{}, api.Errorf(api.CodeNotFound, "server: unknown vehicle %s", t.vehicle)
 	}
 	if vr.Owner != t.user {
-		return VehicleRecord{}, api.Errorf(api.CodePermissionDenied, "server: vehicle %s is not bound to user %s", t.vehicle, t.user)
+		return api.VehicleRecord{}, api.Errorf(api.CodePermissionDenied, "server: vehicle %s is not bound to user %s", t.vehicle, t.user)
 	}
 	if err := s.checkApps(t); err != nil {
-		return VehicleRecord{}, err
+		return api.VehicleRecord{}, err
 	}
 	return vr, k.precheck(s, t, vr, opID)
 }
@@ -348,6 +348,9 @@ func (s *Server) claim(opID string, vehicle core.VehicleID, apps []core.AppName,
 		if key := failureKey(vehicle, app); s.claims[key] == "" {
 			s.claims[key] = opID
 			rec.claims = append(rec.claims, key)
+			// Status reports the most recent operation on the app, and
+			// that is this one from now on.
+			delete(s.failures, key)
 		}
 	}
 	return nil
@@ -399,8 +402,8 @@ func (s *Server) releaseDrainedLocked(rec *opRecord) {
 // apps change port-id assignment, quota headroom, conflict and
 // dependency resolution, so those vehicles always plan individually.
 // Called with the vehicle's deploy stripe held.
-func (s *Server) planFor(k *opKind, t target, vr VehicleRecord, cache *planCache) (*vehiclePlan, error) {
-	var oldRow InstalledApp
+func (s *Server) planFor(k *opKind, t target, vr api.VehicleRecord, cache *planCache) (*vehiclePlan, error) {
+	var oldRow api.InstalledApp
 	reusable := false
 	if cache != nil {
 		switch rows := s.store.InstalledApps(t.vehicle); {

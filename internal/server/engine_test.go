@@ -20,9 +20,9 @@ import (
 // pairApp builds a two-plug-in app (P1, P2, no links) with both plug-ins
 // on ECU2/SW-C2, so every kind — restore of ECU2 included — puts two
 // frames on the wire.
-func pairApp(t *testing.T, name core.AppName) App {
+func pairApp(t *testing.T, name core.AppName) api.App {
 	t.Helper()
-	app := App{Name: name, Confs: []SWConf{{Model: "modelcar-v1"}}}
+	app := api.App{Name: name, Confs: []api.SWConf{{Model: "modelcar-v1"}}}
 	for _, p := range []core.PluginName{"P1", "P2"} {
 		prog, err := vm.Assemble(fmt.Sprintf(".plugin %s 1.0\n.port in required\non_message in:\n\tRET\n", p))
 		if err != nil {
@@ -34,7 +34,7 @@ func pairApp(t *testing.T, name core.AppName) App {
 		}
 		app.Binaries = append(app.Binaries, bin)
 		app.Confs[0].Deployments = append(app.Confs[0].Deployments,
-			Deployment{Plugin: p, ECU: vehicle.ECU2, SWC: vehicle.SWC2})
+			api.Deployment{Plugin: p, ECU: vehicle.ECU2, SWC: vehicle.SWC2})
 	}
 	return app
 }
@@ -81,7 +81,7 @@ func rowSummary(s *Server, vin core.VehicleID) []string {
 func TestVerifiedIsPushed(t *testing.T) {
 	const vin = "VIN-VP"
 	s := newServerWithVehicle(t, vin)
-	for _, app := range []App{paperApp(t), paperAppNamed(t, "RemoteControl-v2")} {
+	for _, app := range []api.App{paperApp(t), paperAppNamed(t, "RemoteControl-v2")} {
 		if err := s.Store().UploadApp(app); err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestRestoreRefusedDuringOpenUpgrade(t *testing.T) {
 func TestRestoreRepairsSurvivorDependency(t *testing.T) {
 	const vin = "VIN-SR"
 	s := newServerWithVehicle(t, vin)
-	app := App{Name: "Trio", Confs: []SWConf{{Model: "modelcar-v1"}}}
+	app := api.App{Name: "Trio", Confs: []api.SWConf{{Model: "modelcar-v1"}}}
 	for _, p := range []struct {
 		name core.PluginName
 		ecu  core.ECUID
@@ -371,7 +371,7 @@ func TestRestoreRepairsSurvivorDependency(t *testing.T) {
 			t.Fatal(err)
 		}
 		app.Binaries = append(app.Binaries, bin)
-		app.Confs[0].Deployments = append(app.Confs[0].Deployments, Deployment{Plugin: p.name, ECU: p.ecu, SWC: p.swc})
+		app.Confs[0].Deployments = append(app.Confs[0].Deployments, api.Deployment{Plugin: p.name, ECU: p.ecu, SWC: p.swc})
 	}
 	if err := s.Store().UploadApp(app); err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func TestKindJournalAndFrameSequence(t *testing.T) {
 	if err := s.Store().BindVehicle("alice", modelCarConf(vin)); err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range []App{paperApp(t), paperAppNamed(t, "RemoteControl-v2"), paperAppNamed(t, "RemoteControl-v3")} {
+	for _, app := range []api.App{paperApp(t), paperAppNamed(t, "RemoteControl-v2"), paperAppNamed(t, "RemoteControl-v3")} {
 		if err := s.Store().UploadApp(app); err != nil {
 			t.Fatal(err)
 		}

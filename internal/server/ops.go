@@ -96,13 +96,10 @@ func (s *Server) newOperation(kind api.OperationKind, user core.UserID, vehicle 
 // journal's hot path. A rollout's wave batch is a child too, but one
 // with children of its own: it is journaled like a top-level batch.
 func (s *Server) journalOpLocked(build func(api.Operation) journal.Record, rec *opRecord) {
-	if s.jn == nil {
-		return
-	}
 	if rec.parent != "" && len(rec.op.Children) == 0 && rec.op.State != api.StateFailed {
 		return
 	}
-	s.jn.Append(build(snapshotOpLocked(rec)))
+	s.store.jn.Append(build(snapshotOpLocked(rec)))
 }
 
 // batchChild pairs one target vehicle of a batch with its child
@@ -242,6 +239,13 @@ func (s *Server) finishLaunch(opID string, err error) {
 		rec.op.State = api.StateFailed
 		rec.op.Error = api.AsError(err)
 		rec.op.Done = true
+		// The operation owns its apps' Status now (see claim): a failure
+		// no frame reported is reported there as the launch error.
+		if len(rec.op.Failures) == 0 {
+			for _, key := range rec.claims {
+				s.failures[key] = append(s.failures[key], rec.op.Error.Message)
+			}
+		}
 		s.noteOpSettledLocked(rec)
 		s.journalOpLocked(journal.OpSettledRec, rec)
 		s.releaseDrainedLocked(rec)

@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 	"dynautosar/internal/plugin"
 	"dynautosar/internal/sim"
@@ -45,14 +46,14 @@ on_message feed:
 	PWR result
 	RET
 `)
-	app := App{
+	app := api.App{
 		Name:     "Pair",
 		Binaries: []plugin.Binary{producer, consumer},
-		Confs: []SWConf{{
+		Confs: []api.SWConf{{
 			Model: "modelcar-v1",
-			Deployments: []Deployment{
+			Deployments: []api.Deployment{
 				{Plugin: "Producer", ECU: vehicle.ECU1, SWC: vehicle.SWC1,
-					Connections: []PortConnection{
+					Connections: []api.PortConnection{
 						{Port: "feed", RemotePlugin: "Consumer", RemotePort: "feed"},
 					}},
 				{Plugin: "Consumer", ECU: vehicle.ECU1, SWC: vehicle.SWC1},

@@ -58,7 +58,7 @@ func (s *Server) OpenJournal(dir string) error {
 	s.recoverFrom(rec)
 	j.SetSnapshotSource(s.stateImage)
 	s.jn = j
-	s.store.SetJournal(j)
+	s.store.jn = j
 	s.logf("server: recovered %d users, %d vehicles, %d apps; replayed %d records, %d operations interrupted",
 		len(s.store.users), len(s.store.vehicles), len(s.store.apps), s.recovery.Records, s.recovery.Interrupted)
 	// Resume interrupted rollouts only now that the journal is attached:
@@ -164,21 +164,17 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 		}
 	}
 
-	// rollouts accumulates the rollout state machines seen in the image
-	// and the log tail; rebuilt into the registry (and resumed) below.
-	rollouts := make(map[string]*rolloutReplayState)
+	// rollouts holds the rollout operations seen in the image and the
+	// log tail, each in the state its wave loop had reached; they join
+	// the registry (and resume) below.
+	rollouts := make(map[string]*opRecord)
 
 	if img := rec.Image; img != nil {
 		s.store.loadImage(img)
 		// Shard identity rides the snapshot: a follower promoted from a
 		// replicated journal recovers the dead leader's shard name and
 		// highest epoch, which BecomeLeader then surpasses.
-		if img.Shard != "" && s.shardID == "" {
-			s.shardID = img.Shard
-		}
-		if img.ShardEpoch > s.shardEpoch {
-			s.shardEpoch = img.ShardEpoch
-		}
+		s.adoptShardEpoch(img.Shard, img.ShardEpoch)
 		maxSeq = img.OpSeq
 		for _, op := range img.OpenOps {
 			open[op.ID] = op
@@ -189,43 +185,24 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 			bump(op.ID)
 		}
 		for _, ri := range img.Rollouts {
-			rollouts[ri.ID] = &rolloutReplayState{img: ri}
+			rec := newRolloutOp(ri.ID, ri.User, ri.FromApp, ri.ToApp, ri.Vehicles, ri.Bounds, ri.Health)
+			rec.ro.promote(ri.Promoted)
+			if ri.RolledBack {
+				rec.ro.pivot(ri.Reason)
+			}
+			rollouts[ri.ID] = rec
 		}
 		s.recovery.SnapshotTime = time.Unix(img.TakenUnix, 0)
 	}
 	for _, r := range rec.Records {
 		switch r.Type {
 		case journal.TypeRolloutStarted:
-			if r.Rollout == nil {
-				continue
+			if c := r.Rollout; c != nil {
+				rollouts[c.ID] = newRolloutOp(c.ID, c.User, c.FromApp, c.ToApp, c.Vehicles, c.Bounds, c.Health)
 			}
-			c := r.Rollout
-			rollouts[c.ID] = &rolloutReplayState{img: journal.RolloutImage{
-				ID: c.ID, User: c.User, FromApp: c.FromApp, ToApp: c.ToApp,
-				Vehicles: c.Vehicles, Bounds: c.Bounds, Health: c.Health,
-			}}
-		case journal.TypeWavePromoted:
-			if r.Rollout == nil {
-				continue
-			}
-			if rr := rollouts[r.Rollout.ID]; rr != nil && r.Rollout.Wave > rr.img.Promoted {
-				rr.img.Promoted = r.Rollout.Wave
-			}
-		case journal.TypeRolloutRolledBack:
-			if r.Rollout == nil {
-				continue
-			}
-			if rr := rollouts[r.Rollout.ID]; rr != nil {
-				rr.img.RolledBack = true
-				rr.img.Reason = r.Rollout.Reason
-			}
-		case journal.TypeRolloutDone:
-			if r.Rollout == nil {
-				continue
-			}
-			if rr := rollouts[r.Rollout.ID]; rr != nil {
-				rr.done = true
-				rr.final = r.Rollout.Final
+		case journal.TypeWavePromoted, journal.TypeRolloutRolledBack, journal.TypeRolloutDone:
+			if r.Rollout != nil && rollouts[r.Rollout.ID] != nil {
+				rollouts[r.Rollout.ID].replayRollout(r)
 			}
 		case journal.TypeOpCreated:
 			if r.Op == nil {
@@ -248,14 +225,8 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 			delete(open, op.ID)
 			settled[op.ID] = op
 		case journal.TypeShardEpoch:
-			if r.Epoch == nil {
-				continue
-			}
-			if r.Epoch.Shard != "" && s.shardID == "" {
-				s.shardID = r.Epoch.Shard
-			}
-			if r.Epoch.Epoch > s.shardEpoch {
-				s.shardEpoch = r.Epoch.Epoch
+			if r.Epoch != nil {
+				s.adoptShardEpoch(r.Epoch.Shard, r.Epoch.Epoch)
 			}
 		default:
 			s.store.applyRecord(r)
@@ -341,9 +312,10 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 	for id, op := range final {
 		recs[id] = &opRecord{op: op, launched: true, parent: op.Parent}
 	}
-	for id, rr := range rollouts {
+	for id, rec := range rollouts {
 		bump(id)
-		recs[id] = s.recoverRollout(id, rr)
+		s.resumeRollout(rec)
+		recs[id] = rec
 	}
 	// Creation order, i.e. ascending sequence number; the foreign ids of
 	// rollouts an older server wrote ("ro-…", sequence 0) go first.
@@ -382,84 +354,52 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 	s.recovery.TornTail = rec.TornTail
 }
 
-// rolloutReplayState is the recovered essence of one rollout's state
-// machine: its identity record plus how far the log says it got.
-type rolloutReplayState struct {
-	img   journal.RolloutImage
-	done  bool
-	final string
+// adoptShardEpoch replays a shard_epoch record, or an image's shard
+// fields: a shard name set at boot wins, and the highest epoch does.
+func (s *Server) adoptShardEpoch(shard string, epoch uint64) {
+	if shard != "" && s.shardID == "" {
+		s.shardID = shard
+	}
+	s.shardEpoch = max(s.shardEpoch, epoch)
 }
 
-// recoverRollout rebuilds one rollout operation and stages its resume
-// continuation. The policy: a rollout with a durable rollout_done is
-// closed; one with a durable rollout_rolled_back resumes its fleet
-// rollback (idempotent — already-downgraded vehicles are skipped); an
-// open rollout resumes forward from the last promoted wave boundary
+// resumeRollout stages the continuation of a rollout the log leaves
+// open. A rollout past its rollback pivot resumes the fleet rollback
+// (idempotent — already-downgraded vehicles are skipped); any other
+// open rollout resumes forward from its last promoted wave boundary
 // only if the boundary is clean — no vehicle past it holds a committed
 // To row. A dirty boundary means the crash interrupted a wave whose
 // health window died with the process, so the fleet rolls back.
-func (s *Server) recoverRollout(id string, rr *rolloutReplayState) *opRecord {
-	bounds, promoted := rr.img.Bounds, rr.img.Promoted
-	if rr.done && rr.final != "rolled_back" {
-		promoted = len(bounds) // it succeeded: every wave promoted
-	}
-	rec := &opRecord{
-		op: api.Operation{
-			ID: id, Kind: api.OpRollout, User: rr.img.User, App: rr.img.FromApp, ToApp: rr.img.ToApp,
-			State: api.StateRunning, Vehicles: rr.img.Vehicles,
-		},
-		launched: true,
-		ro: &rolloutState{
-			bounds: bounds, promoted: promoted, state: api.RolloutRunning,
-			waves: waveStatuses(bounds), currentWave: promoted,
-		},
-	}
-	ro := rec.ro
-	if rr.img.Health != nil {
-		ro.health = *rr.img.Health
-	}
-	for w := 0; w < promoted && w < len(ro.waves); w++ {
-		ro.waves[w].Started = true
-		ro.waves[w].Promoted = true
-	}
-	reason := rr.img.Reason
-	code := api.CodeRolloutUnhealthy
-	if strings.Contains(reason, "operator abort") {
-		code = api.CodeRolloutAborted
-	}
+func (s *Server) resumeRollout(rec *opRecord) {
+	id, ro := rec.op.ID, rec.ro
 	switch {
-	case rr.done && rr.final == "rolled_back":
-		ro.gateReason = reason
-		rec.closeRollout(api.RolloutRolledBack, api.Errorf(code, "server: rollout %s rolled back: %s", id, reason))
-	case rr.done:
-		rec.closeRollout(api.RolloutSucceeded, nil)
-	case rr.img.RolledBack:
-		ro.state = api.RolloutRollingBack
-		ro.gateReason = reason
+	case rec.op.Done:
+	case ro.state == api.RolloutRollingBack:
+		reason := ro.gateReason
 		s.rolloutResume = append(s.rolloutResume, func() {
-			s.rollbackRollout(id, reason, code, true)
+			s.rollbackRollout(id, reason, true)
 		})
 	default:
 		// Clean-boundary rule: the wave in flight at the crash left
 		// committed To rows exactly when some vehicle past the last
 		// promoted boundary holds one.
 		promotedBound := 0
-		if rr.img.Promoted > 0 && rr.img.Promoted <= len(bounds) {
-			promotedBound = bounds[rr.img.Promoted-1]
+		if ro.promoted > 0 {
+			promotedBound = ro.bounds[ro.promoted-1]
 		}
 		dirty := false
-		for _, v := range rr.img.Vehicles[min(promotedBound, len(rr.img.Vehicles)):] {
-			if _, ok := s.store.InstalledApp(v, rr.img.ToApp); ok {
+		for _, v := range rec.op.Vehicles[min(promotedBound, len(rec.op.Vehicles)):] {
+			if _, ok := s.store.InstalledApp(v, rec.op.ToApp); ok {
 				dirty = true
 				break
 			}
 		}
-		startWave := rr.img.Promoted
+		startWave := ro.promoted
 		if dirty {
 			interruptedReason := fmt.Sprintf(
 				"server restart interrupted wave %d with partial upgrades committed", startWave+1)
 			s.rolloutResume = append(s.rolloutResume, func() {
-				s.rollbackRollout(id, interruptedReason, api.CodeRolloutUnhealthy, false)
+				s.rollbackRollout(id, interruptedReason, false)
 			})
 		} else {
 			s.rolloutResume = append(s.rolloutResume, func() {
@@ -467,7 +407,6 @@ func (s *Server) recoverRollout(id string, rr *rolloutReplayState) *opRecord {
 			})
 		}
 	}
-	return rec
 }
 
 // deriveChildOutcome settles one child of an interrupted batch from the
@@ -674,120 +613,52 @@ func (s *Store) imageInto(img *journal.StateImage) {
 	})
 }
 
-// applyRecord applies one replayed store mutation. Application is
-// idempotent: compaction may leave a record in the new segment whose
+// applyRecord replays one store record through the applier its live
+// mutation called, under the lock that mutation held. An applier is the
+// one function that changes a table for its record type; it runs with
+// that table's lock held and reports whether it changed anything. Replay
+// is idempotent: compaction may leave a record in the new segment whose
 // effect the snapshot image already contains (the image is always at
-// least as new as anything flushed before it), so every branch
-// tolerates finding its work already done — and the richer state
-// (e.g. a row with acks) always wins over a replayed older record.
+// least as new as anything flushed before it), and every applier then
+// finds its work done and changes nothing — so the richer state (e.g.
+// a row with acks) always wins over a replayed older record.
 func (s *Store) applyRecord(rec journal.Record) {
-	switch rec.Type {
-	case journal.TypeUserAdded:
-		if rec.User == nil {
-			return
-		}
-		s.mu.Lock()
-		if _, ok := s.users[rec.User.ID]; !ok {
-			s.users[rec.User.ID] = &User{ID: rec.User.ID}
-		}
-		s.mu.Unlock()
-	case journal.TypeVehicleBound:
-		if rec.Vehicle == nil {
-			return
-		}
-		owner, conf := rec.Vehicle.Owner, rec.Vehicle.Conf
-		s.mu.Lock()
-		if _, dup := s.vehicles[conf.Vehicle]; !dup {
-			u, ok := s.users[owner]
-			if !ok {
-				// Defensive: the user record always precedes its
-				// vehicles in the log.
-				u = &User{ID: owner}
-				s.users[owner] = u
-			}
-			s.vehicles[conf.Vehicle] = &VehicleRecord{ID: conf.Vehicle, Owner: owner, Conf: conf}
-			u.Vehicles = append(u.Vehicles, conf.Vehicle)
-		}
-		s.mu.Unlock()
-	case journal.TypeAppUploaded:
-		if rec.App == nil {
-			return
-		}
-		s.mu.Lock()
-		if _, dup := s.apps[rec.App.Name]; !dup {
-			s.apps[rec.App.Name] = rec.App
-		}
-		s.mu.Unlock()
-	case journal.TypeInstallRecorded:
-		if rec.Install == nil || rec.Install.Row == nil {
-			return
-		}
-		row := rec.Install.Row
-		sh := s.shard(row.Vehicle)
-		sh.mu.Lock()
-		dup := false
-		for _, r := range sh.rows[row.Vehicle] {
-			if r.App == row.App {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			sh.rows[row.Vehicle] = append(sh.rows[row.Vehicle], row)
-		}
-		sh.mu.Unlock()
-	case journal.TypeInstallAcked:
-		if rec.Install == nil {
-			return
-		}
-		sh := s.shard(rec.Install.Vehicle)
-		sh.mu.Lock()
-		markAckedLocked(sh, rec.Install.Vehicle, rec.Install.App, rec.Install.Plugin)
-		sh.mu.Unlock()
-	case journal.TypeInstallRemoved:
-		if rec.Install == nil {
-			return
-		}
-		sh := s.shard(rec.Install.Vehicle)
-		sh.mu.Lock()
-		removeRowLocked(sh, rec.Install.Vehicle, rec.Install.App)
-		sh.mu.Unlock()
-	case journal.TypePluginDropped:
-		if rec.Install == nil {
-			return
-		}
-		sh := s.shard(rec.Install.Vehicle)
-		sh.mu.Lock()
-		dropPluginLocked(sh, rec.Install.Vehicle, rec.Install.App, rec.Install.Plugin)
-		sh.mu.Unlock()
-	case journal.TypeUpgradeCommitted:
-		// The commit point of a live upgrade: the old app's row is
-		// replaced by the fully acknowledged new one. Idempotent — a
-		// snapshot may already contain the new row, in which case the
-		// old one is gone too and both branches are no-ops.
-		if rec.Upgrade == nil || rec.Upgrade.Row == nil {
-			return
-		}
-		row := rec.Upgrade.Row
-		sh := s.shard(row.Vehicle)
-		sh.mu.Lock()
-		removeRowLocked(sh, row.Vehicle, rec.Upgrade.FromApp)
-		dup := false
-		for _, r := range sh.rows[row.Vehicle] {
-			if r.App == row.App {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			sh.rows[row.Vehicle] = append(sh.rows[row.Vehicle], row)
-		}
-		sh.mu.Unlock()
-	case journal.TypeUpgradeStarted, journal.TypeUpgradeRolledBack:
-		// Row-neutral markers: an upgrade that never reached its commit
-		// record resolves to the old row, which is exactly what the
-		// store already holds. The started record is the write-ahead
-		// intent (audit + crash diagnosis), the rolled-back record the
-		// closure; neither mutates the table.
+	in, up := rec.Install, rec.Upgrade
+	switch t := rec.Type; {
+	case t == journal.TypeUserAdded && rec.User != nil:
+		s.locked(func() { s.addUserLocked(rec.User.ID) })
+	case t == journal.TypeVehicleBound && rec.Vehicle != nil:
+		s.locked(func() { s.bindVehicleLocked(rec.Vehicle.Owner, rec.Vehicle.Conf) })
+	case t == journal.TypeAppUploaded && rec.App != nil:
+		s.locked(func() { s.addAppLocked(rec.App) })
+	case t == journal.TypeInstallRecorded && in != nil && in.Row != nil:
+		s.inShard(in.Row.Vehicle, func(sh *installedShard) { insertRowLocked(sh, in.Row) })
+	case t == journal.TypeInstallAcked && in != nil:
+		s.inShard(in.Vehicle, func(sh *installedShard) { markAckedLocked(sh, in.Vehicle, in.App, in.Plugin) })
+	case t == journal.TypeInstallRemoved && in != nil:
+		s.inShard(in.Vehicle, func(sh *installedShard) { removeRowLocked(sh, in.Vehicle, in.App) })
+	case t == journal.TypePluginDropped && in != nil:
+		s.inShard(in.Vehicle, func(sh *installedShard) { dropPluginLocked(sh, in.Vehicle, in.App, in.Plugin) })
+	case t == journal.TypeUpgradeCommitted && up != nil && up.Row != nil:
+		s.inShard(up.Row.Vehicle, func(sh *installedShard) { replaceRowLocked(sh, up.FromApp, up.Row) })
 	}
+	// upgrade_started and upgrade_rolled_back change no table: an
+	// upgrade that never reached its commit record resolves to the old
+	// row, which is exactly what the store already holds.
+}
+
+// locked runs apply with s.mu held, the lock of the users, vehicles and
+// apps tables.
+func (s *Store) locked(apply func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	apply()
+}
+
+// inShard runs apply with the lock of vehicle's InstalledAPP shard held.
+func (s *Store) inShard(vehicle core.VehicleID, apply func(sh *installedShard)) {
+	sh := s.shard(vehicle)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	apply(sh)
 }

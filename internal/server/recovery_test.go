@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"dynautosar/internal/api"
 	"dynautosar/internal/core"
+	"dynautosar/internal/journal"
 )
 
 // Crash-recovery coverage: the server is built on a data dir, killed
@@ -126,6 +128,108 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		if row, ok := cc.Store().InstalledApp(id, "RemoteControl"); !ok || !row.Complete() {
 			t.Fatalf("%s row after snapshot restart = %+v ok=%v", id, row, ok)
 		}
+	}
+}
+
+// TestReplayReproducesLiveState: replay runs the appliers the live
+// mutations ran, so a reopened server holds exactly the store and the
+// operations the crashed one had — replayed from the log alone, and
+// from a snapshot image with a log tail on top.
+func TestReplayReproducesLiveState(t *testing.T) {
+	for _, snapshot := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshot=%v", snapshot), func(t *testing.T) {
+			dir := t.TempDir()
+			a := openRecovered(t, dir)
+			for _, u := range []core.UserID{"alice", "bob"} {
+				if err := a.Store().AddUser(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Bound out of id order: a user's vehicles keep bind order.
+			owners := map[core.VehicleID]core.UserID{"VIN-RP3": "alice", "VIN-RP2": "bob", "VIN-RP1": "alice"}
+			for _, v := range []core.VehicleID{"VIN-RP3", "VIN-RP2", "VIN-RP1"} {
+				if err := a.Store().BindVehicle(owners[v], modelCarConf(v)); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(connectAckVehicle(t, a, v))
+			}
+			if err := a.Store().UploadApp(paperApp(t)); err != nil {
+				t.Fatal(err)
+			}
+			c := api.NewLocalClient(NewService(a))
+			ctx := context.Background()
+			run := func(op api.Operation, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if final, err := c.WaitOperation(ctx, op.ID, 0); err != nil || final.State != api.StateSucceeded {
+					t.Fatalf("operation = %+v, %v", final, err)
+				}
+			}
+			for i, v := range []core.VehicleID{"VIN-RP3", "VIN-RP2", "VIN-RP1"} {
+				run(c.Deploy(ctx, api.DeployRequest{User: owners[v], Vehicle: v, App: "RemoteControl"}))
+				if i == 0 && snapshot {
+					if err := a.Journal().Snapshot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run(c.Uninstall(ctx, api.UninstallRequest{User: "alice", Vehicle: "VIN-RP1", App: "RemoteControl"}))
+			barrier(t, a, "sentinel")
+
+			storeJSON := func(s *Server) string {
+				t.Helper()
+				img := s.stateImage()
+				img.TakenUnix = 0
+				raw, err := json.Marshal(journal.StateImage{
+					Users: img.Users, Vehicles: img.Vehicles, Apps: img.Apps, Installed: img.Installed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(raw)
+			}
+			opsJSON := func(s *Server, ids []string) []string {
+				t.Helper()
+				out := make([]string, len(ids))
+				for i, id := range ids {
+					op, ok := s.Operation(id)
+					if !ok {
+						t.Fatalf("operation %s missing", id)
+					}
+					raw, err := json.Marshal(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i] = string(raw)
+				}
+				return out
+			}
+			ids := a.OperationIDs()
+			liveStore, liveOps := storeJSON(a), opsJSON(a, ids)
+			a.Journal().Crash()
+
+			b := openRecovered(t, dir)
+			t.Cleanup(func() { b.Close() })
+			if st := b.RecoveryStats(); st.SnapshotTime.IsZero() == snapshot || st.Records == 0 {
+				t.Fatalf("recovery stats = %+v, want snapshot=%v and a log tail", st, snapshot)
+			}
+			if got := storeJSON(b); got != liveStore {
+				t.Fatalf("replayed store differs from the live one:\n got %s\nwant %s", got, liveStore)
+			}
+			if u, _ := b.Store().User("alice"); !slices.Equal(u.Vehicles, []core.VehicleID{"VIN-RP3", "VIN-RP1"}) {
+				t.Fatalf("alice's vehicles = %v, want bind order", u.Vehicles)
+			}
+			if got := b.OperationIDs(); !slices.Equal(got, ids) {
+				t.Fatalf("replayed operations %v, live %v", got, ids)
+			}
+			for i, got := range opsJSON(b, ids) {
+				if got != liveOps[i] {
+					t.Errorf("operation %s:\n got %s\nwant %s", ids[i], got, liveOps[i])
+				}
+			}
+		})
 	}
 }
 

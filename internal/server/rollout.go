@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -81,14 +82,12 @@ func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error)
 	if err != nil {
 		return api.RolloutStatus{}, err
 	}
-	var health api.RolloutHealthPolicy
-	if req.Health != nil {
-		health = *req.Health
-		if health.MaxFailureRate < 0 || health.MaxFailureRate >= 1 {
+	if h := req.Health; h != nil {
+		if h.MaxFailureRate < 0 || h.MaxFailureRate >= 1 {
 			return api.RolloutStatus{}, api.Errorf(api.CodeInvalidArgument,
-				"server: rollout health maxFailureRate %v outside [0, 1)", health.MaxFailureRate)
+				"server: rollout health maxFailureRate %v outside [0, 1)", h.MaxFailureRate)
 		}
-		if health.MaxProbeFailures < 0 || health.MaxAckP99Millis < 0 {
+		if h.MaxProbeFailures < 0 || h.MaxAckP99Millis < 0 {
 			return api.RolloutStatus{}, api.Errorf(api.CodeInvalidArgument,
 				"server: rollout health bounds must not be negative")
 		}
@@ -101,15 +100,8 @@ func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error)
 
 	s.mu.Lock()
 	s.opSeq++
-	rec := &opRecord{
-		op: api.Operation{
-			ID: fmt.Sprintf("op-%08d", s.opSeq), Kind: api.OpRollout, User: req.User,
-			App: req.From, ToApp: req.To, State: api.StateRunning, Vehicles: ordered,
-		},
-		launched: true,
-		ro:       &rolloutState{bounds: bounds, health: health, state: api.RolloutRunning, waves: waveStatuses(bounds)},
-	}
-	id := rec.op.ID
+	id := fmt.Sprintf("op-%08d", s.opSeq)
+	rec := newRolloutOp(id, req.User, req.From, req.To, ordered, bounds, req.Health)
 	s.ops[id] = rec
 	s.opOrder = append(s.opOrder, id)
 	s.noteOpCreatedLocked(1)
@@ -120,7 +112,7 @@ func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error)
 	// launches, so a crash at any later point recovers the state machine.
 	// Registered before its record, as every mutation is (see stateImage);
 	// one whose record cannot commit never existed, so it leaves again.
-	if err := s.journalRollout(journal.RolloutStartedRec(id, req.User, req.From, req.To, ordered, bounds, req.Health)); err != nil {
+	if err := waitDurable(s.store.jn.Append(journal.RolloutStartedRec(id, req.User, req.From, req.To, ordered, bounds, req.Health))); err != nil {
 		s.mu.Lock()
 		s.settleRolloutLocked(rec, api.RolloutRolledBack, api.AsError(err))
 		delete(s.ops, id)
@@ -198,6 +190,77 @@ func (s *Server) AbortRollout(id string) (api.RolloutStatus, error) {
 	s.mu.Unlock()
 	s.logf("server: rollout %s: operator abort requested", id)
 	return s.GetRollout(id)
+}
+
+// newRolloutOp builds a running rollout operation with every wave
+// pending: what StartRollout registers, and what recovery rebuilds from
+// a rollout_started record or an image before replaying the rest of
+// the state machine onto it. A nil health is the strictest policy.
+func newRolloutOp(id string, user core.UserID, from, to core.AppName, vehicles []core.VehicleID, bounds []int, health *api.RolloutHealthPolicy) *opRecord {
+	rec := &opRecord{
+		op: api.Operation{
+			ID: id, Kind: api.OpRollout, User: user, App: from, ToApp: to,
+			State: api.StateRunning, Vehicles: vehicles,
+		},
+		launched: true,
+		ro:       &rolloutState{bounds: bounds, state: api.RolloutRunning, waves: waveStatuses(bounds)},
+	}
+	if health != nil {
+		rec.ro.health = *health
+	}
+	return rec
+}
+
+// promote marks the first n waves started and promoted and moves the
+// current wave past them: the state change of a durable wave_promoted
+// record carrying n.
+func (ro *rolloutState) promote(n int) {
+	for ; ro.promoted < min(n, len(ro.waves)); ro.promoted++ {
+		ro.waves[ro.promoted].Started = true
+		ro.waves[ro.promoted].Promoted = true
+	}
+	ro.currentWave = ro.promoted
+}
+
+// pivot turns the rollout around, keeping the first reason given: the
+// state change of a rollout_rolled_back record.
+func (ro *rolloutState) pivot(reason string) {
+	ro.state = api.RolloutRollingBack
+	if ro.gateReason == "" {
+		ro.gateReason = reason
+	}
+}
+
+// replayRollout applies one journaled transition of the rollout's state
+// machine with the state change the wave loop made when it wrote it.
+func (rec *opRecord) replayRollout(r journal.Record) {
+	ro, c := rec.ro, r.Rollout
+	switch r.Type {
+	case journal.TypeWavePromoted:
+		ro.promote(c.Wave)
+	case journal.TypeRolloutRolledBack:
+		ro.pivot(c.Reason)
+	case journal.TypeRolloutDone:
+		if c.Final == "rolled_back" {
+			rec.closeRollout(api.RolloutRolledBack, rolledBackErr(rec.op.ID, ro.gateReason))
+			return
+		}
+		// Only a rollout past its last wave succeeds.
+		ro.promote(len(ro.waves))
+		rec.closeRollout(api.RolloutSucceeded, nil)
+	}
+}
+
+// rolledBackErr is the outcome of a rollout whose fleet was rolled back
+// for reason: rollout_aborted after an operator abort, rollout_unhealthy
+// for anything else. It depends on the journaled reason alone, so a
+// replayed or resumed rollback settles as the live one would have.
+func rolledBackErr(id, reason string) *api.Error {
+	code := api.CodeRolloutUnhealthy
+	if strings.Contains(reason, "operator abort") {
+		code = api.CodeRolloutAborted
+	}
+	return api.Errorf(code, "server: rollout %s rolled back: %s", id, reason)
 }
 
 // closeRollout moves a rollout to its terminal state: succeeded, or
@@ -345,15 +408,6 @@ func (s *Server) verifyRolloutWaves(ordered []core.VehicleID, bounds []int, from
 	return nil
 }
 
-// journalRollout appends one rollout state-machine record and waits for
-// it to be durable; a no-op on a memory-only server.
-func (s *Server) journalRollout(rec journal.Record) error {
-	if s.jn == nil {
-		return nil
-	}
-	return waitDurable(s.jn.Append(rec))
-}
-
 // runRollout executes waves startWave.. in order, evaluating the health
 // gate after each; it runs on its own goroutine (spawned by
 // StartRollout, or by crash recovery when resuming at a clean
@@ -374,7 +428,7 @@ func (s *Server) runRollout(id string, startWave int) {
 
 	for wave := startWave; wave < len(bounds); wave++ {
 		if s.rolloutAborted(id) {
-			s.rollbackRollout(id, "operator abort", api.CodeRolloutAborted, false)
+			s.rollbackRollout(id, "operator abort", false)
 			return
 		}
 		prev := 0
@@ -396,11 +450,11 @@ func (s *Server) runRollout(id string, startWave int) {
 		}
 		if reason, tripped := gateTrips(health, ws); tripped {
 			s.logf("server: rollout %s: wave %d gate tripped: %s", id, wave+1, reason)
-			s.rollbackRollout(id, reason, api.CodeRolloutUnhealthy, false)
+			s.rollbackRollout(id, reason, false)
 			return
 		}
 		if s.rolloutAborted(id) {
-			s.rollbackRollout(id, "operator abort", api.CodeRolloutAborted, false)
+			s.rollbackRollout(id, "operator abort", false)
 			return
 		}
 		// Promote: the boundary is only real once it is on disk — a
@@ -408,23 +462,20 @@ func (s *Server) runRollout(id string, startWave int) {
 		// re-evaluates (and, with partial upgrades committed, rolls
 		// back). A journal failure means no boundary can be promised, so
 		// the fleet goes back to the known-good version.
-		if err := s.journalRollout(journal.WavePromotedRec(id, wave+1)); err != nil {
-			s.rollbackRollout(id, fmt.Sprintf("journal failure at wave %d promotion: %v", wave+1, err),
-				api.CodeRolloutUnhealthy, false)
+		if err := waitDurable(s.store.jn.Append(journal.WavePromotedRec(id, wave+1))); err != nil {
+			s.rollbackRollout(id, fmt.Sprintf("journal failure at wave %d promotion: %v", wave+1, err), false)
 			return
 		}
 		s.mu.Lock()
-		rec.ro.waves[wave].Promoted = true
-		rec.ro.promoted = wave + 1
-		rec.ro.currentWave = wave + 1
+		rec.ro.promote(wave + 1)
 		s.mu.Unlock()
 		s.logf("server: rollout %s: wave %d/%d promoted (%d vehicles)", id, wave+1, len(bounds), len(targets))
 	}
 	if s.rolloutAborted(id) {
-		s.rollbackRollout(id, "operator abort", api.CodeRolloutAborted, false)
+		s.rollbackRollout(id, "operator abort", false)
 		return
 	}
-	if err := s.journalRollout(journal.RolloutDoneRec(id, "succeeded")); err != nil {
+	if err := waitDurable(s.store.jn.Append(journal.RolloutDoneRec(id, "succeeded"))); err != nil {
 		s.logf("server: rollout %s: journaling completion: %v", id, err)
 	}
 	s.mu.Lock()
@@ -537,24 +588,21 @@ func (s *Server) rolloutAborted(id string) bool {
 // stops after the wave in hand and leaves the rollout open — downgrades
 // that failed because of the shutdown are not a finished rollback — so
 // the next start resumes it from the durable pivot.
-func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed bool) {
+func (s *Server) rollbackRollout(id, reason string, resumed bool) {
 	s.mu.Lock()
 	rec := s.rolloutLocked(id)
 	if rec == nil {
 		s.mu.Unlock()
 		return
 	}
-	rec.ro.state = api.RolloutRollingBack
-	if rec.ro.gateReason == "" {
-		rec.ro.gateReason = reason
-	}
+	rec.ro.pivot(reason)
 	user, from, to := rec.op.User, rec.op.App, rec.op.ToApp
 	ordered := append([]core.VehicleID(nil), rec.op.Vehicles...)
 	bounds := append([]int(nil), rec.ro.bounds...)
 	s.mu.Unlock()
 
 	if !resumed {
-		if err := s.journalRollout(journal.RolloutRolledBackRec(id, reason)); err != nil {
+		if err := waitDurable(s.store.jn.Append(journal.RolloutRolledBackRec(id, reason))); err != nil {
 			// Durability is gone, but the downgrade is still the right
 			// action; recovery will re-derive the partial state from the
 			// store's rows.
@@ -587,11 +635,11 @@ func (s *Server) rollbackRollout(id, reason string, code api.ErrorCode, resumed 
 			return
 		}
 	}
-	if err := s.journalRollout(journal.RolloutDoneRec(id, "rolled_back")); err != nil {
+	if err := waitDurable(s.store.jn.Append(journal.RolloutDoneRec(id, "rolled_back"))); err != nil {
 		s.logf("server: rollout %s: journaling rollback completion: %v", id, err)
 	}
 	s.mu.Lock()
-	s.settleRolloutLocked(rec, api.RolloutRolledBack, api.Errorf(code, "server: rollout %s rolled back: %s", id, reason))
+	s.settleRolloutLocked(rec, api.RolloutRolledBack, rolledBackErr(id, reason))
 	s.mu.Unlock()
 	s.logf("server: rollout %s: fleet rolled back to %s", id, from)
 }

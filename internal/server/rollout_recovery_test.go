@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -429,5 +430,55 @@ func TestRolloutCloseLeavesVerdictToRecovery(t *testing.T) {
 			}
 			wantApp(t, b, fleet, tc.present, tc.absent)
 		})
+	}
+}
+
+// TestRolloutReplayKeepsWaveLoopState: recovery replays a finished
+// rollout's records with the state changes its wave loop made, so the
+// reopened server reports the same operation and the same state machine
+// — every wave started and promoted, the current wave past the last.
+// The per-wave health numbers are not journaled and are left out.
+func TestRolloutReplayKeepsWaveLoopState(t *testing.T) {
+	fleet := []core.VehicleID{"VIN-RW1", "VIN-RW2", "VIN-RW3"}
+	dir := t.TempDir()
+	a := openFleetServer(t, dir, fleet)
+	for _, id := range fleet {
+		connectScriptedVehicle(t, a, id, ackAll)
+	}
+	deployCounterFleet(t, a, newV1Client(t, a), fleet)
+	st, err := a.StartRollout(api.RolloutRequest{
+		User: "alice", Vehicles: fleet, From: "Counter-v1", To: "Counter-v2",
+		Waves: []api.RolloutWave{{Count: 1}, {Fraction: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitRolloutDone(t, a, st.ID); final.State != api.RolloutSucceeded {
+		t.Fatalf("rollout = %+v", final)
+	}
+	barrier(t, a, "sentinel")
+	machine := func(s *Server) string {
+		t.Helper()
+		op, ok := s.Operation(st.ID)
+		ro, _ := s.Rollout(st.ID)
+		if !ok {
+			t.Fatalf("rollout %s missing", st.ID)
+		}
+		for i, w := range ro.Waves {
+			ro.Waves[i] = api.RolloutWaveStatus{Targets: w.Targets, Started: w.Started, Promoted: w.Promoted}
+		}
+		raw, err := json.Marshal([]any{op, ro})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	live := machine(a)
+	a.Journal().Crash()
+
+	b := openRecovered(t, dir)
+	t.Cleanup(func() { b.Close() })
+	if got := machine(b); got != live {
+		t.Fatalf("replayed rollout differs from the live one:\n got %s\nwant %s", got, live)
 	}
 }

@@ -1,3 +1,13 @@
+// Package server implements the trusted server of the dynamic component
+// model (paper section 3.2): the central point of intelligence that
+// stores users, vehicles and applications, verifies compatibility,
+// resolves dependencies, generates the PIC/PLC/ECC contexts and pushes
+// installation packages to the vehicles through the Pusher, tracking
+// their acknowledgements.
+//
+// The server's public surface is the versioned deployment-service API
+// of internal/api: the Service adapter implements api.DeploymentService
+// over this core, and Handler mounts the /v1 HTTP layer.
 package server
 
 import (
@@ -15,9 +25,11 @@ type Server struct {
 	store  *Store
 	pusher *Pusher
 
-	// jn is the durable-state journal (nil when running memory-only);
-	// see persist.go for the recovery path and DESIGN.md for the record
-	// and snapshot semantics. recovery summarizes what Open replayed.
+	// jn is the durable-state journal (nil when running memory-only)
+	// for snapshots, health, stats and replication; records go through
+	// the store's appender, which OpenJournal sets to jn. See persist.go
+	// for the recovery path and DESIGN.md for the record and snapshot
+	// semantics. recovery summarizes what Open replayed.
 	jn       *journal.Journal
 	recovery RecoveryStats
 
@@ -262,7 +274,7 @@ func (s *Server) Restore(req api.RestoreRequest) (api.Operation, error) {
 
 // precheckDeploy's duplicate-install probe is only advisory — the
 // atomic check-and-record of the stage step decides.
-func precheckDeploy(s *Server, t target, _ VehicleRecord, _ string) error {
+func precheckDeploy(s *Server, t target, _ api.VehicleRecord, _ string) error {
 	if _, dup := s.store.InstalledApp(t.vehicle, t.app); dup {
 		return api.Errorf(api.CodeAlreadyExists, "server: app %s already installed on %s", t.app, t.vehicle)
 	}
@@ -284,14 +296,14 @@ func unstageDeploy(s *Server, t target, reason string) {
 	s.store.RemoveInstallation(t.vehicle, t.app)
 }
 
-func precheckUninstall(s *Server, t target, _ VehicleRecord, _ string) error {
+func precheckUninstall(s *Server, t target, _ api.VehicleRecord, _ string) error {
 	if _, ok := s.store.InstalledApp(t.vehicle, t.app); !ok {
 		return api.Errorf(api.CodeNotFound, "server: app %s is not installed on %s", t.app, t.vehicle)
 	}
 	return nil
 }
 
-func precheckRestore(_ *Server, t target, vr VehicleRecord, _ string) error {
+func precheckRestore(_ *Server, t target, vr api.VehicleRecord, _ string) error {
 	for _, swc := range vr.Conf.SWCs {
 		if swc.ECU == t.ecu {
 			return nil
@@ -358,8 +370,8 @@ func (s *Server) applyAck(op pendingOp, msg core.Message) {
 }
 
 // Status reports the progress of the most recent operation on an app.
-func (s *Server) Status(vehicle core.VehicleID, app core.AppName) OpStatus {
-	st := OpStatus{App: app}
+func (s *Server) Status(vehicle core.VehicleID, app core.AppName) api.OpStatus {
+	st := api.OpStatus{App: app}
 	s.mu.Lock()
 	st.Failures = append(st.Failures, s.failures[failureKey(vehicle, app)]...)
 	s.mu.Unlock()
@@ -415,10 +427,8 @@ func (s *Server) ResolveExternal(vehicle core.VehicleID, messageID string) (core
 // ResolveExternal it implements api.ExternalRouter for the federation
 // layer.
 func (s *Server) PushExternal(vehicle core.VehicleID, ecu core.ECUID, port core.PluginPortID, value int64) error {
-	payload := core.NewEnc(10)
-	payload.U16(uint16(port))
-	payload.I64(value)
-	msg := core.Message{Type: core.MsgExternal, ECU: ecu, Payload: payload.Bytes()}
+	var payload [core.PortValueLen]byte
+	msg := core.Message{Type: core.MsgExternal, ECU: ecu, Payload: core.EncodePortValue(&payload, port, value)}
 	return s.pusher.Push(vehicle, msg)
 }
 

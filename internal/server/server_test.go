@@ -19,30 +19,30 @@ import (
 
 // paperApp builds the section 4 application as uploaded to the server:
 // the COM and OP binaries plus the SW conf for the model car.
-func paperApp(t *testing.T) App {
+func paperApp(t *testing.T) api.App {
 	t.Helper()
 	com, op, err := vehicle.PaperBinaries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return App{
+	return api.App{
 		Name:     "RemoteControl",
 		Binaries: []plugin.Binary{com, op},
-		Confs: []SWConf{{
+		Confs: []api.SWConf{{
 			Model: "modelcar-v1",
-			Deployments: []Deployment{
+			Deployments: []api.Deployment{
 				{
 					Plugin: "COM", ECU: vehicle.ECU1, SWC: vehicle.SWC1,
-					Connections: []PortConnection{
-						{Port: "WheelsExt", External: &ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Wheels"}},
-						{Port: "SpeedExt", External: &ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Speed"}},
+					Connections: []api.PortConnection{
+						{Port: "WheelsExt", External: &api.ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Wheels"}},
+						{Port: "SpeedExt", External: &api.ExternalSpec{Endpoint: vehicle.PhoneEndpoint, MessageID: "Speed"}},
 						{Port: "WheelsFwd", RemotePlugin: "OP", RemotePort: "WheelsIn"},
 						{Port: "SpeedFwd", RemotePlugin: "OP", RemotePort: "SpeedIn"},
 					},
 				},
 				{
 					Plugin: "OP", ECU: vehicle.ECU2, SWC: vehicle.SWC2,
-					Connections: []PortConnection{
+					Connections: []api.PortConnection{
 						{Port: "WheelsOut", Virtual: "WheelsReq"},
 						{Port: "SpeedOut", Virtual: "SpeedReq"},
 					},
@@ -126,9 +126,9 @@ func TestFig2ContextGenerationMatchesPaper(t *testing.T) {
 func TestPICSkipsUsedIDs(t *testing.T) {
 	s := newServerWithVehicle(t, "VIN1")
 	// Pretend another app already holds P0-P1 on SW-C2.
-	s.Store().RecordInstallation(&InstalledApp{
+	s.Store().tryRecordInstallation(&api.InstalledApp{
 		App: "Other", Vehicle: "VIN1",
-		Plugins: []InstalledPlugin{{
+		Plugins: []api.InstalledPlugin{{
 			Plugin: "X", ECU: vehicle.ECU2, SWC: vehicle.SWC2,
 			PIC: core.PIC{{Name: "a", ID: 0}, {Name: "b", ID: 1}}, Acked: true,
 		}},
@@ -189,9 +189,9 @@ func TestCompatibilityFailures(t *testing.T) {
 	}
 
 	// Conflict with installed plug-in.
-	s.Store().RecordInstallation(&InstalledApp{
+	s.Store().tryRecordInstallation(&api.InstalledApp{
 		App: "Old", Vehicle: "VIN1",
-		Plugins: []InstalledPlugin{{Plugin: "LegacyOP", ECU: vehicle.ECU2, SWC: vehicle.SWC2, Acked: true}},
+		Plugins: []api.InstalledPlugin{{Plugin: "LegacyOP", ECU: vehicle.ECU2, SWC: vehicle.SWC2, Acked: true}},
 	})
 	app = paperApp(t)
 	app.Binaries[1].Manifest.Conflicts = []core.PluginName{"LegacyOP"}
@@ -284,16 +284,16 @@ func TestStoreValidation(t *testing.T) {
 	if len(u.Vehicles) != 1 || u.Vehicles[0] != "V1" {
 		t.Fatalf("user vehicles = %v", u.Vehicles)
 	}
-	if err := s.UploadApp(App{}); err == nil {
+	if err := s.UploadApp(api.App{}); err == nil {
 		t.Fatal("empty app accepted")
 	}
 	prog, _ := vm.Assemble(".plugin X 1.0\n.port p required\non_message p:\n\tRET\n")
 	bin, _ := plugin.FromProgram(prog, plugin.Manifest{})
-	if err := s.UploadApp(App{Name: "A", Binaries: []plugin.Binary{bin, bin}}); err == nil {
+	if err := s.UploadApp(api.App{Name: "A", Binaries: []plugin.Binary{bin, bin}}); err == nil {
 		t.Fatal("duplicate binary accepted")
 	}
-	app := App{Name: "A", Binaries: []plugin.Binary{bin},
-		Confs: []SWConf{{Model: "m", Deployments: []Deployment{{Plugin: "Nope", ECU: "E", SWC: "S"}}}}}
+	app := api.App{Name: "A", Binaries: []plugin.Binary{bin},
+		Confs: []api.SWConf{{Model: "m", Deployments: []api.Deployment{{Plugin: "Nope", ECU: "E", SWC: "S"}}}}}
 	if err := s.UploadApp(app); err == nil {
 		t.Fatal("conf with unknown plug-in accepted")
 	}
@@ -422,18 +422,18 @@ func TestUninstallBlockedByDependants(t *testing.T) {
 	// A second app whose plug-in requires OP.
 	prog, _ := vm.Assemble(".plugin Analytics 1.0\n.port in required\non_message in:\n\tRET\n")
 	bin, _ := plugin.FromProgram(prog, plugin.Manifest{Requires: []core.PluginName{"OP"}})
-	dep := App{Name: "Analytics", Binaries: []plugin.Binary{bin},
-		Confs: []SWConf{{Model: "modelcar-v1", Deployments: []Deployment{
+	dep := api.App{Name: "Analytics", Binaries: []plugin.Binary{bin},
+		Confs: []api.SWConf{{Model: "modelcar-v1", Deployments: []api.Deployment{
 			{Plugin: "Analytics", ECU: vehicle.ECU2, SWC: vehicle.SWC2},
 		}}}}
 	if err := s.Store().UploadApp(dep); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate both installed (rows only; no vehicle needed).
-	s.Store().RecordInstallation(&InstalledApp{App: "RemoteControl", Vehicle: "VIN-DEP",
-		Plugins: []InstalledPlugin{{Plugin: "OP", ECU: vehicle.ECU2, SWC: vehicle.SWC2, Acked: true}}})
-	s.Store().RecordInstallation(&InstalledApp{App: "Analytics", Vehicle: "VIN-DEP",
-		Plugins: []InstalledPlugin{{Plugin: "Analytics", ECU: vehicle.ECU2, SWC: vehicle.SWC2, Acked: true}}})
+	s.Store().tryRecordInstallation(&api.InstalledApp{App: "RemoteControl", Vehicle: "VIN-DEP",
+		Plugins: []api.InstalledPlugin{{Plugin: "OP", ECU: vehicle.ECU2, SWC: vehicle.SWC2, Acked: true}}})
+	s.Store().tryRecordInstallation(&api.InstalledApp{App: "Analytics", Vehicle: "VIN-DEP",
+		Plugins: []api.InstalledPlugin{{Plugin: "Analytics", ECU: vehicle.ECU2, SWC: vehicle.SWC2, Acked: true}}})
 
 	_, err := launch(t, s)(s.Uninstall(api.UninstallRequest{User: "alice", Vehicle: "VIN-DEP", App: "RemoteControl"}))
 	if err == nil || !strings.Contains(err.Error(), "dependent apps") {
@@ -500,7 +500,7 @@ func TestDeployRefusalPaths(t *testing.T) {
 }
 
 func TestOpStatusString(t *testing.T) {
-	st := OpStatus{App: "A", Total: 2, Acked: 2}
+	st := api.OpStatus{App: "A", Total: 2, Acked: 2}
 	if !st.Complete() {
 		t.Fatal("complete status not complete")
 	}

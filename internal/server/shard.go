@@ -38,10 +38,7 @@ func (s *Server) BecomeLeader(reason string) error {
 	shard := s.shardID
 	s.shardRole = "leader"
 	s.mu.Unlock()
-	if s.jn == nil {
-		return nil
-	}
-	if err := waitDurable(s.jn.Append(journal.ShardEpochRec(shard, epoch, reason))); err != nil {
+	if err := waitDurable(s.store.jn.Append(journal.ShardEpochRec(shard, epoch, reason))); err != nil {
 		return err
 	}
 	s.logf("server: shard %s leader at epoch %d (%s)", shard, epoch, reason)

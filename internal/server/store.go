@@ -31,28 +31,29 @@ const installedShardCount = 64
 // it, under its own lock.
 type installedShard struct {
 	mu   sync.RWMutex
-	rows map[core.VehicleID][]*InstalledApp
+	rows map[core.VehicleID][]*api.InstalledApp
 	// reserved holds the planned replacement rows of in-flight live
 	// upgrades, keyed vehicle|app: their port ids count as used (so a
 	// concurrent deploy cannot claim them between upgrade planning and
 	// commit) without the row being visible as installed.
-	reserved map[string]*InstalledApp
+	reserved map[string]*api.InstalledApp
 }
 
 // Store is the thread-safe in-memory database of the trusted server.
 type Store struct {
 	mu       sync.RWMutex
-	users    map[core.UserID]*User
-	vehicles map[core.VehicleID]*VehicleRecord
-	apps     map[core.AppName]*App
+	users    map[core.UserID]*api.User
+	vehicles map[core.VehicleID]*api.VehicleRecord
+	apps     map[core.AppName]*api.App
 
 	installed [installedShardCount]installedShard
 
-	// jn receives one mutation record per store write (nil keeps the
-	// pure in-memory path). Records are enqueued while the mutation's
-	// lock is held — so the journal order is a linearization of the
-	// store's mutation order — and any durability wait happens after it
-	// is released, so no lock is ever held across an fsync.
+	// jn receives one mutation record per store write: journal.Nop on a
+	// memory-only store, the server's journal once OpenJournal attached
+	// it. Records are enqueued while the mutation's lock is held — so
+	// the journal order is a linearization of the store's mutation order
+	// — and any durability wait happens after it is released, so no lock
+	// is ever held across an fsync.
 	//
 	// Durability policy: mutations that gate an external side effect or
 	// return errors (AddUser, BindVehicle, UploadApp, the
@@ -70,12 +71,8 @@ type Store struct {
 	jn journal.Appender
 }
 
-// SetJournal routes mutation records to a journal backend. It must be
-// called before the store serves traffic (server.Open does).
-func (s *Store) SetJournal(a journal.Appender) { s.jn = a }
-
 // waitDurable resolves an appended record's ticket into a typed API
-// error; t may be the zero Ticket when journaling is off.
+// error; journal.Nop hands out the zero Ticket, which is resolved.
 func waitDurable(t journal.Ticket) error {
 	if err := t.Wait(); err != nil {
 		return api.Errorf(api.CodeInternal, "server: journal: %v", err)
@@ -86,13 +83,14 @@ func waitDurable(t journal.Ticket) error {
 // NewStore creates an empty store.
 func NewStore() *Store {
 	s := &Store{
-		users:    make(map[core.UserID]*User),
-		vehicles: make(map[core.VehicleID]*VehicleRecord),
-		apps:     make(map[core.AppName]*App),
+		users:    make(map[core.UserID]*api.User),
+		vehicles: make(map[core.VehicleID]*api.VehicleRecord),
+		apps:     make(map[core.AppName]*api.App),
+		jn:       journal.Nop{},
 	}
 	for i := range s.installed {
-		s.installed[i].rows = make(map[core.VehicleID][]*InstalledApp)
-		s.installed[i].reserved = make(map[string]*InstalledApp)
+		s.installed[i].rows = make(map[core.VehicleID][]*api.InstalledApp)
+		s.installed[i].reserved = make(map[string]*api.InstalledApp)
 	}
 	return s
 }
@@ -119,15 +117,11 @@ func (s *Store) AddUser(id core.UserID) error {
 		return api.Errorf(api.CodeInvalidArgument, "server: empty user id")
 	}
 	s.mu.Lock()
-	if _, dup := s.users[id]; dup {
+	if !s.addUserLocked(id) {
 		s.mu.Unlock()
 		return api.Errorf(api.CodeAlreadyExists, "server: user %q exists", id)
 	}
-	s.users[id] = &User{ID: id}
-	var t journal.Ticket
-	if s.jn != nil {
-		t = s.jn.Append(journal.UserAddedRec(id))
-	}
+	t := s.jn.Append(journal.UserAddedRec(id))
 	s.mu.Unlock()
 	if err := waitDurable(t); err != nil {
 		s.mu.Lock()
@@ -138,13 +132,23 @@ func (s *Store) AddUser(id core.UserID) error {
 	return nil
 }
 
+// addUserLocked is the applier of user_added (see applyRecord): it
+// creates the account unless it exists. Called with s.mu held.
+func (s *Store) addUserLocked(id core.UserID) bool {
+	if _, dup := s.users[id]; dup {
+		return false
+	}
+	s.users[id] = &api.User{ID: id}
+	return true
+}
+
 // User returns a copy of the user record.
-func (s *Store) User(id core.UserID) (User, bool) {
+func (s *Store) User(id core.UserID) (api.User, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	u, ok := s.users[id]
 	if !ok {
-		return User{}, false
+		return api.User{}, false
 	}
 	cp := *u
 	cp.Vehicles = append([]core.VehicleID(nil), u.Vehicles...)
@@ -159,25 +163,19 @@ func (s *Store) BindVehicle(owner core.UserID, conf core.VehicleConf) error {
 		return api.Errorf(api.CodeInvalidArgument, "%v", err)
 	}
 	s.mu.Lock()
-	u, ok := s.users[owner]
-	if !ok {
+	if _, ok := s.users[owner]; !ok {
 		s.mu.Unlock()
 		return api.Errorf(api.CodeNotFound, "server: unknown user %q", owner)
 	}
-	if _, dup := s.vehicles[conf.Vehicle]; dup {
+	// Copy on write: an in-process caller holding the conf must not be
+	// able to mutate the stored record afterwards.
+	if !s.bindVehicleLocked(owner, copyVehicleConf(conf)) {
 		s.mu.Unlock()
 		return api.Errorf(api.CodeAlreadyExists, "server: vehicle %q already bound", conf.Vehicle)
 	}
-	// Copy on write: an in-process caller holding the conf must not be
-	// able to mutate the stored record afterwards.
-	s.vehicles[conf.Vehicle] = &VehicleRecord{ID: conf.Vehicle, Owner: owner, Conf: copyVehicleConf(conf)}
-	u.Vehicles = append(u.Vehicles, conf.Vehicle)
-	var t journal.Ticket
-	if s.jn != nil {
-		// Append serializes synchronously, so the caller's conf needs no
-		// extra defensive copy for the record.
-		t = s.jn.Append(journal.VehicleBoundRec(owner, conf))
-	}
+	// Append serializes synchronously, so the caller's conf needs no
+	// extra defensive copy for the record.
+	t := s.jn.Append(journal.VehicleBoundRec(owner, conf))
 	s.mu.Unlock()
 	if err := waitDurable(t); err != nil {
 		s.mu.Lock()
@@ -199,6 +197,25 @@ func (s *Store) BindVehicle(owner core.UserID, conf core.VehicleConf) error {
 	return nil
 }
 
+// bindVehicleLocked is the applier of vehicle_bound: it registers the
+// vehicle under owner unless it is bound already, keeping the owner's
+// vehicles in bind order. Called with s.mu held.
+func (s *Store) bindVehicleLocked(owner core.UserID, conf core.VehicleConf) bool {
+	if _, dup := s.vehicles[conf.Vehicle]; dup {
+		return false
+	}
+	u := s.users[owner]
+	if u == nil {
+		// Replay only (BindVehicle checks the owner first): the user
+		// record always precedes its vehicles in the log.
+		u = &api.User{ID: owner}
+		s.users[owner] = u
+	}
+	s.vehicles[conf.Vehicle] = &api.VehicleRecord{ID: conf.Vehicle, Owner: owner, Conf: conf}
+	u.Vehicles = append(u.Vehicles, conf.Vehicle)
+	return true
+}
+
 // copyVehicleConf deep-copies a vehicle conf: the SWCs slice and each
 // SW-C's VirtualPorts, so no caller shares backing arrays with the
 // store.
@@ -217,28 +234,28 @@ func copyVehicleConf(c core.VehicleConf) core.VehicleConf {
 
 // snapshotVehicle copies a vehicle record including its nested conf
 // slices; called with s.mu held (read or write).
-func snapshotVehicle(v *VehicleRecord) VehicleRecord {
+func snapshotVehicle(v *api.VehicleRecord) api.VehicleRecord {
 	cp := *v
 	cp.Conf = copyVehicleConf(v.Conf)
 	return cp
 }
 
 // Vehicle returns a copy of the vehicle record.
-func (s *Store) Vehicle(id core.VehicleID) (VehicleRecord, bool) {
+func (s *Store) Vehicle(id core.VehicleID) (api.VehicleRecord, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.vehicles[id]
 	if !ok {
-		return VehicleRecord{}, false
+		return api.VehicleRecord{}, false
 	}
 	return snapshotVehicle(v), true
 }
 
 // Vehicles returns all vehicle records, sorted by id.
-func (s *Store) Vehicles() []VehicleRecord {
+func (s *Store) Vehicles() []api.VehicleRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]VehicleRecord, 0, len(s.vehicles))
+	out := make([]api.VehicleRecord, 0, len(s.vehicles))
 	for _, v := range s.vehicles {
 		out = append(out, snapshotVehicle(v))
 	}
@@ -268,7 +285,7 @@ func (s *Store) SelectVehicles(owner core.UserID, model string) []core.VehicleID
 
 // UploadApp stores an application: validated binaries and SW confs
 // (upload operations, paper section 3.2.2).
-func (s *Store) UploadApp(app App) error {
+func (s *Store) UploadApp(app api.App) error {
 	if app.Name == "" {
 		return api.Errorf(api.CodeInvalidArgument, "server: app without a name")
 	}
@@ -316,21 +333,17 @@ func (s *Store) UploadApp(app App) error {
 			}
 		}
 	}
-	s.mu.Lock()
-	if _, dup := s.apps[app.Name]; dup {
-		s.mu.Unlock()
-		return api.Errorf(api.CodeAlreadyExists, "server: app %q exists", app.Name)
-	}
 	// Copy on write: the uploader keeps its slices, the store keeps its
 	// own.
 	cp := copyApp(&app)
-	s.apps[app.Name] = &cp
-	var t journal.Ticket
-	if s.jn != nil {
-		// Append serializes the record before returning, so handing it
-		// the stored copy is aliasing-safe and needs no second deep copy.
-		t = s.jn.Append(journal.AppUploadedRec(cp))
+	s.mu.Lock()
+	if !s.addAppLocked(&cp) {
+		s.mu.Unlock()
+		return api.Errorf(api.CodeAlreadyExists, "server: app %q exists", app.Name)
 	}
+	// Append serializes the record before returning, so handing it the
+	// stored copy is aliasing-safe and needs no second deep copy.
+	t := s.jn.Append(journal.AppUploadedRec(cp))
 	s.mu.Unlock()
 	if err := waitDurable(t); err != nil {
 		s.mu.Lock()
@@ -341,10 +354,20 @@ func (s *Store) UploadApp(app App) error {
 	return nil
 }
 
+// addAppLocked is the applier of app_uploaded: it stores app unless
+// one of that name exists. Called with s.mu held.
+func (s *Store) addAppLocked(app *api.App) bool {
+	if _, dup := s.apps[app.Name]; dup {
+		return false
+	}
+	s.apps[app.Name] = app
+	return true
+}
+
 // copyApp deep-copies an application record: binaries (program bytes and
 // manifest slices) and SW confs (deployments, connections, external
 // specs), so neither uploads nor reads share memory with the store.
-func copyApp(a *App) App {
+func copyApp(a *api.App) api.App {
 	cp := *a
 	if a.Binaries != nil {
 		cp.Binaries = make([]plugin.Binary, len(a.Binaries))
@@ -357,7 +380,7 @@ func copyApp(a *App) App {
 		}
 	}
 	if a.Confs != nil {
-		cp.Confs = make([]SWConf, len(a.Confs))
+		cp.Confs = make([]api.SWConf, len(a.Confs))
 		for i, c := range a.Confs {
 			cp.Confs[i] = copySWConf(c)
 		}
@@ -366,14 +389,14 @@ func copyApp(a *App) App {
 }
 
 // copySWConf deep-copies one SW conf.
-func copySWConf(c SWConf) SWConf {
+func copySWConf(c api.SWConf) api.SWConf {
 	if c.Deployments == nil {
 		return c
 	}
-	deps := make([]Deployment, len(c.Deployments))
+	deps := make([]api.Deployment, len(c.Deployments))
 	for i, d := range c.Deployments {
 		if d.Connections != nil {
-			conns := make([]PortConnection, len(d.Connections))
+			conns := make([]api.PortConnection, len(d.Connections))
 			for j, conn := range d.Connections {
 				if conn.External != nil {
 					ext := *conn.External
@@ -399,12 +422,12 @@ func (s *Store) HasApp(name core.AppName) bool {
 }
 
 // App returns a copy of an application record.
-func (s *Store) App(name core.AppName) (App, bool) {
+func (s *Store) App(name core.AppName) (api.App, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	a, ok := s.apps[name]
 	if !ok {
-		return App{}, false
+		return api.App{}, false
 	}
 	return copyApp(a), true
 }
@@ -421,52 +444,19 @@ func (s *Store) Apps() []core.AppName {
 	return names
 }
 
-// RecordInstallation adds an InstalledAPP row.
-func (s *Store) RecordInstallation(ia *InstalledApp) {
-	sh := s.shard(ia.Vehicle)
-	sh.mu.Lock()
-	sh.rows[ia.Vehicle] = append(sh.rows[ia.Vehicle], ia)
-	if s.jn != nil {
-		s.jn.Append(journal.InstallRecordedRec(snapshotRow(ia)))
-	}
-	sh.mu.Unlock()
-}
-
-// TryRecordInstallation adds an InstalledAPP row unless the app already
-// has one on the vehicle — the atomic check-and-record that keeps
-// concurrent duplicate deploys from double-installing. With a journal
-// attached the row is durable before the method returns, so the push
-// pipeline never sends packages whose installation a crash would
-// forget.
-func (s *Store) TryRecordInstallation(ia *InstalledApp) error {
-	t, err := s.tryRecordInstallation(ia)
-	if err != nil {
-		return err
-	}
-	if err := waitDurable(t); err != nil {
-		s.rollbackInstallation(ia.Vehicle, ia.App)
-		return err
-	}
-	return nil
-}
-
-// tryRecordInstallation is the enqueue half of TryRecordInstallation:
-// the row is inserted and its record enqueued, but the durability wait
-// is the caller's. The deploy path waits after releasing its per-
-// vehicle stripe, so concurrent deploys overlap their group commits
-// instead of serializing stripe-by-stripe.
-func (s *Store) tryRecordInstallation(ia *InstalledApp) (journal.Ticket, error) {
+// tryRecordInstallation adds an InstalledAPP row unless the app
+// already has one on the vehicle — the atomic check-and-record that
+// keeps concurrent duplicate deploys from double-installing — and
+// enqueues its record. The durability wait is the caller's: the deploy
+// path waits after releasing its per-vehicle stripe, so concurrent
+// deploys overlap their group commits instead of serializing
+// stripe-by-stripe, and it pushes no package before the row is durable.
+func (s *Store) tryRecordInstallation(ia *api.InstalledApp) (journal.Ticket, error) {
 	sh := s.shard(ia.Vehicle)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, r := range sh.rows[ia.Vehicle] {
-		if r.App == ia.App {
-			return journal.Ticket{}, api.Errorf(api.CodeAlreadyExists, "server: app %s already installed on %s", ia.App, ia.Vehicle)
-		}
-	}
-	sh.rows[ia.Vehicle] = append(sh.rows[ia.Vehicle], ia)
-	if s.jn == nil {
-		return journal.Ticket{}, nil
+	if !insertRowLocked(sh, ia) {
+		return journal.Ticket{}, api.Errorf(api.CodeAlreadyExists, "server: app %s already installed on %s", ia.App, ia.Vehicle)
 	}
 	return s.jn.Append(journal.InstallRecordedRec(snapshotRow(ia))), nil
 }
@@ -481,8 +471,28 @@ func (s *Store) rollbackInstallation(vehicle core.VehicleID, app core.AppName) {
 	sh.mu.Unlock()
 }
 
-// removeRowLocked deletes the row of app on vehicle; called with the
-// shard lock held. It reports whether a row was removed.
+// insertRowLocked is the applier of install_recorded: it adds row
+// unless its app already has one on the vehicle. Shard lock held.
+func insertRowLocked(sh *installedShard, row *api.InstalledApp) bool {
+	for _, r := range sh.rows[row.Vehicle] {
+		if r.App == row.App {
+			return false
+		}
+	}
+	sh.rows[row.Vehicle] = append(sh.rows[row.Vehicle], row)
+	return true
+}
+
+// replaceRowLocked is the applier of upgrade_committed: the row of
+// fromApp gives way to row. Shard lock held.
+func replaceRowLocked(sh *installedShard, fromApp core.AppName, row *api.InstalledApp) bool {
+	removed := removeRowLocked(sh, row.Vehicle, fromApp)
+	inserted := insertRowLocked(sh, row)
+	return removed || inserted
+}
+
+// removeRowLocked is the applier of install_removed: it deletes the
+// row of app on vehicle. Shard lock held.
 func removeRowLocked(sh *installedShard, vehicle core.VehicleID, app core.AppName) bool {
 	rows := sh.rows[vehicle]
 	kept := rows[:0]
@@ -511,7 +521,7 @@ func removeRowLocked(sh *installedShard, vehicle core.VehicleID, app core.AppNam
 func (s *Store) RemoveInstallation(vehicle core.VehicleID, app core.AppName) {
 	sh := s.shard(vehicle)
 	sh.mu.Lock()
-	if removeRowLocked(sh, vehicle, app) && s.jn != nil {
+	if removeRowLocked(sh, vehicle, app) {
 		s.jn.Append(journal.InstallRemovedRec(vehicle, app))
 	}
 	sh.mu.Unlock()
@@ -519,18 +529,18 @@ func (s *Store) RemoveInstallation(vehicle core.VehicleID, app core.AppName) {
 
 // snapshotRow copies a row so readers never share memory with the
 // ack path's mutations; called with the row's shard lock held.
-func snapshotRow(r *InstalledApp) InstalledApp {
+func snapshotRow(r *api.InstalledApp) api.InstalledApp {
 	cp := *r
-	cp.Plugins = append([]InstalledPlugin(nil), r.Plugins...)
+	cp.Plugins = append([]api.InstalledPlugin(nil), r.Plugins...)
 	return cp
 }
 
 // InstalledApps returns copies of the InstalledAPP rows of a vehicle.
-func (s *Store) InstalledApps(vehicle core.VehicleID) []InstalledApp {
+func (s *Store) InstalledApps(vehicle core.VehicleID) []api.InstalledApp {
 	sh := s.shard(vehicle)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]InstalledApp, 0, len(sh.rows[vehicle]))
+	out := make([]api.InstalledApp, 0, len(sh.rows[vehicle]))
 	for _, r := range sh.rows[vehicle] {
 		out = append(out, snapshotRow(r))
 	}
@@ -538,7 +548,7 @@ func (s *Store) InstalledApps(vehicle core.VehicleID) []InstalledApp {
 }
 
 // InstalledApp returns a copy of one row.
-func (s *Store) InstalledApp(vehicle core.VehicleID, app core.AppName) (InstalledApp, bool) {
+func (s *Store) InstalledApp(vehicle core.VehicleID, app core.AppName) (api.InstalledApp, bool) {
 	sh := s.shard(vehicle)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -547,7 +557,7 @@ func (s *Store) InstalledApp(vehicle core.VehicleID, app core.AppName) (Installe
 			return snapshotRow(r), true
 		}
 	}
-	return InstalledApp{}, false
+	return api.InstalledApp{}, false
 }
 
 // MarkInstallAcked records the vehicle's acknowledgement of one
@@ -555,14 +565,14 @@ func (s *Store) InstalledApp(vehicle core.VehicleID, app core.AppName) (Installe
 func (s *Store) MarkInstallAcked(vehicle core.VehicleID, app core.AppName, plugin core.PluginName) {
 	sh := s.shard(vehicle)
 	sh.mu.Lock()
-	if markAckedLocked(sh, vehicle, app, plugin) && s.jn != nil {
+	if markAckedLocked(sh, vehicle, app, plugin) {
 		s.jn.Append(journal.InstallAckedRec(vehicle, app, plugin))
 	}
 	sh.mu.Unlock()
 }
 
-// markAckedLocked flips the acked flag of one plug-in; called with the
-// shard lock held. It reports whether a row matched.
+// markAckedLocked is the applier of install_acked: it flips the acked
+// flag of one plug-in. Shard lock held.
 func markAckedLocked(sh *installedShard, vehicle core.VehicleID, app core.AppName, plugin core.PluginName) bool {
 	marked := false
 	for _, r := range sh.rows[vehicle] {
@@ -584,14 +594,14 @@ func markAckedLocked(sh *installedShard, vehicle core.VehicleID, app core.AppNam
 func (s *Store) DropUninstalledPlugin(vehicle core.VehicleID, app core.AppName, plugin core.PluginName) {
 	sh := s.shard(vehicle)
 	sh.mu.Lock()
-	if dropPluginLocked(sh, vehicle, app, plugin) && s.jn != nil {
+	if dropPluginLocked(sh, vehicle, app, plugin) {
 		s.jn.Append(journal.PluginDroppedRec(vehicle, app, plugin))
 	}
 	sh.mu.Unlock()
 }
 
-// dropPluginLocked removes one plug-in from its row; called with the
-// shard lock held. It reports whether the row changed.
+// dropPluginLocked is the applier of plugin_dropped: it removes one
+// plug-in from its row. Shard lock held.
 func dropPluginLocked(sh *installedShard, vehicle core.VehicleID, app core.AppName, plugin core.PluginName) bool {
 	rows := sh.rows[vehicle]
 	for ri, r := range rows {
@@ -609,7 +619,7 @@ func dropPluginLocked(sh *installedShard, vehicle core.VehicleID, app core.AppNa
 		}
 		// Zero the tail so dropped entries release their PIC slices.
 		for i := len(kept); i < len(r.Plugins); i++ {
-			r.Plugins[i] = InstalledPlugin{}
+			r.Plugins[i] = api.InstalledPlugin{}
 		}
 		r.Plugins = kept
 		if len(kept) == 0 {
@@ -628,11 +638,11 @@ func dropPluginLocked(sh *installedShard, vehicle core.VehicleID, app core.AppNa
 
 // InstalledPlugins returns all plug-ins installed on a vehicle across
 // apps.
-func (s *Store) InstalledPlugins(vehicle core.VehicleID) []InstalledPlugin {
+func (s *Store) InstalledPlugins(vehicle core.VehicleID) []api.InstalledPlugin {
 	sh := s.shard(vehicle)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	var out []InstalledPlugin
+	var out []api.InstalledPlugin
 	for _, r := range sh.rows[vehicle] {
 		out = append(out, r.Plugins...)
 	}
@@ -648,7 +658,7 @@ func (s *Store) UsedPortIDs(vehicle core.VehicleID, ecu core.ECUID, swc core.SWC
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	used := make(map[core.PluginPortID]bool)
-	mark := func(r *InstalledApp) {
+	mark := func(r *api.InstalledApp) {
 		for _, p := range r.Plugins {
 			if p.ECU == ecu && p.SWC == swc {
 				for _, e := range p.PIC {
@@ -671,11 +681,11 @@ func (s *Store) UsedPortIDs(vehicle core.VehicleID, ecu core.ECUID, swc core.SWC
 // ReservedUpgradeRows returns copies of the planned replacement rows of
 // in-flight live upgrades on a vehicle — the port-id claims that
 // concurrent planning (and the plan verifier) must steer around.
-func (s *Store) ReservedUpgradeRows(vehicle core.VehicleID) []InstalledApp {
+func (s *Store) ReservedUpgradeRows(vehicle core.VehicleID) []api.InstalledApp {
 	sh := s.shard(vehicle)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	var out []InstalledApp
+	var out []api.InstalledApp
 	for _, r := range sh.reserved {
 		if r.Vehicle == vehicle {
 			out = append(out, snapshotRow(r))
@@ -697,7 +707,7 @@ func upgradeKey(vehicle core.VehicleID, app core.AppName) string {
 // planning, but the row is not installed. Reservations are transient —
 // never journaled — because a crash interrupts the upgrade anyway and
 // recovery resolves to the old row.
-func (s *Store) ReserveUpgrade(row *InstalledApp) {
+func (s *Store) ReserveUpgrade(row *api.InstalledApp) {
 	sh := s.shard(row.Vehicle)
 	sh.mu.Lock()
 	sh.reserved[upgradeKey(row.Vehicle, row.App)] = row
@@ -720,12 +730,12 @@ func (s *Store) ReleaseUpgrade(vehicle core.VehicleID, app core.AppName) {
 // commit is refused if the old row vanished or the new app's row
 // appeared concurrently (both indicate an interleaved operation the
 // upgrade lost to).
-func (s *Store) CommitUpgrade(fromApp core.AppName, row *InstalledApp) error {
+func (s *Store) CommitUpgrade(fromApp core.AppName, row *api.InstalledApp) error {
 	sh := s.shard(row.Vehicle)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delete(sh.reserved, upgradeKey(row.Vehicle, row.App))
-	var old *InstalledApp
+	var old *api.InstalledApp
 	for _, r := range sh.rows[row.Vehicle] {
 		if r.App == fromApp {
 			old = r
@@ -739,15 +749,12 @@ func (s *Store) CommitUpgrade(fromApp core.AppName, row *InstalledApp) error {
 		return api.Errorf(api.CodeFailedPrecondition,
 			"server: app %s disappeared from %s during the upgrade", fromApp, row.Vehicle)
 	}
-	removeRowLocked(sh, row.Vehicle, fromApp)
-	sh.rows[row.Vehicle] = append(sh.rows[row.Vehicle], row)
-	if s.jn != nil {
-		// Ack-path policy: enqueue without waiting — the vehicle already
-		// committed the swap and holds the ground truth; the record rides
-		// the next group commit. A crash inside that window under-reports
-		// (recovery shows the old version while the vehicle runs the
-		// new), the same conservative-loss shape as lost ack records.
-		s.jn.Append(journal.UpgradeCommittedRec(row.Vehicle, fromApp, snapshotRow(row)))
-	}
+	replaceRowLocked(sh, fromApp, row)
+	// Ack-path policy: enqueue without waiting — the vehicle already
+	// committed the swap and holds the ground truth; the record rides
+	// the next group commit. A crash inside that window under-reports
+	// (recovery shows the old version while the vehicle runs the new),
+	// the same conservative-loss shape as lost ack records.
+	s.jn.Append(journal.UpgradeCommittedRec(row.Vehicle, fromApp, snapshotRow(row)))
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 	"dynautosar/internal/vehicle"
 )
@@ -84,7 +85,7 @@ func TestStoreAppDeepCopy(t *testing.T) {
 func TestStoreRemoveInstallationUnpinsRows(t *testing.T) {
 	s := NewStore()
 	for _, a := range []core.AppName{"A", "B", "C"} {
-		s.RecordInstallation(&InstalledApp{App: a, Vehicle: "V"})
+		s.tryRecordInstallation(&api.InstalledApp{App: a, Vehicle: "V"})
 	}
 	sh := s.shard("V")
 	sh.mu.RLock()
@@ -106,10 +107,10 @@ func TestStoreRemoveInstallationUnpinsRows(t *testing.T) {
 
 func TestStoreDropUninstalledPluginUnpinsRow(t *testing.T) {
 	s := NewStore()
-	s.RecordInstallation(&InstalledApp{App: "A", Vehicle: "V",
-		Plugins: []InstalledPlugin{{Plugin: "P1"}, {Plugin: "P2"}}})
-	s.RecordInstallation(&InstalledApp{App: "B", Vehicle: "V",
-		Plugins: []InstalledPlugin{{Plugin: "Q", PIC: core.PIC{{Name: "x", ID: 0}}}}})
+	s.tryRecordInstallation(&api.InstalledApp{App: "A", Vehicle: "V",
+		Plugins: []api.InstalledPlugin{{Plugin: "P1"}, {Plugin: "P2"}}})
+	s.tryRecordInstallation(&api.InstalledApp{App: "B", Vehicle: "V",
+		Plugins: []api.InstalledPlugin{{Plugin: "Q", PIC: core.PIC{{Name: "x", ID: 0}}}}})
 	sh := s.shard("V")
 	sh.mu.RLock()
 	backing := sh.rows["V"]
@@ -161,11 +162,11 @@ func TestStoreAliasRaceHammer(t *testing.T) {
 		go func(id core.VehicleID) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				row := &InstalledApp{App: "RemoteControl", Vehicle: id, Plugins: []InstalledPlugin{
+				row := &api.InstalledApp{App: "RemoteControl", Vehicle: id, Plugins: []api.InstalledPlugin{
 					{Plugin: "COM", ECU: vehicle.ECU1, SWC: vehicle.SWC1, PIC: core.PIC{{Name: "in", ID: 0}}},
 					{Plugin: "OP", ECU: vehicle.ECU2, SWC: vehicle.SWC2, PIC: core.PIC{{Name: "in", ID: 0}}},
 				}}
-				if err := s.TryRecordInstallation(row); err != nil {
+				if _, err := s.tryRecordInstallation(row); err != nil {
 					continue
 				}
 				s.MarkInstallAcked(id, "RemoteControl", "COM")

@@ -57,7 +57,7 @@ func claimBothSides(_ *Server, t target) []core.AppName { return []core.AppName{
 // precheckUpgrade validates the cheap preconditions of an upgrade: the
 // old app is installed and fully acknowledged, the new one not
 // installed yet.
-func precheckUpgrade(s *Server, t target, _ VehicleRecord, opID string) error {
+func precheckUpgrade(s *Server, t target, _ api.VehicleRecord, opID string) error {
 	if t.toApp == "" || t.app == "" {
 		return api.Errorf(api.CodeInvalidArgument, "server: upgrade needs both the installed app and its replacement")
 	}
@@ -91,7 +91,7 @@ func precheckUpgrade(s *Server, t target, _ VehicleRecord, opID string) error {
 // recorded contexts, so a partially acknowledged upgrade can push the
 // old version back onto plug-ins that already swapped. The verifier
 // walks the forward path and that rollback path state by state.
-func planUpgrade(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) {
+func planUpgrade(s *Server, t target, vr api.VehicleRecord) (*vehiclePlan, error) {
 	oldRow, ok := s.store.InstalledApp(t.vehicle, t.app)
 	if !ok {
 		return nil, api.Errorf(api.CodeNotFound, "server: app %s is not installed on %s", t.app, t.vehicle)
@@ -167,10 +167,7 @@ func planUpgrade(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) {
 // deploy planning and enqueues the write-ahead intent record.
 func stageUpgrade(s *Server, t target, p *vehiclePlan) (journal.Ticket, error) {
 	s.store.ReserveUpgrade(p.row(t.vehicle, t.toApp))
-	if s.jn == nil {
-		return journal.Ticket{}, nil
-	}
-	return s.jn.Append(journal.UpgradeStartedRec(t.vehicle, t.app, t.toApp)), nil
+	return s.store.jn.Append(journal.UpgradeStartedRec(t.vehicle, t.app, t.toApp)), nil
 }
 
 // unstageUpgrade drops the reservation and closes the journal
@@ -178,8 +175,8 @@ func stageUpgrade(s *Server, t target, p *vehiclePlan) (journal.Ticket, error) {
 // lost record recovers identically (the old row stands).
 func unstageUpgrade(s *Server, t target, reason string) {
 	s.store.ReleaseUpgrade(t.vehicle, t.toApp)
-	if s.jn != nil && reason != "" {
-		s.jn.Append(journal.UpgradeRolledBackRec(t.vehicle, t.app, t.toApp, reason))
+	if reason != "" {
+		s.store.jn.Append(journal.UpgradeRolledBackRec(t.vehicle, t.app, t.toApp, reason))
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // counterApp builds a one-plug-in app ("Counter") deployed on SW-C2;
 // versions differ in gain, and extraPort grows the port set so the
 // upgraded PIC needs a fresh id next to the reused ones.
-func counterApp(t *testing.T, name core.AppName, version string, gain int, extraPort bool) App {
+func counterApp(t *testing.T, name core.AppName, version string, gain int, extraPort bool) api.App {
 	t.Helper()
 	extra := ""
 	if extraPort {
@@ -55,19 +55,19 @@ on_message Poke:
 	if err != nil {
 		t.Fatal(err)
 	}
-	return App{
+	return api.App{
 		Name:     name,
 		Binaries: []plugin.Binary{bin},
-		Confs: []SWConf{{
+		Confs: []api.SWConf{{
 			Model:       "modelcar-v1",
-			Deployments: []Deployment{{Plugin: "Counter", ECU: vehicle.ECU2, SWC: vehicle.SWC2}},
+			Deployments: []api.Deployment{{Plugin: "Counter", ECU: vehicle.ECU2, SWC: vehicle.SWC2}},
 		}},
 	}
 }
 
 // paperAppNamed re-wraps the two-plug-in paper app under another name,
 // the "new version" of a multi-plug-in upgrade.
-func paperAppNamed(t *testing.T, name core.AppName) App {
+func paperAppNamed(t *testing.T, name core.AppName) api.App {
 	t.Helper()
 	app := paperApp(t)
 	app.Name = name

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -506,6 +507,52 @@ func TestDisconnectFailsInFlightOpsAndReleasesClaim(t *testing.T) {
 	// two status views agree.
 	if st := s.Status("VIN-DC", "RemoteControl"); len(st.Failures) == 0 {
 		t.Fatalf("status after disconnect shows no failures: %+v", st)
+	}
+}
+
+// TestStatusReportsTheLatestOperation: Status describes the most recent
+// operation on an app, so the nack of a deploy that was since
+// uninstalled and redeployed is gone from it.
+func TestStatusReportsTheLatestOperation(t *testing.T) {
+	s := newServerWithVehicle(t, "VIN-ST")
+	if err := s.Store().UploadApp(paperApp(t)); err != nil {
+		t.Fatal(err)
+	}
+	connectScriptedVehicle(t, s, "VIN-ST", func(n int, msg core.Message) *core.Message {
+		if n == 0 {
+			r := msg.Nack("flash full")
+			return &r
+		}
+		return ackAll(n, msg)
+	})
+	c := api.NewLocalClient(NewService(s))
+	ctx := context.Background()
+	run := func(op api.Operation, err error) api.Operation {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.WaitOperation(ctx, op.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return final
+	}
+	deploy := api.DeployRequest{User: "alice", Vehicle: "VIN-ST", App: "RemoteControl"}
+	if op := run(c.Deploy(ctx, deploy)); op.State != api.StateFailed {
+		t.Fatalf("nacked deploy = %+v", op)
+	}
+	if st := s.Status("VIN-ST", "RemoteControl"); len(st.Failures) != 1 || !strings.Contains(st.Failures[0], "flash full") {
+		t.Fatalf("status after the nack = %+v", st)
+	}
+	if op := run(c.Uninstall(ctx, api.UninstallRequest{User: "alice", Vehicle: "VIN-ST", App: "RemoteControl"})); op.State != api.StateSucceeded {
+		t.Fatalf("uninstall = %+v", op)
+	}
+	if op := run(c.Deploy(ctx, deploy)); op.State != api.StateSucceeded {
+		t.Fatalf("redeploy = %+v", op)
+	}
+	if st := s.Status("VIN-ST", "RemoteControl"); st.Total != 2 || st.Acked != 2 || len(st.Failures) != 0 || !st.Complete() {
+		t.Fatalf("status after the acked redeploy = %+v", st)
 	}
 }
 

@@ -30,7 +30,7 @@ type vehiclePlan struct {
 	back [][]byte
 	// oldRow completes the reuse key beside Plan.Conf: the donor
 	// vehicle's only installed row, zero when it had none (see planFor).
-	oldRow InstalledApp
+	oldRow api.InstalledApp
 }
 
 // push is one frame of a plan and the app whose progress it counts
@@ -70,10 +70,10 @@ func (p *vehiclePlan) verified() (*vehiclePlan, error) {
 // row builds the InstalledAPP row the plan's New states describe. The
 // PICs are copied per row, so rows of different vehicles never share a
 // reused plan's memory.
-func (p *vehiclePlan) row(vehicle core.VehicleID, app core.AppName) *InstalledApp {
-	row := &InstalledApp{App: app, Vehicle: vehicle}
+func (p *vehiclePlan) row(vehicle core.VehicleID, app core.AppName) *api.InstalledApp {
+	row := &api.InstalledApp{App: app, Vehicle: vehicle}
 	for _, st := range p.Steps {
-		row.Plugins = append(row.Plugins, InstalledPlugin{
+		row.Plugins = append(row.Plugins, api.InstalledPlugin{
 			Plugin: st.Plugin, ECU: st.New.ECU, SWC: st.New.SWC,
 			PIC: append(core.PIC(nil), st.New.PIC...),
 		})
@@ -83,7 +83,7 @@ func (p *vehiclePlan) row(vehicle core.VehicleID, app core.AppName) *InstalledAp
 
 // newPlan starts a plan against the vehicle as it stands, minus the app
 // the plan itself touches (whose plug-ins travel as step states).
-func (s *Server) newPlan(kind verify.PlanKind, vr VehicleRecord, touched core.AppName) *vehiclePlan {
+func (s *Server) newPlan(kind verify.PlanKind, vr api.VehicleRecord, touched core.AppName) *vehiclePlan {
 	p := &vehiclePlan{Plan: &verify.Plan{
 		Kind: kind, Vehicle: vr.ID, Conf: vr.Conf,
 		Reserved: s.portReservations(vr.ID),
@@ -100,7 +100,7 @@ func (s *Server) newPlan(kind verify.PlanKind, vr VehicleRecord, touched core.Ap
 
 // planDeploy runs the read-only part of a deployment: compatibility
 // check, dependency-ordered planning, context generation and packaging.
-func planDeploy(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) {
+func planDeploy(s *Server, t target, vr api.VehicleRecord) (*vehiclePlan, error) {
 	app, ok := s.store.App(t.app)
 	if !ok {
 		return nil, api.Errorf(api.CodeNotFound, "server: unknown app %s", t.app)
@@ -136,7 +136,7 @@ func planDeploy(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) {
 // planUninstall plans the removal of an installed row: plug-ins leave
 // in reverse install order, and every intermediate state must keep the
 // surviving population consistent.
-func planUninstall(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) {
+func planUninstall(s *Server, t target, vr api.VehicleRecord) (*vehiclePlan, error) {
 	row, ok := s.store.InstalledApp(t.vehicle, t.app)
 	if !ok {
 		return nil, api.Errorf(api.CodeNotFound, "server: app %s is not installed on %s", t.app, t.vehicle)
@@ -158,7 +158,7 @@ func planUninstall(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) 
 // planRestore plans the re-installation of every plug-in recorded on
 // the replaced ECU, app by app in install order, packaged against the
 // recorded port ids so the links of the surviving plug-ins still match.
-func planRestore(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) {
+func planRestore(s *Server, t target, vr api.VehicleRecord) (*vehiclePlan, error) {
 	p := &vehiclePlan{Plan: &verify.Plan{
 		Kind: verify.PlanDeploy, Vehicle: vr.ID, Conf: vr.Conf,
 		Reserved: s.portReservations(vr.ID),
@@ -188,7 +188,7 @@ func planRestore(s *Server, t target, vr VehicleRecord) (*vehiclePlan, error) {
 
 // packagePlugin marshals one plug-in's installation package: its binary
 // with the given context.
-func packagePlugin(app App, name core.PluginName, ctx *core.Context) ([]byte, error) {
+func packagePlugin(app api.App, name core.PluginName, ctx *core.Context) ([]byte, error) {
 	bin, ok := app.Binary(name)
 	if !ok || ctx == nil {
 		return nil, api.Errorf(api.CodeInternal, "server: packaging %s: app %s has no binary or context for it", name, app.Name)
@@ -202,7 +202,7 @@ func packagePlugin(app App, name core.PluginName, ctx *core.Context) ([]byte, er
 
 // contextState builds one verifier plug-in state from a generated
 // context and the app's manifest.
-func contextState(name core.PluginName, ecu core.ECUID, swc core.SWCID, app App, ctx *core.Context) *verify.PluginState {
+func contextState(name core.PluginName, ecu core.ECUID, swc core.SWCID, app api.App, ctx *core.Context) *verify.PluginState {
 	st := &verify.PluginState{Plugin: name, ECU: ecu, SWC: swc, PIC: ctx.PIC, PLC: ctx.PLC}
 	if bin, ok := app.Binary(name); ok {
 		st.Ports = bin.Manifest.Ports
@@ -214,10 +214,10 @@ func contextState(name core.PluginName, ecu core.ECUID, swc core.SWCID, app App,
 // rowContexts regenerates the contexts an installed row runs with: its
 // app's contexts generated with the recorded port ids forced, so PLC
 // remote ids match what the other plug-ins on the vehicle link to.
-func (s *Server) rowContexts(vr VehicleRecord, row InstalledApp) (App, generatedContexts, error) {
+func (s *Server) rowContexts(vr api.VehicleRecord, row api.InstalledApp) (api.App, generatedContexts, error) {
 	app, ok := s.store.App(row.App)
 	if !ok {
-		return App{}, nil, api.Errorf(api.CodeNotFound, "server: unknown app %s", row.App)
+		return api.App{}, nil, api.Errorf(api.CodeNotFound, "server: unknown app %s", row.App)
 	}
 	conf, ok := app.ConfFor(vr.Conf.Model)
 	if !ok {
@@ -240,7 +240,7 @@ func (s *Server) rowContexts(vr VehicleRecord, row InstalledApp) (App, generated
 // its record, its app's manifests and its regenerated contexts. A
 // plug-in without a context keeps a PIC-only state: its port-id claims
 // hold, its link checks skip.
-func rowStatesFrom(row InstalledApp, app App, contexts generatedContexts) []*verify.PluginState {
+func rowStatesFrom(row api.InstalledApp, app api.App, contexts generatedContexts) []*verify.PluginState {
 	out := make([]*verify.PluginState, 0, len(row.Plugins))
 	for _, p := range row.Plugins {
 		st := &verify.PluginState{
@@ -262,7 +262,7 @@ func rowStatesFrom(row InstalledApp, app App, contexts generatedContexts) []*ver
 // rowStates rebuilds the verifier states of one installed row; a row
 // whose app, conf or regeneration is unavailable falls back to PIC-only
 // states.
-func (s *Server) rowStates(vr VehicleRecord, row InstalledApp) []*verify.PluginState {
+func (s *Server) rowStates(vr api.VehicleRecord, row api.InstalledApp) []*verify.PluginState {
 	app, contexts, _ := s.rowContexts(vr, row)
 	return rowStatesFrom(row, app, contexts)
 }
@@ -283,7 +283,7 @@ func (s *Server) portReservations(vehicle core.VehicleID) []verify.PortReservati
 
 // uninstallDependants lists the installed apps whose plug-ins declare a
 // manifest dependency on a plug-in of the row being removed.
-func (s *Server) uninstallDependants(vehicleID core.VehicleID, appName core.AppName, row InstalledApp) []string {
+func (s *Server) uninstallDependants(vehicleID core.VehicleID, appName core.AppName, row api.InstalledApp) []string {
 	removing := make(map[core.PluginName]bool, len(row.Plugins))
 	for _, p := range row.Plugins {
 		removing[p.Plugin] = true

@@ -73,12 +73,12 @@ func TestUploadRejectsUnsafeBytecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New()
-	err = s.Store().UploadApp(App{
+	err = s.Store().UploadApp(api.App{
 		Name:     "TrapApp",
 		Binaries: []plugin.Binary{bin},
-		Confs: []SWConf{{
+		Confs: []api.SWConf{{
 			Model:       "modelcar-v1",
-			Deployments: []Deployment{{Plugin: "Trap", ECU: vehicle.ECU2, SWC: vehicle.SWC2}},
+			Deployments: []api.Deployment{{Plugin: "Trap", ECU: vehicle.ECU2, SWC: vehicle.SWC2}},
 		}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "underflow") {
@@ -92,7 +92,7 @@ func TestUploadRejectsUnsafeBytecode(t *testing.T) {
 // fatApp builds an app whose single plug-in has more unconnected
 // required ports than the quiesce bound allows — deployable (installs
 // do not quiesce) but never upgradable in place.
-func fatApp(t *testing.T, name core.AppName, version string) App {
+func fatApp(t *testing.T, name core.AppName, version string) api.App {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, ".plugin Fat %s\n", version)
@@ -108,12 +108,12 @@ func fatApp(t *testing.T, name core.AppName, version string) App {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return App{
+	return api.App{
 		Name:     name,
 		Binaries: []plugin.Binary{bin},
-		Confs: []SWConf{{
+		Confs: []api.SWConf{{
 			Model:       "modelcar-v1",
-			Deployments: []Deployment{{Plugin: "Fat", ECU: vehicle.ECU2, SWC: vehicle.SWC2}},
+			Deployments: []api.Deployment{{Plugin: "Fat", ECU: vehicle.ECU2, SWC: vehicle.SWC2}},
 		}},
 	}
 }
