@@ -291,46 +291,34 @@ func upgrade(ctx context.Context, args []string) {
 //
 //	fescli rollout start [-model M] [-waves 1,10%,all] [-max-failure-rate R]
 //	       [-max-probe-failures N] [-max-ack-p99 MS] <user> <fromApp> <toApp> [vin ...]
-//	fescli rollout status <id>
 //	fescli rollout abort <id>
 //	fescli rollout wait <id>
-//	fescli rollout list
 //
-// Start answers immediately with the rollout resource; wait blocks
-// until it reaches a terminal state and exits non-zero if the fleet
-// rolled back (the error carries the stable rollout_unhealthy or
-// rollout_aborted code).
+// A rollout is an operation: start answers immediately with it, and
+// "operations get" and "operations list" show it with its waves. Wait
+// blocks until it reaches a terminal state, prints it and exits
+// non-zero unless it succeeded (a rolled-back fleet's error carries the
+// stable rollout_unhealthy or rollout_aborted code).
 func rollout(ctx context.Context, args []string) {
 	if len(args) == 0 {
-		log.Fatal("usage: fescli rollout <start|status ID|abort ID|wait ID|list>")
+		log.Fatal("usage: fescli rollout <start|abort ID|wait ID>")
 	}
 	switch args[0] {
 	case "start":
 		rolloutStart(ctx, args[1:])
-	case "status":
-		need(args, 2, "rollout status <id>")
-		st, err := client.GetRollout(ctx, args[1])
-		show(st, err)
 	case "abort":
 		need(args, 2, "rollout abort <id>")
-		st, err := client.AbortRollout(ctx, args[1])
-		show(st, err)
+		op, err := client.AbortRollout(ctx, args[1])
+		show(op, err)
 	case "wait":
 		need(args, 2, "rollout wait <id>")
 		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Minute)
 		defer cancel()
-		// A rollout is an operation: wait on it, then show its wave view.
-		if _, err := client.WaitOperation(waitCtx, args[1], 200*time.Millisecond); err != nil {
-			show(nil, err)
-		}
-		st, err := client.GetRollout(ctx, args[1])
-		show(st, err)
-		if st.State != api.RolloutSucceeded {
+		op, err := client.WaitOperation(waitCtx, args[1], 200*time.Millisecond)
+		show(op, err)
+		if op.State != api.StateSucceeded {
 			os.Exit(1)
 		}
-	case "list":
-		list, err := client.ListRollouts(ctx, page)
-		show(list, err)
 	default:
 		log.Fatalf("unknown rollout command %q", args[0])
 	}
@@ -387,8 +375,8 @@ func rolloutStart(ctx context.Context, args []string) {
 			MaxAckP99Millis:  *maxAckP99,
 		}
 	}
-	st, err := client.StartRollout(ctx, req)
-	show(st, err)
+	op, err := client.StartRollout(ctx, req)
+	show(op, err)
 }
 
 // verifyCmd dry-runs an operation through the static plan verifier:

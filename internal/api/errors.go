@@ -55,11 +55,11 @@ const (
 	// tripped — too many failed or vehicle-rolled-back upgrades in the
 	// wave, or the ack-latency bound was exceeded — and the fleet was
 	// automatically downgraded in reverse wave order. Carried as the
-	// rollout's terminal error so clients polling GET /v1/rollouts/{id}
-	// can branch on it.
+	// rollout operation's terminal error so clients polling
+	// GET /v1/operations/{id} can branch on it.
 	CodeRolloutUnhealthy ErrorCode = "rollout_unhealthy"
 	// CodeRolloutAborted: the operator aborted a progressive rollout
-	// (POST /v1/rollouts/{id}:abort) and the fleet was downgraded. The
+	// (POST /v1/operations/{id}:abort) and the fleet was downgraded. The
 	// rollout's terminal error when no health gate tripped first.
 	CodeRolloutAborted ErrorCode = "rollout_aborted"
 	// CodeNotLeader: the addressed server is not the current leader of

@@ -1,8 +1,10 @@
 package api
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -175,11 +177,18 @@ func WriteJSON(w http.ResponseWriter, status int, v any, logf func(format string
 }
 
 // DecodeJSON strictly decodes a request body into v (unknown fields
-// rejected), returning a typed *Error on failure.
+// rejected, exactly one JSON value, trailing whitespace allowed),
+// returning a typed *Error on failure.
 func DecodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = cmp.Or(terr, errors.New("data after the JSON value"))
+		}
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return Errorf(CodeResourceExhausted, "api: request body over %d bytes", tooLarge.Limit)

@@ -30,13 +30,13 @@ func (s *flakySvc) Deploy(_ context.Context, req DeployRequest) (Operation, erro
 	return Operation{ID: "op-00000001", Vehicle: req.Vehicle, App: req.App}, nil
 }
 
-func (s *flakySvc) StartRollout(context.Context, RolloutRequest) (RolloutStatus, error) {
+func (s *flakySvc) StartRollout(context.Context, RolloutRequest) (Operation, error) {
 	attempt := s.rollouts
 	s.rollouts++
 	if attempt < len(s.errs) {
-		return RolloutStatus{}, s.errs[attempt]
+		return Operation{}, s.errs[attempt]
 	}
-	return RolloutStatus{ID: "ro-00000001"}, nil
+	return Operation{ID: "op-00000001", Kind: OpRollout}, nil
 }
 
 func (s *flakySvc) GetUser(context.Context, core.UserID) (User, error) {

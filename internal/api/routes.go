@@ -59,9 +59,7 @@ var Routes = []*Route{
 	// vehicles must share a shard.
 	body("StartRollout", "POST /v1/rollout", 202, DeploymentService.StartRollout, Owner,
 		func(r RolloutRequest) vins { return r.Vehicles }, nil),
-	paged("ListRollouts", "GET /v1/rollouts", DeploymentService.ListRollouts, Merge),
-	byID("GetRollout", "GET /v1/rollouts/{id}", 200, DeploymentService.GetRollout, ByID),
-	byID("AbortRollout", "POST /v1/rollouts/{id}:abort", 202, DeploymentService.AbortRollout, ByID),
+	byID("AbortRollout", "POST /v1/operations/{id}:abort", 202, DeploymentService.AbortRollout, ByID),
 	body("Restore", "POST /v1/restore", 202, DeploymentService.Restore, Owner,
 		func(r RestoreRequest) vins { return vins{r.Vehicle} }, func(r *RestoreRequest) *string { return &r.IdempotencyKey }),
 	// A rejected plan is a successful dry-run: the verdict travels in
@@ -243,17 +241,11 @@ func (s Stub) BatchUninstall(ctx context.Context, req BatchUninstallRequest) (Op
 func (s Stub) BatchUpgrade(ctx context.Context, req BatchUpgradeRequest) (Operation, error) {
 	return InvokeAs[Operation](ctx, s.Invoker, "BatchUpgrade", req)
 }
-func (s Stub) StartRollout(ctx context.Context, req RolloutRequest) (RolloutStatus, error) {
-	return InvokeAs[RolloutStatus](ctx, s.Invoker, "StartRollout", req)
+func (s Stub) StartRollout(ctx context.Context, req RolloutRequest) (Operation, error) {
+	return InvokeAs[Operation](ctx, s.Invoker, "StartRollout", req)
 }
-func (s Stub) GetRollout(ctx context.Context, id string) (RolloutStatus, error) {
-	return InvokeAs[RolloutStatus](ctx, s.Invoker, "GetRollout", id)
-}
-func (s Stub) AbortRollout(ctx context.Context, id string) (RolloutStatus, error) {
-	return InvokeAs[RolloutStatus](ctx, s.Invoker, "AbortRollout", id)
-}
-func (s Stub) ListRollouts(ctx context.Context, page Page) (RolloutList, error) {
-	return InvokeAs[RolloutList](ctx, s.Invoker, "ListRollouts", page)
+func (s Stub) AbortRollout(ctx context.Context, id string) (Operation, error) {
+	return InvokeAs[Operation](ctx, s.Invoker, "AbortRollout", id)
 }
 func (s Stub) Status(ctx context.Context, vehicle core.VehicleID, app core.AppName) (OpStatus, error) {
 	return InvokeAs[OpStatus](ctx, s.Invoker, "Status", statusQuery{vehicle, app})

@@ -160,23 +160,6 @@ type RolloutRequest struct {
 	Health   *RolloutHealthPolicy `json:"health,omitempty"`
 }
 
-// RolloutState is the lifecycle state of a progressive rollout.
-type RolloutState string
-
-const (
-	// RolloutRunning: waves are executing or awaiting promotion.
-	RolloutRunning RolloutState = "running"
-	// RolloutRollingBack: the gate tripped or the operator aborted;
-	// already-upgraded vehicles are being downgraded.
-	RolloutRollingBack RolloutState = "rolling_back"
-	// RolloutSucceeded: every wave promoted; the fleet runs the new
-	// version.
-	RolloutSucceeded RolloutState = "succeeded"
-	// RolloutRolledBack: the downgrade completed; Error carries why
-	// ("rollout_unhealthy" or "rollout_aborted").
-	RolloutRolledBack RolloutState = "rolled_back"
-)
-
 // RolloutWaveStatus reports one wave's execution. BatchOp is the batch
 // upgrade parent the wave ran as (its children carry per-vehicle
 // detail); RollbackOp the batch that downgraded the wave, when the
@@ -200,35 +183,22 @@ type RolloutWaveStatus struct {
 	AckP99Millis float64 `json:"ackP99Millis,omitempty"`
 }
 
-// RolloutStatus is the rollout resource: POST /v1/rollout returns one
-// immediately and GET /v1/rollouts/{id} reports wave progress.
-type RolloutStatus struct {
-	ID    string       `json:"id"`
-	User  core.UserID  `json:"user"`
-	From  core.AppName `json:"from"`
-	To    core.AppName `json:"to"`
-	State RolloutState `json:"state"`
-	// Vehicles is the resolved fleet in deterministic bucket order;
-	// waves are contiguous prefixes of it.
-	Vehicles []core.VehicleID    `json:"vehicles,omitempty"`
-	Waves    []RolloutWaveStatus `json:"waves"`
+// RolloutProgress is the wave progress a rollout operation carries
+// (Operation.Rollout). Where the rollout stands is the operation's
+// State and this one bit: running forward (running, !RollingBack),
+// rolling back (running, RollingBack), succeeded, or rolled back
+// (failed with rollout_unhealthy or rollout_aborted).
+type RolloutProgress struct {
+	Waves []RolloutWaveStatus `json:"waves"`
 	// CurrentWave indexes the wave executing (or rolling back); equal
 	// to len(Waves) when every wave promoted.
 	CurrentWave int `json:"currentWave"`
 	// GateReason is why the rollout left the forward path: the tripped
 	// health gate's description, or the operator abort.
 	GateReason string `json:"gateReason,omitempty"`
-	// Error carries the terminal failure code ("rollout_unhealthy" or
-	// "rollout_aborted"); nil while running and on success.
-	Error *Error `json:"error,omitempty"`
-	// Done reports whether the rollout reached a terminal state.
-	Done bool `json:"done"`
-}
-
-// RolloutList is one page of rollouts, oldest first.
-type RolloutList struct {
-	Rollouts      []RolloutStatus `json:"rollouts"`
-	NextPageToken string          `json:"nextPageToken,omitempty"`
+	// RollingBack reports that the rollout left the forward path and
+	// downgrades (or downgraded) the fleet.
+	RollingBack bool `json:"rollingBack,omitempty"`
 }
 
 // VerifyRequest asks the static plan verifier to dry-run an operation:
@@ -485,15 +455,11 @@ type DeploymentService interface {
 	BatchUpgrade(ctx context.Context, req BatchUpgradeRequest) (Operation, error)
 
 	// StartRollout starts a health-gated progressive rollout and
-	// returns its status resource; waves execute asynchronously.
-	StartRollout(ctx context.Context, req RolloutRequest) (RolloutStatus, error)
-	// GetRollout returns one rollout by id.
-	GetRollout(ctx context.Context, id string) (RolloutStatus, error)
+	// returns its operation; waves execute asynchronously.
+	StartRollout(ctx context.Context, req RolloutRequest) (Operation, error)
 	// AbortRollout requests a fleet rollback of a running rollout; a
 	// terminal rollout is refused with "failed_precondition".
-	AbortRollout(ctx context.Context, id string) (RolloutStatus, error)
-	// ListRollouts pages through rollouts, oldest first.
-	ListRollouts(ctx context.Context, page Page) (RolloutList, error)
+	AbortRollout(ctx context.Context, id string) (Operation, error)
 
 	// Status reports per-app ack progress on a vehicle.
 	Status(ctx context.Context, vehicle core.VehicleID, app core.AppName) (OpStatus, error)

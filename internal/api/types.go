@@ -242,8 +242,7 @@ const (
 	// OpRollout is a progressive rollout (POST /v1/rollout): a fleet
 	// upgrade App -> ToApp over Vehicles in bucket order, run as
 	// health-gated waves. Its Children are the wave batches, forward and
-	// rollback, in launch order; GET /v1/rollouts/{id} is the wave view
-	// of the same operation.
+	// rollback, in launch order, and Rollout carries the wave progress.
 	OpRollout OperationKind = "rollout"
 )
 
@@ -310,6 +309,10 @@ type Operation struct {
 	VehiclesSucceeded int `json:"vehiclesSucceeded,omitempty"`
 	// VehiclesFailed counts children that reached failed.
 	VehiclesFailed int `json:"vehiclesFailed,omitempty"`
+
+	// Rollout is the wave progress of a rollout operation, nil for every
+	// other kind.
+	Rollout *RolloutProgress `json:"rollout,omitempty"`
 }
 
 // Page selects one page of a list endpoint. A zero Page asks for the

@@ -26,9 +26,12 @@ type recSvc struct {
 	out    any
 }
 
+// rec answers the zero R when the canned response is of another type,
+// so a request reaching any method gets an answer (see FuzzHandler).
 func rec[R any](s *recSvc, method string, arg any) (R, error) {
 	s.method, s.arg = method, arg
-	return s.out.(R), nil
+	out, _ := s.out.(R)
+	return out, nil
 }
 
 // statusArgs is how recSvc records the two-argument Status call.
@@ -85,17 +88,11 @@ func (s *recSvc) BatchUninstall(_ context.Context, req BatchUninstallRequest) (O
 func (s *recSvc) BatchUpgrade(_ context.Context, req BatchUpgradeRequest) (Operation, error) {
 	return rec[Operation](s, "BatchUpgrade", req)
 }
-func (s *recSvc) StartRollout(_ context.Context, req RolloutRequest) (RolloutStatus, error) {
-	return rec[RolloutStatus](s, "StartRollout", req)
+func (s *recSvc) StartRollout(_ context.Context, req RolloutRequest) (Operation, error) {
+	return rec[Operation](s, "StartRollout", req)
 }
-func (s *recSvc) GetRollout(_ context.Context, id string) (RolloutStatus, error) {
-	return rec[RolloutStatus](s, "GetRollout", id)
-}
-func (s *recSvc) AbortRollout(_ context.Context, id string) (RolloutStatus, error) {
-	return rec[RolloutStatus](s, "AbortRollout", id)
-}
-func (s *recSvc) ListRollouts(_ context.Context, page Page) (RolloutList, error) {
-	return rec[RolloutList](s, "ListRollouts", page)
+func (s *recSvc) AbortRollout(_ context.Context, id string) (Operation, error) {
+	return rec[Operation](s, "AbortRollout", id)
 }
 func (s *recSvc) Status(_ context.Context, vehicle core.VehicleID, app core.AppName) (OpStatus, error) {
 	return rec[OpStatus](s, "Status", statusArgs{vehicle, app})
@@ -122,8 +119,9 @@ type wireCase struct {
 
 var (
 	wireOp      = Operation{ID: "op-00000007", Kind: OpDeploy, User: "alice", Vehicle: "VIN 1/a", App: "A", State: StateRunning, Total: 2, Acked: 1}
-	wireRollout = RolloutStatus{ID: "ro-1", User: "alice", From: "A", To: "B", State: RolloutRunning,
-		Vehicles: []core.VehicleID{"V1", "V2"}, Waves: []RolloutWaveStatus{{Targets: 1, Started: true}, {Targets: 1}}}
+	wireRollout = Operation{ID: "op-00000009", Kind: OpRollout, User: "alice", App: "A", ToApp: "B", State: StateRunning,
+		Vehicles: []core.VehicleID{"V1", "V2"}, Children: []string{"op-00000010"},
+		Rollout: &RolloutProgress{Waves: []RolloutWaveStatus{{Targets: 1, Started: true, BatchOp: "op-00000010"}, {Targets: 1}}}}
 	wirePage = Page{Size: 2, Token: "a b"}
 	wireSel  = &FleetSelector{Owner: "alice", Model: "m1"}
 )
@@ -186,13 +184,8 @@ var wireCases = []wireCase{
 		func(ctx context.Context, c *Client, a any) (any, error) {
 			return c.StartRollout(ctx, a.(RolloutRequest))
 		}},
-	{"GetRollout", "GET", "/v1/rollouts/s1%2Fro-1", 200, "s1/ro-1", wireRollout,
-		func(ctx context.Context, c *Client, a any) (any, error) { return c.GetRollout(ctx, a.(string)) }},
-	{"AbortRollout", "POST", "/v1/rollouts/s1%2Fro-1:abort", 202, "s1/ro-1", wireRollout,
+	{"AbortRollout", "POST", "/v1/operations/s1%2Fop-00000009:abort", 202, "s1/op-00000009", wireRollout,
 		func(ctx context.Context, c *Client, a any) (any, error) { return c.AbortRollout(ctx, a.(string)) }},
-	{"ListRollouts", "GET", "/v1/rollouts?pageSize=2&pageToken=a+b", 200, wirePage,
-		RolloutList{Rollouts: []RolloutStatus{wireRollout}, NextPageToken: "ro-1"},
-		func(ctx context.Context, c *Client, a any) (any, error) { return c.ListRollouts(ctx, a.(Page)) }},
 	{"Status", "GET", "/v1/status?app=A%26b&vehicle=VIN+1", 200, statusArgs{"VIN 1", "A&b"},
 		OpStatus{App: "A&b", Total: 2, Acked: 1, Failures: []string{"OP: boom"}},
 		func(ctx context.Context, c *Client, a any) (any, error) {
@@ -260,6 +253,28 @@ func TestWireContract(t *testing.T) {
 	}
 }
 
+// wireEdges are the malformed and refused requests
+// TestWireErrorsAndEdges sends to failSvc, with the answer it expects.
+var wireEdges = []struct {
+	verb, path, body string
+	status           int
+	code             ErrorCode
+}{
+	{"POST", "/v1/deploy", `{"user":"alice","bogus":1}`, 400, CodeInvalidArgument}, // unknown field
+	{"POST", "/v1/deploy", `{`, 400, CodeInvalidArgument},                          // malformed
+	{"POST", "/v1/deploy", `{"user":"alice"}`, 409, CodeFailedPrecondition},        // service error mapping
+	{"GET", "/v1/nope", ``, 404, CodeNotFound},                                     // catch-all
+	{"DELETE", "/v1/users", ``, 404, CodeNotFound},                                 // wrong verb on a known path
+	{"GET", "/v1/status?vehicle=V1", ``, 400, CodeInvalidArgument},                 // missing query parameter
+	{"GET", "/v1/apps?pageSize=-1", ``, 400, CodeInvalidArgument},                  // bad page size
+	{"GET", "/v1/apps?pageSize=x", ``, 400, CodeInvalidArgument},
+	{"POST", "/v1/operations/op-1", ``, 400, CodeInvalidArgument},          // no custom verb
+	{"POST", "/v1/operations/op-1:pause", ``, 400, CodeInvalidArgument},    // unknown custom verb
+	{"POST", "/v1/operations/:abort", ``, 400, CodeInvalidArgument},        // empty id
+	{"POST", "/v1/operations/op-1:abort", ``, 409, CodeFailedPrecondition}, // the verb reaches the service
+	{"GET", "/v1/rollouts/op-1", ``, 404, CodeNotFound},                    // the wave view is gone
+}
+
 // TestWireErrorsAndEdges pins the non-success half of the contract:
 // the error envelope with its status mapping, strict decoding, the
 // catch-all, and the one custom verb.
@@ -275,24 +290,7 @@ func TestWireErrorsAndEdges(t *testing.T) {
 		t.Fatalf("typed error over the wire = %+v", e)
 	}
 
-	for _, tc := range []struct {
-		verb, path, body string
-		status           int
-		code             ErrorCode
-	}{
-		{"POST", "/v1/deploy", `{"user":"alice","bogus":1}`, 400, CodeInvalidArgument}, // unknown field
-		{"POST", "/v1/deploy", `{`, 400, CodeInvalidArgument},                          // malformed
-		{"POST", "/v1/deploy", `{"user":"alice"}`, 409, CodeFailedPrecondition},        // service error mapping
-		{"GET", "/v1/nope", ``, 404, CodeNotFound},                                     // catch-all
-		{"DELETE", "/v1/users", ``, 404, CodeNotFound},                                 // wrong verb on a known path
-		{"GET", "/v1/status?vehicle=V1", ``, 400, CodeInvalidArgument},                 // missing query parameter
-		{"GET", "/v1/apps?pageSize=-1", ``, 400, CodeInvalidArgument},                  // bad page size
-		{"GET", "/v1/apps?pageSize=x", ``, 400, CodeInvalidArgument},
-		{"POST", "/v1/rollouts/ro-1", ``, 400, CodeInvalidArgument},          // no custom verb
-		{"POST", "/v1/rollouts/ro-1:pause", ``, 400, CodeInvalidArgument},    // unknown custom verb
-		{"POST", "/v1/rollouts/:abort", ``, 400, CodeInvalidArgument},        // empty id
-		{"POST", "/v1/rollouts/ro-1:abort", ``, 409, CodeFailedPrecondition}, // the verb reaches the service
-	} {
+	for _, tc := range wireEdges {
 		req, err := http.NewRequest(tc.verb, srv.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
@@ -320,6 +318,33 @@ func (failSvc) Deploy(context.Context, DeployRequest) (Operation, error) {
 	return Operation{}, Errorf(CodeFailedPrecondition, "nope")
 }
 
-func (failSvc) AbortRollout(context.Context, string) (RolloutStatus, error) {
-	return RolloutStatus{}, Errorf(CodeFailedPrecondition, "nope")
+func (failSvc) AbortRollout(context.Context, string) (Operation, error) {
+	return Operation{}, Errorf(CodeFailedPrecondition, "nope")
+}
+
+// trailingBodies are CreateUser bodies with bytes after the one JSON
+// value a request carries.
+var trailingBodies = []string{`{"id":"alice"}{"id":"bob"}`, `{"id":"alice"} garbage`, `{"id":"alice"}]`}
+
+// TestWireRejectsTrailingBody: a body is exactly one JSON value. Bytes
+// after it are invalid_argument and reach no service method; trailing
+// whitespace is allowed.
+func TestWireRejectsTrailingBody(t *testing.T) {
+	svc := &recSvc{}
+	h := NewHandler(svc, &HandlerOptions{})
+	post := func(body string) *httptest.ResponseRecorder {
+		*svc = recSvc{out: User{ID: "alice"}}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/users", strings.NewReader(body)))
+		return rr
+	}
+	for _, body := range trailingBodies {
+		rr := post(body)
+		if code := CodeOf(decodeError(rr.Result())); code != CodeInvalidArgument || svc.method != "" {
+			t.Errorf("POST /v1/users %q = %d %s, reached %q; want invalid_argument and no call", body, rr.Code, code, svc.method)
+		}
+	}
+	if rr := post("{\"id\":\"alice\"}\n\t "); rr.Code != http.StatusCreated || svc.method != "CreateUser" {
+		t.Errorf("body with trailing whitespace = %d, reached %q; want 201 from CreateUser", rr.Code, svc.method)
+	}
 }

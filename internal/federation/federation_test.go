@@ -475,29 +475,33 @@ func TestRouterListsQualifiedIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		st, err = r.GetRollout(ctx, st.ID)
+		st, err = r.GetOperation(ctx, st.ID)
 		return err == nil && st.Done
 	})
-	seen := []api.RolloutStatus{st}
+	seen := []api.Operation{st}
 	for page := (api.Page{}); ; {
-		l, err := r.ListRollouts(ctx, page)
+		l, err := r.ListOperations(ctx, page)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen = append(seen, l.Rollouts...)
+		for _, op := range l.Operations {
+			if op.Kind == api.OpRollout {
+				seen = append(seen, op)
+			}
+		}
 		if l.NextPageToken == "" {
 			break
 		}
 		page.Token = l.NextPageToken
 	}
 	if len(seen) != 2 {
-		t.Fatalf("ListRollouts listed %d rollouts, want the one", len(seen)-1)
+		t.Fatalf("ListOperations listed %d rollouts, want the one", len(seen)-1)
 	}
 	for _, ro := range seen {
-		if ro.ID != st.ID || len(ro.Waves) == 0 {
+		if ro.ID != st.ID || ro.Rollout == nil || len(ro.Rollout.Waves) == 0 {
 			t.Fatalf("rollout %+v, want %s with waves", ro, st.ID)
 		}
-		batch := ro.Waves[0].BatchOp
+		batch := ro.Rollout.Waves[0].BatchOp
 		if !qualified(batch) {
 			t.Fatalf("wave batch id %q carries no shard prefix", batch)
 		}
@@ -516,9 +520,9 @@ type rolloutReplica struct {
 	err   error
 }
 
-func (f *rolloutReplica) StartRollout(context.Context, api.RolloutRequest) (api.RolloutStatus, error) {
+func (f *rolloutReplica) StartRollout(context.Context, api.RolloutRequest) (api.Operation, error) {
 	f.calls++
-	return api.RolloutStatus{}, f.err
+	return api.Operation{}, f.err
 }
 
 // TestRouterKeylessCreateNotRotated: a rollout has no idempotency key,

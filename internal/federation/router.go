@@ -317,22 +317,16 @@ func qualify(shard string, out any) any {
 		for i, c := range v.Children {
 			v.Children[i] = q(c)
 		}
-		return v
-	case api.RolloutStatus:
-		v.ID = q(v.ID)
-		for i := range v.Waves {
-			w := &v.Waves[i]
-			w.BatchOp, w.RollbackOp = q(w.BatchOp), q(w.RollbackOp)
+		if v.Rollout != nil {
+			for i := range v.Rollout.Waves {
+				w := &v.Rollout.Waves[i]
+				w.BatchOp, w.RollbackOp = q(w.BatchOp), q(w.RollbackOp)
+			}
 		}
 		return v
 	case api.OperationList:
 		for i, op := range v.Operations {
 			v.Operations[i] = qualify(shard, op).(api.Operation)
-		}
-		return v
-	case api.RolloutList:
-		for i, ro := range v.Rollouts {
-			v.Rollouts[i] = qualify(shard, ro).(api.RolloutStatus)
 		}
 		return v
 	}
@@ -602,10 +596,6 @@ func (r *Router) ListOperations(ctx context.Context, page api.Page) (api.Operati
 		return api.OperationList{Operations: items}, nil
 	}
 	return listAcrossShards(ctx, r, "ListOperations", page, func(l *api.OperationList) *string { return &l.NextPageToken })
-}
-
-func (r *Router) ListRollouts(ctx context.Context, page api.Page) (api.RolloutList, error) {
-	return listAcrossShards(ctx, r, "ListRollouts", page, func(l *api.RolloutList) *string { return &l.NextPageToken })
 }
 
 // ---- aggregated monitoring ----

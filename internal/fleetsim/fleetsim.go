@@ -261,7 +261,7 @@ func (f *Fleet) launchOn(idx int, w WorkItem, targets []core.VehicleID) {
 		op, err := cl.BatchUninstall(ctx, api.BatchUninstallRequest{User: fleetUser, Vehicles: targets, App: w.App})
 		f.finishLaunch(idx, w, op, err, "uninstall")
 	case WorkRollout:
-		st, err := cl.StartRollout(ctx, api.RolloutRequest{
+		op, err := cl.StartRollout(ctx, api.RolloutRequest{
 			User: fleetUser, Vehicles: targets,
 			From: w.App, To: w.ToApp,
 			Waves: w.Waves, Health: w.Health,
@@ -270,12 +270,12 @@ func (f *Fleet) launchOn(idx int, w WorkItem, targets []core.VehicleID) {
 			f.violationf("launch %s %s -> %s refused: %v", w.Kind, w.App, w.ToApp, err)
 			return
 		}
-		f.tracef("launch rollout %s -> %s over %d vehicles in %d waves", w.App, w.ToApp, len(st.Vehicles), len(st.Waves))
+		f.tracef("launch rollout %s -> %s over %d vehicles in %d waves", w.App, w.ToApp, len(op.Vehicles), len(op.Rollout.Waves))
 		f.logf("fleetsim: t=%s launched rollout %s -> %s (%s, %d vehicles, %d waves)",
-			f.vt(), w.App, w.ToApp, st.ID, len(st.Vehicles), len(st.Waves))
+			f.vt(), w.App, w.ToApp, op.ID, len(op.Vehicles), len(op.Rollout.Waves))
 		// A rollout is an operation: tracked like a batch parent, settled
-		// through its wave view (settleRollout).
-		f.track(api.Operation{ID: st.ID, App: st.From, ToApp: st.To, Vehicles: st.Vehicles}, "rollout", idx)
+		// with its waves (settleRollout).
+		f.track(op, "rollout", idx)
 	default:
 		f.violationf("unknown work kind %q", w.Kind)
 	}
@@ -388,20 +388,19 @@ func (f *Fleet) poll() {
 }
 
 // settleRollout records a terminal rollout: whole-rollout latency, the
-// promoted-wave tally and gate reason read once from its wave view, and
-// its children — every forward and rollback wave batch — harvested into
-// the audit's settled set.
+// promoted-wave tally and gate reason of the settled operation, and its
+// children — every forward and rollback wave batch — harvested into the
+// audit's settled set.
 func (f *Fleet) settleRollout(t *trackedOp, op api.Operation, now time.Time) {
 	f.m.settled++
 	f.m.rolloutsSettled++
 	f.m.rollout.record(now.Sub(t.launch))
-	st, _ := f.shards[t.shard].srv.Rollout(t.id)
 	reason := ""
-	if st.State == api.RolloutRolledBack {
+	if op.State == api.StateFailed {
 		f.m.rolloutsRolledBack++
-		reason = ": " + st.GateReason
+		reason = ": " + op.Rollout.GateReason
 	}
-	for _, ws := range st.Waves {
+	for _, ws := range op.Rollout.Waves {
 		if ws.Promoted {
 			f.m.wavesPromoted++
 		}
@@ -409,7 +408,7 @@ func (f *Fleet) settleRollout(t *trackedOp, op api.Operation, now time.Time) {
 	for _, id := range op.Children {
 		f.harvestRolloutOp(t, id)
 	}
-	f.logf("fleetsim: t=%s rollout %s settled %s%s", f.vt(), t.id, st.State, reason)
+	f.logf("fleetsim: t=%s rollout %s settled %s%s", f.vt(), t.id, op.State, reason)
 }
 
 // harvestRolloutOp pulls one wave's batch operation into the settled

@@ -438,8 +438,8 @@ func TestCloseStopsFleetRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		got, _ := s.Rollout(st.ID)
-		return got.State == api.RolloutRollingBack
+		got, _ := s.Operation(st.ID)
+		return got.State == api.StateRunning && got.Rollout.RollingBack
 	})
 	s.Close()
 	deadline := time.Now().Add(2 * time.Second)

@@ -78,8 +78,10 @@ func TestRolloutStartRefusedOnFullDisk(t *testing.T) {
 	if err == nil {
 		t.Fatal("rollout started without a durable rollout_started record")
 	}
-	if ids := s.RolloutIDs(); len(ids) != 0 {
-		t.Fatalf("failed rollout left registry entries: %v", ids)
+	for _, op := range s.Operations() {
+		if op.Kind == api.OpRollout {
+			t.Fatalf("failed rollout left a registry entry: %+v", op)
+		}
 	}
 	wantApp(t, s, fleet, "Counter-v1", "Counter-v2")
 }

@@ -41,9 +41,9 @@ func (w *walTap) durable() []byte {
 	return append([]byte(nil), w.buf...)
 }
 
-// recordTypes decodes a durable WAL prefix by recovering it as a data
-// directory of its own.
-func recordTypes(t *testing.T, walName string, wal []byte) []journal.Type {
+// walRecords decodes WAL bytes — a durable prefix, or one group
+// commit's chunk — by recovering them as a data directory of their own.
+func walRecords(t *testing.T, walName string, wal []byte) []journal.Record {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
@@ -55,10 +55,17 @@ func recordTypes(t *testing.T, walName string, wal []byte) []journal.Type {
 	}
 	j.Crash()
 	if rec.TornTail {
-		t.Fatal("durable prefix ends in a torn record")
+		t.Fatal("WAL bytes end in a torn record")
 	}
-	types := make([]journal.Type, 0, len(rec.Records))
-	for _, r := range rec.Records {
+	return rec.Records
+}
+
+// recordTypes decodes a durable WAL prefix into its record types.
+func recordTypes(t *testing.T, walName string, wal []byte) []journal.Type {
+	t.Helper()
+	recs := walRecords(t, walName, wal)
+	types := make([]journal.Type, 0, len(recs))
+	for _, r := range recs {
 		types = append(types, r.Type)
 	}
 	return types

@@ -38,8 +38,8 @@ type opRecord struct {
 	// finishes instead of when the last frame settles.
 	claims            []string
 	claimsEndAtLaunch bool
-	// ro is the wave state of a rollout operation (see rollout.go), nil
-	// for every other kind.
+	// ro is the wave loop state of a rollout (see rollout.go); nil for
+	// every other kind and for a settled one a state image restored.
 	ro *rolloutState
 }
 
@@ -377,6 +377,11 @@ func snapshotOpLocked(rec *opRecord) api.Operation {
 	op.Failures = append([]string(nil), rec.op.Failures...)
 	op.Vehicles = append([]core.VehicleID(nil), rec.op.Vehicles...)
 	op.Children = append([]string(nil), rec.op.Children...)
+	if p := rec.op.Rollout; p != nil {
+		cp := *p
+		cp.Waves = append([]api.RolloutWaveStatus(nil), p.Waves...)
+		op.Rollout = &cp
+	}
 	return op
 }
 

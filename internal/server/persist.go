@@ -186,9 +186,9 @@ func (s *Server) recoverFrom(rec *journal.Recovery) {
 		}
 		for _, ri := range img.Rollouts {
 			rec := newRolloutOp(ri.ID, ri.User, ri.FromApp, ri.ToApp, ri.Vehicles, ri.Bounds, ri.Health)
-			rec.ro.promote(ri.Promoted)
+			rec.promote(ri.Promoted)
 			if ri.RolledBack {
-				rec.ro.pivot(ri.Reason)
+				rec.pivot(ri.Reason)
 			}
 			rollouts[ri.ID] = rec
 		}
@@ -374,8 +374,8 @@ func (s *Server) resumeRollout(rec *opRecord) {
 	id, ro := rec.op.ID, rec.ro
 	switch {
 	case rec.op.Done:
-	case ro.state == api.RolloutRollingBack:
-		reason := ro.gateReason
+	case rec.op.Rollout.RollingBack:
+		reason := rec.op.Rollout.GateReason
 		s.rolloutResume = append(s.rolloutResume, func() {
 			s.rollbackRollout(id, reason, true)
 		})
@@ -514,13 +514,11 @@ func (s *Server) stateImage() *journal.StateImage {
 			next = max(next, seq+1)
 			switch rec := s.ops[id]; {
 			case rec == nil:
-			case rec.ro != nil:
+			case rec.ro != nil && !rec.op.Done:
 				// Open rollouts ride the image as their state machine, so
 				// compaction cannot lose one whose records predate the
-				// snapshot point. Terminal rollouts are history.
-				if !rec.op.Done {
-					img.Rollouts = append(img.Rollouts, rolloutImageLocked(rec))
-				}
+				// snapshot point. A terminal one is a settled operation.
+				img.Rollouts = append(img.Rollouts, rolloutImageLocked(rec))
 			case rec.op.Done:
 				img.SettledOps = append(img.SettledOps, snapshotOpLocked(rec))
 			default:
@@ -536,12 +534,12 @@ func (s *Server) stateImage() *journal.StateImage {
 // started record's plan plus how far the log says it got. Called with
 // Server.mu held.
 func rolloutImageLocked(rec *opRecord) journal.RolloutImage {
-	ro := rec.ro
+	ro, p := rec.ro, rec.op.Rollout
 	health := ro.health
 	return journal.RolloutImage{
 		ID: rec.op.ID, User: rec.op.User, FromApp: rec.op.App, ToApp: rec.op.ToApp,
 		Vehicles: append([]core.VehicleID(nil), rec.op.Vehicles...), Bounds: append([]int(nil), ro.bounds...),
-		Health: &health, Promoted: ro.promoted, RolledBack: ro.state == api.RolloutRollingBack, Reason: ro.gateReason,
+		Health: &health, Promoted: ro.promoted, RolledBack: p.RollingBack, Reason: p.GateReason,
 	}
 }
 

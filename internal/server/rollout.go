@@ -32,23 +32,19 @@ import (
 // A rollout is an operation of kind "rollout" in the one registry
 // (ops.go): its id comes from the operation sequence, its children are
 // the wave batches, and it is retained and settled like any other
-// operation. GET /v1/rollouts/{id} is the wave view of that record.
+// operation. Its Rollout field carries the wave progress.
 
-// rolloutState is the wave state of a rollout operation, hung off its
-// opRecord; guarded by Server.mu. The operation carries the rest: User,
-// App (From), ToApp (To), Vehicles in bucket order and the outcome.
+// rolloutState is what an open rollout's wave loop needs beyond its
+// operation, hung off the opRecord; guarded by Server.mu. The operation
+// carries the rest: identity, fleet in bucket order, waves and outcome.
 type rolloutState struct {
 	bounds []int // cumulative wave boundaries into the operation's Vehicles
 	health api.RolloutHealthPolicy
 	// abort is the operator's rollback request; the wave loop checks it
 	// at every wave boundary.
 	abort bool
-	// promoted counts waves whose wave_promoted record is durable.
-	promoted    int
-	state       api.RolloutState
-	waves       []api.RolloutWaveStatus
-	currentWave int
-	gateReason  string
+	// promoted counts waves whose wave_promoted record is journaled.
+	promoted int
 }
 
 // rolloutRetryDelay and rolloutRollbackAttempts pace the fleet-rollback
@@ -67,35 +63,35 @@ var defaultRolloutWaves = []api.RolloutWave{{Count: 1}, {Fraction: 0.10}, {Fract
 
 // StartRollout validates the request, buckets the fleet, registers the
 // rollout operation, journals the rollout_started record durably and
-// launches the wave loop in the background. The returned status
-// snapshot has every wave pending.
-func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error) {
+// launches the wave loop in the background. The returned operation has
+// every wave pending.
+func (s *Server) StartRollout(req api.RolloutRequest) (api.Operation, error) {
 	if err := s.checkApps(target{app: req.From, toApp: req.To}); err != nil {
-		return api.RolloutStatus{}, err
+		return api.Operation{}, err
 	}
 	fleet, err := s.resolveFleet(req.User, req.Vehicles, req.Selector)
 	if err != nil {
-		return api.RolloutStatus{}, err
+		return api.Operation{}, err
 	}
 	ordered := bucketFleet(fleet)
 	bounds, err := resolveWaveBounds(req.Waves, len(ordered))
 	if err != nil {
-		return api.RolloutStatus{}, err
+		return api.Operation{}, err
 	}
 	if h := req.Health; h != nil {
 		if h.MaxFailureRate < 0 || h.MaxFailureRate >= 1 {
-			return api.RolloutStatus{}, api.Errorf(api.CodeInvalidArgument,
+			return api.Operation{}, api.Errorf(api.CodeInvalidArgument,
 				"server: rollout health maxFailureRate %v outside [0, 1)", h.MaxFailureRate)
 		}
 		if h.MaxProbeFailures < 0 || h.MaxAckP99Millis < 0 {
-			return api.RolloutStatus{}, api.Errorf(api.CodeInvalidArgument,
+			return api.Operation{}, api.Errorf(api.CodeInvalidArgument,
 				"server: rollout health bounds must not be negative")
 		}
 	}
 	// Fleet-level abortability: every wave prefix must be rollback-able
 	// before the first package moves.
 	if err := s.verifyRolloutWaves(ordered, bounds, req.From, req.To); err != nil {
-		return api.RolloutStatus{}, err
+		return api.Operation{}, err
 	}
 
 	s.mu.Lock()
@@ -106,6 +102,7 @@ func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error)
 	s.opOrder = append(s.opOrder, id)
 	s.noteOpCreatedLocked(1)
 	s.pruneOpsLocked()
+	started := snapshotOpLocked(rec)
 	s.mu.Unlock()
 
 	// Write-ahead gate: the rollout exists durably before its first wave
@@ -114,54 +111,18 @@ func (s *Server) StartRollout(req api.RolloutRequest) (api.RolloutStatus, error)
 	// one whose record cannot commit never existed, so it leaves again.
 	if err := waitDurable(s.store.jn.Append(journal.RolloutStartedRec(id, req.User, req.From, req.To, ordered, bounds, req.Health))); err != nil {
 		s.mu.Lock()
-		s.settleRolloutLocked(rec, api.RolloutRolledBack, api.AsError(err))
+		s.settleRolloutLocked(rec, api.AsError(err))
 		delete(s.ops, id)
 		s.opOrder = slices.DeleteFunc(s.opOrder, func(o string) bool { return o == id })
 		s.mu.Unlock()
-		return api.RolloutStatus{}, err
+		return api.Operation{}, err
 	}
 	s.background(func() { s.runRollout(id, 0) })
-	return s.GetRollout(id)
+	return started, nil
 }
 
-// GetRollout returns the wave view of one rollout operation.
-func (s *Server) GetRollout(id string) (api.RolloutStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := s.rolloutLocked(id)
-	if rec == nil {
-		return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "server: unknown rollout %q", id)
-	}
-	ro := rec.ro
-	return api.RolloutStatus{
-		ID: rec.op.ID, User: rec.op.User, From: rec.op.App, To: rec.op.ToApp, State: ro.state,
-		Vehicles: append([]core.VehicleID(nil), rec.op.Vehicles...), Waves: append([]api.RolloutWaveStatus(nil), ro.waves...),
-		CurrentWave: ro.currentWave, GateReason: ro.gateReason, Error: rec.op.Error, Done: rec.op.Done,
-	}, nil
-}
-
-// Rollout returns the wave view of one rollout operation by id.
-func (s *Server) Rollout(id string) (api.RolloutStatus, bool) {
-	st, err := s.GetRollout(id)
-	return st, err == nil
-}
-
-// RolloutIDs returns the ids of every live rollout operation, oldest
-// first.
-func (s *Server) RolloutIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var ids []string
-	for _, id := range s.opOrder {
-		if s.rolloutLocked(id) != nil {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
-// rolloutLocked returns the rollout operation id names, nil when id
-// names none. Called with Server.mu held.
+// rolloutLocked returns the rollout operation id names with its wave
+// loop state, nil when id names none. Called with Server.mu held.
 func (s *Server) rolloutLocked(id string) *opRecord {
 	if rec := s.ops[id]; rec != nil && rec.ro != nil {
 		return rec
@@ -173,23 +134,25 @@ func (s *Server) rolloutLocked(id string) *opRecord {
 // request is acknowledged immediately; the wave loop acts on it at the
 // next wave boundary (an executing wave always drains first, so the
 // rollback targets a known set of upgraded vehicles).
-func (s *Server) AbortRollout(id string) (api.RolloutStatus, error) {
+func (s *Server) AbortRollout(id string) (api.Operation, error) {
 	s.mu.Lock()
-	rec := s.rolloutLocked(id)
-	if rec == nil {
+	// Kind names a rollout, not rec.ro: one recovered settled from a
+	// state image has no wave loop state (only an open one needs it).
+	rec := s.ops[id]
+	if rec == nil || rec.op.Kind != api.OpRollout {
 		s.mu.Unlock()
-		return api.RolloutStatus{}, api.Errorf(api.CodeNotFound, "server: unknown rollout %q", id)
+		return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown rollout %q", id)
 	}
 	if rec.op.Done {
-		st := rec.ro.state
 		s.mu.Unlock()
-		return api.RolloutStatus{}, api.Errorf(api.CodeFailedPrecondition,
-			"server: rollout %s is already terminal (%s)", id, st)
+		return api.Operation{}, api.Errorf(api.CodeFailedPrecondition,
+			"server: rollout %s is already terminal (%s)", id, rec.op.State)
 	}
 	rec.ro.abort = true
+	op := snapshotOpLocked(rec)
 	s.mu.Unlock()
 	s.logf("server: rollout %s: operator abort requested", id)
-	return s.GetRollout(id)
+	return op, nil
 }
 
 // newRolloutOp builds a running rollout operation with every wave
@@ -203,8 +166,9 @@ func newRolloutOp(id string, user core.UserID, from, to core.AppName, vehicles [
 			State: api.StateRunning, Vehicles: vehicles,
 		},
 		launched: true,
-		ro:       &rolloutState{bounds: bounds, state: api.RolloutRunning, waves: waveStatuses(bounds)},
+		ro:       &rolloutState{bounds: bounds},
 	}
+	rec.op.Rollout = &api.RolloutProgress{Waves: waveStatuses(bounds)}
 	if health != nil {
 		rec.ro.health = *health
 	}
@@ -212,42 +176,44 @@ func newRolloutOp(id string, user core.UserID, from, to core.AppName, vehicles [
 }
 
 // promote marks the first n waves started and promoted and moves the
-// current wave past them: the state change of a durable wave_promoted
-// record carrying n.
-func (ro *rolloutState) promote(n int) {
-	for ; ro.promoted < min(n, len(ro.waves)); ro.promoted++ {
-		ro.waves[ro.promoted].Started = true
-		ro.waves[ro.promoted].Promoted = true
+// current wave past them: the state change of a wave_promoted record
+// carrying n.
+func (rec *opRecord) promote(n int) {
+	ro, p := rec.ro, rec.op.Rollout
+	for ; ro.promoted < min(n, len(p.Waves)); ro.promoted++ {
+		p.Waves[ro.promoted].Started = true
+		p.Waves[ro.promoted].Promoted = true
 	}
-	ro.currentWave = ro.promoted
+	p.CurrentWave = ro.promoted
 }
 
 // pivot turns the rollout around, keeping the first reason given: the
 // state change of a rollout_rolled_back record.
-func (ro *rolloutState) pivot(reason string) {
-	ro.state = api.RolloutRollingBack
-	if ro.gateReason == "" {
-		ro.gateReason = reason
+func (rec *opRecord) pivot(reason string) {
+	p := rec.op.Rollout
+	p.RollingBack = true
+	if p.GateReason == "" {
+		p.GateReason = reason
 	}
 }
 
 // replayRollout applies one journaled transition of the rollout's state
 // machine with the state change the wave loop made when it wrote it.
 func (rec *opRecord) replayRollout(r journal.Record) {
-	ro, c := rec.ro, r.Rollout
+	c := r.Rollout
 	switch r.Type {
 	case journal.TypeWavePromoted:
-		ro.promote(c.Wave)
+		rec.promote(c.Wave)
 	case journal.TypeRolloutRolledBack:
-		ro.pivot(c.Reason)
+		rec.pivot(c.Reason)
 	case journal.TypeRolloutDone:
 		if c.Final == "rolled_back" {
-			rec.closeRollout(api.RolloutRolledBack, rolledBackErr(rec.op.ID, ro.gateReason))
+			rec.closeRollout(rolledBackErr(rec.op.ID, rec.op.Rollout.GateReason))
 			return
 		}
 		// Only a rollout past its last wave succeeds.
-		ro.promote(len(ro.waves))
-		rec.closeRollout(api.RolloutSucceeded, nil)
+		rec.promote(len(rec.op.Rollout.Waves))
+		rec.closeRollout(nil)
 	}
 }
 
@@ -266,8 +232,7 @@ func rolledBackErr(id, reason string) *api.Error {
 // closeRollout moves a rollout to its terminal state: succeeded, or
 // failed with err (rollout_unhealthy / rollout_aborted) once the fleet
 // is rolled back.
-func (rec *opRecord) closeRollout(state api.RolloutState, err *api.Error) {
-	rec.ro.state = state
+func (rec *opRecord) closeRollout(err *api.Error) {
 	rec.op.State, rec.op.Error, rec.op.Done = api.StateSucceeded, err, true
 	if err != nil {
 		rec.op.State = api.StateFailed
@@ -276,8 +241,8 @@ func (rec *opRecord) closeRollout(state api.RolloutState, err *api.Error) {
 
 // settleRolloutLocked closes a rollout through the registry's settle
 // path; only the state machine calls it. Called with Server.mu held.
-func (s *Server) settleRolloutLocked(rec *opRecord, state api.RolloutState, err *api.Error) {
-	rec.closeRollout(state, err)
+func (s *Server) settleRolloutLocked(rec *opRecord, err *api.Error) {
+	rec.closeRollout(err)
 	s.noteOpSettledLocked(rec)
 	// The wave batches and their children just became evictable.
 	s.opPruneDefer = 0
@@ -437,7 +402,7 @@ func (s *Server) runRollout(id string, startWave int) {
 		}
 		targets := ordered[prev:bounds[wave]]
 		s.mu.Lock()
-		rec.ro.currentWave = wave
+		rec.op.Rollout.CurrentWave = wave
 		s.mu.Unlock()
 
 		ws := s.runRolloutWave(id, wave, user, from, to, targets)
@@ -460,27 +425,31 @@ func (s *Server) runRollout(id string, startWave int) {
 		// Promote: the boundary is only real once it is on disk — a
 		// crash after this record resumes at wave+1, a crash before it
 		// re-evaluates (and, with partial upgrades committed, rolls
-		// back). A journal failure means no boundary can be promised, so
+		// back). The promotion and its record are made under one hold,
+		// as every mutation is (see stateImage), and the wait is outside
+		// it. A journal failure means no boundary can be promised, so
 		// the fleet goes back to the known-good version.
-		if err := waitDurable(s.store.jn.Append(journal.WavePromotedRec(id, wave+1))); err != nil {
+		s.mu.Lock()
+		rec.promote(wave + 1)
+		promoted := s.store.jn.Append(journal.WavePromotedRec(id, wave+1))
+		s.mu.Unlock()
+		if err := waitDurable(promoted); err != nil {
 			s.rollbackRollout(id, fmt.Sprintf("journal failure at wave %d promotion: %v", wave+1, err), false)
 			return
 		}
-		s.mu.Lock()
-		rec.ro.promote(wave + 1)
-		s.mu.Unlock()
 		s.logf("server: rollout %s: wave %d/%d promoted (%d vehicles)", id, wave+1, len(bounds), len(targets))
 	}
 	if s.rolloutAborted(id) {
 		s.rollbackRollout(id, "operator abort", false)
 		return
 	}
-	if err := waitDurable(s.store.jn.Append(journal.RolloutDoneRec(id, "succeeded"))); err != nil {
+	s.mu.Lock()
+	s.settleRolloutLocked(rec, nil)
+	done := s.store.jn.Append(journal.RolloutDoneRec(id, "succeeded"))
+	s.mu.Unlock()
+	if err := waitDurable(done); err != nil {
 		s.logf("server: rollout %s: journaling completion: %v", id, err)
 	}
-	s.mu.Lock()
-	s.settleRolloutLocked(rec, api.RolloutSucceeded, nil)
-	s.mu.Unlock()
 	s.logf("server: rollout %s: succeeded (%d vehicles on %s)", id, len(ordered), to)
 }
 
@@ -492,8 +461,8 @@ func (s *Server) runRolloutWave(id string, wave int, user core.UserID, from, to 
 	parentID, children := s.newBatchUnder(id, api.OpBatchUpgrade, api.OpUpgrade, user, from, to, targets, "")
 	s.mu.Lock()
 	if rec := s.rolloutLocked(id); rec != nil {
-		rec.ro.waves[wave].Started = true
-		rec.ro.waves[wave].BatchOp = parentID
+		rec.op.Rollout.Waves[wave].Started = true
+		rec.op.Rollout.Waves[wave].BatchOp = parentID
 	}
 	s.mu.Unlock()
 
@@ -528,8 +497,8 @@ func (s *Server) runRolloutWave(id string, wave int, user core.UserID, from, to 
 	}
 	s.mu.Lock()
 	if rec := s.rolloutLocked(id); rec != nil {
-		ws.Promoted = rec.ro.waves[wave].Promoted
-		rec.ro.waves[wave] = ws
+		ws.Promoted = rec.op.Rollout.Waves[wave].Promoted
+		rec.op.Rollout.Waves[wave] = ws
 	}
 	s.mu.Unlock()
 	return ws
@@ -595,19 +564,21 @@ func (s *Server) rollbackRollout(id, reason string, resumed bool) {
 		s.mu.Unlock()
 		return
 	}
-	rec.ro.pivot(reason)
+	rec.pivot(reason)
 	user, from, to := rec.op.User, rec.op.App, rec.op.ToApp
 	ordered := append([]core.VehicleID(nil), rec.op.Vehicles...)
 	bounds := append([]int(nil), rec.ro.bounds...)
+	var pivoted journal.Ticket // a zero ticket on resume: nothing to wait for
+	if !resumed {
+		pivoted = s.store.jn.Append(journal.RolloutRolledBackRec(id, reason))
+	}
 	s.mu.Unlock()
 
-	if !resumed {
-		if err := waitDurable(s.store.jn.Append(journal.RolloutRolledBackRec(id, reason))); err != nil {
-			// Durability is gone, but the downgrade is still the right
-			// action; recovery will re-derive the partial state from the
-			// store's rows.
-			s.logf("server: rollout %s: journaling rollback pivot: %v", id, err)
-		}
+	if err := waitDurable(pivoted); err != nil {
+		// Durability is gone, but the downgrade is still the right
+		// action; recovery will re-derive the partial state from the
+		// store's rows.
+		s.logf("server: rollout %s: journaling rollback pivot: %v", id, err)
 	}
 	s.logf("server: rollout %s: rolling back fleet to %s: %s", id, from, reason)
 
@@ -627,20 +598,21 @@ func (s *Server) rollbackRollout(id, reason string, resumed bool) {
 		}
 		parentID, children := s.newBatchUnder(id, api.OpBatchUpgrade, api.OpUpgrade, user, to, from, targets, "")
 		s.mu.Lock()
-		rec.ro.waves[wave].RollbackOp = parentID
-		rec.ro.currentWave = wave
+		rec.op.Rollout.Waves[wave].RollbackOp = parentID
+		rec.op.Rollout.CurrentWave = wave
 		s.mu.Unlock()
 		s.runChildren(upgradeKind, target{user: user, app: to, toApp: from}, parentID, children, handedOff(s.downgradeWithRetry))
 		if s.pushCtx.Err() != nil {
 			return
 		}
 	}
-	if err := waitDurable(s.store.jn.Append(journal.RolloutDoneRec(id, "rolled_back"))); err != nil {
+	s.mu.Lock()
+	s.settleRolloutLocked(rec, rolledBackErr(id, reason))
+	done := s.store.jn.Append(journal.RolloutDoneRec(id, "rolled_back"))
+	s.mu.Unlock()
+	if err := waitDurable(done); err != nil {
 		s.logf("server: rollout %s: journaling rollback completion: %v", id, err)
 	}
-	s.mu.Lock()
-	s.settleRolloutLocked(rec, api.RolloutRolledBack, rolledBackErr(id, reason))
-	s.mu.Unlock()
 	s.logf("server: rollout %s: fleet rolled back to %s", id, from)
 }
 

@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,50 +17,48 @@ import (
 )
 
 // A rollout is an operation: one registry, one id space, one retention
-// rule. These tests pin the operation view of a rollout against its
-// wave view, the retention of its wave batches, the id space across a
-// restart, and recovery of data directories whose rollouts still carry
-// the "ro-" ids an older server minted.
+// rule, one resource that carries its waves. These tests pin the
+// operation a rollout is, the retention of its wave batches, the id
+// space across a restart, the rollout across compaction, the order of
+// its records and its state changes, and recovery of data directories
+// whose rollouts still carry the "ro-" ids an older server minted.
 
-// checkRolloutViews fetches both views of a rollout and fails unless
-// they agree on every field they share.
-func checkRolloutViews(t *testing.T, s *Server, id string) (api.Operation, api.RolloutStatus) {
+// rolloutOp fetches a rollout operation and fails unless it is one,
+// with its wave progress.
+func rolloutOp(t *testing.T, s *Server, id string) api.Operation {
 	t.Helper()
 	op, ok := s.Operation(id)
-	st, err := s.GetRollout(id)
-	if !ok || err != nil {
-		t.Fatalf("rollout %s: operation found=%v, wave view %v", id, ok, err)
+	if !ok || op.Kind != api.OpRollout || op.Rollout == nil {
+		t.Fatalf("rollout %s = %+v (found %v), want a rollout operation with its waves", id, op, ok)
 	}
-	state := map[api.RolloutState]api.OperationState{
-		api.RolloutRunning:     api.StateRunning,
-		api.RolloutRollingBack: api.StateRunning,
-		api.RolloutSucceeded:   api.StateSucceeded,
-		api.RolloutRolledBack:  api.StateFailed,
-	}[st.State]
-	if op.Kind != api.OpRollout || op.ID != st.ID || op.User != st.User || op.App != st.From ||
-		op.ToApp != st.To || op.State != state || op.Done != st.Done ||
-		!slices.Equal(op.Vehicles, st.Vehicles) || !reflect.DeepEqual(op.Error, st.Error) {
-		t.Fatalf("operation view %+v disagrees with wave view %+v", op, st)
-	}
-	return op, st
+	return op
 }
 
 // waveBatches lists a rollout's wave batches in launch order: the
 // forward batch of every started wave, then the rollback batches in
 // reverse wave order.
-func waveBatches(st api.RolloutStatus) []string {
+func waveBatches(op api.Operation) []string {
 	var ids []string
-	for _, w := range st.Waves {
+	waves := op.Rollout.Waves
+	for _, w := range waves {
 		if w.BatchOp != "" {
 			ids = append(ids, w.BatchOp)
 		}
 	}
-	for i := len(st.Waves) - 1; i >= 0; i-- {
-		if id := st.Waves[i].RollbackOp; id != "" {
+	for i := len(waves) - 1; i >= 0; i-- {
+		if id := waves[i].RollbackOp; id != "" {
 			ids = append(ids, id)
 		}
 	}
 	return ids
+}
+
+// journaledView is a rollout operation without its waves and current
+// wave: the wave loop keeps most of those in memory only (what the log
+// does keep of them, TestRolloutReplayKeepsWaveLoopState pins).
+func journaledView(op api.Operation) api.Operation {
+	op.Rollout = &api.RolloutProgress{GateReason: op.Rollout.GateReason, RollingBack: op.Rollout.RollingBack}
+	return op
 }
 
 // TestRolloutKeepsWaveBatches: with a registry retention far below the
@@ -88,10 +89,10 @@ func TestRolloutKeepsWaveBatches(t *testing.T) {
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	final, err := waitRollout(wctx, c, st.ID)
-	if err != nil || final.State != api.RolloutSucceeded {
+	if err != nil || final.State != api.StateSucceeded {
 		t.Fatalf("rollout = %+v, %v", final, err)
 	}
-	for i, w := range final.Waves {
+	for i, w := range final.Rollout.Waves {
 		batch, ok := s.Operation(w.BatchOp)
 		if !ok {
 			t.Errorf("wave %d batch %s evicted before its rollout settled", i+1, w.BatchOp)
@@ -107,9 +108,9 @@ func TestRolloutKeepsWaveBatches(t *testing.T) {
 
 // TestRolloutOperationView: GET /v1/operations/{id} answers for a
 // rollout — kind rollout, the fleet in bucket order, the wave batches as
-// Children — and agrees with the wave view while it runs, once it
-// settled (succeeded, or failed with the rollout_* code) and after a
-// crash and reopen. Statz counts it like any other operation.
+// Children and in its waves — while it runs, once it settled (succeeded,
+// or failed with the rollout_* code) and, as far as the log keeps it,
+// after a crash and reopen. Statz counts it like any other operation.
 func TestRolloutOperationView(t *testing.T) {
 	restoreDelay := rolloutRetryDelay
 	rolloutRetryDelay = 10 * time.Millisecond
@@ -118,12 +119,12 @@ func TestRolloutOperationView(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
 		nackCanary, abort bool
-		state             api.RolloutState
+		state             api.OperationState
 		code              api.ErrorCode
 	}{
-		{"succeeded", false, false, api.RolloutSucceeded, ""},
-		{"unhealthy", true, false, api.RolloutRolledBack, api.CodeRolloutUnhealthy},
-		{"aborted", false, true, api.RolloutRolledBack, api.CodeRolloutAborted},
+		{"succeeded", false, false, api.StateSucceeded, ""},
+		{"unhealthy", true, false, api.StateFailed, api.CodeRolloutUnhealthy},
+		{"aborted", false, true, api.StateFailed, api.CodeRolloutAborted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fleet := bucketFleet([]core.VehicleID{"VIN-OV1", "VIN-OV2", "VIN-OV3"})
@@ -159,7 +160,7 @@ func TestRolloutOperationView(t *testing.T) {
 				t.Fatal(err)
 			}
 			<-seen
-			if op, _ := checkRolloutViews(t, s, st.ID); op.State != api.StateRunning || !slices.Equal(op.Vehicles, fleet) {
+			if op := rolloutOp(t, s, st.ID); op.State != api.StateRunning || !slices.Equal(op.Vehicles, fleet) {
 				t.Fatalf("started rollout operation = %+v, want running over %v", op, fleet)
 			}
 			if tc.abort {
@@ -170,9 +171,9 @@ func TestRolloutOperationView(t *testing.T) {
 			close(release)
 			waitRolloutDone(t, s, st.ID)
 
-			op, final := checkRolloutViews(t, s, st.ID)
-			if final.State != tc.state {
-				t.Fatalf("final = %+v, want %s", final, tc.state)
+			op := rolloutOp(t, s, st.ID)
+			if op.State != tc.state || op.Rollout.RollingBack != (tc.state == api.StateFailed) {
+				t.Fatalf("final = %+v, want %s", op, tc.state)
 			}
 			var code api.ErrorCode
 			if op.Error != nil {
@@ -181,8 +182,8 @@ func TestRolloutOperationView(t *testing.T) {
 			if code != tc.code {
 				t.Fatalf("operation error = %+v, want code %q", op.Error, tc.code)
 			}
-			if len(op.Children) == 0 || !slices.Equal(op.Children, waveBatches(final)) {
-				t.Fatalf("children = %v, want the wave batches %v", op.Children, waveBatches(final))
+			if len(op.Children) == 0 || !slices.Equal(op.Children, waveBatches(op)) {
+				t.Fatalf("children = %v, want the wave batches %v", op.Children, waveBatches(op))
 			}
 			sz := s.Statz()
 			var settled uint64
@@ -196,37 +197,162 @@ func TestRolloutOperationView(t *testing.T) {
 			barrier(t, s, "sentinel")
 			s.Journal().Crash()
 			b := reopenWithFleet(t, dir, fleet)
-			if got, _ := checkRolloutViews(t, b, st.ID); !reflect.DeepEqual(got, op) {
+			if got := rolloutOp(t, b, st.ID); !reflect.DeepEqual(journaledView(got), journaledView(op)) {
 				t.Fatalf("recovered rollout operation = %+v, want %+v", got, op)
 			}
 		})
 	}
 }
 
-// TestListRolloutsOverMixedRegistry: ListRollouts pages over exactly the
-// rollouts of a registry that interleaves them with batches (theirs and
-// plain ones), oldest first, at any page size.
-func TestListRolloutsOverMixedRegistry(t *testing.T) {
-	fleet := []core.VehicleID{"VIN-LR1", "VIN-LR2"}
-	s := newServerWithFleet(t, fleet)
-	uploadCounterPair(t, s)
+// TestRolloutSurvivesCompaction: a settled rollout is a settled
+// operation to a snapshot. After the snapshot, a crash and a reopen the
+// recovered rollout is the live one, waves included, its wave batches
+// still name it as their parent, and an abort is refused as for any
+// terminal rollout.
+func TestRolloutSurvivesCompaction(t *testing.T) {
+	fleet := []core.VehicleID{"VIN-SC1", "VIN-SC2"}
+	dir := t.TempDir()
+	a := openFleetServer(t, dir, fleet)
+	for _, id := range fleet {
+		connectScriptedVehicle(t, a, id, ackAll)
+	}
+	deployCounterFleet(t, a, newV1Client(t, a), fleet)
+	st, err := a.StartRollout(api.RolloutRequest{
+		User: "alice", Vehicles: fleet, From: "Counter-v1", To: "Counter-v2",
+		Waves: []api.RolloutWave{{Count: 1}, {Fraction: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRolloutDone(t, a, st.ID)
+	if err := a.Journal().Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	live, err := json.Marshal(rolloutOp(t, a, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Journal().Crash()
+
+	b := reopenWithFleet(t, dir, fleet)
+	got := rolloutOp(t, b, st.ID)
+	if raw, _ := json.Marshal(got); string(raw) != string(live) {
+		t.Fatalf("rollout after compaction and reopen:\n got %s\nwant %s", raw, live)
+	}
+	for _, cid := range waveBatches(got) {
+		if batch, ok := b.Operation(cid); !ok || batch.Parent != st.ID {
+			t.Errorf("wave batch %s = %+v (found %v), want a child of %s", cid, batch, ok, st.ID)
+		}
+	}
+	if _, err := b.AbortRollout(st.ID); api.CodeOf(err) != api.CodeFailedPrecondition {
+		t.Fatalf("abort of the recovered terminal rollout = %v, want failed_precondition", err)
+	}
+}
+
+// rolloutTap reads the journal's group commits as they are written and,
+// beside each, what the registry shows of every rollout at that instant.
+type rolloutTap struct {
+	s       *Server
+	mu      sync.Mutex
+	chunks  [][]byte
+	showing []map[string]api.Operation
+}
+
+func (tp *rolloutTap) Commit(_ uint64, _ int64, chunk []byte) func(error) {
+	seen := make(map[string]api.Operation)
+	for _, op := range tp.s.Operations() {
+		if op.Kind == api.OpRollout {
+			seen[op.ID] = op
+		}
+	}
+	tp.mu.Lock()
+	tp.chunks = append(tp.chunks, chunk)
+	tp.showing = append(tp.showing, seen)
+	tp.mu.Unlock()
+	return nil
+}
+
+func (*rolloutTap) Snapshotted(uint64, []byte) {}
+
+// TestRolloutRecordsFollowTheirStateChange: the wave loop makes each
+// state change before it appends the record of it, as every mutation
+// does. A group commit carrying wave_promoted n finds the rollout with n
+// waves promoted, and one carrying rollout_done finds it done: a
+// snapshot rotating between the two steps never images a state older
+// than the segment it retires.
+func TestRolloutRecordsFollowTheirStateChange(t *testing.T) {
+	fleet := []core.VehicleID{"VIN-TO1", "VIN-TO2"}
+	dir := t.TempDir()
+	s := openFleetServer(t, dir, fleet)
 	for _, id := range fleet {
 		connectScriptedVehicle(t, s, id, ackAll)
 	}
+	deployCounterFleet(t, s, newV1Client(t, s), fleet)
+	tap := &rolloutTap{s: s}
+	s.Journal().SetTap(tap)
+	st, err := s.StartRollout(api.RolloutRequest{
+		User: "alice", Vehicles: fleet, From: "Counter-v1", To: "Counter-v2",
+		Waves: []api.RolloutWave{{Count: 1}, {Fraction: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRolloutDone(t, s, st.ID)
+	barrier(t, s, "sentinel")
+	s.Journal().SetTap(nil)
+
+	walName := filepath.Base(findWAL(t, dir))
+	var records, promotedAt []int
+	done := 0
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	for i, chunk := range tap.chunks {
+		op := tap.showing[i][st.ID]
+		for _, r := range walRecords(t, walName, chunk) {
+			if r.Rollout == nil || r.Rollout.ID != st.ID {
+				continue
+			}
+			switch r.Type {
+			case journal.TypeWavePromoted:
+				n := 0
+				for _, w := range op.Rollout.Waves {
+					if w.Promoted {
+						n++
+					}
+				}
+				records, promotedAt = append(records, r.Rollout.Wave), append(promotedAt, n)
+			case journal.TypeRolloutDone:
+				done++
+				if !op.Done {
+					t.Errorf("the commit of rollout_done found the rollout open: %+v", op)
+				}
+			}
+		}
+	}
+	if !slices.Equal(records, []int{1, 2}) || !slices.Equal(promotedAt, records) || done != 1 {
+		t.Fatalf("wave_promoted commits %v found %v waves promoted, %d rollout_done commits; want [1 2] promoted at [1 2] and one done",
+			records, promotedAt, done)
+	}
+}
+
+// TestListOperationsOverMixedRegistry: ListOperations pages over a
+// registry that interleaves rollouts with batches (theirs and plain
+// ones) in creation order at any page size, and a rollout recovered
+// under the "ro-" id an older server minted pages first.
+func TestListOperationsOverMixedRegistry(t *testing.T) {
+	fleet := bucketFleet([]core.VehicleID{"VIN-LR1", "VIN-LR2"})
+	const legacy = "ro-00000001"
+	dir, _ := seedFleetDir(t, fleet, "VIN-LR-X")
+	appendRecords(t, dir, journal.RolloutStartedRec(legacy, "alice", "Counter-v1", "Counter-v2", fleet, []int{1, 2}, nil))
+	s := reopenWithFleet(t, dir, fleet)
+	if final := waitRolloutDone(t, s, legacy); final.State != api.StateSucceeded {
+		t.Fatalf("recovered rollout = %+v", final)
+	}
 	c := newV1Client(t, s)
 	ctx := context.Background()
-	deployCounterFleet(t, s, c, fleet)
 
-	var want []string
-	for i := 0; i < 3; i++ {
-		st, err := s.StartRollout(api.RolloutRequest{User: "alice", Vehicles: fleet, From: "Counter-v1", To: "Counter-v2"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final := waitRolloutDone(t, s, st.ID); final.State != api.RolloutSucceeded {
-			t.Fatalf("rollout %d = %+v", i+1, final)
-		}
-		want = append(want, st.ID)
+	want := []string{legacy}
+	for i := 0; i < 2; i++ {
 		op, err := c.BatchUpgrade(ctx, api.BatchUpgradeRequest{User: "alice", Vehicles: fleet, From: "Counter-v2", To: "Counter-v1"})
 		if err != nil {
 			t.Fatal(err)
@@ -234,24 +360,38 @@ func TestListRolloutsOverMixedRegistry(t *testing.T) {
 		if final, err := c.WaitOperation(ctx, op.ID, 0); err != nil || final.State != api.StateSucceeded {
 			t.Fatalf("batch back to Counter-v1 = %+v, %v", final, err)
 		}
+		st, err := s.StartRollout(api.RolloutRequest{User: "alice", Vehicles: fleet, From: "Counter-v1", To: "Counter-v2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitRolloutDone(t, s, st.ID); final.State != api.StateSucceeded {
+			t.Fatalf("rollout %d = %+v", i+1, final)
+		}
+		want = append(want, st.ID)
 	}
-	for _, size := range []int{1, 2} {
-		var got []string
+	for _, size := range []int{1, 2, 3} {
+		var all, rollouts []string
 		for page := (api.Page{Size: size}); ; {
-			list, err := c.ListRollouts(ctx, page)
+			list, err := c.ListOperations(ctx, page)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, st := range list.Rollouts {
-				got = append(got, st.ID)
+			for _, op := range list.Operations {
+				all = append(all, op.ID)
+				if op.Kind == api.OpRollout {
+					rollouts = append(rollouts, op.ID)
+				}
 			}
 			if list.NextPageToken == "" {
 				break
 			}
 			page.Token = list.NextPageToken
 		}
-		if !slices.Equal(got, want) {
-			t.Errorf("page size %d: listed %v, want %v", size, got, want)
+		if ids := s.OperationIDs(); !slices.Equal(all, ids) || all[0] != legacy {
+			t.Errorf("page size %d: listed %v, want the registry %v with %s first", size, all, ids, legacy)
+		}
+		if !slices.Equal(rollouts, want) {
+			t.Errorf("page size %d: listed rollouts %v, want %v", size, rollouts, want)
 		}
 	}
 }
@@ -324,7 +464,7 @@ func TestRecoveryRaisesOpSeqPastRollouts(t *testing.T) {
 	if op.ID == id {
 		t.Fatalf("the first operation after the restart took the open rollout's id %s", id)
 	}
-	if final := waitRolloutDone(t, b, id); final.State != api.RolloutSucceeded {
+	if final := waitRolloutDone(t, b, id); final.State != api.StateSucceeded {
 		t.Fatalf("resumed rollout = %+v", final)
 	}
 	wantApp(t, b, fleet, "Counter-v2", "Counter-v1")
@@ -344,15 +484,15 @@ func TestRolloutRecoveryReadsOlderDataDirectory(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		tail  []journal.Record
-		state api.RolloutState
+		state api.OperationState
 		// present/absent: the version every vehicle converges on; "" for
 		// a terminal rollout, which moves nothing.
 		present, absent core.AppName
 	}{
-		{"clean boundary resumes forward", nil, api.RolloutSucceeded, "Counter-v2", "Counter-v1"},
+		{"clean boundary resumes forward", nil, api.StateSucceeded, "Counter-v2", "Counter-v1"},
 		{"rolled back resumes the rollback", []journal.Record{journal.RolloutRolledBackRec(legacy, "operator abort")},
-			api.RolloutRolledBack, "Counter-v1", "Counter-v2"},
-		{"done is terminal", []journal.Record{journal.RolloutDoneRec(legacy, "succeeded")}, api.RolloutSucceeded, "", ""},
+			api.StateFailed, "Counter-v1", "Counter-v2"},
+		{"done is terminal", []journal.Record{journal.RolloutDoneRec(legacy, "succeeded")}, api.StateSucceeded, "", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fleet := bucketFleet([]core.VehicleID{"VIN-LG1", "VIN-LG2", "VIN-LG3"})
@@ -367,7 +507,7 @@ func TestRolloutRecoveryReadsOlderDataDirectory(t *testing.T) {
 			if final.State != tc.state {
 				t.Fatalf("recovered rollout = %+v, want %s", final, tc.state)
 			}
-			op, _ := checkRolloutViews(t, b, legacy)
+			op := rolloutOp(t, b, legacy)
 			for _, cid := range op.Children {
 				if opSeqOf(cid) == 0 {
 					t.Fatalf("resumed rollout minted the foreign id %s", cid)
@@ -384,9 +524,6 @@ func TestRolloutRecoveryReadsOlderDataDirectory(t *testing.T) {
 			b.Journal().Crash()
 			c := reopenWithFleet(t, dir, fleet)
 			for _, want := range before {
-				if want.Kind == api.OpRollout {
-					continue // terminal rollouts are history to a snapshot
-				}
 				if got, ok := c.Operation(want.ID); !ok || got.State != want.State {
 					t.Errorf("%s after snapshot and reopen = %+v (found %v), want %s", want.ID, got, ok, want.State)
 				}

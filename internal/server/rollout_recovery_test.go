@@ -57,11 +57,11 @@ func reopenWithFleet(t *testing.T, dir string, ids []core.VehicleID) *Server {
 
 // waitRolloutDone polls the in-process registry until the rollout
 // closes.
-func waitRolloutDone(t *testing.T, s *Server, id string) api.RolloutStatus {
+func waitRolloutDone(t *testing.T, s *Server, id string) api.Operation {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st, ok := s.Rollout(id)
+		st, ok := s.Operation(id)
 		if !ok {
 			t.Fatalf("rollout %s lost", id)
 		}
@@ -131,14 +131,15 @@ func TestRolloutRecoveryResumesCleanBoundary(t *testing.T) {
 
 	b := reopenWithFleet(t, dir, fleet)
 	final := waitRolloutDone(t, b, st.ID)
-	if final.State != api.RolloutSucceeded {
+	if final.State != api.StateSucceeded {
 		t.Fatalf("resumed rollout = %+v", final)
 	}
-	if !final.Waves[0].Promoted || !final.Waves[1].Promoted {
-		t.Fatalf("waves after resume = %+v", final.Waves)
+	waves := final.Rollout.Waves
+	if !waves[0].Promoted || !waves[1].Promoted {
+		t.Fatalf("waves after resume = %+v", waves)
 	}
 	// The re-run wave accounts exactly for its two targets (I2).
-	op, ok := b.Operation(final.Waves[1].BatchOp)
+	op, ok := b.Operation(waves[1].BatchOp)
 	if !ok || op.VehiclesSucceeded != 2 || op.VehiclesFailed != 0 {
 		t.Fatalf("resumed wave-2 batch op = %+v ok=%v", op, ok)
 	}
@@ -206,14 +207,14 @@ func TestRolloutRecoveryRollsBackDirtyWave(t *testing.T) {
 
 	b := reopenWithFleet(t, dir, fleet)
 	final := waitRolloutDone(t, b, st.ID)
-	if final.State != api.RolloutRolledBack {
+	if final.State != api.StateFailed {
 		t.Fatalf("recovered rollout = %+v", final)
 	}
 	if final.Error == nil || final.Error.Code != api.CodeRolloutUnhealthy {
 		t.Fatalf("error = %+v, want %s", final.Error, api.CodeRolloutUnhealthy)
 	}
-	if !strings.Contains(final.GateReason, "interrupted wave 2") {
-		t.Fatalf("gate reason = %q, want the interrupted-wave diagnosis", final.GateReason)
+	if r := final.Rollout.GateReason; !strings.Contains(r, "interrupted wave 2") {
+		t.Fatalf("gate reason = %q, want the interrupted-wave diagnosis", r)
 	}
 	wantApp(t, b, fleet, "Counter-v1", "Counter-v2")
 }
@@ -296,14 +297,14 @@ func TestRolloutRecoveryResumesRollback(t *testing.T) {
 
 	b := reopenWithFleet(t, dir, fleet)
 	final := waitRolloutDone(t, b, st.ID)
-	if final.State != api.RolloutRolledBack {
+	if final.State != api.StateFailed {
 		t.Fatalf("recovered rollout = %+v", final)
 	}
 	if final.Error == nil || final.Error.Code != api.CodeRolloutUnhealthy {
 		t.Fatalf("error = %+v, want %s", final.Error, api.CodeRolloutUnhealthy)
 	}
-	if !strings.Contains(final.GateReason, "probe") && !strings.Contains(final.GateReason, "failure rate") {
-		t.Fatalf("gate reason = %q, want the original trip preserved across the crash", final.GateReason)
+	if r := final.Rollout.GateReason; !strings.Contains(r, "probe") && !strings.Contains(r, "failure rate") {
+		t.Fatalf("gate reason = %q, want the original trip preserved across the crash", r)
 	}
 	// Zero vehicles on the new version after the crash-interrupted
 	// rollback finished.
@@ -332,18 +333,18 @@ func TestRolloutRecoveryTerminalStateSurvives(t *testing.T) {
 	}
 	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	if final, err := waitRollout(wctx, newV1Client(t, a), st.ID); err != nil || final.State != api.RolloutSucceeded {
+	if final, err := waitRollout(wctx, newV1Client(t, a), st.ID); err != nil || final.State != api.StateSucceeded {
 		t.Fatalf("rollout = %+v, %v", final, err)
 	}
 	barrier(t, a, "sentinel")
 	a.Journal().Crash()
 
 	b := reopenWithFleet(t, dir, fleet)
-	got, ok := b.Rollout(st.ID)
-	if !ok || got.State != api.RolloutSucceeded || !got.Done {
+	got, ok := b.Operation(st.ID)
+	if !ok || got.State != api.StateSucceeded || !got.Done {
 		t.Fatalf("terminal rollout after recovery = %+v ok=%v", got, ok)
 	}
-	for i, w := range got.Waves {
+	for i, w := range got.Rollout.Waves {
 		if !w.Promoted {
 			t.Fatalf("wave %d lost its promotion: %+v", i+1, w)
 		}
@@ -378,13 +379,15 @@ func TestRolloutCloseLeavesVerdictToRecovery(t *testing.T) {
 		// The second wave's vehicle nacks its upgrade (tripping the gate)
 		// or not; the frame that stalls until Close is upgrade number
 		// stallOn of vehicle stallVehicle (in wave order).
+		// rollingBack is whether Close finds the rollout rolling back.
 		nackSecond            bool
 		stallVehicle, stallOn int
-		closed, final         api.RolloutState
+		rollingBack           bool
+		final                 api.OperationState
 		present, absent       core.AppName
 	}{
-		{"mid-wave", false, 1, 1, api.RolloutRunning, api.RolloutSucceeded, "Counter-v2", "Counter-v1"},
-		{"mid-rollback", true, 0, 2, api.RolloutRollingBack, api.RolloutRolledBack, "Counter-v1", "Counter-v2"},
+		{"mid-wave", false, 1, 1, false, api.StateSucceeded, "Counter-v2", "Counter-v1"},
+		{"mid-rollback", true, 0, 2, true, api.StateFailed, "Counter-v1", "Counter-v2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fleet := bucketFleet([]core.VehicleID{"VIN-CL1", "VIN-CL2", "VIN-CL3"})
@@ -420,8 +423,8 @@ func TestRolloutCloseLeavesVerdictToRecovery(t *testing.T) {
 			if err := a.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := a.Rollout(st.ID); got.Done || got.State != tc.closed {
-				t.Fatalf("rollout after Close = %+v, want it open and %s", got, tc.closed)
+			if got, _ := a.Operation(st.ID); got.Done || got.State != api.StateRunning || got.Rollout.RollingBack != tc.rollingBack {
+				t.Fatalf("rollout after Close = %+v, want it open with rollingBack %v", got, tc.rollingBack)
 			}
 
 			b := reopenWithFleet(t, dir, fleet)
@@ -453,21 +456,20 @@ func TestRolloutReplayKeepsWaveLoopState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final := waitRolloutDone(t, a, st.ID); final.State != api.RolloutSucceeded {
+	if final := waitRolloutDone(t, a, st.ID); final.State != api.StateSucceeded {
 		t.Fatalf("rollout = %+v", final)
 	}
 	barrier(t, a, "sentinel")
 	machine := func(s *Server) string {
 		t.Helper()
 		op, ok := s.Operation(st.ID)
-		ro, _ := s.Rollout(st.ID)
 		if !ok {
 			t.Fatalf("rollout %s missing", st.ID)
 		}
-		for i, w := range ro.Waves {
-			ro.Waves[i] = api.RolloutWaveStatus{Targets: w.Targets, Started: w.Started, Promoted: w.Promoted}
+		for i, w := range op.Rollout.Waves {
+			op.Rollout.Waves[i] = api.RolloutWaveStatus{Targets: w.Targets, Started: w.Started, Promoted: w.Promoted}
 		}
-		raw, err := json.Marshal([]any{op, ro})
+		raw, err := json.Marshal(op)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,13 +74,10 @@ func wantApp(t *testing.T, s *Server, ids []core.VehicleID, present, absent core
 	}
 }
 
-// waitRollout waits on a rollout the way fescli does — as the operation
-// it is — and then reads its wave view once.
-func waitRollout(ctx context.Context, c *api.Client, id string) (api.RolloutStatus, error) {
-	if _, err := c.WaitOperation(ctx, id, 10*time.Millisecond); err != nil {
-		return api.RolloutStatus{}, err
-	}
-	return c.GetRollout(ctx, id)
+// waitRollout waits on a rollout the way fescli does: as the operation
+// it is.
+func waitRollout(ctx context.Context, c *api.Client, id string) (api.Operation, error) {
+	return c.WaitOperation(ctx, id, 10*time.Millisecond)
 }
 
 // TestRolloutHealthyPromotesAllWaves: a healthy fleet promotes through
@@ -104,7 +101,7 @@ func TestRolloutHealthyPromotesAllWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Vehicles) != 4 || len(st.Waves) != 3 {
+	if len(st.Vehicles) != 4 || st.Rollout == nil || len(st.Rollout.Waves) != 3 {
 		t.Fatalf("start snapshot = %+v", st)
 	}
 	// Deterministic bucketing: the status reports the hashed wave order.
@@ -121,11 +118,11 @@ func TestRolloutHealthyPromotesAllWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != api.RolloutSucceeded || !final.Done || final.Error != nil {
+	if final.State != api.StateSucceeded || !final.Done || final.Error != nil {
 		t.Fatalf("final = %+v", final)
 	}
 	wantTargets := []int{1, 1, 2}
-	for i, w := range final.Waves {
+	for i, w := range final.Rollout.Waves {
 		if !w.Promoted || w.Targets != wantTargets[i] || w.Succeeded != w.Targets || w.Failed != 0 {
 			t.Fatalf("wave %d = %+v, want %d healthy targets promoted", i+1, w, wantTargets[i])
 		}
@@ -184,20 +181,20 @@ func TestRolloutUnhealthyCanaryRollsBackFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != api.RolloutRolledBack || !final.Done {
+	if final.State != api.StateFailed || !final.Done {
 		t.Fatalf("final = %+v", final)
 	}
 	if final.Error == nil || final.Error.Code != api.CodeRolloutUnhealthy {
 		t.Fatalf("error = %+v, want %s", final.Error, api.CodeRolloutUnhealthy)
 	}
-	if !strings.Contains(final.GateReason, "probe") && !strings.Contains(final.GateReason, "failure rate") {
-		t.Fatalf("gate reason = %q", final.GateReason)
+	if r := final.Rollout.GateReason; !strings.Contains(r, "probe") && !strings.Contains(r, "failure rate") {
+		t.Fatalf("gate reason = %q", r)
 	}
-	w := final.Waves[0]
+	w := final.Rollout.Waves[0]
 	if w.Failed != 1 || w.ProbeFailures != 1 || w.Promoted {
 		t.Fatalf("wave 1 = %+v, want one probe failure and no promotion", w)
 	}
-	for i, w := range final.Waves[1:] {
+	for i, w := range final.Rollout.Waves[1:] {
 		if w.Started || w.BatchOp != "" {
 			t.Fatalf("wave %d = %+v ran despite the tripped canary gate", i+2, w)
 		}
@@ -272,14 +269,14 @@ func TestRolloutAbortRollsBackFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != api.RolloutRolledBack || !final.Done {
+	if final.State != api.StateFailed || !final.Done {
 		t.Fatalf("final = %+v", final)
 	}
 	if final.Error == nil || final.Error.Code != api.CodeRolloutAborted {
 		t.Fatalf("error = %+v, want %s", final.Error, api.CodeRolloutAborted)
 	}
-	if final.Waves[1].Started {
-		t.Fatalf("wave 2 = %+v ran despite the abort", final.Waves[1])
+	if w := final.Rollout.Waves[1]; w.Started {
+		t.Fatalf("wave 2 = %+v ran despite the abort", w)
 	}
 	wantApp(t, s, fleet, "Counter-v1", "Counter-v2")
 
@@ -315,7 +312,7 @@ func TestRolloutValidation(t *testing.T) {
 			t.Errorf("%s: code = %q (%v), want %q", tc.name, api.CodeOf(err), err, tc.code)
 		}
 	}
-	if _, err := s.GetRollout("ro-nope"); api.CodeOf(err) != api.CodeNotFound {
+	if _, err := NewService(s).GetOperation(context.Background(), "ro-nope"); api.CodeOf(err) != api.CodeNotFound {
 		t.Errorf("unknown rollout = %v", err)
 	}
 	if _, err := s.AbortRollout("ro-nope"); api.CodeOf(err) != api.CodeNotFound {

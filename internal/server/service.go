@@ -114,27 +114,12 @@ func (sv *Service) BatchUpgrade(_ context.Context, req api.BatchUpgradeRequest) 
 	return sv.s.BatchUpgrade(req)
 }
 
-func (sv *Service) StartRollout(_ context.Context, req api.RolloutRequest) (api.RolloutStatus, error) {
+func (sv *Service) StartRollout(_ context.Context, req api.RolloutRequest) (api.Operation, error) {
 	return sv.s.StartRollout(req)
 }
 
-func (sv *Service) GetRollout(_ context.Context, id string) (api.RolloutStatus, error) {
-	return sv.s.GetRollout(id)
-}
-
-func (sv *Service) AbortRollout(_ context.Context, id string) (api.RolloutStatus, error) {
+func (sv *Service) AbortRollout(_ context.Context, id string) (api.Operation, error) {
 	return sv.s.AbortRollout(id)
-}
-
-func (sv *Service) ListRollouts(_ context.Context, page api.Page) (api.RolloutList, error) {
-	ids, next := api.Paginate(sv.s.RolloutIDs(), page, pageKey)
-	items := make([]api.RolloutStatus, 0, len(ids))
-	for _, id := range ids {
-		if st, ok := sv.s.Rollout(id); ok {
-			items = append(items, st)
-		}
-	}
-	return api.RolloutList{Rollouts: items, NextPageToken: next}, nil
 }
 
 func (sv *Service) Verify(_ context.Context, req api.VerifyRequest) (api.VerifyReport, error) {
