@@ -158,7 +158,13 @@ func runFollower(httpAddr, pushAddr, dataDir, shard string, drainTimeout time.Du
 // serveHTTP runs the handler until SIGINT/SIGTERM or listener death,
 // then drains in-flight requests and calls shutdown.
 func serveHTTP(addr string, h http.Handler, drainTimeout time.Duration, shutdown func()) {
-	httpSrv := &http.Server{Addr: addr, Handler: h}
+	// Request contexts end when the drain begins, so an operation read
+	// held with ?wait= answers at once instead of holding the drain for
+	// up to api.MaxWait.
+	reqCtx, endRequests := context.WithCancel(context.Background())
+	defer endRequests()
+	httpSrv := &http.Server{Addr: addr, Handler: h, BaseContext: func(net.Listener) context.Context { return reqCtx }}
+	httpSrv.RegisterOnShutdown(endRequests)
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("web services listening on %s", addr)

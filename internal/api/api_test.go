@@ -171,6 +171,56 @@ func TestWaitOperationHonoursContext(t *testing.T) {
 	}
 }
 
+// waitSvc records the wait deadline each GetOperation call carries.
+type waitSvc struct {
+	DeploymentService
+	until chan time.Time
+}
+
+func (s waitSvc) GetOperation(ctx context.Context, id string) (Operation, error) {
+	until, _ := WaitDeadline(ctx)
+	s.until <- until
+	return Operation{ID: id, Done: true}, nil
+}
+
+// TestWaitParamCarriesTheDeadline: a client's wait deadline reaches the
+// service behind the handler as ?wait=, clamped to MaxWait; without one
+// the call carries none.
+func TestWaitParamCarriesTheDeadline(t *testing.T) {
+	svc := waitSvc{until: make(chan time.Time, 1)}
+	srv := httptest.NewServer(NewHandler(svc, &HandlerOptions{RatePerSecond: -1}))
+	defer srv.Close()
+	c := NewClient(srv.URL, nil)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		wait      time.Duration // 0: no WithWait
+		want, tol time.Duration
+	}{
+		{"none", 0, 0, 0},
+		{"short", 2 * time.Second, 2 * time.Second, time.Second},
+		{"clamped", 1000 * time.Hour, MaxWait, time.Second},
+	} {
+		cctx := ctx
+		if tc.wait > 0 {
+			cctx = WithWait(ctx, time.Now().Add(tc.wait))
+		}
+		if _, err := c.GetOperation(cctx, "op-1"); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		until := <-svc.until
+		if tc.wait == 0 {
+			if !until.IsZero() {
+				t.Errorf("%s: service saw a wait until %v", tc.name, until)
+			}
+			continue
+		}
+		if d := time.Until(until); d > tc.want || d < tc.want-tc.tol {
+			t.Errorf("%s: service saw a wait of %v, want about %v", tc.name, d, tc.want)
+		}
+	}
+}
+
 // stuckSvc reports one never-finishing operation.
 type stuckSvc struct{ DeploymentService }
 

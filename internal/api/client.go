@@ -37,24 +37,58 @@ func NewLocalClient(svc DeploymentService) *Client { return &Client{DeploymentSe
 
 var _ DeploymentService = (*Client)(nil)
 
-// WaitOperation polls an operation until it reaches a terminal state or
-// the context expires. interval <= 0 uses a 50ms default.
+// MaxWait caps how long one GetOperation may hold its answer for the
+// operation to settle; a longer wait is clamped to it. Clients wanting
+// longer simply ask again (WaitOperation does).
+const MaxWait = 10 * time.Second
+
+type waitKey struct{}
+
+// WithWait asks the GetOperation calls made with the returned context
+// to hold their answer until the operation settles or until passes,
+// whichever comes first; a zero until asks for an answer at once. The
+// deadline is absolute so that several sequential reads — a federated
+// parent reading its children in turn — share one bound. Over HTTP it
+// travels as ?wait=<remaining>; every other call ignores it.
+func WithWait(ctx context.Context, until time.Time) context.Context {
+	return context.WithValue(ctx, waitKey{}, until)
+}
+
+// WaitDeadline reports the wait deadline WithWait put on ctx; ok is
+// false when ctx asks for an answer at once.
+func WaitDeadline(ctx context.Context) (until time.Time, ok bool) {
+	until, _ = ctx.Value(waitKey{}).(time.Time)
+	return until, !until.IsZero()
+}
+
+// WaitOperation waits until an operation reaches a terminal state or
+// the context expires. Each round is one GetOperation held on the
+// server for up to MaxWait (see WithWait), so against a current server
+// a wait costs one request per MaxWait, not one per tick. interval is
+// the minimum spacing between two asks; it only paces a service that
+// answers at once — an older server, a passed deadline, a shard that is
+// failing over. interval <= 0 uses a 50ms default.
 func (c *Client) WaitOperation(ctx context.Context, id string, interval time.Duration) (Operation, error) {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
 	for {
-		op, err := c.GetOperation(ctx, id)
+		asked := time.Now()
+		until := asked.Add(MaxWait)
+		if d, ok := ctx.Deadline(); ok && d.Before(until) {
+			until = d
+		}
+		op, err := c.GetOperation(WithWait(ctx, until), id)
 		if err != nil {
 			return op, err
 		}
 		if op.Done {
 			return op, nil
 		}
+		t := time.NewTimer(time.Until(asked.Add(interval)))
 		select {
 		case <-ctx.Done():
+			t.Stop()
 			return op, Errorf(CodeUnavailable, "api: waiting for %s: %v", id, ctx.Err())
 		case <-t.C:
 		}
@@ -69,6 +103,9 @@ type httpTransport struct {
 
 func (t *httpTransport) Invoke(ctx context.Context, rt *Route, arg any) (any, error) {
 	uri, body := rt.request(arg)
+	if rt.waits {
+		uri += waitQuery(ctx)
+	}
 	return rt.response(func(out any) error { return t.do(ctx, rt.Verb, uri, body, out) })
 }
 
@@ -117,6 +154,16 @@ func decodeError(resp *http.Response) error {
 		msg = resp.Status
 	}
 	return &Error{Code: CodeFromHTTPStatus(resp.StatusCode), Message: fmt.Sprintf("api: %s", msg)}
+}
+
+// waitQuery carries the context's wait deadline as ?wait=<remaining>;
+// none, or one already passed, sends nothing.
+func waitQuery(ctx context.Context) string {
+	until, ok := WaitDeadline(ctx)
+	if d := time.Until(until); ok && d > 0 {
+		return "?" + url.Values{"wait": {d.Round(time.Millisecond).String()}}.Encode()
+	}
+	return ""
 }
 
 func pageQuery(page Page) string {

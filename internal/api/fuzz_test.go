@@ -35,6 +35,9 @@ func FuzzHandler(f *testing.F) {
 	for _, body := range trailingBodies {
 		f.Add("POST", "/v1/users", body)
 	}
+	for _, wait := range []string{"0s", "1ms", "1000h", "1e3", "-0s"} {
+		f.Add("GET", "/v1/operations/op-1?wait="+wait, "")
+	}
 
 	h := NewHandler(&recSvc{}, &HandlerOptions{RatePerSecond: -1})
 	f.Fuzz(func(t *testing.T, method, uri, body string) {

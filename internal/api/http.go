@@ -2,6 +2,7 @@ package api
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -139,11 +140,15 @@ func (h *handler) rateMW(next http.Handler) http.Handler {
 func (h *handler) serve(rt *Route) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		arg, err := rt.decode(r)
+		ctx := r.Context()
+		if err == nil && rt.waits {
+			ctx, err = waitOf(r)
+		}
 		if err != nil {
 			h.writeError(w, err)
 			return
 		}
-		out, err := rt.call(r.Context(), h.svc, arg)
+		out, err := rt.call(ctx, h.svc, arg)
 		if err != nil {
 			h.writeError(w, err)
 			return
@@ -218,6 +223,20 @@ func pageOf(r *http.Request) (Page, error) {
 	}
 	p.Token = r.URL.Query().Get("pageToken")
 	return p, nil
+}
+
+// waitOf is the handler half of waitQuery: the request context with the
+// ?wait= deadline, clamped to MaxWait, put back on it.
+func waitOf(r *http.Request) (context.Context, error) {
+	raw := r.URL.Query().Get("wait")
+	if raw == "" {
+		return r.Context(), nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil || d < 0 {
+		return nil, Errorf(CodeInvalidArgument, "api: bad wait %q", raw)
+	}
+	return WithWait(r.Context(), time.Now().Add(min(d, MaxWait))), nil
 }
 
 func (h *handler) notFound(w http.ResponseWriter, r *http.Request) {

@@ -76,7 +76,8 @@ var Routes = []*Route{
 	bare("Health", "GET /v1/healthz", DeploymentService.Health, Merge, rateExempt),
 	bare("Statz", "GET /v1/statz", DeploymentService.Statz, Merge, rateExempt),
 	paged("ListOperations", "GET /v1/operations", DeploymentService.ListOperations, Merge),
-	byID("GetOperation", "GET /v1/operations/{id}", 200, DeploymentService.GetOperation, ByID),
+	// The one row that may hold its answer: ?wait= (see WithWait).
+	waitable(byID("GetOperation", "GET /v1/operations/{id}", 200, DeploymentService.GetOperation, ByID)),
 }
 
 // Class is how the federation router serves a route across shards.
@@ -114,6 +115,9 @@ type Route struct {
 	Keyed bool
 	// RateExempt takes the route out of per-client rate limiting.
 	RateExempt bool
+	// waits marks the row whose request carries the context's wait
+	// deadline (WithWait) as ?wait=.
+	waits bool
 
 	// pattern is the ServeMux registration: Verb and Path without a
 	// custom-verb suffix.
@@ -334,6 +338,12 @@ func byID[A ~string, R any](name, verbPath string, status int, m func(Deployment
 	if class == Owner {
 		rt.vehicles = func(arg any) vins { return vins{core.VehicleID(arg.(A))} }
 	}
+	return rt
+}
+
+// waitable marks a row as carrying the context's wait deadline.
+func waitable(rt *Route) *Route {
+	rt.waits = true
 	return rt
 }
 

@@ -273,6 +273,8 @@ var wireEdges = []struct {
 	{"POST", "/v1/operations/:abort", ``, 400, CodeInvalidArgument},        // empty id
 	{"POST", "/v1/operations/op-1:abort", ``, 409, CodeFailedPrecondition}, // the verb reaches the service
 	{"GET", "/v1/rollouts/op-1", ``, 404, CodeNotFound},                    // the wave view is gone
+	{"GET", "/v1/operations/op-1?wait=bogus", ``, 400, CodeInvalidArgument},
+	{"GET", "/v1/operations/op-1?wait=-1s", ``, 400, CodeInvalidArgument},
 }
 
 // TestWireErrorsAndEdges pins the non-success half of the contract:

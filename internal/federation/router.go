@@ -80,7 +80,8 @@ type shardState struct {
 }
 
 // fedOp is a fan-out batch parent: static identity here, live tallies
-// aggregated from the per-shard children at read time.
+// aggregated from the per-shard children at read time until the first
+// terminal aggregate, which replaces op (see getFedOperation).
 type fedOp struct {
 	op api.Operation
 }
@@ -460,6 +461,7 @@ func (r *Router) batchFanOut(ctx context.Context, method string, kind api.Operat
 	}
 	r.fedOps[id] = f
 	r.fedOrder = append(r.fedOrder, id)
+	r.pruneFedLocked()
 	snap := f.op
 	r.fedMu.Unlock()
 	return snap, nil
@@ -512,7 +514,11 @@ func (r *Router) GetOperation(ctx context.Context, id string) (api.Operation, er
 }
 
 // getFedOperation aggregates a fan-out parent from its per-shard batch
-// parents: tallies summed, terminal exactly when every child is.
+// parents: tallies summed, terminal exactly when every child is. The
+// children are read in order, each held under ctx's one wait deadline
+// (api.WithWait). The first terminal aggregate is frozen in the fedOp
+// and answers every later read without a shard call, so the parent
+// stays settled after the shards evict its children.
 func (r *Router) getFedOperation(ctx context.Context, id string) (api.Operation, error) {
 	r.fedMu.Lock()
 	f := r.fedOps[id]
@@ -527,6 +533,9 @@ func (r *Router) getFedOperation(ctx context.Context, id string) (api.Operation,
 	if f == nil {
 		return api.Operation{}, api.Errorf(api.CodeNotFound, "federation: unknown operation %q", id)
 	}
+	if snap.Done {
+		return snap, nil
+	}
 	allDone := true
 	anyFailed := false
 	for _, cid := range snap.Children {
@@ -535,9 +544,17 @@ func (r *Router) getFedOperation(ctx context.Context, id string) (api.Operation,
 			continue
 		}
 		child, err := onShard[api.Operation](ctx, r, ss, "GetOperation", rest)
-		if err != nil {
+		switch {
+		case api.CodeOf(err) == api.CodeNotFound:
+			// A shard forgets only terminal operations, and never knows
+			// one whose creation did not become durable: either way the
+			// child is over, and its outcome is not a success.
+			anyFailed = true
+			snap.Failures = append(snap.Failures, cid+": unknown to its shard")
+			continue
+		case err != nil:
 			// The shard is mid-failover; report the parent as still
-			// running — the next poll lands on the promoted leader, which
+			// running — the next read lands on the promoted leader, which
 			// recovered the batch from the replicated journal.
 			allDone = false
 			continue
@@ -558,17 +575,49 @@ func (r *Router) getFedOperation(ctx context.Context, id string) (api.Operation,
 			}
 		}
 	}
-	if allDone {
-		snap.Done = true
-		if anyFailed || len(snap.Failures) > 0 {
-			snap.State = api.StateFailed
-		} else {
-			snap.State = api.StateSucceeded
-		}
-	} else {
+	if !allDone {
 		snap.State = api.StateRunning
+		return snap, nil
 	}
+	snap.Done = true
+	if anyFailed || len(snap.Failures) > 0 {
+		snap.State = api.StateFailed
+	} else {
+		snap.State = api.StateSucceeded
+	}
+	r.fedMu.Lock()
+	if !f.op.Done {
+		frozen := snap
+		frozen.Vehicles, frozen.Children = f.op.Vehicles, f.op.Children
+		frozen.Failures = append([]string(nil), snap.Failures...)
+		f.op = frozen
+	}
+	r.fedMu.Unlock()
 	return snap, nil
+}
+
+// fedRetention bounds the fed- registry the way opRetention bounds a
+// shard's: beyond it the oldest terminal parents are evicted, open ones
+// always kept. A var so tests can shrink it.
+var fedRetention = 4096
+
+// pruneFedLocked evicts the oldest terminal fed- parents beyond the
+// retention; called with fedMu held.
+func (r *Router) pruneFedLocked() {
+	excess := len(r.fedOrder) - fedRetention
+	if excess <= 0 {
+		return
+	}
+	kept := r.fedOrder[:0]
+	for _, id := range r.fedOrder {
+		if excess > 0 && r.fedOps[id].op.Done {
+			delete(r.fedOps, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	r.fedOrder = kept
 }
 
 func (r *Router) ListOperations(ctx context.Context, page api.Page) (api.OperationList, error) {
@@ -582,8 +631,10 @@ func (r *Router) ListOperations(ctx context.Context, page api.Page) (api.Operati
 		p.Token = strings.TrimPrefix(p.Token, "fed|")
 		pageIDs, next := api.Paginate(ids, p, func(id string) string { return id })
 		items := make([]api.Operation, 0, len(pageIDs))
+		// A list answers at once: no child read holds.
+		nowait := api.WithWait(ctx, time.Time{})
 		for _, id := range pageIDs {
-			if op, err := r.getFedOperation(ctx, id); err == nil {
+			if op, err := r.getFedOperation(nowait, id); err == nil {
 				items = append(items, op)
 			}
 		}

@@ -171,9 +171,7 @@ func (f *Fleet) crashShard(idx int) {
 	oldGen := sh.gen
 	sh.srv = nil
 	sh.gen++
-	if jn := old.Journal(); jn != nil {
-		jn.Crash()
-	}
+	old.Crash()
 	if sh.shipper != nil {
 		sh.shipper.Close()
 		sh.shipper = nil

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"dynautosar/internal/api"
 	"dynautosar/internal/core"
@@ -41,6 +43,9 @@ type opRecord struct {
 	// ro is the wave loop state of a rollout (see rollout.go); nil for
 	// every other kind and for a settled one a state image restored.
 	ro *rolloutState
+	// settled, once a GetOperation waits on this open operation, is
+	// closed by noteOpSettledLocked (see awaitOperation).
+	settled chan struct{}
 }
 
 // opRetention bounds the registry: once exceeded, the oldest completed
@@ -387,11 +392,39 @@ func snapshotOpLocked(rec *opRecord) api.Operation {
 
 // Operation returns one async operation by id.
 func (s *Server) Operation(id string) (api.Operation, bool) {
+	return s.awaitOperation(context.Background(), id)
+}
+
+// awaitOperation returns one operation by id, held for it to settle
+// when ctx carries a wait deadline (api.WithWait) and it is open: it
+// releases Server.mu and waits for the settle, the deadline, ctx or
+// server shutdown — whichever comes first — then snapshots. A terminal
+// or unknown operation, or a passed deadline, answers at once.
+func (s *Server) awaitOperation(ctx context.Context, id string) (api.Operation, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec := s.ops[id]
 	if rec == nil {
 		return api.Operation{}, false
+	}
+	until, ok := api.WaitDeadline(ctx)
+	if d := time.Until(until); ok && d > 0 && !rec.op.Done {
+		if rec.settled == nil {
+			rec.settled = make(chan struct{})
+		}
+		settled := rec.settled
+		s.mu.Unlock()
+		t := time.NewTimer(d)
+		select {
+		case <-settled:
+		case <-t.C:
+		case <-ctx.Done():
+		case <-s.pushCtx.Done():
+		}
+		t.Stop()
+		// rec may have been evicted meanwhile; it is still the
+		// operation's last state.
+		s.mu.Lock()
 	}
 	return snapshotOpLocked(rec), true
 }

@@ -114,6 +114,23 @@ func (s *Server) Close() error {
 	return err
 }
 
+// Crash simulates a hard process kill for tests and the fleet
+// simulator: the journal freezes at its last group commit
+// (journal.Journal.Crash) and pushCtx is canceled, so no held
+// GetOperation or pipeline outlives the dead server. Unlike Close it
+// waits for nothing and writes no snapshot; the vehicle links are the
+// caller's to cut.
+func (s *Server) Crash() {
+	// The journal first: what the canceled pipelines append after this
+	// is refused, as it would be lost with a killed process.
+	if s.jn != nil {
+		s.jn.Crash()
+	}
+	s.mu.Lock()
+	s.pushCancel()
+	s.mu.Unlock()
+}
+
 // Journal exposes the attached journal (nil when memory-only); tests
 // use it to simulate crashes and force compaction.
 func (s *Server) Journal() *journal.Journal { return s.jn }

@@ -130,7 +130,10 @@ func TestRolloutRecoveryResumesCleanBoundary(t *testing.T) {
 	a.Journal().Crash()
 
 	b := reopenWithFleet(t, dir, fleet)
+	// The resumed rollout is open in the recovered registry's count.
+	checkOpsOpen(t, b, "recovered")
 	final := waitRolloutDone(t, b, st.ID)
+	checkOpsOpen(t, b, "resumed rollout settled")
 	if final.State != api.StateSucceeded {
 		t.Fatalf("resumed rollout = %+v", final)
 	}

@@ -57,7 +57,8 @@ type Server struct {
 	opPruneDefer int
 	// statOpsCreated/statOpsSettled feed GET /v1/statz (see statz.go):
 	// operations registered since process start, and terminal outcomes
-	// bucketed by code.
+	// bucketed by code; their difference is the open count (see
+	// opsOpenLocked).
 	statOpsCreated uint64
 	statOpsSettled map[string]uint64
 	// rolloutResume holds the continuations of rollouts interrupted by a
@@ -88,9 +89,10 @@ type Server struct {
 	// healthz and statz surface its per-follower lag (see shard.go).
 	shipper *journal.Shipper
 
-	// pushCtx is canceled by Close so no collect loop or rollback retry
-	// outlives the server; bg counts the goroutines the server started
-	// (see background), which Close waits for.
+	// pushCtx is canceled by Close and Crash so no collect loop, rollback
+	// retry or held GetOperation outlives the server; bg counts the
+	// goroutines the server started (see background), which Close waits
+	// for.
 	pushCtx    context.Context
 	pushCancel context.CancelFunc
 	bg         sync.WaitGroup

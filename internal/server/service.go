@@ -153,8 +153,8 @@ func (sv *Service) Statz(_ context.Context) (api.Statz, error) {
 	return sv.s.Statz(), nil
 }
 
-func (sv *Service) GetOperation(_ context.Context, id string) (api.Operation, error) {
-	op, ok := sv.s.Operation(id)
+func (sv *Service) GetOperation(ctx context.Context, id string) (api.Operation, error) {
+	op, ok := sv.s.awaitOperation(ctx, id)
 	if !ok {
 		return api.Operation{}, api.Errorf(api.CodeNotFound, "server: unknown operation %q", id)
 	}

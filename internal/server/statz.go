@@ -24,7 +24,9 @@ func opOutcomeKey(rec *opRecord) string {
 
 // noteOpCreatedLocked and noteOpSettledLocked maintain the statz
 // tallies; called with Server.mu held at every registry transition so
-// the counters cannot drift from the registry itself.
+// the counters cannot drift from the registry itself. Every path to a
+// terminal state passes through noteOpSettledLocked, so it is also
+// where a GetOperation held on the operation wakes.
 func (s *Server) noteOpCreatedLocked(n int) { s.statOpsCreated += uint64(n) }
 
 func (s *Server) noteOpSettledLocked(rec *opRecord) {
@@ -32,6 +34,24 @@ func (s *Server) noteOpSettledLocked(rec *opRecord) {
 		s.statOpsSettled = make(map[string]uint64)
 	}
 	s.statOpsSettled[opOutcomeKey(rec)]++
+	if rec.settled != nil {
+		close(rec.settled)
+		rec.settled = nil
+	}
+}
+
+// opsOpenLocked is how many registered operations are not terminal,
+// read off the ledger instead of a registry walk: every operation that
+// enters the registry open is counted created — recovery counts the
+// rollouts it resumes, the only operations it leaves open — and leaves
+// that state exactly once, through noteOpSettledLocked. Called with
+// Server.mu held.
+func (s *Server) opsOpenLocked() int {
+	open := int(s.statOpsCreated)
+	for _, n := range s.statOpsSettled {
+		open -= int(n)
+	}
+	return open
 }
 
 // Statz snapshots the monitoring counters.
@@ -39,20 +59,13 @@ func (s *Server) Statz() api.Statz {
 	s.mu.Lock()
 	st := api.Statz{
 		OpsCreated:  s.statOpsCreated,
+		OpsOpen:     s.opsOpenLocked(),
 		PendingAcks: len(s.pending),
 	}
 	if len(s.statOpsSettled) > 0 {
 		st.OpsSettled = make(map[string]uint64, len(s.statOpsSettled))
 		for code, n := range s.statOpsSettled {
 			st.OpsSettled[code] = n
-		}
-	}
-	// Counted from the registry, not derived from the counters: ops
-	// recovered from the journal were created by a previous process and
-	// are missing from OpsCreated, so subtraction would drift.
-	for _, rec := range s.ops {
-		if !rec.op.Done {
-			st.OpsOpen++
 		}
 	}
 	s.mu.Unlock()
