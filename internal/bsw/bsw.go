@@ -3,7 +3,9 @@
 // hardware abstraction with named digital/analog/PWM channels (the wheels
 // servo, speed actuator and speed sensor of the model car), non-volatile
 // memory blocks, a watchdog manager used to supervise the plug-in SW-Cs,
-// and the ECU state manager.
+// and the ECU state manager. Like the channel ids of a configured AUTOSAR
+// IoHwAb, a channel name is resolved once, into a Channel handle that the
+// software and hardware models then access per sample.
 package bsw
 
 import (
@@ -42,7 +44,11 @@ func (k ChannelKind) String() string {
 // ErrUnknownChannel is returned for unregistered channel names.
 var ErrUnknownChannel = errors.New("bsw: unknown IoHwAb channel")
 
-type channel struct {
+// Channel is one IoHwAb channel. Software and hardware models resolve it
+// once with IoHwAb.Channel and access it per sample without a name
+// lookup; the name-based IoHwAb methods are wrappers over it.
+type Channel struct {
+	io      *IoHwAb
 	kind    ChannelKind
 	value   int64
 	min     int64
@@ -54,14 +60,14 @@ type channel struct {
 // channels connecting the software to (simulated) sensors and actuators.
 type IoHwAb struct {
 	eng      *sim.Engine
-	channels map[string]*channel
+	channels map[string]*Channel
 	// Writes counts actuator accesses for diagnostics.
 	Writes uint64
 }
 
 // NewIoHwAb creates an empty IO hardware abstraction.
 func NewIoHwAb(eng *sim.Engine) *IoHwAb {
-	return &IoHwAb{eng: eng, channels: make(map[string]*channel)}
+	return &IoHwAb{eng: eng, channels: make(map[string]*Channel)}
 }
 
 // AddChannel registers a channel with a value range. Writes outside
@@ -77,17 +83,22 @@ func (io *IoHwAb) AddChannel(name string, kind ChannelKind, min, max int64) erro
 	if min > max {
 		return fmt.Errorf("bsw: channel %q has inverted range [%d,%d]", name, min, max)
 	}
-	io.channels[name] = &channel{kind: kind, min: min, max: max}
+	io.channels[name] = &Channel{io: io, kind: kind, min: min, max: max}
 	return nil
+}
+
+// Channel resolves a registered channel.
+func (io *IoHwAb) Channel(name string) (*Channel, error) {
+	ch, ok := io.channels[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownChannel, name)
+	}
+	return ch, nil
 }
 
 // Write sets an actuator channel, clamping to the configured range, and
 // notifies observers. It returns the value actually applied.
-func (io *IoHwAb) Write(name string, value int64) (int64, error) {
-	ch, ok := io.channels[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownChannel, name)
-	}
+func (ch *Channel) Write(value int64) int64 {
 	if value < ch.min {
 		value = ch.min
 	}
@@ -98,43 +109,59 @@ func (io *IoHwAb) Write(name string, value int64) (int64, error) {
 		value = 1
 	}
 	ch.value = value
-	io.Writes++
+	ch.io.Writes++
 	for _, fn := range ch.onWrite {
-		fn(value, io.eng.Now())
+		fn(value, ch.io.eng.Now())
 	}
-	return value, nil
+	return value
 }
 
-// Read returns the current channel value (sensor reading or last actuator
+// Read returns the current value (sensor reading or last actuator
 // command).
-func (io *IoHwAb) Read(name string) (int64, error) {
-	ch, ok := io.channels[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownChannel, name)
-	}
-	return ch.value, nil
-}
+func (ch *Channel) Read() int64 { return ch.value }
 
 // Set updates a sensor channel from a hardware model without invoking
 // actuator observers.
-func (io *IoHwAb) Set(name string, value int64) error {
-	ch, ok := io.channels[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownChannel, name)
-	}
-	ch.value = value
-	return nil
-}
+func (ch *Channel) Set(value int64) { ch.value = value }
 
 // OnWrite registers an observer for actuator commands on the channel,
 // used by hardware models (and tests) to react to software output.
-func (io *IoHwAb) OnWrite(name string, fn func(int64, sim.Time)) error {
-	ch, ok := io.channels[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownChannel, name)
+func (ch *Channel) OnWrite(fn func(int64, sim.Time)) { ch.onWrite = append(ch.onWrite, fn) }
+
+// Write is Channel.Write by name.
+func (io *IoHwAb) Write(name string, value int64) (int64, error) {
+	ch, err := io.Channel(name)
+	if err != nil {
+		return 0, err
 	}
-	ch.onWrite = append(ch.onWrite, fn)
-	return nil
+	return ch.Write(value), nil
+}
+
+// Read is Channel.Read by name.
+func (io *IoHwAb) Read(name string) (int64, error) {
+	ch, err := io.Channel(name)
+	if err != nil {
+		return 0, err
+	}
+	return ch.Read(), nil
+}
+
+// Set is Channel.Set by name.
+func (io *IoHwAb) Set(name string, value int64) error {
+	ch, err := io.Channel(name)
+	if err == nil {
+		ch.Set(value)
+	}
+	return err
+}
+
+// OnWrite is Channel.OnWrite by name.
+func (io *IoHwAb) OnWrite(name string, fn func(int64, sim.Time)) error {
+	ch, err := io.Channel(name)
+	if err == nil {
+		ch.OnWrite(fn)
+	}
+	return err
 }
 
 // Channels returns the registered channel names, sorted.

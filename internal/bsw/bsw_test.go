@@ -2,6 +2,7 @@ package bsw
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"dynautosar/internal/sim"
@@ -82,6 +83,72 @@ func TestIoHwAbErrors(t *testing.T) {
 	}
 	if got := io.Channels(); len(got) != 1 || got[0] != "A" {
 		t.Fatalf("Channels = %v", got)
+	}
+}
+
+// TestChannelHandleMatchesNamePath drives two identical IoHwAbs, one
+// through Channel handles and one by name, and requires the same applied
+// values, observer calls, sensor reads and Writes counts.
+func TestChannelHandleMatchesNamePath(t *testing.T) {
+	type trace struct {
+		applied, read []int64
+		seen          []int64
+		writes        uint64
+	}
+	setup := func() *IoHwAb {
+		io := NewIoHwAb(sim.NewEngine())
+		_ = io.AddChannel("Wheels", PWM, -100, 100)
+		_ = io.AddChannel("Led", Digital, 0, 1)
+		_ = io.AddChannel("Speed", Analog, 0, 1000)
+		return io
+	}
+	writes := []struct {
+		ch string
+		v  int64
+	}{{"Wheels", 250}, {"Wheels", -250}, {"Wheels", 42}, {"Led", 7}, {"Led", 0}, {"Led", -3}, {"Speed", 500}}
+
+	byName, viaHandle := &trace{}, &trace{}
+	io := setup()
+	for _, ch := range []string{"Wheels", "Led", "Speed"} {
+		_ = io.OnWrite(ch, func(v int64, _ sim.Time) { byName.seen = append(byName.seen, v) })
+	}
+	for _, w := range writes {
+		v, _ := io.Write(w.ch, w.v)
+		r, _ := io.Read(w.ch)
+		byName.applied, byName.read = append(byName.applied, v), append(byName.read, r)
+	}
+	_ = io.Set("Speed", 77)
+	r, _ := io.Read("Speed")
+	byName.read, byName.writes = append(byName.read, r), io.Writes
+
+	io = setup()
+	handles := map[string]*Channel{}
+	for _, name := range []string{"Wheels", "Led", "Speed"} {
+		ch, err := io.Channel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.OnWrite(func(v int64, _ sim.Time) { viaHandle.seen = append(viaHandle.seen, v) })
+		handles[name] = ch
+	}
+	for _, w := range writes {
+		v := handles[w.ch].Write(w.v)
+		viaHandle.applied, viaHandle.read = append(viaHandle.applied, v), append(viaHandle.read, handles[w.ch].Read())
+	}
+	handles["Speed"].Set(77)
+	viaHandle.read, viaHandle.writes = append(viaHandle.read, handles["Speed"].Read()), io.Writes
+
+	if !reflect.DeepEqual(byName, viaHandle) {
+		t.Fatalf("name path %+v, handle path %+v", *byName, *viaHandle)
+	}
+	if want := []int64{100, -100, 42, 1, 0, 0, 500}; !reflect.DeepEqual(byName.applied, want) {
+		t.Fatalf("applied %v, want %v", byName.applied, want)
+	}
+	if byName.writes != uint64(len(writes)) || len(byName.seen) != len(writes) || byName.read[len(writes)] != 77 {
+		t.Fatalf("writes %d, observers saw %v, sensor read %d", byName.writes, byName.seen, byName.read[len(writes)])
+	}
+	if _, err := io.Channel("nope"); !errors.Is(err, ErrUnknownChannel) {
+		t.Fatalf("Channel unknown = %v", err)
 	}
 }
 

@@ -65,17 +65,6 @@ func (f Frame) Bits() int {
 	return bits
 }
 
-// clone returns a deep copy so retained frames are immune to caller
-// reuse; the data plane itself queues frames inline (see pending) and
-// only bus taps pay for a copy.
-func (f Frame) clone() Frame {
-	c := f
-	if f.Data != nil {
-		c.Data = append([]byte(nil), f.Data...)
-	}
-	return c
-}
-
 // Filter is an acceptance filter: a frame matches when
 // frame.ID & Mask == ID & Mask.
 type Filter struct {
@@ -271,8 +260,8 @@ type Bus struct {
 	txNode    *Node
 	txStart   sim.Time
 	finishFn  func()
-	// rxBuf is the scratch payload handed to receive handlers; it is
-	// valid only for the duration of the callback.
+	// rxBuf is the scratch payload handed to taps and receive handlers;
+	// it is valid only for the duration of the callback.
 	rxBuf [MaxData]byte
 	// fault decides the fate of each transmission; nil means Deliver.
 	fault func(Frame) FaultAction
@@ -308,7 +297,10 @@ func (b *Bus) AttachNode(name string) *Node {
 // SetFaultInjector installs fn to decide the fate of each transmission.
 func (b *Bus) SetFaultInjector(fn func(Frame) FaultAction) { b.fault = fn }
 
-// Tap registers an observer for every successfully delivered frame.
+// Tap registers an observer for every successfully delivered frame. Like
+// a receive handler, the observer sees the frame over the bus's scratch
+// buffer: it is read-only and valid only during the callback, so an
+// analyser that keeps frames copies their Data.
 func (b *Bus) Tap(fn func(Frame, sim.Time)) { b.taps = append(b.taps, fn) }
 
 // FrameTime returns the modelled transmission duration of f on this bus.
@@ -370,11 +362,10 @@ func (b *Bus) arbitrate() (pending, *Node, bool) {
 	return best.pop(), best, true
 }
 
-// finish applies fault injection and delivers or retransmits. Receive
-// handlers see a Frame over the bus's scratch buffer, valid only for
-// the duration of the callback; every in-tree receiver (the COM stack,
-// transports) consumes or copies synchronously. Taps still get a
-// private copy — they are analysers that may retain.
+// finish applies fault injection and delivers or retransmits. Taps and
+// receive handlers see a Frame over the bus's scratch buffer, valid only
+// for the duration of the callback; every in-tree tap and receiver (the
+// COM stack, transports, bus analysers) consumes or copies synchronously.
 func (b *Bus) finish(node *Node, p *pending) {
 	f := p.frameOver(b.rxBuf[:])
 	action := Deliver
@@ -407,7 +398,7 @@ func (b *Bus) finish(node *Node, p *pending) {
 	b.stats.BitsTransferred += uint64(f.Bits())
 	now := b.eng.Now()
 	for _, tap := range b.taps {
-		tap(f.clone(), now)
+		tap(f, now)
 	}
 	for _, rx := range b.nodes {
 		if rx == node {

@@ -197,6 +197,24 @@ func TestTapSeesAllTraffic(t *testing.T) {
 	}
 }
 
+// TestTapSeesFrameInsideCallback checks what a tap reads during its
+// callback: the delivered frame's id and payload, in delivery order.
+func TestTapSeesFrameInsideCallback(t *testing.T) {
+	eng, bus := newBus(500_000)
+	a := bus.AttachNode("A")
+	bus.AttachNode("B")
+	var seen []string
+	bus.Tap(func(f Frame, _ sim.Time) { seen = append(seen, fmt.Sprintf("%03X %x", f.ID, f.Data)) })
+	_ = a.Send(Frame{ID: 0x7, Data: []byte{1, 2, 3}})
+	_ = a.Send(Frame{ID: 0x5, Data: []byte{9, 8, 7, 6, 5, 4, 3, 2}})
+	_ = a.Send(Frame{ID: 0x6})
+	eng.Run()
+	want := []string{"007 010203", "005 0908070605040302", "006 "}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("tap saw %q, want %q", seen, want)
+	}
+}
+
 func TestLoadAndFrameTime(t *testing.T) {
 	eng, bus := newBus(125_000)
 	a := bus.AttachNode("A")
@@ -298,6 +316,16 @@ type refBus struct {
 	fault     func(Frame) FaultAction
 	taps      []func(Frame, sim.Time)
 	frameTime func(Frame) sim.Duration
+}
+
+// clone returns a deep copy of f. The reference model keeps copying
+// frames for its taps, as the bus did before taps became callback-scoped.
+func (f Frame) clone() Frame {
+	c := f
+	if f.Data != nil {
+		c.Data = append([]byte(nil), f.Data...)
+	}
+	return c
 }
 
 type refNode struct {

@@ -62,30 +62,49 @@ func (p PIC) IDs() []PluginPortID {
 	return ids
 }
 
+// pairwisePIC is the largest PIC whose duplicates Validate finds by
+// comparing entries pairwise; larger ones (a hostile package, say) are
+// checked through maps so the cost stays linear.
+const pairwisePIC = 16
+
 // Validate checks that names are non-empty and that both names and ids are
 // unique within the context, the invariant the server's id assignment must
-// maintain (paper section 3.2.2).
+// maintain (paper section 3.2.2). It runs on every package decode, so a
+// PIC of ordinary size is checked without allocating.
 func (p PIC) Validate() error {
-	names := make(map[string]bool, len(p))
-	ids := make(map[PluginPortID]bool, len(p))
-	for _, e := range p {
+	var names map[string]bool
+	var ids map[PluginPortID]bool
+	if len(p) > pairwisePIC {
+		names = make(map[string]bool, len(p))
+		ids = make(map[PluginPortID]bool, len(p))
+	}
+	for i, e := range p {
 		if e.Name == "" {
 			return fmt.Errorf("core: PIC entry %s has an empty port name", e.ID)
 		}
 		if strings.ContainsAny(e.Name, "{}:,") {
 			return fmt.Errorf("core: PIC port name %q contains reserved characters", e.Name)
 		}
-		if names[e.Name] {
+		dupName, dupID := names[e.Name], ids[e.ID]
+		if names == nil {
+			for _, prev := range p[:i] {
+				dupName = dupName || prev.Name == e.Name
+				dupID = dupID || prev.ID == e.ID
+			}
+		}
+		if dupName {
 			return fmt.Errorf("core: PIC has duplicate port name %q", e.Name)
 		}
-		if ids[e.ID] {
+		if dupID {
 			return fmt.Errorf("core: PIC has duplicate port id %s", e.ID)
 		}
 		if e.ID < 0 {
 			return fmt.Errorf("core: PIC port %q has negative id", e.Name)
 		}
-		names[e.Name] = true
-		ids[e.ID] = true
+		if names != nil {
+			names[e.Name] = true
+			ids[e.ID] = true
+		}
 	}
 	return nil
 }

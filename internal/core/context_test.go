@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -158,6 +159,39 @@ func TestPICValidateRejects(t *testing.T) {
 		if err := pic.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %v", i, pic)
 		}
+	}
+	// Above pairwisePIC entries duplicates are found through maps.
+	large := func() PIC {
+		var pic PIC
+		for i := 0; i <= 2*pairwisePIC; i++ {
+			pic = append(pic, PICEntry{Name: fmt.Sprint("p", i), ID: PluginPortID(i)})
+		}
+		return pic
+	}
+	if err := large().Validate(); err != nil {
+		t.Fatalf("large PIC: %v", err)
+	}
+	dupName, dupID := large(), large()
+	dupName[2*pairwisePIC].Name = "p3"
+	dupID[2*pairwisePIC].ID = 3
+	if err := dupName.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate port name") {
+		t.Errorf("large PIC with a duplicate name: %v", err)
+	}
+	if err := dupID.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate port id") {
+		t.Errorf("large PIC with a duplicate id: %v", err)
+	}
+}
+
+// TestPICValidateAllocFree pins the decode-path check of an ordinary PIC
+// at zero allocations.
+func TestPICValidateAllocFree(t *testing.T) {
+	pic := PIC{{Name: "in", ID: 0}, {Name: "out", ID: 1}, {Name: "speed", ID: 2}, {Name: "wheels", ID: 3}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := pic.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("PIC.Validate: %v allocs per call, want 0", allocs)
 	}
 }
 

@@ -79,18 +79,25 @@ func (p *PIRTE) Attach(r *rte.RTE) error {
 	if err := r.AddComponent(name, p.ComponentType()); err != nil {
 		return err
 	}
-	// Outbound writes resolve the rendered port name from a table built
-	// once; String() per write would allocate on every outbound message.
-	swcNames := make(map[core.SWCPortID]string, len(p.cfg.SWCPorts))
+	// Outbound writes go through port handles resolved once, indexed by
+	// SW-C port id (New rejects negative ids): no name is looked up per
+	// message.
+	var out []*rte.Port
 	for _, sp := range p.cfg.SWCPorts {
-		swcNames[sp.ID] = sp.ID.String()
+		port, err := r.Port(name, sp.ID.String())
+		if err != nil {
+			return err
+		}
+		for int(sp.ID) >= len(out) {
+			out = append(out, nil)
+		}
+		out[sp.ID] = port
 	}
 	p.writeSWC = func(sid core.SWCPortID, data []byte) error {
-		sname, ok := swcNames[sid]
-		if !ok {
-			sname = sid.String()
+		if sid < 0 || int(sid) >= len(out) || out[sid] == nil {
+			return fmt.Errorf("pirte: %s: unknown SW-C port %s", p.cfg.SWC, sid)
 		}
-		return r.Write(name, sname, data)
+		return out[sid].Write(data)
 	}
 	p.kernel = r.Kernel()
 	p.dispatch = p.kernel.DeclareTask(osek.TaskConfig{

@@ -251,8 +251,8 @@ func New(eng *sim.Engine, cfg Config) (*PIRTE, error) {
 		logf:          func(string, ...any) {},
 	}
 	for _, sp := range cfg.SWCPorts {
-		if !sp.Type.Valid() || !sp.Direction.Valid() {
-			return nil, fmt.Errorf("pirte: SW-C port %s has invalid type or direction", sp.ID)
+		if !sp.Type.Valid() || !sp.Direction.Valid() || sp.ID < 0 {
+			return nil, fmt.Errorf("pirte: SW-C port %s has invalid id, type or direction", sp.ID)
 		}
 		if _, dup := p.swcPorts[sp.ID]; dup {
 			return nil, fmt.Errorf("pirte: duplicate SW-C port %s", sp.ID)

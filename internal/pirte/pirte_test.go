@@ -7,7 +7,9 @@ import (
 
 	"dynautosar/internal/bsw"
 	"dynautosar/internal/core"
+	"dynautosar/internal/osek"
 	"dynautosar/internal/plugin"
+	"dynautosar/internal/rte"
 	"dynautosar/internal/sim"
 	"dynautosar/internal/vm"
 )
@@ -708,6 +710,43 @@ func TestConfigValidation(t *testing.T) {
 	bad.VirtualPorts[0].Type = core.TypeIII // mismatch with SW-C port type
 	if _, err := New(eng, bad); err == nil {
 		t.Fatal("type mismatch accepted")
+	}
+	bad = standardConfig()
+	bad.SWCPorts[0].ID = -1 // Attach indexes its port handles by id
+	if _, err := New(eng, bad); err == nil {
+		t.Fatal("negative SW-C port id accepted")
+	}
+}
+
+// TestAttachWritesThroughResolvedPorts checks the outbound SW-C path of
+// an attached PIRTE: a configured provided port reaches the RTE, and a
+// required or unconfigured port is refused.
+func TestAttachWritesThroughResolvedPorts(t *testing.T) {
+	eng := sim.NewEngine()
+	r := rte.New(osek.New(eng, "ECU"))
+	p, err := New(eng, standardConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Attach(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteSWCPort(4, []byte{1, 2}); err != nil || r.Writes != 1 {
+		t.Fatalf("write on S4: %v, RTE writes %d", err, r.Writes)
+	}
+	if err := p.WriteSWCPort(6, []byte{1}); err == nil || !strings.Contains(err.Error(), "not a provided") {
+		t.Fatalf("write on required S6: %v", err)
+	}
+	for _, sid := range []core.SWCPortID{-1, 7, 99} {
+		if err := p.WriteSWCPort(sid, nil); err == nil {
+			t.Errorf("WriteSWCPort(%s) accepted", sid)
+		}
+		if err := p.writeSWC(sid, nil); err == nil || !strings.Contains(err.Error(), "unknown SW-C port") {
+			t.Errorf("writer for %s: %v", sid, err)
+		}
+	}
+	if r.Writes != 1 {
+		t.Fatalf("RTE writes = %d, want 1", r.Writes)
 	}
 }
 

@@ -4,6 +4,11 @@
 // transport — dispatches client-server calls, and maps runnables onto OSEK
 // tasks triggered by timing events or data reception.
 //
+// Like a generated AUTOSAR RTE it resolves connections at configuration
+// time: each Port holds its receivers, transports, triggered tasks and
+// server, so a write fans out by pointer and a Port handle skips even
+// the name lookup of the name-based entry points.
+//
 // The RTE is the layer the dynamic component model deliberately leaves
 // untouched: plug-in SW-Cs look like ordinary components to it, and all
 // dynamic behaviour stays inside the PIRTE above (paper section 3.1.1).
@@ -23,30 +28,35 @@ import (
 // runnables.
 const defaultActivations = 16
 
-type portKey struct {
-	comp string
-	port string
-}
-
-func (k portKey) String() string { return k.comp + "." + k.port }
-
-type portState struct {
-	def   vfb.PortDef
-	last  []byte
-	fresh bool
-	queue [][]byte
-	// Overruns counts arrivals dropped because a bounded queue was full.
+// Port is a port of a component instance with its connections resolved,
+// the handle a generated RTE's Rte_Write_<port>_<data> stands for.
+type Port struct {
+	def  vfb.PortDef
+	comp *component
+	// receivers are the local required ports written to (Connect).
+	receivers []*Port
+	// net are the transports toward other ECUs (BindNetworkTx).
+	net []*com.Transport
+	// tasks are the data-triggered runnables of a required port.
+	tasks []osek.TaskID
+	// server serves a required client-server port (Connect).
+	server *component
+	last   []byte
+	fresh  bool
+	queue  [][]byte
+	// overruns counts arrivals dropped because a bounded queue was full.
 	overruns uint64
 }
 
+// component is one instance. It is also the vfb.Runtime handed to its
+// runnables, which resolve ports in their own component only.
 type component struct {
+	r     *RTE
 	name  string
 	typ   vfb.ComponentType
-	ports map[string]*portState
-	// dataTasks maps a required port to the tasks activated on arrival.
-	dataTasks map[string][]osek.TaskID
-	// servers maps operation name to its handler, for provided
-	// client-server ports.
+	ports map[string]*Port
+	// servers maps the operations of provided client-server ports to
+	// their handlers.
 	servers map[string]vfb.RunnableSpec
 }
 
@@ -54,12 +64,6 @@ type component struct {
 type RTE struct {
 	kernel *osek.Kernel
 	comps  map[string]*component
-	// routes fan provided sender-receiver ports out to required ports.
-	routes map[portKey][]portKey
-	// csRoutes wire required client-server ports to the serving component.
-	csRoutes map[portKey]string
-	// netTx binds provided ports to transports toward other ECUs.
-	netTx map[portKey][]*com.Transport
 	// Writes and Deliveries count RTE activity.
 	Writes     uint64
 	Deliveries uint64
@@ -67,13 +71,7 @@ type RTE struct {
 
 // New creates an RTE on the kernel.
 func New(kernel *osek.Kernel) *RTE {
-	return &RTE{
-		kernel:   kernel,
-		comps:    make(map[string]*component),
-		routes:   make(map[portKey][]portKey),
-		csRoutes: make(map[portKey]string),
-		netTx:    make(map[portKey][]*com.Transport),
-	}
+	return &RTE{kernel: kernel, comps: make(map[string]*component)}
 }
 
 // Kernel returns the OSEK kernel the RTE maps runnables onto.
@@ -83,7 +81,8 @@ func (r *RTE) Kernel() *osek.Kernel { return r.kernel }
 func (r *RTE) Now() sim.Time { return r.kernel.Now() }
 
 // AddComponent instantiates a component type under the given instance
-// name, declaring OS tasks for its runnables.
+// name, declaring OS tasks for its runnables. A type it refuses leaves
+// no task or alarm behind.
 func (r *RTE) AddComponent(name string, typ vfb.ComponentType) error {
 	if err := typ.Validate(); err != nil {
 		return err
@@ -92,43 +91,38 @@ func (r *RTE) AddComponent(name string, typ vfb.ComponentType) error {
 		return fmt.Errorf("rte: component %q already present", name)
 	}
 	c := &component{
-		name:      name,
-		typ:       typ,
-		ports:     make(map[string]*portState, len(typ.Ports)),
-		dataTasks: make(map[string][]osek.TaskID),
-		servers:   make(map[string]vfb.RunnableSpec),
+		r:       r,
+		name:    name,
+		typ:     typ,
+		ports:   make(map[string]*Port, len(typ.Ports)),
+		servers: make(map[string]vfb.RunnableSpec),
 	}
 	for _, p := range typ.Ports {
-		c.ports[p.Name] = &portState{def: p}
+		c.ports[p.Name] = &Port{def: p, comp: c}
 	}
-	rt := &runtime{r: r, c: c}
 	for _, run := range typ.Runnables {
-		run := run
-		switch {
-		case len(run.OnInvoke) > 0:
+		if len(run.OnInvoke) > 0 {
 			for _, op := range run.OnInvoke {
-				if _, dup := c.servers[op]; dup {
-					return fmt.Errorf("rte: component %q: operation %q served twice", name, op)
-				}
 				c.servers[op] = run
 			}
-		default:
-			task := r.kernel.DeclareTask(osek.TaskConfig{
-				Name:           name + "." + run.Name,
-				Priority:       run.Priority,
-				ExecTime:       run.ExecTime,
-				MaxActivations: defaultActivations,
-				Body:           func() { run.Entry(rt) },
-			})
-			if run.Period > 0 {
-				alarm := r.kernel.DeclareAlarm(osek.AlarmAction{Task: task})
-				if err := r.kernel.SetRelAlarm(alarm, run.Period, run.Period); err != nil {
-					return err
-				}
+			continue
+		}
+		task := r.kernel.DeclareTask(osek.TaskConfig{
+			Name:           name + "." + run.Name,
+			Priority:       run.Priority,
+			ExecTime:       run.ExecTime,
+			MaxActivations: defaultActivations,
+			Body:           func() { run.Entry(c) },
+		})
+		if run.Period > 0 {
+			alarm := r.kernel.DeclareAlarm(osek.AlarmAction{Task: task})
+			if err := r.kernel.SetRelAlarm(alarm, run.Period, run.Period); err != nil {
+				return err
 			}
-			for _, port := range run.OnData {
-				c.dataTasks[port] = append(c.dataTasks[port], task)
-			}
+		}
+		for _, port := range run.OnData {
+			p := c.ports[port]
+			p.tasks = append(p.tasks, task)
 		}
 	}
 	r.comps[name] = c
@@ -151,7 +145,17 @@ func (r *RTE) Runtime(name string) (vfb.Runtime, error) {
 	if !ok {
 		return nil, fmt.Errorf("rte: unknown component %q", name)
 	}
-	return &runtime{r: r, c: c}, nil
+	return c, nil
+}
+
+// Port resolves a port of a component instance. Connections made later
+// still reach writes through the handle.
+func (r *RTE) Port(comp, port string) (*Port, error) {
+	c, ok := r.comps[comp]
+	if !ok {
+		return nil, fmt.Errorf("rte: unknown component %q", comp)
+	}
+	return c.port(port)
 }
 
 // Connect wires a provided port to a required port on this ECU. For
@@ -167,30 +171,28 @@ func (r *RTE) Connect(fromComp, fromPort, toComp, toPort string) error {
 	if !ok {
 		return fmt.Errorf("rte: unknown component %q", toComp)
 	}
-	fp, ok := fc.ports[fromPort]
-	if !ok {
-		return fmt.Errorf("rte: %s has no port %q", fromComp, fromPort)
+	fp, err := fc.port(fromPort)
+	if err != nil {
+		return err
 	}
-	tp, ok := tc.ports[toPort]
-	if !ok {
-		return fmt.Errorf("rte: %s has no port %q", toComp, toPort)
+	tp, err := tc.port(toPort)
+	if err != nil {
+		return err
 	}
 	if fp.def.Direction != core.Provided {
-		return fmt.Errorf("rte: %s.%s is not provided", fromComp, fromPort)
+		return fmt.Errorf("rte: %s is not provided", fp)
 	}
 	if tp.def.Direction != core.Required {
-		return fmt.Errorf("rte: %s.%s is not required", toComp, toPort)
+		return fmt.Errorf("rte: %s is not required", tp)
 	}
 	if fp.def.Iface.Kind != tp.def.Iface.Kind {
-		return fmt.Errorf("rte: interface kind mismatch between %s.%s and %s.%s",
-			fromComp, fromPort, toComp, toPort)
+		return fmt.Errorf("rte: interface kind mismatch between %s and %s", fp, tp)
 	}
 	if fp.def.Iface.Kind == vfb.ClientServer {
-		r.csRoutes[portKey{toComp, toPort}] = fromComp
+		tp.server = fp.comp
 		return nil
 	}
-	key := portKey{fromComp, fromPort}
-	r.routes[key] = append(r.routes[key], portKey{toComp, toPort})
+	fp.receivers = append(fp.receivers, tp)
 	return nil
 }
 
@@ -217,40 +219,34 @@ func (r *RTE) AddComposite(c vfb.Composite) error {
 // BindNetworkTx routes writes on a provided sender-receiver port into a
 // COM transport, realising a cross-ECU VFB connection.
 func (r *RTE) BindNetworkTx(comp, port string, tr *com.Transport) error {
-	c, ok := r.comps[comp]
-	if !ok {
-		return fmt.Errorf("rte: unknown component %q", comp)
+	p, err := r.senderReceiver(comp, port, core.Provided)
+	if err != nil {
+		return err
 	}
-	p, ok := c.ports[port]
-	if !ok {
-		return fmt.Errorf("rte: %s has no port %q", comp, port)
-	}
-	if p.def.Direction != core.Provided || p.def.Iface.Kind != vfb.SenderReceiver {
-		return fmt.Errorf("rte: %s.%s is not a provided sender-receiver port", comp, port)
-	}
-	key := portKey{comp, port}
-	r.netTx[key] = append(r.netTx[key], tr)
+	p.net = append(p.net, tr)
 	return nil
 }
 
 // BindNetworkRx delivers payloads reassembled by the transport to a
 // required sender-receiver port, completing a cross-ECU connection.
 func (r *RTE) BindNetworkRx(tr *com.Transport, comp, port string) error {
-	c, ok := r.comps[comp]
-	if !ok {
-		return fmt.Errorf("rte: unknown component %q", comp)
+	p, err := r.senderReceiver(comp, port, core.Required)
+	if err != nil {
+		return err
 	}
-	p, ok := c.ports[port]
-	if !ok {
-		return fmt.Errorf("rte: %s has no port %q", comp, port)
-	}
-	if p.def.Direction != core.Required || p.def.Iface.Kind != vfb.SenderReceiver {
-		return fmt.Errorf("rte: %s.%s is not a required sender-receiver port", comp, port)
-	}
-	tr.OnPayload(func(payload []byte, _ sim.Time) {
-		r.deliver(portKey{comp, port}, payload)
-	})
+	tr.OnPayload(func(payload []byte, _ sim.Time) { p.deliver(payload) })
 	return nil
+}
+
+func (r *RTE) senderReceiver(comp, port string, dir core.Direction) (*Port, error) {
+	p, err := r.Port(comp, port)
+	if err != nil {
+		return nil, err
+	}
+	if p.def.Direction != dir || p.def.Iface.Kind != vfb.SenderReceiver {
+		return nil, fmt.Errorf("rte: %s is not a %v sender-receiver port", p, dir)
+	}
+	return p, nil
 }
 
 // Write implements the Rte_Write side of sender-receiver communication for
@@ -260,31 +256,7 @@ func (r *RTE) Write(comp, port string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("rte: unknown component %q", comp)
 	}
-	p, ok := c.ports[port]
-	if !ok {
-		return fmt.Errorf("rte: %s has no port %q", comp, port)
-	}
-	if p.def.Direction != core.Provided || p.def.Iface.Kind != vfb.SenderReceiver {
-		return fmt.Errorf("rte: %s.%s is not a provided sender-receiver port", comp, port)
-	}
-	if p.def.Iface.MaxLen > 0 && len(data) > p.def.Iface.MaxLen {
-		return fmt.Errorf("rte: %s.%s: %d bytes exceed interface limit %d",
-			comp, port, len(data), p.def.Iface.MaxLen)
-	}
-	r.Writes++
-	key := portKey{comp, port}
-	// No defensive copy: deliver copies into each receiver's own buffer
-	// and Transport.Send copies into frame payloads before returning, so
-	// the caller's slice is never retained.
-	for _, dst := range r.routes[key] {
-		r.deliver(dst, data)
-	}
-	for _, tr := range r.netTx[key] {
-		if err := tr.Send(data); err != nil {
-			return fmt.Errorf("rte: network write on %s.%s: %v", comp, port, err)
-		}
-	}
-	return nil
+	return c.Write(port, data)
 }
 
 // Read implements Rte_Read/Rte_Receive for a required port.
@@ -293,6 +265,92 @@ func (r *RTE) Read(comp, port string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
+	return c.Read(port)
+}
+
+// Call implements Rte_Call: a synchronous client-server invocation through
+// a required port.
+func (r *RTE) Call(comp, port, op string, arg []byte) ([]byte, error) {
+	c, ok := r.comps[comp]
+	if !ok {
+		return nil, fmt.Errorf("rte: unknown component %q", comp)
+	}
+	return c.Call(port, op, arg)
+}
+
+// Overruns returns dropped arrivals on a queued port, for diagnostics.
+func (r *RTE) Overruns(comp, port string) uint64 {
+	if p, err := r.Port(comp, port); err == nil {
+		return p.overruns
+	}
+	return 0
+}
+
+// String names the port as component.port.
+func (p *Port) String() string { return p.comp.name + "." + p.def.Name }
+
+// Write sends data on a provided sender-receiver port to every local
+// receiver and network transport connected to it.
+func (p *Port) Write(data []byte) error {
+	if p.def.Direction != core.Provided || p.def.Iface.Kind != vfb.SenderReceiver {
+		return fmt.Errorf("rte: %s is not a provided sender-receiver port", p)
+	}
+	if p.def.Iface.MaxLen > 0 && len(data) > p.def.Iface.MaxLen {
+		return fmt.Errorf("rte: %s: %d bytes exceed interface limit %d", p, len(data), p.def.Iface.MaxLen)
+	}
+	p.comp.r.Writes++
+	// No defensive copy: deliver copies into each receiver's own buffer
+	// and Transport.Send into frame payloads, so data is never retained.
+	for _, dst := range p.receivers {
+		dst.deliver(data)
+	}
+	for _, tr := range p.net {
+		if err := tr.Send(data); err != nil {
+			return fmt.Errorf("rte: network write on %s: %v", p, err)
+		}
+	}
+	return nil
+}
+
+// deliver stores data at a required port and activates data-triggered
+// runnables.
+func (p *Port) deliver(data []byte) {
+	r := p.comp.r
+	r.Deliveries++
+	if p.def.QueueLen > 0 {
+		if len(p.queue) >= p.def.QueueLen {
+			p.overruns++
+		} else {
+			p.queue = append(p.queue, append([]byte(nil), data...))
+		}
+	} else {
+		// Last-value semantics: the buffer is reused, so a slice handed out
+		// by Read is valid until the next arrival on the same port.
+		p.last = append(p.last[:0], data...)
+		p.fresh = true
+	}
+	for _, task := range p.tasks {
+		_ = r.kernel.ActivateTask(task)
+	}
+}
+
+func (c *component) port(name string) (*Port, error) {
+	p, ok := c.ports[name]
+	if !ok {
+		return nil, fmt.Errorf("rte: %s has no port %q", c.name, name)
+	}
+	return p, nil
+}
+
+func (c *component) Write(port string, data []byte) error {
+	p, err := c.port(port)
+	if err != nil {
+		return err
+	}
+	return p.Write(data)
+}
+
+func (c *component) Read(port string) ([]byte, bool) {
 	p, ok := c.ports[port]
 	if !ok {
 		return nil, false
@@ -312,85 +370,26 @@ func (r *RTE) Read(comp, port string) ([]byte, bool) {
 	return p.last, true
 }
 
-// Call implements Rte_Call: a synchronous client-server invocation through
-// a required port.
-func (r *RTE) Call(comp, port, op string, arg []byte) ([]byte, error) {
-	c, ok := r.comps[comp]
-	if !ok {
-		return nil, fmt.Errorf("rte: unknown component %q", comp)
-	}
-	p, ok := c.ports[port]
-	if !ok {
-		return nil, fmt.Errorf("rte: %s has no port %q", comp, port)
+func (c *component) Call(port, op string, arg []byte) ([]byte, error) {
+	p, err := c.port(port)
+	if err != nil {
+		return nil, err
 	}
 	if p.def.Direction != core.Required || p.def.Iface.Kind != vfb.ClientServer {
-		return nil, fmt.Errorf("rte: %s.%s is not a required client-server port", comp, port)
+		return nil, fmt.Errorf("rte: %s is not a required client-server port", p)
 	}
 	if !p.def.Iface.HasOperation(op) {
-		return nil, fmt.Errorf("rte: %s.%s does not declare operation %q", comp, port, op)
+		return nil, fmt.Errorf("rte: %s does not declare operation %q", p, op)
 	}
-	serverName, ok := r.csRoutes[portKey{comp, port}]
+	if p.server == nil {
+		return nil, fmt.Errorf("rte: %s is not connected to a server", p)
+	}
+	spec, ok := p.server.servers[op]
 	if !ok {
-		return nil, fmt.Errorf("rte: %s.%s is not connected to a server", comp, port)
+		return nil, fmt.Errorf("rte: server %q does not implement %q", p.server.name, op)
 	}
-	server := r.comps[serverName]
-	spec, ok := server.servers[op]
-	if !ok {
-		return nil, fmt.Errorf("rte: server %q does not implement %q", serverName, op)
-	}
-	return spec.Handler(&runtime{r: r, c: server}, op, arg)
+	return spec.Handler(p.server, op, arg)
 }
 
-// Overruns returns dropped arrivals on a queued port, for diagnostics.
-func (r *RTE) Overruns(comp, port string) uint64 {
-	if c, ok := r.comps[comp]; ok {
-		if p, ok := c.ports[port]; ok {
-			return p.overruns
-		}
-	}
-	return 0
-}
-
-// deliver stores data at a required port and activates data-triggered
-// runnables.
-func (r *RTE) deliver(dst portKey, data []byte) {
-	c, ok := r.comps[dst.comp]
-	if !ok {
-		return
-	}
-	p, ok := c.ports[dst.port]
-	if !ok {
-		return
-	}
-	r.Deliveries++
-	if p.def.QueueLen > 0 {
-		if len(p.queue) >= p.def.QueueLen {
-			p.overruns++
-		} else {
-			p.queue = append(p.queue, append([]byte(nil), data...))
-		}
-	} else {
-		// Last-value semantics: the buffer is reused across deliveries, so
-		// a slice handed out by Read is valid until the next arrival on
-		// the same port (readers run synchronously under the kernel).
-		p.last = append(p.last[:0], data...)
-		p.fresh = true
-	}
-	for _, task := range c.dataTasks[dst.port] {
-		_ = r.kernel.ActivateTask(task)
-	}
-}
-
-// runtime implements vfb.Runtime for one component instance.
-type runtime struct {
-	r *RTE
-	c *component
-}
-
-func (rt *runtime) Write(port string, data []byte) error { return rt.r.Write(rt.c.name, port, data) }
-func (rt *runtime) Read(port string) ([]byte, bool)      { return rt.r.Read(rt.c.name, port) }
-func (rt *runtime) Call(port, op string, arg []byte) ([]byte, error) {
-	return rt.r.Call(rt.c.name, port, op, arg)
-}
-func (rt *runtime) Now() sim.Time     { return rt.r.Now() }
-func (rt *runtime) Component() string { return rt.c.name }
+func (c *component) Now() sim.Time     { return c.r.Now() }
+func (c *component) Component() string { return c.name }

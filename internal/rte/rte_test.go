@@ -328,3 +328,232 @@ func TestRuntimeHandle(t *testing.T) {
 		t.Fatal("unknown runtime accepted")
 	}
 }
+
+// fanOutRig hosts sender S on r1 with local receivers R1 (data-triggered
+// consumer) and R2, and binds S.out to a COM transport whose far end
+// delivers into consumer C on r2.
+type fanOutRig struct {
+	eng           *sim.Engine
+	r1, r2        *RTE
+	local, remote [][]byte
+	frames        int
+}
+
+func newFanOutRig(t testing.TB) *fanOutRig {
+	t.Helper()
+	g := &fanOutRig{eng: sim.NewEngine()}
+	bus := can.NewBus(g.eng, "CAN0", 500_000)
+	bus.Tap(func(can.Frame, sim.Time) { g.frames++ })
+	g.r1, g.r2 = New(osek.New(g.eng, "ECU1")), New(osek.New(g.eng, "ECU2"))
+	t12 := com.NewTransport(bus.AttachNode("ECU1"), 0x500, false, can.Filter{ID: 0x501, Mask: ^uint32(0)})
+	t21 := com.NewTransport(bus.AttachNode("ECU2"), 0x501, false, can.Filter{ID: 0x500, Mask: ^uint32(0)})
+	send := vfb.ComponentType{
+		Name:  "S",
+		Ports: []vfb.PortDef{{Name: "out", Direction: core.Provided, Iface: sr(8)}},
+	}
+	plain := vfb.ComponentType{
+		Name:  "R",
+		Ports: []vfb.PortDef{{Name: "in", Direction: core.Required, Iface: sr(8)}},
+	}
+	for _, err := range []error{
+		g.r1.AddComponent("S", send),
+		g.r1.AddComponent("R1", consumerType(&g.local)),
+		g.r1.AddComponent("R2", plain),
+		g.r2.AddComponent("C", consumerType(&g.remote)),
+		g.r1.Connect("S", "out", "R1", "in"),
+		g.r1.Connect("S", "out", "R2", "in"),
+		g.r1.BindNetworkTx("S", "out", t12),
+		g.r2.BindNetworkRx(t21, "C", "in"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+func TestWriteFansOutToEveryResolvedTarget(t *testing.T) {
+	g := newFanOutRig(t)
+	if err := g.r1.Write("S", "out", []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	g.eng.Run()
+	if len(g.local) != 1 || g.local[0][0] != 7 {
+		t.Fatalf("data-triggered runnable of R1 saw %v", g.local)
+	}
+	if v, ok := g.r1.Read("R2", "in"); !ok || v[0] != 7 {
+		t.Fatalf("R2 read %v, %v", v, ok)
+	}
+	if g.frames != 1 || len(g.remote) != 1 || g.remote[0][0] != 7 {
+		t.Fatalf("COM transport: %d frames, remote runnable saw %v", g.frames, g.remote)
+	}
+	if g.r1.Writes != 1 || g.r1.Deliveries != 2 || g.r2.Deliveries != 1 {
+		t.Fatalf("Writes=%d Deliveries=%d/%d", g.r1.Writes, g.r1.Deliveries, g.r2.Deliveries)
+	}
+}
+
+func TestConnectAfterWritesReachesHandle(t *testing.T) {
+	eng, r := newRTE()
+	send := vfb.ComponentType{
+		Name:  "S",
+		Ports: []vfb.PortDef{{Name: "out", Direction: core.Provided, Iface: sr(8)}},
+	}
+	recv := vfb.ComponentType{
+		Name:  "R",
+		Ports: []vfb.PortDef{{Name: "in", Direction: core.Required, Iface: sr(8)}},
+	}
+	_ = r.AddComponent("S", send)
+	_ = r.AddComponent("R1", recv)
+	_ = r.AddComponent("R2", recv)
+	out, err := r.Port("S", "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = r.Connect("S", "out", "R1", "in")
+	if err := out.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Write("S", "out", []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if _, ok := r.Read("R2", "in"); ok {
+		t.Fatal("R2 received before it was connected")
+	}
+	// A connection made after the handle was resolved and written
+	// through takes effect on the next write, by handle and by name.
+	_ = r.Connect("S", "out", "R2", "in")
+	if err := out.Write([]byte{3}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := r.Read("R2", "in"); !ok || v[0] != 3 {
+		t.Fatalf("R2 after Connect: %v, %v", v, ok)
+	}
+	if err := r.Write("S", "out", []byte{4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"R1", "R2"} {
+		if v, ok := r.Read(name, "in"); !ok || v[0] != 4 {
+			t.Fatalf("%s: %v, %v", name, v, ok)
+		}
+	}
+	if r.Writes != 4 {
+		t.Fatalf("Writes = %d", r.Writes)
+	}
+}
+
+func TestUnknownComponentAndPortErrors(t *testing.T) {
+	_, r := newRTE()
+	iface := vfb.Interface{Name: "Calc", Kind: vfb.ClientServer, Operations: []string{"Add"}}
+	_ = r.AddComponent("S", vfb.ComponentType{
+		Name: "S",
+		Ports: []vfb.PortDef{
+			{Name: "out", Direction: core.Provided, Iface: sr(8)},
+			{Name: "in", Direction: core.Required, Iface: sr(8)},
+			{Name: "calc", Direction: core.Required, Iface: iface},
+		},
+	})
+	const (
+		unknownComp = `rte: unknown component "X"`
+		unknownPort = `rte: S has no port "nope"`
+	)
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	_, portErr := r.Port("X", "out")
+	_, callErr := r.Call("X", "calc", "Add", nil)
+	_, runtimeErr := r.Runtime("X")
+	for _, c := range []struct {
+		what string
+		err  error
+		want string
+	}{
+		{"Write", r.Write("X", "out", nil), unknownComp},
+		{"Port", portErr, unknownComp},
+		{"Call", callErr, unknownComp},
+		{"Runtime", runtimeErr, unknownComp},
+		{"Write", r.Write("S", "nope", nil), unknownPort},
+		{"Port", func() error { _, err := r.Port("S", "nope"); return err }(), unknownPort},
+		{"Call", func() error { _, err := r.Call("S", "nope", "Add", nil); return err }(), unknownPort},
+		{"Write on required", r.Write("S", "in", nil), "rte: S.in is not a provided sender-receiver port"},
+		{"Call unconnected", func() error { _, err := r.Call("S", "calc", "Add", nil); return err }(),
+			"rte: S.calc is not connected to a server"},
+		{"Call on sender-receiver", func() error { _, err := r.Call("S", "out", "Add", nil); return err }(),
+			"rte: S.out is not a required client-server port"},
+	} {
+		if got := errText(c.err); got != c.want {
+			t.Errorf("%s: error %q, want %q", c.what, got, c.want)
+		}
+	}
+	for _, c := range [][2]string{{"X", "in"}, {"S", "nope"}} {
+		if v, ok := r.Read(c[0], c[1]); ok || v != nil {
+			t.Errorf("Read(%s, %s) = %v, %v", c[0], c[1], v, ok)
+		}
+	}
+	in, err := r.Port("S", "in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := errText(in.Write(nil)); got != "rte: S.in is not a provided sender-receiver port" {
+		t.Errorf("Port.Write on required: %q", got)
+	}
+}
+
+func TestRejectedComponentDeclaresNothing(t *testing.T) {
+	eng, r := newRTE()
+	iface := vfb.Interface{Name: "Op", Kind: vfb.ClientServer, Operations: []string{"op"}}
+	runs := 0
+	serve := func(vfb.Runtime, string, []byte) ([]byte, error) { return nil, nil }
+	bad := vfb.ComponentType{
+		Name:  "Bad",
+		Ports: []vfb.PortDef{{Name: "svc", Direction: core.Provided, Iface: iface}},
+		Runnables: []vfb.RunnableSpec{
+			{Name: "tick", Period: sim.Millisecond, Priority: 1, Entry: func(vfb.Runtime) { runs++ }},
+			{Name: "serve1", OnInvoke: []string{"op"}, Handler: serve},
+			{Name: "serve2", OnInvoke: []string{"op"}, Handler: serve},
+		},
+	}
+	if err := r.AddComponent("Bad", bad); err == nil || !strings.Contains(err.Error(), "served twice") {
+		t.Fatalf("AddComponent = %v, want operation served twice", err)
+	}
+	eng.RunUntil(sim.Time(10 * sim.Millisecond))
+	if runs != 0 {
+		t.Fatalf("rejected component's runnable ran %d times", runs)
+	}
+	if _, ok := r.Component("Bad"); ok {
+		t.Fatal("rejected component hosted")
+	}
+}
+
+// TestAllocFreeWriteFanOut pins the resolved write path, by name and by
+// handle, at zero allocations with two local receivers, a data-triggered
+// runnable and a COM transport behind the port.
+func TestAllocFreeWriteFanOut(t *testing.T) {
+	g := newFanOutRig(t)
+	out, err := g.r1.Port("S", "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte{1, 2}
+	for what, write := range map[string]func() error{
+		"RTE.Write":  func() error { return g.r1.Write("S", "out", payload) },
+		"Port.Write": func() error { return out.Write(payload) },
+	} {
+		step := func() {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+			g.eng.Run()
+			g.local, g.remote = g.local[:0], g.remote[:0]
+		}
+		for i := 0; i < 3; i++ {
+			step() // warm engine, kernel and transport pools
+		}
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Errorf("%s: %v allocs per write, want 0", what, allocs)
+		}
+	}
+}

@@ -11,7 +11,9 @@ import (
 // lag. The model closes the loop between the actuator channels written
 // by the built-in software and the sensor channel it samples.
 type CarDynamics struct {
-	io *bsw.IoHwAb
+	// wheels, speedAct and speedSense are the model's IoHwAb channels,
+	// resolved once (see ChanWheels, ChanSpeedAct, ChanSpeedSense).
+	wheels, speedAct, speedSense *bsw.Channel
 	// Step is the update period of the model.
 	Step sim.Duration
 	// LagNum/LagDen give the first-order filter coefficient
@@ -49,12 +51,12 @@ func NewCarDynamics(io *bsw.IoHwAb) (*CarDynamics, error) {
 	if err := io.AddChannel(ChanSpeedSense, bsw.Analog, 0, 2000); err != nil {
 		return nil, err
 	}
-	return &CarDynamics{
-		io:     io,
-		Step:   20 * sim.Millisecond,
-		LagNum: 1,
-		LagDen: 5,
-	}, nil
+	c := &CarDynamics{Step: 20 * sim.Millisecond, LagNum: 1, LagDen: 5}
+	// The three channels were registered above; resolving them cannot fail.
+	c.wheels, _ = io.Channel(ChanWheels)
+	c.speedAct, _ = io.Channel(ChanSpeedAct)
+	c.speedSense, _ = io.Channel(ChanSpeedSense)
+	return c, nil
 }
 
 // Start begins the periodic model update on the engine.
@@ -65,9 +67,8 @@ func (c *CarDynamics) Start(eng *sim.Engine) {
 	c.running = true
 	var step func()
 	step = func() {
-		cmd, _ := c.io.Read(ChanSpeedAct)
-		c.speed += (cmd - c.speed) * c.LagNum / c.LagDen
-		_ = c.io.Set(ChanSpeedSense, c.speed)
+		c.speed += (c.speedAct.Read() - c.speed) * c.LagNum / c.LagDen
+		c.speedSense.Set(c.speed)
 		c.History = append(c.History, SpeedSample{At: eng.Now(), Speed: c.speed})
 		eng.After(c.Step, step)
 	}
@@ -78,7 +79,4 @@ func (c *CarDynamics) Start(eng *sim.Engine) {
 func (c *CarDynamics) Speed() int64 { return c.speed }
 
 // WheelAngle returns the last commanded wheel angle.
-func (c *CarDynamics) WheelAngle() int64 {
-	v, _ := c.io.Read(ChanWheels)
-	return v
-}
+func (c *CarDynamics) WheelAngle() int64 { return c.wheels.Read() }

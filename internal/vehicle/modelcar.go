@@ -97,12 +97,12 @@ type ModelCar struct {
 }
 
 // carCtrl builds the built-in CarCtrl component on ECU2: it applies wheel
-// and speed requests to the IoHwAb and publishes the measured speed.
-func carCtrl(car *ModelCar) vfb.ComponentType {
+// and speed requests to the IoHwAb channels of the car's dynamics and
+// publishes the measured speed.
+func carCtrl(dyn *CarDynamics) vfb.ComponentType {
 	sr := func(name string) vfb.Interface {
 		return vfb.Interface{Name: name, Kind: vfb.SenderReceiver, MaxLen: 8}
 	}
-	io := func() *CarDynamics { return car.Dynamics }
 	return vfb.ComponentType{
 		Name: "CarCtrl",
 		Ports: []vfb.PortDef{
@@ -116,7 +116,7 @@ func carCtrl(car *ModelCar) vfb.ComponentType {
 				Entry: func(rt vfb.Runtime) {
 					if data, ok := rt.Read("WheelsIn"); ok && len(data) >= 2 {
 						v := int64(int16(uint16(data[0])<<8 | uint16(data[1])))
-						_, _ = io().io.Write(ChanWheels, v)
+						dyn.wheels.Write(v)
 					}
 				},
 			},
@@ -125,14 +125,14 @@ func carCtrl(car *ModelCar) vfb.ComponentType {
 				Entry: func(rt vfb.Runtime) {
 					if data, ok := rt.Read("SpeedIn"); ok && len(data) >= 2 {
 						v := int64(int16(uint16(data[0])<<8 | uint16(data[1])))
-						_, _ = io().io.Write(ChanSpeedAct, v)
+						dyn.speedAct.Write(v)
 					}
 				},
 			},
 			{
 				Name: "pubSpeed", Period: 50 * sim.Millisecond, Priority: 4,
 				Entry: func(rt vfb.Runtime) {
-					v, _ := io().io.Read(ChanSpeedSense)
+					v := dyn.speedSense.Read()
 					_ = rt.Write("SpeedOut", []byte{byte(uint16(v) >> 8), byte(uint16(v))})
 				},
 			},
@@ -175,7 +175,7 @@ func NewModelCar(eng *sim.Engine, id core.VehicleID) (*ModelCar, error) {
 	car.SWC2PIRTE = p2
 
 	// Built-in software on ECU2.
-	if err := e2.RTE.AddComponent("CarCtrl", carCtrl(car)); err != nil {
+	if err := e2.RTE.AddComponent("CarCtrl", carCtrl(dyn)); err != nil {
 		return nil, err
 	}
 	if err := e2.RTE.Connect(string(SWC2), "S4", "CarCtrl", "WheelsIn"); err != nil {

@@ -164,8 +164,9 @@ func (c ComponentType) Port(name string) (PortDef, bool) {
 	return PortDef{}, false
 }
 
-// Validate checks the component type: unique port names, valid ports, and
-// runnable triggers that reference existing ports.
+// Validate checks the component type: unique port names, valid ports,
+// runnable triggers that reference existing ports, and each operation
+// served by one runnable that has no other trigger.
 func (c ComponentType) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("vfb: component with empty name")
@@ -181,6 +182,7 @@ func (c ComponentType) Validate() error {
 		seen[p.Name] = true
 	}
 	rnames := make(map[string]bool, len(c.Runnables))
+	served := make(map[string]bool)
 	for _, r := range c.Runnables {
 		if r.Name == "" {
 			return fmt.Errorf("vfb: component %q: runnable with empty name", c.Name)
@@ -201,6 +203,16 @@ func (c ComponentType) Validate() error {
 		}
 		if triggers == 0 {
 			return fmt.Errorf("vfb: component %q: runnable %q has no trigger", c.Name, r.Name)
+		}
+		if len(r.OnInvoke) > 0 && triggers > 1 {
+			return fmt.Errorf("vfb: component %q: runnable %q serves operations and has a timing or data trigger",
+				c.Name, r.Name)
+		}
+		for _, op := range r.OnInvoke {
+			if served[op] {
+				return fmt.Errorf("vfb: component %q: operation %q served twice", c.Name, op)
+			}
+			served[op] = true
 		}
 		for _, port := range r.OnData {
 			pd, ok := c.Port(port)

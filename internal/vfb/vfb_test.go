@@ -120,6 +120,26 @@ func TestComponentValidate(t *testing.T) {
 	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate runnable") {
 		t.Fatalf("duplicate runnable: %v", err)
 	}
+
+	c = validComponent()
+	serve2 := c.Runnables[2]
+	serve2.Name = "serve2"
+	c.Runnables = append(c.Runnables, serve2)
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "served twice") {
+		t.Fatalf("operation served by two runnables: %v", err)
+	}
+
+	for _, mix := range []func(*RunnableSpec){
+		func(r *RunnableSpec) { r.Period = 1000 },
+		func(r *RunnableSpec) { r.OnData = []string{"in"} },
+	} {
+		c = validComponent()
+		mix(&c.Runnables[2])
+		c.Runnables[2].Entry = func(Runtime) {}
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "serves operations and has") {
+			t.Fatalf("operation runnable with another trigger: %v", err)
+		}
+	}
 }
 
 func TestPortLookup(t *testing.T) {
