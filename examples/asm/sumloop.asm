@@ -1,7 +1,8 @@
 ; Sums 1..N in a VM loop, written in the guarded-loop shape a naive
 ; compiler emits (test at the top, unconditional jump at the bottom).
-; The optimizer rotates the loop, threads the entry jump and lets the
-; interpreter's fusion rules collapse the body. TestOptimizeSumLoopInstructions
+; The optimizer rotates the loop, and the VM's register lowering then
+; runs each iteration as two register ops, an ADD and an add-and-branch
+; backedge. TestOptimizeSumLoopInstructions
 ; (internal/verify) pins the gain, and the benchmark's plugin_compute
 ; workload runs the same loop.
 .plugin sum 1.0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -354,8 +355,17 @@ func TestQuickContextBinaryRoundTrip(t *testing.T) {
 
 func TestContextUnmarshalRejectsGarbage(t *testing.T) {
 	var ctx Context
-	if err := ctx.UnmarshalBinary([]byte{0xff, 0xff, 0xff}); err == nil {
+	// The three bytes claim 65535 PIC entries: nothing may be sized by
+	// the claim.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := ctx.UnmarshalBinary([]byte{0xff, 0xff, 0xff})
+	runtime.ReadMemStats(&after)
+	if err == nil {
 		t.Fatal("garbage accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("decoding 3 bytes allocated %d bytes", n)
 	}
 	good, err := Context{PIC: PIC{{Name: "a", ID: 0}}}.MarshalBinary()
 	if err != nil {

@@ -243,16 +243,18 @@ func (c Context) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes the wire form produced by MarshalBinary.
 func (c *Context) UnmarshalBinary(b []byte) error {
 	d := NewDec(b)
+	// Counted loops stop at the first decode error, and capacities are
+	// bounded by the bytes left (an entry takes at least 4 and 3).
 	nPIC := int(d.U16())
-	pic := make(PIC, 0, nPIC)
-	for i := 0; i < nPIC; i++ {
+	pic := make(PIC, 0, min(nPIC, d.Remaining()/4))
+	for i := 0; i < nPIC && d.Err() == nil; i++ {
 		name := d.Str()
 		id := PluginPortID(d.U16())
 		pic = append(pic, PICEntry{Name: name, ID: id})
 	}
 	nPLC := int(d.U16())
-	plc := make(PLC, 0, nPLC)
-	for i := 0; i < nPLC; i++ {
+	plc := make(PLC, 0, min(nPLC, d.Remaining()/3))
+	for i := 0; i < nPLC && d.Err() == nil; i++ {
 		entry := PLCEntry{Kind: LinkKind(d.U8()), Plugin: PluginPortID(d.U16())}
 		switch entry.Kind {
 		case LinkNone:
@@ -270,7 +272,7 @@ func (c *Context) UnmarshalBinary(b []byte) error {
 	}
 	nECC := int(d.U16())
 	var ecc ECC
-	for i := 0; i < nECC; i++ {
+	for i := 0; i < nECC && d.Err() == nil; i++ {
 		ecc = append(ecc, ECCEntry{
 			Endpoint:  d.Str(),
 			ECU:       ECUID(d.Str()),

@@ -200,31 +200,39 @@ func encodeManifest(e *core.Enc, m Manifest) {
 	}
 }
 
-func decodeManifest(d *core.Dec) Manifest {
+func decodeManifest(d *core.Dec) (Manifest, error) {
 	var m Manifest
 	m.Name = core.PluginName(d.Str())
 	m.Version = d.Str()
 	m.Developer = d.Str()
 	m.Description = d.Str()
+	// Counted loops stop at the first decode error.
 	nPorts := int(d.U16())
-	for i := 0; i < nPorts; i++ {
+	for i := 0; i < nPorts && d.Err() == nil; i++ {
 		m.Ports = append(m.Ports, core.PluginPortSpec{
 			Name:      d.Str(),
 			Direction: core.Direction(d.U8()),
 		})
 	}
 	nReq := int(d.U16())
-	for i := 0; i < nReq; i++ {
+	for i := 0; i < nReq && d.Err() == nil; i++ {
 		m.Requires = append(m.Requires, core.PluginName(d.Str()))
 	}
 	nCon := int(d.U16())
-	for i := 0; i < nCon; i++ {
+	for i := 0; i < nCon && d.Err() == nil; i++ {
 		m.Conflicts = append(m.Conflicts, core.PluginName(d.Str()))
 	}
 	m.MemoryWords = int(d.U32())
 	m.Budget = int(d.U32())
-	m.External = d.U8() == 1
-	return m
+	// Only the two canonical flag bytes decode, so an accepted package
+	// re-encodes to the bytes it came from.
+	switch ext := d.U8(); ext {
+	case 0, 1:
+		m.External = ext == 1
+	default:
+		return m, fmt.Errorf("plugin: manifest external flag %d is not 0 or 1", ext)
+	}
+	return m, nil
 }
 
 // MarshalBinary encodes the installation package for transport.
@@ -246,7 +254,10 @@ func (p Package) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes and validates a package.
 func (p *Package) UnmarshalBinary(b []byte) error {
 	d := core.NewDec(b)
-	m := decodeManifest(d)
+	m, err := decodeManifest(d)
+	if err != nil {
+		return err
+	}
 	prog := d.Blob()
 	ctx := d.Blob()
 	if err := d.Err(); err != nil {

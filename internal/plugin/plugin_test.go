@@ -169,6 +169,15 @@ func TestPackageWireRoundTrip(t *testing.T) {
 	if err := back.UnmarshalBinary(append(b, 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	// The manifest's last byte is the external flag: only 0 and 1 decode,
+	// so an accepted package re-encodes to its own bytes.
+	e := core.NewEnc(64)
+	encodeManifest(e, pkg.Binary.Manifest)
+	flagged := append([]byte(nil), b...)
+	flagged[len(e.Bytes())-1] = 2
+	if err := back.UnmarshalBinary(flagged); err == nil {
+		t.Fatal("external flag 2 accepted")
+	}
 }
 
 func TestManifestDependencyFieldsSurviveWire(t *testing.T) {

@@ -6,9 +6,9 @@
 // The bytecode verifier (VerifyProgram, VerifyBinary) runs the shared
 // dataflow framework (internal/vm/dataflow) with its stack-interval
 // client: it partitions the code into basic blocks (the same leader set
-// the VM compiler fuses across, see vm.BlockLeaders) and propagates an
-// interval of possible operand-stack depths to a fixpoint, proving that
-// no execution of any handler can raise ErrStackOverflow or
+// the VM's register lowering flushes at, see vm.BlockLeaders) and
+// propagates an interval of possible operand-stack depths to a fixpoint,
+// proving that no execution of any handler can raise ErrStackOverflow or
 // ErrStackUnderflow, that CALL chains are acyclic and within the frame
 // bound, that control cannot run off the end of the code, and that PWR
 // targets only provided-direction ports. Structural properties — jump

@@ -69,8 +69,10 @@ func DecodeProgram(b []byte) (*Program, error) {
 		Name:    d.Str(),
 		Version: d.Str(),
 	}
+	// Counted loops stop at the first decode error: a count is only as
+	// good as the bytes behind it.
 	nPorts := int(d.U16())
-	for i := 0; i < nPorts; i++ {
+	for i := 0; i < nPorts && d.Err() == nil; i++ {
 		p.Ports = append(p.Ports, PortDecl{
 			Name:      d.Str(),
 			Direction: core.Direction(d.U8()),
@@ -78,11 +80,11 @@ func DecodeProgram(b []byte) (*Program, error) {
 	}
 	p.Globals = int32(d.U32())
 	nConsts := int(d.U16())
-	for i := 0; i < nConsts; i++ {
+	for i := 0; i < nConsts && d.Err() == nil; i++ {
 		p.Consts = append(p.Consts, d.Str())
 	}
 	nHandlers := int(d.U16())
-	for i := 0; i < nHandlers; i++ {
+	for i := 0; i < nHandlers && d.Err() == nil; i++ {
 		p.Handlers = append(p.Handlers, Handler{
 			Kind:  HandlerKind(d.U8()),
 			Index: int32(d.U32()),
@@ -90,8 +92,16 @@ func DecodeProgram(b []byte) (*Program, error) {
 		})
 	}
 	nCode := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
 	if nCode > 1<<20 {
 		return nil, fmt.Errorf("vm: encoded code section of %d instructions too large", nCode)
+	}
+	// Each instruction takes 5 bytes: trust no count the input cannot
+	// back before allocating for it.
+	if nCode > d.Remaining()/5 {
+		return nil, fmt.Errorf("vm: encoded code section claims %d instructions in %d bytes", nCode, d.Remaining())
 	}
 	p.Code = make([]Instr, 0, nCode)
 	for i := 0; i < nCode; i++ {

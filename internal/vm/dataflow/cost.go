@@ -4,10 +4,10 @@ import "dynautosar/internal/vm"
 
 // This file computes per-loop static cost bounds: for every backedge, a
 // worst-case architectural instruction count for one full iteration of
-// the loop it closes. The interpreter's budget hoisting (vm compile.go,
-// hoistChecks) relies on the equivalent property computed over fused
-// code — one pre-charged budget check per iteration covers the whole
-// body; this analysis exposes the architectural-level number for
+// the loop it closes. The VM's register form (vm lower.go) relies on the
+// equivalent property computed over its own ops — a checked backward
+// branch pre-charges the whole next iteration, forward branches are
+// check-free; this analysis exposes the architectural-level number for
 // -dump-facts, golden tests and WCET reporting.
 
 // LoopCost bounds one loop, identified by its backedge.

@@ -14,9 +14,9 @@
 //     checked against its input (translation validation, see
 //     internal/verify.OptimizeProgram).
 //
-// The graph works at the architectural level (vm.Instr, before fusion):
-// optimized code goes through the ordinary compile pipeline, so the
-// interpreter's superinstruction fusion and budget hoisting apply on
+// The graph works at the architectural level (vm.Instr, before register
+// lowering): optimized code goes through the ordinary compile pipeline,
+// so the interpreter's register lowering and budget hoisting apply on
 // top of whatever this package produces.
 package dataflow
 

@@ -4,7 +4,7 @@ import "dynautosar/internal/vm"
 
 // This file is the bytecode optimizer: architectural-to-architectural
 // rewrites justified by the analyses in this package, run before the vm
-// compiler's fusion/hoisting pipeline ever sees the code.
+// compiler's register lowering ever sees the code.
 //
 // Contract (the translation-validation gate in internal/verify holds
 // the optimizer to it): for every activation that completes without
@@ -24,7 +24,7 @@ import "dynautosar/internal/vm"
 // output.
 //
 // Pass order per round: loop rotation (exposes the backedge form the
-// vm compiler fuses into single-dispatch loop superinstructions), jump
+// vm compiler lowers into one add-and-branch register op), jump
 // threading, constant folding + branch simplification + dead pure code
 // (one peephole scan over non-leader windows), dead-store elimination
 // (global liveness), unreachable-code elimination. Rounds repeat until
@@ -205,8 +205,8 @@ func fitsImm(k int64) bool { return k >= -1<<31 && k < 1<<31 }
 // (and symmetrically for JNZ exits). The loop's first iteration still
 // enters at L; later iterations re-test at the backedge without the
 // detour, saving one instruction per iteration and exposing the
-// producer+branch backedge the vm compiler fuses (cLdgJnz*, cGIncJnz
-// superinstructions). Targets at or below j are unshifted; the rest
+// producer+branch backedge the vm compiler lowers into one register op
+// (ADD.JNZ). Targets at or below j are unshifted; the rest
 // move up by one.
 func rotateLoops(cur **vm.Program, st *Stats) bool {
 	changed := false

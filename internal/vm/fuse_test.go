@@ -9,19 +9,20 @@ import (
 	"dynautosar/internal/sim"
 )
 
-// Equivalence tests of the two compiled forms: the fused form must be
-// observationally identical to the exact (unfused) form — host calls,
-// globals, return values, trap identity and budget accounting,
-// Instructions statistics included (a trapping or budget-straddling
-// fused op is replayed in the exact form, charging exactly the
-// constituent the per-instruction form would have reached). Both arms
-// run on this commit; golden_test.go holds them to the past.
+// Equivalence tests of the two compiled forms: the register form must be
+// observationally identical to the exact form — host calls, globals,
+// return values, trap identity and budget accounting, Instructions
+// statistics included (a trap or a budget the register form cannot
+// prove sufficient is handed to the exact form from the architectural
+// state where the op starts, so it lands on exactly the instruction the
+// per-instruction form reaches). Both arms run on this commit;
+// golden_test.go holds them to the past.
 
 // traceHost records every observable host interaction.
 type traceHost struct {
 	events []string
 	// failPort, when >= 0, makes PortWrite to that port fail, to pin
-	// the error-exit accounting of fused port writes.
+	// the error-exit accounting of register-form port writes.
 	failPort int
 }
 
@@ -45,8 +46,8 @@ func (h *traceHost) Log(msg string, v int64) {
 	h.events = append(h.events, fmt.Sprintf("log %s %d", msg, v))
 }
 
-// runBoth executes the same delivery on a fused and an unfused instance
-// and cross-checks every observable.
+// runBoth executes the same delivery on an instance in the register form
+// and one held to the exact form, and cross-checks every observable.
 func runBoth(t *testing.T, prog *Program, budget int, port int, value int64, failPort int) {
 	t.Helper()
 	fusedHost, plainHost := newTraceHost(), newTraceHost()
@@ -60,29 +61,29 @@ func runBoth(t *testing.T, prog *Program, budget int, port int, value int64, fai
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.comp = compileProgram(prog, false) // reference: no fusion
+	plain.comp = compileProgram(prog, false) // reference: exact form only
 
 	ferr := fused.Deliver(port, value)
 	perr := plain.Deliver(port, value)
 
 	if (ferr == nil) != (perr == nil) {
-		t.Fatalf("budget %d: fused err %v, unfused err %v", budget, ferr, perr)
+		t.Fatalf("budget %d: register err %v, exact err %v", budget, ferr, perr)
 	}
 	if ferr != nil {
 		fw, pw := rootSentinel(ferr), rootSentinel(perr)
 		if fw != pw {
-			t.Fatalf("budget %d: fused trap %v, unfused trap %v", budget, ferr, perr)
+			t.Fatalf("budget %d: register trap %v, exact trap %v", budget, ferr, perr)
 		}
 	}
 	if got, want := fmt.Sprint(fusedHost.events), fmt.Sprint(plainHost.events); got != want {
-		t.Fatalf("budget %d: host traces diverge\nfused:   %s\nunfused: %s", budget, got, want)
+		t.Fatalf("budget %d: host traces diverge\nregister: %s\nexact:    %s", budget, got, want)
 	}
 	fg, pg := fused.ExportGlobals(), plain.ExportGlobals()
 	if fmt.Sprint(fg) != fmt.Sprint(pg) {
-		t.Fatalf("budget %d: globals diverge: fused %v, unfused %v", budget, fg, pg)
+		t.Fatalf("budget %d: globals diverge: register %v, exact %v", budget, fg, pg)
 	}
 	if fused.Instructions != plain.Instructions {
-		t.Fatalf("budget %d: instruction counts diverge: fused %d, unfused %d (err %v)",
+		t.Fatalf("budget %d: instruction counts diverge: register %d, exact %d (err %v)",
 			budget, fused.Instructions, plain.Instructions, ferr)
 	}
 }
@@ -112,8 +113,9 @@ func errorsIs(err, target error) bool {
 	return false
 }
 
-// fusionSources exercises every peephole rule plus the patterns fusion
-// must refuse (jump target in the second slot).
+// fusionSources exercises the register lowering's folds (operands, STG
+// into the producer, ADD into the branch) and the block boundaries they
+// must not cross (a jump target between a load and its consumer).
 var fusionSources = map[string]string{
 	"sum-loop": `
 .plugin sum 1.0
@@ -249,9 +251,9 @@ on_message in:
 	PWR out
 	RET
 `,
-	// The rotated form of sum-loop: the decrement-test-branch backedge
-	// fuses into cGIncJnz (impure constituents, legal since the exact
-	// form replays traps exactly), and the loop body runs check-free.
+	// The rotated form of sum-loop: the body lowers to ADD r1, r1, r0
+	// and the decrement-test-branch backedge to one ADD.JNZ, the only
+	// budget check of the iteration.
 	"rotated-sum": `
 .plugin rsum 1.0
 .port n required
@@ -280,7 +282,7 @@ done:
 	PWR out
 	RET
 `,
-	// cGIncJz with a forward taken target: count down, exit on zero.
+	// ADD.JZ with a forward taken target: count down, exit on zero.
 	"hex-jz-exit": `
 .plugin hjz 1.0
 .port in required
@@ -302,7 +304,7 @@ done:
 	PWR out
 	RET
 `,
-	// cGIncJz with a backward target: for value 0 the increment of 0
+	// ADD.JZ with a backward target: for value 0 the increment of 0
 	// keeps the global at zero and the loop spins until the budget
 	// trap, pinning exact accounting through the fused backedge.
 	"hex-jz-spin": `
@@ -326,71 +328,212 @@ spin:
 `,
 }
 
+// loweringSources drive the register lowering's less common paths: an
+// STG while an operand still names the stored global's old value, the
+// stack shuffles on slots and on folded operands, DIV/MOD by a variable,
+// by a constant and by a constant zero, host calls, and operands left on
+// the stack at a branch or a HALT. Kept apart from fusionSources, whose
+// programs TestGoldenTraces digests. TestRegisterLowering checks that
+// each of them lowers.
+var loweringSources = map[string]string{
+	"stg-hazard": `
+.plugin sh 1.0
+.port in required
+.port out provided
+.globals 2
+on_message in:
+	LDG 0
+	LDG 0
+	ARG
+	STG 0
+	PUSH 2
+	ADD
+	STG 0
+	LDG 0
+	ADD
+	PWR out
+	RET
+`,
+	"shuffles": `
+.plugin sw 1.0
+.port in required
+.port out provided
+.globals 2
+on_message in:
+	ARG
+	PUSH 3
+	ADD
+	LDG 1
+	SWAP
+	DUP
+	OVER
+	SUB
+	ADD
+	ARG
+	PUSH 2
+	MUL
+	SWAP
+	SUB
+	LDG 0
+	ARG
+	SWAP
+	OVER
+	MUL
+	ADD
+	ADD
+	MUL
+	DUP
+	STG 1
+	PWR out
+	RET
+`,
+	"div-mod": `
+.plugin dm 1.0
+.port in required
+.port out provided
+.globals 1
+on_message in:
+	PUSH 100
+	ARG
+	DIV
+	PUSH 7
+	MOD
+	STG 0
+	LDG 0
+	ARG
+	PUSH 0
+	DIV
+	PWR out
+	RET
+`,
+	"host-calls": `
+.plugin hc 1.0
+.port in required
+.port out provided
+.globals 3
+.const c0 "c"
+on_message in:
+	LOG c0
+	CLOCK
+	STG 2
+	PRD in
+	PORT
+	ADD
+	LOG c0
+	ARG
+	NEG
+	TSET 1
+	TCLR 2
+	LDG 2
+	PWR out
+	RET
+`,
+	"leftovers": `
+.plugin lo 1.0
+.port in required
+.port out provided
+.globals 2
+on_message in:
+	LDG 0
+	LDG 1
+	ARG
+	JZ skip
+	PUSH 1
+	ADD
+skip:
+	ADD
+	ARG
+	PUSH -3
+	LT
+	JNZ stop
+	ABS
+	NOT
+	PUSH 3
+	SHL
+	PUSH 1
+	SHR
+	PWR out
+	RET
+stop:
+	LDG 0
+	ARG
+	HALT
+`,
+}
+
 func TestFusionEquivalence(t *testing.T) {
-	for name, src := range fusionSources {
-		t.Run(name, func(t *testing.T) {
-			prog := mustAssemble(t, src)
-			for _, value := range []int64{0, 1, 7, 1000, -3} {
-				// Sweep budgets across the whole range so the trap lands on
-				// every architectural instruction at least once, including
-				// mid-pair and mid-quad positions.
-				for budget := 1; budget <= 64; budget++ {
-					runBoth(t, prog, budget, 0, value, -1)
+	for _, corpus := range []map[string]string{fusionSources, loweringSources} {
+		for name, src := range corpus {
+			t.Run(name, func(t *testing.T) {
+				prog := mustAssemble(t, src)
+				for _, value := range []int64{0, 1, 7, 1000, -3} {
+					// Sweep budgets across the whole range so the trap lands
+					// on every architectural instruction at least once,
+					// including inside the span of a register op.
+					for budget := 1; budget <= 64; budget++ {
+						runBoth(t, prog, budget, 0, value, -1)
+					}
+					runBoth(t, prog, 0, 0, value, -1) // default budget, no trap
+					runBoth(t, prog, 0, 0, value, 1)  // failing port write
 				}
-				runBoth(t, prog, 0, 0, value, -1) // default budget, no trap
-				runBoth(t, prog, 0, 0, value, 1)  // failing port write
+			})
+		}
+	}
+}
+
+// TestRegisterLowering pins what lowering produces for the canonical
+// handlers — a silent regression would pass the equivalence tests while
+// losing the performance: the rotated sum loop runs two register ops per
+// iteration, the echo handler is PWR + RET, and a handler that is not
+// lowerable starts in the exact form.
+func TestRegisterLowering(t *testing.T) {
+	ops := func(f *form, from, to int32) (got []rop) {
+		for i, c := range f.code {
+			if from <= f.start[i] && f.start[i] < to {
+				got = append(got, c.op)
 			}
-		})
+		}
+		return got
+	}
+	// The body of rotated-sum spans pcs 6..15 (LDG 1 … JNZ body).
+	rotated := mustAssemble(t, fusionSources["rotated-sum"]).compiledForm()
+	if got := fmt.Sprint(ops(rotated, 6, 16)); got != fmt.Sprint([]rop{rAdd, rAddJnz}) {
+		t.Errorf("rotated sum loop body lowered to ops %v, want [ADD ADD.JNZ]", got)
+	}
+	echo := mustAssemble(t, fusionSources["echo"]).compiledForm()
+	if got := fmt.Sprint(ops(echo, 0, 3)); got != fmt.Sprint([]rop{rPwr, rRet}) || echo.msg[0].op != 0 {
+		t.Errorf("echo handler lowered to ops %v (entry op %d), want [PWR RET] from op 0", got, echo.msg[0].op)
+	}
+
+	for name, src := range loweringSources {
+		if f := mustAssemble(t, src).compiledForm(); f.msg[0].op < 0 {
+			t.Errorf("%s: handler not lowered", name)
+		}
+	}
+
+	// CALL makes a handler not lowerable: it starts in the exact form.
+	prog := mustAssemble(t, fusionSources["call-ret"])
+	if f := prog.compiledForm(); f.msg[0].op >= 0 || len(f.code) != 0 {
+		t.Fatalf("call-ret lowered to %d ops from op %d", len(f.code), f.msg[0].op)
+	}
+	host := newTraceHost()
+	in, err := NewInstance(prog, host, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Deliver(0, 3); err != nil || prog.exact == nil || fmt.Sprint(host.events) != "[pwr 1 7]" {
+		t.Errorf("call-ret: err %v, exact form built %t, events %v", err, prog.exact != nil, host.events)
 	}
 }
 
-// TestFusionFires pins that the pass actually produces superinstructions
-// for the canonical hot loops — a silent fusion regression would pass
-// the equivalence tests while losing the performance.
-func TestFusionFires(t *testing.T) {
-	prog := mustAssemble(t, fusionSources["sum-loop"])
-	comp := prog.compiledForm()
-	counts := map[cop]int{}
-	for _, ins := range comp.code {
-		counts[ins.op]++
-	}
-	// The loop-exit branch jumps forward, so hoisting strips its budget
-	// check: cLdgJzN, not cLdgJz.
-	for _, want := range []cop{cGAddG, cGIncI, cLdgJzN, cArgStg, cPushStg, cLdgPwr} {
-		if counts[want] == 0 {
-			t.Errorf("sum loop compiled without %v (got %v)", want, counts)
-		}
-	}
-
-	echo := mustAssemble(t, fusionSources["echo"])
-	found := false
-	for _, ins := range echo.compiledForm().code {
-		if ins.op == cArgPwr {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("echo handler compiled without ARG.PWR")
-	}
-
-	rotated := mustAssemble(t, fusionSources["rotated-sum"])
-	found = false
-	for _, ins := range rotated.compiledForm().code {
-		if ins.op == cGIncJnz {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("rotated sum loop compiled without G.INC.JNZ")
-	}
-}
-
-// TestHexFusionDeepStack drives the cGIncJnz backedge at stack depths
-// where its transient +2 headroom overflows at the first or second
-// architectural constituent, pinning the exact-form replay: the trap must
-// land on exactly the constituent the per-instruction scheme reaches.
+// TestHexFusionDeepStack drives the fused ADD.JNZ backedge under a deep
+// operand stack: at 240 and 246 pushes the handler still fits the
+// register file and runs lowered; at 254 its layout does not fit, and at
+// 255 and 256 the loop's transient depth would overflow the stack, so
+// the handler is not lowerable and the exact form must raise the
+// overflow on exactly the instruction the per-instruction scheme reaches.
 func TestHexFusionDeepStack(t *testing.T) {
-	for _, pushes := range []int{254, 255, 256} {
+	for _, pushes := range []int{240, 246, 254, 255, 256} {
 		code := []Instr{{Op: OpArg}, {Op: OpStg, Arg: 0}}
 		for i := 0; i < pushes; i++ {
 			code = append(code, Instr{Op: OpPush, Arg: 7})
@@ -417,14 +560,12 @@ func TestHexFusionDeepStack(t *testing.T) {
 		if err := prog.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		fusedHex := false
-		for _, ins := range prog.compiledForm().code {
-			if ins.op == cGIncJnz {
-				fusedHex = true
-			}
+		f := prog.compiledForm()
+		if lowered := f.msg[0].op >= 0; lowered != (pushes <= 246) {
+			t.Fatalf("pushes=%d: lowered %t", pushes, lowered)
 		}
-		if !fusedHex {
-			t.Fatalf("pushes=%d: backedge did not fuse into G.INC.JNZ", pushes)
+		if pushes <= 246 && f.code[len(f.code)-2].op != rAddJnz {
+			t.Fatalf("pushes=%d: backedge did not lower to ADD.JNZ", pushes)
 		}
 		for _, budget := range []int{0, 200, 260, 300, 1000} {
 			runBoth(t, prog, budget, 0, 3, -1)
@@ -460,7 +601,7 @@ func TestHandlerTablesMatchLookup(t *testing.T) {
 	comp := prog.compiledForm()
 	for port := int32(0); port < 2; port++ {
 		want, wantOK := prog.Handler(HandlerMessage, port)
-		got := comp.msgEntry[port]
+		got := comp.msg[port].pc
 		if !wantOK {
 			want = -1
 		}
@@ -468,9 +609,9 @@ func TestHandlerTablesMatchLookup(t *testing.T) {
 			t.Errorf("port %d: compiled entry %d, Program.Handler %d", port, got, want)
 		}
 	}
-	if want, ok := prog.Handler(HandlerInit, 0); ok || comp.initEntry != -1 {
+	if want, ok := prog.Handler(HandlerInit, 0); ok || comp.init.pc != -1 {
 		t.Errorf("init entry = %d, Program.Handler = %d,%v (index!=0 must stay dead)",
-			comp.initEntry, want, ok)
+			comp.init.pc, want, ok)
 	}
 }
 
@@ -535,9 +676,9 @@ func bytesFromProgram(p *Program, value int8) []byte {
 	return data
 }
 
-// TestFusionRandomPrograms cross-checks fused against unfused execution
-// over randomly generated (verified) programs with branches, calls and
-// traps, across tight budgets.
+// TestFusionRandomPrograms cross-checks the register form against the
+// exact form over randomly generated (verified) programs with branches,
+// calls and traps, across tight budgets.
 func TestFusionRandomPrograms(t *testing.T) {
 	r := rand.New(rand.NewSource(testSeed(t, 7)))
 	for iter := 0; iter < 400; iter++ {
@@ -555,20 +696,23 @@ func TestFusionRandomPrograms(t *testing.T) {
 
 // FuzzFusedVsExact is the coverage-guided form of the random test: any
 // byte string that decodes to a verified program must behave identically
-// in the fused and the unfused form at every budget of the sweep, with
-// and without a failing port write. The hand-written corpus seeds it.
+// in the register form (the fused form of the program) and the exact
+// form at every budget of the sweep, with and without a failing port
+// write. The hand-written corpus seeds it.
 func FuzzFusedVsExact(f *testing.F) {
-	for name, src := range fusionSources {
-		prog, err := Assemble(src)
-		if err != nil {
-			f.Fatalf("%s: %v", name, err)
-		}
-		for _, value := range []int8{0, 7, -3} {
-			seed := bytesFromProgram(prog, value)
-			if back, _, _ := programFromBytes(seed); fmt.Sprint(back.Code) != fmt.Sprint(prog.Code) {
-				f.Fatalf("%s: seed does not decode back to the corpus program", name)
+	for _, corpus := range []map[string]string{fusionSources, loweringSources} {
+		for name, src := range corpus {
+			prog, err := Assemble(src)
+			if err != nil {
+				f.Fatalf("%s: %v", name, err)
 			}
-			f.Add(seed)
+			for _, value := range []int8{0, 7, -3} {
+				seed := bytesFromProgram(prog, value)
+				if back, _, _ := programFromBytes(seed); fmt.Sprint(back.Code) != fmt.Sprint(prog.Code) {
+					f.Fatalf("%s: seed does not decode back to the corpus program", name)
+				}
+				f.Add(seed)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -28,7 +28,7 @@ func TestGoldenTraces(t *testing.T) {
 		exact := compileProgram(prog, false)
 		for budget := 0; budget <= 64; budget++ {
 			for _, failPort := range []int{-1, 1} {
-				for _, form := range []*compiled{nil, exact} {
+				for _, form := range []*form{nil, exact} {
 					host := newTraceHost()
 					host.failPort = failPort
 					inst, err := NewInstance(prog, host, budget)

@@ -57,11 +57,16 @@ type Host interface {
 // Timer.
 type Instance struct {
 	prog *Program
-	comp *compiled
+	comp *form
 	host Host
 	// budget is the instruction budget per activation.
 	budget int
 
+	// regs is the register file of the register form (layout in form).
+	// globals and lastIn are its prefix, so both forms and the upgrade
+	// hook see one state; a program whose globals and ports do not fit
+	// keeps them on the heap and runs only in the exact form.
+	regs    [numRegs]int64
 	globals []int64
 	// lastIn holds the last value delivered to each port, readable with
 	// OpPrd.
@@ -93,14 +98,16 @@ func NewInstance(prog *Program, host Host, budget int) (*Instance, error) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Instance{
-		prog:    prog,
-		comp:    prog.compiledForm(),
-		host:    host,
-		budget:  budget,
-		globals: make([]int64, prog.Globals),
-		lastIn:  make([]int64, len(prog.Ports)),
-	}, nil
+	f := prog.compiledForm()
+	in := &Instance{prog: prog, comp: f, host: host, budget: budget}
+	g, ports := int(prog.Globals), len(prog.Ports)
+	file := in.regs[:]
+	if g+ports > numRegs {
+		file = make([]int64, g+ports)
+	}
+	in.globals, in.lastIn = file[:g:g], file[g:g+ports:g+ports]
+	copy(in.regs[f.constBase:], f.consts)
+	return in, nil
 }
 
 // Program returns the underlying program.
@@ -133,11 +140,10 @@ func (in *Instance) Stop() { in.stopped = true }
 
 // Init runs the init handler, if declared.
 func (in *Instance) Init() error {
-	entry := in.comp.initEntry
-	if entry < 0 {
+	if in.comp.init.pc < 0 {
 		return nil
 	}
-	return in.start(entry, 0, -1)
+	return in.start(in.comp.init, 0, -1)
 }
 
 // Deliver runs the message handler for the declared port index with the
@@ -151,11 +157,11 @@ func (in *Instance) Deliver(port int, value int64) error {
 		return ErrStopped
 	}
 	in.lastIn[port] = value
-	entry := in.comp.msgEntry[port]
-	if entry < 0 {
+	e := in.comp.msg[port]
+	if e.pc < 0 {
 		return fmt.Errorf("%w: message on port %d", ErrNoHandler, port)
 	}
-	return in.start(entry, value, port)
+	return in.start(e, value, port)
 }
 
 // Timer runs the handler of the expired timer.
@@ -163,52 +169,207 @@ func (in *Instance) Timer(id int) error {
 	if in.stopped {
 		return ErrStopped
 	}
-	if id < 0 || id >= maxTimers || in.comp.timerEntry[id] < 0 {
+	if id < 0 || id >= maxTimers || in.comp.timer[id].pc < 0 {
 		return fmt.Errorf("%w: timer %d", ErrNoHandler, id)
 	}
-	return in.start(in.comp.timerEntry[id], 0, -1)
+	return in.start(in.comp.timer[id], 0, -1)
 }
 
-// start runs a fresh activation of the handler at entry, in the fused
-// form.
-func (in *Instance) start(entry int32, arg int64, port int) error {
+// start runs a fresh activation of the handler e: in the register form
+// when it is lowerable, else in the exact form.
+func (in *Instance) start(e entry, arg int64, port int) error {
 	if in.stopped {
 		return ErrStopped
 	}
 	in.Activations++
-	return in.run(in.comp, entry, 0, 0, 0, 0, arg, port)
+	if e.op < 0 {
+		return in.run(in.prog.exactForm(), e.pc, 0, 0, 0, 0, arg, port)
+	}
+	b := in.comp.stackBase
+	in.regs[b-2], in.regs[b-1] = arg, int64(port)
+	return in.runReg(e.op)
 }
 
-// run interprets comp from the machine state (pc, sp, tos, fp, steps)
-// until a halt, a top-level return, or a trap. It is the only function
-// that executes instructions: its switch is the definition of the ISA.
+// runReg runs the register form from op ri until a RET or HALT, a host
+// refusing a port write, or a hand-over to the exact form. Its live state
+// is the code, the register file, ri, steps, the budget and the
+// instance; every cold exit returns into a function of its own so none
+// of them costs the loop a register.
 //
-// The loop is the data plane's innermost ring and is built to dispatch,
-// not to bookkeep: the program counter, stack pointer and the cached
-// top-of-stack value live in locals; common instruction sequences were
-// fused into superinstructions at compile time (one dispatch, no
-// intermediate stack traffic); a trap leaves the loop instead of being
-// tested for after every instruction; and the instruction-budget
-// comparison runs only on entry and at checked control transfers — each
-// one pre-checks that the worst-case cost to the *next* check (blockCost,
-// which spans whole loop iterations across check-free forward branches)
-// fits the remaining budget.
-//
-// When a pre-check fails, or a fused instruction detects a trap (its
-// checks precede all its mutations, so the state is still the one before
-// the instruction), handoff re-enters this loop at the same pc over the
-// program's exact form — unfused, every instruction cost 1, every branch
-// checked; fused groups keep the architectural pc numbering, so the
-// state carries over unchanged. There a trap is final and names the
-// architectural pc, and blockCost is no over-approximation any more: a
-// failed pre-check means the budget expires inside the straight-line run
-// ahead, which handoff turns into the budget tail, run through this loop
-// as well. Traps and budget accounting therefore land at exactly the
-// instruction a per-instruction scheme would have chosen (fuse_test.go
-// pins the two forms against each other, golden_test.go against the
-// past), and fusion rules are free to include impure constituents such
-// as global stores: a trapping or budget-straddling fused instruction is
-// replayed architecturally, never reconstructed.
+// The budget is compared at entry and when a branch is taken. A
+// backward branch pre-charges the worst-case cost up to the next such
+// check (blockCost of its target, which spans a loop's whole iteration
+// and its exit path, carried in the op as need); a forward branch has
+// need 0, as the check that admitted it already covers both of its
+// successors. When a pre-check fails, or a DIV/MOD meets a zero divisor,
+// toExact continues the activation in the exact form from the
+// architectural state where the op starts, which lowering keeps in the
+// file: there the budget expires, or the trap is raised, on exactly the
+// instruction the per-instruction scheme would choose.
+func (in *Instance) runReg(ri int32) error {
+	f := in.comp
+	code := f.code
+	r := &in.regs
+	budget := in.budget
+	steps := 0
+	if int(f.blockCost[ri]) > budget {
+		return in.toExact(ri, 0)
+	}
+	for {
+		ins := code[ri]
+		steps += int(ins.cost)
+		switch ins.op {
+		case rNop:
+		case rMov:
+			r[ins.d] = r[ins.a]
+		case rSwap:
+			r[ins.d], r[ins.a] = r[ins.a], r[ins.d]
+		case rAdd:
+			r[ins.d] = r[ins.a] + r[ins.b]
+		case rSub:
+			r[ins.d] = r[ins.a] - r[ins.b]
+		case rMul:
+			r[ins.d] = r[ins.a] * r[ins.b]
+		case rDiv:
+			if r[ins.b] == 0 {
+				return in.toExact(ri, steps-int(ins.cost))
+			}
+			r[ins.d] = r[ins.a] / r[ins.b]
+		case rMod:
+			if r[ins.b] == 0 {
+				return in.toExact(ri, steps-int(ins.cost))
+			}
+			r[ins.d] = r[ins.a] % r[ins.b]
+		case rMin:
+			r[ins.d] = min(r[ins.a], r[ins.b])
+		case rMax:
+			r[ins.d] = max(r[ins.a], r[ins.b])
+		case rAnd:
+			r[ins.d] = r[ins.a] & r[ins.b]
+		case rOr:
+			r[ins.d] = r[ins.a] | r[ins.b]
+		case rXor:
+			r[ins.d] = r[ins.a] ^ r[ins.b]
+		case rShl:
+			r[ins.d] = r[ins.a] << uint64(r[ins.b]&63)
+		case rShr:
+			r[ins.d] = r[ins.a] >> uint64(r[ins.b]&63)
+		case rEq:
+			r[ins.d] = boolWord(r[ins.a] == r[ins.b])
+		case rNe:
+			r[ins.d] = boolWord(r[ins.a] != r[ins.b])
+		case rLt:
+			r[ins.d] = boolWord(r[ins.a] < r[ins.b])
+		case rLe:
+			r[ins.d] = boolWord(r[ins.a] <= r[ins.b])
+		case rGt:
+			r[ins.d] = boolWord(r[ins.a] > r[ins.b])
+		case rGe:
+			r[ins.d] = boolWord(r[ins.a] >= r[ins.b])
+		case rNeg:
+			r[ins.d] = -r[ins.a]
+		case rAbs:
+			v := r[ins.a]
+			if v < 0 {
+				v = -v
+			}
+			r[ins.d] = v
+		case rNot:
+			r[ins.d] = ^r[ins.a]
+		case rJmp:
+			ri = ins.arg
+			if int(ins.need) > budget-steps {
+				return in.toExact(ri, steps)
+			}
+			continue
+		case rJz:
+			if r[ins.a] == 0 {
+				ri = ins.arg
+				if int(ins.need) > budget-steps {
+					return in.toExact(ri, steps)
+				}
+				continue
+			}
+		case rJnz:
+			if r[ins.a] != 0 {
+				ri = ins.arg
+				if int(ins.need) > budget-steps {
+					return in.toExact(ri, steps)
+				}
+				continue
+			}
+		case rAddJz:
+			v := r[ins.a] + r[ins.b]
+			r[ins.d] = v
+			if v == 0 {
+				ri = ins.arg
+				if int(ins.need) > budget-steps {
+					return in.toExact(ri, steps)
+				}
+				continue
+			}
+		case rAddJnz:
+			v := r[ins.a] + r[ins.b]
+			r[ins.d] = v
+			if v != 0 {
+				ri = ins.arg
+				if int(ins.need) > budget-steps {
+					return in.toExact(ri, steps)
+				}
+				continue
+			}
+		case rPwr:
+			if err := in.host.PortWrite(int(ins.arg), r[ins.a]); err != nil {
+				return in.writeFailed(err, steps)
+			}
+		case rTset:
+			in.host.SetTimer(int(ins.arg), sim.Duration(max(r[ins.a], 0)))
+		case rTclr:
+			in.host.ClearTimer(int(ins.arg))
+		case rClock:
+			r[ins.d] = int64(in.host.Now())
+		case rLog:
+			in.host.Log(in.prog.Consts[ins.arg], r[ins.a])
+		case rRet:
+			in.Instructions += uint64(steps)
+			return nil
+		case rExit:
+			return in.toExact(ri, steps)
+		}
+		ri++
+	}
+}
+
+// toExact continues an activation of the register form in the exact
+// form at the architectural pc where op ri starts, with steps
+// instructions charged: the operand stack moves from its registers into
+// in.stack and the cached top of stack.
+func (in *Instance) toExact(ri int32, steps int) error {
+	f := in.comp
+	pc := f.start[ri]
+	d := int(f.depth[pc])
+	var tos int64
+	if d > 0 {
+		s := in.regs[f.stackBase : f.stackBase+d]
+		copy(in.stack[1:d], s)
+		tos = s[d-1]
+	}
+	arg, port := in.regs[f.stackBase-2], int(in.regs[f.stackBase-1])
+	return in.run(in.prog.exactForm(), pc, d, tos, 0, steps, arg, port)
+}
+
+// run interprets the exact form comp from the machine state (pc, sp,
+// tos, fp, steps) until a halt, a top-level return, or a trap: its
+// switch is the definition of the ISA. The program counter, stack
+// pointer and the cached top-of-stack value live in locals; a trap
+// leaves the loop instead of being tested for after every instruction;
+// and the budget comparison runs only on entry and at control transfers,
+// each pre-checking that the straight-line run to the next transfer
+// (blockCost) fits the remaining budget. When it does not, handoff turns
+// the rest of the budget into the budget tail, run through this loop as
+// well, so traps and budget faults land at exactly the instruction a
+// per-instruction scheme would choose (fuse_test.go pins the register
+// form against this one, golden_test.go both against the past).
 func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps int, arg int64, port int) error {
 	code := comp.code
 	blockCost := comp.blockCost
@@ -223,26 +384,26 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 	var trap error
 	for {
 		ins := code[pc]
-		steps += int(ins.cost)
+		steps++
 		next := pc + 1
-		switch ins.op {
-		case cNop:
-		case cPush:
+		switch ins.Op {
+		case OpNop:
+		case OpPush:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
 				goto fault
 			}
 			stack[sp] = tos
-			tos = int64(ins.arg)
+			tos = int64(ins.Arg)
 			sp++
-		case cPop:
+		case OpPop:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = stack[sp]
-		case cDup:
+		case OpDup:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -253,13 +414,13 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			}
 			stack[sp] = tos
 			sp++
-		case cSwap:
+		case OpSwap:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			stack[sp-1], tos = tos, stack[sp-1]
-		case cOver:
+		case OpOver:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -272,28 +433,28 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			stack[sp] = tos
 			tos = v
 			sp++
-		case cAdd:
+		case OpAdd:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos += stack[sp]
-		case cSub:
+		case OpSub:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = stack[sp] - tos
-		case cMul:
+		case OpMul:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos *= stack[sp]
-		case cDiv:
+		case OpDiv:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -304,7 +465,7 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			}
 			sp--
 			tos = stack[sp] / tos
-		case cMod:
+		case OpMod:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -315,13 +476,13 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			}
 			sp--
 			tos = stack[sp] % tos
-		case cNeg:
+		case OpNeg:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			tos = -tos
-		case cAbs:
+		case OpAbs:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -329,7 +490,7 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			if tos < 0 {
 				tos = -tos
 			}
-		case cMin:
+		case OpMin:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -338,7 +499,7 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			if a := stack[sp]; a < tos {
 				tos = a
 			}
-		case cMax:
+		case OpMax:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -347,95 +508,95 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			if a := stack[sp]; a > tos {
 				tos = a
 			}
-		case cAnd:
+		case OpAnd:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos &= stack[sp]
-		case cOr:
+		case OpOr:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos |= stack[sp]
-		case cXor:
+		case OpXor:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos ^= stack[sp]
-		case cNot:
+		case OpNot:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			tos = ^tos
-		case cShl:
+		case OpShl:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = stack[sp] << uint64(tos&63)
-		case cShr:
+		case OpShr:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = stack[sp] >> uint64(tos&63)
-		case cEq:
+		case OpEq:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] == tos)
-		case cNe:
+		case OpNe:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] != tos)
-		case cLt:
+		case OpLt:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] < tos)
-		case cLe:
+		case OpLe:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] <= tos)
-		case cGt:
+		case OpGt:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] > tos)
-		case cGe:
+		case OpGe:
 			if sp < 2 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
 			sp--
 			tos = boolWord(stack[sp] >= tos)
-		case cJmp:
-			next = ins.arg
+		case OpJmp:
+			next = ins.Arg
 			if int(blockCost[next]) > budget-steps {
 				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
-		case cJz:
+		case OpJz:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -444,12 +605,12 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			sp--
 			tos = stack[sp]
 			if v == 0 {
-				next = ins.arg
+				next = ins.Arg
 			}
 			if int(blockCost[next]) > budget-steps {
 				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
-		case cJnz:
+		case OpJnz:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -458,23 +619,23 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			sp--
 			tos = stack[sp]
 			if v != 0 {
-				next = ins.arg
+				next = ins.Arg
 			}
 			if int(blockCost[next]) > budget-steps {
 				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
-		case cCall:
+		case OpCall:
 			if fp >= maxFrames {
 				trap = ErrCallDepth
 				goto fault
 			}
 			in.frames[fp] = next
 			fp++
-			next = ins.arg
+			next = ins.Arg
 			if int(blockCost[next]) > budget-steps {
 				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
-		case cRet:
+		case OpRet:
 			if fp == 0 {
 				in.Instructions += uint64(steps)
 				return nil // top-level return ends the handler
@@ -484,34 +645,34 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			if int(blockCost[next]) > budget-steps {
 				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
 			}
-		case cHalt:
+		case OpHalt:
 			in.Instructions += uint64(steps)
 			return nil
-		case cLdg:
+		case OpLdg:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
 				goto fault
 			}
 			stack[sp] = tos
-			tos = globals[ins.arg]
+			tos = globals[ins.Arg]
 			sp++
-		case cStg:
+		case OpStg:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
 			}
-			globals[ins.arg] = tos
+			globals[ins.Arg] = tos
 			sp--
 			tos = stack[sp]
-		case cPrd:
+		case OpPrd:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
 				goto fault
 			}
 			stack[sp] = tos
-			tos = in.lastIn[ins.arg]
+			tos = in.lastIn[ins.Arg]
 			sp++
-		case cPwr:
+		case OpPwr:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -519,10 +680,10 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			v := tos
 			sp--
 			tos = stack[sp]
-			if err := in.host.PortWrite(int(ins.arg), v); err != nil {
+			if err := in.host.PortWrite(int(ins.Arg), v); err != nil {
 				return in.writeFailed(err, steps)
 			}
-		case cArg:
+		case OpArg:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
 				goto fault
@@ -530,7 +691,7 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			stack[sp] = tos
 			tos = arg
 			sp++
-		case cPort:
+		case OpPort:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
 				goto fault
@@ -538,7 +699,7 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			stack[sp] = tos
 			tos = int64(port)
 			sp++
-		case cTset:
+		case OpTset:
 			if sp < 1 {
 				trap = ErrStackUnderflow
 				goto fault
@@ -549,10 +710,10 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			if v < 0 {
 				v = 0
 			}
-			in.host.SetTimer(int(ins.arg), sim.Duration(v))
-		case cTclr:
-			in.host.ClearTimer(int(ins.arg))
-		case cClock:
+			in.host.SetTimer(int(ins.Arg), sim.Duration(v))
+		case OpTclr:
+			in.host.ClearTimer(int(ins.Arg))
+		case OpClock:
 			if sp >= maxStack {
 				trap = ErrStackOverflow
 				goto fault
@@ -560,360 +721,40 @@ func (in *Instance) run(comp *compiled, pc int32, sp int, tos int64, fp, steps i
 			stack[sp] = tos
 			tos = int64(in.host.Now())
 			sp++
-		case cLog:
+		case OpLog:
 			var v int64
 			if sp > 0 {
 				v = tos
 			}
-			in.host.Log(in.prog.Consts[ins.arg], v)
-
-		// --- superinstructions -------------------------------------------
-
-		case cAddI:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			tos += int64(ins.arg)
-			next = pc + 2
-		case cSubI:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			tos -= int64(ins.arg)
-			next = pc + 2
-		case cMulI:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			tos *= int64(ins.arg)
-			next = pc + 2
-		case cPushStg:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			globals[ins.b] = int64(ins.arg)
-			next = pc + 2
-		case cLdgLdg:
-			if sp+2 > maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			stack[sp] = tos
-			stack[sp+1] = globals[ins.arg]
-			tos = globals[ins.b]
-			sp += 2
-			next = pc + 2
-		case cLdgPush:
-			if sp+2 > maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			stack[sp] = tos
-			stack[sp+1] = globals[ins.b]
-			tos = int64(ins.arg)
-			sp += 2
-			next = pc + 2
-		case cLdgJz:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if globals[ins.b] == 0 {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
-			if int(blockCost[next]) > budget-steps {
-				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
-			}
-		case cLdgJnz:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if globals[ins.b] != 0 {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
-			if int(blockCost[next]) > budget-steps {
-				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
-			}
-		case cLdgPwr:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if err := in.host.PortWrite(int(ins.b), globals[ins.arg]); err != nil {
-				return in.writeFailed(err, steps)
-			}
-			next = pc + 2
-		case cAddStg:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			sp--
-			globals[ins.arg] = stack[sp] + tos
-			sp--
-			tos = stack[sp]
-			next = pc + 2
-		case cSubStg:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			sp--
-			globals[ins.arg] = stack[sp] - tos
-			sp--
-			tos = stack[sp]
-			next = pc + 2
-		case cMulStg:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			sp--
-			globals[ins.arg] = stack[sp] * tos
-			sp--
-			tos = stack[sp]
-			next = pc + 2
-		case cArgStg:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			globals[ins.arg] = arg
-			next = pc + 2
-		case cArgPwr:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if err := in.host.PortWrite(int(ins.arg), arg); err != nil {
-				return in.writeFailed(err, steps)
-			}
-			next = pc + 2
-		case cCmpJz:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			b := tos
-			sp -= 2
-			a := stack[sp+1]
-			tos = stack[sp]
-			if !compare(Op(ins.b), a, b) {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
-			if int(blockCost[next]) > budget-steps {
-				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
-			}
-		case cCmpJnz:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			b := tos
-			sp -= 2
-			a := stack[sp+1]
-			tos = stack[sp]
-			if compare(Op(ins.b), a, b) {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
-			if int(blockCost[next]) > budget-steps {
-				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
-			}
-		case cGAddG:
-			// Transiently pushes two words architecturally; trap parity
-			// requires the same headroom.
-			if sp+2 > maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			globals[ins.b] = globals[ins.arg>>12] + globals[ins.arg&0xfff]
-			next = pc + 4
-		case cGIncI:
-			if sp+2 > maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			globals[ins.b] += int64(ins.arg)
-			next = pc + 4
-		case cGIncJz:
-			// Ldg x; Push k; Add/Sub; Stg x; Ldg x; Jz t — the transient
-			// depth reaches sp+2, like the quads.
-			if sp+2 > maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			v := globals[ins.b] + int64(ins.arg>>20)
-			globals[ins.b] = v
-			if v == 0 {
-				next = ins.arg & 0xfffff
-			} else {
-				next = pc + 6
-			}
-			if int(blockCost[next]) > budget-steps {
-				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
-			}
-		case cGIncJnz:
-			if sp+2 > maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			v := globals[ins.b] + int64(ins.arg>>20)
-			globals[ins.b] = v
-			if v != 0 {
-				next = ins.arg & 0xfffff
-			} else {
-				next = pc + 6
-			}
-			if int(blockCost[next]) > budget-steps {
-				return in.handoff(comp, next, sp, tos, fp, steps, arg, port)
-			}
-
-		// --- check-free branches (budget hoisting) -----------------------
-		//
-		// Forward branches never close a cycle, so the budget check that
-		// admitted this block already pre-charged the worst-case path
-		// through them to the next checked transfer (see blockCost).
-
-		case cJmpN:
-			next = ins.arg
-		case cJzN:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			v := tos
-			sp--
-			tos = stack[sp]
-			if v == 0 {
-				next = ins.arg
-			}
-		case cJnzN:
-			if sp < 1 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			v := tos
-			sp--
-			tos = stack[sp]
-			if v != 0 {
-				next = ins.arg
-			}
-		case cLdgJzN:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if globals[ins.b] == 0 {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
-		case cLdgJnzN:
-			if sp >= maxStack {
-				trap = ErrStackOverflow
-				goto fault
-			}
-			if globals[ins.b] != 0 {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
-		case cCmpJzN:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			b := tos
-			sp -= 2
-			a := stack[sp+1]
-			tos = stack[sp]
-			if !compare(Op(ins.b), a, b) {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
-		case cCmpJnzN:
-			if sp < 2 {
-				trap = ErrStackUnderflow
-				goto fault
-			}
-			b := tos
-			sp -= 2
-			a := stack[sp+1]
-			tos = stack[sp]
-			if compare(Op(ins.b), a, b) {
-				next = ins.arg
-			} else {
-				next = pc + 2
-			}
+			in.host.Log(in.prog.Consts[ins.Arg], v)
 
 		// --- sentinels ---------------------------------------------------
 
-		case cEnd:
+		case opEnd:
 			trap = ErrCodeEnd
 			goto fault
-		case cBudget:
+		case opBudget: // costs nothing itself
+			steps--
 			trap = ErrBudget
 			goto fault
-		default: // cPad — unreachable in compiled code; step over
 		}
 		pc = next
 	}
 
 fault:
-	if comp.exact {
-		return in.trapped(trap, comp, pc, steps)
-	}
-	// Every trap check precedes its case's mutations, so the state is
-	// exactly what it was before the instruction started: replay it in the
-	// exact form, which raises the trap at the precise constituent (and
-	// with the precise instruction charge) the per-instruction scheme
-	// would have.
-	return in.handoff(comp, pc, sp, tos, fp, steps-int(code[pc].cost), arg, port)
+	return in.trapped(trap, comp, pc, steps)
 }
 
-// handoff continues an activation from the state before the instruction
-// at pc, which the form comp may not run: the fused form hands over to
-// the exact form. The exact form only hands over on a failed pre-check,
-// and there blockCost is exact, so the budget expires inside the
-// straight-line run ahead: precisely budget-steps instructions, none of
-// them a transfer, remain. They become the budget tail — a copy closed by
-// the cBudget sentinel — so that the fault needs no per-instruction
-// comparison either.
+// handoff continues an activation whose pre-check at pc failed. blockCost
+// is exact, so the budget expires inside the straight-line run ahead:
+// precisely budget-steps instructions, none of them a transfer, remain.
+// They become the budget tail — a copy closed by the opBudget sentinel —
+// so that the fault needs no per-instruction comparison either.
 func (in *Instance) handoff(comp *compiled, pc int32, sp int, tos int64, fp, steps int, arg int64, port int) error {
-	if !comp.exact {
-		return in.run(in.prog.exactForm(), pc, sp, tos, fp, steps, arg, port)
-	}
 	rest := comp.code[pc : int(pc)+in.budget-steps]
 	in.tail = compiled{
-		code:      append(append(in.tail.code[:0], rest...), cinstr{op: cBudget}),
+		code:      append(append(in.tail.code[:0], rest...), Instr{Op: opBudget}),
 		blockCost: tailCost,
-		exact:     true,
 		base:      pc,
 	}
 	return in.run(&in.tail, 0, sp, tos, fp, steps, arg, port)
@@ -924,7 +765,7 @@ func (in *Instance) handoff(comp *compiled, pc int32, sp int, tos int64, fp, ste
 // consult another slot.
 var tailCost = []int32{0}
 
-// trapped ends an activation that raised trap at pc of an exact form,
+// trapped ends an activation that raised trap at pc of the exact form,
 // with steps instructions charged.
 func (in *Instance) trapped(trap error, comp *compiled, pc int32, steps int) error {
 	in.Instructions += uint64(steps)
@@ -932,11 +773,18 @@ func (in *Instance) trapped(trap error, comp *compiled, pc int32, steps int) err
 	if trap == ErrBudget { // no instruction's doing: the message names none
 		return fmt.Errorf("%w (after %d instructions)", trap, steps)
 	}
-	return fmt.Errorf("%w at pc %d (%v)", trap, comp.base+pc, comp.code[pc].op)
+	op := comp.code[pc].Op.String()
+	if comp.code[pc].Op == opEnd {
+		op = "END"
+	}
+	return fmt.Errorf("%w at pc %d (%s)", trap, comp.base+pc, op)
 }
 
 // writeFailed ends an activation whose port write the host refused, with
-// steps instructions charged.
+// steps instructions charged. It is a cold exit of both loops: kept out
+// of line so its error formatting costs them no registers.
+//
+//go:noinline
 func (in *Instance) writeFailed(err error, steps int) error {
 	in.Instructions += uint64(steps)
 	in.Faults++

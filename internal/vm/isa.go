@@ -200,10 +200,11 @@ type Program struct {
 	Handlers []Handler
 	Code     []Instr
 
-	// comp and exact cache the two compiled forms shared by all instances
-	// of this program; see compile.go.
+	// comp and exact cache the register form and the exact form shared
+	// by all instances of this program; see compile.go.
 	compileOnce, exactOnce sync.Once
-	comp, exact            *compiled
+	comp                   *form
+	exact                  *compiled
 }
 
 // PortIndex returns the index of the named declared port.

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -289,7 +290,7 @@ func TestBudgetAboveInt32(t *testing.T) {
 		}
 	}
 	if prog.exact != nil {
-		t.Error("an activation that fits its budget left the fused form")
+		t.Error("an activation that fits its budget left the register form")
 	}
 }
 
@@ -659,6 +660,39 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeProgram([]byte{1, 2}); err == nil {
 		t.Fatal("truncated program accepted")
+	}
+}
+
+// TestDecodeProgramBoundsItsCounts: a checksum-valid 28-byte program
+// that claims 1<<20 instructions is refused before anything is sized by
+// the claim (the decoder used to allocate 8 MB for it and then loop a
+// million times past its first error).
+func TestDecodeProgramBoundsItsCounts(t *testing.T) {
+	body := core.NewEnc(32)
+	body.U32(magic)
+	body.Str("x")
+	body.Str("1")
+	body.U16(0)       // ports
+	body.U32(0)       // globals
+	body.U16(0)       // consts
+	body.U16(0)       // handlers
+	body.U32(1 << 20) // instructions, none of them present
+	enc := core.NewEnc(32)
+	enc.U32(core.Checksum(body.Bytes()))
+	b := append(enc.Bytes(), body.Bytes()...)
+	if len(b) != 28 {
+		t.Fatalf("input is %d bytes", len(b))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := DecodeProgram(b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("program with a missing code section accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("decoding 28 bytes allocated %d bytes (err %v)", n, err)
 	}
 }
 
