@@ -4,12 +4,16 @@
 // BENCH_FLEET.json shape cmd/perfgate gates).
 //
 //	fleetsim [-scenario soak|churn|rollout|storm] [-vehicles N] [-seed N]
-//	         [-duration seconds] [-speedup N] [-out BENCH_FLEET.json]
+//	         [-duration seconds] [-out BENCH_FLEET.json]
 //
 // The scenario presets live in internal/fleetsim; -vehicles, -seed and
 // -duration override a preset's defaults. The seed fully determines the
 // fault and workload schedule, so a reported failure replays exactly.
-// Exit status 1 means the run finished with invariant violations.
+// Built with GOEXPERIMENT=synctest the run happens inside a
+// testing/synctest bubble, where time advances only when every
+// goroutine is blocked, and the same seed gives the same report on any
+// machine: the form cmd/perfgate gates. Otherwise it runs on the real
+// clock. Exit status 1 means the run broke an invariant.
 package main
 
 import (
@@ -30,7 +34,6 @@ func main() {
 	vehicles := flag.Int("vehicles", 0, "fleet size (0 = preset default)")
 	seed := flag.Int64("seed", 1, "scenario seed; the whole fault schedule replays from it")
 	duration := flag.Float64("duration", 0, "virtual scenario window in seconds (0 = preset default)")
-	speedup := flag.Int("speedup", 0, "virtual microseconds per real microsecond (0 = preset default, negative = unpaced)")
 	out := flag.String("out", "BENCH_FLEET.json", "report output path (\"-\" for stdout)")
 	quiet := flag.Bool("q", false, "suppress the per-event run log")
 	flag.Parse()
@@ -39,14 +42,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("fleetsim: %v", err)
 	}
-	if *speedup != 0 {
-		sc.Speedup = *speedup
-	}
 	logf := log.Printf
 	if *quiet {
 		logf = nil
 	}
-	res, err := fleetsim.Run(sc, logf)
+	var res *fleetsim.Result
+	inBubble(func() { res, err = fleetsim.Run(sc, logf) })
 	if err != nil {
 		log.Fatalf("fleetsim: %v", err)
 	}

@@ -86,6 +86,10 @@ type Message struct {
 // comfortably fits, while corrupt length prefixes are rejected early.
 const maxMessageSize = 16 << 20
 
+// readChunk bounds the buffer ReadMessage allocates for a body before
+// any of it has arrived; a longer body grows its buffer as it arrives.
+const readChunk = 64 << 10
+
 // AppendBinary appends the framed encoding of m to dst and returns the
 // extended slice — the allocation-free form of MarshalBinary for hot
 // paths that own a reusable buffer (the ECM ack path, the pushers).
@@ -243,8 +247,8 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if n > maxMessageSize {
 		return Message{}, fmt.Errorf("core: wire: message of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		return Message{}, err
 	}
 	if got := Checksum(body); got != sum {
@@ -255,6 +259,24 @@ func ReadMessage(r io.Reader) (Message, error) {
 		return Message{}, err
 	}
 	return m, nil
+}
+
+// readBody reads an n-byte frame body. A body under readChunk gets its
+// exact buffer at once; a longer claim reads into a buffer that grows
+// only as bytes arrive, so a header that lies about its length — the
+// pusher reads an unauthenticated peer's hello this way — costs memory
+// in proportion to what the peer sent, not to what it claimed.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	if n < readChunk {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	body, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(body) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return body, err
 }
 
 // Ack builds the acknowledgement for m, echoing its identifiers and

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -96,5 +97,48 @@ func TestWriteMessageAllocFree(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("WriteMessage: %v allocs/op in steady state, want 0", allocs)
+	}
+}
+
+// TestReadMessageAllocBoundedByArrival: a header that claims the largest
+// frame and then ends costs the reader less than 64 KiB, not the 16 MiB
+// it claimed — the pusher reads an unauthenticated peer's hello this way.
+func TestReadMessageAllocBoundedByArrival(t *testing.T) {
+	e := NewEnc(8)
+	e.U32(maxMessageSize)
+	e.U32(0)
+	hdr := e.Bytes()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := ReadMessage(bytes.NewReader(hdr)); err == nil {
+			t.Fatal("a header with no body was accepted")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("ReadMessage allocated %d bytes for an 8-byte frame, want under 64 KiB", per)
+	}
+}
+
+// TestReadMessageLongBody: a body past the up-front buffer still reads
+// whole, and one cut short fails.
+func TestReadMessageLongBody(t *testing.T) {
+	m := Message{Type: MsgInstall, Plugin: "OP", ECU: "ECU2", SWC: "SW-C2", Seq: 3,
+		Payload: bytes.Repeat([]byte{0x5A}, 3*readChunk+17)}
+	frame, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadMessage(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Payload, m.Payload) || got.Plugin != m.Plugin || got.Seq != m.Seq {
+		t.Fatalf("long message did not round-trip: %d payload bytes", len(got.Payload))
+	}
+	if _, err := ReadMessage(bytes.NewReader(frame[:len(frame)-1])); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated long message: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }

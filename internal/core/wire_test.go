@@ -187,6 +187,42 @@ func TestReadMessageRejectsOversized(t *testing.T) {
 	}
 }
 
+// FuzzReadMessage feeds hostile bytes to the ECM/pusher frame reader:
+// it must never panic, and a frame it accepts re-encodes byte for byte
+// through WriteMessage.
+func FuzzReadMessage(f *testing.F) {
+	for _, m := range []Message{
+		{Type: MsgHello, Payload: []byte("VIN-F-00001")},
+		{Type: MsgInstall, Plugin: "OP", ECU: "ECU2", SWC: "SW-C2", Seq: 42, Payload: bytes.Repeat([]byte{0xAB}, 300)},
+		{Type: MsgNack, Plugin: "COM", Seq: 7, Payload: []byte("bus fault: corrupt frame")},
+		{Type: MsgAck},
+	} {
+		frame, err := m.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	lying := NewEnc(8)
+	lying.U32(maxMessageSize)
+	lying.U32(0)
+	f.Add(lying.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadMessage(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteMessage(&out, m); err != nil {
+			t.Fatal(err)
+		}
+		frame := data[:8+int(NewDec(data[:4]).U32())]
+		if !bytes.Equal(out.Bytes(), frame) {
+			t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", frame, out.Bytes())
+		}
+	})
+}
+
 func TestAckAndNack(t *testing.T) {
 	m := Message{Type: MsgInstall, Plugin: "OP", ECU: "ECU2", SWC: "SW-C2", Seq: 9}
 	ack := m.Ack()

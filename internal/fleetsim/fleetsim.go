@@ -9,12 +9,12 @@
 // (BENCH_FLEET.json).
 //
 // Time is split in two: faults, vehicle think time and reconnect
-// backoff live on the discrete-event engine's virtual clock (paced
-// against the wall clock so virtual fault times stay meaningful while
-// the real server works), while the server itself runs its ordinary
-// concurrent goroutines in real time. The pump goroutine owns the
-// engine and all fleet state; vehicle readers hand arrivals back via
-// sim.Engine.Inject.
+// backoff live on the discrete-event engine's virtual clock, paced
+// against the wall clock, while the server runs its ordinary concurrent
+// goroutines in real time — or, run inside a testing/synctest bubble,
+// on the bubble's clock, which makes the run replay from its seed. The
+// pump goroutine owns the engine and all fleet state; vehicle readers
+// hand arrivals back via sim.Engine.Inject.
 package fleetsim
 
 import (
@@ -100,7 +100,6 @@ type Fleet struct {
 	lastChild  time.Time
 
 	start      time.Time
-	deadline   time.Time
 	m          metrics
 	trace      []string
 	violations []string
@@ -475,7 +474,6 @@ func (f *Fleet) settleParent(t *trackedOp, op api.Operation, now time.Time) {
 func (f *Fleet) pump() {
 	endT := sim.Time(f.sc.Duration)
 	f.start = time.Now()
-	f.deadline = f.start.Add(f.sc.RealTimeLimit)
 	for {
 		if f.eng.AwaitInjected(0) {
 			f.poll()
@@ -486,7 +484,7 @@ func (f *Fleet) pump() {
 		if len(f.open) == 0 && now >= endT {
 			return
 		}
-		if time.Now().After(f.deadline) {
+		if time.Since(f.start) > f.sc.RealTimeLimit {
 			f.violationf("real-time limit %s exceeded with %d operations unsettled",
 				f.sc.RealTimeLimit, len(f.open))
 			return
@@ -524,22 +522,23 @@ func (f *Fleet) paceLimit() sim.Time {
 	if f.sc.Speedup < 0 {
 		return sim.End
 	}
-	return sim.Time(time.Since(f.start).Microseconds() * int64(f.sc.Speedup))
+	return sim.Time(time.Since(f.start) * time.Duration(f.sc.Speedup) / time.Microsecond)
 }
 
 // paced reports whether the event at `at` may fire now; if not it
 // waits a bounded slice of real time (serving injected work while it
-// does) and returns false so the caller re-evaluates.
+// does) and returns false so the caller re-evaluates. The wait ends at
+// the instant `at` falls due, reckoned from the run's start and not
+// from now, so the event fires at the same instant whatever woke the
+// pump before it: in a synctest bubble that instant, and every latency
+// measured against it, is a function of the seed.
 func (f *Fleet) paced(at sim.Time) bool {
-	limit := f.paceLimit()
-	if at <= limit {
+	if at <= f.paceLimit() {
 		return true
 	}
-	wait := time.Duration(int64(at-limit)) * time.Microsecond / time.Duration(f.sc.Speedup)
-	if wait > 2*time.Millisecond {
-		wait = 2 * time.Millisecond
-	}
-	f.eng.AwaitInjected(wait)
+	speedup := time.Duration(f.sc.Speedup)
+	due := f.start.Add((time.Duration(at)*time.Microsecond + speedup - 1) / speedup)
+	f.eng.AwaitInjected(min(time.Until(due), 2*time.Millisecond))
 	return false
 }
 

@@ -119,15 +119,21 @@ func (f *Fleet) audit(label string) {
 // every created operation must have a settled outcome. The counters
 // are in-memory and reset with the process, so a shard that ever
 // crashed is excluded; the rest must balance.
+// A shard with a follower must never settle a commit without it: no
+// fault in a ring touches the replication link (JournalFault is
+// one-shard only), so such a commit is a write a failover would lose.
 func (f *Fleet) auditStatz(label string) {
-	if f.m.lostOps > 0 || f.m.rolloutsLost > 0 {
-		return
-	}
 	for _, sh := range f.shards {
 		if sh.everCrashed || sh.srv == nil {
 			continue
 		}
-		f.checkStatz(sh.srv.Statz(), "shard "+sh.name+" ", label)
+		st := sh.srv.Statz()
+		if sh.shipper != nil && st.ReplAsyncCommits != 0 {
+			f.violationf("shard %s at %s audit: %d commits settled without the synchronous follower", sh.name, label, st.ReplAsyncCommits)
+		}
+		if f.m.lostOps == 0 && f.m.rolloutsLost == 0 {
+			f.checkStatz(st, "shard "+sh.name+" ", label)
+		}
 	}
 }
 

@@ -1,10 +1,15 @@
 package fleetsim
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"dynautosar/internal/api"
@@ -85,19 +90,16 @@ func (h *hist) stats() LatencyStats {
 	return LatencyStats{Count: len(s), P50: pick(0.50), P95: pick(0.95), P99: pick(0.99), Max: h.max}
 }
 
-// Report is the BENCH_FLEET.json shape: one scenario run's
-// environment, counters, throughput and latency percentiles, plus the
-// server's own /v1/statz counters for cross-checking.
+// Report is the BENCH_FLEET.json shape: one scenario run's counters,
+// throughput and latency percentiles, plus the server's own /v1/statz
+// counters for cross-checking. Inside a synctest bubble every duration
+// in it, WallSeconds included, is read from the bubble's clock.
 type Report struct {
 	Scenario       string  `json:"scenario"`
 	Seed           int64   `json:"seed"`
 	Vehicles       int     `json:"vehicles"`
 	VirtualSeconds float64 `json:"virtualSeconds"`
 	WallSeconds    float64 `json:"wallSeconds"`
-
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	CPUs   int    `json:"cpus"`
 
 	Counters   map[string]uint64       `json:"counters"`
 	Throughput map[string]float64      `json:"throughputPerSec"`
@@ -135,9 +137,6 @@ func (f *Fleet) report() Report {
 		Vehicles:       f.sc.Vehicles,
 		VirtualSeconds: float64(f.eng.Now()) / float64(sim.Second),
 		WallSeconds:    wall,
-		GOOS:           runtime.GOOS,
-		GOARCH:         runtime.GOARCH,
-		CPUs:           runtime.NumCPU(),
 		Counters: map[string]uint64{
 			"connects":         connects,
 			"reconnects":       connects - uint64(len(f.vehicles)),
@@ -209,4 +208,41 @@ func (f *Fleet) statzSnapshot() (api.Statz, bool) {
 		sum.Add(st)
 	}
 	return sum, live
+}
+
+// Diff lists, by dotted JSON key, every field on which two reports
+// differ, save statz.journalCommits: how many group commits carry a
+// run's records depends on which runnable goroutine the scheduler picks
+// first, and a synctest bubble does not fix that order. Every other
+// field of a bubble run replays from the seed.
+func Diff(a, b Report) []string {
+	fa, fb := flatten(a), flatten(b)
+	keys := maps.Clone(fa)
+	maps.Copy(keys, fb)
+	var out []string
+	for _, k := range slices.Sorted(maps.Keys(keys)) {
+		if fa[k] != fb[k] {
+			out = append(out, fmt.Sprintf("%s: %s -> %s", k, cmp.Or(fa[k], "absent"), cmp.Or(fb[k], "absent")))
+		}
+	}
+	return out
+}
+
+// flatten maps a report's JSON form to dotted key -> JSON literal.
+func flatten(r Report) map[string]string {
+	out := make(map[string]string)
+	var walk func(key string, raw json.RawMessage)
+	walk = func(key string, raw json.RawMessage) {
+		var obj map[string]json.RawMessage
+		if json.Unmarshal(raw, &obj) != nil {
+			out[key] = string(raw)
+		}
+		for k, v := range obj {
+			walk(strings.TrimPrefix(key+"."+k, "."), v)
+		}
+	}
+	blob, _ := json.Marshal(r) // cannot fail: every float in a Report is finite
+	walk("", blob)
+	delete(out, "statz.journalCommits")
+	return out
 }

@@ -433,7 +433,12 @@ type followerState struct {
 	// needResync sends the delivery goroutine through a directory
 	// resync before the queue; demotions counts the times it was set, so
 	// a resync that was overtaken by another demotion does not clear it.
-	needResync   bool
+	needResync bool
+	// attaching holds until the first resync attempt ends. A synchronous
+	// commit joins that attempt like an in-sync ship — the follower is
+	// waited for from the first acknowledged write — and a failed
+	// attempt demotes it, so a dead peer never wedges the leader.
+	attaching    bool
 	demotions    uint64
 	closed       bool
 	lastErr      string
@@ -501,7 +506,7 @@ func NewShipper(jn *Journal, followers []Follower, opts ShipperOptions) *Shipper
 	}
 	s := &Shipper{jn: jn, opts: opts, quit: make(chan struct{})}
 	for _, f := range followers {
-		fs := &followerState{name: f.Name, t: f.T, needResync: true,
+		fs := &followerState{name: f.Name, t: f.T, needResync: true, attaching: true,
 			kick: make(chan struct{}, 1)}
 		fs.cond = sync.NewCond(&fs.mu)
 		fs.kick <- struct{}{} // start the initial resync at attach, not at first commit
@@ -520,7 +525,7 @@ var _ Tap = (*Shipper)(nil)
 func (s *Shipper) Commit(gen uint64, offset int64, chunk []byte) func(error) {
 	for _, fs := range s.followers {
 		fs.mu.Lock()
-		wait := s.opts.Synchronous && !fs.needResync
+		wait := s.opts.Synchronous && (!fs.needResync || fs.attaching)
 		seq, demoted := s.enqueueLocked(fs, shipEvent{gen: gen, offset: offset, chunk: chunk})
 		fs.waitSeq = 0
 		if wait {
@@ -637,14 +642,19 @@ func (s *Shipper) run(fs *followerState) {
 			fs.mu.Unlock()
 			if resync {
 				err := s.resync(fs)
+				var demoted error
 				fs.mu.Lock()
-				if err != nil {
+				if err != nil && fs.attaching {
+					demoted = s.demoteLocked(fs, err)
+				} else if err != nil {
 					fs.lastErr = err.Error()
 				} else if fs.demotions == demotions {
 					fs.needResync = false
 					fs.lastErr = ""
 				}
+				fs.attaching = false
 				fs.mu.Unlock()
+				s.logDemotion(fs, demoted)
 				if err == nil {
 					b.Reset()
 					continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -484,6 +485,117 @@ func TestCrashWithFollowerAhead(t *testing.T) {
 	if !bytes.Equal(got, want) || int64(len(got)) != durable {
 		t.Fatalf("replica segment is %d bytes, leader's recovered segment %d (durable %d): not byte-equal",
 			len(got), len(want), durable)
+	}
+}
+
+// holdTransport holds the follower's first ship — the attach-time
+// resync — until the test opens it; once refuse is set it fails every
+// ship, as a link to a dead process would.
+type holdTransport struct {
+	LocalTransport
+	entered, open chan struct{}
+	once, opened  sync.Once
+	refuse        atomic.Bool
+}
+
+func (h *holdTransport) release() { h.opened.Do(func() { close(h.open) }) }
+
+func newHoldTransport(r *Replica) *holdTransport {
+	return &holdTransport{LocalTransport: LocalTransport{R: r},
+		entered: make(chan struct{}), open: make(chan struct{})}
+}
+
+func (h *holdTransport) ShipSegment(gen uint64, offset int64, chunk []byte, reset bool) error {
+	h.once.Do(func() { close(h.entered) })
+	<-h.open
+	if h.refuse.Load() {
+		return errors.New("connection refused")
+	}
+	return h.LocalTransport.ShipSegment(gen, offset, chunk, reset)
+}
+
+// appendFirst appends one record while the attach-time resync is held
+// and returns once it is acknowledged. The gate opens only when the
+// commit has joined the follower; a commit that settles without joining
+// it is acknowledged with the gate still shut.
+func appendFirst(t *testing.T, j *Journal, s *Shipper, hold *holdTransport, id core.UserID) {
+	t.Helper()
+	<-hold.entered
+	done := make(chan error, 1)
+	go func() { done <- j.Append(UserAddedRec(id)).Wait() }()
+	fs := s.followers[0]
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		fs.mu.Lock()
+		joined := fs.waitSeq != 0
+		fs.mu.Unlock()
+		if joined {
+			hold.release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestFirstAcknowledgedWriteOnFollower: a synchronous follower is
+// waited for from the first acknowledged write, not from the end of its
+// attach-time resync. The first record is acknowledged while the resync
+// is held (appendFirst), the leader dies, and the replica directory,
+// opened as the promoted journal, must hold the record.
+func TestFirstAcknowledgedWriteOnFollower(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{})
+	r, err := OpenReplica(t.TempDir(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := newHoldTransport(r)
+	s := NewShipper(j, []Follower{{Name: "f1", T: hold}}, ShipperOptions{Synchronous: true, Logf: t.Logf})
+	j.SetTap(s)
+	appendFirst(t, j, s, hold, "first")
+
+	j.Crash()
+	hold.refuse.Store(true)
+	hold.release()
+	s.Close()
+	r.Close()
+	promoted, rec := mustOpen(t, r.Dir(), Options{})
+	defer promoted.Close()
+	if got := userIDs(rec.Records); !slices.Equal(got, []core.UserID{"first"}) {
+		t.Fatalf("promoted replica recovered %v: the first acknowledged write lived on the leader alone", got)
+	}
+}
+
+// TestAttachFailureDemotes: a commit that joined the attach-time resync
+// is released when that first attempt fails — the follower is demoted
+// as a failed ship would demote it — so a dead peer does not wedge the
+// leader, and the commit counts as settled without the follower.
+func TestAttachFailureDemotes(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{})
+	defer j.Close()
+	r, err := OpenReplica(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	hold := newHoldTransport(r)
+	hold.refuse.Store(true)
+	s := NewShipper(j, []Follower{{Name: "f1", T: hold}}, ShipperOptions{Synchronous: true, Logf: t.Logf})
+	defer s.Close()
+	defer hold.release()
+	j.SetTap(s)
+	appendFirst(t, j, s, hold, "u1")
+	if st := s.Status()[0]; st.AsyncCommits != 1 || st.LastError == "" {
+		t.Fatalf("follower status %+v: want one async commit and the refusal recorded", st)
 	}
 }
 
