@@ -2,10 +2,13 @@ package federation
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -734,5 +737,40 @@ func TestHTTPTransportGapTriggersResync(t *testing.T) {
 	}
 	if st, err := tr.State(); err != nil || st.Size != 0 {
 		t.Fatalf("State = %+v, %v", st, err)
+	}
+}
+
+// TestFollowerRefusesOutOfRangeOffset: a segment chunk whose offset is
+// negative, or whose end is past the largest offset, addresses no
+// segment; the follower answers invalid_argument and its replica is
+// unchanged.
+func TestFollowerRefusesOutOfRangeOffset(t *testing.T) {
+	node, err := NewFollowerNode(FollowerOptions{Shard: "s1", Name: "f", Dir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv := httptest.NewServer(node)
+	defer srv.Close()
+	tr := NewHTTPTransport(srv.URL, 0)
+	if err := tr.ShipSegment(1, 0, []byte("ABCDEFGH"), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"gen=1&offset=-3&reset=true", "gen=1&offset=9223372036854775805"} {
+		resp, err := http.Post(srv.URL+"/v1/replicate/segment?"+q, "application/octet-stream", strings.NewReader("xyzLMNOPQRS"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error api.Error `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != api.CodeInvalidArgument {
+			t.Fatalf("%s: status %d, error %+v; want 400 invalid_argument", q, resp.StatusCode, body.Error)
+		}
+	}
+	if st, err := tr.State(); err != nil || st.Gen != 1 || st.Size != 8 || st.Err != "" {
+		t.Fatalf("State = %+v, %v; want gen 1 size 8, no error", st, err)
 	}
 }

@@ -161,6 +161,10 @@ func (f *FollowerNode) handleSegment(w http.ResponseWriter, r *http.Request) {
 			api.WriteJSON(w, http.StatusConflict, gapBody{Gap: true, Gen: gap.Gen, Size: gap.Size}, f.o.Logf)
 			return
 		}
+		if api.CodeOf(err) == api.CodeInvalidArgument {
+			api.WriteJSON(w, http.StatusBadRequest, api.ErrorBody(err), f.o.Logf)
+			return
+		}
 		api.WriteJSON(w, http.StatusInternalServerError,
 			api.ErrorBody(api.Errorf(api.CodeUnavailable, "federation: apply segment: %v", err)), f.o.Logf)
 		return

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"dynautosar/internal/api"
@@ -12,8 +15,9 @@ import (
 )
 
 // Fuzzers for the two decoders recovery feeds with whatever a crash or
-// a failing disk left behind: the segment scanner and the snapshot
-// decoder. Both are seeded from files a real journal wrote.
+// a failing disk left behind — the segment scanner and the snapshot
+// decoder, both seeded from files a real journal wrote — and for the
+// replica's apply path, which a leader's shipper feeds over the wire.
 
 // realJournalFiles runs a journal through appends of every hot record
 // shape and one compaction, and returns the snapshot and segment bytes
@@ -156,4 +160,90 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// FuzzReplicaApply drives a replica on a memFS through arbitrary applies
+// — generation, offset, chunk and reset from the script — and then
+// ships a leader segment in chunks the script cuts, overlapping and
+// duplicated. Nothing may panic, State().Size must always be the length
+// of the segment file, and whatever the chunking, the replica must end
+// byte-identical to the leader's segment.
+func FuzzReplicaApply(f *testing.F) {
+	_, segment := realJournalFiles(f)
+	f.Add([]byte{0, 0, 8, 1, 4, 8, 2, 0, 3}, segment)
+	f.Add([]byte{1, 0, 8, 8, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 11}, []byte("ABCDEFGHIJ"))
+	f.Add([]byte{8, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 6, 4, 2, 5}, segment[:40])
+	f.Add([]byte{6, 0, 4, 0, 0, 9, 2, 200, 30, 10, 255, 100}, segment)
+
+	f.Fuzz(func(t *testing.T, script, leader []byte) {
+		const dir = "/replica"
+		m := newMemFS(false)
+		r, err := openReplica(m, dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSize := func(what string) {
+			st := r.State()
+			var n int64
+			if f := m.dirs[dir].cur[filepath.Base(walPath(dir, st.Gen))]; f != nil {
+				n = int64(len(f.data))
+			}
+			if n != st.Size {
+				t.Fatalf("%s: state size %d, segment file %d bytes", what, st.Size, n)
+			}
+		}
+		// Arbitrary applies: a flags byte (bit 0 reset, bits 1-2 the
+		// generation, bit 3 a raw 8-byte offset instead of a 1-byte one),
+		// the offset, then the chunk length.
+		next := func() (byte, bool) {
+			if len(script) == 0 {
+				return 0, false
+			}
+			b := script[0]
+			script = script[1:]
+			return b, true
+		}
+		for ops := 0; ops < 16; ops++ {
+			flags, ok := next()
+			if !ok {
+				break
+			}
+			var offset int64
+			if flags&8 != 0 && len(script) >= 8 {
+				offset = int64(binary.LittleEndian.Uint64(script))
+				script = script[8:]
+			} else {
+				b, _ := next()
+				offset = int64(b)
+			}
+			n, _ := next()
+			chunk := bytes.Repeat([]byte{flags}, int(n%64))
+			r.ApplySegment(uint64(flags>>1&3), offset, chunk, flags&1 != 0)
+			checkSize(fmt.Sprintf("apply %d at %d (flags %#x)", len(chunk), offset, flags))
+		}
+
+		// The leader's segment as generation 9, in chunks the rest of the
+		// script cuts; a gap the cut leaves is answered and the chunk
+		// dropped, as the shipper's resync would then fill it.
+		r.ApplySegment(9, 0, nil, true)
+		for cuts := 0; cuts < 64 && len(script) >= 2 && len(leader) > 0; cuts++ {
+			start := int(script[0]) * len(leader) / 256
+			end := min(len(leader), start+1+int(script[1])*len(leader)/256)
+			script = script[2:]
+			err := r.ApplySegment(9, int64(start), leader[start:end], false)
+			var gap *GapError
+			if err != nil && !errors.As(err, &gap) {
+				t.Fatalf("chunk [%d,%d): %v", start, end, err)
+			}
+			checkSize(fmt.Sprintf("chunk [%d,%d)", start, end))
+		}
+		size := r.State().Size
+		if err := r.ApplySegment(9, size, leader[size:], false); err != nil {
+			t.Fatalf("tail from %d: %v", size, err)
+		}
+		checkSize("tail")
+		if got, _ := m.readFile(walPath(dir, 9)); !bytes.Equal(got, leader) {
+			t.Fatalf("replica segment\n%q\nwant the leader's\n%q", got, leader)
+		}
+	})
 }

@@ -5,12 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
+	"math"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,7 +179,7 @@ type Stats struct {
 // previous sync was in flight; a batch nobody waits on is committed
 // maxLinger after its first record.
 type Journal struct {
-	dir  string
+	disk *disk
 	opts Options
 
 	mu         sync.Mutex
@@ -199,7 +195,7 @@ type Journal struct {
 
 	// Writer-goroutine state; the counters are additionally guarded by
 	// mu so Stats can read them from other goroutines.
-	f             *os.File
+	f             file
 	durable       int64  // bytes of the current segment known synced
 	gen           uint64 // current segment generation
 	snapGen       uint64 // newest durable snapshot generation
@@ -211,10 +207,6 @@ type Journal struct {
 	lingered      uint64 // commits started by the linger bound, not a waiter; the scheduling tests read it
 	lastSnapshot  time.Time
 	snapWG        sync.WaitGroup
-
-	// fault, when set, injects disk failures into the commit path (see
-	// FaultInjection); read by the writer goroutine under mu.
-	fault *FaultInjection
 
 	// tap observes commits and snapshots for replication (see
 	// replicate.go); read by the writer goroutine under mu. durablePub
@@ -228,30 +220,8 @@ type Journal struct {
 	done chan struct{}
 }
 
-// FaultInjection simulates a failing or slow disk under the commit
-// path without touching the real file handle: WriteErr, when non-nil
-// and returning an error, fails the segment write before any bytes
-// reach the file (the disk-full shape — ENOSPC surfaces before data
-// lands); SyncErr likewise fails the fsync after the write; SyncDelay
-// stalls each fsync by the returned duration (the slow-disk shape:
-// whatever arrives during the longer sync shares the next commit, so
-// batches grow with the device's latency). Either error takes the same
-// sticky degradation path as a real device failure: the segment
-// truncates to the durable watermark, tickets report the error, and the
-// journal refuses further appends until reopened. Used by chaos and
-// recovery tests; nil hooks are free.
-type FaultInjection struct {
-	WriteErr  func(n int) error
-	SyncErr   func() error
-	SyncDelay func() time.Duration
-}
-
 // SetFault installs (or with nil clears) the commit-path fault hooks.
-func (j *Journal) SetFault(f *FaultInjection) {
-	j.mu.Lock()
-	j.fault = f
-	j.mu.Unlock()
-}
+func (j *Journal) SetFault(f *FaultInjection) { j.disk.fault.Store(f) }
 
 // SetTap installs (or with nil clears) the replication tap. Events
 // before the call are not replayed — a shipper starting mid-life runs a
@@ -270,14 +240,6 @@ func (j *Journal) durableState() (gen uint64, off int64) {
 	return j.gen, j.durablePub
 }
 
-func snapshotPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snapshot-%016d.snap", gen))
-}
-
-func walPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%016d.log", gen))
-}
-
 // Open loads the durable state under dir — the newest valid snapshot
 // plus every log segment at or after it (compaction rotates the
 // segment before the snapshot lands, so after a crash up to two
@@ -286,104 +248,73 @@ func walPath(dir string, gen uint64) string {
 // directory is created when missing; stale generations and leftover
 // temp files are removed.
 func Open(dir string, opts Options) (*Journal, *Recovery, error) {
+	return open(osFS{}, dir, opts)
+}
+
+func open(fsys fsys, dir string, opts Options) (*Journal, *Recovery, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d := &disk{fs: fsys, dir: dir}
+	if err := fsys.mkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("journal: %v", err)
 	}
-
-	snaps, wals, err := scanDir(dir)
+	// The newest snapshot wins. Compaction makes the new snapshot durable
+	// before removing the old pair, so under crash faults the newest
+	// snapshot is always complete; refusing to silently fall back guards
+	// the bit-rot case.
+	snapGen, raw, segs, err := d.read(math.MaxUint64)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("journal: %v", err)
 	}
 	rec := &Recovery{}
-	var snapGen uint64
-	var imageBytes int64
-	if len(snaps) > 0 {
-		// Newest parseable snapshot wins. Compaction makes the new
-		// snapshot durable before removing the old pair, so under crash
-		// faults the newest snapshot is always complete; refusing to
-		// silently fall back guards the bit-rot case.
-		snapGen = snaps[len(snaps)-1]
-		raw, err := os.ReadFile(snapshotPath(dir, snapGen))
-		if err == nil {
-			rec.Image, err = decodeSnapshot(raw)
-		}
-		if err != nil {
+	if raw != nil {
+		if rec.Image, err = decodeSnapshot(raw); err != nil {
 			return nil, nil, fmt.Errorf("journal: snapshot gen %d: %v", snapGen, err)
 		}
-		imageBytes = int64(len(raw))
 	}
 	// Replay every segment at or after the snapshot, oldest first. A
 	// torn tail on a non-final segment (crash around a rotation) drops
 	// that segment's trailing records and replay continues — record
 	// application is idempotent and unacknowledged tails carry no
-	// durability promises.
-	appendGen := snapGen
-	if n := len(wals); n > 0 && wals[n-1] > appendGen {
-		appendGen = wals[n-1]
-	}
-	replayed := 0
-	var appendDurable int64
-	for g := snapGen; g <= appendGen; g++ {
-		path := walPath(dir, g)
-		data, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("journal: %v", err)
-		}
-		recs, valid, torn, err := scanRecords(data)
+	// durability promises. The newest segment is the one appended to.
+	appendGen, valid, torn := snapGen, 0, false
+	for _, sg := range segs {
+		recs, n, t, err := scanRecords(sg.data)
 		if err != nil {
 			return nil, nil, err
 		}
 		rec.Records = append(rec.Records, recs...)
-		replayed += len(recs)
-		if torn {
+		if t {
 			rec.TornTail = true
-			opts.Logf("journal: dropping torn tail of %s (%d of %d bytes valid)", path, valid, len(data))
+			opts.Logf("journal: dropping torn tail of %s (%d of %d bytes valid)", walPath(dir, sg.gen), n, len(sg.data))
 		}
-		if g == appendGen {
-			appendDurable = int64(valid)
-			if torn {
-				if err := os.Truncate(path, int64(valid)); err != nil {
-					return nil, nil, fmt.Errorf("journal: truncating torn tail: %v", err)
-				}
-			}
+		appendGen, valid, torn = sg.gen, n, t
+	}
+	f, err := d.openSegment(appendGen, false)
+	if err == nil && torn {
+		if err = f.Truncate(int64(valid)); err != nil {
+			f.Close()
 		}
 	}
-	f, err := os.OpenFile(walPath(dir, appendGen), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %v", err)
 	}
-
 	// Generations older than the snapshot (left by a crash between
-	// compaction steps) and temp files are dead weight; removal is
-	// best-effort.
-	for _, g := range snaps {
-		if g != snapGen {
-			os.Remove(snapshotPath(dir, g))
-		}
-	}
-	for _, g := range wals {
-		if g < snapGen {
-			os.Remove(walPath(dir, g))
-		}
-	}
+	// compaction steps) and temp files are dead weight.
+	d.retire(snapGen)
 
 	j := &Journal{
-		dir: dir, opts: opts, f: f, gen: appendGen, snapGen: snapGen,
-		durable: appendDurable, durablePub: appendDurable,
+		disk: d, opts: opts, f: f, gen: appendGen, snapGen: snapGen,
+		durable: int64(valid), durablePub: int64(valid),
 		// The trigger starts from the recovered image and tail, not from
 		// zero: a tail already past the threshold compacts at the first
 		// opportunity, a large image keeps its proportionally long segment.
-		imageBytes:    imageBytes,
-		sinceSnapshot: replayed,
+		imageBytes:    int64(len(raw)),
+		sinceSnapshot: len(rec.Records),
 		kick:          make(chan struct{}, 1),
 		quit:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -393,35 +324,6 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	}
 	go j.writer()
 	return j, rec, nil
-}
-
-// scanDir lists the snapshot and segment generations present under
-// dir, sorted ascending, removing leftover temp files.
-func scanDir(dir string) (snaps, wals []uint64, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %v", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			os.Remove(filepath.Join(dir, name))
-		case strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".snap"):
-			var g uint64
-			if _, err := fmt.Sscanf(name, "snapshot-%016d.snap", &g); err == nil {
-				snaps = append(snaps, g)
-			}
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			var g uint64
-			if _, err := fmt.Sscanf(name, "wal-%016d.log", &g); err == nil {
-				wals = append(wals, g)
-			}
-		}
-	}
-	sort.Slice(snaps, func(i, k int) bool { return snaps[i] < snaps[k] })
-	sort.Slice(wals, func(i, k int) bool { return wals[i] < wals[k] })
-	return snaps, wals, nil
 }
 
 // decodeSnapshot parses the bytes of a snapshot file.
@@ -478,127 +380,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(append(dst, h[:]...), payload...)
 }
 
-// encodeBufs recycles the per-record encode buffers: a record's bytes
-// are copied into the shared write buffer during Append, so the scratch
-// buffer is immediately reusable — thousands of records per fleet
-// deploy otherwise become pure GC churn.
-var encodeBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// encodeRecord serializes one record. The hot types of a fleet-scale
-// deploy — installation rows and acknowledgements, thousands per batch
-// — are hand-encoded (reflection-free); everything else, and any
-// payload with strings needing escapes, goes through encoding/json.
-// Either way the payload parses back to the same Record.
-func encodeRecord(rec Record) (payload []byte, pooled *[]byte, err error) {
-	if rec.Install != nil && rec.User == nil && rec.Vehicle == nil && rec.App == nil && rec.Op == nil && rec.Upgrade == nil && rec.Rollout == nil {
-		if b, bp, ok := encodeInstallRecord(rec); ok {
-			return b, bp, nil
-		}
-	}
-	payload, err = json.Marshal(rec)
-	return payload, nil, err
-}
-
-// encodeInstallRecord hand-builds the JSON of an install-table record;
-// ok is false when a string needs escaping and the caller must fall
-// back to encoding/json.
-func encodeInstallRecord(rec Record) (_ []byte, _ *[]byte, ok bool) {
-	ic := rec.Install
-	bp := encodeBufs.Get().(*[]byte)
-	b := (*bp)[:0]
-	fail := func() ([]byte, *[]byte, bool) {
-		encodeBufs.Put(bp)
-		return nil, nil, false
-	}
-	b = append(b, `{"v":`...)
-	b = strconv.AppendInt(b, int64(rec.V), 10)
-	b = append(b, `,"type":"`...)
-	b = append(b, rec.Type...)
-	b = append(b, `","install":{"vehicle":`...)
-	if b, ok = appendJSONString(b, string(ic.Vehicle)); !ok {
-		return fail()
-	}
-	b = append(b, `,"app":`...)
-	if b, ok = appendJSONString(b, string(ic.App)); !ok {
-		return fail()
-	}
-	if ic.Plugin != "" {
-		b = append(b, `,"plugin":`...)
-		if b, ok = appendJSONString(b, string(ic.Plugin)); !ok {
-			return fail()
-		}
-	}
-	if row := ic.Row; row != nil {
-		b = append(b, `,"row":{"app":`...)
-		if b, ok = appendJSONString(b, string(row.App)); !ok {
-			return fail()
-		}
-		b = append(b, `,"vehicle":`...)
-		if b, ok = appendJSONString(b, string(row.Vehicle)); !ok {
-			return fail()
-		}
-		if row.Plugins == nil {
-			b = append(b, `,"plugins":null}`...)
-			return append(b, `}}`...), bp, true
-		}
-		b = append(b, `,"plugins":[`...)
-		for i := range row.Plugins {
-			p := &row.Plugins[i]
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"plugin":`...)
-			if b, ok = appendJSONString(b, string(p.Plugin)); !ok {
-				return fail()
-			}
-			b = append(b, `,"ecu":`...)
-			if b, ok = appendJSONString(b, string(p.ECU)); !ok {
-				return fail()
-			}
-			b = append(b, `,"swc":`...)
-			if b, ok = appendJSONString(b, string(p.SWC)); !ok {
-				return fail()
-			}
-			if p.PIC == nil {
-				b = append(b, `,"pic":null`...)
-			} else {
-				b = append(b, `,"pic":[`...)
-				for k, e := range p.PIC {
-					if k > 0 {
-						b = append(b, ',')
-					}
-					b = append(b, `{"Name":`...)
-					if b, ok = appendJSONString(b, e.Name); !ok {
-						return fail()
-					}
-					b = append(b, `,"ID":`...)
-					b = strconv.AppendInt(b, int64(e.ID), 10)
-					b = append(b, '}')
-				}
-				b = append(b, ']')
-			}
-			b = append(b, `,"acked":`...)
-			b = strconv.AppendBool(b, p.Acked)
-			b = append(b, '}')
-		}
-		b = append(b, `]}`...)
-	}
-	return append(b, `}}`...), bp, true
-}
-
-// appendJSONString appends s quoted when it needs no escaping (plain
-// printable ASCII); ok is false otherwise.
-func appendJSONString(dst []byte, s string) (_ []byte, ok bool) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
-			return dst, false
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"'), true
-}
-
 // SetSnapshotSource registers the function compaction calls for a full
 // state image. It must be set before appends can trigger compaction;
 // the source runs on the journal's writer goroutine and may take the
@@ -617,7 +398,7 @@ func (j *Journal) SetSnapshotSource(fn func() *StateImage) {
 // serialized before Append returns — callers may reuse or mutate
 // anything it references afterwards.
 func (j *Journal) Append(rec Record) Ticket {
-	payload, pooled, err := encodeRecord(rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return errTicket(fmt.Errorf("journal: encoding %s record: %v", rec.Type, err))
 	}
@@ -640,10 +421,6 @@ func (j *Journal) Append(rec Record) Ticket {
 	}
 	j.buf = appendFrame(j.buf, payload)
 	j.pending++
-	if pooled != nil {
-		*pooled = payload[:0]
-		encodeBufs.Put(pooled)
-	}
 	opened := j.cur == nil
 	if opened {
 		j.cur = &batch{done: make(chan struct{}), opened: time.Now(), kick: j.kick}
@@ -713,13 +490,13 @@ func (j *Journal) writer() {
 				j.lingered++
 				j.mu.Unlock()
 			case <-j.quit:
-				if !j.isCrashed() {
-					j.flush()
-				}
 				j.mu.Lock()
-				reqs := j.compactReq
+				crashed, reqs := j.crashed, j.compactReq
 				j.compactReq = nil
 				j.mu.Unlock()
+				if !crashed {
+					j.flush()
+				}
 				for _, ch := range reqs {
 					ch <- fmt.Errorf("journal: closed")
 				}
@@ -737,49 +514,33 @@ func (j *Journal) writer() {
 	}
 }
 
-// serveCompaction runs the threshold-triggered compaction and any
-// explicit Snapshot requests; on the writer goroutine, after a flush.
+// serveCompaction runs the explicit Snapshot requests — one
+// synchronous compaction for all of them, if a source is set and the
+// journal is healthy — or else the threshold-triggered compaction; on
+// the writer goroutine, after a flush.
 func (j *Journal) serveCompaction() {
 	j.mu.Lock()
-	reqs := j.compactReq
+	reqs, source, err := j.compactReq, j.source, j.err
 	j.compactReq = nil
 	j.mu.Unlock()
-	if len(reqs) > 0 {
-		err := j.compactIfAble()
-		for _, ch := range reqs {
-			ch <- err
-		}
+	if len(reqs) == 0 {
+		j.maybeCompact()
 		return
 	}
-	j.maybeCompact()
-}
-
-// compactIfAble runs one synchronous compaction (explicit Snapshot
-// calls, graceful shutdown) if a source is set and the journal is
-// healthy; on the writer goroutine.
-func (j *Journal) compactIfAble() error {
-	j.mu.Lock()
-	source, err := j.source, j.err
-	j.mu.Unlock()
-	if err != nil {
-		return err
+	if err == nil && source == nil {
+		err = fmt.Errorf("journal: no snapshot source")
 	}
-	if source == nil {
-		return fmt.Errorf("journal: no snapshot source")
+	if err == nil {
+		// Serialize behind any background snapshot still writing.
+		j.snapWG.Wait()
+		var next uint64
+		if next, err = j.rotate(); err == nil {
+			err = j.writeSnapshot(next, source, true)
+		}
 	}
-	// Serialize behind any background snapshot still writing.
-	j.snapWG.Wait()
-	next, err := j.rotate()
-	if err != nil {
-		return err
+	for _, ch := range reqs {
+		ch <- err
 	}
-	return j.writeSnapshot(next, source, true)
-}
-
-func (j *Journal) isCrashed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.crashed
 }
 
 // flush commits the open batch: one write, one fsync, every waiting
@@ -795,44 +556,20 @@ func (j *Journal) flush() {
 	buf, b, n := j.buf, j.cur, j.pending
 	j.buf, j.cur, j.pending = nil, nil, 0
 	j.inflight = b
-	fault, tap, gen := j.fault, j.tap, j.gen
+	tap, gen := j.tap, j.gen
 	j.mu.Unlock()
 	if b == nil {
 		return
 	}
-	var err error
-	if fault != nil && fault.WriteErr != nil {
-		err = fault.WriteErr(len(buf))
-	}
-	if err == nil {
-		_, err = j.f.Write(buf)
-	}
 	var settle func(error)
-	if err == nil {
+	err := j.disk.writeChunk(j.f, j.durable, buf, func() {
 		if tap != nil {
 			settle = tap.Commit(gen, j.durable, buf)
 		}
-		if fault != nil && fault.SyncDelay != nil {
-			time.Sleep(fault.SyncDelay())
-		}
-		err = syncFile(j.f)
-		if err == nil && fault != nil && fault.SyncErr != nil {
-			err = fault.SyncErr()
-		}
-	}
+	})
 	if err != nil {
 		err = fmt.Errorf("journal: commit failed: %v", err)
 		j.opts.Logf("%v", err)
-		// The write may have reached the page cache even though the
-		// sync failed, and those bytes could still land on disk — where
-		// a later recovery would replay records whose tickets reported
-		// failure (and whose effects the server rolled back). Truncating
-		// back to the last synced offset keeps disk state and reported
-		// outcomes consistent; best-effort, the journal is failing
-		// anyway.
-		if terr := j.f.Truncate(j.durable); terr != nil {
-			j.opts.Logf("journal: truncating failed commit: %v", terr)
-		}
 		j.mu.Lock()
 		j.err = err
 		j.mu.Unlock()
@@ -902,11 +639,10 @@ func (j *Journal) maybeCompact() {
 // segment replays idempotently on top.
 func (j *Journal) rotate() (uint64, error) {
 	next := j.gen + 1
-	nf, err := os.OpenFile(walPath(j.dir, next), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	nf, err := j.disk.openSegment(next, true)
 	if err != nil {
 		return 0, err
 	}
-	syncDir(j.dir)
 	old := j.f
 	j.f = nf
 	j.durable = 0
@@ -949,46 +685,24 @@ func (j *Journal) writeSnapshot(gen uint64, source func() *StateImage, onWriter 
 	if err != nil {
 		return err
 	}
-	tmp := snapshotPath(j.dir, gen) + ".tmp"
-	if err := writeFileSync(tmp, raw); err != nil {
+	// A crashed or failed journal (Crash sets the error too) must not
+	// publish new state after the fact: the image may contain mutations
+	// whose commits failed and were rolled back (and whose bytes the
+	// failed commit truncated away) — renaming it into place would
+	// resurrect them on restart.
+	publish := func() error {
+		if j.Err() != nil {
+			return fmt.Errorf("journal: unusable, snapshot withheld")
+		}
+		return nil
+	}
+	if err := j.disk.installSnapshot(gen, raw, false, publish); err != nil {
 		return err
 	}
-	// A crashed or failed journal must not publish new state after the
-	// fact: the image may contain mutations whose commits failed and
-	// were rolled back (and whose bytes the flush error path truncated
-	// away) — renaming it into place would resurrect them on restart.
-	j.mu.Lock()
-	dead := j.crashed || j.err != nil
-	j.mu.Unlock()
-	if dead {
-		os.Remove(tmp)
-		return fmt.Errorf("journal: unusable, snapshot withheld")
-	}
-	if err := os.Rename(tmp, snapshotPath(j.dir, gen)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(j.dir)
 	j.mu.Lock()
 	j.snapGen = gen
 	j.imageBytes = int64(len(raw))
 	j.lastSnapshot = time.Now()
-	j.mu.Unlock()
-	// Retire the generations the snapshot replaced; best-effort.
-	if snaps, wals, err := scanDir(j.dir); err == nil {
-		for _, g := range snaps {
-			if g < gen {
-				os.Remove(snapshotPath(j.dir, g))
-			}
-		}
-		for _, g := range wals {
-			if g < gen {
-				os.Remove(walPath(j.dir, g))
-			}
-		}
-	}
-	syncDir(j.dir)
-	j.mu.Lock()
 	tap := j.tap
 	j.mu.Unlock()
 	if tap != nil {
@@ -996,31 +710,6 @@ func (j *Journal) writeSnapshot(gen uint64, source func() *StateImage, onWriter 
 	}
 	j.opts.Logf("journal: snapshot generation %d (%d bytes)", gen, len(raw))
 	return nil
-}
-
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir makes directory-entry changes (create, rename, remove)
-// durable; best-effort on filesystems that reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // Snapshot forces one compaction now (graceful shutdown writes a final
@@ -1039,10 +728,7 @@ func (j *Journal) Snapshot() error {
 	}
 	j.compactReq = append(j.compactReq, done)
 	j.mu.Unlock()
-	select {
-	case j.kick <- struct{}{}:
-	default:
-	}
+	wake(j.kick)
 	return <-done
 }
 
@@ -1059,11 +745,7 @@ func (j *Journal) Close() error {
 	close(j.quit)
 	<-j.done
 	j.snapWG.Wait()
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return j.f.Close() // every commit was synced by the writer
 }
 
 // Crash simulates a hard process kill for tests: buffered records are

@@ -1,11 +1,9 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -249,46 +247,5 @@ func TestJournalOpRecords(t *testing.T) {
 	}
 	if got := rec.Records[1]; got.Type != TypeOpSettled || !got.Op.Op.Done || got.Op.Op.State != api.StateSucceeded {
 		t.Fatalf("settled record %+v", got)
-	}
-}
-
-// TestEncodeRecordRoundTrip: the hand-encoded hot path and the
-// encoding/json fallback parse back to the same record, including the
-// escape-triggered fallback.
-func TestEncodeRecordRoundTrip(t *testing.T) {
-	row := api.InstalledApp{App: "RemoteControl", Vehicle: "VIN-1", Plugins: []api.InstalledPlugin{
-		{Plugin: "COM", ECU: "ECU1", SWC: "SWC1",
-			PIC: core.PIC{{Name: "WheelsExt", ID: 0}, {Name: "SpeedExt", ID: 3}}, Acked: true},
-		{Plugin: "OP", ECU: "ECU2", SWC: "SWC2"},
-	}}
-	recs := []Record{
-		InstallRecordedRec(row),
-		InstallAckedRec("VIN-1", "RemoteControl", "COM"),
-		InstallRemovedRec("VIN-1", "RemoteControl"),
-		PluginDroppedRec("VIN-1", "RemoteControl", "OP"),
-		// Escapes force the encoding/json fallback.
-		InstallAckedRec(`VIN-"quote"`, "App\\Back", "plug\nnl"),
-		InstallAckedRec("VIN-üñïcode", "RemoteControl", "COM"),
-		UserAddedRec("alice"),
-	}
-	for i, rec := range recs {
-		fast, _, err := encodeRecord(rec)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		slow, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		var a, b Record
-		if err := json.Unmarshal(fast, &a); err != nil {
-			t.Fatalf("record %d: fast payload unparsable: %v\n%s", i, err, fast)
-		}
-		if err := json.Unmarshal(slow, &b); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("record %d: fast %+v != slow %+v", i, a, b)
-		}
 	}
 }

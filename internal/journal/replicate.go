@@ -3,10 +3,11 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"os"
+	"math"
 	"sync"
 	"time"
 
+	"dynautosar/internal/api"
 	"dynautosar/internal/core"
 )
 
@@ -77,66 +78,53 @@ func (e *GapError) Error() string {
 // what its own disk holds; a failed apply truncates back to the last
 // good size and is retryable (the shipper re-ships or resyncs).
 type Replica struct {
-	dir  string
+	disk *disk
 	logf func(format string, args ...any)
 
 	mu      sync.Mutex
-	f       *os.File
+	f       file // the segment of gen; nil until the next write opens it
 	gen     uint64
 	size    int64
 	snapGen uint64
 	applied uint64
 	lastErr string
 	closed  bool
-	fault   *FaultInjection
 }
 
 // OpenReplica opens (creating if needed) a replica over dir and resumes
 // from whatever segment tail is already present.
 func OpenReplica(dir string, logf func(format string, args ...any)) (*Replica, error) {
+	return openReplica(osFS{}, dir, logf)
+}
+
+func openReplica(fsys fsys, dir string, logf func(format string, args ...any)) (*Replica, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.mkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("journal: replica: %v", err)
 	}
-	snaps, wals, err := scanDir(dir)
+	d := &disk{fs: fsys, dir: dir}
+	snapGen, _, segs, err := d.read(math.MaxUint64)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("journal: replica: %v", err)
 	}
-	r := &Replica{dir: dir, logf: logf}
-	if len(snaps) > 0 {
-		r.snapGen = snaps[len(snaps)-1]
-	}
-	if len(wals) > 0 {
-		g := wals[len(wals)-1]
-		f, err := os.OpenFile(walPath(dir, g), os.O_WRONLY|os.O_CREATE, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("journal: replica: %v", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("journal: replica: %v", err)
-		}
-		r.f, r.gen, r.size = f, g, st.Size()
+	r := &Replica{disk: d, logf: logf, snapGen: snapGen, gen: snapGen}
+	if n := len(segs); n > 0 {
+		r.gen, r.size = segs[n-1].gen, int64(len(segs[n-1].data))
 	}
 	return r, nil
 }
 
 // Dir returns the replica's directory — the journal directory a
 // promotion hands to server.OpenJournal.
-func (r *Replica) Dir() string { return r.dir }
+func (r *Replica) Dir() string { return r.disk.dir }
 
 // SetFault installs (or with nil clears) disk fault hooks on the apply
 // path, mirroring the leader journal's FaultInjection semantics so
 // chaos tests can starve the follower (sticky ENOSPC) independently of
 // the leader.
-func (r *Replica) SetFault(f *FaultInjection) {
-	r.mu.Lock()
-	r.fault = f
-	r.mu.Unlock()
-}
+func (r *Replica) SetFault(f *FaultInjection) { r.disk.fault.Store(f) }
 
 // State reports the replica's durable position.
 func (r *Replica) State() ReplicaState {
@@ -151,40 +139,36 @@ func (r *Replica) State() ReplicaState {
 // always safe); a chunk that does not reach the current tail returns a
 // *GapError so the shipper falls back to a directory resync. reset
 // forces the segment to be rewritten from byte zero — the resync path,
-// which also heals a tail torn by a crashed apply.
+// which also heals a tail torn by a crashed apply. A chunk that does not
+// address a segment (a negative offset, or an end past the largest
+// offset) is refused as invalid_argument and changes nothing.
 func (r *Replica) ApplySegment(gen uint64, offset int64, chunk []byte, reset bool) (err error) {
+	if offset < 0 || offset > math.MaxInt64-int64(len(chunk)) {
+		return api.Errorf(api.CodeInvalidArgument, "journal: replica: %d bytes at offset %d address no segment", len(chunk), offset)
+	}
 	defer r.logFailure(&err) // deferred first, so it runs after the unlock
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return fmt.Errorf("journal: replica closed")
 	}
-	if reset {
-		if err := r.switchSegmentLocked(gen, true); err != nil {
-			return r.failLocked(err)
-		}
-	}
+	fresh := reset || gen > r.gen // the segment is rewritten from byte zero
 	switch {
-	case gen < r.gen:
+	case !fresh && gen < r.gen:
 		return nil // stale duplicate from before a rotation
-	case gen > r.gen:
-		if offset != 0 {
-			return &GapError{Gen: r.gen, Size: r.size}
-		}
-		if err := r.switchSegmentLocked(gen, false); err != nil {
+	case offset > r.size || fresh && offset != 0:
+		return &GapError{Gen: r.gen, Size: r.size}
+	}
+	if fresh || r.f == nil {
+		if err := r.openLocked(gen, fresh); err != nil {
 			return r.failLocked(err)
 		}
-	default:
-		if offset+int64(len(chunk)) <= r.size {
-			return nil // fully duplicate
-		}
-		if offset > r.size {
-			return &GapError{Gen: r.gen, Size: r.size}
-		}
-		chunk = chunk[r.size-offset:]
-		offset = r.size
 	}
-	if err := r.writeLocked(offset, chunk); err != nil {
+	if offset+int64(len(chunk)) <= r.size {
+		return nil // fully duplicate
+	}
+	chunk, offset = chunk[r.size-offset:], r.size
+	if err := r.disk.writeChunk(r.f, offset, chunk, nil); err != nil {
 		return r.failLocked(err)
 	}
 	r.size = offset + int64(len(chunk))
@@ -211,106 +195,40 @@ func (r *Replica) ApplySnapshot(gen uint64, image []byte) (err error) {
 	if gen <= r.snapGen {
 		return nil
 	}
-	if f := r.fault; f != nil && f.WriteErr != nil {
-		if err := f.WriteErr(len(image)); err != nil {
-			return r.failLocked(err)
-		}
-	}
-	if err := writeFileSync(snapshotPath(r.dir, gen)+".tmp", image); err != nil {
+	if err := r.disk.installSnapshot(gen, image, true, nil); err != nil {
 		return r.failLocked(err)
 	}
-	if err := os.Rename(snapshotPath(r.dir, gen)+".tmp", snapshotPath(r.dir, gen)); err != nil {
-		return r.failLocked(err)
-	}
-	syncDir(r.dir)
 	r.snapGen = gen
 	// The current segment survives only at or after the snapshot
 	// generation (leader compaction rotates before it snapshots, so the
 	// live segment is always >= the new snapGen on a healthy stream).
-	if r.f != nil && r.gen < gen {
-		r.f.Close()
-		r.f, r.size = nil, 0
-		r.gen = gen
-	}
-	if snaps, wals, err := scanDir(r.dir); err == nil {
-		for _, g := range snaps {
-			if g < gen {
-				os.Remove(snapshotPath(r.dir, g))
-			}
+	if r.gen < gen {
+		if r.f != nil {
+			r.f.Close()
 		}
-		for _, g := range wals {
-			if g < gen {
-				os.Remove(walPath(r.dir, g))
-			}
-		}
+		r.f, r.gen, r.size = nil, gen, 0
 	}
-	syncDir(r.dir)
 	r.applied++
 	r.lastErr = ""
 	installed = true
 	return nil
 }
 
-// switchSegmentLocked opens (truncating when reset) the segment file of
-// gen and makes it the current tail.
-func (r *Replica) switchSegmentLocked(gen uint64, reset bool) error {
-	if r.f != nil && r.gen == gen && !reset {
-		return nil
-	}
-	flags := os.O_WRONLY | os.O_CREATE
-	if reset || gen != r.gen {
-		flags |= os.O_TRUNC
-	}
-	nf, err := os.OpenFile(walPath(r.dir, gen), flags, 0o644)
+// openLocked makes gen's segment the tail: emptied when trunc, else
+// reopened to extend at r.size.
+func (r *Replica) openLocked(gen uint64, trunc bool) error {
+	f, err := r.disk.openSegment(gen, trunc)
 	if err != nil {
 		return err
 	}
-	syncDir(r.dir)
 	if r.f != nil {
 		r.f.Close()
 	}
-	r.f, r.gen, r.size = nf, gen, 0
-	return nil
-}
-
-// writeLocked persists chunk at offset with the fault hooks of the
-// leader's commit path, truncating back on failure so a retry starts
-// from a clean tail.
-func (r *Replica) writeLocked(offset int64, chunk []byte) error {
-	if r.f == nil {
-		if err := r.switchSegmentLocked(r.gen, false); err != nil {
-			return err
-		}
-	}
-	if f := r.fault; f != nil && f.WriteErr != nil {
-		if err := f.WriteErr(len(chunk)); err != nil {
-			return err
-		}
-	}
-	if _, err := r.f.WriteAt(chunk, offset); err != nil {
-		return r.truncateLocked(offset, err)
-	}
-	if f := r.fault; f != nil && f.SyncDelay != nil {
-		time.Sleep(f.SyncDelay())
-	}
-	if err := syncFile(r.f); err != nil {
-		return r.truncateLocked(offset, err)
-	}
-	if f := r.fault; f != nil && f.SyncErr != nil {
-		if err := f.SyncErr(); err != nil {
-			return r.truncateLocked(offset, err)
-		}
+	r.f, r.gen = f, gen
+	if trunc {
+		r.size = 0
 	}
 	return nil
-}
-
-// truncateLocked cuts the segment back to size after a failed write or
-// sync; a failed truncate joins the apply failure it follows.
-func (r *Replica) truncateLocked(size int64, cause error) error {
-	if err := r.f.Truncate(size); err != nil {
-		return fmt.Errorf("%v; truncate after failed apply: %v", cause, err)
-	}
-	return cause
 }
 
 // applyError is a failed apply, which the replica logs; gaps, stale
@@ -726,42 +644,27 @@ func (s *Shipper) resync(fs *followerState) error {
 	fs.mu.Lock()
 	fs.resyncs++
 	fs.mu.Unlock()
-	dir := s.jn.dir
-	snaps, wals, err := scanDir(dir)
+	durGen, durOff := s.jn.durableState()
+	snapGen, img, segs, err := s.jn.disk.read(durGen)
 	if err != nil {
 		return err
 	}
-	durGen, durOff := s.jn.durableState()
-	if len(snaps) > 0 {
-		g := snaps[len(snaps)-1]
-		img, err := os.ReadFile(snapshotPath(dir, g))
-		if err != nil {
-			return err
-		}
-		if err := fs.t.ShipSnapshot(g, img); err != nil {
+	if img != nil {
+		if err := fs.t.ShipSnapshot(snapGen, img); err != nil {
 			return err
 		}
 	}
-	for _, g := range wals {
-		if g > durGen {
-			continue
-		}
-		data, err := os.ReadFile(walPath(dir, g))
-		if os.IsNotExist(err) {
-			continue // compacted away underneath us; the snapshot covers it
-		}
-		if err != nil {
-			return err
-		}
-		if g == durGen && int64(len(data)) > durOff {
+	for _, sg := range segs {
+		data := sg.data
+		if sg.gen == durGen && int64(len(data)) > durOff {
 			data = data[:durOff]
 		}
-		if err := fs.t.ShipSegment(g, 0, data, true); err != nil {
+		if err := fs.t.ShipSegment(sg.gen, 0, data, true); err != nil {
 			return err
 		}
 		fs.mu.Lock()
-		fs.shipGen, fs.shipOff = g, int64(len(data))
-		fs.ackGen, fs.ackOff = g, int64(len(data))
+		fs.shipGen, fs.shipOff = sg.gen, int64(len(data))
+		fs.ackGen, fs.ackOff = sg.gen, int64(len(data))
 		fs.mu.Unlock()
 	}
 	s.opts.Logf("journal: shipper: %s: resynced to gen %d", fs.name, durGen)

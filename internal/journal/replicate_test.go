@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -109,6 +110,37 @@ func TestReplicaGapArithmetic(t *testing.T) {
 	}
 	if st := r.State(); st.Gen != 1 || st.Size != 7 {
 		t.Fatalf("state after stale chunk = %+v, want gen 1 size 7", st)
+	}
+}
+
+// TestReplicaRefusesOutOfRangeOffset: a chunk at a negative offset, or
+// one whose end is past the largest offset, addresses no segment. It is
+// refused as invalid_argument, and neither the file nor the replica's
+// state changes — reset included.
+func TestReplicaRefusesOutOfRangeOffset(t *testing.T) {
+	r, err := OpenReplica(t.TempDir(), t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.ApplySegment(1, 0, []byte("ABCDEFGH"), false); err != nil {
+		t.Fatal(err)
+	}
+	before := r.State()
+	for _, c := range []struct {
+		offset int64
+		reset  bool
+	}{{-3, true}, {-3, false}, {math.MaxInt64 - 2, false}, {math.MaxInt64 - 2, true}} {
+		err := r.ApplySegment(1, c.offset, []byte("xyzLMNOPQRS"), c.reset)
+		if api.CodeOf(err) != api.CodeInvalidArgument {
+			t.Fatalf("offset %d reset %v: got %v, want invalid_argument", c.offset, c.reset, err)
+		}
+	}
+	if st := r.State(); st != before {
+		t.Fatalf("state after refused chunks = %+v, want %+v", st, before)
+	}
+	if got, err := os.ReadFile(walPath(r.Dir(), 1)); err != nil || string(got) != "ABCDEFGH" {
+		t.Fatalf("segment after refused chunks = %q, %v; want ABCDEFGH", got, err)
 	}
 }
 
@@ -235,17 +267,15 @@ func TestFollowerBehindSnapshotGenerations(t *testing.T) {
 	if st := r.State(); st.SnapGen != lead.Gen {
 		t.Fatalf("replica snapGen = %d, want the leader's %d", st.SnapGen, lead.Gen)
 	}
-	snaps, wals, err := scanDir(rdir)
+	entries, err := os.ReadDir(rdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range snaps {
-		if g < lead.Gen {
+	for _, e := range entries {
+		if g, ok := parseGen(e.Name(), "snapshot-", ".snap"); ok && g < lead.Gen {
 			t.Fatalf("stale snapshot gen %d survived catch-up", g)
 		}
-	}
-	for _, g := range wals {
-		if g < lead.Gen {
+		if g, ok := parseGen(e.Name(), "wal-", ".log"); ok && g < lead.Gen {
 			t.Fatalf("stale segment gen %d survived catch-up", g)
 		}
 	}

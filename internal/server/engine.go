@@ -297,6 +297,10 @@ func (s *Server) finish(k *opKind, opID string, t target, p *vehiclePlan, ticket
 	// is on disk.
 	if err := waitDurable(ticket); err != nil {
 		k.unstage(s, t, "")
+		// It staged, so its launch error is the app's Status.
+		s.mu.Lock()
+		s.takeStatusLocked(s.ops[opID])
+		s.mu.Unlock()
 		return err
 	}
 	var notify chan ackOutcome
@@ -348,12 +352,26 @@ func (s *Server) claim(opID string, vehicle core.VehicleID, apps []core.AppName,
 		if key := failureKey(vehicle, app); s.claims[key] == "" {
 			s.claims[key] = opID
 			rec.claims = append(rec.claims, key)
-			// Status reports the most recent operation on the app, and
-			// that is this one from now on.
-			delete(s.failures, key)
 		}
 	}
 	return nil
+}
+
+// takeStatusLocked makes the operation the one Status reports on the
+// apps it claimed: their earlier failures go. An operation takes them
+// over only once it stages or pushes something — with its first frame
+// (see enqueuePending), or when its stage record fails to commit — so
+// one that claims an app after another operation released it and then
+// fails at its plan, like the loser of a race to deploy it, leaves the
+// winner's Status alone. Called with Server.mu held.
+func (s *Server) takeStatusLocked(rec *opRecord) {
+	if rec == nil || rec.ownsStatus {
+		return
+	}
+	rec.ownsStatus = true
+	for _, key := range rec.claims {
+		delete(s.failures, key)
+	}
 }
 
 // claimConflictLocked reports the conflict a claim by opID would meet;

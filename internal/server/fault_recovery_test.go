@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,6 +86,31 @@ func TestRolloutStartRefusedOnFullDisk(t *testing.T) {
 		}
 	}
 	wantApp(t, s, fleet, "Counter-v1", "Counter-v2")
+}
+
+// TestStageCommitFailureInStatus: a deploy whose stage record cannot
+// commit staged, so it owns the app's Status, and the commit failure is
+// reported there — the deploy does not read as complete.
+func TestStageCommitFailureInStatus(t *testing.T) {
+	fleet := []core.VehicleID{"VIN-SF"}
+	s := openFleetServer(t, t.TempDir(), fleet)
+	connectScriptedVehicle(t, s, fleet[0], ackAll)
+	c := newV1Client(t, s)
+	s.Journal().SetFault(&journal.FaultInjection{
+		WriteErr: func(int) error { return errors.New("write: no space left on device") },
+	})
+	ctx := context.Background()
+	op, err := c.Deploy(ctx, api.DeployRequest{User: "alice", Vehicle: fleet[0], App: "Counter-v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.WaitOperation(ctx, op.ID, 0); err != nil || final.State != api.StateFailed {
+		t.Fatalf("deploy on a full disk = %+v, %v", final, err)
+	}
+	st := s.Status(fleet[0], "Counter-v1")
+	if st.Complete() || len(st.Failures) != 1 || !strings.Contains(st.Failures[0], "no space left") {
+		t.Fatalf("status after the failed stage commit = %+v", st)
+	}
 }
 
 // TestFailedCommitNotPromotable: the synchronous follower applies a

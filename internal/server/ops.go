@@ -40,6 +40,10 @@ type opRecord struct {
 	// finishes instead of when the last frame settles.
 	claims            []string
 	claimsEndAtLaunch bool
+	// ownsStatus is set once the operation staged or pushed something:
+	// from then on Status reports it on its claimed apps (see
+	// takeStatusLocked).
+	ownsStatus bool
 	// ro is the wave loop state of a rollout (see rollout.go); nil for
 	// every other kind and for a settled one a state image restored.
 	ro *rolloutState
@@ -244,9 +248,9 @@ func (s *Server) finishLaunch(opID string, err error) {
 		rec.op.State = api.StateFailed
 		rec.op.Error = api.AsError(err)
 		rec.op.Done = true
-		// The operation owns its apps' Status now (see claim): a failure
-		// no frame reported is reported there as the launch error.
-		if len(rec.op.Failures) == 0 {
+		// An operation that owns its apps' Status (see takeStatusLocked)
+		// reports a failure no frame reported there as the launch error.
+		if rec.ownsStatus && len(rec.op.Failures) == 0 {
 			for _, key := range rec.claims {
 				s.failures[key] = append(s.failures[key], rec.op.Error.Message)
 			}

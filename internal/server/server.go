@@ -212,6 +212,7 @@ func (s *Server) enqueuePending(p pendingOp) uint32 {
 	s.seq++
 	s.pending[s.seq] = p
 	if rec := s.ops[p.opID]; rec != nil {
+		s.takeStatusLocked(rec)
 		rec.op.Total++
 		rec.outstanding++
 		if prec := s.ops[rec.parent]; prec != nil && !prec.op.Done {
@@ -371,7 +372,8 @@ func (s *Server) applyAck(op pendingOp, msg core.Message) {
 	s.settleAck(op, "")
 }
 
-// Status reports the progress of the most recent operation on an app.
+// Status reports the progress of the most recent operation that staged
+// or pushed something on an app (see takeStatusLocked).
 func (s *Server) Status(vehicle core.VehicleID, app core.AppName) api.OpStatus {
 	st := api.OpStatus{App: app}
 	s.mu.Lock()
