@@ -232,14 +232,7 @@ func fleetable(cmd string, args []string,
 		log.Fatalf("usage: fescli %s -fleet [-model M] <user> <app> [vin ...]", cmd)
 	}
 	req := api.BatchDeployRequest{User: core.UserID(rest[0]), App: core.AppName(rest[1])}
-	for _, v := range rest[2:] {
-		req.Vehicles = append(req.Vehicles, core.VehicleID(v))
-	}
-	if len(req.Vehicles) == 0 {
-		req.Selector = &api.FleetSelector{Model: *model}
-	} else if *model != "" {
-		log.Fatalf("fescli %s -fleet: -model and explicit VINs are mutually exclusive", cmd)
-	}
+	req.Vehicles, req.Selector = fleetTarget(cmd+" -fleet", *model, rest[2:])
 	op, err := batch(req)
 	show(op, err)
 }
@@ -275,16 +268,27 @@ func upgrade(ctx context.Context, args []string) {
 	req := api.BatchUpgradeRequest{
 		User: core.UserID(rest[0]), From: core.AppName(rest[1]), To: core.AppName(rest[2]),
 	}
-	for _, v := range rest[3:] {
-		req.Vehicles = append(req.Vehicles, core.VehicleID(v))
-	}
-	if len(req.Vehicles) == 0 {
-		req.Selector = &api.FleetSelector{Model: *model}
-	} else if *model != "" {
-		log.Fatal("fescli upgrade -fleet: -model and explicit VINs are mutually exclusive")
-	}
+	req.Vehicles, req.Selector = fleetTarget("upgrade -fleet", *model, rest[3:])
 	op, err := client.BatchUpgrade(ctx, req)
 	show(op, err)
+}
+
+// fleetTarget applies the fleet-target rule of the batch commands:
+// explicit VINs, or else the -model selector (an empty model selects
+// all the user's vehicles), never both. cmd names the command in the
+// error.
+func fleetTarget(cmd, model string, vins []string) ([]core.VehicleID, *api.FleetSelector) {
+	if len(vins) == 0 {
+		return nil, &api.FleetSelector{Model: model}
+	}
+	if model != "" {
+		log.Fatalf("fescli %s: -model and explicit VINs are mutually exclusive", cmd)
+	}
+	out := make([]core.VehicleID, len(vins))
+	for i, v := range vins {
+		out[i] = core.VehicleID(v)
+	}
+	return out, nil
 }
 
 // rollout drives progressive fleet rollouts:
@@ -339,14 +343,7 @@ func rolloutStart(ctx context.Context, args []string) {
 	req := api.RolloutRequest{
 		User: core.UserID(rest[0]), From: core.AppName(rest[1]), To: core.AppName(rest[2]),
 	}
-	for _, v := range rest[3:] {
-		req.Vehicles = append(req.Vehicles, core.VehicleID(v))
-	}
-	if len(req.Vehicles) == 0 {
-		req.Selector = &api.FleetSelector{Model: *model}
-	} else if *model != "" {
-		log.Fatal("fescli rollout start: -model and explicit VINs are mutually exclusive")
-	}
+	req.Vehicles, req.Selector = fleetTarget("rollout start", *model, rest[3:])
 	if *waves != "" {
 		for _, part := range strings.Split(*waves, ",") {
 			part = strings.TrimSpace(part)
@@ -458,8 +455,6 @@ func readJSONFile(path string, v any) {
 	}
 }
 
-// show prints a typed response as indented JSON, or the structured API
-// error (with its stable code) and a non-zero exit.
 // printShardLine writes a one-line shard summary to stderr (keeping
 // stdout pure JSON for scripts) when the server reports a shard
 // identity — standalone servers leave the fields empty.
@@ -470,6 +465,8 @@ func printShardLine(shard, role string, epoch uint64) {
 	fmt.Fprintf(os.Stderr, "# shard=%s role=%s epoch=%d\n", shard, role, epoch)
 }
 
+// show prints a typed response as indented JSON, or the structured API
+// error (with its stable code) and a non-zero exit.
 func show(v any, err error) {
 	if err != nil {
 		var apiErr *api.Error

@@ -116,7 +116,7 @@ func (r *retryClient) Invoke(ctx context.Context, rt *Route, arg any) (any, erro
 	b := r.o.Backoff
 	for attempt := 1; ; attempt++ {
 		out, err := rt.call(ctx, r.inner, arg)
-		if err == nil || !rt.Resendable(err) || attempt >= r.o.Attempts {
+		if err == nil || !rt.Resendable(arg, err) || attempt >= r.o.Attempts {
 			return out, err
 		}
 		d := b.Next()

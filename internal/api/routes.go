@@ -133,8 +133,9 @@ type Route struct {
 	response func(fill func(out any) error) (any, error)
 	vehicles func(arg any) []core.VehicleID
 	// stamp returns arg with its idempotency key set to mint() if it had
-	// none; nil on unkeyed rows.
+	// none, keyOf the key arg carries; both nil on unkeyed rows.
 	stamp func(arg any, mint func() string) any
+	keyOf func(arg any) string
 }
 
 // Call invokes the route's method on svc with the argument the typed
@@ -146,21 +147,21 @@ func (rt *Route) Call(ctx context.Context, svc DeploymentService, arg any) (any,
 // Vehicles names the vehicles an Owner-class request is about.
 func (rt *Route) Vehicles(arg any) []core.VehicleID { return rt.vehicles(arg) }
 
-// Resendable reports whether a call that failed with err may be sent
-// again — to the same server later, or to a sibling replica now.
+// Resendable reports whether a call with arg that failed with err may
+// be sent again — to the same server later, or to a sibling replica now.
 // `not_leader` always: the server refused before doing anything.
 // `unavailable` covers a response lost after the leader journaled the
 // request, so it is resendable only where a second copy is harmless:
 // reads change nothing, entity creates (201) are guarded by their
-// natural key, keyed operation creates are deduplicated by the server.
-// A row that starts an operation (202) without an idempotency key is
-// at-most-once.
-func (rt *Route) Resendable(err error) bool {
+// natural key, operation creates whose idempotency key is set are
+// deduplicated by the server. An operation create (202) without a key
+// — on a keyed row, one the caller left empty — is at-most-once.
+func (rt *Route) Resendable(arg any, err error) bool {
 	switch CodeOf(err) {
 	case CodeNotLeader:
 		return true
 	case CodeUnavailable:
-		return rt.Keyed || rt.Status != http.StatusAccepted
+		return rt.Status != http.StatusAccepted || rt.Keyed && rt.keyOf(arg) != ""
 	}
 	return false
 }
@@ -313,6 +314,10 @@ func body[A, R any](name, verbPath string, status int, m func(DeploymentService,
 				*k = mint()
 			}
 			return a
+		}
+		rt.keyOf = func(arg any) string {
+			a := arg.(A)
+			return *key(&a)
 		}
 	}
 	return rt

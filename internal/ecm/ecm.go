@@ -7,10 +7,9 @@
 // them to the target plug-in SW-Cs over type I ports, collects and
 // forwards acknowledgements, extracts External Connection Contexts,
 // opens links to external endpoints (the paper's smart phone) and routes
-// their messages into the vehicle. During a live upgrade the ECM swaps
-// the plug-in's ECC routing to the new version's atomically with the
-// swap and restores the old routing when a rollback nack passes back
-// through.
+// their messages into the vehicle. Every ECC change an install, upgrade
+// or uninstall frame makes is staged when the frame passes and resolved
+// by that frame's own ack (kept) or nack (undone).
 package ecm
 
 import (
@@ -20,7 +19,6 @@ import (
 
 	"dynautosar/internal/core"
 	"dynautosar/internal/pirte"
-	"dynautosar/internal/plugin"
 	"dynautosar/internal/sim"
 )
 
@@ -42,10 +40,22 @@ type routeKey struct {
 	swc core.SWCID
 }
 
+// eccKey names the ECC records of one plug-in on one ECU.
+type eccKey struct {
+	plugin core.PluginName
+	ecu    core.ECUID
+}
+
 type eccRecord struct {
-	plugin  core.PluginName
-	ecu     core.ECUID
+	eccKey
 	entries core.ECC
+}
+
+// eccStage is one staged ECC change: the seq of the frame that staged
+// it and the ECC it replaced (nil: none).
+type eccStage struct {
+	seq uint32
+	old core.ECC
 }
 
 // ECM is the external communication manager. It inherits the full plug-in
@@ -61,13 +71,9 @@ type ECM struct {
 
 	// eccReg is the registry of extracted External Connection Contexts.
 	eccReg []eccRecord
-	// eccSwaps stashes, per in-flight plug-in upgrade, the ECC records
-	// the upgrade replaced, so a failure nack restores the old routing.
-	// Keyed by plugin|ecu and bound to the staging request's sequence
-	// number: only the staged request's own ack/nack resolves the stash
-	// — a rejected duplicate or compensation frame (different seq) must
-	// not destroy an in-flight upgrade's stash.
-	eccSwaps map[string]eccSwapStash
+	// eccStages holds the unresolved ECC changes per (plug-in, ECU),
+	// oldest first (see stageECC).
+	eccStages map[eccKey][]eccStage
 
 	mu         sync.Mutex
 	serverConn io.ReadWriteCloser
@@ -99,7 +105,7 @@ func New(eng *sim.Engine, p *pirte.PIRTE) *ECM {
 		eng:       eng,
 		routes:    make(map[routeKey]core.SWCPortID),
 		endpoints: make(map[string]io.ReadWriteCloser),
-		eccSwaps:  make(map[string]eccSwapStash),
+		eccStages: make(map[eccKey][]eccStage),
 		logf:      func(string, ...any) {},
 	}
 	p.SetTypeIHook(e.onTypeI)
@@ -185,96 +191,26 @@ func (e *ECM) writeServer(msg core.Message) error {
 }
 
 // HandleServerMessage processes one message from the trusted server at
-// simulation time: installation packages and life cycle commands are
-// installed locally or distributed over type I ports; external payloads
-// are routed like endpoint traffic.
+// simulation time: life-cycle frames stage their ECC change and run in
+// the ECM SW-C itself or are distributed over type I ports; external
+// payloads are routed like endpoint traffic.
 func (e *ECM) HandleServerMessage(msg core.Message) {
-	cfg := e.Config()
 	switch msg.Type {
-	case core.MsgInstall:
+	case core.MsgInstall, core.MsgUpgrade, core.MsgUninstall, core.MsgStop, core.MsgStart:
 		// Extract the ECC before anything else (paper section 3.1.2).
-		var pkg plugin.Package
-		if err := pkg.UnmarshalBinary(msg.Payload); err != nil {
-			e.replyServer(msg.Nack(fmt.Sprintf("bad package: %v", err)))
+		pkg, err := pirte.FramePackage(msg)
+		if err != nil {
+			e.replyServer(msg.Nack(err.Error()))
 			return
 		}
-		if len(pkg.Context.ECC) > 0 {
-			e.eccReg = append(e.eccReg, eccRecord{
-				plugin:  pkg.Binary.Manifest.Name,
-				ecu:     msg.ECU,
-				entries: pkg.Context.ECC,
-			})
-			// Open the links to the external resources named by the ECC.
-			for _, ep := range pkg.Context.ECC.Endpoints() {
-				if err := e.connectEndpoint(ep); err != nil {
-					e.logf("ecm: endpoint %s unreachable: %v", ep, err)
-				}
-			}
+		if pkg != nil {
+			e.stageECC(msg, pkg.Context.ECC)
+		} else if msg.Type == core.MsgUninstall {
+			e.stageECC(msg, nil)
 		}
-		if msg.ECU == cfg.ECU && msg.SWC == cfg.SWC {
-			// Destined to a plug-in in the ECM SW-C itself.
-			if err := e.Install(pkg); err != nil {
-				e.replyServer(msg.Nack(err.Error()))
-				return
-			}
-			e.replyServer(msg.Ack())
+		if cfg := e.Config(); msg.ECU == cfg.ECU && msg.SWC == cfg.SWC {
+			e.Lifecycle(msg, pkg, e.replyServer)
 			return
-		}
-		e.distribute(msg)
-	case core.MsgUpgrade:
-		var pkg plugin.Package
-		if err := pkg.UnmarshalBinary(msg.Payload); err != nil {
-			e.replyServer(msg.Nack(fmt.Sprintf("bad package: %v", err)))
-			return
-		}
-		if pkg.Binary.Manifest.Name != msg.Plugin {
-			// Must be caught before the ECC swap is staged: the stash
-			// and its cleanup paths are keyed by msg.Plugin, so a
-			// mismatched manifest would leave a phantom ECC record no
-			// rollback or uninstall could remove.
-			e.replyServer(msg.Nack(fmt.Sprintf("package names plug-in %s, message targets %s",
-				pkg.Binary.Manifest.Name, msg.Plugin)))
-			return
-		}
-		// Swap the plug-in's ECC routing to the new version's, stashing
-		// the old records: a rollback nack restores them when it passes
-		// back through replyServer.
-		e.stageECCSwap(msg, pkg)
-		if msg.ECU == cfg.ECU && msg.SWC == cfg.SWC {
-			req := msg
-			if err := e.Upgrade(msg.Plugin, pkg, func(err error) {
-				if err != nil {
-					e.replyServer(req.Nack(err.Error()))
-					return
-				}
-				e.replyServer(req.Ack())
-			}); err != nil {
-				e.replyServer(msg.Nack(err.Error()))
-			}
-			return
-		}
-		e.distribute(msg)
-	case core.MsgUninstall, core.MsgStop, core.MsgStart:
-		if msg.ECU == cfg.ECU && msg.SWC == cfg.SWC {
-			var err error
-			switch msg.Type {
-			case core.MsgUninstall:
-				err = e.Uninstall(msg.Plugin)
-				e.dropECC(msg.Plugin)
-			case core.MsgStop:
-				err = e.Stop(msg.Plugin)
-			default:
-				err = e.Start(msg.Plugin)
-			}
-			if err != nil {
-				e.replyServer(msg.Nack(err.Error()))
-				return
-			}
-			e.replyServer(msg.Ack())
-			return
-		}
-		if msg.Type == core.MsgUninstall {
-			e.dropECC(msg.Plugin)
 		}
 		e.distribute(msg)
 	case core.MsgExternal:
@@ -290,11 +226,11 @@ func (e *ECM) HandleServerMessage(msg core.Message) {
 	}
 }
 
-// replyServer forwards an ack/nack to the server, counting it; an
-// ack/nack settling an upgrade's ECC swap resolves the stash first.
+// replyServer forwards an ack/nack to the server, counting it; the
+// frame's staged ECC change is resolved first.
 func (e *ECM) replyServer(msg core.Message) {
 	if msg.Type == core.MsgAck || msg.Type == core.MsgNack {
-		e.resolveECCSwap(msg, msg.Type == core.MsgNack)
+		e.resolveECC(msg)
 	}
 	if err := e.writeServer(msg); err != nil {
 		e.logf("ecm: server reply failed: %v", err)
@@ -305,82 +241,67 @@ func (e *ECM) replyServer(msg core.Message) {
 	}
 }
 
-// eccSwapStash is the pre-upgrade ECC state of one staged swap, bound
-// to the request that staged it.
-type eccSwapStash struct {
-	seq uint32
-	old []eccRecord
+// stageECC puts a life-cycle frame's ECC in force for its (plug-in, ECU)
+// at once — the package's ECC for an install or upgrade, none for an
+// uninstall — and stages the change under the frame's seq; links to the
+// endpoints the new ECC names are opened eagerly. Changes stack: a frame
+// staged while an earlier one of the same plug-in is unresolved (a
+// rejected duplicate upgrade, an uninstall refused mid-upgrade) replaces
+// the earlier one's ECC, and its nack puts that ECC back.
+func (e *ECM) stageECC(msg core.Message, ecc core.ECC) {
+	key := eccKey{msg.Plugin, msg.ECU}
+	e.eccStages[key] = append(e.eccStages[key], eccStage{seq: msg.Seq, old: e.setECC(key, ecc)})
+	for _, ep := range ecc.Endpoints() {
+		if err := e.connectEndpoint(ep); err != nil {
+			e.logf("ecm: endpoint %s unreachable: %v", ep, err)
+		}
+	}
 }
 
-// eccSwapKey identifies one plug-in upgrade's ECC swap.
-func eccSwapKey(plugin core.PluginName, ecu core.ECUID) string {
-	return string(plugin) + "|" + string(ecu)
-}
-
-// stageECCSwap replaces a plug-in's ECC records with the upgrade
-// package's and stashes the old ones for a possible restore. Links to
-// endpoints the new ECC names are opened eagerly, like on install. A
-// second upgrade frame while one swap is staged (the PIRTE rejects it)
-// keeps the first stash untouched — its nack carries a different seq
-// and therefore cannot resolve the staged swap.
-func (e *ECM) stageECCSwap(msg core.Message, pkg plugin.Package) {
-	key := eccSwapKey(msg.Plugin, msg.ECU)
-	if _, dup := e.eccSwaps[key]; dup {
+// resolveECC settles the change a frame staged when the frame's own ack
+// or nack passes (matched by seq; replies of other frames leave it
+// alone). An ack keeps the change. A nack undoes it: the replaced ECC is
+// back in force or, when a later frame staged over this one, becomes
+// what that frame's nack would restore.
+func (e *ECM) resolveECC(msg core.Message) {
+	key := eccKey{msg.Plugin, msg.ECU}
+	stages := e.eccStages[key]
+	for i, st := range stages {
+		if st.seq != msg.Seq {
+			continue
+		}
+		if msg.Type == core.MsgNack {
+			if i == len(stages)-1 {
+				e.setECC(key, st.old)
+			} else {
+				stages[i+1].old = st.old
+			}
+		}
+		if stages = append(stages[:i], stages[i+1:]...); len(stages) == 0 {
+			delete(e.eccStages, key)
+		} else {
+			e.eccStages[key] = stages
+		}
 		return
 	}
-	var old []eccRecord
+}
+
+// setECC replaces the registry record of key with ecc (none when empty)
+// and returns the ECC it replaced.
+func (e *ECM) setECC(key eccKey, ecc core.ECC) (old core.ECC) {
 	kept := e.eccReg[:0]
 	for _, rec := range e.eccReg {
-		if rec.plugin == msg.Plugin && rec.ecu == msg.ECU {
-			old = append(old, rec)
+		if rec.eccKey == key {
+			old = rec.entries
 			continue
 		}
 		kept = append(kept, rec)
 	}
 	e.eccReg = kept
-	e.eccSwaps[key] = eccSwapStash{seq: msg.Seq, old: old}
-	if len(pkg.Context.ECC) > 0 {
-		// Registered under msg.Plugin — the key every cleanup path
-		// (resolveECCSwap, dropECC) filters by; the caller verified it
-		// matches the package manifest.
-		e.eccReg = append(e.eccReg, eccRecord{
-			plugin:  msg.Plugin,
-			ecu:     msg.ECU,
-			entries: pkg.Context.ECC,
-		})
-		for _, ep := range pkg.Context.ECC.Endpoints() {
-			if err := e.connectEndpoint(ep); err != nil {
-				e.logf("ecm: endpoint %s unreachable: %v", ep, err)
-			}
-		}
+	if len(ecc) > 0 {
+		e.eccReg = append(e.eccReg, eccRecord{key, ecc})
 	}
-}
-
-// resolveECCSwap closes a staged ECC swap when the staging request's
-// own ack or nack passes through (matched by sequence number): any
-// failure puts the old version's records back — the swap was staged
-// eagerly, so a rejection that never reached the probe must restore
-// too — and a commit drops the stash. Acks and nacks of other frames
-// for the same plug-in (rejected duplicates, compensation downgrades)
-// carry different sequence numbers and leave the stash alone.
-func (e *ECM) resolveECCSwap(msg core.Message, failed bool) {
-	key := eccSwapKey(msg.Plugin, msg.ECU)
-	stash, ok := e.eccSwaps[key]
-	if !ok || stash.seq != msg.Seq {
-		return
-	}
-	delete(e.eccSwaps, key)
-	if !failed {
-		return
-	}
-	kept := e.eccReg[:0]
-	for _, rec := range e.eccReg {
-		if rec.plugin == msg.Plugin && rec.ecu == msg.ECU {
-			continue
-		}
-		kept = append(kept, rec)
-	}
-	e.eccReg = append(kept, stash.old...)
+	return old
 }
 
 // distribute relays a message to the target plug-in SW-C through the
@@ -404,17 +325,6 @@ func (e *ECM) distribute(msg core.Message) {
 	e.Distributed++
 }
 
-// dropECC removes the registry records of an uninstalled plug-in.
-func (e *ECM) dropECC(name core.PluginName) {
-	kept := e.eccReg[:0]
-	for _, rec := range e.eccReg {
-		if rec.plugin != name {
-			kept = append(kept, rec)
-		}
-	}
-	e.eccReg = kept
-}
-
 // --- type I interception ------------------------------------------------------
 
 // onTypeI intercepts inbound type I messages of the embedded PIRTE:
@@ -431,9 +341,8 @@ func (e *ECM) onTypeI(msg core.Message) bool {
 			e.logf("ecm: bad relayed external payload: %v", err)
 			return true
 		}
-		if rec, entry, ok := e.lookupByPort(msg.ECU, port); ok {
+		if _, entry, ok := e.lookupByPort(msg.ECU, port); ok {
 			e.sendEndpoint(entry.Endpoint, entry.MessageID, value)
-			_ = rec
 			return true
 		}
 		e.logf("ecm: no ECC for outbound %s:%s", msg.ECU, port)

@@ -65,7 +65,7 @@ func pkgFrom(t *testing.T, src string, ctx core.Context) plugin.Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := plugin.FromProgram(prog, plugin.Manifest{Developer: "sics", External: true})
+	bin, err := plugin.FromProgram(prog, plugin.Manifest{Developer: "sics", External: len(ctx.ECC) > 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -578,6 +578,48 @@ func TestRouterKeylessCreateNotRotated(t *testing.T) {
 	}
 }
 
+// deployReplica counts Deploy calls and answers them with err.
+type deployReplica struct {
+	api.DeploymentService
+	calls int
+	err   error
+}
+
+func (f *deployReplica) Deploy(context.Context, api.DeployRequest) (api.Operation, error) {
+	f.calls++
+	return api.Operation{ID: "op-1"}, f.err
+}
+
+// TestRouterKeylessDeployNotRotated: Deploy is a keyed row, but a
+// request whose idempotency key is empty is as at-most-once as a
+// rollout — after an ambiguous `unavailable` the sibling must not get a
+// second copy. With the key set the server deduplicates, and the router
+// moves on to the sibling.
+func TestRouterKeylessDeployNotRotated(t *testing.T) {
+	a := &deployReplica{err: api.Errorf(api.CodeUnavailable, "api: response lost")}
+	b := &deployReplica{}
+	r, err := NewRouter([]Shard{{Name: "s1", Replicas: []Replica{{Name: "a", Svc: a}, {Name: "b", Svc: b}}}},
+		RouterOptions{Sleep: func(context.Context, time.Duration) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := api.DeployRequest{User: "alice", Vehicle: "VIN-1", App: "A"}
+	if _, err := r.Deploy(context.Background(), req); api.CodeOf(err) != api.CodeUnavailable {
+		t.Fatalf("Deploy = %v, want the ambiguous unavailable surfaced", err)
+	}
+	if a.calls != 1 || b.calls != 0 {
+		t.Fatalf("keyless deploy sent %d+%d times after an ambiguous failure, want exactly 1+0", a.calls, b.calls)
+	}
+
+	req.IdempotencyKey = "k-1"
+	if _, err := r.Deploy(context.Background(), req); err != nil {
+		t.Fatalf("keyed Deploy = %v, want the sibling's success", err)
+	}
+	if a.calls != 2 || b.calls != 1 {
+		t.Fatalf("keyed deploy calls = %d+%d, want 2+1", a.calls, b.calls)
+	}
+}
+
 // TestShardFailoverZeroLoss is the tentpole scenario in miniature over
 // real HTTP: a leader replicates synchronously to a follower node, the
 // leader dies, the follower is promoted, and the router's clients (a)

@@ -166,7 +166,7 @@ func (r *Router) callShard(ctx context.Context, ss *shardState, rt *api.Route, a
 	for try := 0; ; try++ {
 		idx := (start + try) % n
 		out, err = rt.Call(ctx, ss.shard.Replicas[idx].Svc, arg)
-		if err == nil || !rt.Resendable(err) {
+		if err == nil || !rt.Resendable(arg, err) {
 			ss.mu.Lock()
 			ss.leader = idx
 			ss.mu.Unlock()

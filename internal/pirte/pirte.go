@@ -139,20 +139,27 @@ type timerState struct {
 	ev     sim.EventID
 }
 
-// Installed is one plug-in under PIRTE management.
-type Installed struct {
-	Name core.PluginName
+// version is one bindable version of a plug-in: its package, the
+// decoded program and the port tables its context binds.
+type version struct {
 	Pkg  plugin.Package
-	inst *vm.Instance
 	prog *vm.Program
 	// indexToID and links are dense, indexed by the program's declared
 	// port index — the data plane never touches a map. The reverse
 	// id-to-index direction lives in the PIRTE-wide route table.
 	indexToID []core.PluginPortID
 	links     []core.PLCEntry
-	state     State
-	timers    [8]timerState
-	restarts  int
+}
+
+// Installed is one plug-in under PIRTE management.
+type Installed struct {
+	Name core.PluginName
+	// version is the bound version; its Pkg is the running package.
+	version
+	inst     *vm.Instance
+	state    State
+	timers   [8]timerState
+	restarts int
 	// upgrade is the in-flight live-upgrade transaction, nil otherwise.
 	upgrade *upgradeState
 	// LastFault records the most recent trap.
@@ -429,36 +436,14 @@ func (p *PIRTE) Install(pkg plugin.Package) error {
 	if p.cfg.MaxPlugins > 0 && len(p.plugins) >= p.cfg.MaxPlugins {
 		return fmt.Errorf("%w: plug-in limit %d reached", ErrQuota, p.cfg.MaxPlugins)
 	}
-	prog, err := pkg.Binary.Decode()
+	v, err := p.admit(pkg, nil)
 	if err != nil {
 		return err
 	}
-	if p.cfg.MemoryQuota > 0 && p.memoryInUse()+int(prog.Globals) > p.cfg.MemoryQuota {
-		return fmt.Errorf("%w: memory quota %d words", ErrQuota, p.cfg.MemoryQuota)
-	}
-
-	indexToID, links, err := p.bindContext(prog, pkg)
-	if err != nil {
+	ip := &Installed{Name: name}
+	if err := p.bindSlot(ip, v, nil); err != nil {
 		return err
 	}
-
-	ip := &Installed{
-		Name:      name,
-		Pkg:       pkg,
-		prog:      prog,
-		indexToID: indexToID,
-		links:     links,
-		state:     StateRunning,
-	}
-	inst, err := p.instantiate(ip, prog, pkg)
-	if err != nil {
-		return err
-	}
-	ip.inst = inst
-	p.plugins[name] = ip
-	p.bindRoutes(ip)
-	p.rebuildSubs()
-	p.persist(ip)
 	p.enqueue(event{kind: 0, pl: ip})
 	p.logf("pirte %s: installed %s %s (ports %v)", p.cfg.SWC, name,
 		pkg.Binary.Manifest.Version, pkg.Context.PIC)
@@ -476,31 +461,43 @@ func (p *PIRTE) instantiate(ip *Installed, prog *vm.Program, pkg plugin.Package)
 	return vm.NewInstance(prog, &host{p: p, ip: ip}, budget)
 }
 
-// bindContext validates a package's PIC and PLC against the static
-// configuration and the current port population: ids must be free,
-// every post must fit the virtual-port table and the port directions.
-// Shared by Install and the live-upgrade swap (which releases the old
-// version's ids first). It returns the dense per-index id and link
-// tables; the caller publishes them into the route table via bindRoutes.
-func (p *PIRTE) bindContext(prog *vm.Program, pkg plugin.Package) ([]core.PluginPortID, []core.PLCEntry, error) {
+// admit decodes a package and validates it against the memory quota, the
+// static configuration and the current port population: ids must be
+// free, every post must fit the virtual-port table and the port
+// directions. replacing is the program of the version the package
+// replaces (nil on install): its globals do not count against the
+// quota, and the caller has released its port ids. Shared by Install and
+// the live-upgrade swap.
+func (p *PIRTE) admit(pkg plugin.Package, replacing *vm.Program) (version, error) {
 	name := pkg.Binary.Manifest.Name
+	prog, err := pkg.Binary.Decode()
+	if err != nil {
+		return version{}, err
+	}
+	inUse := p.memoryInUse() + int(prog.Globals)
+	if replacing != nil {
+		inUse -= int(replacing.Globals)
+	}
+	if p.cfg.MemoryQuota > 0 && inUse > p.cfg.MemoryQuota {
+		return version{}, fmt.Errorf("%w: memory quota %d words", ErrQuota, p.cfg.MemoryQuota)
+	}
 	// Port Initialization Context: bind SW-C-scope unique ids to the
 	// program's declared port indices.
 	indexToID := make([]core.PluginPortID, len(prog.Ports))
 	for i, decl := range prog.Ports {
 		id, ok := pkg.Context.PIC.Lookup(decl.Name)
 		if !ok {
-			return nil, nil, fmt.Errorf("pirte: PIC misses port %q of plug-in %s", decl.Name, name)
+			return version{}, fmt.Errorf("pirte: PIC misses port %q of plug-in %s", decl.Name, name)
 		}
 		if id < 0 || id >= maxPortID {
-			return nil, nil, fmt.Errorf("pirte: port id %s of plug-in %s out of range", id, name)
+			return version{}, fmt.Errorf("pirte: port id %s of plug-in %s out of range", id, name)
 		}
 		if r := p.route(id); r != nil && r.owner != nil {
-			return nil, nil, fmt.Errorf("%w: %s (held by %s)", ErrPortClash, id, r.owner.Name)
+			return version{}, fmt.Errorf("%w: %s (held by %s)", ErrPortClash, id, r.owner.Name)
 		}
 		for _, prev := range indexToID[:i] {
 			if prev == id {
-				return nil, nil, fmt.Errorf("%w: %s (bound twice by %s)", ErrPortClash, id, name)
+				return version{}, fmt.Errorf("%w: %s (bound twice by %s)", ErrPortClash, id, name)
 			}
 		}
 		indexToID[i] = id
@@ -520,7 +517,7 @@ func (p *PIRTE) bindContext(prog *vm.Program, pkg plugin.Package) ([]core.Plugin
 	for _, post := range pkg.Context.PLC {
 		idx, ok := lookup(post.Plugin)
 		if !ok {
-			return nil, nil, fmt.Errorf("pirte: PLC post %s refers to unassigned port", post.Plugin)
+			return version{}, fmt.Errorf("pirte: PLC post %s refers to unassigned port", post.Plugin)
 		}
 		dir := prog.Ports[idx].Direction
 		switch post.Kind {
@@ -529,52 +526,64 @@ func (p *PIRTE) bindContext(prog *vm.Program, pkg plugin.Package) ([]core.Plugin
 		case core.LinkVirtual:
 			vp, ok := p.virtByID[post.Virtual]
 			if !ok {
-				return nil, nil, fmt.Errorf("%w: %s -> missing %s", ErrBadLink, post.Plugin, post.Virtual)
+				return version{}, fmt.Errorf("%w: %s -> missing %s", ErrBadLink, post.Plugin, post.Virtual)
 			}
 			switch vp.spec.Type {
 			case core.TypeII:
 				// Receive-association: the plug-in port is fed by the mux.
 				if dir != core.Required {
-					return nil, nil, fmt.Errorf("%w: %s is provided but %s is a type II inbound association",
+					return version{}, fmt.Errorf("%w: %s is provided but %s is a type II inbound association",
 						ErrBadLink, post.Plugin, post.Virtual)
 				}
 			default:
 				if vp.swc.Direction != dir {
-					return nil, nil, fmt.Errorf("%w: %s (%v) vs %s (%v SW-C port)",
+					return version{}, fmt.Errorf("%w: %s (%v) vs %s (%v SW-C port)",
 						ErrBadLink, post.Plugin, dir, post.Virtual, vp.swc.Direction)
 				}
 			}
 		case core.LinkVirtualRemote:
 			vp, ok := p.virtByID[post.Virtual]
 			if !ok {
-				return nil, nil, fmt.Errorf("%w: %s -> missing %s", ErrBadLink, post.Plugin, post.Virtual)
+				return version{}, fmt.Errorf("%w: %s -> missing %s", ErrBadLink, post.Plugin, post.Virtual)
 			}
 			if vp.spec.Type != core.TypeII {
-				return nil, nil, fmt.Errorf("%w: %s carries a remote id but %s is %v",
+				return version{}, fmt.Errorf("%w: %s carries a remote id but %s is %v",
 					ErrBadLink, post.Plugin, post.Virtual, vp.spec.Type)
 			}
 			if vp.swc.Direction != core.Provided {
-				return nil, nil, fmt.Errorf("%w: %s targets inbound type II port %s",
+				return version{}, fmt.Errorf("%w: %s targets inbound type II port %s",
 					ErrBadLink, post.Plugin, post.Virtual)
 			}
 		case core.LinkPeer:
 			if r := p.route(post.Peer); r == nil || r.owner == nil {
-				return nil, nil, fmt.Errorf("%w: peer %s of %s not installed", ErrBadLink, post.Peer, post.Plugin)
+				return version{}, fmt.Errorf("%w: peer %s of %s not installed", ErrBadLink, post.Peer, post.Plugin)
 			}
 		}
 		links[idx] = post
 	}
-	return indexToID, links, nil
+	return version{Pkg: pkg, prog: prog, indexToID: indexToID, links: links}, nil
 }
 
-// bindRoutes publishes a plug-in's port ids into the routing table. The
-// latch state starts clear; the upgrade path re-applies preserved
-// latches after rebinding.
-func (p *PIRTE) bindRoutes(ip *Installed) {
-	for i, id := range ip.indexToID {
+// bindSlot binds ip's slot to version v, the one routine of install, the
+// upgrade swap and its rollback: a fresh VM instance, the slot's fields,
+// the route table with the kept PIRTE-direct latches (the last-observed
+// values of ports the version still binds), the fan-out lists and the
+// NvM record. The slot comes up running; on error nothing is bound.
+func (p *PIRTE) bindSlot(ip *Installed, v version, latches map[core.PluginPortID]int64) error {
+	inst, err := p.instantiate(ip, v.prog, v.Pkg)
+	if err != nil {
+		return err
+	}
+	ip.version, ip.inst, ip.state, ip.restarts = v, inst, StateRunning, 0
+	p.plugins[ip.Name] = ip
+	for i, id := range v.indexToID {
 		r := p.ensureRoute(id)
 		*r = portRoute{owner: ip, index: int32(i)}
+		r.direct, r.hasDirect = latches[id]
 	}
+	p.rebuildSubs()
+	p.persist(ip)
+	return nil
 }
 
 // Uninstall stops and removes the plug-in, releasing its port ids and

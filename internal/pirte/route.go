@@ -254,73 +254,81 @@ func (p *PIRTE) OnSWCData(sid core.SWCPortID, data []byte) {
 }
 
 // handleTypeI executes the type I message protocol (paper section 3.1.3):
-// installation packages, life cycle commands and relayed external
-// payloads. The ECM hook may consume messages first (acks travelling
-// towards the server, outbound external messages).
+// relayed external payloads here, life-cycle frames through Lifecycle.
+// The ECM hook may consume messages first (acks travelling towards the
+// server, outbound external messages).
 func (p *PIRTE) handleTypeI(msg core.Message) {
 	if p.typeIHook != nil && p.typeIHook(msg) {
 		return
 	}
+	if msg.Type != core.MsgExternal {
+		p.Lifecycle(msg, nil, p.reply)
+		return
+	}
+	id, value, err := core.DecodePortValue(msg.Payload)
+	if err != nil {
+		p.logf("pirte %s: bad external payload: %v", p.cfg.SWC, err)
+		return
+	}
+	if err := p.deliverToPort(id, value); err != nil {
+		p.logf("pirte %s: external delivery: %v", p.cfg.SWC, err)
+	}
+}
+
+// FramePackage decodes the installation package an install or upgrade
+// frame carries; other frames carry none (nil, nil).
+func FramePackage(msg core.Message) (*plugin.Package, error) {
+	if msg.Type != core.MsgInstall && msg.Type != core.MsgUpgrade {
+		return nil, nil
+	}
+	pkg := new(plugin.Package)
+	if err := pkg.UnmarshalBinary(msg.Payload); err != nil {
+		return nil, fmt.Errorf("bad package: %v", err)
+	}
+	return pkg, nil
+}
+
+// Lifecycle is the life-cycle executor: it runs one install, uninstall,
+// upgrade, stop or start frame and sends that frame's one ack or nack
+// through reply. pkg is the frame's decoded package; nil decodes it with
+// FramePackage. An upgrade replies once its transaction settles: an ack
+// on commit, a "rollback: "-prefixed nack on rollback. The PIRTE runs it
+// for frames arriving on its type I port with reply towards the ECM; the
+// ECM runs it for frames addressed to its own SW-C with reply towards the
+// server.
+func (p *PIRTE) Lifecycle(msg core.Message, pkg *plugin.Package, reply func(core.Message)) {
+	done := func(err error) {
+		if err != nil {
+			reply(msg.Nack(err.Error()))
+			return
+		}
+		reply(msg.Ack())
+	}
+	if pkg == nil {
+		var err error
+		if pkg, err = FramePackage(msg); err != nil {
+			done(err)
+			return
+		}
+	}
+	if pkg != nil && pkg.Binary.Manifest.Name != msg.Plugin {
+		done(fmt.Errorf("pirte: package names plug-in %s, frame targets %s", pkg.Binary.Manifest.Name, msg.Plugin))
+		return
+	}
 	switch msg.Type {
 	case core.MsgInstall:
-		var pkg plugin.Package
-		if err := pkg.UnmarshalBinary(msg.Payload); err != nil {
-			p.reply(msg.Nack(fmt.Sprintf("bad package: %v", err)))
-			return
-		}
-		if err := p.Install(pkg); err != nil {
-			p.reply(msg.Nack(err.Error()))
-			return
-		}
-		p.reply(msg.Ack())
-	case core.MsgUninstall:
-		if err := p.Uninstall(msg.Plugin); err != nil {
-			p.reply(msg.Nack(err.Error()))
-			return
-		}
-		p.reply(msg.Ack())
+		done(p.Install(*pkg))
 	case core.MsgUpgrade:
-		var pkg plugin.Package
-		if err := pkg.UnmarshalBinary(msg.Payload); err != nil {
-			p.reply(msg.Nack(fmt.Sprintf("bad package: %v", err)))
-			return
+		if err := p.Upgrade(msg.Plugin, *pkg, done); err != nil {
+			done(err)
 		}
-		// The swap is asynchronous (quiesce window, health probe); the
-		// ack or the "rollback: "-prefixed nack travels once the upgrade
-		// settles.
-		req := msg
-		if err := p.Upgrade(msg.Plugin, pkg, func(err error) {
-			if err != nil {
-				p.reply(req.Nack(err.Error()))
-				return
-			}
-			p.reply(req.Ack())
-		}); err != nil {
-			p.reply(msg.Nack(err.Error()))
-		}
+	case core.MsgUninstall:
+		done(p.Uninstall(msg.Plugin))
 	case core.MsgStop:
-		if err := p.Stop(msg.Plugin); err != nil {
-			p.reply(msg.Nack(err.Error()))
-			return
-		}
-		p.reply(msg.Ack())
+		done(p.Stop(msg.Plugin))
 	case core.MsgStart:
-		if err := p.Start(msg.Plugin); err != nil {
-			p.reply(msg.Nack(err.Error()))
-			return
-		}
-		p.reply(msg.Ack())
-	case core.MsgExternal:
-		id, value, err := core.DecodePortValue(msg.Payload)
-		if err != nil {
-			p.logf("pirte %s: bad external payload: %v", p.cfg.SWC, err)
-			return
-		}
-		if err := p.deliverToPort(id, value); err != nil {
-			p.logf("pirte %s: external delivery: %v", p.cfg.SWC, err)
-		}
-	case core.MsgAck, core.MsgNack:
-		// Without an ECM hook there is nobody to forward to; log it.
+		done(p.Start(msg.Plugin))
+	default:
 		p.logf("pirte %s: unexpected %v for %s", p.cfg.SWC, msg.Type, msg.Plugin)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"dynautosar/internal/core"
 	"dynautosar/internal/plugin"
 	"dynautosar/internal/sim"
-	"dynautosar/internal/vm"
 )
 
 // Live in-place upgrade of an installed plug-in: the hot-swap engine of
@@ -64,11 +63,8 @@ type upgradeState struct {
 
 	// The old version's full identity, kept until the probe passes so a
 	// rollback can restore it bit-for-bit.
-	oldPkg       plugin.Package
-	oldProg      *vm.Program
-	oldState     plugin.State
-	oldIndexToID []core.PluginPortID
-	oldLinks     []core.PLCEntry
+	old      version
+	oldState plugin.State
 	// oldDirect snapshots the plug-in's PIRTE-direct last-value latches:
 	// releasing the ports wipes them, but they are part of the observable
 	// state and carry over to whichever version survives.
@@ -114,15 +110,12 @@ func (p *PIRTE) Upgrade(name core.PluginName, pkg plugin.Package, done func(erro
 		done = func(error) {}
 	}
 	up := &upgradeState{
-		phase:        phaseQuiesce,
-		newPkg:       pkg,
-		done:         done,
-		oldPkg:       ip.Pkg,
-		oldProg:      ip.prog,
-		oldState:     plugin.CaptureState(ip.Pkg.Binary.Manifest, ip.inst.ExportGlobals()),
-		oldIndexToID: ip.indexToID,
-		oldLinks:     ip.links,
-		oldDirect:    make(map[core.PluginPortID]int64),
+		phase:     phaseQuiesce,
+		newPkg:    pkg,
+		done:      done,
+		old:       ip.version,
+		oldState:  plugin.CaptureState(ip.Pkg.Binary.Manifest, ip.inst.ExportGlobals()),
+		oldDirect: make(map[core.PluginPortID]int64),
 	}
 	for _, id := range ip.indexToID {
 		if r := p.route(id); r != nil && r.hasDirect {
@@ -139,7 +132,7 @@ func (p *PIRTE) Upgrade(name core.PluginName, pkg plugin.Package, done func(erro
 	}
 	up.swapEv = p.eng.After(quiesce, func() { p.swapUpgrade(ip) })
 	p.logf("pirte %s: upgrading %s %s -> %s (quiesce %v)", p.cfg.SWC, name,
-		up.oldPkg.Binary.Manifest.Version, pkg.Binary.Manifest.Version, quiesce)
+		up.old.Pkg.Binary.Manifest.Version, pkg.Binary.Manifest.Version, quiesce)
 	return nil
 }
 
@@ -157,14 +150,22 @@ func (p *PIRTE) swapUpgrade(ip *Installed) {
 	if up == nil || up.phase != phaseQuiesce {
 		return
 	}
-	if err := p.applyUpgradePackage(ip, up.newPkg); err != nil {
+	// Rebind the slot to the new package: the old port ids are released
+	// first, so the new context may reuse the ids the server kept stable.
+	// On error the slot is left unbound; rollbackUpgrade restores it.
+	p.releasePorts(ip)
+	v, err := p.admit(up.newPkg, ip.prog)
+	if err == nil {
+		err = p.bindSlot(ip, v, up.oldDirect)
+	}
+	if err != nil {
 		p.rollbackUpgrade(ip, err)
 		return
 	}
+	ip.LastFault = nil
 	// Init first (the new version arms its timers and defaults), then
 	// transfer the exported state prefix so carried-over counters win
 	// over init-time defaults.
-	ip.state = StateRunning
 	if err := ip.inst.Init(); err != nil {
 		p.rollbackUpgrade(ip, fmt.Errorf("init: %v", err))
 		return
@@ -200,50 +201,6 @@ func (p *PIRTE) swapUpgrade(ip *Installed) {
 		p.cfg.SWC, ip.Name, ip.Pkg.Binary.Manifest.Version, probe, replayed)
 }
 
-// applyUpgradePackage rebinds the plug-in's slot to the new package:
-// quota re-check, old port ids released, new context bound (reusing the
-// old ids where the server kept them stable), fresh VM instance. On
-// error the slot is left unbound; rollbackUpgrade restores it.
-func (p *PIRTE) applyUpgradePackage(ip *Installed, pkg plugin.Package) error {
-	prog, err := pkg.Binary.Decode()
-	if err != nil {
-		return err
-	}
-	if p.cfg.MemoryQuota > 0 && p.memoryInUse()-int(ip.prog.Globals)+int(prog.Globals) > p.cfg.MemoryQuota {
-		return fmt.Errorf("%w: memory quota %d words", ErrQuota, p.cfg.MemoryQuota)
-	}
-	p.releasePorts(ip)
-	indexToID, links, err := p.bindContext(prog, pkg)
-	if err != nil {
-		return err
-	}
-	inst, err := p.instantiate(ip, prog, pkg)
-	if err != nil {
-		return err
-	}
-	ip.Pkg = pkg
-	ip.prog = prog
-	ip.indexToID = indexToID
-	ip.links = links
-	ip.inst = inst
-	ip.restarts = 0
-	ip.LastFault = nil
-	p.bindRoutes(ip)
-	for _, id := range indexToID {
-		// Direct-read latches survive the swap for ports the new version
-		// still binds — they are last-observed values, part of the state
-		// that carries over.
-		if v, ok := ip.upgrade.oldDirect[id]; ok {
-			r := p.route(id)
-			r.direct = v
-			r.hasDirect = true
-		}
-	}
-	p.rebuildSubs()
-	p.persist(ip)
-	return nil
-}
-
 // rollbackUpgrade aborts an in-flight upgrade and restores the old
 // version: ports, program, exported state and NvM record, then
 // re-delivers every message that was buffered during quiesce or
@@ -260,21 +217,7 @@ func (p *PIRTE) rollbackUpgrade(ip *Installed, cause error) {
 	p.clearTimers(ip)
 	ip.inst.Stop()
 	p.releasePorts(ip)
-	ip.Pkg = up.oldPkg
-	ip.prog = up.oldProg
-	ip.indexToID = up.oldIndexToID
-	ip.links = up.oldLinks
-	p.bindRoutes(ip)
-	for _, id := range ip.indexToID {
-		if v, ok := up.oldDirect[id]; ok {
-			r := p.route(id)
-			r.direct = v
-			r.hasDirect = true
-		}
-	}
-	p.rebuildSubs()
-	inst, err := p.instantiate(ip, up.oldProg, up.oldPkg)
-	if err != nil {
+	if err := p.bindSlot(ip, up.old, up.oldDirect); err != nil {
 		// The old program ran before, so this cannot happen short of
 		// memory corruption; park the plug-in rather than guess.
 		ip.state = StateFaulted
@@ -283,10 +226,6 @@ func (p *PIRTE) rollbackUpgrade(ip *Installed, cause error) {
 		up.done(fmt.Errorf("rollback: %v (restoring old version failed: %v)", cause, err))
 		return
 	}
-	ip.inst = inst
-	ip.state = StateRunning
-	ip.restarts = 0
-	p.persist(ip)
 	// Re-init (re-arms the old version's timers), then restore the
 	// exact pre-upgrade state over the init defaults.
 	if ierr := ip.inst.Init(); ierr != nil {
