@@ -53,13 +53,14 @@ func (f Frame) Validate() error {
 }
 
 // Bits returns the modelled number of bits on the wire for this frame.
-func (f Frame) Bits() int {
-	dlc := len(f.Data)
-	if f.RTR {
+func (f Frame) Bits() int { return frameBits(len(f.Data), f.RTR, f.Extended) }
+
+func frameBits(dlc int, rtr, ext bool) int {
+	if rtr {
 		dlc = 0
 	}
 	bits := 47 + 8*dlc + (34+8*dlc)/5
-	if f.Extended {
+	if ext {
 		bits += 20
 	}
 	return bits
@@ -153,19 +154,15 @@ func (p *pending) before(q *pending) bool {
 	return p.id < q.id || (p.id == q.id && p.seq < q.seq)
 }
 
-// frameOver reconstructs the Frame around a caller-owned buffer.
-func (p *pending) frameOver(buf []byte) Frame {
-	n := copy(buf[:p.dlc], p.data[:p.dlc])
-	return Frame{ID: p.id, Extended: p.ext, RTR: p.rtr, Data: buf[:n]}
-}
-
 // Node is one CAN controller attached to a bus.
 type Node struct {
 	bus  *Bus
 	name string
-	// queue is a binary min-heap in arbitration order (pending.before),
-	// so queue[0] is the frame this node puts up for arbitration.
+	// queue[head:] is the node's pending frames in arbitration order
+	// (pending.before), so queue[head] is the frame it puts up for
+	// arbitration; queue[:head] are consumed slots.
 	queue []pending
+	head  int
 	rx    []rxHandler
 	// tec is the transmit error counter of the fault confinement model.
 	tec   int
@@ -205,43 +202,41 @@ func (n *Node) Send(f Frame) error {
 	return nil
 }
 
-// push adds p to the queue heap.
+// push inserts p in arbitration order. A segmented transfer's next frame
+// appends and a retransmission (seq 0) of the frame just popped takes
+// the consumed slot before the head, both O(1); anything else is a
+// binary search and a shift. A full queue at least half consumed moves
+// its live run down instead of growing.
 func (n *Node) push(p pending) {
-	n.queue = append(n.queue, p)
-	siftUp(n.queue, len(n.queue)-1, p)
-}
-
-// pop removes and returns the queue head. The hole it leaves walks down
-// along the smaller children to a leaf, and the last frame is sifted up
-// from there: one compare per level instead of two, since the last frame
-// (in a segmented transfer, the latest) mostly belongs near the bottom.
-func (n *Node) pop() pending {
-	q := n.queue
-	top, last, i := q[0], len(q)-1, 0
-	for c := 1; c < last; c = 2*i + 1 {
-		if c+1 < last && q[c+1].before(&q[c]) {
-			c++
-		}
-		q[i] = q[c]
-		i = c
+	q, h := n.queue, n.head
+	if h > 0 && h < len(q) && p.before(&q[h]) {
+		n.head--
+		q[n.head] = p
+		return
 	}
-	siftUp(q, i, q[last])
-	n.queue = q[:last]
-	return top
-}
-
-// siftUp stores p at the hole i of heap q, first moving down every
-// ancestor that p must precede.
-func siftUp(q []pending, i int, p pending) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !p.before(&q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
+	if len(q) == cap(q) && h > 0 && 2*h >= len(q) {
+		q, h = q[:copy(q, q[h:])], 0
 	}
+	i := len(q)
+	if i > h && p.before(&q[i-1]) {
+		for lo := h; lo < i; {
+			if m := int(uint(lo+i) >> 1); p.before(&q[m]) {
+				i = m
+			} else {
+				lo = m + 1
+			}
+		}
+	}
+	q = append(q, p)
+	copy(q[i+1:], q[i:])
 	q[i] = p
+	n.queue, n.head = q, h
+}
+
+// pop removes and returns the queue head.
+func (n *Node) pop() pending {
+	n.head++
+	return n.queue[n.head-1]
 }
 
 // Bus is one CAN bus shared by several nodes.
@@ -304,10 +299,10 @@ func (b *Bus) SetFaultInjector(fn func(Frame) FaultAction) { b.fault = fn }
 func (b *Bus) Tap(fn func(Frame, sim.Time)) { b.taps = append(b.taps, fn) }
 
 // FrameTime returns the modelled transmission duration of f on this bus.
-func (b *Bus) FrameTime(f Frame) sim.Duration {
-	bits := f.Bits()
-	us := (int64(bits)*int64(sim.Second) + int64(b.bitrate) - 1) / int64(b.bitrate)
-	return sim.Duration(us)
+func (b *Bus) FrameTime(f Frame) sim.Duration { return b.bitTime(f.Bits()) }
+
+func (b *Bus) bitTime(bits int) sim.Duration {
+	return sim.Duration((int64(bits)*int64(sim.Second) + int64(b.bitrate) - 1) / int64(b.bitrate))
 }
 
 // kick starts an arbitration round if the bus is idle. The in-flight
@@ -337,22 +332,21 @@ func (b *Bus) kick() {
 			b.kick()
 		}
 	}
-	var buf [MaxData]byte
-	b.eng.After(b.FrameTime(winner.frameOver(buf[:])), b.finishFn)
+	b.eng.After(b.bitTime(frameBits(int(winner.dlc), winner.rtr, winner.ext)), b.finishFn)
 }
 
 // arbitrate removes and returns the highest-priority pending frame across
 // all non-bus-off nodes: lowest id wins, ties resolved by enqueue order,
 // then by attach order. All queued frames compete, modelling controllers
 // with multiple transmit mailboxes whose internal arbitration also picks
-// the lowest id first; each node's heap head is its contender.
+// the lowest id first; each node's queue head is its contender.
 func (b *Bus) arbitrate() (pending, *Node, bool) {
 	var best *Node
 	for _, n := range b.nodes {
-		if n.state == BusOff || len(n.queue) == 0 {
+		if n.state == BusOff || n.head == len(n.queue) {
 			continue
 		}
-		if best == nil || n.queue[0].before(&best.queue[0]) {
+		if best == nil || n.queue[n.head].before(&best.queue[best.head]) {
 			best = n
 		}
 	}
@@ -367,7 +361,8 @@ func (b *Bus) arbitrate() (pending, *Node, bool) {
 // for the duration of the callback; every in-tree tap and receiver (the
 // COM stack, transports, bus analysers) consumes or copies synchronously.
 func (b *Bus) finish(node *Node, p *pending) {
-	f := p.frameOver(b.rxBuf[:])
+	b.rxBuf = p.data
+	f := Frame{ID: p.id, Extended: p.ext, RTR: p.rtr, Data: b.rxBuf[:p.dlc]}
 	action := Deliver
 	if b.fault != nil {
 		action = b.fault(f)

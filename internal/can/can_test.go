@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -298,11 +299,11 @@ func TestQuickArbitrationDeliversLowestFirst(t *testing.T) {
 	}
 }
 
-// refBus is the arbitration oracle: the bus as it was before node queues
-// became heaps, with the linear scan over every queued frame and the
-// prepend-and-copy retransmission kept verbatim. It shares Frame,
-// pending, frame timing and fault confinement thresholds with Bus, so
-// FuzzArbitrationMatchesReference isolates the queue discipline.
+// refBus is the arbitration oracle: the bus with unordered node queues,
+// a linear scan over every queued frame and a prepend-and-copy
+// retransmission. It shares Frame, pending, frame timing and fault
+// confinement thresholds with Bus, so the differential tests below
+// isolate the queue discipline.
 type refBus struct {
 	eng       *sim.Engine
 	nodes     []*refNode
@@ -326,6 +327,12 @@ func (f Frame) clone() Frame {
 		c.Data = append([]byte(nil), f.Data...)
 	}
 	return c
+}
+
+// frameOver reconstructs the Frame around a caller-owned buffer.
+func (p *pending) frameOver(buf []byte) Frame {
+	n := copy(buf[:p.dlc], p.data[:p.dlc])
+	return Frame{ID: p.id, Extended: p.ext, RTR: p.rtr, Data: buf[:n]}
 }
 
 type refNode struct {
@@ -470,7 +477,7 @@ type busDriver struct {
 	nodes func() string
 }
 
-func heapDriver(nodes int) busDriver {
+func sortedDriver(nodes int) busDriver {
 	eng := sim.NewEngine()
 	bus := NewBus(eng, "CAN0", 500_000)
 	d := busDriver{eng: eng, setFault: bus.SetFaultInjector, tap: bus.Tap, stats: bus.Stats}
@@ -593,7 +600,7 @@ func runArbitrationScript(script []byte, mk func(nodes int) busDriver) []string 
 	return append(log, fmt.Sprintf("end @%v %+v%s", d.eng.Now(), d.stats(), d.nodes()))
 }
 
-// FuzzArbitrationMatchesReference requires the heap-ordered bus to be
+// FuzzArbitrationMatchesReference requires the sorted-queue bus to be
 // observably identical to the linear-scan oracle: the same sequence of
 // (sender, id, data, delivery time), the same Send errors, and the same
 // Stats, per-node counters, error counters and states, under equal ids
@@ -608,16 +615,102 @@ func FuzzArbitrationMatchesReference(f *testing.F) {
 	}
 	// Four nodes; node 0, doomed, sends one 0x700 frame and goes bus-off.
 	f.Add([]byte{2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	// Scripts that reach each branch of Node.push: append only; a
+	// retransmission into the consumed slot before the head; a binary
+	// insert; and reclaiming the consumed prefix of a full queue.
+	f.Add([]byte{0xa1, 0xa5, 0x7a, 0x9f})
+	f.Add([]byte{0x36, 0xab, 0x7d, 0xef, 0x6a, 0xc3, 0xd9, 0x44, 0xfd, 0x52, 0x88, 0x04, 0xc1, 0x1f, 0xb3, 0xb8, 0x01, 0x19})
+	f.Add([]byte{0x79, 0xee, 0x0f, 0x18, 0x8b, 0xd3, 0x02, 0x4f, 0xe3, 0xa6, 0x36, 0x87, 0x4d, 0x6f, 0xbc, 0x4b, 0xcb, 0x03})
+	f.Add([]byte{0x06, 0xec, 0x2d, 0x2a, 0x62, 0x2b})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		got := runArbitrationScript(script, heapDriver)
-		want := runArbitrationScript(script, refDriver)
-		if !reflect.DeepEqual(got, want) {
-			for i := range got {
-				if i >= len(want) || got[i] != want[i] {
-					t.Fatalf("diverged at line %d:\n heap: %q\n  ref: %q", i, got[i], want[min(i, len(want)-1)])
-				}
-			}
-			t.Fatalf("heap bus logged %d lines, reference %d", len(got), len(want))
+		sameLog(t, runArbitrationScript(script, sortedDriver), runArbitrationScript(script, refDriver))
+	})
+}
+
+// sameLog fails t at the first line where the bus's log leaves the
+// reference's.
+func sameLog(t *testing.T, got, want []string) {
+	t.Helper()
+	for i := range got {
+		if i >= len(want) || got[i] != want[i] {
+			t.Fatalf("diverged at line %d:\n bus: %q\n ref: %q", i, got[i], want[min(i, len(want)-1)])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("bus logged %d lines, reference %d", len(got), len(want))
+	}
+}
+
+// runTransferScript drives a bus through a segmented transfer under
+// contention. Node 0 queues a 653-frame transfer on id 0x300 (the paper
+// install's TP frame count) and, during it, sends a lower, a higher and
+// a same id frame every 20 ms; node 1 sends competing frames on 0x2FF
+// and 0x301 and answers every 16th frame it receives with 0x300. The
+// injector corrupts every 37th transmission and loses every 101st. The
+// doomed node has every frame from some point on corrupted until it
+// is bus-off: node 0's transfer frames from the 300th delivered one, or
+// node 2, which sends one high-priority 0x050 frame 40 ms in.
+func runTransferScript(mk func(nodes int) busDriver, doomed int) []string {
+	d := mk(3)
+	var log []string
+	d.tap(func(f Frame, at sim.Time) {
+		log = append(log, fmt.Sprintf("tap %03X %x @%v%s", f.ID, f.Data, at, d.nodes()))
+	})
+	send := func(node int, id uint32, data ...byte) {
+		err := d.send[node](Frame{ID: id, Data: data})
+		log = append(log, fmt.Sprintf("send %d %03X %x @%v: %v", node, id, data, d.eng.Now(), err))
+	}
+	received := 0
+	d.onReceive[1](MatchAll, func(f Frame, at sim.Time) {
+		if received++; received%16 == 0 {
+			send(1, 0x300, byte(received))
 		}
 	})
+	transmissions, delivered0 := 0, 0
+	d.setFault(func(f Frame) FaultAction {
+		transmissions++
+		switch {
+		case doomed == 0 && f.ID == 0x300 && len(f.Data) == 8 && delivered0 >= 300, doomed == 2 && f.ID == 0x050:
+			return Corrupt
+		case transmissions%37 == 0:
+			return Corrupt
+		case transmissions%101 == 0:
+			return Lose
+		}
+		if f.ID == 0x300 && len(f.Data) == 8 {
+			delivered0++
+		}
+		return Deliver
+	})
+	for i := 0; i < 653; i++ {
+		send(0, 0x300, byte(i>>8), byte(i), 0, 0, 0, 0, 0, 0)
+	}
+	for ms := 10; ms < 200; ms += 20 {
+		d.eng.Schedule(sim.Time(sim.Duration(ms)*sim.Millisecond), func() {
+			send(0, 0x100, 1)
+			send(0, 0x500, 2)
+			send(0, 0x300, 3)
+			send(1, 0x2FF, 4)
+			send(1, 0x301, 5)
+		})
+	}
+	d.eng.Schedule(sim.Time(40*sim.Millisecond), func() { send(2, 0x050, 6) })
+	d.eng.Run()
+	return append(log, fmt.Sprintf("end @%v %+v%s", d.eng.Now(), d.stats(), d.nodes()))
+}
+
+// TestTransferMatchesReference checks the sorted queue against the
+// linear-scan oracle on a full segmented transfer: every Send result,
+// every delivered frame with its time and every node's counters, error
+// counter and state, with a node driven to bus-off mid-transfer.
+func TestTransferMatchesReference(t *testing.T) {
+	for _, doomed := range []int{0, 2} {
+		t.Run(fmt.Sprintf("node %d bus-off", doomed), func(t *testing.T) {
+			got := runTransferScript(sortedDriver, doomed)
+			sameLog(t, got, runTransferScript(refDriver, doomed))
+			if end := got[len(got)-1]; !strings.Contains(end, "bus-off") {
+				t.Fatalf("no node went bus-off: %s", end)
+			}
+		})
+	}
 }

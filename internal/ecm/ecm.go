@@ -9,7 +9,8 @@
 // opens links to external endpoints (the paper's smart phone) and routes
 // their messages into the vehicle. Every ECC change an install, upgrade
 // or uninstall frame makes is staged when the frame passes and resolved
-// by that frame's own ack (kept) or nack (undone).
+// by that frame's own ack (kept) or nack (undone); an install's ECC
+// comes into force only with its ack.
 package ecm
 
 import (
@@ -52,10 +53,13 @@ type eccRecord struct {
 }
 
 // eccStage is one staged ECC change: the seq of the frame that staged
-// it and the ECC it replaced (nil: none).
+// it, the ECC it replaced (nil: none) and the one it puts in force. An
+// install's ECC is held until the install's ack: before that no plug-in
+// owns the ports it routes to.
 type eccStage struct {
-	seq uint32
-	old core.ECC
+	seq      uint32
+	old, ecc core.ECC
+	held     bool
 }
 
 // ECM is the external communication manager. It inherits the full plug-in
@@ -241,16 +245,21 @@ func (e *ECM) replyServer(msg core.Message) {
 	}
 }
 
-// stageECC puts a life-cycle frame's ECC in force for its (plug-in, ECU)
-// at once — the package's ECC for an install or upgrade, none for an
-// uninstall — and stages the change under the frame's seq; links to the
-// endpoints the new ECC names are opened eagerly. Changes stack: a frame
-// staged while an earlier one of the same plug-in is unresolved (a
-// rejected duplicate upgrade, an uninstall refused mid-upgrade) replaces
-// the earlier one's ECC, and its nack puts that ECC back.
+// stageECC stages a life-cycle frame's ECC change for its (plug-in,
+// ECU) under the frame's seq — the package's ECC for an install or
+// upgrade, none for an uninstall — and puts it in force at once, except
+// an install's, which its ack puts in force; links to the endpoints the
+// new ECC names are opened eagerly. Changes stack: a frame staged while
+// an earlier one of the same plug-in is unresolved (a rejected duplicate
+// upgrade, an uninstall refused mid-upgrade) replaces the earlier one's
+// ECC, and its nack puts that ECC back.
 func (e *ECM) stageECC(msg core.Message, ecc core.ECC) {
 	key := eccKey{msg.Plugin, msg.ECU}
-	e.eccStages[key] = append(e.eccStages[key], eccStage{seq: msg.Seq, old: e.setECC(key, ecc)})
+	st := eccStage{seq: msg.Seq, old: e.eccOf(key), ecc: ecc, held: msg.Type == core.MsgInstall}
+	if !st.held {
+		e.setECC(key, ecc)
+	}
+	e.eccStages[key] = append(e.eccStages[key], st)
 	for _, ep := range ecc.Endpoints() {
 		if err := e.connectEndpoint(ep); err != nil {
 			e.logf("ecm: endpoint %s unreachable: %v", ep, err)
@@ -260,9 +269,10 @@ func (e *ECM) stageECC(msg core.Message, ecc core.ECC) {
 
 // resolveECC settles the change a frame staged when the frame's own ack
 // or nack passes (matched by seq; replies of other frames leave it
-// alone). An ack keeps the change. A nack undoes it: the replaced ECC is
-// back in force or, when a later frame staged over this one, becomes
-// what that frame's nack would restore.
+// alone). An ack keeps the change, a nack undoes it: the outcome is in
+// force (a held install ECC is put in force, a replaced one restored)
+// or, when a later frame staged over this one, becomes what that
+// frame's nack would restore.
 func (e *ECM) resolveECC(msg core.Message) {
 	key := eccKey{msg.Plugin, msg.ECU}
 	stages := e.eccStages[key]
@@ -270,12 +280,16 @@ func (e *ECM) resolveECC(msg core.Message) {
 		if st.seq != msg.Seq {
 			continue
 		}
-		if msg.Type == core.MsgNack {
-			if i == len(stages)-1 {
-				e.setECC(key, st.old)
-			} else {
-				stages[i+1].old = st.old
-			}
+		acked, outcome := msg.Type == core.MsgAck, st.old
+		if acked {
+			outcome = st.ecc
+		}
+		// The last stage's outcome is already in force, except after the
+		// ack of a held ECC or the nack of one put in force at once.
+		if i < len(stages)-1 {
+			stages[i+1].old = outcome
+		} else if acked == st.held {
+			e.setECC(key, outcome)
 		}
 		if stages = append(stages[:i], stages[i+1:]...); len(stages) == 0 {
 			delete(e.eccStages, key)
@@ -286,22 +300,28 @@ func (e *ECM) resolveECC(msg core.Message) {
 	}
 }
 
-// setECC replaces the registry record of key with ecc (none when empty)
-// and returns the ECC it replaced.
-func (e *ECM) setECC(key eccKey, ecc core.ECC) (old core.ECC) {
-	kept := e.eccReg[:0]
+// eccOf returns the ECC in force for key.
+func (e *ECM) eccOf(key eccKey) core.ECC {
 	for _, rec := range e.eccReg {
 		if rec.eccKey == key {
-			old = rec.entries
-			continue
+			return rec.entries
 		}
-		kept = append(kept, rec)
+	}
+	return nil
+}
+
+// setECC replaces the registry record of key with ecc (none when empty).
+func (e *ECM) setECC(key eccKey, ecc core.ECC) {
+	kept := e.eccReg[:0]
+	for _, rec := range e.eccReg {
+		if rec.eccKey != key {
+			kept = append(kept, rec)
+		}
 	}
 	e.eccReg = kept
 	if len(ecc) > 0 {
 		e.eccReg = append(e.eccReg, eccRecord{key, ecc})
 	}
-	return old
 }
 
 // distribute relays a message to the target plug-in SW-C through the

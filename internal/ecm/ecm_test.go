@@ -242,12 +242,16 @@ func TestNoRouteNacks(t *testing.T) {
 	}
 }
 
+// remoteReply hands the ECM a remote PIRTE's reply, as it arrives on the
+// ECM's type I required port S3.
+func remoteReply(e *ECM, reply core.Message) {
+	frame, _ := reply.MarshalBinary()
+	e.OnSWCData(3, frame)
+}
+
 func TestRemoteAckForwardedToServer(t *testing.T) {
 	e, _, server, _ := newECM(t)
-	ack := core.Message{Type: core.MsgAck, Plugin: "OP", ECU: "ECU2", SWC: "SW-C2", Seq: 9}
-	frame, _ := ack.MarshalBinary()
-	// The ack arrives on the ECM's type I required port S3.
-	e.OnSWCData(3, frame)
+	remoteReply(e, core.Message{Type: core.MsgAck, Plugin: "OP", ECU: "ECU2", SWC: "SW-C2", Seq: 9})
 	msgs := server.messages(t)
 	last := msgs[len(msgs)-1]
 	if last.Type != core.MsgAck || last.Plugin != "OP" || last.Seq != 9 {
@@ -284,7 +288,15 @@ func TestEndpointFrameRoutesRemotely(t *testing.T) {
 	pkg.Context.ECC = core.ECC{
 		{Endpoint: "10.1.1.1:2000", ECU: "ECU2", MessageID: "Horn", Port: 0},
 	}
-	e.HandleServerMessage(installMsg(t, pkg, "ECU2", "SW-C2", 2))
+	install := installMsg(t, pkg, "ECU2", "SW-C2", 2)
+	e.HandleServerMessage(install)
+	// Until the remote install acks, no plug-in owns the ECC's port: the
+	// message has no route.
+	e.HandleEndpointFrame("10.1.1.1:2000", "Horn", 1)
+	if e.ExternalIn != 0 || len(captured[2]) != 1 {
+		t.Fatalf("message routed before the install's ack: ExternalIn %d, frames on S2 %d", e.ExternalIn, len(captured[2]))
+	}
+	remoteReply(e, install.Ack())
 	e.HandleEndpointFrame("10.1.1.1:2000", "Horn", 1)
 	// Two frames on S2: the forwarded install, then the external message.
 	frames := captured[2]
@@ -347,7 +359,9 @@ func TestRemotePluginExternalRelayReachesEndpoint(t *testing.T) {
 		{Endpoint: "111.22.33.44:56789", ECU: "ECU2", MessageID: "RemoteTelemetry", Port: 3},
 	}
 	e.AddRoute("ECU2", "SW-C2", 2)
-	e.HandleServerMessage(installMsg(t, pkg, "ECU2", "SW-C2", 4))
+	install := installMsg(t, pkg, "ECU2", "SW-C2", 4)
+	e.HandleServerMessage(install)
+	remoteReply(e, install.Ack())
 	// The remote PIRTE wraps the write and it arrives on the ECM's type I
 	// required port.
 	relay := core.Message{Type: core.MsgExternal, Plugin: "COM", ECU: "ECU2", SWC: "SW-C2",

@@ -426,7 +426,8 @@ func (p *PIRTE) memoryInUse() int {
 // and runs the init handler. This is the dynamic part's core operation
 // (paper section 3.1.2).
 func (p *PIRTE) Install(pkg plugin.Package) error {
-	if err := pkg.Validate(); err != nil {
+	prog, err := pkg.Decode()
+	if err != nil {
 		return err
 	}
 	name := pkg.Binary.Manifest.Name
@@ -436,7 +437,7 @@ func (p *PIRTE) Install(pkg plugin.Package) error {
 	if p.cfg.MaxPlugins > 0 && len(p.plugins) >= p.cfg.MaxPlugins {
 		return fmt.Errorf("%w: plug-in limit %d reached", ErrQuota, p.cfg.MaxPlugins)
 	}
-	v, err := p.admit(pkg, nil)
+	v, err := p.admit(version{Pkg: pkg, prog: prog}, nil)
 	if err != nil {
 		return err
 	}
@@ -461,19 +462,16 @@ func (p *PIRTE) instantiate(ip *Installed, prog *vm.Program, pkg plugin.Package)
 	return vm.NewInstance(prog, &host{p: p, ip: ip}, budget)
 }
 
-// admit decodes a package and validates it against the memory quota, the
-// static configuration and the current port population: ids must be
-// free, every post must fit the virtual-port table and the port
-// directions. replacing is the program of the version the package
-// replaces (nil on install): its globals do not count against the
-// quota, and the caller has released its port ids. Shared by Install and
-// the live-upgrade swap.
-func (p *PIRTE) admit(pkg plugin.Package, replacing *vm.Program) (version, error) {
+// admit validates v, a validated package and its decoded program,
+// against the memory quota, the static configuration and the current
+// port population: ids must be free, every post must fit the
+// virtual-port table and the port directions. replacing is the program
+// of the version the package replaces (nil on install): its globals do
+// not count against the quota, and the caller has released its port
+// ids. Shared by Install and the live-upgrade swap.
+func (p *PIRTE) admit(v version, replacing *vm.Program) (version, error) {
+	pkg, prog := v.Pkg, v.prog
 	name := pkg.Binary.Manifest.Name
-	prog, err := pkg.Binary.Decode()
-	if err != nil {
-		return version{}, err
-	}
 	inUse := p.memoryInUse() + int(prog.Globals)
 	if replacing != nil {
 		inUse -= int(replacing.Globals)
@@ -659,7 +657,7 @@ func (p *PIRTE) persist(ip *Installed) {
 	if p.cfg.NvM == nil {
 		return
 	}
-	if raw, err := ip.Pkg.MarshalBinary(); err == nil {
+	if raw, err := ip.Pkg.Wire(); err == nil {
 		p.cfg.NvM.WriteBlock(p.nvmKey(ip.Name), raw)
 	}
 }

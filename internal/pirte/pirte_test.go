@@ -1,6 +1,7 @@
 package pirte
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -687,6 +688,90 @@ func TestNvMPersistAndRestore(t *testing.T) {
 	if len(nvm.Blocks()) != 0 {
 		t.Fatalf("NvM blocks after uninstall = %v", nvm.Blocks())
 	}
+}
+
+// TestLifecycleDecodesOnce pins the install path's one decode per ECU:
+// an install frame and an upgrade frame run the program their frame's
+// decode produced (the install's package comes decoded, as the ECM hands
+// it over; the upgrade's is decoded by Lifecycle), the NvM record is the
+// frame's payload byte for byte, and overwriting the payload after the
+// frame, as TP reassembly reuses its buffer, changes neither the
+// plug-in nor its record. A decoded package whose program is then
+// replaced by a corrupt one is refused.
+func TestLifecycleDecodesOnce(t *testing.T) {
+	nvm := bsw.NewNvM()
+	cfg := standardConfig()
+	cfg.NvM = nvm
+	p, eng, _ := capturePIRTE(t, cfg)
+	var replies []core.Message
+	reply := func(m core.Message) { replies = append(replies, m) }
+	for i, step := range []struct {
+		typ    core.MsgType
+		src    string
+		report int64 // after one more poke
+	}{{core.MsgInstall, counterSrcV1, 1}, {core.MsgUpgrade, counterSrcV2, 200}} {
+		raw := mustWire(t, step.src)
+		msg := core.Message{Type: step.typ, Plugin: "Counter", Seq: uint32(i + 1), Payload: raw}
+		var pkg *plugin.Package
+		if step.typ == core.MsgInstall {
+			var err error
+			if pkg, err = FramePackage(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Lifecycle(msg, pkg, reply)
+		for len(replies) <= i && eng.Step() {
+		}
+		if len(replies) != i+1 || replies[i].Type != core.MsgAck {
+			t.Fatalf("%v replies = %+v", step.typ, replies)
+		}
+		ip, _ := p.Plugin("Counter")
+		if pkg == nil {
+			pkg = &ip.Pkg
+		}
+		if prog, err := pkg.Decode(); err != nil || prog != ip.prog {
+			t.Fatalf("%v: the plug-in does not run the frame's decode (err %v)", step.typ, err)
+		}
+		want := append([]byte(nil), raw...)
+		for j := range raw {
+			raw[j] = 0xA5
+		}
+		if block, _ := nvm.ReadBlock(p.nvmKey("Counter")); !bytes.Equal(block, want) {
+			t.Fatalf("%v: NvM record is not the frame's payload", step.typ)
+		}
+		if wire, err := ip.Pkg.Wire(); err != nil || !bytes.Equal(wire, want) {
+			t.Fatalf("%v: the installed package changed with the frame buffer (err %v)", step.typ, err)
+		}
+		if err := p.DeliverToPlugin(10, 1); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if v, _ := p.DirectRead(11); v != step.report {
+			t.Fatalf("%v: report = %d, want %d", step.typ, v, step.report)
+		}
+	}
+
+	var pkg plugin.Package
+	if err := pkg.UnmarshalBinary(mustWire(t, counterSrcV1)); err != nil {
+		t.Fatal(err)
+	}
+	pkg.Binary.Program = append([]byte(nil), pkg.Binary.Program...)
+	pkg.Binary.Program[len(pkg.Binary.Program)-1] ^= 0xFF
+	if err := p.Uninstall("Counter"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Install(pkg); err == nil {
+		t.Fatal("decoded package with a corrupt replacement program installed")
+	}
+}
+
+func mustWire(t *testing.T, src string) []byte {
+	t.Helper()
+	raw, err := mustPackage(t, src, counterCtx(), nil).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -57,9 +57,10 @@ type portValue struct {
 
 // upgradeState is the in-flight upgrade transaction of one plug-in.
 type upgradeState struct {
-	phase  upgradePhase
-	newPkg plugin.Package
-	done   func(error)
+	phase upgradePhase
+	// next is the validated package and its program, admitted at swap.
+	next version
+	done func(error)
 
 	// The old version's full identity, kept until the probe passes so a
 	// rollback can restore it bit-for-bit.
@@ -100,7 +101,8 @@ func (p *PIRTE) Upgrade(name core.PluginName, pkg plugin.Package, done func(erro
 		// silently restart it. Operators start it first, then upgrade.
 		return fmt.Errorf("pirte: cannot upgrade %s while %s", name, ip.state)
 	}
-	if err := pkg.Validate(); err != nil {
+	prog, err := pkg.Decode()
+	if err != nil {
 		return err
 	}
 	if pkg.Binary.Manifest.Name != name {
@@ -111,7 +113,7 @@ func (p *PIRTE) Upgrade(name core.PluginName, pkg plugin.Package, done func(erro
 	}
 	up := &upgradeState{
 		phase:     phaseQuiesce,
-		newPkg:    pkg,
+		next:      version{Pkg: pkg, prog: prog},
 		done:      done,
 		old:       ip.version,
 		oldState:  plugin.CaptureState(ip.Pkg.Binary.Manifest, ip.inst.ExportGlobals()),
@@ -154,7 +156,7 @@ func (p *PIRTE) swapUpgrade(ip *Installed) {
 	// first, so the new context may reuse the ids the server kept stable.
 	// On error the slot is left unbound; rollbackUpgrade restores it.
 	p.releasePorts(ip)
-	v, err := p.admit(up.newPkg, ip.prog)
+	v, err := p.admit(up.next, ip.prog)
 	if err == nil {
 		err = p.bindSlot(ip, v, up.oldDirect)
 	}

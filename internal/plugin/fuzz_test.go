@@ -12,13 +12,14 @@ import (
 )
 
 // FuzzPackageUnmarshal holds the installation-package decoder, the first
-// code a pushed package meets on a vehicle, to three properties for
+// code a pushed package meets on a vehicle, to four properties for
 // arbitrary bytes: Package.UnmarshalBinary never panics; a package it
-// accepts re-encodes to exactly the bytes it came from; and the accepted
-// program instantiates and survives one delivery per declared port at a
-// budget of 1000, which puts hostile programs through the VM's register
-// lowering and its exact-form fallback. The packages of
-// examples/asm/*.asm seed it.
+// accepts re-encodes to exactly the bytes it came from, even after those
+// bytes are overwritten, and the program it kept re-encodes to
+// Binary.Program; and the accepted program instantiates and survives
+// one delivery per declared port at a budget of 1000, which puts hostile
+// programs through the VM's register lowering and its exact-form
+// fallback. The packages of examples/asm/*.asm seed it.
 func FuzzPackageUnmarshal(f *testing.F) {
 	files, err := filepath.Glob("../../examples/asm/*.asm")
 	if err != nil || len(files) == 0 {
@@ -51,8 +52,12 @@ func FuzzPackageUnmarshal(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Package
-		if p.UnmarshalBinary(data) != nil {
+		buf := append([]byte(nil), data...)
+		if p.UnmarshalBinary(buf) != nil {
 			return
+		}
+		for i := range buf {
+			buf[i] ^= 0xFF // the caller reuses its buffer
 		}
 		again, err := p.MarshalBinary()
 		if err != nil {
@@ -61,9 +66,12 @@ func FuzzPackageUnmarshal(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted package re-encodes to different bytes:\n in  %x\n out %x", data, again)
 		}
-		prog, err := p.Binary.Decode()
+		prog, err := p.Decode()
 		if err != nil {
-			t.Fatalf("accepted package's program does not decode: %v", err)
+			t.Fatalf("accepted package does not decode: %v", err)
+		}
+		if code, err := vm.EncodeProgram(prog); err != nil || !bytes.Equal(code, p.Binary.Program) {
+			t.Fatalf("kept program re-encodes to %x (%v), Binary.Program is %x", code, err, p.Binary.Program)
 		}
 		in, err := vm.NewInstance(prog, quietHost{}, 1000)
 		if err != nil {

@@ -108,29 +108,38 @@ func FromProgram(p *vm.Program, m Manifest) (Binary, error) {
 // Validate checks the binary: manifest consistency, program decodability,
 // and agreement between manifest ports and program ports.
 func (b Binary) Validate() error {
+	_, err := b.check(nil)
+	return err
+}
+
+// check validates the binary against prog, its decoded program, which
+// it decodes from Program when nil, and returns the program.
+func (b Binary) check(prog *vm.Program) (*vm.Program, error) {
 	if err := b.Manifest.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	prog, err := vm.DecodeProgram(b.Program)
-	if err != nil {
-		return fmt.Errorf("plugin: binary %q: %v", b.Manifest.Name, err)
+	if prog == nil {
+		var err error
+		if prog, err = vm.DecodeProgram(b.Program); err != nil {
+			return nil, fmt.Errorf("plugin: binary %q: %v", b.Manifest.Name, err)
+		}
 	}
 	specs := prog.PortSpecs()
 	if len(specs) != len(b.Manifest.Ports) {
-		return fmt.Errorf("plugin: binary %q: manifest declares %d ports, program %d",
+		return nil, fmt.Errorf("plugin: binary %q: manifest declares %d ports, program %d",
 			b.Manifest.Name, len(b.Manifest.Ports), len(specs))
 	}
 	for i, s := range specs {
 		if s != b.Manifest.Ports[i] {
-			return fmt.Errorf("plugin: binary %q: port %d differs between manifest (%+v) and program (%+v)",
+			return nil, fmt.Errorf("plugin: binary %q: port %d differs between manifest (%+v) and program (%+v)",
 				b.Manifest.Name, i, b.Manifest.Ports[i], s)
 		}
 	}
 	if int(prog.Globals) != b.Manifest.MemoryWords {
-		return fmt.Errorf("plugin: binary %q: manifest memory %d != program globals %d",
+		return nil, fmt.Errorf("plugin: binary %q: manifest memory %d != program globals %d",
 			b.Manifest.Name, b.Manifest.MemoryWords, prog.Globals)
 	}
-	return nil
+	return prog, nil
 }
 
 // Decode returns the verified program of the binary.
@@ -144,31 +153,65 @@ func (b Binary) Decode() (*vm.Program, error) {
 type Package struct {
 	Binary  Binary
 	Context core.Context
+
+	// prog, wire and code are what UnmarshalBinary checked: the decoded
+	// program, a private copy of the bytes and the slice of it that
+	// Binary.Program was set to. They stand while Binary.Program is code.
+	prog       *vm.Program
+	wire, code []byte
 }
 
 // Validate checks the package, including that the PIC covers exactly the
 // declared ports of the binary.
 func (p Package) Validate() error {
-	if err := p.Binary.Validate(); err != nil {
-		return err
+	_, err := p.Decode()
+	return err
+}
+
+// Decode validates the package and returns its program. The program
+// UnmarshalBinary decoded is reused, not decoded again, unless
+// Binary.Program has been replaced since.
+func (p Package) Decode() (*vm.Program, error) {
+	prog, err := p.Binary.check(p.kept())
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Context.Validate(); err != nil {
-		return fmt.Errorf("plugin: package %q: %v", p.Binary.Manifest.Name, err)
+		return nil, fmt.Errorf("plugin: package %q: %v", p.Binary.Manifest.Name, err)
 	}
 	if len(p.Context.PIC) != len(p.Binary.Manifest.Ports) {
-		return fmt.Errorf("plugin: package %q: PIC assigns %d ports, binary declares %d",
+		return nil, fmt.Errorf("plugin: package %q: PIC assigns %d ports, binary declares %d",
 			p.Binary.Manifest.Name, len(p.Context.PIC), len(p.Binary.Manifest.Ports))
 	}
 	for _, spec := range p.Binary.Manifest.Ports {
 		if _, ok := p.Context.PIC.Lookup(spec.Name); !ok {
-			return fmt.Errorf("plugin: package %q: PIC misses port %q",
+			return nil, fmt.Errorf("plugin: package %q: PIC misses port %q",
 				p.Binary.Manifest.Name, spec.Name)
 		}
 	}
 	if p.Binary.Manifest.External && len(p.Context.ECC) == 0 {
-		return fmt.Errorf("plugin: package %q: external plug-in without ECC", p.Binary.Manifest.Name)
+		return nil, fmt.Errorf("plugin: package %q: external plug-in without ECC", p.Binary.Manifest.Name)
 	}
-	return nil
+	return prog, nil
+}
+
+// kept returns the program UnmarshalBinary decoded, or nil when there is
+// none or Binary.Program no longer is the slice it was decoded from.
+func (p Package) kept() *vm.Program {
+	if b := p.Binary.Program; len(b) == 0 || len(b) != len(p.code) || &b[0] != &p.code[0] {
+		return nil
+	}
+	return p.prog
+}
+
+// Wire returns the package's encoding: the bytes UnmarshalBinary decoded
+// (read-only, and blind to later edits of Manifest or Context) while
+// Binary.Program is the slice it kept, else MarshalBinary's.
+func (p Package) Wire() ([]byte, error) {
+	if p.kept() != nil {
+		return p.wire, nil
+	}
+	return p.MarshalBinary()
 }
 
 // --- wire forms -------------------------------------------------------------
@@ -251,9 +294,11 @@ func (p Package) MarshalBinary() ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// UnmarshalBinary decodes and validates a package.
+// UnmarshalBinary decodes and validates a package, keeping the program
+// for Decode and a private copy of b, which nothing aliases, for Wire.
 func (p *Package) UnmarshalBinary(b []byte) error {
-	d := core.NewDec(b)
+	wire := append([]byte(nil), b...)
+	d := core.NewDec(wire)
 	m, err := decodeManifest(d)
 	if err != nil {
 		return err
@@ -270,7 +315,7 @@ func (p *Package) UnmarshalBinary(b []byte) error {
 	if err := c.UnmarshalBinary(ctx); err != nil {
 		return err
 	}
-	p.Binary = Binary{Manifest: m, Program: append([]byte(nil), prog...)}
-	p.Context = c
-	return p.Validate()
+	*p = Package{Binary: Binary{Manifest: m, Program: prog}, Context: c, wire: wire, code: prog}
+	p.prog, err = p.Decode()
+	return err
 }

@@ -1,6 +1,7 @@
 package plugin
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -203,5 +204,42 @@ func TestManifestDependencyFieldsSurviveWire(t *testing.T) {
 	}
 	if m.Budget != 5000 || m.Developer != "sics" {
 		t.Fatalf("budget/developer = %d %q", m.Budget, m.Developer)
+	}
+}
+
+// A decoded package reuses the program its decode checked until
+// Binary.Program is replaced; from then on the replacement is what gets
+// decoded, validated and encoded.
+func TestReplacedProgramDropsKeptDecode(t *testing.T) {
+	raw, err := Package{Binary: testBinary(t), Context: testContext()}.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkg Package
+	if err := pkg.UnmarshalBinary(raw); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := pkg.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := pkg.Decode(); again != kept {
+		t.Fatal("Decode decoded the program again")
+	}
+	if wire, _ := pkg.Wire(); !bytes.Equal(wire, raw) {
+		t.Fatal("Wire is not the decoded bytes")
+	}
+	corrupt := append([]byte(nil), pkg.Binary.Program...)
+	corrupt[len(corrupt)-1] ^= 0xFF
+	pkg.Binary.Program = corrupt
+	if _, err := pkg.Decode(); err == nil {
+		t.Fatal("package with a corrupt replacement program decodes")
+	}
+	if _, err := pkg.Wire(); err == nil {
+		t.Fatal("package with a corrupt replacement program encodes")
+	}
+	corrupt[len(corrupt)-1] ^= 0xFF
+	if prog, err := pkg.Decode(); err != nil || prog == kept {
+		t.Fatalf("repaired replacement: fresh decode %v, err %v", prog != kept, err)
 	}
 }
